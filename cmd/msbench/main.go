@@ -5,9 +5,9 @@
 // breakdown, and the ablation sweeps.
 //
 // Independent simulation jobs run concurrently on a worker pool bounded
-// by GOMAXPROCS, with builds and functional-oracle runs memoized per
-// (workload, mode, scale); all tables are byte-identical to the
-// sequential path (-seq).
+// by GOMAXPROCS, with builds, functional-oracle runs and finished
+// simulation points answered from content-keyed stores (internal/job);
+// all tables are byte-identical to the sequential path (-par 1).
 //
 // Usage:
 //
@@ -15,7 +15,7 @@
 //	msbench -all -quick           everything at the fast test scale
 //	msbench -breakdown -units 8
 //	msbench -ablate
-//	msbench -all -seq             force the sequential path
+//	msbench -all -par 1           force the sequential path
 //	msbench -all -json out.json   also write a timing/throughput report
 //	msbench -all -noskip          force the dense per-cycle simulation loop
 //	msbench -sections table3,sweep
@@ -38,6 +38,7 @@ import (
 
 	"multiscalar/internal/bench"
 	"multiscalar/internal/isa"
+	"multiscalar/internal/job"
 )
 
 func main() {
@@ -58,8 +59,7 @@ func main() {
 		mix        = flag.Bool("mix", false, "print the dynamic instruction mix of the benchmarks")
 		units      = flag.Int("units", 8, "unit count for -breakdown")
 		quick      = flag.Bool("quick", false, "use fast test-scale inputs")
-		seq        = flag.Bool("seq", false, "force the sequential path (1 worker)")
-		par        = flag.Int("par", 0, "cap concurrent simulation jobs (default GOMAXPROCS)")
+		par        = flag.Int("par", 0, "cap concurrent simulation jobs (default GOMAXPROCS; 1 forces the sequential path)")
 		jsonOut    = flag.String("json", "", "write a machine-readable timing/throughput report to this file (- for stdout)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		noskip     = flag.Bool("noskip", false, "disable the simulator's wakeup scheduler (dense per-cycle ticking; tables are byte-identical either way)")
@@ -69,10 +69,8 @@ func main() {
 	)
 	flag.Parse()
 
-	if *seq {
-		bench.SetWorkers(1)
-	} else if *par > 0 {
-		bench.SetWorkers(*par)
+	if *par > 0 {
+		job.SetWorkers(*par)
 	}
 	bench.SetNoSkip(*noskip)
 	if *cpuprofile != "" {

@@ -1,6 +1,6 @@
 // msserve is simulation-as-a-service: a daemon that accepts
 // assemble/simulate/trace jobs and batch config sweeps over HTTP/JSON,
-// fans them out over the bench worker pool, and answers duplicate
+// fans them out over the job worker pool, and answers duplicate
 // submissions from a content-addressed result cache (in-memory LRU with
 // single-flight admission and optional on-disk spill). See docs/serve.md
 // for the API.
@@ -30,7 +30,7 @@ import (
 	"strings"
 	"time"
 
-	"multiscalar/internal/bench"
+	"multiscalar/internal/job"
 	"multiscalar/internal/serve"
 )
 
@@ -61,7 +61,7 @@ func main() {
 	}
 
 	if *workers > 0 {
-		bench.SetWorkers(*workers)
+		job.SetWorkers(*workers)
 	}
 	eng := serve.NewLocal(serve.Options{
 		CacheEntries:      *cacheN,

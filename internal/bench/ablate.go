@@ -8,6 +8,7 @@ import (
 	"multiscalar/internal/asm"
 	"multiscalar/internal/core"
 	"multiscalar/internal/isa"
+	"multiscalar/internal/job"
 	"multiscalar/internal/workloads"
 )
 
@@ -19,18 +20,9 @@ type AblationRow struct {
 	Extra   string
 }
 
-// runMSConfig runs one multiscalar binary under cfg, verifying against
-// the oracle reference o (the memoized functional run of the same
-// program — or of a semantically equivalent transform of it). Points
-// identical to an already-simulated one — every sweep's unablated row —
-// fast-forward from its shared snapshot (runShared).
-func runMSConfig(p *isa.Program, o Oracle, cfg core.Config, input []byte) (*core.Result, error) {
-	return runShared(p, o, cfg, input, "ablation run")
-}
-
-// sweep builds `name` once (memoized), fans the configuration points out
-// over the worker pool, and assembles rows in input order with speedups
-// relative to row 0.
+// sweep fans the configuration points of workload `name` out over the
+// worker pool and assembles rows in input order with speedups relative to
+// row 0.
 func sweep(name string, scale Scale, n int, cfgOf func(i int) core.Config,
 	rowOf func(i int, res *core.Result) AblationRow) ([]AblationRow, error) {
 
@@ -38,14 +30,10 @@ func sweep(name string, scale Scale, n int, cfgOf func(i int) core.Config,
 	if w == nil {
 		return nil, fmt.Errorf("unknown workload %q", name)
 	}
-	p, o, err := buildOracle(w, asm.ModeMultiscalar, scale)
-	if err != nil {
-		return nil, err
-	}
-	input := inputFor(name)
+	spec := pointSpec(w, asm.ModeMultiscalar, scale)
 	results := make([]*core.Result, n)
-	err = runJobs(n, func(i int) error {
-		res, err := runMSConfig(p, o, cfgOf(i), input)
+	err := job.RunJobs(n, func(i int) error {
+		res, err := runPoint(spec, cfgOf(i), "ablation run")
 		results[i] = res
 		return err
 	})
@@ -127,22 +115,24 @@ func ForwardingAblation(name string, scale Scale) ([]AblationRow, error) {
 	if w == nil {
 		return nil, fmt.Errorf("unknown workload %q", name)
 	}
-	p, o, err := buildOracle(w, asm.ModeMultiscalar, scale)
+	hand := pointSpec(w, asm.ModeMultiscalar, scale)
+	p, err := hand.Resolve()
 	if err != nil {
 		return nil, err
 	}
 	// Forward bits and releases only route values; they never change the
-	// functional outcome or the dynamic instruction count (a release
-	// becomes a nop, which still retires). The original oracle therefore
-	// verifies the stripped clone too.
+	// functional outcome (a release becomes a nop, which still retires).
+	// The stripped clone is a program of its own content hash, verified
+	// against its own oracle run.
 	stripped := cloneProgram(p)
 	stripForwarding(stripped)
+	bare := hand
+	bare.Workload, bare.Program = "", stripped
+	specs := []job.Spec{hand, bare}
 
-	input := inputFor(name)
 	results := make([]*core.Result, 2)
-	progs := []*isa.Program{p, stripped}
-	err = runJobs(2, func(i int) error {
-		res, err := runMSConfig(progs[i], o, core.DefaultConfig(8, 1, false), input)
+	err = job.RunJobs(2, func(i int) error {
+		res, err := runPoint(specs[i], core.DefaultConfig(8, 1, false), "ablation run")
 		results[i] = res
 		return err
 	})

@@ -7,6 +7,7 @@ import (
 	"multiscalar/internal/annotate"
 	"multiscalar/internal/asm"
 	"multiscalar/internal/core"
+	"multiscalar/internal/job"
 	"multiscalar/internal/pu"
 	"multiscalar/internal/workloads"
 )
@@ -31,26 +32,28 @@ type AnnotateRow struct {
 // AnnotateAblation runs the hand-vs-optimized comparison over the whole
 // suite (extras included — the ABI-conservative function tasks the
 // optimizer's refined return-liveness tightens live there) on 8 one-way
-// in-order units. Both binaries are held to the same memoized functional
-// oracle: the optimizer only rewrites annotations, never results, and a
-// removed release decays to a nop so the committed instruction count is
-// unchanged too.
+// in-order units. Each binary is verified against its own memoized
+// functional oracle; the optimizer only rewrites annotations, never
+// results, and a removed release decays to a nop so the committed
+// instruction count is unchanged too.
 func AnnotateAblation(scale Scale) ([]AnnotateRow, error) {
 	ws := workloads.AllWithExtras()
 	rows := make([]AnnotateRow, len(ws))
-	err := runJobs(len(ws), func(i int) error {
+	err := job.RunJobs(len(ws), func(i int) error {
 		w := ws[i]
-		p, o, err := buildOracle(w, asm.ModeMultiscalar, scale)
+		spec := pointSpec(w, asm.ModeMultiscalar, scale)
+		p, err := spec.Resolve()
 		if err != nil {
 			return fmt.Errorf("%s: %w", w.Name, err)
 		}
 		auto, plan := annotate.Optimize(p)
 		cfg := core.DefaultConfig(8, 1, false)
-		hand, err := runMSConfig(p, o, cfg, inputFor(w.Name))
+		hand, err := runPoint(spec, cfg, "ablation run")
 		if err != nil {
 			return fmt.Errorf("%s (hand): %w", w.Name, err)
 		}
-		opt, err := runMSConfig(auto, o, cfg, inputFor(w.Name))
+		spec.Workload, spec.Program = "", auto
+		opt, err := runPoint(spec, cfg, "ablation run")
 		if err != nil {
 			return fmt.Errorf("%s (optimized): %w", w.Name, err)
 		}

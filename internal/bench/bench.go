@@ -11,6 +11,7 @@ import (
 
 	"multiscalar/internal/asm"
 	"multiscalar/internal/core"
+	"multiscalar/internal/job"
 	"multiscalar/internal/pu"
 	"multiscalar/internal/workloads"
 )
@@ -42,7 +43,7 @@ type Table2Row struct {
 func Table2(scale Scale) ([]Table2Row, error) {
 	ws := workloads.All()
 	rows := make([]Table2Row, len(ws))
-	err := runJobs(len(ws), func(i int) error {
+	err := job.RunJobs(len(ws), func(i int) error {
 		w := ws[i]
 		_, so, err := buildOracle(w, asm.ModeScalar, scale)
 		if err != nil {
@@ -93,20 +94,13 @@ func runOne(w *workloads.Workload, scale Scale, units, width int, ooo bool) (*co
 	if units <= 1 {
 		mode = asm.ModeScalar
 	}
-	p, o, err := buildOracle(w, mode, scale)
-	if err != nil {
-		return nil, err
-	}
-	// Verification is against the memoized oracle inside runShared, not
-	// WithVerify (which would re-interpret the program on every
-	// configuration).
 	var cfg core.Config
 	if units <= 1 {
 		cfg = core.ScalarConfig(width, ooo)
 	} else {
 		cfg = core.DefaultConfig(units, width, ooo)
 	}
-	return runShared(p, o, cfg, inputFor(w.Name),
+	return runPoint(pointSpec(w, mode, scale), cfg,
 		fmt.Sprintf("%s units=%d width=%d ooo=%v", w.Name, units, width, ooo))
 }
 
@@ -117,7 +111,7 @@ func PerfTable(width int, outOfOrder bool, scale Scale) ([]PerfRow, error) {
 	ws := workloads.All()
 	unitCounts := []int{1, 4, 8}
 	results := make([]*core.Result, len(ws)*len(unitCounts))
-	err := runJobs(len(results), func(i int) error {
+	err := job.RunJobs(len(results), func(i int) error {
 		res, err := runOne(ws[i/len(unitCounts)], scale, unitCounts[i%len(unitCounts)], width, outOfOrder)
 		results[i] = res
 		return err
@@ -198,7 +192,7 @@ type BreakdownRow struct {
 func Breakdown(units int, scale Scale) ([]BreakdownRow, error) {
 	ws := workloads.All()
 	rows := make([]BreakdownRow, len(ws))
-	err := runJobs(len(ws), func(i int) error {
+	err := job.RunJobs(len(ws), func(i int) error {
 		res, err := runOne(ws[i], scale, units, 1, false)
 		if err != nil {
 			return err

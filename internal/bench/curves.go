@@ -6,6 +6,7 @@ import (
 
 	"multiscalar/internal/asm"
 	"multiscalar/internal/core"
+	"multiscalar/internal/job"
 	"multiscalar/internal/workloads"
 )
 
@@ -24,7 +25,7 @@ func SpeedupCurves(width int, outOfOrder bool, scale Scale, units []int) ([]Spee
 	ws := workloads.All()
 	stride := len(units) + 1 // job 0 of each workload is the scalar baseline
 	results := make([]*core.Result, len(ws)*stride)
-	err := runJobs(len(results), func(i int) error {
+	err := job.RunJobs(len(results), func(i int) error {
 		w, j := ws[i/stride], i%stride
 		n := 1
 		if j > 0 {
@@ -92,7 +93,7 @@ type InstructionMix struct {
 func Mixes(scale Scale) ([]InstructionMix, error) {
 	ws := workloads.All()
 	out := make([]InstructionMix, len(ws))
-	err := runJobs(len(ws), func(i int) error {
+	err := job.RunJobs(len(ws), func(i int) error {
 		w := ws[i]
 		_, o, err := buildOracle(w, asm.ModeMultiscalar, scale)
 		if err != nil {

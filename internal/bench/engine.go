@@ -1,102 +1,35 @@
 package bench
 
 import (
-	"bytes"
+	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"multiscalar/internal/asm"
 	"multiscalar/internal/core"
-	"multiscalar/internal/interp"
 	"multiscalar/internal/isa"
 	"multiscalar/internal/job"
 	"multiscalar/internal/workloads"
 )
 
-// The harness fans independent simulation jobs (one per workload ×
-// configuration point) out over a bounded worker pool. Results land in
+// The harness owns no execution machinery: a simulation point is one
+// job.Execute call behind a job.Store of finished results, builds and
+// functional-oracle runs are job's process-wide stores, and independent
+// points fan out over job's worker pool (job.RunJobs). Results land in
 // index-addressed slices, so formatted tables are byte-identical to the
 // sequential path regardless of completion order.
 
-var workers atomic.Int64
-
-func init() { workers.Store(int64(runtime.GOMAXPROCS(0))) }
-
-// SetWorkers bounds the number of concurrent simulation jobs. 1 forces
-// the fully sequential path (the msbench -seq flag); values above
-// GOMAXPROCS buy nothing but are harmless.
-func SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	workers.Store(int64(n))
-}
-
-// Workers returns the current job-pool bound.
-func Workers() int { return int(workers.Load()) }
-
-// RunJobs runs fn(0..n-1), fanning out across the worker pool. Each fn
-// writes its result into its own slot of a caller-owned slice; RunJobs
-// returns the lowest-index error so failures are deterministic. It is
-// exported for the serve engine, whose batch submissions fan out over
-// this same pool.
-func RunJobs(n int, fn func(i int) error) error { return runJobs(n, fn) }
-
-// runJobs is RunJobs; the harness's own sections call it directly.
-func runJobs(n int, fn func(i int) error) error {
-	w := Workers()
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	sem := make(chan struct{}, w)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(i int) {
-			defer func() { <-sem; wg.Done() }()
-			errs[i] = fn(i)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Oracle is the functional-simulator reference for one binary: the
-// dynamic instruction counts Table 2 reports and the output every timing
-// run must reproduce.
-type Oracle struct {
-	ICount                  uint64
-	Loads, Stores, Branches uint64
-	Out                     string
-}
-
 // inputs maps workload name → program input bytes (SysReadChar stream).
-// Nothing in today's suite consumes input, but the memo keys below honor
+// Nothing in today's suite consumes input, but every key below honors
 // the hash(program, config, stdin) contract so a future stdin-consuming
 // workload cannot alias the cache entries of another input.
 var inputs sync.Map // string -> []byte
 
 // SetInput registers the bytes a workload reads as its input stream.
 // Every oracle and timing run of that workload gets a fresh reader over
-// the same bytes, and the input's hash becomes part of the build- and
-// run-memo keys.
+// the same bytes, and the input's hash becomes part of the oracle and
+// result keys.
 func SetInput(name string, data []byte) { inputs.Store(name, data) }
 
 func inputFor(name string) []byte {
@@ -106,222 +39,92 @@ func inputFor(name string) []byte {
 	return nil
 }
 
-// buildSpec is the job.Spec a memoized build/oracle execution is keyed
-// by: the assemble-shaped spec of one workload at one (mode, resolved
-// scale), plus the registered input. The Spec's canonical encoding
-// preserves the old buildKey contract — nil input is distinct from
-// empty-but-present input.
+// buildSpec names one workload build at one (mode, resolved scale) plus
+// the registered input its oracle reads: two lookups share a program and
+// an oracle exactly when their buildSpec keys agree (nil input is
+// distinct from empty-but-present input).
 func buildSpec(w *workloads.Workload, mode asm.Mode, scale Scale, input []byte) *job.Spec {
 	return &job.Spec{Op: job.OpAssemble, Workload: w.Name, Mode: mode, Scale: scale.of(w), Stdin: input}
 }
 
-type buildEntry struct {
-	once   sync.Once
-	prog   *isa.Program
-	oracle Oracle
-	err    error
-}
-
-var (
-	memoMu sync.Mutex
-	memo   = map[string]*buildEntry{}
-
-	// buildsPerformed counts actual assemble+oracle executions (not memo
-	// hits) — observability for tests and the JSON report.
-	buildsPerformed atomic.Uint64
-)
-
-// buildOracle assembles workload w in the given mode and runs the
-// functional oracle over it, memoized per job.Spec key — hash(workload,
-// mode, resolved scale, stdin) — for the life of the process. Concurrent
-// first requests single-flight: exactly one goroutine builds, the rest
-// wait and share the result. The returned Program is shared and must not
-// be mutated — clone (cloneProgram) before transforming it.
-func buildOracle(w *workloads.Workload, mode asm.Mode, scale Scale) (*isa.Program, Oracle, error) {
-	input := inputFor(w.Name)
-	spec := buildSpec(w, mode, scale, input)
-	key, err := spec.Key()
+// buildOracle returns workload w's binary in the given mode and its
+// functional-oracle reference, both answered from job's stores
+// (single-flight, once per process). The returned Program is shared and
+// must not be mutated — clone (cloneProgram) before transforming it.
+func buildOracle(w *workloads.Workload, mode asm.Mode, scale Scale) (*isa.Program, *job.Oracle, error) {
+	spec := buildSpec(w, mode, scale, inputFor(w.Name))
+	p, err := spec.Resolve()
 	if err != nil {
-		return nil, Oracle{}, err
+		return nil, nil, err
 	}
-	memoMu.Lock()
-	e := memo[key]
-	if e == nil {
-		e = &buildEntry{}
-		memo[key] = e
-	}
-	memoMu.Unlock()
-	e.once.Do(func() {
-		buildsPerformed.Add(1)
-		e.prog, e.oracle, e.err = buildAndRun(w, mode, spec.Scale, input)
-	})
-	return e.prog, e.oracle, e.err
+	o, err := job.CachedOracle(p, spec.Stdin, 0)
+	return p, o, err
 }
 
-func buildAndRun(w *workloads.Workload, mode asm.Mode, scale int, input []byte) (*isa.Program, Oracle, error) {
-	p, err := w.Build(mode, scale)
-	if err != nil {
-		return nil, Oracle{}, err
-	}
-	env := interp.NewSysEnv()
-	if input != nil {
-		env.In = bytes.NewReader(input)
-	}
-	m := interp.NewMachine(p, env)
-	if err := m.Run(1 << 40); err != nil {
-		return nil, Oracle{}, err
-	}
-	return p, Oracle{
-		ICount:   m.ICount,
-		Loads:    m.LoadCount,
-		Stores:   m.StoreCount,
-		Branches: m.BranchCount,
-		Out:      env.Out.String(),
-	}, nil
+// pointSpec names the verified simulation of workload w's binary in the
+// given mode: the harness names its work (workload, mode, scale, input)
+// and leaves building, oracle verification and machine dispatch to
+// job.Execute. A transformed binary takes the spec's Workload out and
+// puts an inline Program in (ForwardingAblation, AnnotateAblation).
+func pointSpec(w *workloads.Workload, mode asm.Mode, scale Scale) job.Spec {
+	s := *buildSpec(w, mode, scale, inputFor(w.Name))
+	s.Op, s.Verify = job.OpSimulate, true
+	return s
 }
 
-// ResetMemo drops the build/oracle and shared-run caches (tests and
-// long-lived hosts).
+// results holds every finished simulation point of the process, keyed by
+// the content-addressed job.Spec key — hash(program identity, canonical
+// config, stdin) — the same identity msserve's result cache uses. The
+// harness's sections overlap heavily (every ablation sweep contains the
+// unablated Section 5.1 configuration, the breakdown re-runs the main
+// tables' 8-unit points, the speedup curves re-run their scalar baselines
+// and 4/8-unit points), so a duplicate point is answered with the stored,
+// read-only Result instead of being simulated again.
+var results = job.NewStore[*core.Result](0)
+
+// RunsRestored reports how many simulation points were answered from the
+// result store rather than simulated again (JSON report field
+// runs_restored).
+func RunsRestored() uint64 { return results.Stats().Hits }
+
+// ResetMemo drops the harness's results and job's build/oracle stores
+// (tests and long-lived hosts).
 func ResetMemo() {
-	memoMu.Lock()
-	memo = map[string]*buildEntry{}
-	memoMu.Unlock()
-	simMu.Lock()
-	simMemo = map[string]*simEntry{}
-	simMu.Unlock()
+	results.Reset()
+	job.ResetBuildMemo()
 }
 
-// Shared-prefix fast-forward across duplicate simulation points.
-//
-// The harness's sections overlap heavily: every ablation sweep contains
-// the unablated configuration (ring hop 1, 256 stall-policy ARB
-// entries, the PAs predictor, private FUs are all the Section 5.1
-// defaults), the breakdown re-runs the main tables' 8-unit points, and
-// the speedup curves re-run their scalar baselines and 4/8-unit points.
-// Two jobs over the same (program, configuration, input) share their
-// entire execution — the degenerate, whole-run case of a shared
-// unablated prefix — so the first job simulates the prefix once and
-// snapshots the finished machine, and every later job fans out from the
-// restored state: Restore + Run folds the prefix's cycles and counters
-// into a Result of its own. Rows come out byte-identical to independent
-// full runs (pinned by TestRunSharingMatchesIsolated, the same
-// discipline as TestSkipMatchesDense).
-
-// The shared-run memo is keyed by the content-addressed job.Spec key of
-// the simulate job — hash(program, canonical config, stdin) — the same
-// identity the serve engine's result cache and the facade's SubmitJob
-// use. Config's runtime-only trace fields never participate (the
-// canonical encoding excludes them; the harness runs untraced, and a
-// traced run must not share state anyway).
-
-type simEntry struct {
-	once sync.Once
-	snap []byte // finished-machine snapshot (internal/snapshot format)
-	err  error
-}
-
-var (
-	simMu   sync.Mutex
-	simMemo = map[string]*simEntry{}
-
-	// runsRestored counts simulation points answered by restoring a
-	// shared snapshot instead of re-simulating (JSON report, tests).
-	runsRestored atomic.Uint64
-)
-
-// RunsRestored reports how many simulation points were answered from a
-// shared finished-run snapshot rather than simulated again.
-func RunsRestored() uint64 { return runsRestored.Load() }
-
-// newMachine mirrors the facade's dispatch: a binary without task
-// descriptors on a one-unit configuration runs on the scalar baseline,
-// everything else on the multiscalar machine.
-type machine interface {
-	Run() (*core.Result, error)
-	Save() ([]byte, error)
-	Restore([]byte) error
-}
-
-func newMachine(p *isa.Program, cfg core.Config, input []byte) (machine, error) {
-	env := interp.NewSysEnv()
-	if input != nil {
-		env.In = bytes.NewReader(input)
-	}
-	if cfg.NumUnits <= 1 && len(p.Tasks) == 0 {
-		return core.NewScalar(p, env, cfg), nil
-	}
-	return core.NewMultiscalar(p, env, cfg)
-}
-
-// runShared simulates one (program, configuration, input) point and
-// verifies it against oracle o, sharing the work of duplicate points as
-// described above. what labels errors.
-func runShared(p *isa.Program, o Oracle, cfg core.Config, input []byte, what string) (*core.Result, error) {
+// runPoint simulates spec's program under cfg, verified against the
+// memoized functional oracle, sharing the work of duplicate points as
+// described above. The returned Result is shared: read-only. what labels
+// errors.
+func runPoint(spec job.Spec, cfg core.Config, what string) (*core.Result, error) {
 	applyRunFlags(&cfg)
-	spec := job.Spec{Op: job.OpSimulate, Program: p, Config: cfg, Stdin: input}
+	spec.Config = cfg
 	key, err := spec.Key()
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", what, err)
 	}
-	simMu.Lock()
-	e := simMemo[key]
-	if e == nil {
-		e = &simEntry{}
-		simMemo[key] = e
-	}
-	simMu.Unlock()
-
-	check := func(res *core.Result) error {
-		if res.Out != o.Out || res.Committed != o.ICount {
-			return fmt.Errorf("diverged from oracle (committed %d vs %d)", res.Committed, o.ICount)
-		}
-		return nil
-	}
-	var res *core.Result
-	e.once.Do(func() {
-		m, err := newMachine(p, cfg, input)
+	res, _, err := results.Do(context.Background(), key, func() (*core.Result, error) {
+		out, err := job.Execute(&spec, nil)
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
-		r, err := m.Run()
-		if err != nil {
-			e.err = err
-			return
-		}
-		if e.err = check(r); e.err != nil {
-			return
-		}
-		recordRun(r)
-		if e.snap, e.err = m.Save(); e.err == nil {
-			res = r
-		}
+		recordRun(out.Result)
+		return out.Result, nil
 	})
-	if e.err != nil {
-		return nil, fmt.Errorf("%s: %w", what, e.err)
-	}
-	if res == nil { // duplicate point: fast-forward over the shared run
-		m, err := newMachine(p, cfg, input)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", what, err)
-		}
-		if err := m.Restore(e.snap); err != nil {
-			return nil, fmt.Errorf("%s: restoring shared run: %w", what, err)
-		}
-		if res, err = m.Run(); err != nil {
-			return nil, fmt.Errorf("%s: %w", what, err)
-		}
-		if err := check(res); err != nil {
-			return nil, fmt.Errorf("%s: %w", what, err)
-		}
-		runsRestored.Add(1)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", what, err)
 	}
 	return res, nil
 }
 
-// BuildsPerformed returns how many assemble+oracle executions have
-// actually run in this process (memo misses).
-func BuildsPerformed() uint64 { return buildsPerformed.Load() }
+// BuildsPerformed returns how many program builds have actually run in
+// this process (misses of job's program store).
+func BuildsPerformed() uint64 {
+	builds, _ := job.Stats()
+	return builds.Runs
+}
 
 // cloneProgram returns a copy whose Text may be mutated freely (the
 // ablations transform binaries in place). Data, task descriptors and

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"errors"
-	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -10,6 +9,7 @@ import (
 	"multiscalar/internal/asm"
 	"multiscalar/internal/core"
 	"multiscalar/internal/isa"
+	"multiscalar/internal/job"
 	"multiscalar/internal/workloads"
 )
 
@@ -17,9 +17,9 @@ import (
 // process-wide setting afterwards.
 func withWorkers(t *testing.T, n int, fn func()) {
 	t.Helper()
-	old := Workers()
-	SetWorkers(n)
-	defer SetWorkers(old)
+	old := job.Workers()
+	job.SetWorkers(n)
+	defer job.SetWorkers(old)
 	fn()
 }
 
@@ -91,44 +91,6 @@ func TestMemoSingleFlight(t *testing.T) {
 	}
 }
 
-func TestRunJobsReturnsLowestIndexError(t *testing.T) {
-	errAt := func(bad ...int) func(i int) error {
-		return func(i int) error {
-			for _, b := range bad {
-				if i == b {
-					return fmt.Errorf("job %d failed", i)
-				}
-			}
-			return nil
-		}
-	}
-	for _, workers := range []int{1, 8} {
-		withWorkers(t, workers, func() {
-			err := runJobs(10, errAt(7, 3, 9))
-			if err == nil || err.Error() != "job 3 failed" {
-				t.Errorf("workers=%d: err = %v, want job 3's", workers, err)
-			}
-			if err := runJobs(10, errAt()); err != nil {
-				t.Errorf("workers=%d: unexpected error %v", workers, err)
-			}
-		})
-	}
-}
-
-func TestRunJobsRunsEveryJob(t *testing.T) {
-	withWorkers(t, 4, func() {
-		hit := make([]bool, 50)
-		if err := runJobs(len(hit), func(i int) error { hit[i] = true; return nil }); err != nil {
-			t.Fatal(err)
-		}
-		for i, h := range hit {
-			if !h {
-				t.Errorf("job %d never ran", i)
-			}
-		}
-	})
-}
-
 // TestParallelMatchesSequential is the determinism contract: every table
 // and sweep must format byte-identically whether jobs run on 1 worker or
 // many, regardless of completion order.
@@ -186,10 +148,15 @@ func TestParallelMatchesSequential(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			var seq, par string
 			var err error
+			// Cold stores on both sides, so the parallel pass simulates
+			// (and single-flights) instead of reading back the sequential
+			// pass's results.
+			ResetMemo()
 			withWorkers(t, 1, func() { seq, err = section() })
 			if err != nil {
 				t.Fatal(err)
 			}
+			ResetMemo()
 			withWorkers(t, 8, func() { par, err = section() })
 			if err != nil {
 				t.Fatal(err)
@@ -253,52 +220,48 @@ func TestCloneProgramIsolatesText(t *testing.T) {
 	}
 }
 
-// TestRunSharingMatchesIsolated pins the fast-forward discipline the
-// shared-run cache promises: a duplicate simulation point, answered by
-// restoring the first run's finished-machine snapshot and re-running,
-// must produce a Result identical to a fresh, isolated full simulation.
+// TestRunSharingMatchesIsolated pins what the result store promises: a
+// duplicate simulation point, answered with the first run's stored
+// Result, is identical to a fresh, isolated job.Execute of the same point
+// outside the store, and counts as one restored run.
 func TestRunSharingMatchesIsolated(t *testing.T) {
 	ResetMemo()
 	w := workloads.Get("wc")
 	if w == nil {
 		t.Fatal("workload wc missing")
 	}
-	p, o, err := buildOracle(w, asm.ModeMultiscalar, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := pointSpec(w, asm.ModeMultiscalar, -1)
 	cfg := core.DefaultConfig(4, 1, false)
-	input := inputFor(w.Name)
 
-	first, err := runShared(p, o, cfg, input, "first point")
+	runsBefore, _, _ := SimTotals()
+	first, err := runPoint(spec, cfg, "first point")
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := RunsRestored()
-	dup, err := runShared(p, o, cfg, input, "duplicate point")
+	dup, err := runPoint(spec, cfg, "duplicate point")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := RunsRestored() - before; got != 1 {
-		t.Fatalf("RunsRestored delta = %d, want 1 (duplicate must fast-forward)", got)
+		t.Fatalf("RunsRestored delta = %d, want 1 (duplicate must be a store hit)", got)
+	}
+	if runs, _, _ := SimTotals(); runs-runsBefore != 1 {
+		t.Fatalf("SimTotals runs delta = %d, want 1 (the duplicate must not simulate)", runs-runsBefore)
 	}
 
-	// Isolated reference: a fresh machine simulating the point in full,
-	// outside the cache. applyRunFlags mirrors what runShared applied.
-	refCfg := cfg
-	applyRunFlags(&refCfg)
-	m, err := newMachine(p, refCfg, input)
+	// Isolated reference: the same point through job.Execute, outside the
+	// store. applyRunFlags mirrors what runPoint applied.
+	spec.Config = cfg
+	applyRunFlags(&spec.Config)
+	out, err := job.Execute(&spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	isolated, err := m.Run()
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(dup, out.Result) {
+		t.Errorf("stored duplicate diverges from isolated run:\nstored:   %+v\nisolated: %+v", dup, out.Result)
 	}
-	if !reflect.DeepEqual(dup, isolated) {
-		t.Errorf("restored duplicate diverges from isolated run:\nrestored: %+v\nisolated: %+v", dup, isolated)
-	}
-	if !reflect.DeepEqual(first, dup) {
-		t.Errorf("restored duplicate diverges from the run that built the snapshot:\nfirst: %+v\ndup:   %+v", first, dup)
+	if first != dup {
+		t.Error("duplicate point was not answered with the stored Result")
 	}
 }

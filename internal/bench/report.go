@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"runtime"
 	"time"
+
+	"multiscalar/internal/job"
 )
 
 // Section is one timed phase of a benchmark-harness invocation.
@@ -40,11 +42,10 @@ type Report struct {
 	SimCyclesTicked uint64  `json:"sim_cycles_ticked"`
 	CycleSkipRatio  float64 `json:"cycle_skip_ratio"`
 	SimInstructions uint64  `json:"sim_instructions"`
-	// Builds that actually ran (memo misses): assemble + functional
-	// oracle executions.
+	// Program builds that actually ran (misses of job's program store).
 	Builds uint64 `json:"builds"`
-	// Simulation points answered by restoring a shared finished-run
-	// snapshot instead of simulating again (docs/perf.md).
+	// Simulation points answered from the result store instead of being
+	// simulated again (docs/perf.md); the field keeps its historical name.
 	RunsRestored uint64 `json:"runs_restored"`
 	// Sampled-simulation work (docs/perf.md, "Sampled simulation"):
 	// estimates produced, detailed windows measured across them, and the
@@ -71,7 +72,7 @@ func NewReport(scale Scale) *Report {
 		GOARCH:     runtime.GOARCH,
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Workers:    Workers(),
+		Workers:    job.Workers(),
 		Scale:      name,
 	}
 }

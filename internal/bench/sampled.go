@@ -20,10 +20,6 @@ import (
 // section is not part of -all so the -all output stays byte-identical
 // with the sampling engine present but unused.
 
-// Window-level parallelism inside sampled jobs rides on the same worker
-// pool as section-level parallelism.
-func init() { job.SetSampleRunner(RunJobs) }
-
 // sampledWorkloads names the two longest table workloads by multiscalar
 // dynamic instruction count at default scale (example ~378k, wc ~160k)
 // — the runs where the paper-table harness spends its cycles and where
@@ -74,23 +70,21 @@ func RunSampled(scale Scale) ([]SampledRow, error) {
 			return nil, fmt.Errorf("sampled: unknown workload %q", name)
 		}
 		eff := Scale(scale.of(w) * sampledScaleFactor)
-		p, o, err := buildOracle(w, asm.ModeMultiscalar, eff)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
+		spec := pointSpec(w, asm.ModeMultiscalar, eff)
 		cfg := core.DefaultConfig(8, 2, true)
-		input := inputFor(name)
-		full, err := runShared(p, o, cfg, input,
+		full, err := runPoint(spec, cfg,
 			fmt.Sprintf("%s sampled-baseline scale=%d", name, int(eff)))
 		if err != nil {
 			return nil, err
 		}
-		var runCfg core.Config = cfg
-		applyRunFlags(&runCfg)
-		est, err := sample.Run(p, runCfg, sample.Params{}, input, job.DefaultMaxInstrs, RunJobs)
+		// The same job, sampled: the functional pass is its own oracle.
+		spec.Op, spec.Verify, spec.Config = job.OpSampled, false, cfg
+		applyRunFlags(&spec.Config)
+		out, err := job.Execute(&spec, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
+		est := out.Sampled
 		recordSampled(est)
 		rows = append(rows, SampledRow{
 			Name:        name,

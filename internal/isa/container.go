@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sort"
 )
 
 // Binary program container ("MSCB"): the on-disk form of a multiscalar
@@ -49,10 +50,17 @@ func WriteProgram(w io.Writer, p *Program) error {
 		}
 	}
 
-	writeU32(&b, uint32(len(p.Symbols)))
-	for name, addr := range p.Symbols {
+	// Sorted by name: the encoding — and every content hash taken over it
+	// (job.ProgramHash, job.Spec.Key) — must not depend on map order.
+	names := make([]string, 0, len(p.Symbols))
+	for name := range p.Symbols {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	writeU32(&b, uint32(len(names)))
+	for _, name := range names {
 		writeStr(&b, name)
-		writeU32(&b, addr)
+		writeU32(&b, p.Symbols[name])
 	}
 
 	_, err := w.Write(b.Bytes())

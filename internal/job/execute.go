@@ -2,10 +2,11 @@ package job
 
 import (
 	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 
 	"multiscalar/internal/asm"
 	"multiscalar/internal/core"
@@ -63,30 +64,31 @@ type Output struct {
 	Snapshot []byte           // finished-machine snapshot when Spec.WantSnapshot
 }
 
-// sampleRunner fans a sampled job's detailed windows out over a worker
-// pool. The bench package registers its job pool here (SetSampleRunner)
-// so window-level parallelism and section-level parallelism share one
-// bound; nil runs windows serially.
-var sampleRunner atomic.Pointer[sample.Runner]
+// The process-wide stores. A workload built at one (mode, scale) — or a
+// source text built at one mode — is assembled once per process no matter
+// how many jobs reference it, and a program is interpreted once per
+// (input, instruction bound) no matter how many configurations are
+// verified against it. Both are bounded: a daemon fed an endless stream of
+// distinct sources or inline programs keeps the most recent storeCap of
+// each, well above the largest working set in the repository (the
+// benchmark's serve mix builds ~50 programs, msbench -all 20).
+const storeCap = 256
 
-// SetSampleRunner registers the worker pool sampled jobs fan their
-// detailed windows over.
-func SetSampleRunner(r sample.Runner) { sampleRunner.Store(&r) }
+var (
+	programs = NewStore[*isa.Program](storeCap)
+	oracles  = NewStore[*Oracle](storeCap)
+)
 
-// buildMemo single-flights program construction per assemble-shaped key:
-// a workload built at one (mode, scale) — or a source text built at one
-// mode — is assembled once per process no matter how many simulate jobs
-// reference it. The cached Program is shared and must not be mutated.
-var buildMemo sync.Map // string -> *buildOnce
-
-type buildOnce struct {
-	once sync.Once
-	prog *isa.Program
-	err  error
+// ResetBuildMemo drops every process-wide store — programs and oracles —
+// so the next job starts cold (tests, benchmarks).
+func ResetBuildMemo() {
+	programs.Reset()
+	oracles.Reset()
 }
 
-// ResetBuildMemo drops the process-wide program-build cache (tests).
-func ResetBuildMemo() { buildMemo = sync.Map{} }
+// Stats snapshots the process-wide stores: program builds and memoized
+// oracle runs.
+func Stats() (builds, oracleRuns StoreStats) { return programs.Stats(), oracles.Stats() }
 
 // Resolve returns the spec's program, building it if the spec names a
 // source text or workload (memoized, single-flight). The returned
@@ -103,10 +105,8 @@ func (s *Spec) Resolve() (*isa.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	v, _ := buildMemo.LoadOrStore(key, &buildOnce{})
-	e := v.(*buildOnce)
-	e.once.Do(func() { e.prog, e.err = build(s) })
-	return e.prog, e.err
+	p, _, err := programs.Do(context.Background(), key, func() (*isa.Program, error) { return build(s) })
+	return p, err
 }
 
 func build(s *Spec) (*isa.Program, error) {
@@ -174,11 +174,7 @@ func Execute(s *Spec, rt *Runtime) (*Output, error) {
 			}
 			stdin = bytes.NewReader(stdinBytes)
 		}
-		var oin io.Reader
-		if stdinBytes != nil {
-			oin = bytes.NewReader(stdinBytes)
-		}
-		if out.Oracle, err = RunOracle(p, oin, s.MaxInstrs); err != nil {
+		if out.Oracle, err = CachedOracle(p, stdinBytes, s.MaxInstrs); err != nil {
 			return nil, err
 		}
 	}
@@ -186,17 +182,7 @@ func Execute(s *Spec, rt *Runtime) (*Output, error) {
 	var tw *trace.Writer
 	var tbuf bytes.Buffer
 	if s.WantTrace {
-		meta := trace.Meta{NumUnits: cfg.NumUnits, Label: s.label()}
-		if meta.NumUnits <= 0 {
-			meta.NumUnits = 1
-		}
-		if len(p.Tasks) > 0 {
-			meta.Tasks = make(map[uint32]string, len(p.Tasks))
-			for entry, td := range p.Tasks {
-				meta.Tasks[entry] = td.Name
-			}
-		}
-		if tw, err = trace.NewWriter(&tbuf, meta); err != nil {
+		if tw, err = trace.NewWriter(&tbuf, TraceMeta(p, cfg, s.label())); err != nil {
 			return nil, err
 		}
 		cfg.Sink = tw
@@ -251,9 +237,9 @@ func Execute(s *Spec, rt *Runtime) (*Output, error) {
 }
 
 // executeSampled runs a sampled job: sample.Run over the resolved
-// program, with the detailed windows fanned out over the registered
-// runner. Streaming stdin is slurped first — the functional passes and
-// every window need independent views of the same bytes.
+// program, with the detailed windows fanned out over the worker pool.
+// Streaming stdin is slurped first — the functional passes and every
+// window need independent views of the same bytes.
 func executeSampled(s *Spec, rt *Runtime, p *isa.Program) (*Output, error) {
 	cfg := s.Config
 	if s.MaxCycles > 0 {
@@ -271,15 +257,28 @@ func executeSampled(s *Spec, rt *Runtime, p *isa.Program) (*Output, error) {
 	if maxInstrs == 0 {
 		maxInstrs = DefaultMaxInstrs
 	}
-	var pool sample.Runner
-	if r := sampleRunner.Load(); r != nil {
-		pool = *r
-	}
-	est, err := sample.Run(p, cfg, s.Sample, stdin, maxInstrs, pool)
+	est, err := sample.Run(p, cfg, s.Sample, stdin, maxInstrs, RunJobs)
 	if err != nil {
 		return nil, err
 	}
 	return &Output{Sampled: est}, nil
+}
+
+// TraceMeta describes a run for the .mstrc header: unit count from the
+// configuration, task-descriptor names from the program, and a free-form
+// label (workload name, config summary).
+func TraceMeta(p *isa.Program, cfg core.Config, label string) trace.Meta {
+	m := trace.Meta{NumUnits: cfg.NumUnits, Label: label}
+	if m.NumUnits <= 0 {
+		m.NumUnits = 1
+	}
+	if len(p.Tasks) > 0 {
+		m.Tasks = make(map[uint32]string, len(p.Tasks))
+		for entry, td := range p.Tasks {
+			m.Tasks[entry] = td.Name
+		}
+	}
+	return m
 }
 
 func (s *Spec) label() string {
@@ -289,18 +288,14 @@ func (s *Spec) label() string {
 	return "job"
 }
 
+// newMachine is the one copy of the dispatch rule (MachineAuto): the
+// scalar baseline iff the configuration has at most one unit and the
+// binary carries no task descriptors.
 func newMachine(s *Spec, p *isa.Program, env *interp.SysEnv, cfg core.Config) (machine, error) {
-	switch s.Machine {
-	case MachineScalar:
+	if s.Machine == MachineScalar || s.Machine == MachineAuto && cfg.NumUnits <= 1 && len(p.Tasks) == 0 {
 		return core.NewScalar(p, env, cfg), nil
-	case MachineMultiscalar:
-		return core.NewMultiscalar(p, env, cfg)
-	default:
-		if cfg.NumUnits <= 1 && len(p.Tasks) == 0 {
-			return core.NewScalar(p, env, cfg), nil
-		}
-		return core.NewMultiscalar(p, env, cfg)
 	}
+	return core.NewMultiscalar(p, env, cfg)
 }
 
 // RunOracle executes a program on the functional simulator and returns
@@ -323,4 +318,32 @@ func RunOracle(p *isa.Program, stdin io.Reader, maxInstrs uint64) (*Oracle, erro
 		Out:      env.Out.String(),
 		ExitCode: env.ExitCode,
 	}, nil
+}
+
+// CachedOracle is RunOracle over in-memory input, memoized per (program
+// content, stdin, instruction bound): the functional reference Execute's
+// Verify path and the bench harness's instruction-count tables share. The
+// returned Oracle is shared and must not be mutated. nil stdin (no input)
+// and empty stdin are distinct.
+func CachedOracle(p *isa.Program, stdin []byte, maxInstrs uint64) (*Oracle, error) {
+	if maxInstrs == 0 {
+		maxInstrs = DefaultMaxInstrs
+	}
+	h, err := ProgramHash(p)
+	if err != nil {
+		return nil, err
+	}
+	key := binary.BigEndian.AppendUint64([]byte(h), maxInstrs)
+	if stdin != nil {
+		sum := sha256.Sum256(stdin)
+		key = append(key, sum[:]...)
+	}
+	o, _, err := oracles.Do(context.Background(), string(key), func() (*Oracle, error) {
+		var in io.Reader
+		if stdin != nil {
+			in = bytes.NewReader(stdin)
+		}
+		return RunOracle(p, in, maxInstrs)
+	})
+	return o, err
 }

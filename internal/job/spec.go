@@ -1,12 +1,20 @@
-// Package job promotes the harness's implicit unit of work into a
-// first-class request type. A Spec names everything that determines a
-// result — the program (inline, as source, or as a suite workload), the
-// machine Config, the program input, the run bounds, and the artifacts
-// the caller wants back — and hashes to a stable content-addressed Key.
-// Everything that caches or serves simulation work keys on it: the bench
-// harness's build/oracle and shared-run snapshot memos, the msserve
-// result cache, and the public SubmitJob facade all consume the same key
-// instead of hand-rolled tuples.
+// Package job is the one unit of work in the repository and the machinery
+// every consumer of it shares.
+//
+// A Spec names everything that determines a result — the program (inline,
+// as source, or as a suite workload), the machine Config, the program
+// input, the run bounds, and the artifacts the caller wants back — and
+// hashes to a stable content-addressed Key. Execute is the one execution
+// path (machine dispatch, oracle verification, trace and snapshot
+// artifacts, sampled runs) behind the facade, the bench harness and
+// msserve.
+//
+// "Have I already done this?" has one implementation: Store, a
+// single-flight LRU. Program builds (Spec.Resolve) and functional-oracle
+// runs (CachedOracle, Execute's Verify path) are process-wide instances
+// here; msserve's result cache and the bench harness's per-point results
+// are instances in their own packages, keyed by Spec.Key. Independent jobs
+// at every level fan out over one worker pool, RunJobs.
 package job
 
 import (
@@ -16,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"multiscalar/internal/asm"
 	"multiscalar/internal/core"
@@ -66,11 +73,11 @@ const (
 	// configuration has at most one unit and the binary carries no task
 	// descriptors, otherwise the multiscalar processor.
 	MachineAuto MachineSel = iota
-	// MachineScalar forces the scalar baseline (the deprecated RunScalar
-	// contract).
+	// MachineScalar forces the scalar baseline (msserve's wire "machine"
+	// field).
 	MachineScalar
-	// MachineMultiscalar forces the multiscalar machine (the deprecated
-	// RunMultiscalar contract; the program must carry task descriptors).
+	// MachineMultiscalar forces the multiscalar machine (the program must
+	// carry task descriptors).
 	MachineMultiscalar
 )
 
@@ -167,7 +174,17 @@ func (s *Spec) MarshalCanonical() ([]byte, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	buf := make([]byte, 0, 256)
+	var cfg []byte
+	if s.Op == OpSimulate || s.Op == OpSampled {
+		var err error
+		if cfg, err = s.Config.MarshalCanonical(); err != nil {
+			return nil, err
+		}
+	}
+	// One allocation of the encoding's size: a by-source spec carries its
+	// text, and growing from a small buffer by doubling would allocate
+	// several times the encoding on every Key.
+	buf := make([]byte, 0, 160+len(s.Source)+len(s.Workload)+len(cfg)+len(s.Stdin))
 	buf = append(buf, 'M', 'S', 'J', 'B', SpecVersion)
 	buf = append(buf, byte(s.Op), byte(s.Machine), byte(s.Mode))
 
@@ -190,11 +207,7 @@ func (s *Spec) MarshalCanonical() ([]byte, error) {
 	}
 	buf = binary.BigEndian.AppendUint64(buf, uint64(int64(s.Scale)))
 
-	if s.Op == OpSimulate || s.Op == OpSampled {
-		cfg, err := s.Config.MarshalCanonical()
-		if err != nil {
-			return nil, err
-		}
+	if cfg != nil {
 		appendBytes('C', cfg)
 	}
 	if s.Op == OpSampled {
@@ -246,23 +259,14 @@ func (s *Spec) Key() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// progHashes memoizes content hashes by program pointer: a memoized
-// workload build is shared across dozens of jobs and must hash once,
-// while transformed clones (the forwarding ablation) hash to their own
-// identity.
-var progHashes sync.Map // *isa.Program -> string
-
 // ProgramHash returns the SHA-256 of the program's wire encoding (text,
-// data, task descriptors, symbols), memoized per pointer.
+// data, task descriptors, symbols). It is computed on every call (tens of
+// microseconds): nothing keyed by program pointer outlives a request, and
+// a program mutated between calls hashes to its new content.
 func ProgramHash(p *isa.Program) (string, error) {
-	if v, ok := progHashes.Load(p); ok {
-		return v.(string), nil
-	}
 	h := sha256.New()
 	if err := isa.WriteProgram(h, p); err != nil {
 		return "", err
 	}
-	s := string(h.Sum(nil))
-	progHashes.Store(p, s)
-	return s, nil
+	return string(h.Sum(nil)), nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"multiscalar/internal/arb"
-	"multiscalar/internal/bench"
 	"multiscalar/internal/core"
 	"multiscalar/internal/job"
 )
@@ -13,7 +12,7 @@ import (
 type MatrixEntry struct {
 	Units   int
 	Policy  arb.OverflowPolicy
-	Entries int // ARB entries per bank
+	Entries int  // ARB entries per bank
 	Static  bool // StaticPredict ablation instead of the PAs predictor
 	NoSkip  bool // dense ticking instead of the wakeup scheduler
 }
@@ -145,7 +144,7 @@ func RunDiff(progs []*Program, matrix []MatrixEntry, seed int64) []*Mismatch {
 		}
 	}
 	results := make([]*Mismatch, len(cells))
-	_ = bench.RunJobs(len(cells), func(i int) error {
+	_ = job.RunJobs(len(cells), func(i int) error {
 		results[i] = runOne(cells[i].p, cells[i].e, seed)
 		return nil
 	})

@@ -6,9 +6,9 @@ import (
 	"sync"
 
 	"multiscalar/internal/arb"
-	"multiscalar/internal/bench"
 	"multiscalar/internal/core"
 	"multiscalar/internal/interp"
+	"multiscalar/internal/job"
 	"multiscalar/internal/trace"
 )
 
@@ -101,7 +101,7 @@ func Stress(opts StressOpts) (*StressReport, error) {
 	var mu sync.Mutex
 	var genErr error
 
-	err := bench.RunJobs(opts.Programs, func(i int) error {
+	err := job.RunJobs(opts.Programs, func(i int) error {
 		p, err := Random(opts.Seed + int64(i))
 		if err != nil {
 			mu.Lock()

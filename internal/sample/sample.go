@@ -13,9 +13,9 @@
 // MSHRs, the ARB, in-flight register forwards — start cold in every
 // window; a detailed warm-up prefix (measurement excluded) absorbs
 // that transient. Windows start from independent snapshots, so they
-// fan out over a caller-supplied worker pool (bench.RunJobs via
-// job.SetSampleRunner) and detailed measurement is parallel even for
-// a single workload.
+// fan out over a caller-supplied worker pool (job.RunJobs for every
+// sampled job) and detailed measurement is parallel even for a single
+// workload.
 package sample
 
 import (

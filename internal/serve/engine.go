@@ -1,9 +1,9 @@
 // Package serve turns the simulator into servable surface: a
 // transport-agnostic job engine that accepts assemble/simulate/trace
 // jobs (internal/job specs), answers duplicates from a content-addressed
-// result cache (in-memory LRU with single-flight admission and on-disk
-// spill), bounds concurrent executions with per-client fair queueing,
-// and exposes HTTP/JSON handlers plus metrics on top. cmd/msserve is the
+// result cache (a job.Store — in-memory LRU with single-flight admission
+// — over an on-disk spill), bounds concurrent executions with per-client
+// fair queueing, and exposes HTTP/JSON handlers plus metrics on top. cmd/msserve is the
 // daemon; the root package's SubmitJob is the in-process facade. See
 // docs/serve.md.
 package serve
@@ -12,7 +12,6 @@ import (
 	"context"
 	"sync/atomic"
 
-	"multiscalar/internal/bench"
 	"multiscalar/internal/core"
 	"multiscalar/internal/job"
 	"multiscalar/internal/sample"
@@ -75,8 +74,8 @@ type Options struct {
 	// SpillDir, when set, persists every finished result to disk keyed
 	// by job hash; evicted (or post-restart) keys are answered from it.
 	SpillDir string
-	// Workers bounds concurrently executing jobs (default: the bench
-	// harness pool width, i.e. GOMAXPROCS).
+	// Workers bounds concurrently executing jobs (default: the job pool
+	// width, i.e. GOMAXPROCS).
 	Workers int
 	// PerClientInFlight bounds one client's concurrently executing jobs
 	// (default 2), so a flood from one client cannot occupy every slot.
@@ -85,13 +84,14 @@ type Options struct {
 
 // Local is the in-process Engine implementation.
 type Local struct {
-	cache *cache
+	cache *job.Store[*Result] // canonical results by job key; Cached always false here
+	spill spill
 	queue *fairQueue
 
 	// runJob executes a cache-missed job; swapped in tests.
 	runJob func(*job.Spec) (*job.Output, error)
 
-	jobs, executed, hits, diskHits, errs atomic.Uint64
+	jobs, executed, hits, diskHits, errs, spilled atomic.Uint64
 }
 
 // NewLocal builds an engine over the real executor (job.Execute).
@@ -100,13 +100,14 @@ func NewLocal(o Options) *Local {
 		o.CacheEntries = 512
 	}
 	if o.Workers <= 0 {
-		o.Workers = bench.Workers()
+		o.Workers = job.Workers()
 	}
 	if o.PerClientInFlight <= 0 {
 		o.PerClientInFlight = 2
 	}
 	return &Local{
-		cache:  newCache(o.CacheEntries, o.SpillDir),
+		cache:  job.NewStore[*Result](o.CacheEntries),
+		spill:  spill(o.SpillDir),
 		queue:  newFairQueue(o.Workers, o.PerClientInFlight),
 		runJob: func(s *job.Spec) (*job.Output, error) { return job.Execute(s, nil) },
 	}
@@ -121,72 +122,64 @@ func (l *Local) Submit(ctx context.Context, client string, spec *job.Spec) (*Res
 		return nil, err
 	}
 
-	e, executor := l.cache.acquire(key)
-	defer l.cache.release(e)
-	if !executor {
-		// Hit or coalesced duplicate: wait for the flight (a no-op when
-		// the entry is already done) and share its outcome.
-		select {
-		case <-e.ready:
-		case <-ctx.Done():
-			return nil, ctx.Err()
+	// A resident key or a coalesced duplicate is a hit; the first
+	// submission of a key runs the miss path below, single-flight.
+	fromDisk := false
+	res, hit, err := l.cache.Do(ctx, key, func() (*Result, error) {
+		// The spill answers before a slot is taken — restoring a result
+		// from disk is a read, not a simulation.
+		if res := l.spill.load(key); res != nil {
+			fromDisk = true
+			return res, nil
 		}
-		if e.err != nil {
-			l.errs.Add(1)
-			return nil, e.err
+		if err := l.queue.acquire(ctx, client); err != nil {
+			return nil, err
 		}
-		l.hits.Add(1)
-		return e.res.withCached(true), nil
-	}
-
-	// Executor path: the spill answers before a slot is taken — restoring
-	// a result from disk is a read, not a simulation.
-	if res := l.cache.load(key); res != nil {
+		out, err := l.runJob(spec)
+		l.queue.release(client)
+		if err != nil {
+			return nil, err
+		}
+		l.executed.Add(1)
+		res := &Result{
+			Key:      key,
+			Op:       spec.Op.String(),
+			Sim:      out.Result,
+			Sampled:  out.Sampled,
+			Program:  out.Program,
+			Trace:    out.Trace,
+			Snapshot: out.Snapshot,
+		}
+		if l.spill.store(key, res) {
+			l.spilled.Add(1)
+		}
+		return res, nil
+	})
+	switch {
+	case err != nil:
+		l.errs.Add(1)
+		return nil, err
+	case fromDisk:
 		l.diskHits.Add(1)
-		l.cache.complete(e, res, nil)
-		return res.withCached(true), nil
+	case hit:
+		l.hits.Add(1)
 	}
-
-	if err := l.queue.acquire(ctx, client); err != nil {
-		l.cache.complete(e, nil, err)
-		l.errs.Add(1)
-		return nil, err
-	}
-	out, err := l.runJob(spec)
-	l.queue.release(client)
-	if err != nil {
-		l.cache.complete(e, nil, err)
-		l.errs.Add(1)
-		return nil, err
-	}
-	l.executed.Add(1)
-	res := &Result{
-		Key:      key,
-		Op:       spec.Op.String(),
-		Sim:      out.Result,
-		Sampled:  out.Sampled,
-		Program:  out.Program,
-		Trace:    out.Trace,
-		Snapshot: out.Snapshot,
-	}
-	l.cache.complete(e, res, nil)
-	l.cache.maybeSpill(key, res)
-	return res.withCached(false), nil
+	return res.withCached(hit || fromDisk), nil
 }
 
 // Metrics implements Engine.
 func (l *Local) Metrics() Metrics {
-	entries, evictions, spilled := l.cache.stats()
+	st := l.cache.Stats()
 	return Metrics{
 		Jobs:         l.jobs.Load(),
 		Executed:     l.executed.Load(),
 		CacheHits:    l.hits.Load(),
 		DiskHits:     l.diskHits.Load(),
 		Errors:       l.errs.Load(),
-		Evictions:    evictions,
-		Spilled:      spilled,
+		Evictions:    st.Evictions,
+		Spilled:      l.spilled.Load(),
 		QueueDepth:   l.queue.queueDepth(),
 		InFlight:     l.queue.inFlight(),
-		CacheEntries: entries,
+		CacheEntries: st.Entries,
 	}
 }

@@ -265,3 +265,52 @@ func TestRealJobRoundTrip(t *testing.T) {
 		t.Fatalf("traced run cycles %d != untraced %d", tr.Sim.Cycles, first.Sim.Cycles)
 	}
 }
+
+// TestJobStoresStayBounded pins that a daemon's memory does not grow with
+// its request count: 2000 submissions that each bring a never-seen source
+// text or inline program leave job's process-wide stores — programs and
+// oracles; nothing is keyed by program pointer — and the engine's result
+// cache at or below their fixed capacities.
+func TestJobStoresStayBounded(t *testing.T) {
+	job.ResetBuildMemo()
+	progs0, oracles0 := job.Stats()
+	eng := NewLocal(Options{CacheEntries: 64})
+	const n = 2000
+	for i := 0; i < n; i++ {
+		src := fmt.Sprintf("main:\n\tli $a0, %d\n\tli $v0, 1\n\tsyscall\n\tli $v0, 10\n\tli $a0, 0\n\tsyscall\n", i)
+		spec := &job.Spec{Op: job.OpSimulate, Mode: asm.ModeScalar, Config: core.ScalarConfig(1, false), Verify: true}
+		if i%2 == 0 {
+			spec.Source = src
+		} else {
+			// What WireJob.Decode does for a base64 "program": a fresh
+			// *isa.Program per request.
+			p, err := asm.Assemble(src, asm.ModeScalar)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.Program = p
+		}
+		res, err := eng.Submit(context.Background(), "c", spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cached || res.Sim.Out != fmt.Sprint(i) {
+			t.Fatalf("request %d: cached=%v out=%q", i, res.Cached, res.Sim.Out)
+		}
+	}
+	progs, oracles := job.Stats()
+	if b, o := progs.Runs-progs0.Runs, oracles.Runs-oracles0.Runs; b != n/2 || o != n {
+		t.Fatalf("expected %d builds and %d oracle runs, got %d and %d", n/2, n, b, o)
+	}
+	const bound = 256 // job's store capacity
+	if progs.Entries > bound || oracles.Entries > bound {
+		t.Fatalf("job stores grew with the request count: %d programs, %d oracles (bound %d)",
+			progs.Entries, oracles.Entries, bound)
+	}
+	if progs.Evictions == progs0.Evictions || oracles.Evictions == oracles0.Evictions {
+		t.Fatalf("2000 distinct programs should have evicted: %+v %+v", progs, oracles)
+	}
+	if m := eng.Metrics(); m.CacheEntries > 64 {
+		t.Fatalf("result cache holds %d entries, bound 64", m.CacheEntries)
+	}
+}

@@ -9,7 +9,6 @@ import (
 	"net/http"
 
 	"multiscalar/internal/asm"
-	"multiscalar/internal/bench"
 	"multiscalar/internal/core"
 	"multiscalar/internal/isa"
 	"multiscalar/internal/job"
@@ -277,7 +276,7 @@ func NewHandler(e Engine) http.Handler {
 		resp := &BatchResponse{Count: len(jobs), Results: make([]*JobResponse, len(jobs))}
 		// One batch = one fan-out over the harness worker pool; per-job
 		// failures land in their slot instead of aborting the batch.
-		_ = bench.RunJobs(len(jobs), func(i int) error {
+		_ = job.RunJobs(len(jobs), func(i int) error {
 			jr := &JobResponse{Index: i}
 			resp.Results[i] = jr
 			spec, err := jobs[i].Decode()

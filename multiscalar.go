@@ -102,9 +102,6 @@ func WithoutLint() AssembleOption {
 	return func(o *asm.Options) { o.NoLint = true }
 }
 
-// AssembleOptions is the flat form of the assembly options.
-type AssembleOptions = asm.Options
-
 // AssembleResult carries the assembled program plus the source line table
 // and, for multiscalar builds, the annotation-contract lint report.
 type AssembleResult = asm.Result
@@ -120,20 +117,6 @@ func Assemble(src string, opts ...AssembleOption) (*AssembleResult, error) {
 		opt(&o)
 	}
 	return asm.AssembleOpts(src, o)
-}
-
-// AssembleMode assembles for a mode and returns just the program.
-//
-// Deprecated: use Assemble(src, WithMode(mode)).
-func AssembleMode(src string, mode Mode) (*Program, error) {
-	return asm.Assemble(src, mode)
-}
-
-// AssembleFull is Assemble with a flat options struct.
-//
-// Deprecated: use Assemble with AssembleOption values.
-func AssembleFull(src string, opts AssembleOptions) (*AssembleResult, error) {
-	return asm.AssembleOpts(src, opts)
 }
 
 // Lint checks an assembled program against the annotation contract. The
@@ -318,48 +301,13 @@ func Run(p *Program, cfg Config, opts ...RunOption) (*Result, error) {
 	return out.Result, nil
 }
 
-// RunScalar simulates a scalar-mode binary on the baseline processor.
-//
-// Deprecated: use Run with a ScalarConfig.
-func RunScalar(p *Program, cfg Config) (*Result, error) {
-	out, err := job.Execute(&job.Spec{
-		Op: job.OpSimulate, Machine: job.MachineScalar, Program: p, Config: cfg,
-	}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return out.Result, nil
-}
-
-// RunMultiscalar simulates a multiscalar binary (it must carry task
-// descriptors) on a multiscalar processor.
-//
-// Deprecated: use Run.
-func RunMultiscalar(p *Program, cfg Config) (*Result, error) {
-	out, err := job.Execute(&job.Spec{
-		Op: job.OpSimulate, Machine: job.MachineMultiscalar, Program: p, Config: cfg,
-	}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return out.Result, nil
-}
-
-// Verify runs a program on the oracle and the given machine configuration
-// and checks architectural equivalence; it returns the timing result.
-//
-// Deprecated: use Run(p, cfg, WithVerify()).
-func Verify(p *Program, cfg Config) (*Result, error) {
-	return Run(p, cfg, WithVerify())
-}
-
 // Simulation as a service (docs/serve.md). A JobSpec is the first-class
 // request shape behind Run and the msserve daemon: the program (inline,
 // as source text, or as a suite workload name), the Config, the input
 // bytes, run bounds, and the artifacts to return. It has a canonical
 // versioned encoding and a stable content-addressed Key, which every
-// result cache in the system — the bench harness's memos, msserve, and
-// SubmitJob's process-wide engine — keys on.
+// result cache in the system — the bench harness's result store, msserve,
+// and SubmitJob's process-wide engine — keys on.
 
 // JobSpec is one unit of simulation-service work.
 type JobSpec = job.Spec
@@ -436,19 +384,13 @@ type JobEngineOptions = serve.Options
 func NewJobEngine(o JobEngineOptions) JobEngine { return serve.NewLocal(o) }
 
 // defaultJobEngine serves SubmitJob: one process-wide in-memory engine.
-var defaultJobEngine = struct {
-	once sync.Once
-	e    JobEngine
-}{}
+var defaultJobEngine = sync.OnceValue(func() JobEngine { return serve.NewLocal(serve.Options{}) })
 
 // SubmitJob runs a job on the process-wide engine. Duplicate
 // submissions — equal JobSpec keys — are answered from the cache with
 // byte-identical payloads and Cached set.
 func SubmitJob(ctx context.Context, spec JobSpec) (*JobResult, error) {
-	defaultJobEngine.once.Do(func() {
-		defaultJobEngine.e = serve.NewLocal(serve.Options{})
-	})
-	return defaultJobEngine.e.Submit(ctx, "local", &spec)
+	return defaultJobEngine().Submit(ctx, "local", &spec)
 }
 
 // Event tracing (docs/tracing.md). WithTrace accepts any TraceSink: a
@@ -471,17 +413,7 @@ type TraceData = trace.Trace
 // the configuration and task-descriptor names from the program, plus a
 // free-form label (workload name, config summary).
 func TraceMetaFor(p *Program, cfg Config, label string) trace.Meta {
-	m := trace.Meta{NumUnits: cfg.NumUnits, Label: label}
-	if m.NumUnits <= 0 {
-		m.NumUnits = 1
-	}
-	if len(p.Tasks) > 0 {
-		m.Tasks = make(map[uint32]string, len(p.Tasks))
-		for entry, td := range p.Tasks {
-			m.Tasks[entry] = td.Name
-		}
-	}
-	return m
+	return job.TraceMeta(p, cfg, label)
 }
 
 // NewTraceWriter opens a streaming .mstrc writer for a run of p under

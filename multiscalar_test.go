@@ -87,28 +87,29 @@ func TestFacadeRejectsUnannotated(t *testing.T) {
 	}
 }
 
-// TestFacadeDeprecatedWrappers keeps the pre-options entry points working.
-func TestFacadeDeprecatedWrappers(t *testing.T) {
-	prog, err := multiscalar.AssembleMode(apiDemo, multiscalar.ModeMultiscalar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := multiscalar.AssembleFull(apiDemo, multiscalar.AssembleOptions{Mode: multiscalar.ModeMultiscalar})
+// TestFacadeOptionsReplaceWrappers pins that the options facade covers
+// every entry point the removed pre-options wrappers offered: a mode-
+// selected build with its line table, a multiscalar run, a scalar run
+// (machine dispatch from the configuration and the binary), and an
+// oracle-verified run.
+func TestFacadeOptionsReplaceWrappers(t *testing.T) {
+	full, err := multiscalar.Assemble(apiDemo, multiscalar.WithMode(multiscalar.ModeMultiscalar))
 	if err != nil || full.Prog == nil || len(full.Lines) == 0 {
-		t.Fatalf("AssembleFull = %+v, %v", full, err)
+		t.Fatalf("Assemble(WithMode) = %+v, %v", full, err)
 	}
-	if _, err := multiscalar.RunMultiscalar(prog, multiscalar.DefaultConfig(4, 1, false)); err != nil {
-		t.Fatal(err)
+	prog := full.Prog
+	if res, err := multiscalar.Run(prog, multiscalar.DefaultConfig(4, 1, false)); err != nil || res.TasksRetired == 0 {
+		t.Fatalf("multiscalar Run = %+v, %v", res, err)
 	}
-	scProg, err := multiscalar.AssembleMode(apiDemo, multiscalar.ModeScalar)
-	if err != nil {
-		t.Fatal(err)
+	sc, err := multiscalar.Assemble(apiDemo)
+	if err != nil || len(sc.Prog.Tasks) != 0 {
+		t.Fatalf("default Assemble should be a scalar build: %+v, %v", sc, err)
 	}
-	if _, err := multiscalar.RunScalar(scProg, multiscalar.ScalarConfig(1, false)); err != nil {
-		t.Fatal(err)
+	if res, err := multiscalar.Run(sc.Prog, multiscalar.ScalarConfig(1, false)); err != nil || res.TasksRetired != 0 {
+		t.Fatalf("scalar Run = %+v, %v", res, err)
 	}
-	if res, err := multiscalar.Verify(prog, multiscalar.DefaultConfig(4, 1, false)); err != nil || res.Out != "1275" {
-		t.Fatalf("Verify = %+v, %v", res, err)
+	if res, err := multiscalar.Run(prog, multiscalar.DefaultConfig(4, 1, false), multiscalar.WithVerify()); err != nil || res.Out != "1275" {
+		t.Fatalf("Run(WithVerify) = %+v, %v", res, err)
 	}
 }
 
