@@ -34,7 +34,7 @@ func main() {
 		mstrc    = flag.String("mstrc", "", "record an event trace to this .mstrc file (render with mstrace)")
 		stdin    = flag.Bool("stdin", false, "feed standard input to the program (read-char syscall)")
 		showOut  = flag.Bool("out", false, "print the program's output")
-		stats    = flag.Bool("stats", false, "print simulator statistics (cycles simulated vs ticked, skip ratio)")
+		stats    = flag.Bool("stats", false, "print simulator statistics (cycles simulated vs ticked, unit ticks, skip and sleep ratios)")
 		noskip   = flag.Bool("noskip", false, "disable the wakeup scheduler (dense per-cycle ticking; results are identical)")
 		chkFile  = flag.String("checkpoint", "", "write a machine snapshot to this file, then continue (see -checkpoint-at)")
 		chkAt    = flag.Uint64("checkpoint-at", 0, "cycle to take the -checkpoint snapshot at")
@@ -170,8 +170,12 @@ func main() {
 		if res.Cycles > 0 {
 			pct = 100 * float64(skipped) / float64(res.Cycles)
 		}
-		fmt.Printf("simulator:    %d cycles_simulated, %d cycles_ticked (%.1f%% skipped)\n",
-			res.Cycles, res.CyclesTicked, pct)
+		slept := 0.0
+		if unitCycles := float64(res.CyclesTicked) * float64(*units); unitCycles > 0 {
+			slept = 100 * (1 - float64(res.UnitTicks)/unitCycles)
+		}
+		fmt.Printf("simulator:    %d cycles_simulated, %d cycles_ticked (%.1f%% skipped), %d unit_ticks (%.1f%% slept)\n",
+			res.Cycles, res.CyclesTicked, pct, res.UnitTicks, slept)
 	}
 	if *showOut {
 		fmt.Printf("output: %s\n", res.Out)

@@ -86,7 +86,7 @@ func BenchmarkMultiscalarCore8Units(b *testing.B) {
 	for _, name := range []string{"wc", "compress", "tomcatv"} {
 		b.Run(name, func(b *testing.B) {
 			p := buildFor(b, name, asm.ModeMultiscalar)
-			var cycles uint64
+			var cycles, ticked, unitTicks uint64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m, err := core.NewMultiscalar(p, interp.NewSysEnv(), core.DefaultConfig(8, 1, false))
@@ -98,8 +98,11 @@ func BenchmarkMultiscalarCore8Units(b *testing.B) {
 					b.Fatal(err)
 				}
 				cycles += res.Cycles
+				ticked += res.CyclesTicked
+				unitTicks += res.UnitTicks
 			}
 			b.ReportMetric(float64(cycles)/b.Elapsed().Seconds()/1e6, "mcycles/s")
+			b.ReportMetric(100*(1-float64(unitTicks)/float64(8*ticked)), "%unit-ticks-slept")
 		})
 	}
 }

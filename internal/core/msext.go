@@ -6,6 +6,7 @@ import (
 	"multiscalar/internal/arb"
 	"multiscalar/internal/interp"
 	"multiscalar/internal/isa"
+	"multiscalar/internal/pu"
 )
 
 // msExt is one unit's window onto the multiscalar machine: the unit's
@@ -102,7 +103,7 @@ func (e *msExt) Syscall(now uint64) (uint32, bool, bool, error) {
 		return 0, false, false, nil // syscalls execute only at the head
 	}
 	rf := m.rfs[e.id]
-	for _, r := range []isa.Reg{isa.RegV0, isa.RegA0, isa.RegA1, isa.RegA2, isa.RegA3} {
+	for _, r := range pu.SyscallRegs {
 		if rf.pending.Has(r) {
 			return 0, false, false, fmt.Errorf("core: syscall with pending register %v", r)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"multiscalar/internal/arb"
 	"multiscalar/internal/interp"
@@ -108,13 +109,18 @@ type Multiscalar struct {
 	finished bool
 	now      uint64
 
-	// Wakeup scheduler (docs/perf.md). progress records whether the
-	// sequencer changed any state this cycle (assignment, prediction,
-	// forward, validation, squash, retire); together with the units' own
-	// Progressed flags it decides whether the cycle was a pure stall the
-	// loop may skip past. ticked counts the cycles actually executed.
-	progress bool
-	ticked   uint64
+	// Wakeup scheduler (docs/perf.md). wake[i] is the first cycle unit i
+	// is ticked again: after a Tick that progressed nothing it sleeps until
+	// its own next latched timestamp, or until something that can change
+	// its next Tick lowers the entry (a ring delivery it waits on, becoming
+	// the head, a start or squash). progress records whether the sequencer
+	// changed any state this cycle (assignment, prediction, forward,
+	// validation, squash, retire). ticked counts the loop iterations
+	// executed, unitTicks the unit Ticks.
+	wake      []uint64
+	progress  bool
+	ticked    uint64
+	unitTicks uint64
 
 	// glyphs is traceCycle's per-unit activity line, hoisted here so the
 	// per-cycle text trace allocates nothing per cycle.
@@ -202,6 +208,7 @@ func NewMultiscalar(prog *isa.Program, env *interp.SysEnv, cfg Config) (*Multisc
 	m.sendAt = make([]uint64, cfg.NumUnits)
 	m.sendN = make([]int, cfg.NumUnits)
 	m.sendBusy = make([]uint64, cfg.NumUnits)
+	m.wake = make([]uint64, cfg.NumUnits)
 	m.glyphs = make([]byte, cfg.NumUnits)
 
 	// Initial architectural register state.
@@ -223,19 +230,20 @@ func (m *Multiscalar) withinActive(u int) bool { return m.dist(u) < m.active }
 
 // Run executes the program to completion.
 //
-// The loop is event-driven: it ticks every unit densely, but after a
-// cycle in which nothing progressed — no unit issued, retired, completed,
-// dispatched, fetched or touched the memory system, and the sequencer
-// assigned, predicted, forwarded, validated, squashed and retired
-// nothing — every following cycle is provably identical until the next
-// latched timestamp fires (a functional-unit completion, a cache fill, a
-// ring delivery, the pending descriptor fetch). The scheduler jumps
-// straight to that cycle and bulk-accounts the skipped stall cycles into
-// the same counters the dense loop would have produced, so Result and
-// event traces are bit-identical either way (Config.NoSkip keeps the
-// dense loop for debugging; see docs/perf.md for the argument).
+// The loop is event-driven per unit: a unit whose Tick progressed nothing
+// — it issued, retired, completed, dispatched, fetched nothing and
+// touched neither the ring nor the memory system — is not ticked again
+// before its wake cycle, because every Tick until then would provably be
+// the same no-op with the same activity class (DESIGN.md §5); the cycles
+// it sleeps through are charged to that class at its slot in the sweep,
+// where the dense loop would have counted them. When every unit is
+// asleep and the sequencer did nothing either, the whole cycle repeats
+// unchanged until the earliest wake, so the clock jumps there and the
+// skipped cycles are accounted in bulk. Result and event traces are
+// bit-identical either way (Config.NoSkip never sleeps and never jumps —
+// the dense reference; see docs/perf.md for the argument).
 func (m *Multiscalar) Run() (*Result, error) {
-	skip := !m.cfg.NoSkip && m.cfg.Trace == nil
+	sleep := !m.cfg.NoSkip && m.cfg.Trace == nil
 	for !m.finished {
 		if m.chkFn != nil && m.now >= m.chkAt {
 			fn := m.chkFn
@@ -256,23 +264,31 @@ func (m *Multiscalar) Run() (*Result, error) {
 			m.arb.Now = m.now // the ARB has no clock of its own
 		}
 		m.assign(m.now)
-		unitProgress := false
-		for i := 0; i < m.cfg.NumUnits; i++ {
-			idx := (m.head + i) % m.cfg.NumUnits
-			if _, err := m.units[idx].Tick(m.now); err != nil {
+		awake := false
+		for i, idx := 0, m.head; i < m.cfg.NumUnits; i, idx = i+1, idx+1 {
+			if idx == m.cfg.NumUnits {
+				idx = 0
+			}
+			u := m.units[idx]
+			if m.now < m.wake[idx] {
+				u.AddStallCycles(1)
+				continue
+			}
+			m.unitTicks++
+			if err := u.Tick(m.now); err != nil {
 				return nil, err
 			}
-			if m.units[idx].Progressed() {
-				unitProgress = true
+			if u.Progressed() {
+				awake = true
+			} else if sleep {
+				m.wake[idx] = m.wakeAfter(idx)
 			}
 		}
 		// Idle accounting: units that had no task during this cycle's
-		// sweep (before retire/squash frees or restarts units).
-		for i := 0; i < m.cfg.NumUnits; i++ {
-			if !m.units[i].Active() {
-				m.activity[pu.ActIdle]++
-			}
-		}
+		// sweep (before retire/squash frees units). A unit is active exactly
+		// while it holds one of the m.active tasks — assignment, squashes
+		// and retirement change both together, and a restart keeps both.
+		m.activity[pu.ActIdle] += uint64(m.cfg.NumUnits - m.active)
 		if m.env.Exited {
 			m.finish()
 			break
@@ -287,8 +303,8 @@ func (m *Multiscalar) Run() (*Result, error) {
 		if m.cfg.Trace != nil {
 			m.traceCycle()
 		}
-		if skip && !unitProgress && !m.progress {
-			if t := m.nextWake(m.now); t > m.now+1 {
+		if sleep && !awake && !m.progress {
+			if t := m.nextWake(); t > m.now+1 {
 				m.skipTo(t)
 				continue
 			}
@@ -327,27 +343,36 @@ func (m *Multiscalar) finish() {
 	m.finished = true
 }
 
-// nextWake returns the earliest future cycle at which anything in the
-// machine can change state: the pending assignment's descriptor fetch
-// completing, any unit's next latched timestamp (functional-unit
-// completion, cache fill finishing a fetch), or — for a unit stalled on
-// an external register read — the arrival of an in-flight ring delivery.
-// pu.NoEvent means no latched event exists; the machine is deadlocked
-// and the jump clamps to MaxCycles, where Run reports it exactly as the
-// dense loop would.
-func (m *Multiscalar) nextWake(now uint64) uint64 {
-	t := pu.NoEvent
-	if m.pending.valid && m.pending.ready > now && m.pending.ready < t {
-		t = m.pending.ready
-	}
-	for i, u := range m.units {
-		if w := u.NextEvent(now); w < t {
+// wakeAfter returns the cycle unit idx must next be ticked at, given
+// that its Tick this cycle progressed nothing: its own next latched
+// timestamp or the arrival of an in-flight ring value one of its issue
+// attempts read. A register still pending has no arrival time yet; the
+// delivery that gives it one lowers the wake (forward). pu.NoEvent means
+// only an external action can wake the unit.
+func (m *Multiscalar) wakeAfter(idx int) uint64 {
+	t := m.units[idx].NextEvent(m.now)
+	rf := m.rfs[idx]
+	for bm := m.units[idx].ExtWait().Minus(rf.pending); bm != 0; bm &= bm - 1 {
+		if w := rf.readyAt[bits.TrailingZeros64(uint64(bm))]; w < t {
 			t = w
 		}
-		if u.WaitingExt() {
-			if w := m.rfs[i].nextReady(now); w < t {
-				t = w
-			}
+	}
+	return t
+}
+
+// nextWake returns the earliest future cycle at which anything in a
+// machine whose units are all asleep can change state: a unit's wake or
+// the pending assignment's descriptor fetch completing. pu.NoEvent means
+// no latched event exists; the machine is deadlocked and the jump clamps
+// to MaxCycles, where Run reports it exactly as the dense loop would.
+func (m *Multiscalar) nextWake() uint64 {
+	t := pu.NoEvent
+	if m.pending.valid && m.pending.ready > m.now {
+		t = m.pending.ready
+	}
+	for _, w := range m.wake {
+		if w < t {
+			t = w
 		}
 	}
 	return t
@@ -357,19 +382,17 @@ func (m *Multiscalar) nextWake(now uint64) uint64 {
 // already executed at now), charging the skipped stall cycles to the
 // same per-unit activity counters and the machine idle counter that the
 // dense loop would have incremented one cycle at a time. Within the
-// skipped window no unit changes activity class (nothing progressed and
-// no timestamp fires before t), so bulk accounting is exact.
+// skipped window no unit changes activity class (every unit is asleep
+// and no wake fires before t), so bulk accounting is exact.
 func (m *Multiscalar) skipTo(t uint64) {
 	if t > m.cfg.MaxCycles {
 		t = m.cfg.MaxCycles
 	}
 	k := t - (m.now + 1)
-	for i := 0; i < m.cfg.NumUnits; i++ {
-		m.units[i].AddStallCycles(k)
-		if !m.units[i].Active() {
-			m.activity[pu.ActIdle] += k
-		}
+	for _, u := range m.units {
+		u.AddStallCycles(k)
 	}
+	m.activity[pu.ActIdle] += k * uint64(m.cfg.NumUnits-m.active)
 	m.now = t
 }
 
@@ -428,6 +451,7 @@ func (m *Multiscalar) result() *Result {
 	return &Result{
 		Cycles:           m.now,
 		CyclesTicked:     m.ticked,
+		UnitTicks:        m.unitTicks,
 		Committed:        m.committed,
 		Out:              m.env.Out.String(),
 		ExitCode:         m.env.ExitCode,

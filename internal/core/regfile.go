@@ -57,22 +57,6 @@ func (rf *regFile) deliver(r isa.Reg, v interp.Value, readyAt uint64) {
 	rf.pending = rf.pending.Clear(r)
 }
 
-// nextReady returns the earliest future cycle at which an in-flight ring
-// delivery becomes visible to reads (pu.NoEvent if none): the wakeup the
-// sequencer supplies for a unit blocked on Ext.ReadReg. Registers still
-// pending (no delivery yet) contribute nothing — their arrival requires
-// a predecessor to forward, which is itself a progress event that keeps
-// the machine ticking densely.
-func (rf *regFile) nextReady(now uint64) uint64 {
-	t := ^uint64(0)
-	for r := range rf.readyAt {
-		if w := rf.readyAt[r]; w > now && w < t {
-			t = w
-		}
-	}
-	return t
-}
-
 // sentValue records one forwarded register for rebuild after squashes.
 type sentValue struct {
 	val  interp.Value

@@ -127,7 +127,7 @@ func (s *Scalar) Run() (*Result, error) {
 			return nil, fmt.Errorf("core: scalar run exceeded %d cycles", s.cfg.MaxCycles)
 		}
 		s.ticked++
-		if _, err := s.unit.Tick(s.now); err != nil {
+		if err := s.unit.Tick(s.now); err != nil {
 			return nil, err
 		}
 		if skip && !s.unit.Progressed() && !s.env.Exited {
@@ -156,6 +156,7 @@ func (s *Scalar) result() *Result {
 	res := &Result{
 		Cycles:       s.now,
 		CyclesTicked: s.ticked,
+		UnitTicks:    s.ticked, // one unit, ticked on every executed cycle
 		Committed:    s.unit.Retired,
 		Out:          s.env.Out.String(),
 		ExitCode:     s.env.ExitCode,

@@ -121,6 +121,20 @@ func (m *Multiscalar) predictSuccessor(last *taskState) (uint32, bool) {
 	return entry, true
 }
 
+// startUnit (re)starts unit q on its task at cycle at; squashUnit discards
+// whatever it was doing. Either changes the unit's next Tick, so both wake
+// it — at once, not at the end of the cycle: an ARB-overflow squash restarts
+// the tail from inside an older unit's Tick, before its slot in the sweep.
+func (m *Multiscalar) startUnit(q int, at uint64) {
+	m.units[q].Start(m.tasks[q].entry, at)
+	m.wake[q] = 0
+}
+
+func (m *Multiscalar) squashUnit(q int) {
+	m.units[q].Squash()
+	m.wake[q] = 0
+}
+
 func (m *Multiscalar) doAssign(entry uint32, desc *isa.TaskDescriptor, now uint64) {
 	m.progress = true
 	unit := (m.head + m.active) % m.cfg.NumUnits
@@ -140,7 +154,7 @@ func (m *Multiscalar) doAssign(entry uint32, desc *isa.TaskDescriptor, now uint6
 		m.sink.Emit(trace.Event{Cycle: now, Kind: trace.KTaskAssign, Unit: int8(unit),
 			Task: seq, Arg: entry})
 	}
-	m.units[unit].Start(entry, now)
+	m.startUnit(unit, now)
 	m.active++
 	if m.forcedValid && m.forced == entry {
 		m.forcedValid = false
@@ -231,7 +245,13 @@ func (m *Multiscalar) forward(p int, now uint64, r isa.Reg, v interp.Value) {
 		if m.tasks[q] == nil {
 			break
 		}
-		m.rfs[q].deliver(r, v, sc+uint64(d*m.cfg.RingLatency))
+		at := sc + uint64(d*m.cfg.RingLatency)
+		m.rfs[q].deliver(r, v, at)
+		// A unit asleep on this register wakes when it arrives (mid-sweep
+		// deliveries reach successors, whose slot in the sweep comes later).
+		if at < m.wake[q] && m.units[q].ExtWait().Has(r) {
+			m.wake[q] = at
+		}
 		if m.tasks[q].desc.Create.Has(r) {
 			break // swallowed
 		}
@@ -323,10 +343,11 @@ func (m *Multiscalar) retire(now uint64) error {
 			Task: ts.seq, Arg: u.ExitPC(), Arg2: u.Retired})
 		u.SetTraceTask(-1)
 	}
-	u.Squash()
+	m.squashUnit(m.head)
 	m.tasks[m.head] = nil
 	m.head = (m.head + 1) % m.cfg.NumUnits
 	m.active--
+	m.wake[m.head] = 0 // a unit parked on a syscall executes it once it is the head
 	return nil
 }
 
@@ -417,7 +438,7 @@ func (m *Multiscalar) validateOne(dist int, ts *taskState, actual uint32, outcom
 			m.units[q].SetTraceTask(-1)
 		}
 		m.arb.ClearUnit(q)
-		m.units[q].Squash()
+		m.squashUnit(q)
 		m.tasks[q] = nil
 	}
 	m.active = dist + 1
@@ -461,7 +482,7 @@ func (m *Multiscalar) memoryViolationSquash(now uint64) {
 				Arg2: trace.SquashArg2(uint64(d), addr, m.arb.BankIndex(addr))})
 		}
 		m.arb.ClearUnit(q)
-		m.units[q].Squash()
+		m.squashUnit(q)
 		m.tasks[q].sentMask = 0
 	}
 	for d := first; d < m.active; d++ {
@@ -471,7 +492,7 @@ func (m *Multiscalar) memoryViolationSquash(now uint64) {
 			m.sink.Emit(trace.Event{Cycle: now + 1, Kind: trace.KTaskRestart, Unit: int8(q),
 				Task: m.tasks[q].seq, Arg: m.tasks[q].entry})
 		}
-		m.units[q].Start(m.tasks[q].entry, now+1)
+		m.startUnit(q, now+1)
 		// Re-execution may take a different path: the task's exit must be
 		// validated afresh.
 		m.tasks[q].validated = false
@@ -496,13 +517,13 @@ func (m *Multiscalar) arbOverflowSquash(now uint64, addr uint32) bool {
 			Arg2: trace.SquashArg2(uint64(m.active-1), addr, m.arb.BankIndex(addr))})
 	}
 	m.arb.ClearUnit(tail)
-	m.units[tail].Squash()
+	m.squashUnit(tail)
 	m.tasks[tail].sentMask = 0
 	m.rebuildRegs(tail, now+1)
 	if m.sink != nil {
 		m.sink.Emit(trace.Event{Cycle: now + 1, Kind: trace.KTaskRestart, Unit: int8(tail),
 			Task: m.tasks[tail].seq, Arg: m.tasks[tail].entry})
 	}
-	m.units[tail].Start(m.tasks[tail].entry, now+1)
+	m.startUnit(tail, now+1)
 	return true
 }

@@ -254,6 +254,10 @@ func (m *Multiscalar) Restore(data []byte) error {
 	}
 	m.now = d.U64()
 	m.ticked = d.U64()
+	// Not in the snapshot: every unit resumes awake (waking early is always
+	// safe) and UnitTicks restarts from the executed cycles' dense count.
+	m.unitTicks = m.ticked * uint64(m.cfg.NumUnits)
+	clear(m.wake)
 	m.finished = d.Bool()
 	m.progress = d.Bool()
 	m.head = d.Int()

@@ -13,11 +13,17 @@ type Result struct {
 
 	// CyclesTicked counts the cycles the timing loop actually executed;
 	// the remaining Cycles-CyclesTicked were stall cycles the wakeup
-	// scheduler proved unchanging and accounted in bulk (Config.NoSkip
-	// forces the two equal). Observability only — it is the one Result
-	// field that legitimately differs between skipping and dense runs of
-	// the same simulation.
+	// scheduler proved unchanging for the whole machine and accounted in
+	// bulk. UnitTicks counts the unit Ticks executed within them; the
+	// other CyclesTicked×units-UnitTicks were slept through by one unit
+	// while others worked. Config.NoSkip forces CyclesTicked = Cycles and
+	// UnitTicks = Cycles×units. Observability only: these are the two
+	// Result fields that legitimately differ between sleeping and dense
+	// runs. UnitTicks also differs across a restore: no snapshot carries
+	// it, so a restored run counts the cycles before the checkpoint as
+	// dense and resumes with every unit awake.
 	CyclesTicked uint64
+	UnitTicks    uint64
 
 	// Program-visible outcome (must match the functional interpreter).
 	Out      string

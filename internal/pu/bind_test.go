@@ -1,0 +1,271 @@
+package pu
+
+import (
+	"math/rand"
+	"testing"
+
+	"multiscalar/internal/interp"
+	"multiscalar/internal/isa"
+	"multiscalar/internal/snapshot"
+)
+
+// refProducer is the backward window scan the dispatch-time bindings
+// replaced: the distance from window index idx back to the youngest
+// older entry writing r, 0 when there is none.
+func refProducer(u *Unit, idx int, r isa.Reg) uint16 {
+	if r == isa.RegZero {
+		return 0
+	}
+	for j := idx - 1; j >= 0; j-- {
+		p := u.rob[j].instr
+		if p.Dest() == r || (p.Op == isa.OpSyscall && r == isa.RegV0) {
+			return uint16(idx - j)
+		}
+	}
+	return 0
+}
+
+// refFCCProducer is the same scan for the FP condition flag.
+func refFCCProducer(u *Unit, idx int) uint16 {
+	for j := idx - 1; j >= 0; j-- {
+		if u.rob[j].instr.Op.SetsFCC() {
+			return uint16(idx - j)
+		}
+	}
+	return 0
+}
+
+// checkBindings compares every window entry's binding with what the isa
+// package and the reference scans say about it now. A bound producer
+// that has slid out of the window (retired) counts as none, which is
+// how operand reads it.
+func checkBindings(t *testing.T, u *Unit, step int, what string) {
+	t.Helper()
+	for i := range u.rob {
+		inWindow := func(d uint16) uint16 {
+			if int(d) > i {
+				return 0
+			}
+			return d
+		}
+		e := &u.rob[i]
+		in := e.instr
+		fail := func(format string, args ...interface{}) {
+			t.Helper()
+			t.Fatalf("step %d (%s): window[%d of %d] %v: "+format,
+				append([]interface{}{step, what, i, len(u.rob), in}, args...)...)
+		}
+		if e.class != in.Op.Class() {
+			fail("class %v, want %v", e.class, in.Op.Class())
+		}
+		if got, want := e.flags&bCtl != 0, in.Op.IsControl(); got != want {
+			fail("ctl bit %v", got)
+		}
+		if got, want := e.flags&bMem != 0, in.Op.IsMem(); got != want {
+			fail("mem bit %v", got)
+		}
+		if got, want := e.flags&bSyscall != 0, in.Op == isa.OpSyscall; got != want {
+			fail("syscall bit %v", got)
+		}
+		srcs, n := in.SourceRegs()
+		if in.Op == isa.OpSyscall {
+			n = 0 // read from the Ext at the window head, not bound
+		}
+		if int(e.flags&bNsrc) != n {
+			fail("%d sources bound, want %d", e.flags&bNsrc, n)
+		}
+		for k := 0; k < n; k++ {
+			if e.src[k] != srcs[k] {
+				fail("src[%d] = %v, want %v", k, e.src[k], srcs[k])
+			}
+			if want := refProducer(u, i, srcs[k]); inWindow(e.prod[k]) != want {
+				fail("producer of %v bound %d back, reference scan says %d", srcs[k], e.prod[k], want)
+			}
+		}
+		if got, want := e.flags&bReadsFCC != 0, in.ReadsFCC(); got != want {
+			fail("reads-FCC bit %v", got)
+		}
+		if in.ReadsFCC() {
+			if want := refFCCProducer(u, i); inWindow(e.fccProd) != want {
+				fail("FCC producer bound %d back, reference scan says %d", e.fccProd, want)
+			}
+		}
+	}
+}
+
+// TestBindingsMatchReferenceScan walks a unit's window through random
+// dispatches, head retirements, mis-speculation flushes, task restarts and
+// snapshot round trips over a program of random instructions, checking
+// after every step that each entry's dispatch-time binding names exactly
+// the producers a backward scan of the window finds.
+func TestBindingsMatchReferenceScan(t *testing.T) {
+	var ops []isa.Op
+	for i := 0; i < 256; i++ {
+		if op := isa.Op(i); op.Valid() {
+			ops = append(ops, op)
+		}
+	}
+	for seed := int64(0); seed < 6; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		// A small register pool makes producer chains (and $v0 traffic
+		// around syscalls) dense.
+		pool := []isa.Reg{isa.RegZero, isa.RegV0, isa.RegA0, isa.RegT0, isa.RegT0 + 1, isa.F(0), isa.F(2)}
+		reg := func() isa.Reg { return pool[r.Intn(len(pool))] }
+		prog := &isa.Program{Entry: isa.TextBase, Text: make([]isa.Instr, 2048)}
+		for i := range prog.Text {
+			prog.Text[i] = isa.Instr{Op: ops[r.Intn(len(ops))], Rd: reg(), Rs: reg(), Rt: reg()}
+		}
+
+		cfg := DefaultConfig(1+r.Intn(2), true)
+		cfg.ROBSize = []int{4, 16, 40}[r.Intn(3)]
+		ext := newMockExt()
+		u := New(0, cfg, prog, ext)
+		u.Start(prog.Entry, 0)
+		pc := prog.Entry
+
+		for step := 0; step < 4000; step++ {
+			what := ""
+			switch k := r.Intn(100); {
+			case k < 55:
+				what = "dispatch"
+				if len(u.rob) == cfg.ROBSize {
+					continue
+				}
+				in := prog.InstrAt(pc)
+				if in == nil {
+					pc = prog.Entry
+					continue
+				}
+				u.fetchQ = qpush(u.fetchQBuf, u.fetchQ[:0], fetchedInstr{addr: pc, instr: in, predictedNext: pc + isa.InstrSize})
+				u.dispatch(uint64(step))
+				pc += isa.InstrSize
+			case k < 80:
+				what = "retire"
+				if len(u.rob) == 0 {
+					continue
+				}
+				u.rob[0].state = stDone
+				ext.Regs[isa.RegV0] = interp.IntVal(1) // a retiring syscall prints $a0
+				if err := u.retire(uint64(step)); err != nil {
+					t.Fatal(err)
+				}
+			case k < 88:
+				what = "flush"
+				if len(u.rob) == 0 {
+					continue
+				}
+				u.flushAfter(r.Intn(len(u.rob)), pc, false)
+			case k < 92:
+				what = "restart"
+				u.Squash()
+				u.Start(prog.Entry, uint64(step))
+			default:
+				what = "snapshot round trip"
+				e := snapshot.NewEncoder(snapshot.KindScalar, uint64(step))
+				u.SaveState(e)
+				d, err := snapshot.NewDecoder(e.Bytes(), snapshot.KindScalar)
+				if err != nil {
+					t.Fatal(err)
+				}
+				u = New(0, cfg, prog, ext)
+				u.LoadState(d)
+				if err := d.Finish(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			checkBindings(t, u, step, what)
+		}
+	}
+}
+
+// TestRestoredUnitContinuesIdentically checkpoints a unit mid-run at a
+// cycle where window entries are parked on in-window producers, restores
+// the snapshot into a fresh unit (bindings re-derived, parked entries
+// forgotten) and runs both to the end in lockstep: every cycle must be
+// classified the same and retire the same instructions.
+func TestRestoredUnitContinuesIdentically(t *testing.T) {
+	src := `
+	.data
+v:	.word 3, 5, 7, 11
+	.text
+main:
+	li  $s0, 6
+	la  $s1, v
+loop:
+	lw  $t0, 0($s1)
+	mul $t1, $t0, $t0
+	mul $t2, $t1, $t0
+	lw  $t3, 4($s1)
+	mul $t4, $t3, $t2
+	add $s2, $s2, $t4
+	add $s2, $s2, $t1
+	addi $s0, $s0, -1
+	bnez $s0, loop
+	move $a0, $s2
+	li $v0, 1
+	syscall
+` + exitSeq
+	p := assembleMS(t, src)
+	cfg := DefaultConfig(2, true)
+	newExt := func() *mockExt {
+		ext := newMockExt()
+		ext.Mem.WriteBytes(isa.DataBase, p.Data)
+		ext.LoadLatency = 9
+		return ext
+	}
+
+	extA := newExt()
+	a := New(0, cfg, p, extA)
+	a.Start(p.Entry, 0)
+	var now uint64
+	parked := func() bool {
+		for i := range a.rob {
+			if j := i - int(a.rob[i].waitOn); a.rob[i].waitOn != 0 && j >= 0 && !a.rob[j].produced() {
+				return true
+			}
+		}
+		return false
+	}
+	for ; now < 40 || !parked(); now++ {
+		if now > 1000 {
+			t.Fatal("no cycle with an entry parked on an in-window producer")
+		}
+		if err := a.Tick(now); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	e := snapshot.NewEncoder(snapshot.KindScalar, now)
+	a.SaveState(e)
+	d, err := snapshot.NewDecoder(e.Bytes(), snapshot.KindScalar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extB := newExt()
+	extB.Regs = extA.Regs
+	b := New(0, cfg, p, extB)
+	b.LoadState(d)
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+
+	for ; !extA.Env.Exited; now++ {
+		if now > 100_000 {
+			t.Fatal("timeout")
+		}
+		if err := a.Tick(now); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Tick(now); err != nil {
+			t.Fatal(err)
+		}
+		if a.lastAct != b.lastAct || a.Retired != b.Retired || len(a.rob) != len(b.rob) ||
+			a.progressed != b.progressed || a.ActCounts != b.ActCounts {
+			t.Fatalf("cycle %d: restored unit diverged: activity %v/%v retired %d/%d window %d/%d",
+				now, a.lastAct, b.lastAct, a.Retired, b.Retired, len(a.rob), len(b.rob))
+		}
+	}
+	if !extB.Env.Exited || extA.Regs != extB.Regs || extA.Env.Out.String() != extB.Env.Out.String() {
+		t.Fatalf("restored unit finished differently: out %q vs %q", extB.Env.Out.String(), extA.Env.Out.String())
+	}
+}

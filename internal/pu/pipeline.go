@@ -23,130 +23,155 @@ func (u *Unit) fuLimit(c isa.FUClass) int {
 // out-of-order units. Completion is out of order in both cases.
 func (u *Unit) issue(now uint64) error {
 	var fuUsed [isa.NumFUClasses]int
-	issued := 0
-	// Track, per scan position, facts about older entries.
-	olderUnresolvedCtl := false
-	olderUnissuedMem := false
-	olderSyscall := false
+	// Facts about the entries older than the scan position: bCtl an
+	// unresolved control op, bMem a memory op that has not accessed memory
+	// yet, bSyscall a syscall.
+	var older uint8
 
-	for i := 0; i < len(u.rob) && issued < u.cfg.IssueWidth; i++ {
+	// u.rob is re-read every iteration: an ARB-overflow squash inside
+	// tryIssue may restart this very unit and empty the window.
+	for i := 0; i < len(u.rob) && u.issuedNow < u.cfg.IssueWidth; i++ {
 		e := &u.rob[i]
 		if e.state != stDispatched {
-			if e.instr.Op.IsControl() && e.state != stDone {
-				olderUnresolvedCtl = true
+			if e.state != stDone {
+				older |= e.flags & bCtl
 			}
-			if e.instr.Op == isa.OpSyscall {
-				olderSyscall = true
-			}
+			older |= e.flags & bSyscall
 			continue
 		}
+		if older&bSyscall != 0 {
+			break // syscalls serialize the window: nothing younger issues
+		}
 
-		ok, err := u.tryIssue(now, i, e, &fuUsed, olderUnresolvedCtl, olderUnissuedMem, olderSyscall)
-		if err != nil {
-			return err
+		ok := false
+		switch {
+		case u.stillBlocked(i, e): // parked on a producer
+		case fuUsed[e.class] >= u.fuLimit(e.class): // no unit of its class left
+		case e.flags&bMem != 0 && older&(bCtl|bMem) != 0:
+			// Memory operations wait for older branches to resolve
+			// (wrong-path loads/stores must never reach the ARB) and issue
+			// to the single memory unit in program order.
+		default:
+			var err error
+			if ok, err = u.tryIssue(now, i, e); err != nil {
+				return err
+			}
 		}
 		if ok {
-			issued++
+			fuUsed[e.class]++
 			u.issuedNow++
 		} else if !u.cfg.OutOfOrder {
 			break // in-order issue: stop at the first stalled instruction
 		}
-		if e.state != stDone && e.instr.Op.IsControl() {
-			olderUnresolvedCtl = true
-		}
-		if e.instr.Op.IsMem() && !e.memDone {
-			olderUnissuedMem = true
-		}
-		if e.instr.Op == isa.OpSyscall {
-			olderSyscall = true
+		older |= e.flags & (bCtl | bSyscall) // just issued at best: unresolved
+		if e.flags&bMem != 0 && !e.memDone {
+			older |= bMem
 		}
 	}
 	return nil
 }
 
-// operand fetches one source register: from the youngest older in-flight
-// producer, or the external register file.
-func (u *Unit) operand(now uint64, idx int, r isa.Reg) (interp.Value, bool) {
+// stillBlocked reports whether the entry's last issue attempt failed on
+// an in-window producer that has still not produced. Re-attempting it
+// would fail the same way with no side effect: the sources before the
+// blocking one were ready, which is monotonic within an activation, so
+// the attempt would stop at the same producer without reaching
+// Ext.ReadReg (no extWait bit, hence the same activity class).
+func (u *Unit) stillBlocked(idx int, e *robEntry) bool {
+	if e.waitOn == 0 {
+		return false
+	}
+	if j := idx - int(e.waitOn); j >= 0 && !u.rob[j].produced() {
+		return true
+	}
+	e.waitOn = 0
+	return false
+}
+
+// produced reports whether consumers can take the entry's result from
+// the window. A syscall's $v0 is only known at retire, so its consumers
+// wait for it to leave the window.
+func (p *robEntry) produced() bool { return p.state == stDone && p.flags&bSyscall == 0 }
+
+// readExt reads a register from the Ext, recording an unready one for
+// the activity class and the owner's wakeup.
+func (u *Unit) readExt(now uint64, r isa.Reg) (interp.Value, bool) {
 	if r == isa.RegZero {
 		return interp.Value{}, true
 	}
-	for j := idx - 1; j >= 0; j-- {
-		p := &u.rob[j]
-		if p.instr.Dest() == r || (p.instr.Op == isa.OpSyscall && r == isa.RegV0) {
-			// A syscall may write $v0; its value is only known at retire,
-			// so consumers wait (the syscall-serializing rule also blocks
-			// them from issuing, this is belt and braces).
-			if p.instr.Op == isa.OpSyscall {
-				return interp.Value{}, false
-			}
-			if p.state == stDone {
-				return p.val, true
-			}
-			return interp.Value{}, false
-		}
-	}
 	v, ready := u.ext.ReadReg(now, r)
 	if !ready {
-		u.waitingExt = true
+		u.extWait = u.extWait.Set(r)
 	}
 	return v, ready
 }
 
+// operand fetches source k of the entry at window index idx: from the
+// producer bound at dispatch while that is still in the window, else from
+// the Ext (where a retired producer's WriteReg put it).
+func (u *Unit) operand(now uint64, idx int, e *robEntry, k int) (interp.Value, bool) {
+	if d := e.prod[k]; d != 0 {
+		if j := idx - int(d); j >= 0 {
+			if p := &u.rob[j]; p.produced() {
+				return p.val, true
+			}
+			e.waitOn = d
+			return interp.Value{}, false
+		}
+	}
+	return u.readExt(now, e.src[k])
+}
+
 // fccOperand resolves the FP condition flag for bc1t/bc1f.
-func (u *Unit) fccOperand(idx int) (bool, bool) {
-	for j := idx - 1; j >= 0; j-- {
-		p := &u.rob[j]
-		if p.setFCC || p.instr.Op.SetsFCC() {
-			if p.state == stDone {
+func (u *Unit) fccOperand(idx int, e *robEntry) (bool, bool) {
+	if d := e.fccProd; d != 0 {
+		if j := idx - int(d); j >= 0 {
+			if p := &u.rob[j]; p.produced() {
 				return p.fcc, true
 			}
+			e.waitOn = d
 			return false, false
 		}
 	}
 	return u.committedFCC, true
 }
 
-func (u *Unit) tryIssue(now uint64, idx int, e *robEntry, fuUsed *[isa.NumFUClasses]int,
-	olderUnresolvedCtl, olderUnissuedMem, olderSyscall bool) (bool, error) {
+// SyscallRegs are the registers a syscall reads. It executes only as the
+// oldest window entry, so the unit reads them from the Ext.
+var SyscallRegs = [...]isa.Reg{isa.RegV0, isa.RegA0, isa.RegA1, isa.RegA2, isa.RegA3}
 
+// tryIssue starts the entry at window index idx if its operands are
+// ready; issue has already checked its functional unit and memory order.
+func (u *Unit) tryIssue(now uint64, idx int, e *robEntry) (bool, error) {
 	in := e.instr
-	if olderSyscall {
-		return false, nil // syscalls serialize the window
-	}
-	class := in.Op.Class()
-	if fuUsed[class] >= u.fuLimit(class) {
-		return false, nil
-	}
-	if in.Op.IsMem() && (olderUnresolvedCtl || olderUnissuedMem) {
-		// Memory operations wait for older branches to resolve (wrong-path
-		// loads/stores must never reach the ARB) and issue to the single
-		// memory unit in program order.
-		return false, nil
-	}
-	if in.Op == isa.OpSyscall && idx != 0 {
-		return false, nil // syscall executes only when oldest
-	}
 
 	// Gather operands.
 	var rsV, rtV interp.Value
 	var fcc bool
-	srcs, nsrc := in.SourceRegs()
-	for _, src := range srcs[:nsrc] {
-		v, ready := u.operand(now, idx, src)
-		if !ready {
-			return false, nil
+	if e.flags&bSyscall != 0 {
+		if idx != 0 {
+			return false, nil // syscall executes only when oldest
 		}
-		if src == in.Rs {
-			rsV = v
-		}
-		if src == in.Rt {
-			rtV = v
+		// Ext.Syscall reads the values at retire; here they must be ready.
+		for _, r := range SyscallRegs {
+			if _, ready := u.readExt(now, r); !ready {
+				return false, nil
+			}
 		}
 	}
-	// Syscall reads fixed registers; map them explicitly at retire time
-	// via the Ext, so nothing more to do here.
-	if in.ReadsFCC() {
-		v, ready := u.fccOperand(idx)
+	if n := e.flags & bNsrc; n > 0 {
+		var ready bool
+		if rsV, ready = u.operand(now, idx, e, 0); !ready {
+			return false, nil
+		}
+		if n > 1 {
+			if rtV, ready = u.operand(now, idx, e, 1); !ready {
+				return false, nil
+			}
+		}
+	}
+	if e.flags&bReadsFCC != 0 {
+		v, ready := u.fccOperand(idx, e)
 		if !ready {
 			return false, nil
 		}
@@ -155,8 +180,13 @@ func (u *Unit) tryIssue(now uint64, idx int, e *robEntry, fuUsed *[isa.NumFUClas
 
 	// Shared functional units (if the machine has them) are claimed last,
 	// once the operation is otherwise ready to start.
-	if u.shared != nil && (class == isa.FUFloat || class == isa.FUComplexInt) {
-		if !u.shared.ClaimSharedFU(now, class) {
+	if u.shared != nil && (e.class == isa.FUFloat || e.class == isa.FUComplexInt) {
+		if !u.shared.ClaimSharedFU(now, e.class) {
+			// The outcome depends on the other units' claims this cycle,
+			// which the unit cannot see: a lost arbitration is a retry, not
+			// a stall with a known end, so it counts as progress and the
+			// wakeup scheduler keeps ticking the unit.
+			u.progressed = true
 			return false, nil
 		}
 	}
@@ -239,7 +269,7 @@ func (u *Unit) tryIssue(now uint64, idx int, e *robEntry, fuUsed *[isa.NumFUClas
 	}
 
 	// Resolve actualNext and the stop condition for non-control ops.
-	if !in.Op.IsControl() {
+	if e.flags&bCtl == 0 {
 		e.actualNext = e.addr + isa.InstrSize
 	}
 	switch in.Stop {
@@ -255,7 +285,6 @@ func (u *Unit) tryIssue(now uint64, idx int, e *robEntry, fuUsed *[isa.NumFUClas
 	if e.doneAt < u.nextDone {
 		u.nextDone = e.doneAt
 	}
-	fuUsed[class]++
 	return true, nil
 }
 
@@ -271,11 +300,98 @@ func (u *Unit) dispatch(now uint64) {
 			state:         stDispatched,
 			predictedNext: f.predictedNext,
 		})
+		u.bind(len(u.rob) - 1)
 		n++
 	}
 	if n > 0 {
 		u.progressed = true
 	}
+}
+
+// opBinds is bind's per-opcode decode, derived once from the isa
+// package's own queries: SourceRegs and Dest pick the same register
+// fields for every instruction of an opcode (Rs then Rt; Rd), so
+// dispatch reads one table entry instead of walking their switches.
+var opBinds = func() (t [256]struct {
+	flags uint8 // the opcode's robEntry.flags
+	class isa.FUClass
+}) {
+	for i := range t {
+		op := isa.Op(i)
+		if !op.Valid() {
+			continue
+		}
+		probe := isa.Instr{Op: op, Rd: 1, Rs: 2, Rt: 3}
+		_, n := probe.SourceRegs()
+		if op == isa.OpSyscall {
+			n = 0 // SyscallRegs, read at the window head
+		}
+		flags := uint8(n)
+		set := func(is bool, bit uint8) {
+			if is {
+				flags |= bit
+			}
+		}
+		set(op == isa.OpSyscall, bSyscall)
+		set(op.IsControl(), bCtl)
+		set(op.IsMem(), bMem)
+		set(probe.ReadsFCC(), bReadsFCC)
+		set(probe.Dest() == probe.Rd, bWritesRd)
+		set(op.SetsFCC(), bSetsFCC)
+		t[i].flags, t[i].class = flags, op.Class()
+	}
+	return t
+}()
+
+// bind decodes, once, what issue needs to know about the entry just
+// dispatched at window index i (the youngest): FU class, flag bits,
+// source registers and — from the writer tables — the youngest older
+// window entry producing each, which operand then reaches in O(1).
+func (u *Unit) bind(i int) {
+	e := &u.rob[i]
+	in, seq := e.instr, u.headSeq+uint64(i)
+	e.class, e.flags = opBinds[in.Op].class, opBinds[in.Op].flags
+	if n := e.flags & bNsrc; n > 0 {
+		e.src[0], e.prod[0] = in.Rs, u.distTo(seq, u.lastWriter[in.Rs])
+		if n > 1 {
+			e.src[1], e.prod[1] = in.Rt, u.distTo(seq, u.lastWriter[in.Rt])
+		}
+	}
+	if e.flags&bReadsFCC != 0 {
+		e.fccProd = u.distTo(seq, u.fccWriter)
+	}
+	u.noteWriter(e, seq)
+}
+
+// distTo is how far back from the entry dispatched as seq the window
+// entry writer sits; 0 when writer has left the window or never existed.
+func (u *Unit) distTo(seq, writer uint64) uint16 {
+	if writer < u.headSeq {
+		return 0
+	}
+	return uint16(seq - writer)
+}
+
+// noteWriter records the bound window entry e, dispatched as seq, as the
+// youngest writer of its destination register, of $v0 for a syscall, and
+// of the FP condition flag.
+func (u *Unit) noteWriter(e *robEntry, seq uint64) {
+	if rd := e.instr.Rd; e.flags&bWritesRd != 0 && rd != isa.RegZero {
+		u.lastWriter[rd] = seq
+	}
+	if e.flags&bSyscall != 0 {
+		u.lastWriter[isa.RegV0] = seq
+	}
+	if e.flags&bSetsFCC != 0 {
+		u.fccWriter = seq
+	}
+}
+
+// clearWindow empties the window. Moving the sequence base past the
+// discarded entries makes every writer-table entry stale at once.
+func (u *Unit) clearWindow() {
+	u.headSeq += uint64(len(u.rob))
+	u.rob = u.robBuf[:0]
 }
 
 // fetch pulls up to four instructions per cycle from the instruction

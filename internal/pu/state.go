@@ -62,7 +62,7 @@ func (u *Unit) SaveState(e *snapshot.Encoder) {
 	for _, c := range u.ActCounts {
 		e.U64(c)
 	}
-	e.Bool(u.waitingExt)
+	e.Bool(!u.extWait.Empty())
 	e.Int(u.issuedNow)
 	e.Int(u.retiredNow)
 	e.U64(u.startCycle)
@@ -101,7 +101,7 @@ func (u *Unit) LoadState(d *snapshot.Decoder) {
 	u.fetchGroup = d.U32()
 
 	nr := d.Len(u.cfg.ROBSize)
-	u.rob = u.robBuf[:0]
+	u.clearWindow()
 	for i := 0; i < nr; i++ {
 		var r robEntry
 		r.addr = d.U32()
@@ -124,6 +124,7 @@ func (u *Unit) LoadState(d *snapshot.Decoder) {
 			return
 		}
 		u.rob = append(u.rob, r)
+		u.bind(len(u.rob) - 1) // not serialized: re-derived in window order, as dispatch did
 	}
 	// Not serialized: conservatively assume the restored window may hold
 	// a completed entry awaiting an early forward (a stale-true flag only
@@ -140,7 +141,7 @@ func (u *Unit) LoadState(d *snapshot.Decoder) {
 	for i := range u.ActCounts {
 		u.ActCounts[i] = d.U64()
 	}
-	u.waitingExt = d.Bool()
+	_ = d.Bool() // "an issue waited on the Ext" — per-Tick scratch, re-derived by the next Tick
 	u.issuedNow = d.Int()
 	u.retiredNow = d.Int()
 	u.startCycle = d.U64()

@@ -99,24 +99,46 @@ const (
 	stDone
 )
 
+// robEntry is one window slot, ordered to stay at 64 bytes: the window
+// buffer is the bulk of a unit's footprint and machines are built per job.
 type robEntry struct {
-	addr  uint32
-	instr *isa.Instr
-	state robState
-
-	doneAt uint64 // cycle the result is available (valid in stIssued/stDone)
-	val    interp.Value
-	fcc    bool
-	setFCC bool
-
+	addr          uint32
 	predictedNext uint32 // fetch-time prediction of the following PC
+	instr         *isa.Instr
+	doneAt        uint64 // cycle the result is available (valid in stIssued/stDone)
+	val           interp.Value
 	actualNext    uint32 // resolved at execute
-	taken         bool
 
+	// Dispatch-time binding (bind). Producers are named by their distance
+	// back in the window (0 = none), which stays valid as the window
+	// slides: at a negative index the producer has retired and its value
+	// is the Ext's.
+	prod    [2]uint16  // youngest older in-window writer of src[k]
+	fccProd uint16     // youngest older in-window FCC setter (bc1t/bc1f)
+	waitOn  uint16     // producer the last issue attempt failed on (0 = none)
+	src     [2]isa.Reg // decoded sources; flags&bNsrc says how many
+	class   isa.FUClass
+	flags   uint8
+
+	state   robState
+	fcc     bool
+	setFCC  bool
+	taken   bool
 	stopHit bool // stop condition satisfied (task exit) — final at execute
 	memDone bool // memory operation has accessed the ARB/cache
 	fwded   bool // value already sent on the ring (operate-and-forward)
 }
+
+// robEntry.flags bits.
+const (
+	bNsrc     uint8 = 3 // mask: number of bound sources (0-2)
+	bCtl      uint8 = 1 << 2
+	bMem      uint8 = 1 << 3
+	bSyscall  uint8 = 1 << 4
+	bReadsFCC uint8 = 1 << 5
+	bWritesRd uint8 = 1 << 6
+	bSetsFCC  uint8 = 1 << 7
+)
 
 type fetchedInstr struct {
 	addr          uint32
@@ -178,6 +200,14 @@ type Unit struct {
 	// leave it stale-low, which only costs a wasted scan.
 	nextDone uint64
 
+	// rob[i] was dispatched as sequence number headSeq+i. lastWriter[r]
+	// is the youngest window entry writing r, fccWriter the youngest
+	// setting the FP condition flag (below headSeq: not in the window), so
+	// dispatch binds producers by lookup, not by scanning the window.
+	headSeq    uint64
+	lastWriter [isa.NumRegs]uint64
+	fccWriter  uint64
+
 	committedFCC bool
 
 	// Task completion.
@@ -189,7 +219,7 @@ type Unit struct {
 	// retire or squash).
 	Retired    uint64 // locally retired instructions this activation
 	ActCounts  [NumActivities]uint64
-	waitingExt bool // an issue was blocked on Ext.ReadReg this cycle
+	extWait    isa.RegMask // registers an issue found unready in Ext.ReadReg this cycle
 	issuedNow  int
 	retiredNow int
 	startCycle uint64
@@ -197,10 +227,11 @@ type Unit struct {
 
 	// progressed records whether the last Tick changed any state — unit
 	// pipeline state or, through the Ext, the machine's (a forward, a
-	// cache or ARB access). A cycle in which no unit progressed and the
-	// sequencer did nothing is a pure stall cycle: every subsequent cycle
-	// is provably identical until the next latched timestamp fires, which
-	// is what lets the wakeup scheduler skip ahead (docs/perf.md).
+	// cache or ARB access). After a Tick that progressed nothing, every
+	// following Tick is provably the same no-op with the same activity
+	// class until NextEvent fires or the owner changes one of the unit's
+	// external inputs, which is what lets the wakeup scheduler leave the
+	// unit asleep (docs/perf.md).
 	progressed bool
 
 	// Tracing. taskSeq labels events with the owner-assigned task
@@ -231,6 +262,9 @@ func New(id int, cfg Config, prog *isa.Program, ext Ext) *Unit {
 	if cfg.BranchEntries == 0 {
 		cfg.BranchEntries = 2048
 	}
+	if cfg.ROBSize > 1<<16 {
+		cfg.ROBSize = 1 << 16 // producer distances are 16-bit
+	}
 	u := &Unit{
 		ID:   id,
 		cfg:  cfg,
@@ -241,6 +275,7 @@ func New(id int, cfg Config, prog *isa.Program, ext Ext) *Unit {
 		// (queue.go); the windows start at the front.
 		fetchQBuf: make([]fetchedInstr, queueSlack*cfg.FetchQSize),
 		robBuf:    make([]robEntry, queueSlack*cfg.ROBSize),
+		headSeq:   1, // 0 is lastWriter's "never written"
 
 		sink:    cfg.Sink,
 		taskSeq: -1,
@@ -279,7 +314,7 @@ func (u *Unit) Start(entry uint32, now uint64) {
 	u.fetchQ = u.fetchQBuf[:0]
 	u.fetchGroup = ^uint32(0)
 	u.fetchReady = 0
-	u.rob = u.robBuf[:0]
+	u.clearWindow()
 	u.nextDone = ^uint64(0)
 	u.done = false
 	u.exitPC = 0
@@ -319,34 +354,33 @@ func (u *Unit) emitActivity(now uint64, act Activity) {
 func (u *Unit) Squash() {
 	u.active = false
 	u.fetchQ = u.fetchQBuf[:0]
-	u.rob = u.robBuf[:0]
+	u.clearWindow()
 	u.nextDone = ^uint64(0)
 	u.done = false
 }
 
-// Tick advances the unit by one cycle. It returns the number of
-// instructions locally retired this cycle and any fatal error.
-func (u *Unit) Tick(now uint64) (int, error) {
+// Tick advances the unit by one cycle.
+func (u *Unit) Tick(now uint64) error {
 	u.progressed = false
+	u.extWait = 0
 	if !u.active {
 		u.ActCounts[ActIdle]++
 		u.lastAct = ActIdle
 		if u.sink != nil {
 			u.emitActivity(now, ActIdle)
 		}
-		return 0, nil
+		return nil
 	}
-	u.waitingExt = false
 	u.issuedNow = 0
 	u.retiredNow = 0
 
 	u.complete(now)
 	u.forwardEarly(now)
 	if err := u.retire(now); err != nil {
-		return u.retiredNow, err
+		return err
 	}
 	if err := u.issue(now); err != nil {
-		return u.retiredNow, err
+		return err
 	}
 	u.dispatch(now)
 	u.fetch(now)
@@ -364,7 +398,7 @@ func (u *Unit) Tick(now uint64) (int, error) {
 		}
 		u.emitActivity(now, u.lastAct)
 	}
-	return u.retiredNow, nil
+	return nil
 }
 
 func (u *Unit) classify() Activity {
@@ -373,7 +407,7 @@ func (u *Unit) classify() Activity {
 		return ActCompute
 	case u.done:
 		return ActWaitRetire
-	case u.waitingExt:
+	case !u.extWait.Empty():
 		return ActWaitPred
 	default:
 		return ActWaitIntra
@@ -381,22 +415,21 @@ func (u *Unit) classify() Activity {
 }
 
 // Progressed reports whether the last Tick changed any state. The wakeup
-// scheduler only considers skipping after a cycle in which no unit
-// progressed (and the sequencer did nothing).
+// scheduler puts a unit to sleep only after a Tick that did not.
 func (u *Unit) Progressed() bool { return u.progressed }
 
-// WaitingExt reports whether the last Tick blocked an issue on an
-// external register read (Ext.ReadReg not ready). The owning machine
-// translates this into a wakeup time from its register-file delivery
-// timing, which the unit cannot see.
-func (u *Unit) WaitingExt() bool { return u.waitingExt }
+// ExtWait reports the registers the last Tick's issue attempts found
+// unready in Ext.ReadReg. The owning machine translates them into a
+// wakeup time from its register-file delivery timing, which the unit
+// cannot see; no other register's arrival can change the next Tick.
+func (u *Unit) ExtWait() isa.RegMask { return u.extWait }
 
 // NextEvent returns the earliest future cycle at which this unit's state
 // can change on its own: the earliest in-flight completion (nextDone) or
 // the instruction-cache fill the fetch stage is waiting on. NoEvent
 // means the unit is fully blocked on external action — an assignment, a
 // predecessor's retirement or syscall turn at the head, or a ring
-// delivery (see WaitingExt). Waking early is always safe — the dense
+// delivery (see ExtWait). Waking early is always safe — the dense
 // tick re-derives everything — so the scheduler relies only on the
 // result never being later than the unit's true next state change;
 // nextDone may be stale-low after entry removal, which just costs an
@@ -415,11 +448,11 @@ func (u *Unit) NextEvent(now uint64) uint64 {
 	return t
 }
 
-// AddStallCycles bulk-accounts k cycles identical to the unit's last
-// ticked cycle. The wakeup scheduler calls this instead of ticking the
-// unit through a window it has proven unchanging, so the per-activity
-// counters match the dense loop bit for bit (a stalled cycle's
-// classification cannot change until some latched timestamp fires).
+// AddStallCycles accounts k cycles identical to the unit's last ticked
+// cycle. The wakeup scheduler calls this instead of ticking the unit
+// through cycles it has proven unchanging, so the per-activity counters
+// match the dense loop bit for bit (a stalled cycle's classification
+// cannot change before the unit's wake cycle).
 func (u *Unit) AddStallCycles(k uint64) { u.ActCounts[u.lastAct] += k }
 
 // complete transitions issued entries whose latency has elapsed to done,
@@ -510,6 +543,14 @@ func (u *Unit) forwardEarly(now uint64) {
 // happens.
 func (u *Unit) flushAfter(i int, nextPC uint32, stopped bool) {
 	u.rob = u.rob[:i+1]
+	// Later dispatches reuse the flushed sequence numbers, so the writer
+	// tables are rebuilt from the survivors. (Surviving bindings cannot
+	// dangle: a consumer is always younger than its producers.)
+	u.lastWriter = [isa.NumRegs]uint64{}
+	u.fccWriter = 0
+	for j := range u.rob {
+		u.noteWriter(&u.rob[j], u.headSeq+uint64(j))
+	}
 	u.fetchQ = u.fetchQBuf[:0]
 	u.fetchGroup = ^uint32(0)
 	u.fetchStopped = stopped
@@ -562,11 +603,12 @@ func (u *Unit) retire(now uint64) error {
 		exitPC := e.actualNext
 		byRet := in.Op == isa.OpJr
 		u.rob = u.rob[1:] // head pop: the window slides, nothing moves
+		u.headSeq++
 		if stop {
 			u.done = true
 			u.exitPC = exitPC
 			u.exitByRet = byRet
-			u.rob = u.robBuf[:0]
+			u.clearWindow()
 			u.fetchQ = u.fetchQBuf[:0]
 			u.fetchStopped = true
 			if u.sink != nil {

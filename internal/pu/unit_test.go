@@ -20,7 +20,8 @@ type mockExt struct {
 	LoadLatency  uint64
 	StoreLatency uint64
 
-	syscallDelay int // syscalls unhandled for this many attempts
+	syscallDelay int         // syscalls unhandled for this many attempts
+	unready      isa.RegMask // registers ReadReg reports as not arrived yet
 }
 
 func newMockExt() *mockExt {
@@ -36,7 +37,9 @@ func newMockExt() *mockExt {
 	return m
 }
 
-func (m *mockExt) ReadReg(now uint64, r isa.Reg) (interp.Value, bool) { return m.Regs[r], true }
+func (m *mockExt) ReadReg(now uint64, r isa.Reg) (interp.Value, bool) {
+	return m.Regs[r], !m.unready.Has(r)
+}
 func (m *mockExt) WriteReg(r isa.Reg, v interp.Value) {
 	if r != isa.RegZero {
 		m.Regs[r] = v
@@ -87,7 +90,7 @@ func runWholeProgram(t *testing.T, src string, cfg Config) (*mockExt, uint64, *U
 		if now > 2_000_000 {
 			t.Fatal("timeout")
 		}
-		if _, err := u.Tick(now); err != nil {
+		if err := u.Tick(now); err != nil {
 			t.Fatalf("tick: %v", err)
 		}
 		now++
@@ -226,7 +229,7 @@ main:
 		if now > 1000 {
 			t.Fatal("task never completed")
 		}
-		if _, err := u.Tick(now); err != nil {
+		if err := u.Tick(now); err != nil {
 			t.Fatal(err)
 		}
 		now++
@@ -267,7 +270,7 @@ loop:
 	u.Start(loopAddr, 0)
 	var now uint64
 	for !u.Done() && now < 1000 {
-		if _, err := u.Tick(now); err != nil {
+		if err := u.Tick(now); err != nil {
 			t.Fatal(err)
 		}
 		now++
@@ -306,7 +309,7 @@ done:
 	u.Start(loopAddr, 0)
 	var now uint64
 	for !u.Done() && now < 1000 {
-		if _, err := u.Tick(now); err != nil {
+		if err := u.Tick(now); err != nil {
 			t.Fatal(err)
 		}
 		now++
@@ -335,7 +338,7 @@ main:
 	u := New(0, DefaultConfig(1, false), p, ext)
 	u.Start(p.Entry, 0)
 	for now := uint64(0); !u.Done() && now < 1000; now++ {
-		if _, err := u.Tick(now); err != nil {
+		if err := u.Tick(now); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -355,7 +358,7 @@ main:
 	u := New(0, DefaultConfig(1, false), p, ext)
 	u.Start(p.Entry, 0)
 	for now := uint64(0); !u.Done() && now < 100; now++ {
-		if _, err := u.Tick(now); err != nil {
+		if err := u.Tick(now); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -378,7 +381,7 @@ main:
 	u.Start(p.Entry, 0)
 	var now uint64
 	for !ext.Env.Exited && now < 1000 {
-		if _, err := u.Tick(now); err != nil {
+		if err := u.Tick(now); err != nil {
 			t.Fatal(err)
 		}
 		now++
@@ -433,7 +436,7 @@ main:
 		u.Start(p.Entry, 0)
 		var now uint64
 		for !ext.Env.Exited && now < 10000 {
-			if _, err := u.Tick(now); err != nil {
+			if err := u.Tick(now); err != nil {
 				t.Fatal(err)
 			}
 			now++
@@ -519,7 +522,7 @@ main:
 	// Restart and run to completion.
 	u.Start(p.Entry, 10)
 	for now := uint64(10); !u.Done() && now < 1000; now++ {
-		if _, err := u.Tick(now); err != nil {
+		if err := u.Tick(now); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -555,5 +558,43 @@ main:
 	}
 	if u.ActCounts[ActCompute] == 0 {
 		t.Error("no compute cycles recorded")
+	}
+}
+
+// TestExtWaitReportsBlockingRegisters pins what the owner's wakeup
+// scheduler reads after a Tick: exactly the registers issue found
+// unready in the Ext, classified as waiting on a predecessor — and
+// nothing once the unit has no task, or a squashed task's stale wait
+// would keep an idle unit awake.
+func TestExtWaitReportsBlockingRegisters(t *testing.T) {
+	p := assembleMS(t, `
+main:
+	add $t0, $s0, $s1
+	add $t1, $s2, $t0
+`+exitSeq)
+	ext := newMockExt()
+	ext.unready = isa.MaskOf((isa.RegS0 + 1), (isa.RegS0 + 2))
+	u := New(0, DefaultConfig(2, true), p, ext)
+	u.Start(p.Entry, 0)
+	var now uint64
+	for ; now < 20; now++ {
+		if err := u.Tick(now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The first add stops at $s1; the second reads $s2 before reaching
+	// its in-window producer.
+	if u.Progressed() || u.ExtWait() != isa.MaskOf((isa.RegS0+1), (isa.RegS0+2)) || u.LastActivity() != ActWaitPred {
+		t.Fatalf("stalled unit: progressed=%v ext wait=%v activity=%v", u.Progressed(), u.ExtWait(), u.LastActivity())
+	}
+	if u.NextEvent(now) != NoEvent {
+		t.Errorf("stalled unit has a next event at %d", u.NextEvent(now))
+	}
+	u.Squash()
+	if err := u.Tick(now); err != nil {
+		t.Fatal(err)
+	}
+	if u.Progressed() || !u.ExtWait().Empty() || u.LastActivity() != ActIdle {
+		t.Fatalf("idle unit: progressed=%v ext wait=%v activity=%v", u.Progressed(), u.ExtWait(), u.LastActivity())
 	}
 }

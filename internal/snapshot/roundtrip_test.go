@@ -84,9 +84,19 @@ func interruptAndResume(t *testing.T, p *isa.Program, cfg core.Config, at uint64
 	return res
 }
 
+// sameResult reports whether a resumed run's Result equals the
+// uninterrupted run's in every field but UnitTicks: a snapshot does not
+// carry the wakeup scheduler's state, so a resumed machine starts with
+// every unit awake and counts its Ticks afresh (core.Result.UnitTicks).
+func sameResult(got, want *core.Result) bool {
+	g := *got
+	g.UnitTicks = want.UnitTicks
+	return reflect.DeepEqual(&g, want)
+}
+
 // TestMultiscalarRoundTrip saves at random mid-run cycles across unit
 // counts and checks the resumed run's Result — every cycle count, every
-// statistic — equals the uninterrupted run's.
+// statistic, CyclesTicked included — equals the uninterrupted run's.
 func TestMultiscalarRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, name := range []string{"wc", "compress", "tomcatv"} {
@@ -100,7 +110,7 @@ func TestMultiscalarRoundTrip(t *testing.T) {
 			for trial := 0; trial < 3; trial++ {
 				at := 1 + uint64(rng.Int63n(int64(full.Cycles-1)))
 				got := interruptAndResume(t, p, cfg, at)
-				if !reflect.DeepEqual(got, full) {
+				if !sameResult(got, full) {
 					t.Errorf("%s units=%d checkpoint@%d: resumed result differs\ngot  %+v\nwant %+v",
 						name, units, at, got, full)
 				}
@@ -141,7 +151,7 @@ func TestScalarRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, full) {
+		if !sameResult(got, full) {
 			t.Errorf("scalar checkpoint@%d: resumed result differs\ngot  %+v\nwant %+v", at, got, full)
 		}
 	}
@@ -484,7 +494,7 @@ func TestAdversarialCycleRoundTrip(t *testing.T) {
 			}
 			for _, at := range sampleCycles(cands, full.Cycles, 8) {
 				got := interruptAndResume(t, p.Prog, cfg, at)
-				if !reflect.DeepEqual(got, full) {
+				if !sameResult(got, full) {
 					t.Errorf("%s policy=%d checkpoint@%d: resumed result differs\ngot  %+v\nwant %+v",
 						p.Name, pol, at, got, full)
 				}
