@@ -38,6 +38,10 @@ type Machine struct {
 	ICount uint64
 	// Class counts broken out for reporting.
 	LoadCount, StoreCount, BranchCount uint64
+	// TaskExits counts retired instructions whose stop condition held:
+	// the task boundaries of the dynamic stream, which size the sampled
+	// simulator's warm-up (internal/sample).
+	TaskExits uint64
 
 	// uops is the predecoded form of Prog.Text (see uop.go). It is
 	// derived state: never serialized, rebuilt on demand.
@@ -60,248 +64,260 @@ func NewMachine(p *isa.Program, env *SysEnv) *Machine {
 
 // Step executes one instruction. It returns an error on traps (bad PC,
 // unaligned access, division by zero, unknown syscall).
+func (m *Machine) Step() error { return m.steps(m.ICount + 1) }
+
+// steps executes at least one instruction, then on until the program
+// has exited or ICount has reached limit. The loop lives here rather
+// than in Run so that a run pays for one call, not one per instruction.
 //
 // Dispatch runs over the predecoded µop stream (uop.go): one dense
 // switch on the handler index, with the destination register already
 // resolved, instead of re-classifying the architectural instruction
 // each time.
-func (m *Machine) Step() error {
+func (m *Machine) steps(limit uint64) error {
 	if m.uops == nil {
 		m.uops = decodedUops(m.Prog)
 	}
-	if m.PC < isa.TextBase || m.PC&3 != 0 {
-		return fmt.Errorf("interp: PC 0x%x outside text", m.PC)
-	}
-	idx := (m.PC - isa.TextBase) / isa.InstrSize
-	if int(idx) >= len(m.uops) {
-		return fmt.Errorf("interp: PC 0x%x outside text", m.PC)
-	}
-	u := &m.uops[idx]
-	nextPC := m.PC + isa.InstrSize
+	for {
+		if m.PC < isa.TextBase || m.PC&3 != 0 {
+			return fmt.Errorf("interp: PC 0x%x outside text", m.PC)
+		}
+		idx := (m.PC - isa.TextBase) / isa.InstrSize
+		if int(idx) >= len(m.uops) {
+			return fmt.Errorf("interp: PC 0x%x outside text", m.PC)
+		}
+		u := &m.uops[idx]
+		nextPC := m.PC + isa.InstrSize
 
-	switch u.kind {
-	case uNop:
-	case uSyscall:
-		ret, writes, err := m.Env.Call(m.Mem,
-			m.Regs[isa.RegV0].I, m.Regs[isa.RegA0].I,
-			m.Regs[isa.RegA1].I, m.Regs[isa.RegA2].I, m.Regs[isa.RegA3].I)
-		if err != nil {
-			return err
-		}
-		if writes {
-			m.Regs[isa.RegV0] = IntVal(ret)
-		}
+		switch u.kind {
+		case uNop:
+		case uSyscall:
+			ret, writes, err := m.Env.Call(m.Mem,
+				m.Regs[isa.RegV0].I, m.Regs[isa.RegA0].I,
+				m.Regs[isa.RegA1].I, m.Regs[isa.RegA2].I, m.Regs[isa.RegA3].I)
+			if err != nil {
+				return err
+			}
+			if writes {
+				m.Regs[isa.RegV0] = IntVal(ret)
+			}
 
-	case uLw:
-		addr := m.Regs[u.rs].I + uint32(u.imm)
-		if addr&3 != 0 {
-			return fmt.Errorf("interp: unaligned %s of 0x%x at PC 0x%x", u.op, addr, m.PC)
-		}
-		v := Value{I: uint32(m.Mem.ReadN(addr, 4))}
-		if u.rd != isa.RegZero {
-			m.Regs[u.rd] = v
-		}
-		if m.Warm != nil {
-			m.Warm.Mem(addr, false)
-		}
-		m.LoadCount++
-	case uLoad:
-		addr := m.Regs[u.rs].I + uint32(u.imm)
-		if addr%uint32(u.size) != 0 {
-			return fmt.Errorf("interp: unaligned %s of 0x%x at PC 0x%x", u.op, addr, m.PC)
-		}
-		raw := m.Mem.ReadN(addr, int(u.size))
-		if u.rd != isa.RegZero {
-			m.Regs[u.rd] = LoadValue(u.op, raw)
-		}
-		if m.Warm != nil {
-			m.Warm.Mem(addr, false)
-		}
-		m.LoadCount++
-	case uSw:
-		addr := m.Regs[u.rs].I + uint32(u.imm)
-		if addr&3 != 0 {
-			return fmt.Errorf("interp: unaligned %s of 0x%x at PC 0x%x", u.op, addr, m.PC)
-		}
-		m.Mem.WriteN(addr, 4, uint64(m.Regs[u.rt].I))
-		if m.Warm != nil {
-			m.Warm.Mem(addr, true)
-		}
-		m.StoreCount++
-	case uStore:
-		addr := m.Regs[u.rs].I + uint32(u.imm)
-		if addr%uint32(u.size) != 0 {
-			return fmt.Errorf("interp: unaligned %s of 0x%x at PC 0x%x", u.op, addr, m.PC)
-		}
-		m.Mem.WriteN(addr, int(u.size), StoreValue(u.op, m.Regs[u.rt]))
-		if m.Warm != nil {
-			m.Warm.Mem(addr, true)
-		}
-		m.StoreCount++
+		case uLw:
+			addr := m.Regs[u.rs].I + uint32(u.imm)
+			if addr&3 != 0 {
+				return fmt.Errorf("interp: unaligned %s of 0x%x at PC 0x%x", u.op, addr, m.PC)
+			}
+			v := Value{I: uint32(m.Mem.ReadN(addr, 4))}
+			if u.rd != isa.RegZero {
+				m.Regs[u.rd] = v
+			}
+			if m.Warm != nil {
+				m.Warm.Mem(addr, false)
+			}
+			m.LoadCount++
+		case uLoad:
+			addr := m.Regs[u.rs].I + uint32(u.imm)
+			if addr%uint32(u.size) != 0 {
+				return fmt.Errorf("interp: unaligned %s of 0x%x at PC 0x%x", u.op, addr, m.PC)
+			}
+			raw := m.Mem.ReadN(addr, int(u.size))
+			if u.rd != isa.RegZero {
+				m.Regs[u.rd] = LoadValue(u.op, raw)
+			}
+			if m.Warm != nil {
+				m.Warm.Mem(addr, false)
+			}
+			m.LoadCount++
+		case uSw:
+			addr := m.Regs[u.rs].I + uint32(u.imm)
+			if addr&3 != 0 {
+				return fmt.Errorf("interp: unaligned %s of 0x%x at PC 0x%x", u.op, addr, m.PC)
+			}
+			m.Mem.WriteN(addr, 4, uint64(m.Regs[u.rt].I))
+			if m.Warm != nil {
+				m.Warm.Mem(addr, true)
+			}
+			m.StoreCount++
+		case uStore:
+			addr := m.Regs[u.rs].I + uint32(u.imm)
+			if addr%uint32(u.size) != 0 {
+				return fmt.Errorf("interp: unaligned %s of 0x%x at PC 0x%x", u.op, addr, m.PC)
+			}
+			m.Mem.WriteN(addr, int(u.size), StoreValue(u.op, m.Regs[u.rt]))
+			if m.Warm != nil {
+				m.Warm.Mem(addr, true)
+			}
+			m.StoreCount++
 
-	case uJ:
-		nextPC = u.target
-		m.BranchCount++
-	case uJal:
-		if u.rd != isa.RegZero {
-			m.Regs[u.rd] = IntVal(m.PC + isa.InstrSize)
-		}
-		nextPC = u.target
-		m.BranchCount++
-	case uJr:
-		nextPC = m.Regs[u.rs].I
-		m.BranchCount++
-	case uJalr:
-		target := m.Regs[u.rs].I
-		if u.rd != isa.RegZero {
-			m.Regs[u.rd] = IntVal(m.PC + isa.InstrSize)
-		}
-		nextPC = target
-		m.BranchCount++
+		case uJ:
+			nextPC = u.target
+			m.BranchCount++
+		case uJal:
+			if u.rd != isa.RegZero {
+				m.Regs[u.rd] = IntVal(m.PC + isa.InstrSize)
+			}
+			nextPC = u.target
+			m.BranchCount++
+		case uJr:
+			nextPC = m.Regs[u.rs].I
+			m.BranchCount++
+		case uJalr:
+			target := m.Regs[u.rs].I
+			if u.rd != isa.RegZero {
+				m.Regs[u.rd] = IntVal(m.PC + isa.InstrSize)
+			}
+			nextPC = target
+			m.BranchCount++
 
-	case uBeq:
-		if m.Regs[u.rs].I == m.Regs[u.rt].I {
-			nextPC = u.target
-		}
-		m.BranchCount++
-	case uBne:
-		if m.Regs[u.rs].I != m.Regs[u.rt].I {
-			nextPC = u.target
-		}
-		m.BranchCount++
-	case uBlez:
-		if int32(m.Regs[u.rs].I) <= 0 {
-			nextPC = u.target
-		}
-		m.BranchCount++
-	case uBgtz:
-		if int32(m.Regs[u.rs].I) > 0 {
-			nextPC = u.target
-		}
-		m.BranchCount++
-	case uBltz:
-		if int32(m.Regs[u.rs].I) < 0 {
-			nextPC = u.target
-		}
-		m.BranchCount++
-	case uBgez:
-		if int32(m.Regs[u.rs].I) >= 0 {
-			nextPC = u.target
-		}
-		m.BranchCount++
-
-	case uAdd:
-		m.Regs[u.rd] = Value{I: m.Regs[u.rs].I + m.Regs[u.rt].I}
-	case uAddi:
-		m.Regs[u.rd] = Value{I: m.Regs[u.rs].I + uint32(u.imm)}
-	case uSub:
-		m.Regs[u.rd] = Value{I: m.Regs[u.rs].I - m.Regs[u.rt].I}
-	case uMul:
-		m.Regs[u.rd] = Value{I: uint32(int32(m.Regs[u.rs].I) * int32(m.Regs[u.rt].I))}
-	case uAnd:
-		m.Regs[u.rd] = Value{I: m.Regs[u.rs].I & m.Regs[u.rt].I}
-	case uAndi:
-		m.Regs[u.rd] = Value{I: m.Regs[u.rs].I & uint32(u.imm)}
-	case uOr:
-		m.Regs[u.rd] = Value{I: m.Regs[u.rs].I | m.Regs[u.rt].I}
-	case uOri:
-		m.Regs[u.rd] = Value{I: m.Regs[u.rs].I | uint32(u.imm)}
-	case uXor:
-		m.Regs[u.rd] = Value{I: m.Regs[u.rs].I ^ m.Regs[u.rt].I}
-	case uXori:
-		m.Regs[u.rd] = Value{I: m.Regs[u.rs].I ^ uint32(u.imm)}
-	case uNor:
-		m.Regs[u.rd] = Value{I: ^(m.Regs[u.rs].I | m.Regs[u.rt].I)}
-	case uSll:
-		m.Regs[u.rd] = Value{I: m.Regs[u.rs].I << (uint32(u.imm) & 31)}
-	case uSrl:
-		m.Regs[u.rd] = Value{I: m.Regs[u.rs].I >> (uint32(u.imm) & 31)}
-	case uSra:
-		m.Regs[u.rd] = Value{I: uint32(int32(m.Regs[u.rs].I) >> (uint32(u.imm) & 31))}
-	case uSllv:
-		m.Regs[u.rd] = Value{I: m.Regs[u.rs].I << (m.Regs[u.rt].I & 31)}
-	case uSrlv:
-		m.Regs[u.rd] = Value{I: m.Regs[u.rs].I >> (m.Regs[u.rt].I & 31)}
-	case uSrav:
-		m.Regs[u.rd] = Value{I: uint32(int32(m.Regs[u.rs].I) >> (m.Regs[u.rt].I & 31))}
-	case uSlt:
-		var v uint32
-		if int32(m.Regs[u.rs].I) < int32(m.Regs[u.rt].I) {
-			v = 1
-		}
-		m.Regs[u.rd] = Value{I: v}
-	case uSltu:
-		var v uint32
-		if m.Regs[u.rs].I < m.Regs[u.rt].I {
-			v = 1
-		}
-		m.Regs[u.rd] = Value{I: v}
-	case uSlti:
-		var v uint32
-		if int32(m.Regs[u.rs].I) < u.imm {
-			v = 1
-		}
-		m.Regs[u.rd] = Value{I: v}
-	case uSltiu:
-		var v uint32
-		if m.Regs[u.rs].I < uint32(u.imm) {
-			v = 1
-		}
-		m.Regs[u.rd] = Value{I: v}
-	case uLui:
-		m.Regs[u.rd] = Value{I: uint32(u.imm) << 16}
-
-	case uAddD:
-		m.Regs[u.rd] = Value{F: m.Regs[u.rs].F + m.Regs[u.rt].F}
-	case uSubD:
-		m.Regs[u.rd] = Value{F: m.Regs[u.rs].F - m.Regs[u.rt].F}
-	case uMulD:
-		m.Regs[u.rd] = Value{F: m.Regs[u.rs].F * m.Regs[u.rt].F}
-	case uDivD:
-		m.Regs[u.rd] = Value{F: m.Regs[u.rs].F / m.Regs[u.rt].F}
-	case uMovD:
-		m.Regs[u.rd] = Value{F: m.Regs[u.rs].F}
-	case uCEqD:
-		m.FCC = m.Regs[u.rs].F == m.Regs[u.rt].F
-	case uCLtD:
-		m.FCC = m.Regs[u.rs].F < m.Regs[u.rt].F
-	case uCLeD:
-		m.FCC = m.Regs[u.rs].F <= m.Regs[u.rt].F
-	case uBc1t:
-		if m.FCC {
-			nextPC = u.target
-		}
-		m.BranchCount++
-	case uBc1f:
-		if !m.FCC {
-			nextPC = u.target
-		}
-		m.BranchCount++
-
-	default: // uExec
-		res, err := Exec(u.op, m.Regs[u.rs], m.Regs[u.rt], u.imm, m.FCC)
-		if err != nil {
-			return fmt.Errorf("%w at PC 0x%x", err, m.PC)
-		}
-		if u.op.IsBranch() {
-			if res.Taken {
+		case uBeq:
+			if m.Regs[u.rs].I == m.Regs[u.rt].I {
 				nextPC = u.target
 			}
 			m.BranchCount++
-		} else if u.rd != isa.RegZero {
-			m.Regs[u.rd] = res.Val
-		}
-		if res.SetFCC {
-			m.FCC = res.FCC
-		}
-	}
+		case uBne:
+			if m.Regs[u.rs].I != m.Regs[u.rt].I {
+				nextPC = u.target
+			}
+			m.BranchCount++
+		case uBlez:
+			if int32(m.Regs[u.rs].I) <= 0 {
+				nextPC = u.target
+			}
+			m.BranchCount++
+		case uBgtz:
+			if int32(m.Regs[u.rs].I) > 0 {
+				nextPC = u.target
+			}
+			m.BranchCount++
+		case uBltz:
+			if int32(m.Regs[u.rs].I) < 0 {
+				nextPC = u.target
+			}
+			m.BranchCount++
+		case uBgez:
+			if int32(m.Regs[u.rs].I) >= 0 {
+				nextPC = u.target
+			}
+			m.BranchCount++
 
-	if m.Warm != nil {
-		m.Warm.Retire(m.PC, nextPC)
+		case uAdd:
+			m.Regs[u.rd] = Value{I: m.Regs[u.rs].I + m.Regs[u.rt].I}
+		case uAddi:
+			m.Regs[u.rd] = Value{I: m.Regs[u.rs].I + uint32(u.imm)}
+		case uSub:
+			m.Regs[u.rd] = Value{I: m.Regs[u.rs].I - m.Regs[u.rt].I}
+		case uMul:
+			m.Regs[u.rd] = Value{I: uint32(int32(m.Regs[u.rs].I) * int32(m.Regs[u.rt].I))}
+		case uAnd:
+			m.Regs[u.rd] = Value{I: m.Regs[u.rs].I & m.Regs[u.rt].I}
+		case uAndi:
+			m.Regs[u.rd] = Value{I: m.Regs[u.rs].I & uint32(u.imm)}
+		case uOr:
+			m.Regs[u.rd] = Value{I: m.Regs[u.rs].I | m.Regs[u.rt].I}
+		case uOri:
+			m.Regs[u.rd] = Value{I: m.Regs[u.rs].I | uint32(u.imm)}
+		case uXor:
+			m.Regs[u.rd] = Value{I: m.Regs[u.rs].I ^ m.Regs[u.rt].I}
+		case uXori:
+			m.Regs[u.rd] = Value{I: m.Regs[u.rs].I ^ uint32(u.imm)}
+		case uNor:
+			m.Regs[u.rd] = Value{I: ^(m.Regs[u.rs].I | m.Regs[u.rt].I)}
+		case uSll:
+			m.Regs[u.rd] = Value{I: m.Regs[u.rs].I << (uint32(u.imm) & 31)}
+		case uSrl:
+			m.Regs[u.rd] = Value{I: m.Regs[u.rs].I >> (uint32(u.imm) & 31)}
+		case uSra:
+			m.Regs[u.rd] = Value{I: uint32(int32(m.Regs[u.rs].I) >> (uint32(u.imm) & 31))}
+		case uSllv:
+			m.Regs[u.rd] = Value{I: m.Regs[u.rs].I << (m.Regs[u.rt].I & 31)}
+		case uSrlv:
+			m.Regs[u.rd] = Value{I: m.Regs[u.rs].I >> (m.Regs[u.rt].I & 31)}
+		case uSrav:
+			m.Regs[u.rd] = Value{I: uint32(int32(m.Regs[u.rs].I) >> (m.Regs[u.rt].I & 31))}
+		case uSlt:
+			var v uint32
+			if int32(m.Regs[u.rs].I) < int32(m.Regs[u.rt].I) {
+				v = 1
+			}
+			m.Regs[u.rd] = Value{I: v}
+		case uSltu:
+			var v uint32
+			if m.Regs[u.rs].I < m.Regs[u.rt].I {
+				v = 1
+			}
+			m.Regs[u.rd] = Value{I: v}
+		case uSlti:
+			var v uint32
+			if int32(m.Regs[u.rs].I) < u.imm {
+				v = 1
+			}
+			m.Regs[u.rd] = Value{I: v}
+		case uSltiu:
+			var v uint32
+			if m.Regs[u.rs].I < uint32(u.imm) {
+				v = 1
+			}
+			m.Regs[u.rd] = Value{I: v}
+		case uLui:
+			m.Regs[u.rd] = Value{I: uint32(u.imm) << 16}
+
+		case uAddD:
+			m.Regs[u.rd] = Value{F: m.Regs[u.rs].F + m.Regs[u.rt].F}
+		case uSubD:
+			m.Regs[u.rd] = Value{F: m.Regs[u.rs].F - m.Regs[u.rt].F}
+		case uMulD:
+			m.Regs[u.rd] = Value{F: m.Regs[u.rs].F * m.Regs[u.rt].F}
+		case uDivD:
+			m.Regs[u.rd] = Value{F: m.Regs[u.rs].F / m.Regs[u.rt].F}
+		case uMovD:
+			m.Regs[u.rd] = Value{F: m.Regs[u.rs].F}
+		case uCEqD:
+			m.FCC = m.Regs[u.rs].F == m.Regs[u.rt].F
+		case uCLtD:
+			m.FCC = m.Regs[u.rs].F < m.Regs[u.rt].F
+		case uCLeD:
+			m.FCC = m.Regs[u.rs].F <= m.Regs[u.rt].F
+		case uBc1t:
+			if m.FCC {
+				nextPC = u.target
+			}
+			m.BranchCount++
+		case uBc1f:
+			if !m.FCC {
+				nextPC = u.target
+			}
+			m.BranchCount++
+
+		default: // uExec
+			res, err := Exec(u.op, m.Regs[u.rs], m.Regs[u.rt], u.imm, m.FCC)
+			if err != nil {
+				return fmt.Errorf("%w at PC 0x%x", err, m.PC)
+			}
+			if u.op.IsBranch() {
+				if res.Taken {
+					nextPC = u.target
+				}
+				m.BranchCount++
+			} else if u.rd != isa.RegZero {
+				m.Regs[u.rd] = res.Val
+			}
+			if res.SetFCC {
+				m.FCC = res.FCC
+			}
+		}
+
+		if u.stop != isa.StopNone && u.stop.Holds(nextPC != m.PC+isa.InstrSize) {
+			m.TaskExits++
+		}
+		if m.Warm != nil {
+			m.Warm.Retire(m.PC, nextPC)
+		}
+		m.ICount++
+		m.PC = nextPC
+		if m.ICount >= limit || m.Env.Exited {
+			return nil
+		}
 	}
-	m.ICount++
-	m.PC = nextPC
-	return nil
 }
 
 // Run executes until the program exits or maxInstrs instructions have
@@ -311,7 +327,7 @@ func (m *Machine) Run(maxInstrs uint64) error {
 		if m.ICount >= maxInstrs {
 			return fmt.Errorf("interp: exceeded %d instructions without exiting", maxInstrs)
 		}
-		if err := m.Step(); err != nil {
+		if err := m.steps(maxInstrs); err != nil {
 			return err
 		}
 	}

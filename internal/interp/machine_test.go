@@ -252,6 +252,17 @@ func TestRunawayLimit(t *testing.T) {
 	if err := m.Run(100); err == nil {
 		t.Error("expected instruction-limit error")
 	}
+	// The bound is exact (checkpoints and the sampler's warming pass
+	// stop at it), a later Run resumes from it, and Step retires one
+	// instruction whatever the count.
+	for _, bound := range []uint64{100, 101, 250} {
+		if err := m.Run(bound); err == nil || m.ICount != bound {
+			t.Errorf("Run(%d): err %v at ICount %d", bound, err, m.ICount)
+		}
+	}
+	if err := m.Step(); err != nil || m.ICount != 251 {
+		t.Errorf("Step: err %v, ICount %d, want 251", err, m.ICount)
+	}
 }
 
 func TestZeroRegisterImmutable(t *testing.T) {

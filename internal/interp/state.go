@@ -63,6 +63,7 @@ func (m *Machine) SaveState(e *snapshot.Encoder) {
 	e.U64(m.LoadCount)
 	e.U64(m.StoreCount)
 	e.U64(m.BranchCount)
+	e.U64(m.TaskExits)
 	m.Mem.SaveState(e)
 	m.Env.SaveState(e)
 }
@@ -79,6 +80,7 @@ func (m *Machine) LoadState(d *snapshot.Decoder) {
 	m.LoadCount = d.U64()
 	m.StoreCount = d.U64()
 	m.BranchCount = d.U64()
+	m.TaskExits = d.U64()
 	m.Mem.LoadState(d)
 	m.Env.LoadState(d)
 }

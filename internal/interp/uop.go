@@ -98,9 +98,10 @@ type uop struct {
 	rs     isa.Reg
 	rt     isa.Reg
 	op     isa.Op
-	size   uint8  // memory access width in bytes
-	imm    int32  // immediate / shift amount / memory offset
-	target uint32 // branch or jump target byte address
+	size   uint8        // memory access width in bytes
+	stop   isa.StopCond // task-exit condition (fills the struct's padding)
+	imm    int32        // immediate / shift amount / memory offset
+	target uint32       // branch or jump target byte address
 }
 
 // aluKinds maps the integer ALU opcodes with dedicated handlers. Ops
@@ -144,6 +145,7 @@ func decodeInstr(in *isa.Instr) uop {
 		imm:    in.Imm,
 		target: in.Target,
 		size:   uint8(in.Op.MemSize()),
+		stop:   in.Stop,
 	}
 	switch {
 	case in.Op == isa.OpSyscall:

@@ -17,6 +17,20 @@ const (
 	StopNotTaken                 // task ends if this branch falls through
 )
 
+// Holds reports whether the stop condition is satisfied by a retired
+// instruction whose control transfer was taken (or not).
+func (s StopCond) Holds(taken bool) bool {
+	switch s {
+	case StopAlways:
+		return true
+	case StopTaken:
+		return taken
+	case StopNotTaken:
+		return !taken
+	}
+	return false
+}
+
 func (s StopCond) String() string {
 	switch s {
 	case StopNone:

@@ -50,6 +50,7 @@ type Runtime struct {
 type Oracle struct {
 	ICount                  uint64
 	Loads, Stores, Branches uint64
+	TaskExits               uint64 // retired instructions whose stop condition held
 	Out                     string
 	ExitCode                int32
 }
@@ -236,9 +237,12 @@ func Execute(s *Spec, rt *Runtime) (*Output, error) {
 	return out, nil
 }
 
-// executeSampled runs a sampled job: sample.Run over the resolved
-// program, with the detailed windows fanned out over the worker pool.
-// Streaming stdin is slurped first — the functional passes and every
+// executeSampled runs a sampled job: the program's functional reference
+// comes from the oracle memo (so a program verified or sampled before is
+// not interpreted again for its totals), then sample.Run warms once and
+// starts each detailed window on the worker pool as its snapshot is
+// captured — inline, with no goroutine, when the pool is one worker wide.
+// Streaming stdin is slurped first: the functional passes and every
 // window need independent views of the same bytes.
 func executeSampled(s *Spec, rt *Runtime, p *isa.Program) (*Output, error) {
 	cfg := s.Config
@@ -257,7 +261,16 @@ func executeSampled(s *Spec, rt *Runtime, p *isa.Program) (*Output, error) {
 	if maxInstrs == 0 {
 		maxInstrs = DefaultMaxInstrs
 	}
-	est, err := sample.Run(p, cfg, s.Sample, stdin, maxInstrs, RunJobs)
+	o, err := CachedOracle(p, stdin, maxInstrs)
+	if err != nil {
+		return nil, err
+	}
+	ref := sample.Functional{TotalInstrs: o.ICount, TaskExits: o.TaskExits, Out: o.Out, ExitCode: o.ExitCode}
+	var pool sample.Runner
+	if Workers() > 1 {
+		pool = RunJobs
+	}
+	est, err := sample.Run(p, cfg, s.Sample, stdin, maxInstrs, ref, pool)
 	if err != nil {
 		return nil, err
 	}
@@ -311,12 +324,13 @@ func RunOracle(p *isa.Program, stdin io.Reader, maxInstrs uint64) (*Oracle, erro
 		return nil, err
 	}
 	return &Oracle{
-		ICount:   m.ICount,
-		Loads:    m.LoadCount,
-		Stores:   m.StoreCount,
-		Branches: m.BranchCount,
-		Out:      env.Out.String(),
-		ExitCode: env.ExitCode,
+		ICount:    m.ICount,
+		Loads:     m.LoadCount,
+		Stores:    m.StoreCount,
+		Branches:  m.BranchCount,
+		TaskExits: m.TaskExits,
+		Out:       env.Out.String(),
+		ExitCode:  env.ExitCode,
 	}, nil
 }
 

@@ -5,7 +5,10 @@ import (
 
 	"multiscalar/internal/asm"
 	"multiscalar/internal/core"
+	"multiscalar/internal/interp"
+	"multiscalar/internal/isa"
 	"multiscalar/internal/sample"
+	"multiscalar/internal/workloads"
 )
 
 func sampledSpec() *Spec {
@@ -105,5 +108,102 @@ func TestExecuteSampled(t *testing.T) {
 	}
 	if out.Sampled.EstCycles == 0 {
 		t.Error("estimate has zero cycles")
+	}
+}
+
+// exitHook counts task exits the way the sampler's warming pass sees
+// them: from the program text's stop bits and the resolved next PC of
+// each retired instruction.
+type exitHook struct {
+	p     *isa.Program
+	exits uint64
+}
+
+func (h *exitHook) Mem(uint32, bool) {}
+
+func (h *exitHook) Retire(pc, next uint32) {
+	taken := next != pc+isa.InstrSize
+	switch h.p.Text[(pc-isa.TextBase)/isa.InstrSize].Stop {
+	case isa.StopAlways:
+		h.exits++
+	case isa.StopTaken:
+		if taken {
+			h.exits++
+		}
+	case isa.StopNotTaken:
+		if !taken {
+			h.exits++
+		}
+	}
+}
+
+// TestOracleTaskExitsMatchesHook: the oracle's native task-exit count —
+// what sizes a sampled run's warm-up now that the sampler has no count
+// pass of its own — equals what a Warmer watching the retired stream
+// counts, for every table workload in both modes.
+func TestOracleTaskExitsMatchesHook(t *testing.T) {
+	all := workloads.All()
+	if len(all) != 10 {
+		t.Fatalf("%d table workloads, want 10", len(all))
+	}
+	for _, w := range all {
+		for _, mode := range []asm.Mode{asm.ModeScalar, asm.ModeMultiscalar} {
+			p, err := w.Build(mode, w.TestScale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o, err := RunOracle(p, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := &exitHook{p: p}
+			m := interp.NewMachine(p, interp.NewSysEnv())
+			m.Warm = h
+			if err := m.Run(DefaultMaxInstrs); err != nil {
+				t.Fatal(err)
+			}
+			if o.TaskExits != h.exits || m.TaskExits != h.exits {
+				t.Errorf("%s mode %v: oracle counted %d task exits, hooked machine %d, hook %d",
+					w.Name, mode, o.TaskExits, m.TaskExits, h.exits)
+			}
+			if mode == asm.ModeMultiscalar && h.exits == 0 {
+				t.Errorf("%s: multiscalar binary retired no task exit", w.Name)
+			}
+		}
+	}
+}
+
+// TestSampledSharesOracleRun: a sampled job takes its functional
+// reference from the oracle memo — after a verified run of the same
+// program it interprets nothing but the warming pass, and a second
+// sampled job of a cold program pays for one oracle run, not two.
+func TestSampledSharesOracleRun(t *testing.T) {
+	ResetBuildMemo()
+	verified := sampledSpec()
+	verified.Op, verified.Verify = OpSimulate, true
+	if _, err := Execute(verified, nil); err != nil {
+		t.Fatal(err)
+	}
+	_, before := Stats()
+	for _, cfg := range []core.Config{core.DefaultConfig(4, 1, false), core.DefaultConfig(8, 2, true)} {
+		s := sampledSpec()
+		s.Config = cfg
+		if _, err := Execute(s, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, st := Stats(); st.Runs != before.Runs {
+		t.Errorf("%d oracle runs for two sampled jobs after a verified run of the same program, want 0", st.Runs-before.Runs)
+	}
+
+	ResetBuildMemo()
+	_, before = Stats()
+	for i := 0; i < 2; i++ {
+		if _, err := Execute(sampledSpec(), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, st := Stats(); st.Runs-before.Runs != 1 {
+		t.Errorf("%d oracle runs for two cold sampled jobs of one program, want 1", st.Runs-before.Runs)
 	}
 }

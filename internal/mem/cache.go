@@ -194,6 +194,27 @@ func (c *Cache) Touch(addr uint32) {
 	c.vld[set], c.tags[set] = true, tag
 }
 
+// LastBlock is a one-entry memo in front of Touch for a caller that
+// touches long runs of addresses inside one block (functional warming
+// fetches every instruction). Touch is idempotent per block, so as long
+// as nothing else writes the cache's tags between two touches, skipping
+// the second of two in the same block leaves the tag array exactly as it
+// was. A LastBlock with only BlockBytes set remembers no block.
+type LastBlock struct {
+	BlockBytes uint32 // the cache's block size; any size, not only a power of two
+	base, span uint32 // the block last entered is [base, base+span)
+}
+
+// Moved reports whether addr lies outside the block remembered, and if
+// so remembers addr's block.
+func (b *LastBlock) Moved(addr uint32) bool {
+	if addr-b.base < b.span {
+		return false
+	}
+	b.base, b.span = addr-addr%b.BlockBytes, b.BlockBytes
+	return true
+}
+
 // AdoptTags copies another cache's tag array into this one (same-
 // geometry caches only). The multiscalar machine's per-unit icaches
 // all see the same fetch stream during functional warming, so one

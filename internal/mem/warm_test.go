@@ -1,6 +1,12 @@
 package mem
 
-import "testing"
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+
+	"multiscalar/internal/snapshot"
+)
 
 // Touch and AdoptTags are the warm-state primitives of sampled
 // simulation (internal/sample): functional warming installs tags
@@ -52,5 +58,67 @@ func TestBankedTouchRoutesToBank(t *testing.T) {
 	d.Banks[bank].Access(0, addr, false)
 	if d.Banks[bank].Misses != 0 {
 		t.Errorf("bank %d missed on a touched address", bank)
+	}
+}
+
+// TestWarmTouchFilterEquivalent: functional warming puts a LastBlock
+// in front of Touch (one Touch per line entered instead of one per
+// instruction). Random fetch-like and data-like address streams must
+// leave the tag arrays byte-identical with and without it — at a capture
+// in mid-stream (the filter's memo lives across captures) and at the
+// end, for power-of-two and other geometries, single and banked.
+func TestWarmTouchFilterEquivalent(t *testing.T) {
+	type toucher interface {
+		Touch(uint32)
+		SaveState(*snapshot.Encoder)
+	}
+	tags := func(c toucher) []byte {
+		e := snapshot.NewEncoder(snapshot.KindWarm, 0)
+		c.SaveState(e)
+		return e.Bytes()
+	}
+	bus := NewBus()
+	for _, g := range []struct {
+		name  string
+		block int
+		mk    func() toucher
+	}{
+		{"icache 1K/16", 16, func() toucher { return NewCache("i", 1024, 16, 0, 2, bus) }},
+		{"icache 960/48", 48, func() toucher { return NewCache("i", 960, 48, 0, 2, bus) }},
+		{"4 banks 512/64", 64, func() toucher { return NewBankedDCache(4, 512, 64, 0, 2, bus) }},
+		{"3 banks 480/24", 24, func() toucher { return NewBankedDCache(3, 480, 24, 0, 2, bus) }},
+	} {
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			plain, filtered := g.mk(), g.mk()
+			last := LastBlock{BlockBytes: uint32(g.block)}
+			addr, skipped := uint32(0x400000), 0
+			const n = 20000
+			for i := 0; i < n; i++ {
+				switch r := rng.Intn(16); {
+				case r < 11: // straight-line fetch, sequential walk
+					addr += 4
+				case r < 13: // short backward branch, same or neighbouring line
+					addr -= uint32(rng.Intn(40))
+				case r < 15: // a call, or an unrelated array
+					addr = 0x400000 + uint32(rng.Intn(1<<14))
+				default: // re-touch exactly the same address
+				}
+				plain.Touch(addr)
+				if last.Moved(addr) {
+					filtered.Touch(addr)
+				} else {
+					skipped++
+				}
+				if i == n/2 || i == n-1 {
+					if !bytes.Equal(tags(plain), tags(filtered)) {
+						t.Fatalf("%s seed %d: tag arrays differ after %d touches", g.name, seed, i+1)
+					}
+				}
+			}
+			if skipped < n/4 {
+				t.Errorf("%s seed %d: filter skipped only %d of %d touches; the stream does not exercise it", g.name, seed, skipped, n)
+			}
+		}
 	}
 }

@@ -12,29 +12,37 @@
 // The short-lived structures a warm snapshot cannot carry — pipelines,
 // MSHRs, the ARB, in-flight register forwards — start cold in every
 // window; a detailed warm-up prefix (measurement excluded) absorbs
-// that transient. Windows start from independent snapshots, so they
-// fan out over a caller-supplied worker pool (job.RunJobs for every
-// sampled job) and detailed measurement is parallel even for a single
-// workload.
+// that transient.
+//
+// A run is a two-stage pipeline. The producer is the one functional
+// warming pass; the consumers are the detailed windows, each started on
+// a caller-supplied worker pool (job.RunJobs for every sampled job) the
+// moment the warming pass has captured its snapshot, so detailed
+// measurement overlaps warming and a snapshot lives only as long as its
+// window. What the pipeline never does is decide anything: the window
+// schedule is fixed before it starts, from the instruction total and
+// task-exit count of the program's functional reference run (Functional,
+// which the caller already has — job.CachedOracle), so the estimate does
+// not depend on the pool or on timing.
 package sample
 
 import (
 	"bytes"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"multiscalar/internal/core"
 	"multiscalar/internal/interp"
 	"multiscalar/internal/isa"
-	"multiscalar/internal/snapshot"
+	"multiscalar/internal/mem"
 )
 
 // Params configures the sampling regime. Zero fields are derived from
-// a functional pre-pass (instruction total, task count, unit count):
-// the warm-up absorbs a couple of pipeline-fills worth of tasks, the
-// window is twice the warm-up, and the period targets ~8% of the run
-// in detail across 4–64 windows. All instruction quantities are in
-// dynamic (multiscalar-mode) instructions.
+// the functional reference run (instruction total, task count) and the
+// unit count: the warm-up absorbs a couple of pipeline-fills worth of
+// tasks, the window is twice the warm-up, and the period targets ~8% of
+// the run in detail across 4–64 windows. All instruction quantities are
+// in dynamic (multiscalar-mode) instructions.
 type Params struct {
 	// WindowInstrs is the measured length of each detailed window.
 	WindowInstrs uint64 `json:"window_instrs,omitempty"`
@@ -89,15 +97,26 @@ type Estimate struct {
 	WindowCycles []uint64 `json:"window_cycles,omitempty"`
 	WindowInstrs []uint64 `json:"window_instr_counts,omitempty"`
 
-	// Program-visible outcome, from the functional pass (the sampled
-	// run's oracle: it is exact by construction).
+	// Program-visible outcome, from the functional reference run (the
+	// sampled run's oracle: it is exact by construction).
 	Out      string `json:"out"`
 	ExitCode int32  `json:"exit_code"`
 }
 
 // Runner fans n independent jobs out over a worker pool; fn(i) runs
-// job i. A nil Runner runs the jobs serially.
+// job i. A nil Runner runs each window on the calling goroutine, at
+// its capture point.
 type Runner func(n int, fn func(i int) error) error
+
+// Functional is the outcome of the program's functional reference run
+// on the same input: what job.CachedOracle memoizes. It sizes the window
+// schedule and is the estimate's exact program-visible outcome.
+type Functional struct {
+	TotalInstrs uint64 // dynamic instructions retired
+	TaskExits   uint64 // of which satisfied their stop condition
+	Out         string
+	ExitCode    int32
+}
 
 // instruction-kind side table, precomputed over the program text so
 // the per-instruction warming hooks do no decoding.
@@ -133,37 +152,9 @@ func buildSide(p *isa.Program) []instrInfo {
 	return side
 }
 
-func stopped(stop isa.StopCond, taken bool) bool {
-	switch stop {
-	case isa.StopAlways:
-		return true
-	case isa.StopTaken:
-		return taken
-	case isa.StopNotTaken:
-		return !taken
-	}
-	return false
-}
-
-// counter is the pre-pass Warmer: it only counts task boundaries.
-type counter struct {
-	side       []instrInfo
-	boundaries uint64
-}
-
-func (c *counter) Mem(addr uint32, store bool) {}
-
-func (c *counter) Retire(pc, next uint32) {
-	idx := (pc - isa.TextBase) / isa.InstrSize
-	taken := next != pc+isa.InstrSize
-	if stopped(c.side[idx].stop, taken) {
-		c.boundaries++
-	}
-}
-
-// warmer is the main-pass Warmer: it maintains the warm structures,
-// replays the sequencer's committed-path prediction training, and
-// captures warm-state snapshots at the scheduled points.
+// warmer is the pipeline's producer: it maintains the warm structures,
+// replays the sequencer's committed-path prediction training, and hands
+// a warm-state snapshot to the windows at each scheduled point.
 type warmer struct {
 	m      *interp.Machine
 	ws     *core.WarmState
@@ -175,19 +166,29 @@ type warmer struct {
 	cur *isa.TaskDescriptor // task being executed (multi only)
 	err error
 
-	sched  []uint64 // window start points, ascending
-	k      int
-	stream *snapshot.Stream
-	starts []uint64 // instruction count at each capture
+	// Touch is idempotent per block and nothing else writes the warm tag
+	// arrays, so a fetch or access that stays in the block last touched
+	// is skipped: one Touch per line entered, not one per instruction.
+	iLine, dLine mem.LastBlock // block sizes from the warm caches' geometry
+
+	sched []uint64 // window start points, ascending
+	k     int      // captures made so far
+	win   *windows
 }
 
-func (w *warmer) Mem(addr uint32, store bool) { w.ws.DCache.Touch(addr) }
+func (w *warmer) Mem(addr uint32, store bool) {
+	if w.dLine.Moved(addr) {
+		w.ws.DCache.Touch(addr)
+	}
+}
 
 func (w *warmer) Retire(pc, next uint32) {
 	idx := (pc - isa.TextBase) / isa.InstrSize
 	si := w.side[idx]
 	taken := next != pc+isa.InstrSize
-	w.ws.ICache.Touch(pc)
+	if w.iLine.Moved(pc) {
+		w.ws.ICache.Touch(pc)
+	}
 	switch si.kind {
 	case kindCond:
 		pred := w.ws.Branch.PredictTaken(pc)
@@ -201,7 +202,7 @@ func (w *warmer) Retire(pc, next uint32) {
 		w.maybeCapture(next)
 		return
 	}
-	if stopped(si.stop, taken) {
+	if si.stop.Holds(taken) {
 		w.boundary(next, si.kind == kindJr)
 	}
 }
@@ -260,25 +261,28 @@ func (w *warmer) boundary(next uint32, byRet bool) {
 
 // maybeCapture snapshots the warm state if the next scheduled window
 // start has been reached (at most one capture per call, so overlapping
-// schedule points yield distinct capture sites).
+// schedule points yield distinct capture sites) and hands the snapshot
+// to its window. Once a window has failed the estimate is lost, so no
+// further snapshot is made; the pass itself runs on, because its own
+// errors take precedence over a window's.
 func (w *warmer) maybeCapture(nextPC uint32) {
 	if w.err != nil || w.k >= len(w.sched) {
 		return
 	}
 	done := w.m.ICount + 1 // Retire runs before ICount advances
-	if done < w.sched[w.k] {
+	if done < w.sched[w.k] || w.win.failed.Load() {
 		return
 	}
 	w.ws.PC = nextPC
 	w.ws.FCC = w.m.FCC
 	w.ws.ICount = done
 	w.ws.Regs = w.m.Regs
-	w.stream.Append(w.ws.Encode())
-	w.starts = append(w.starts, done)
+	w.win.hand(w.k, w.ws.Encode())
 	w.k++
 }
 
-// withDefaults derives unset parameters from the functional pre-pass.
+// withDefaults derives unset parameters from the functional reference
+// run.
 func (prm Params) withDefaults(total, boundaries uint64, units int) Params {
 	avgTask := total
 	if boundaries > 0 {
@@ -290,32 +294,15 @@ func (prm Params) withDefaults(total, boundaries uint64, units int) Params {
 		// overlap. This must scale with task size — a fixed instruction
 		// budget under-warms workloads with large tasks and biases every
 		// window slow.
-		u := 2 * uint64(units) * avgTask
-		if u < 64 {
-			u = 64
-		}
-		if u > 65536 {
-			u = 65536
-		}
-		prm.WarmupInstrs = u
+		prm.WarmupInstrs = min(max(2*uint64(units)*avgTask, 64), 65536)
 	}
 	if prm.WindowInstrs == 0 {
-		w := 2 * prm.WarmupInstrs
-		if w < 256 {
-			w = 256
-		}
-		prm.WindowInstrs = w
+		prm.WindowInstrs = max(2*prm.WarmupInstrs, 256)
 	}
 	if prm.PeriodInstrs == 0 {
 		span := prm.WarmupInstrs + prm.WindowInstrs
 		n := total * 8 / 100 / span // ~8% of the run in detail
-		if n < 4 {
-			n = 4
-		}
-		if n > 64 {
-			n = 64
-		}
-		prm.PeriodInstrs = total / n
+		prm.PeriodInstrs = total / min(max(n, 4), 64)
 	}
 	if prm.OffsetInstrs == 0 {
 		prm.OffsetInstrs = prm.PeriodInstrs / 4
@@ -356,12 +343,14 @@ func newEnv(stdin []byte) *interp.SysEnv {
 	return env
 }
 
-// Run performs a sampled simulation of program p under cfg: a
-// functional pre-pass (instruction totals and the run's exact output),
-// a functional-warm pass capturing one warm-state snapshot per window,
-// and the detailed windows fanned out over pool. maxInstrs bounds the
-// functional passes (a run that does not exit within it is an error).
-func Run(p *isa.Program, cfg core.Config, prm Params, stdin []byte, maxInstrs uint64, pool Runner) (*Estimate, error) {
+// Run performs a sampled simulation of program p under cfg. ref is the
+// program's functional reference run on stdin; it fixes the window
+// schedule. One functional-warm pass then captures a warm-state
+// snapshot per window and hands each to pool as it is made, so windows
+// run while warming continues; with a nil pool each window runs inline
+// at its capture point. maxInstrs bounds the warming pass, which must
+// end where ref says the program ends.
+func Run(p *isa.Program, cfg core.Config, prm Params, stdin []byte, maxInstrs uint64, ref Functional, pool Runner) (*Estimate, error) {
 	multi := useMulti(p, cfg)
 	if multi && p.TaskAt(p.Entry) == nil {
 		return nil, fmt.Errorf("sample: no task descriptor at program entry 0x%x", p.Entry)
@@ -370,137 +359,65 @@ func Run(p *isa.Program, cfg core.Config, prm Params, stdin []byte, maxInstrs ui
 	cfg.Sink = nil
 	cfg.Trace = nil
 
-	// Pass 1 — functional count: instruction total, task boundaries,
-	// and the run's exact program-visible outcome.
-	side := buildSide(p)
-	cnt := &counter{side: side}
-	fm := interp.NewMachine(p, newEnv(stdin))
-	fm.Warm = cnt
-	if err := fm.Run(maxInstrs); err != nil {
-		return nil, err
-	}
-	total := fm.ICount
-	out, exitCode := fm.Env.Out.String(), fm.Env.ExitCode
-
+	total := ref.TotalInstrs
 	units := 1
 	if multi {
 		units = cfg.NumUnits
 	}
-	prm = prm.withDefaults(total, cnt.boundaries, units)
+	prm = prm.withDefaults(total, ref.TaskExits, units)
 	sched := prm.schedule(total)
 	if len(sched) < 2 || prm.PeriodInstrs < prm.WarmupInstrs+prm.WindowInstrs {
-		return runFullDetail(p, cfg, prm, stdin, multi, total, out, exitCode)
+		return runFullDetail(p, cfg, prm, stdin, multi, ref)
 	}
 
-	// Pass 2 — functional-warm fast-forward with snapshot capture.
+	win := &windows{p: p, cfg: cfg, prm: prm, stdin: stdin, multi: multi,
+		results: make([]windowRes, len(sched)), errs: make([]error, len(sched))}
+	win.start(pool)
+
 	wm := interp.NewMachine(p, newEnv(stdin))
 	w := &warmer{
 		m:      wm,
 		ws:     core.NewWarmState(cfg, multi),
-		side:   side,
+		side:   buildSide(p),
 		prog:   p,
 		multi:  multi,
 		static: cfg.StaticPredict,
 		sched:  sched,
-		stream: &snapshot.Stream{},
+		win:    win,
 	}
+	w.iLine.BlockBytes = uint32(w.ws.ICache.BlockBytes)
+	w.dLine.BlockBytes = uint32(w.ws.DCache.Banks[0].BlockBytes)
 	w.ws.Env = wm.Env
 	w.ws.Mem = wm.Mem
 	if multi {
 		w.cur = p.TaskAt(p.Entry)
 	}
 	wm.Warm = w
-	if err := wm.Run(maxInstrs); err != nil {
+	err := wm.Run(maxInstrs)
+	winErr := win.finish() // on every path: no window outlives Run
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	if w.err != nil {
+	case w.err != nil:
 		return nil, w.err
-	}
-	if w.stream.Len() == 0 {
-		return runFullDetail(p, cfg, prm, stdin, multi, total, out, exitCode)
-	}
-
-	// Pass 3 — detailed windows, in parallel: restore, warm up,
-	// measure.
-	type windowRes struct {
-		cycles, instrs       uint64 // measured region
-		detCycles, detInstrs uint64 // total detailed cost
-		ok                   bool
-	}
-	results := make([]windowRes, w.stream.Len())
-	var mu sync.Mutex
-	var firstErr error
-	runWindow := func(i int) error {
-		env := newEnv(stdin)
-		var m measurable
-		var err error
-		if multi {
-			m, err = core.NewMultiscalar(p, env, cfg)
-		} else {
-			m = core.NewScalar(p, env, cfg)
-		}
-		if err != nil {
-			return err
-		}
-		if err := m.InjectWarm(w.stream.At(i)); err != nil {
-			return err
-		}
-		var warmCycles, warmInstrs uint64
-		if prm.WarmupInstrs > 0 {
-			m.SetCommitLimit(prm.WarmupInstrs)
-			r1, err := m.Run()
-			if err != nil {
-				return err
-			}
-			warmCycles, warmInstrs = r1.Cycles, r1.Committed
-		}
-		m.SetCommitLimit(prm.WarmupInstrs + prm.WindowInstrs)
-		r2, err := m.Run()
-		if err != nil {
-			return err
-		}
-		res := windowRes{
-			cycles:    r2.Cycles - warmCycles,
-			instrs:    r2.Committed - warmInstrs,
-			detCycles: r2.Cycles,
-			detInstrs: r2.Committed,
-		}
-		res.ok = res.instrs > 0
-		results[i] = res
-		return nil
-	}
-	wrapped := func(i int) error {
-		if err := runWindow(i); err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-		}
-		return nil
-	}
-	if pool == nil {
-		for i := range results {
-			wrapped(i)
-		}
-	} else if err := pool(len(results), wrapped); err != nil {
-		return nil, err
-	}
-	if firstErr != nil {
-		return nil, firstErr
+	case wm.ICount != total || wm.Env.Out.String() != ref.Out || wm.Env.ExitCode != ref.ExitCode:
+		return nil, fmt.Errorf("sample: warming pass ended after %d instructions with exit code %d, functional reference after %d with %d (or output differs)",
+			wm.ICount, wm.Env.ExitCode, total, ref.ExitCode)
+	case winErr != nil:
+		return nil, winErr
 	}
 
 	est := &Estimate{
 		Params:      prm,
 		TotalInstrs: total,
-		Out:         out,
-		ExitCode:    exitCode,
+		Out:         ref.Out,
+		ExitCode:    ref.ExitCode,
 	}
 	var cpis []float64
-	for _, r := range results {
+	for _, r := range win.results[:w.k] {
 		est.DetailedCycles += r.detCycles
 		est.DetailedInstrs += r.detInstrs
-		if !r.ok {
+		if r.instrs == 0 {
 			continue
 		}
 		cpis = append(cpis, float64(r.cycles)/float64(r.instrs))
@@ -508,7 +425,7 @@ func Run(p *isa.Program, cfg core.Config, prm Params, stdin []byte, maxInstrs ui
 		est.WindowInstrs = append(est.WindowInstrs, r.instrs)
 	}
 	if len(cpis) < 2 {
-		return runFullDetail(p, cfg, prm, stdin, multi, total, out, exitCode)
+		return runFullDetail(p, cfg, prm, stdin, multi, ref)
 	}
 	est.Windows = len(cpis)
 	est.MeanCPI, est.VarCPI, est.StdErrCPI = meanStdErr(cpis)
@@ -528,24 +445,141 @@ func Run(p *isa.Program, cfg core.Config, prm Params, stdin []byte, maxInstrs ui
 	return est, nil
 }
 
-// measurable is the machine surface the window workers need.
+// windowRes is one detailed window's measurement.
+type windowRes struct {
+	cycles, instrs       uint64 // measured region
+	detCycles, detInstrs uint64 // total detailed cost
+}
+
+// windows is the pipeline's consuming end: window k restores snapshot
+// k into a fresh timing machine, warms up and measures, writing slot k
+// of results (so the estimate is independent of completion order).
+type windows struct {
+	p     *isa.Program
+	cfg   core.Config
+	prm   Params
+	stdin []byte
+	multi bool
+
+	results []windowRes
+	errs    []error
+	failed  atomic.Bool // some window returned an error
+
+	feed    chan capture // nil: windows run inline in hand
+	drained chan error   // the pool's return, once every job has ended
+}
+
+type capture struct {
+	k    int
+	snap []byte
+}
+
+// start puts one job per scheduled window on the pool; each takes the
+// next capture off feed, or ends unused when feed closes first. feed is
+// unbuffered, so the snapshots alive at any moment are the one the
+// producer is offering and one per busy worker.
+func (ws *windows) start(pool Runner) {
+	if pool == nil {
+		return
+	}
+	ws.feed = make(chan capture)
+	ws.drained = make(chan error, 1)
+	go func() {
+		ws.drained <- pool(len(ws.results), func(int) error {
+			if c, ok := <-ws.feed; ok {
+				ws.run(c.k, c.snap)
+			}
+			return nil // a failed window must not stop the pool draining feed
+		})
+	}()
+}
+
+// hand passes snapshot k to its window: to a pool worker when there is
+// one (blocking while all are busy), else by running it here.
+func (ws *windows) hand(k int, snap []byte) {
+	if ws.feed == nil {
+		ws.run(k, snap)
+		return
+	}
+	ws.feed <- capture{k, snap}
+}
+
+// finish ends the hand-off, waits for the windows in flight and returns
+// the lowest-index window error. Snapshots go out in index order and a
+// window handed out always runs to its end, so that error is the same
+// whatever the pool's width.
+func (ws *windows) finish() error {
+	var poolErr error
+	if ws.feed != nil {
+		close(ws.feed)
+		poolErr = <-ws.drained
+	}
+	for _, err := range ws.errs {
+		if err != nil {
+			return err
+		}
+	}
+	return poolErr
+}
+
+func (ws *windows) run(k int, snap []byte) {
+	res, err := ws.measure(snap)
+	if err != nil {
+		ws.errs[k] = fmt.Errorf("sample: window %d: %w", k, err)
+		ws.failed.Store(true)
+		return
+	}
+	ws.results[k] = res
+}
+
+func (ws *windows) measure(snap []byte) (windowRes, error) {
+	m, err := newTiming(ws.p, ws.cfg, ws.stdin, ws.multi)
+	if err != nil {
+		return windowRes{}, err
+	}
+	if err := m.InjectWarm(snap); err != nil {
+		return windowRes{}, err
+	}
+	var warmCycles, warmInstrs uint64
+	if ws.prm.WarmupInstrs > 0 {
+		m.SetCommitLimit(ws.prm.WarmupInstrs)
+		r1, err := m.Run()
+		if err != nil {
+			return windowRes{}, err
+		}
+		warmCycles, warmInstrs = r1.Cycles, r1.Committed
+	}
+	m.SetCommitLimit(ws.prm.WarmupInstrs + ws.prm.WindowInstrs)
+	r2, err := m.Run()
+	if err != nil {
+		return windowRes{}, err
+	}
+	return windowRes{
+		cycles:    r2.Cycles - warmCycles,
+		instrs:    r2.Committed - warmInstrs,
+		detCycles: r2.Cycles,
+		detInstrs: r2.Committed,
+	}, nil
+}
+
+// measurable is the machine surface the windows need.
 type measurable interface {
 	InjectWarm([]byte) error
 	SetCommitLimit(uint64)
 	Run() (*core.Result, error)
 }
 
+func newTiming(p *isa.Program, cfg core.Config, stdin []byte, multi bool) (measurable, error) {
+	if multi {
+		return core.NewMultiscalar(p, newEnv(stdin), cfg)
+	}
+	return core.NewScalar(p, newEnv(stdin), cfg), nil
+}
+
 // runFullDetail is the fallback for runs too short to sample: one
 // exact detailed run, reported as a zero-width interval.
-func runFullDetail(p *isa.Program, cfg core.Config, prm Params, stdin []byte, multi bool, total uint64, out string, exitCode int32) (*Estimate, error) {
-	env := newEnv(stdin)
-	var m measurable
-	var err error
-	if multi {
-		m, err = core.NewMultiscalar(p, env, cfg)
-	} else {
-		m = core.NewScalar(p, env, cfg)
-	}
+func runFullDetail(p *isa.Program, cfg core.Config, prm Params, stdin []byte, multi bool, ref Functional) (*Estimate, error) {
+	m, err := newTiming(p, cfg, stdin, multi)
 	if err != nil {
 		return nil, err
 	}
@@ -553,7 +587,7 @@ func runFullDetail(p *isa.Program, cfg core.Config, prm Params, stdin []byte, mu
 	if err != nil {
 		return nil, err
 	}
-	if r.Out != out || r.ExitCode != exitCode {
+	if r.Out != ref.Out || r.ExitCode != ref.ExitCode {
 		return nil, fmt.Errorf("sample: detailed run output diverged from functional oracle")
 	}
 	cpi := 0.0
@@ -562,7 +596,7 @@ func runFullDetail(p *isa.Program, cfg core.Config, prm Params, stdin []byte, mu
 	}
 	return &Estimate{
 		Params:         prm,
-		TotalInstrs:    total,
+		TotalInstrs:    ref.TotalInstrs,
 		Windows:        1,
 		FullDetail:     true,
 		MeanCPI:        cpi,
@@ -573,8 +607,8 @@ func runFullDetail(p *isa.Program, cfg core.Config, prm Params, stdin []byte, mu
 		CyclesHi:       r.Cycles,
 		DetailedCycles: r.Cycles,
 		DetailedInstrs: r.Committed,
-		Out:            out,
-		ExitCode:       exitCode,
+		Out:            ref.Out,
+		ExitCode:       ref.ExitCode,
 	}, nil
 }
 

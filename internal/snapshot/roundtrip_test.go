@@ -230,12 +230,17 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestInterpRoundTrip checkpoints the functional machine mid-run.
+// TestInterpRoundTrip checkpoints the functional machine mid-run. The
+// multiscalar binary carries stop bits, so the task-exit counter is
+// exercised along with the other class counts.
 func TestInterpRoundTrip(t *testing.T) {
-	p := build(t, "compress", asm.ModeScalar)
+	p := build(t, "compress", asm.ModeMultiscalar)
 	full := interp.NewMachine(p, interp.NewSysEnv())
 	if err := full.Run(1 << 30); err != nil {
 		t.Fatal(err)
+	}
+	if full.TaskExits == 0 {
+		t.Fatal("multiscalar compress retired no task exit")
 	}
 
 	rng := rand.New(rand.NewSource(53))
@@ -260,8 +265,10 @@ func TestInterpRoundTrip(t *testing.T) {
 		}
 		if m2.ICount != full.ICount || m2.Env.Out.String() != full.Env.Out.String() ||
 			m2.Env.ExitCode != full.Env.ExitCode || m2.LoadCount != full.LoadCount ||
-			m2.StoreCount != full.StoreCount || m2.BranchCount != full.BranchCount {
-			t.Errorf("restored run diverged at stop=%d: icount %d vs %d", stop, m2.ICount, full.ICount)
+			m2.StoreCount != full.StoreCount || m2.BranchCount != full.BranchCount ||
+			m2.TaskExits != full.TaskExits {
+			t.Errorf("restored run diverged at stop=%d: icount %d vs %d, task exits %d vs %d",
+				stop, m2.ICount, full.ICount, m2.TaskExits, full.TaskExits)
 		}
 		if !m2.Mem.Equal(full.Mem) {
 			t.Errorf("restored memory differs at stop=%d", stop)

@@ -36,8 +36,9 @@ const magic = "MSSNAP"
 // Version is the current snapshot format version. Version 3 added the
 // capture-point cycle (instruction count for the functional machine) to
 // the header, so tools can describe an opaque snapshot without decoding
-// its body.
-const Version = 3
+// its body. Version 4 added the functional machine's task-exit count
+// beside its other class counts.
+const Version = 4
 
 // Machine kinds, stored in the header so a snapshot cannot be fed to
 // the wrong Restore.
