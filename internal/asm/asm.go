@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -119,11 +120,11 @@ type pendingInstr struct {
 	stop     isa.StopCond
 }
 
-// pendingPatch is a data word that references a symbol.
+// pendingPatch is a .word operand that is not a plain constant (it names
+// a symbol or is a multi-term expression), evaluated in pass 2.
 type pendingPatch struct {
 	line   int
 	offset int // into data buffer
-	size   int // 4
 	toks   []token
 }
 
@@ -147,6 +148,27 @@ type assembler struct {
 	patches []pendingPatch
 	tasks   []pendingTask
 	entry   string // .global name
+
+	// Pass 1 lexes every line into one token buffer and splits operands
+	// into one operand buffer; only what pass 2 reads again (instruction
+	// operands, symbolic .word operands, .task lines) is copied out, into
+	// the arenas.
+	ops      [][]token
+	tokArena []token
+	opArena  [][]token
+}
+
+// retain copies s into the arena and returns the copy. A full arena is
+// left to the copies already made in it and replaced by one twice the
+// size, so a retained slice never moves and allocations stay logarithmic
+// in what is retained.
+func retain[T any](arena *[]T, s []T) []T {
+	if len(s) > cap(*arena)-len(*arena) {
+		*arena = make([]T, 0, max(len(s), 2*cap(*arena), 64))
+	}
+	n := len(*arena)
+	*arena = append(*arena, s...)
+	return (*arena)[n:len(*arena):len(*arena)]
 }
 
 func (a *assembler) errf(line int, format string, args ...interface{}) error {
@@ -164,75 +186,90 @@ func (a *assembler) define(line int, name string) error {
 	if _, dup := a.symbols[name]; dup {
 		return a.errf(line, "duplicate label %q", name)
 	}
-	a.symbols[name] = a.here()
+	// The program keeps its symbol names: clone them, or each would keep
+	// the whole source text alive with it.
+	a.symbols[strings.Clone(name)] = a.here()
 	return nil
 }
 
 func (a *assembler) pass1(src string) error {
 	a.textPos = isa.TextBase
-	for ln, raw := range strings.Split(src, "\n") {
-		line := ln + 1
-		toks, err := lexLine(stripComment(raw))
-		if err != nil {
+	// A data value takes at least two source bytes and usually four or
+	// more, so the segment rarely outgrows this and its growth steps do
+	// not multiply with the source.
+	a.data = make([]byte, 0, len(src)/4)
+	var toks []token
+	for line := 1; len(src) > 0; line++ {
+		raw := src
+		if nl := strings.IndexByte(src, '\n'); nl >= 0 {
+			raw, src = src[:nl], src[nl+1:]
+		} else {
+			src = ""
+		}
+		var err error
+		if toks, err = lexLine(toks[:0], raw); err != nil {
 			return a.errf(line, "%v", err)
 		}
-		// Leading labels: IDENT ':'.
-		var labels []string
-		for len(toks) >= 2 && toks[0].kind == tokIdent && toks[1].kind == tokPunct && toks[1].text == ":" {
-			labels = append(labels, toks[0].text)
-			toks = toks[2:]
-		}
-		// A label on the same line as an aligning data directive must
-		// name the aligned address, so align before defining it.
-		if a.inData && len(toks) > 0 && toks[0].kind == tokDirective {
-			switch toks[0].text {
-			case ".half":
-				a.alignData(2)
-			case ".word", ".float":
-				a.alignData(4)
-			case ".double":
-				a.alignData(8)
-			}
-		}
-		for _, lbl := range labels {
-			if err := a.define(line, lbl); err != nil {
-				return err
-			}
-		}
-		if len(toks) == 0 {
-			continue
-		}
-		// Conditional-build prefixes.
-		if toks[0].kind == tokDirective && (toks[0].text == ".msonly" || toks[0].text == ".sconly") {
-			want := ModeMultiscalar
-			if toks[0].text == ".sconly" {
-				want = ModeScalar
-			}
-			if a.mode != want {
-				continue
-			}
-			toks = toks[1:]
-			if len(toks) == 0 {
-				continue
-			}
-		}
-		if toks[0].kind == tokDirective {
-			if err := a.directive(line, toks); err != nil {
-				return err
-			}
-			continue
-		}
-		if toks[0].kind != tokIdent {
-			return a.errf(line, "expected instruction or directive")
-		}
-		if a.inData {
-			return a.errf(line, "instruction %q in .data section", toks[0].text)
-		}
-		if err := a.instruction(line, toks); err != nil {
+		if err := a.statement(line, toks); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// statement handles the tokens of one line in pass 1. toks is the lexer's
+// buffer: whatever must outlive the line is copied with retain.
+func (a *assembler) statement(line int, toks []token) error {
+	// Leading labels: IDENT ':'.
+	labels := toks
+	for len(toks) >= 2 && toks[0].kind == tokIdent && toks[1].is(':') {
+		toks = toks[2:]
+	}
+	labels = labels[:len(labels)-len(toks)]
+	// A label on the same line as an aligning data directive must
+	// name the aligned address, so align before defining it.
+	if a.inData && len(toks) > 0 && toks[0].kind == tokDirective {
+		switch toks[0].text {
+		case ".half":
+			a.alignData(2)
+		case ".word", ".float":
+			a.alignData(4)
+		case ".double":
+			a.alignData(8)
+		}
+	}
+	for i := 0; i < len(labels); i += 2 {
+		if err := a.define(line, labels[i].text); err != nil {
+			return err
+		}
+	}
+	if len(toks) == 0 {
+		return nil
+	}
+	// Conditional-build prefixes.
+	if toks[0].kind == tokDirective && (toks[0].text == ".msonly" || toks[0].text == ".sconly") {
+		want := ModeMultiscalar
+		if toks[0].text == ".sconly" {
+			want = ModeScalar
+		}
+		if a.mode != want {
+			return nil
+		}
+		toks = toks[1:]
+		if len(toks) == 0 {
+			return nil
+		}
+	}
+	if toks[0].kind == tokDirective {
+		return a.directive(line, toks)
+	}
+	if toks[0].kind != tokIdent {
+		return a.errf(line, "expected instruction or directive")
+	}
+	if a.inData {
+		return a.errf(line, "instruction %q in .data section", toks[0].text)
+	}
+	return a.instruction(line, toks)
 }
 
 // instruction records a pending instruction after sizing its expansion.
@@ -263,7 +300,7 @@ func (a *assembler) instruction(line int, toks []token) error {
 		}
 	}
 
-	ops, err := splitOperands(rest)
+	ops, err := a.splitOperands(retain(&a.tokArena, rest))
 	if err != nil {
 		return a.errf(line, "%v", err)
 	}
@@ -273,31 +310,33 @@ func (a *assembler) instruction(line int, toks []token) error {
 	}
 	a.instrs = append(a.instrs, pendingInstr{
 		line: line, addr: a.textPos, size: size,
-		mnemonic: mn, operands: ops, fwd: fwd, stop: stop,
+		mnemonic: mn, operands: retain(&a.opArena, ops), fwd: fwd, stop: stop,
 	})
 	a.textPos += uint32(size) * isa.InstrSize
 	return nil
 }
 
-// splitOperands splits the token list on top-level commas.
-func splitOperands(toks []token) ([][]token, error) {
+// splitOperands splits the token list on top-level commas. The result
+// is the assembler's operand buffer, valid until the next call; its
+// elements are subslices of toks.
+func (a *assembler) splitOperands(toks []token) ([][]token, error) {
 	if len(toks) == 0 {
 		return nil, nil
 	}
-	var out [][]token
+	out := a.ops[:0]
 	start := 0
 	depth := 0
 	for i, t := range toks {
 		if t.kind == tokPunct {
-			switch t.text {
-			case "(":
+			switch t.text[0] {
+			case '(':
 				depth++
-			case ")":
+			case ')':
 				depth--
 				if depth < 0 {
 					return nil, fmt.Errorf("unbalanced ')'")
 				}
-			case ",":
+			case ',':
 				if depth == 0 {
 					if i == start {
 						return nil, fmt.Errorf("empty operand")
@@ -315,6 +354,7 @@ func splitOperands(toks []token) ([][]token, error) {
 		return nil, fmt.Errorf("trailing comma")
 	}
 	out = append(out, toks[start:])
+	a.ops = out
 	return out, nil
 }
 
@@ -340,30 +380,20 @@ func (a *assembler) pass2() error {
 	// Emit instructions.
 	text := make([]isa.Instr, 0, (a.textPos-isa.TextBase)/isa.InstrSize)
 	for i := range a.instrs {
-		pi := &a.instrs[i]
-		emitted, err := a.emit(pi)
-		if err != nil {
+		var err error
+		if text, err = a.emit(text, &a.instrs[i]); err != nil {
 			return err
 		}
-		if len(emitted) != pi.size {
-			return a.errf(pi.line, "internal: expansion size mismatch for %q (%d vs %d)",
-				pi.mnemonic, len(emitted), pi.size)
-		}
-		text = append(text, emitted...)
 	}
 	a.prog.Text = text
 
-	// Patch data words that reference symbols.
+	// Patch the data words pass 1 could not evaluate.
 	for _, p := range a.patches {
 		v, err := a.evalExpr(p.line, p.toks)
 		if err != nil {
 			return err
 		}
-		off := p.offset
-		a.prog.Data[off] = byte(v >> 24)
-		a.prog.Data[off+1] = byte(v >> 16)
-		a.prog.Data[off+2] = byte(v >> 8)
-		a.prog.Data[off+3] = byte(v)
+		binary.BigEndian.PutUint32(a.prog.Data[p.offset:], uint32(v))
 	}
 
 	// Resolve task descriptors.
@@ -385,8 +415,8 @@ func (a *assembler) evalExpr(line int, toks []token) (int64, error) {
 	}
 	pos := 0
 	neg := false
-	if toks[0].kind == tokPunct && (toks[0].text == "-" || toks[0].text == "+") {
-		neg = toks[0].text == "-"
+	if toks[0].is('-') || toks[0].is('+') {
+		neg = toks[0].is('-')
 		pos = 1
 	}
 	term := func() (int64, error) {
@@ -397,10 +427,9 @@ func (a *assembler) evalExpr(line int, toks []token) (int64, error) {
 		pos++
 		switch t.kind {
 		case tokNum:
-			if t.isFloat {
-				return 0, a.errf(line, "float %q in integer expression", t.text)
-			}
 			return t.num, nil
+		case tokFloat:
+			return 0, a.errf(line, "float %q in integer expression", t.text)
 		case tokIdent:
 			v, ok := a.symbols[t.text]
 			if !ok {
@@ -420,7 +449,7 @@ func (a *assembler) evalExpr(line int, toks []token) (int64, error) {
 	}
 	for pos < len(toks) {
 		t := toks[pos]
-		if t.kind != tokPunct || (t.text != "+" && t.text != "-") {
+		if !t.is('+') && !t.is('-') {
 			return 0, a.errf(line, "unexpected token %q in expression", t.text)
 		}
 		pos++
@@ -428,7 +457,7 @@ func (a *assembler) evalExpr(line int, toks []token) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		if t.text == "+" {
+		if t.is('+') {
 			v += w
 		} else {
 			v -= w

@@ -2,11 +2,20 @@ package asm
 
 import (
 	"encoding/binary"
-	"fmt"
+	"errors"
 	"math"
+	"strings"
 
 	"multiscalar/internal/isa"
 )
+
+// maxData is the size of the static data segment: it ends where the sbrk
+// arena begins.
+const maxData = int(isa.HeapBase - isa.DataBase)
+
+// maxAlignShift bounds .align at the segment's own alignment, so padding
+// a segment that fits cannot make it overflow.
+const maxAlignShift = 28
 
 // directive handles one directive line during pass 1.
 func (a *assembler) directive(line int, toks []token) error {
@@ -34,6 +43,9 @@ func (a *assembler) directive(line int, toks []token) error {
 		if !a.inData {
 			return a.errf(line, ".align only valid in .data")
 		}
+		if rest[0].num > maxAlignShift {
+			return a.errf(line, ".align %d out of range (at most %d)", rest[0].num, maxAlignShift)
+		}
 		a.alignData(1 << uint(rest[0].num))
 		return nil
 	case ".space":
@@ -43,26 +55,34 @@ func (a *assembler) directive(line int, toks []token) error {
 		if !a.inData {
 			return a.errf(line, ".space only valid in .data")
 		}
+		if rest[0].num > int64(maxData-len(a.data)) {
+			return a.errf(line, "data segment exceeds %d bytes", maxData)
+		}
 		a.data = append(a.data, make([]byte, rest[0].num)...)
 		return nil
 	case ".byte", ".half", ".word", ".float", ".double", ".ascii", ".asciiz":
 		if !a.inData {
 			return a.errf(line, "%s only valid in .data", d)
 		}
-		return a.dataValues(line, d, rest)
+		if err := a.dataValues(line, d, rest); err != nil {
+			return err
+		}
+		if len(a.data) > maxData {
+			return a.errf(line, "data segment exceeds %d bytes", maxData)
+		}
+		return nil
 	default:
 		return a.errf(line, "unknown directive %q", d)
 	}
 }
 
+// alignData pads the data segment to a multiple of n, a power of two.
 func (a *assembler) alignData(n int) {
-	for len(a.data)%n != 0 {
-		a.data = append(a.data, 0)
-	}
+	a.data = append(a.data, make([]byte, -len(a.data)&(n-1))...)
 }
 
 func (a *assembler) dataValues(line int, d string, toks []token) error {
-	ops, err := splitOperands(toks)
+	ops, err := a.splitOperands(toks)
 	if err != nil {
 		return a.errf(line, "%v", err)
 	}
@@ -102,10 +122,15 @@ func (a *assembler) dataValues(line int, d string, toks []token) error {
 	case ".word":
 		a.alignData(4)
 		for _, op := range ops {
-			a.patches = append(a.patches, pendingPatch{
-				line: line, offset: len(a.data), size: 4, toks: op,
-			})
-			a.data = append(a.data, 0, 0, 0, 0)
+			// A plain constant is final now; anything else (a symbol, a
+			// sum, a malformed operand) is pass 2's to evaluate or reject.
+			v, err := constExpr(op)
+			if err != nil {
+				a.patches = append(a.patches, pendingPatch{
+					line: line, offset: len(a.data), toks: retain(&a.tokArena, op),
+				})
+			}
+			a.data = binary.BigEndian.AppendUint32(a.data, uint32(v))
 		}
 		return nil
 	case ".float", ".double":
@@ -130,45 +155,44 @@ func (a *assembler) dataValues(line int, d string, toks []token) error {
 	return a.errf(line, "unknown data directive %q", d)
 }
 
+var (
+	errNotInteger = errors.New("expected integer constant")
+	errNotSingle  = errors.New("expected single constant")
+	errNotFloat   = errors.New("expected float constant")
+)
+
+// signed strips an optional leading sign from an operand.
+func signed(toks []token) (rest []token, neg bool) {
+	if len(toks) > 0 && (toks[0].is('-') || toks[0].is('+')) {
+		return toks[1:], toks[0].is('-')
+	}
+	return toks, false
+}
+
 // constExpr evaluates an expression that may not reference symbols.
 func constExpr(toks []token) (int64, error) {
-	neg := false
-	i := 0
-	if len(toks) > 0 && toks[0].kind == tokPunct && (toks[0].text == "-" || toks[0].text == "+") {
-		neg = toks[0].text == "-"
-		i = 1
+	toks, neg := signed(toks)
+	if len(toks) == 0 || toks[0].kind != tokNum {
+		return 0, errNotInteger
 	}
-	if i >= len(toks) || toks[i].kind != tokNum || toks[i].isFloat {
-		return 0, fmt.Errorf("expected integer constant")
-	}
-	v := toks[i].num
-	if i+1 != len(toks) {
-		return 0, fmt.Errorf("expected single constant")
+	if len(toks) != 1 {
+		return 0, errNotSingle
 	}
 	if neg {
-		v = -v
+		return -toks[0].num, nil
 	}
-	return v, nil
+	return toks[0].num, nil
 }
 
 func floatConst(toks []token) (float64, error) {
-	neg := false
-	i := 0
-	if len(toks) > 0 && toks[0].kind == tokPunct && (toks[0].text == "-" || toks[0].text == "+") {
-		neg = toks[0].text == "-"
-		i = 1
-	}
-	if i >= len(toks) || toks[i].kind != tokNum || i+1 != len(toks) {
-		return 0, fmt.Errorf("expected float constant")
-	}
-	f := toks[i].fnum
-	if !toks[i].isFloat {
-		f = float64(toks[i].num)
+	toks, neg := signed(toks)
+	if len(toks) != 1 || (toks[0].kind != tokNum && toks[0].kind != tokFloat) {
+		return 0, errNotFloat
 	}
 	if neg {
-		f = -f
+		return -toks[0].fnum(), nil
 	}
-	return f, nil
+	return toks[0].fnum(), nil
 }
 
 // taskDirective records a .task line for pass-2 resolution. Syntax:
@@ -182,9 +206,9 @@ func (a *assembler) taskDirective(line int, toks []token) error {
 		return a.errf(line, ".task wants a name")
 	}
 	pt := pendingTask{line: line, name: toks[0].text, args: map[string][]token{}}
-	rest := toks[1:]
+	rest := retain(&a.tokArena, toks[1:])
 	for len(rest) > 0 {
-		if rest[0].kind != tokIdent || len(rest) < 2 || rest[1].kind != tokPunct || rest[1].text != "=" {
+		if rest[0].kind != tokIdent || len(rest) < 2 || !rest[1].is('=') {
 			return a.errf(line, ".task: expected key=value, got %q", rest[0].text)
 		}
 		key := rest[0].text
@@ -192,7 +216,7 @@ func (a *assembler) taskDirective(line int, toks []token) error {
 		// Value runs until the next IDENT '=' pair.
 		end := len(rest)
 		for i := 0; i+1 < len(rest); i++ {
-			if rest[i].kind == tokIdent && rest[i+1].kind == tokPunct && rest[i+1].text == "=" {
+			if rest[i].kind == tokIdent && rest[i+1].is('=') {
 				// Only a key boundary if preceded by a comma-free gap;
 				// values are comma-separated lists, so a bare IDENT '='
 				// can only start a new key.
@@ -226,10 +250,10 @@ func (a *assembler) resolveTask(pt pendingTask) error {
 	if !ok {
 		return a.errf(pt.line, ".task %s: entry label %q undefined", pt.name, entry)
 	}
-	td := &isa.TaskDescriptor{Name: pt.name, Entry: entryAddr}
+	td := &isa.TaskDescriptor{Name: strings.Clone(pt.name), Entry: entryAddr}
 
 	if tgtToks, ok := pt.args["targets"]; ok {
-		tgtOps, err := splitOperands(tgtToks)
+		tgtOps, err := a.splitOperands(tgtToks)
 		if err != nil {
 			return a.errf(pt.line, ".task %s: %v", pt.name, err)
 		}
@@ -250,7 +274,7 @@ func (a *assembler) resolveTask(pt pendingTask) error {
 	}
 
 	if v, ok := pt.args["create"]; ok {
-		regOps, err := splitOperands(v)
+		regOps, err := a.splitOperands(v)
 		if err != nil {
 			return a.errf(pt.line, ".task %s: %v", pt.name, err)
 		}

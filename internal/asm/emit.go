@@ -92,7 +92,7 @@ func (a *assembler) mem(line int, op []token) (base isa.Reg, off int32, err erro
 	// Find a top-level '(' ... ')' suffix.
 	openIdx := -1
 	for i, t := range op {
-		if t.kind == tokPunct && t.text == "(" {
+		if t.is('(') {
 			openIdx = i
 			break
 		}
@@ -101,8 +101,7 @@ func (a *assembler) mem(line int, op []token) (base isa.Reg, off int32, err erro
 		v, err := a.imm(line, op)
 		return isa.RegZero, v, err
 	}
-	last := op[len(op)-1]
-	if last.kind != tokPunct || last.text != ")" {
+	if !op[len(op)-1].is(')') {
 		return 0, 0, a.errf(line, "bad memory operand")
 	}
 	inner := op[openIdx+1 : len(op)-1]
@@ -127,33 +126,34 @@ func (a *assembler) wantOps(pi *pendingInstr, n int) error {
 	return nil
 }
 
-// emit expands one pending instruction into its final form(s).
-func (a *assembler) emit(pi *pendingInstr) ([]isa.Instr, error) {
+// emit appends the final form(s) of one pending instruction to text.
+func (a *assembler) emit(text []isa.Instr, pi *pendingInstr) ([]isa.Instr, error) {
 	line := pi.line
-	out, err := a.emitBody(pi)
+	out, err := a.emitBody(text, pi)
 	if err != nil {
 		return nil, err
 	}
-	if len(out) == 0 {
-		return nil, a.errf(line, "internal: empty expansion")
+	if len(out)-len(text) != pi.size {
+		return nil, a.errf(line, "internal: expansion size mismatch for %q (%d vs %d)",
+			pi.mnemonic, len(out)-len(text), pi.size)
 	}
-	lastIdx := len(out) - 1
+	last := &out[len(out)-1]
 	if pi.fwd {
-		if out[lastIdx].Dest() == isa.RegZero {
+		if last.Dest() == isa.RegZero {
 			return nil, a.errf(line, "!f on instruction with no destination register")
 		}
-		out[lastIdx].Fwd = true
+		last.Fwd = true
 	}
 	if pi.stop != isa.StopNone {
-		if (pi.stop == isa.StopTaken || pi.stop == isa.StopNotTaken) && !out[lastIdx].Op.IsBranch() {
+		if (pi.stop == isa.StopTaken || pi.stop == isa.StopNotTaken) && !last.Op.IsBranch() {
 			return nil, a.errf(line, "%s only valid on conditional branches", pi.stop)
 		}
-		out[lastIdx].Stop = pi.stop
+		last.Stop = pi.stop
 	}
 	return out, nil
 }
 
-func (a *assembler) emitBody(pi *pendingInstr) ([]isa.Instr, error) {
+func (a *assembler) emitBody(out []isa.Instr, pi *pendingInstr) ([]isa.Instr, error) {
 	line := pi.line
 	mn := pi.mnemonic
 	ops := pi.operands
@@ -164,7 +164,7 @@ func (a *assembler) emitBody(pi *pendingInstr) ([]isa.Instr, error) {
 		if err := a.wantOps(pi, 0); err != nil {
 			return nil, err
 		}
-		return []isa.Instr{{Op: isa.OpNop}}, nil
+		return append(out, isa.Instr{Op: isa.OpNop}), nil
 	case "li", "la":
 		if err := a.wantOps(pi, 2); err != nil {
 			return nil, err
@@ -177,7 +177,7 @@ func (a *assembler) emitBody(pi *pendingInstr) ([]isa.Instr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []isa.Instr{{Op: isa.OpOri, Rd: rd, Rs: isa.RegZero, Imm: imm}}, nil
+		return append(out, isa.Instr{Op: isa.OpOri, Rd: rd, Rs: isa.RegZero, Imm: imm}), nil
 	case "move":
 		if err := a.wantOps(pi, 2); err != nil {
 			return nil, err
@@ -190,7 +190,7 @@ func (a *assembler) emitBody(pi *pendingInstr) ([]isa.Instr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []isa.Instr{{Op: isa.OpOr, Rd: rd, Rs: rs, Rt: isa.RegZero}}, nil
+		return append(out, isa.Instr{Op: isa.OpOr, Rd: rd, Rs: rs, Rt: isa.RegZero}), nil
 	case "b":
 		if err := a.wantOps(pi, 1); err != nil {
 			return nil, err
@@ -199,7 +199,7 @@ func (a *assembler) emitBody(pi *pendingInstr) ([]isa.Instr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []isa.Instr{{Op: isa.OpJ, Target: t}}, nil
+		return append(out, isa.Instr{Op: isa.OpJ, Target: t}), nil
 	case "beqz", "bnez":
 		if err := a.wantOps(pi, 2); err != nil {
 			return nil, err
@@ -216,7 +216,7 @@ func (a *assembler) emitBody(pi *pendingInstr) ([]isa.Instr, error) {
 		if mn == "bnez" {
 			op = isa.OpBne
 		}
-		return []isa.Instr{{Op: op, Rs: rs, Rt: isa.RegZero, Target: t}}, nil
+		return append(out, isa.Instr{Op: op, Rs: rs, Rt: isa.RegZero, Target: t}), nil
 	case "blt", "bge", "bgt", "ble":
 		if err := a.wantOps(pi, 3); err != nil {
 			return nil, err
@@ -241,10 +241,10 @@ func (a *assembler) emitBody(pi *pendingInstr) ([]isa.Instr, error) {
 		if mn == "bge" || mn == "ble" {
 			br = isa.OpBeq
 		}
-		return []isa.Instr{
-			{Op: isa.OpSlt, Rd: isa.RegAT, Rs: x, Rt: y},
-			{Op: br, Rs: isa.RegAT, Rt: isa.RegZero, Target: t},
-		}, nil
+		return append(out,
+			isa.Instr{Op: isa.OpSlt, Rd: isa.RegAT, Rs: x, Rt: y},
+			isa.Instr{Op: br, Rs: isa.RegAT, Rt: isa.RegZero, Target: t},
+		), nil
 	case "neg":
 		if err := a.wantOps(pi, 2); err != nil {
 			return nil, err
@@ -257,7 +257,7 @@ func (a *assembler) emitBody(pi *pendingInstr) ([]isa.Instr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []isa.Instr{{Op: isa.OpSub, Rd: rd, Rs: isa.RegZero, Rt: rs}}, nil
+		return append(out, isa.Instr{Op: isa.OpSub, Rd: rd, Rs: isa.RegZero, Rt: rs}), nil
 	case "not":
 		if err := a.wantOps(pi, 2); err != nil {
 			return nil, err
@@ -270,14 +270,13 @@ func (a *assembler) emitBody(pi *pendingInstr) ([]isa.Instr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []isa.Instr{{Op: isa.OpNor, Rd: rd, Rs: rs, Rt: isa.RegZero}}, nil
+		return append(out, isa.Instr{Op: isa.OpNor, Rd: rd, Rs: rs, Rt: isa.RegZero}), nil
 	case "ret":
 		if err := a.wantOps(pi, 0); err != nil {
 			return nil, err
 		}
-		return []isa.Instr{{Op: isa.OpJr, Rs: isa.RegRA}}, nil
+		return append(out, isa.Instr{Op: isa.OpJr, Rs: isa.RegRA}), nil
 	case "release":
-		out := make([]isa.Instr, 0, len(ops))
 		for _, op := range ops {
 			r, err := a.reg(line, op)
 			if err != nil {
@@ -507,10 +506,10 @@ func (a *assembler) emitBody(pi *pendingInstr) ([]isa.Instr, error) {
 				case op == isa.OpMul || op == isa.OpDiv || op == isa.OpRem:
 					// Expand through the assembler temporary.
 					in.Rt = isa.RegAT
-					return []isa.Instr{
-						{Op: isa.OpOri, Rd: isa.RegAT, Rs: isa.RegZero, Imm: imm},
+					return append(out,
+						isa.Instr{Op: isa.OpOri, Rd: isa.RegAT, Rs: isa.RegZero, Imm: imm},
 						in,
-					}, nil
+					), nil
 				default:
 					if iop, ok := immForm[op]; ok {
 						in.Op, in.Imm = iop, imm
@@ -521,5 +520,5 @@ func (a *assembler) emitBody(pi *pendingInstr) ([]isa.Instr, error) {
 			}
 		}
 	}
-	return []isa.Instr{in}, nil
+	return append(out, in), nil
 }

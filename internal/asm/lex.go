@@ -10,6 +10,8 @@ package asm
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 )
 
@@ -18,25 +20,37 @@ type tokKind uint8
 const (
 	tokIdent tokKind = iota
 	tokReg
-	tokNum
+	tokNum   // integer literal: decimal, hex or character
+	tokFloat // float literal; the value is the bit pattern in num
 	tokString
 	tokPunct // one of , ( ) = : + -
 	tokAnnot // !f !s !st !snt
 	tokDirective
 )
 
+// token is one lexeme. text is a substring of the source for every kind
+// but a string literal (its unescaped value), so only those allocate.
 type token struct {
-	kind    tokKind
-	text    string
-	num     int64
-	fnum    float64
-	isFloat bool
+	text string
+	num  int64
+	kind tokKind
 }
 
-// lexLine splits one logical source line (comments already stripped) into
-// tokens.
-func lexLine(line string) ([]token, error) {
-	var toks []token
+// is reports whether the token is the punctuation character c.
+func (t token) is(c byte) bool { return t.kind == tokPunct && t.text[0] == c }
+
+// fnum is the value of a numeric token as a float.
+func (t token) fnum() float64 {
+	if t.kind == tokFloat {
+		return math.Float64frombits(uint64(t.num))
+	}
+	return float64(t.num)
+}
+
+// lexLine appends the tokens of one source line (no newline in it) to
+// toks, stopping at a ;, # or // comment. The caller owns toks and may
+// hand the same buffer back for the next line.
+func lexLine(toks []token, line string) ([]token, error) {
 	i := 0
 	n := len(line)
 	for i < n {
@@ -44,8 +58,10 @@ func lexLine(line string) ([]token, error) {
 		switch {
 		case c == ' ' || c == '\t' || c == '\r':
 			i++
+		case c == ';' || c == '#' || (c == '/' && i+1 < n && line[i+1] == '/'):
+			return toks, nil
 		case c == ',' || c == '(' || c == ')' || c == '=' || c == ':' || c == '+' || c == '-':
-			toks = append(toks, token{kind: tokPunct, text: string(c)})
+			toks = append(toks, token{kind: tokPunct, text: line[i : i+1]})
 			i++
 		case c == '!':
 			j := i + 1
@@ -99,25 +115,25 @@ func lexLine(line string) ([]token, error) {
 				return nil, fmt.Errorf("bad character literal")
 			}
 		case c >= '0' && c <= '9':
+			// Up to 18 decimal digits and nothing after them: the value is
+			// known by the time the run has been scanned.
 			j := i
+			var v int64
+			for j < n && j-i < 18 && line[j]-'0' <= 9 {
+				v = v*10 + int64(line[j]-'0')
+				j++
+			}
+			if j == n || !(isIdentChar(line[j]) || line[j] == '.') {
+				toks = append(toks, token{kind: tokNum, num: v, text: line[i:j]})
+				i = j
+				continue
+			}
 			for j < n && (isIdentChar(line[j]) || line[j] == '.') {
 				j++
 			}
-			text := line[i:j]
-			tk := token{kind: tokNum, text: text}
-			if strings.ContainsAny(text, ".") || (strings.ContainsAny(text, "eE") && !strings.HasPrefix(text, "0x") && !strings.HasPrefix(text, "0X")) {
-				var f float64
-				if _, err := fmt.Sscanf(text, "%g", &f); err != nil {
-					return nil, fmt.Errorf("bad float %q", text)
-				}
-				tk.fnum = f
-				tk.isFloat = true
-			} else {
-				v, err := parseNum(text)
-				if err != nil {
-					return nil, err
-				}
-				tk.num = v
+			tk, err := lexNumber(line[i:j])
+			if err != nil {
+				return nil, err
 			}
 			toks = append(toks, tk)
 			i = j
@@ -143,29 +159,35 @@ func isIdentChar(c byte) bool {
 	return isIdentStart(c) || (c >= '0' && c <= '9')
 }
 
-func parseNum(s string) (int64, error) {
-	neg := false
-	if strings.HasPrefix(s, "-") {
-		neg = true
-		s = s[1:]
-	}
-	var v int64
+// lexNumber converts a maximal run of identifier characters and dots that
+// starts with a digit. The whole run must be one literal: decimal digits,
+// 0x/0X and hex digits, or digits with a fraction and/or an exponent
+// (unsigned: a '-' ends the run). Integers must fit an int64.
+func lexNumber(text string) (token, error) {
+	tk := token{kind: tokNum, text: text}
+	hex := strings.HasPrefix(text, "0x") || strings.HasPrefix(text, "0X")
 	var err error
 	switch {
-	case strings.HasPrefix(s, "0x") || strings.HasPrefix(s, "0X"):
-		_, err = fmt.Sscanf(s[2:], "%x", &v)
-	case strings.ContainsAny(s, ".eE") && !strings.HasPrefix(s, "0x"):
-		return 0, fmt.Errorf("float literal %q where integer expected", s)
+	case strings.IndexByte(text, '.') >= 0 || (!hex && strings.ContainsAny(text, "eE")):
+		for i := 0; i < len(text); i++ {
+			if c := text[i]; (c < '0' || c > '9') && c != '.' && c != 'e' && c != 'E' {
+				return tk, fmt.Errorf("bad float %q", text)
+			}
+		}
+		var f float64
+		if f, err = strconv.ParseFloat(text, 64); err != nil {
+			return tk, fmt.Errorf("bad float %q", text)
+		}
+		tk.kind, tk.num = tokFloat, int64(math.Float64bits(f))
+	case hex:
+		tk.num, err = strconv.ParseInt(text[2:], 16, 64)
 	default:
-		_, err = fmt.Sscanf(s, "%d", &v)
+		tk.num, err = strconv.ParseInt(text, 10, 64)
 	}
 	if err != nil {
-		return 0, fmt.Errorf("bad number %q", s)
+		return tk, fmt.Errorf("bad number %q", text)
 	}
-	if neg {
-		v = -v
-	}
-	return v, nil
+	return tk, nil
 }
 
 func lexString(line string, start int) (string, int, error) {
@@ -213,29 +235,4 @@ func escapeChar(c byte) (byte, bool) {
 	default:
 		return 0, false
 	}
-}
-
-// stripComment removes ;, # and // comments, respecting string literals.
-func stripComment(line string) string {
-	inStr := false
-	for i := 0; i < len(line); i++ {
-		c := line[i]
-		if inStr {
-			if c == '\\' {
-				i++
-			} else if c == '"' {
-				inStr = false
-			}
-			continue
-		}
-		switch {
-		case c == '"':
-			inStr = true
-		case c == ';' || c == '#':
-			return line[:i]
-		case c == '/' && i+1 < len(line) && line[i+1] == '/':
-			return line[:i]
-		}
-	}
-	return line
 }

@@ -211,6 +211,15 @@ var uopCache sync.Map // *isa.Program -> []uop
 // image instead of re-copying the segment (mem.NewMemoryFromImage).
 var memImages sync.Map // *isa.Program -> *mem.Image
 
+// ForgetPrograms empties both caches. What they held is rebuilt on next
+// use; a program nothing else refers to can then be collected, which the
+// pointer keys otherwise prevent for the life of the process.
+func ForgetPrograms() {
+	for _, m := range []*sync.Map{&uopCache, &memImages} {
+		m.Range(func(k, _ any) bool { m.Delete(k); return true })
+	}
+}
+
 // ProgramImage returns the initial memory image for p — the data
 // segment at isa.DataBase — building and caching it on first use. The
 // timing simulators seed their backing stores from the same image.

@@ -80,11 +80,14 @@ var (
 	oracles  = NewStore[*Oracle](storeCap)
 )
 
-// ResetBuildMemo drops every process-wide store — programs and oracles —
-// so the next job starts cold (tests, benchmarks).
+// ResetBuildMemo drops every process-wide store — programs, oracles and
+// what the interpreter derived from the programs it ran (or the dropped
+// programs would stay reachable from there) — so the next job starts cold
+// (tests, benchmarks).
 func ResetBuildMemo() {
 	programs.Reset()
 	oracles.Reset()
+	interp.ForgetPrograms()
 }
 
 // Stats snapshots the process-wide stores: program builds and memoized

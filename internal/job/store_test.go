@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"multiscalar/internal/asm"
 	"multiscalar/internal/core"
@@ -339,7 +340,8 @@ func TestProgramEncodingDeterministic(t *testing.T) {
 }
 
 // TestResetBuildMemoDropsEveryStore: programs and oracles both go, so the
-// next job is cold.
+// next job is cold — and nothing derived from a dropped program (the
+// interpreter's decoded µops, its memory image) keeps it reachable.
 func TestResetBuildMemoDropsEveryStore(t *testing.T) {
 	s := baseSpec()
 	s.Scale, s.Verify = 20, true
@@ -349,8 +351,24 @@ func TestResetBuildMemoDropsEveryStore(t *testing.T) {
 	if progs, orcs := Stats(); progs.Entries == 0 || orcs.Entries == 0 {
 		t.Fatalf("warm stores: %d programs, %d oracles", progs.Entries, orcs.Entries)
 	}
+	p, err := s.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	collected := make(chan struct{})
+	runtime.SetFinalizer(p, func(*isa.Program) { close(collected) })
+	p = nil
 	ResetBuildMemo()
 	if progs, orcs := Stats(); progs.Entries != 0 || orcs.Entries != 0 {
 		t.Fatalf("after ResetBuildMemo: %d programs, %d oracles", progs.Entries, orcs.Entries)
 	}
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the program built before ResetBuildMemo is still reachable")
 }

@@ -1,6 +1,9 @@
 package workloads
 
-import "strings"
+import (
+	"strconv"
+	"strings"
+)
 
 // cmp mirrors GNU cmp's structure (paper §5.3: "straightforward, with
 // almost all its time in a loop [that] contains an inner loop"): the
@@ -38,17 +41,17 @@ func cmpSource(scale int) string {
 	diffAt := n * 15 / 16
 	var b strings.Builder
 	b.WriteString("\t.data\nbufa:\n")
-	b.WriteString(byteLines(data))
+	dataLines(&b, ".byte", data)
 	b.WriteString("bufpad:\t.space 192\n") // odd block offset: keep the buffers off the same cache sets
 	data[diffAt] = (data[diffAt] + 1) % 256
 	b.WriteString("bufb:\n")
-	b.WriteString(byteLines(data))
+	dataLines(&b, ".byte", data)
 	b.WriteString(`
 	.text
 main:
 	li   $s0, 0 !f
 `)
-	b.WriteString("\tli   $s5, " + itoa(n) + " !f\n")
+	b.WriteString("\tli   $s5, " + strconv.Itoa(n) + " !f\n")
 	b.WriteString(`	li   $s6, -1 !f          ; mismatch position (-1 = none)
 	j    CHUNK !s
 
@@ -80,45 +83,4 @@ MISMATCH:
 	.task EQUAL
 `)
 	return b.String()
-}
-
-func byteLines(vals []int) string {
-	var b strings.Builder
-	for i := 0; i < len(vals); i += 16 {
-		end := i + 16
-		if end > len(vals) {
-			end = len(vals)
-		}
-		b.WriteString("\t.byte ")
-		for j := i; j < end; j++ {
-			if j > i {
-				b.WriteString(", ")
-			}
-			b.WriteString(itoa(vals[j]))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [12]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

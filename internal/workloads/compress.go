@@ -1,6 +1,9 @@
 package workloads
 
-import "strings"
+import (
+	"strconv"
+	"strings"
+)
 
 // compress is the LZW coder kernel (paper §5.3: "all time is spent in a
 // single (big) loop with a complex flow of control within. This loop is
@@ -50,11 +53,11 @@ func compressSource(scale int) string {
 	const hashBits = 15
 	var sb strings.Builder
 	sb.WriteString("\t.data\ninput:\n")
-	sb.WriteString(byteLines(text))
+	dataLines(&sb, ".byte", text)
 	sb.WriteString("\t.align 2\n")
-	sb.WriteString("htab:\t.space " + itoa(4<<hashBits) + "\n")
-	sb.WriteString("tabpad:\t.space 192\n")                        // keep the two tables off the same cache sets
-	sb.WriteString("codetab:\t.space " + itoa(4<<hashBits) + "\n") // 16 KB
+	sb.WriteString("htab:\t.space " + strconv.Itoa(4<<hashBits) + "\n")
+	sb.WriteString("tabpad:\t.space 192\n")                                // keep the two tables off the same cache sets
+	sb.WriteString("codetab:\t.space " + strconv.Itoa(4<<hashBits) + "\n") // 16 KB
 	sb.WriteString(`
 	.text
 main:
@@ -63,7 +66,7 @@ main:
 	li   $s2, 256 !f         ; next free code
 	li   $s3, 0 !f           ; output checksum
 `)
-	sb.WriteString("\tli   $s5, " + itoa(len(text)) + " !f\n")
+	sb.WriteString("\tli   $s5, " + strconv.Itoa(len(text)) + " !f\n")
 	sb.WriteString(`	j    BYTE !s
 
 BYTE:

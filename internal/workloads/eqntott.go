@@ -1,6 +1,9 @@
 package workloads
 
-import "strings"
+import (
+	"strconv"
+	"strings"
+)
 
 // eqntott reduces to cmppt, the comparison routine that dominates the
 // SPEC92 program (paper §5.3: "most (85%) of the instructions are in the
@@ -51,14 +54,14 @@ func eqntottSource(scale int) string {
 	}
 	var sb strings.Builder
 	sb.WriteString("\t.data\npterms:\n")
-	sb.WriteString(wordLines(words))
+	dataLines(&sb, ".word", words)
 	sb.WriteString(`
 	.text
 main:
 	li   $s0, 0 !f           ; pair index
 	li   $s1, 0 !f           ; order accumulator
 `)
-	sb.WriteString("\tli   $s5, " + itoa(npairs) + " !f\n")
+	sb.WriteString("\tli   $s5, " + strconv.Itoa(npairs) + " !f\n")
 	sb.WriteString(`	j    PAIR !s
 
 PAIR:

@@ -1,6 +1,9 @@
 package workloads
 
-import "strings"
+import (
+	"strconv"
+	"strings"
+)
 
 // espresso reduces to massive_count, its hottest function (paper §5.3:
 // two main loops, each loop body a task; "in the first loop, each
@@ -50,14 +53,14 @@ func espressoSource(scale int) string {
 	}
 	var sb strings.Builder
 	sb.WriteString("\t.data\ncubes:\n")
-	sb.WriteString(wordLines(words))
+	dataLines(&sb, ".word", words)
 	sb.WriteString(`
 	.text
 main:
 	li   $s0, 0 !f           ; cube index
 	li   $s1, 0 !f           ; total bit count
 `)
-	sb.WriteString("\tli   $s5, " + itoa(ncubes) + " !f\n")
+	sb.WriteString("\tli   $s5, " + strconv.Itoa(ncubes) + " !f\n")
 	sb.WriteString(`	j    COUNT !s
 
 	; ---- loop 1: popcount one cube per task (variable work) ----

@@ -1,9 +1,6 @@
 package workloads
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // example is the paper's Figure 3 program, annotated exactly in the style
 // of Figure 4: a task is one iteration of the outer loop (one complete
@@ -56,25 +53,6 @@ func exampleSymbols(occurrences int) []int {
 	return syms
 }
 
-func wordLines(vals []int) string {
-	var b strings.Builder
-	for i := 0; i < len(vals); i += 16 {
-		end := i + 16
-		if end > len(vals) {
-			end = len(vals)
-		}
-		b.WriteString("\t.word ")
-		for j := i; j < end; j++ {
-			if j > i {
-				b.WriteString(", ")
-			}
-			fmt.Fprintf(&b, "%d", vals[j])
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 func exampleSource(scale int) string {
 	syms := exampleSymbols(scale)
 	var b strings.Builder
@@ -83,7 +61,7 @@ func exampleSource(scale int) string {
 	b.WriteString("listtail:\t.word 0\n")
 	b.WriteString("freeptr:\t.word pool\n")
 	b.WriteString("buffer:\n")
-	b.WriteString(wordLines(syms))
+	dataLines(&b, ".word", syms)
 	b.WriteString("bufend:\n")
 	b.WriteString("pool:\t.space 1024\n") // 16 nodes x 12 bytes, rounded up
 	b.WriteString(`

@@ -1,6 +1,9 @@
 package workloads
 
-import "strings"
+import (
+	"strconv"
+	"strings"
+)
 
 // Extra workloads beyond the paper's suite: conventional kernels that
 // exercise the same machinery and give library users more substrates to
@@ -60,19 +63,19 @@ func matmulSource(scale int) string {
 	n := scale
 	var sb strings.Builder
 	sb.WriteString("\t.data\n")
-	sb.WriteString("ma:\t.space " + itoa(4*n*n) + "\n")
+	sb.WriteString("ma:\t.space " + strconv.Itoa(4*n*n) + "\n")
 	sb.WriteString("mpad1:\t.space 192\n")
-	sb.WriteString("mb:\t.space " + itoa(4*n*n) + "\n")
+	sb.WriteString("mb:\t.space " + strconv.Itoa(4*n*n) + "\n")
 	sb.WriteString("mpad2:\t.space 192\n")
-	sb.WriteString("mc:\t.space " + itoa(4*n*n) + "\n")
+	sb.WriteString("mc:\t.space " + strconv.Itoa(4*n*n) + "\n")
 	sb.WriteString(`
 	.text
 main:
 	; init: a[i][j] = i+j, b[i][j] = i-j (single init task per row)
 	li   $s0, 0 !f
 `)
-	sb.WriteString("\tli   $s5, " + itoa(n) + " !f\n")
-	sb.WriteString("\tli   $s6, " + itoa(4*n) + " !f\n")
+	sb.WriteString("\tli   $s5, " + strconv.Itoa(n) + " !f\n")
+	sb.WriteString("\tli   $s6, " + strconv.Itoa(4*n) + " !f\n")
 	sb.WriteString(`	j    MIROW !s
 MIROW:
 	move $t9, $s0
@@ -155,13 +158,13 @@ func sieveSource(scale int) string {
 	n := scale
 	var sb strings.Builder
 	sb.WriteString("\t.data\n")
-	sb.WriteString("flags:\t.space " + itoa(n) + "\n")
+	sb.WriteString("flags:\t.space " + strconv.Itoa(n) + "\n")
 	sb.WriteString(`
 	.text
 main:
 	li   $s0, 2 !f           ; candidate
 `)
-	sb.WriteString("\tli   $s5, " + itoa(n) + " !f\n")
+	sb.WriteString("\tli   $s5, " + strconv.Itoa(n) + " !f\n")
 	sb.WriteString(`	j    CAND !s
 
 	; one candidate per task: if still prime, clear its multiples — the
@@ -227,14 +230,14 @@ func hashmixSource(scale int) string {
 	}
 	var sb strings.Builder
 	sb.WriteString("\t.data\nhkeys:\n")
-	sb.WriteString(wordLines(keys))
+	dataLines(&sb, ".word", keys)
 	sb.WriteString(`
 	.text
 main:
 	li   $s0, 0 !f           ; key index
 	li   $s1, 0 !f           ; checksum
 `)
-	sb.WriteString("\tli   $s5, " + itoa(n) + " !f\n")
+	sb.WriteString("\tli   $s5, " + strconv.Itoa(n) + " !f\n")
 	sb.WriteString(`	j    HLOOK !s
 
 	; one key per round trip: load the argument, call the hash function
@@ -292,16 +295,16 @@ func bsearchSource(scale int) string {
 	}
 	var sb strings.Builder
 	sb.WriteString("\t.data\nbtable:\n")
-	sb.WriteString(wordLines(table))
+	dataLines(&sb, ".word", table)
 	sb.WriteString("bqueries:\n")
-	sb.WriteString(wordLines(queries))
+	dataLines(&sb, ".word", queries)
 	sb.WriteString(`
 	.text
 main:
 	li   $s0, 0 !f           ; query index
 	li   $s1, 0 !f           ; checksum
 `)
-	sb.WriteString("\tli   $s5, " + itoa(n) + " !f\n")
+	sb.WriteString("\tli   $s5, " + strconv.Itoa(n) + " !f\n")
 	sb.WriteString(`	j    QLOOK !s
 
 QLOOK:
@@ -322,7 +325,7 @@ QDONE:
 BFIND:
 	li   $t0, 0              ; lo
 `)
-	sb.WriteString("\tli   $t1, " + itoa(tsize) + "       ; hi\n")
+	sb.WriteString("\tli   $t1, " + strconv.Itoa(tsize) + "       ; hi\n")
 	sb.WriteString(`	li   $v1, 0
 	li   $s6, 0
 BLOOP:

@@ -1,6 +1,9 @@
 package workloads
 
-import "strings"
+import (
+	"strconv"
+	"strings"
+)
 
 // gcc is the irregular-code workload (paper §5.3: "execution time is
 // distributed uniformly across a great deal of code... squashes (both
@@ -50,7 +53,7 @@ func gccSource(scale int) string {
 	}
 	var sb strings.Builder
 	sb.WriteString("\t.data\nnodes:\n")
-	sb.WriteString(wordLines(words))
+	dataLines(&sb, ".word", words)
 	sb.WriteString("symtab:\t.space 64\n") // 8 shared counters
 	sb.WriteString("outlist:\t.word 0\n")  // emitted-node count (shared)
 	sb.WriteString(`
@@ -59,7 +62,7 @@ main:
 	li   $s0, 0 !f           ; node index
 	li   $s1, 0 !f           ; checksum
 `)
-	sb.WriteString("\tli   $s5, " + itoa(nnodes) + " !f\n")
+	sb.WriteString("\tli   $s5, " + strconv.Itoa(nnodes) + " !f\n")
 	sb.WriteString(`	j    NODE !s
 
 NODE:

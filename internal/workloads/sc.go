@@ -1,6 +1,9 @@
 package workloads
 
-import "strings"
+import (
+	"strconv"
+	"strings"
+)
 
 // sc is the spreadsheet-evaluation kernel (paper §5.3: RealEvalAll
 // restructured "to build a work list of the cells to be evaluated and to
@@ -44,14 +47,14 @@ func scSource(scale int) string {
 	}
 	var sb strings.Builder
 	sb.WriteString("\t.data\ncells:\n")
-	sb.WriteString(wordLines(words))
+	dataLines(&sb, ".word", words)
 	sb.WriteString(`
 	.text
 main:
 	li   $s0, 0 !f           ; work-list index
 	li   $s1, 0 !f           ; grand total
 `)
-	sb.WriteString("\tli   $s5, " + itoa(ncells) + " !f\n")
+	sb.WriteString("\tli   $s5, " + strconv.Itoa(ncells) + " !f\n")
 	sb.WriteString(`	j    CELL !s
 
 CELL:

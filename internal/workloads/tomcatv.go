@@ -1,6 +1,9 @@
 package workloads
 
-import "strings"
+import (
+	"strconv"
+	"strings"
+)
 
 // tomcatv is the SPECfp92 mesh-generation kernel reduced to its essence
 // (paper §5.3: "nearly all time is spent in a loop whose iterations are
@@ -31,9 +34,9 @@ func tomcatvSource(scale int) string {
 	rowBytes := n * 8
 	var b strings.Builder
 	b.WriteString("\t.data\n")
-	b.WriteString("grida:\t.space " + itoa(n*rowBytes) + "\n")
+	b.WriteString("grida:\t.space " + strconv.Itoa(n*rowBytes) + "\n")
 	b.WriteString("gridpad:\t.space 192\n") // odd block offset: avoid same-set conflicts between the grids
-	b.WriteString("gridb:\t.space " + itoa(n*rowBytes) + "\n")
+	b.WriteString("gridb:\t.space " + strconv.Itoa(n*rowBytes) + "\n")
 	b.WriteString("quarter:\t.double 0.25\n")
 	b.WriteString("scalef:\t.double 0.0078125\n") // 1/128 keeps values bounded
 	b.WriteString(`
@@ -41,8 +44,8 @@ func tomcatvSource(scale int) string {
 main:
 	li   $s0, 0 !f           ; row index
 `)
-	b.WriteString("\tli   $s5, " + itoa(n) + " !f\n")
-	b.WriteString("\tli   $s6, " + itoa(rowBytes) + " !f\n")
+	b.WriteString("\tli   $s5, " + strconv.Itoa(n) + " !f\n")
+	b.WriteString("\tli   $s6, " + strconv.Itoa(rowBytes) + " !f\n")
 	b.WriteString(`	l.d  $f30, scalef !f
 	mtc1 $f20, $zero !f      ; checksum
 	j    IROW !s

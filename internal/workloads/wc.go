@@ -1,6 +1,9 @@
 package workloads
 
-import "strings"
+import (
+	"strconv"
+	"strings"
+)
 
 // wc counts lines, words and characters (paper §5.3: a loop containing an
 // inner loop and a switch). A task is one 64-byte chunk: each task counts
@@ -57,7 +60,7 @@ func wcSource(scale int) string {
 	text := wcText(scale)
 	var b strings.Builder
 	b.WriteString("\t.data\ntext:\n")
-	b.WriteString(byteLines(text))
+	dataLines(&b, ".byte", text)
 	b.WriteString(`
 	.text
 main:
@@ -67,7 +70,7 @@ main:
 	li   $s3, 0 !f           ; chars
 	li   $s7, 1 !f           ; previous chunk ended in whitespace
 `)
-	b.WriteString("\tli   $s5, " + itoa(len(text)) + " !f\n")
+	b.WriteString("\tli   $s5, " + strconv.Itoa(len(text)) + " !f\n")
 	b.WriteString(`	j    CHUNK !s
 
 CHUNK:

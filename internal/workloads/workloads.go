@@ -11,6 +11,8 @@ package workloads
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 
 	"multiscalar/internal/asm"
 	"multiscalar/internal/isa"
@@ -137,6 +139,31 @@ const printInt = `
 	li $v0, 1
 	syscall
 `
+
+// dataLines appends vals to b as lines of 16 comma-separated values under
+// the directive (".byte", ".word"). The space is reserved up front from
+// the widest value, so a table of any size costs b one allocation.
+func dataLines(b *strings.Builder, directive string, vals []int) {
+	lo, hi := 0, 0
+	for _, v := range vals {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	width := max(len(strconv.Itoa(lo)), len(strconv.Itoa(hi)))
+	b.Grow(len(vals)*(width+2) + (len(vals)/16+1)*(len(directive)+3))
+	var num [20]byte
+	for i := 0; i < len(vals); i += 16 {
+		b.WriteByte('\t')
+		b.WriteString(directive)
+		b.WriteByte(' ')
+		for j, v := range vals[i:min(i+16, len(vals))] {
+			if j > 0 {
+				b.WriteString(", ")
+			}
+			b.Write(strconv.AppendInt(num[:0], int64(v), 10))
+		}
+		b.WriteByte('\n')
+	}
+}
 
 // rng is a tiny deterministic generator for input data (xorshift32), so
 // inputs are reproducible without touching math/rand at simulation time.

@@ -119,3 +119,22 @@ func TestPaperNumbersPresent(t *testing.T) {
 		}
 	}
 }
+
+var sourceSink string
+
+// BenchmarkSourceGen: generating the text the assembler reads, for the
+// byte-table (wc) and word-table (example) workloads at 32x table scale.
+func BenchmarkSourceGen(b *testing.B) {
+	for _, name := range []string{"wc", "example"} {
+		w := Get(name)
+		scale := w.DefaultScale * 32
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(len(w.Source(scale))))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sourceSink = w.Source(scale)
+			}
+		})
+	}
+}

@@ -1,6 +1,9 @@
 package workloads
 
-import "strings"
+import (
+	"strconv"
+	"strings"
+)
 
 // xlisp is the lisp-interpreter workload (paper §5.3: like gcc it spreads
 // time across much code, and "squashes result in near-sequential
@@ -56,11 +59,11 @@ func xlispSource(scale int) string {
 	cells, roots := xlispTrees(scale)
 	var sb strings.Builder
 	sb.WriteString("\t.data\ncells:\n")
-	sb.WriteString(wordLines(cells))
+	dataLines(&sb, ".word", cells)
 	sb.WriteString("roots:\n")
-	sb.WriteString(wordLines(roots))
+	dataLines(&sb, ".word", roots)
 	sb.WriteString("heapptr:\t.word results\nresults:\t.space ")
-	sb.WriteString(itoa(8*scale + 64))
+	sb.WriteString(strconv.Itoa(8*scale + 64))
 	sb.WriteString("\n")
 	sb.WriteString(`
 	.text
@@ -68,7 +71,7 @@ main:
 	li   $s0, 0 !f           ; expression index
 	li   $s1, 0 !f           ; checksum
 `)
-	sb.WriteString("\tli   $s5, " + itoa(len(roots)) + " !f\n")
+	sb.WriteString("\tli   $s5, " + strconv.Itoa(len(roots)) + " !f\n")
 	sb.WriteString(`	j    EXPR !s
 
 EXPR:
