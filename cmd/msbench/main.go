@@ -23,9 +23,6 @@
 //	msbench -sampled -sample-gate 10
 //	                              sampled-simulation estimates vs exact long
 //	                              runs (not part of -all; docs/perf.md)
-//	msbench -all -json out.json -baseline BENCH.json -tolerance 0.25
-//	                              compare per-section wall clock against a
-//	                              checked-in baseline; exit 1 on regression
 package main
 
 import (
@@ -64,8 +61,6 @@ func main() {
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		noskip     = flag.Bool("noskip", false, "disable the simulator's wakeup scheduler (dense per-cycle ticking; tables are byte-identical either way)")
 		sections   = flag.String("sections", "", "comma-separated sections to run ("+strings.Join(bench.SectionNames(), ",")+")")
-		baseline   = flag.String("baseline", "", "compare the -json report's section times against this checked-in BENCH_*.json and exit 1 on regression")
-		tolerance  = flag.Float64("tolerance", 0.25, "allowed fractional slowdown per section for -baseline (0.25 = +25%)")
 	)
 	flag.Parse()
 
@@ -195,29 +190,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *jsonOut != "" || *baseline != "" {
+	if *jsonOut != "" {
 		data, err := report.Finalize()
 		check(err)
 		if *jsonOut == "-" {
 			fmt.Println(string(data))
-		} else if *jsonOut != "" {
+		} else {
 			check(os.WriteFile(*jsonOut, append(data, '\n'), 0o644))
-		}
-		if *baseline != "" {
-			raw, err := os.ReadFile(*baseline)
-			check(err)
-			base, err := bench.ReadReport(raw)
-			check(err)
-			cur, err := bench.ReadReport(data)
-			check(err)
-			if regressions := bench.Compare(base, cur, *tolerance); len(regressions) > 0 {
-				fmt.Fprintf(os.Stderr, "msbench: performance regressions vs %s:\n", *baseline)
-				for _, r := range regressions {
-					fmt.Fprintln(os.Stderr, "  "+r)
-				}
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "msbench: within %.0f%% of baseline %s\n", 100**tolerance, *baseline)
 		}
 	}
 }

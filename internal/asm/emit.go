@@ -35,19 +35,22 @@ func expansionSize(mn string, ops [][]token) (int, error) {
 	}
 }
 
-// pseudoOps are the single-instruction pseudo mnemonics.
-var pseudoOps = map[string]bool{
-	"li": true, "la": true, "move": true, "b": true,
-	"beqz": true, "bnez": true, "neg": true, "not": true,
-	"ret": true,
-}
-
-// immForm maps a register-form integer op to its immediate form when the
-// third operand is an expression rather than a register.
-var immForm = map[isa.Op]isa.Op{
-	isa.OpAdd: isa.OpAddi, isa.OpAnd: isa.OpAndi, isa.OpOr: isa.OpOri,
-	isa.OpXor: isa.OpXori, isa.OpSlt: isa.OpSlti, isa.OpSltu: isa.OpSltiu,
-	isa.OpSllv: isa.OpSll, isa.OpSrlv: isa.OpSrl, isa.OpSrav: isa.OpSra,
+// pseudoOps are the single-instruction pseudo mnemonics: the real
+// instruction each stands for with its fixed fields filled in ($zero is
+// the zero value), and the operand slots the written form supplies.
+var pseudoOps = map[string]struct {
+	in   isa.Instr
+	form []isa.Slot
+}{
+	"li":   {isa.Instr{Op: isa.OpOri}, []isa.Slot{isa.SlotRd, isa.SlotImm}},
+	"la":   {isa.Instr{Op: isa.OpOri}, []isa.Slot{isa.SlotRd, isa.SlotImm}},
+	"move": {isa.Instr{Op: isa.OpOr}, []isa.Slot{isa.SlotRd, isa.SlotRs}},
+	"neg":  {isa.Instr{Op: isa.OpSub}, []isa.Slot{isa.SlotRd, isa.SlotRt}},
+	"not":  {isa.Instr{Op: isa.OpNor}, []isa.Slot{isa.SlotRd, isa.SlotRs}},
+	"b":    {isa.Instr{Op: isa.OpJ}, []isa.Slot{isa.SlotTarget}},
+	"beqz": {isa.Instr{Op: isa.OpBeq}, []isa.Slot{isa.SlotRs, isa.SlotTarget}},
+	"bnez": {isa.Instr{Op: isa.OpBne}, []isa.Slot{isa.SlotRs, isa.SlotTarget}},
+	"ret":  {isa.Instr{Op: isa.OpJr, Rs: isa.RegRA}, nil},
 }
 
 func (a *assembler) reg(line int, op []token) (isa.Reg, error) {
@@ -119,9 +122,31 @@ func (a *assembler) mem(line int, op []token) (base isa.Reg, off int32, err erro
 	return base, off, err
 }
 
-func (a *assembler) wantOps(pi *pendingInstr, n int) error {
-	if len(pi.operands) != n {
-		return a.errf(pi.line, "%s wants %d operands, got %d", pi.mnemonic, n, len(pi.operands))
+// operands parses pi's operands into the fields of in that form names,
+// one operand per slot, in order.
+func (a *assembler) operands(pi *pendingInstr, form []isa.Slot, in *isa.Instr) error {
+	if len(pi.operands) != len(form) {
+		return a.errf(pi.line, "%s wants %d operands, got %d", pi.mnemonic, len(form), len(pi.operands))
+	}
+	for k, op := range pi.operands {
+		var err error
+		switch form[k] {
+		case isa.SlotRd:
+			in.Rd, err = a.reg(pi.line, op)
+		case isa.SlotRs:
+			in.Rs, err = a.reg(pi.line, op)
+		case isa.SlotRt:
+			in.Rt, err = a.reg(pi.line, op)
+		case isa.SlotImm:
+			in.Imm, err = a.imm(pi.line, op)
+		case isa.SlotMem:
+			in.Rs, in.Imm, err = a.mem(pi.line, op)
+		case isa.SlotTarget:
+			in.Target, err = a.target(pi.line, op)
+		}
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -158,84 +183,16 @@ func (a *assembler) emitBody(out []isa.Instr, pi *pendingInstr) ([]isa.Instr, er
 	mn := pi.mnemonic
 	ops := pi.operands
 
-	// Pseudo instructions first.
+	// The two mnemonics that are not one instruction of one form.
 	switch mn {
-	case "nop":
-		if err := a.wantOps(pi, 0); err != nil {
-			return nil, err
-		}
-		return append(out, isa.Instr{Op: isa.OpNop}), nil
-	case "li", "la":
-		if err := a.wantOps(pi, 2); err != nil {
-			return nil, err
-		}
-		rd, err := a.reg(line, ops[0])
-		if err != nil {
-			return nil, err
-		}
-		imm, err := a.imm(line, ops[1])
-		if err != nil {
-			return nil, err
-		}
-		return append(out, isa.Instr{Op: isa.OpOri, Rd: rd, Rs: isa.RegZero, Imm: imm}), nil
-	case "move":
-		if err := a.wantOps(pi, 2); err != nil {
-			return nil, err
-		}
-		rd, err := a.reg(line, ops[0])
-		if err != nil {
-			return nil, err
-		}
-		rs, err := a.reg(line, ops[1])
-		if err != nil {
-			return nil, err
-		}
-		return append(out, isa.Instr{Op: isa.OpOr, Rd: rd, Rs: rs, Rt: isa.RegZero}), nil
-	case "b":
-		if err := a.wantOps(pi, 1); err != nil {
-			return nil, err
-		}
-		t, err := a.target(line, ops[0])
-		if err != nil {
-			return nil, err
-		}
-		return append(out, isa.Instr{Op: isa.OpJ, Target: t}), nil
-	case "beqz", "bnez":
-		if err := a.wantOps(pi, 2); err != nil {
-			return nil, err
-		}
-		rs, err := a.reg(line, ops[0])
-		if err != nil {
-			return nil, err
-		}
-		t, err := a.target(line, ops[1])
-		if err != nil {
-			return nil, err
-		}
-		op := isa.OpBeq
-		if mn == "bnez" {
-			op = isa.OpBne
-		}
-		return append(out, isa.Instr{Op: op, Rs: rs, Rt: isa.RegZero, Target: t}), nil
 	case "blt", "bge", "bgt", "ble":
-		if err := a.wantOps(pi, 3); err != nil {
+		var c isa.Instr // rs, rt, target: written like the beq it ends in
+		if err := a.operands(pi, isa.OpBeq.Form(), &c); err != nil {
 			return nil, err
 		}
-		rs, err := a.reg(line, ops[0])
-		if err != nil {
-			return nil, err
-		}
-		rt, err := a.reg(line, ops[1])
-		if err != nil {
-			return nil, err
-		}
-		t, err := a.target(line, ops[2])
-		if err != nil {
-			return nil, err
-		}
-		x, y := rs, rt
+		x, y := c.Rs, c.Rt
 		if mn == "bgt" || mn == "ble" {
-			x, y = rt, rs
+			x, y = y, x
 		}
 		br := isa.OpBne
 		if mn == "bge" || mn == "ble" {
@@ -243,39 +200,8 @@ func (a *assembler) emitBody(out []isa.Instr, pi *pendingInstr) ([]isa.Instr, er
 		}
 		return append(out,
 			isa.Instr{Op: isa.OpSlt, Rd: isa.RegAT, Rs: x, Rt: y},
-			isa.Instr{Op: br, Rs: isa.RegAT, Rt: isa.RegZero, Target: t},
+			isa.Instr{Op: br, Rs: isa.RegAT, Rt: isa.RegZero, Target: c.Target},
 		), nil
-	case "neg":
-		if err := a.wantOps(pi, 2); err != nil {
-			return nil, err
-		}
-		rd, err := a.reg(line, ops[0])
-		if err != nil {
-			return nil, err
-		}
-		rs, err := a.reg(line, ops[1])
-		if err != nil {
-			return nil, err
-		}
-		return append(out, isa.Instr{Op: isa.OpSub, Rd: rd, Rs: isa.RegZero, Rt: rs}), nil
-	case "not":
-		if err := a.wantOps(pi, 2); err != nil {
-			return nil, err
-		}
-		rd, err := a.reg(line, ops[0])
-		if err != nil {
-			return nil, err
-		}
-		rs, err := a.reg(line, ops[1])
-		if err != nil {
-			return nil, err
-		}
-		return append(out, isa.Instr{Op: isa.OpNor, Rd: rd, Rs: rs, Rt: isa.RegZero}), nil
-	case "ret":
-		if err := a.wantOps(pi, 0); err != nil {
-			return nil, err
-		}
-		return append(out, isa.Instr{Op: isa.OpJr, Rs: isa.RegRA}), nil
 	case "release":
 		for _, op := range ops {
 			r, err := a.reg(line, op)
@@ -287,238 +213,50 @@ func (a *assembler) emitBody(out []isa.Instr, pi *pendingInstr) ([]isa.Instr, er
 		return out, nil
 	}
 
-	op, ok := isa.OpByName(mn)
-	if !ok {
+	var in isa.Instr
+	var form []isa.Slot
+	if op, ok := isa.OpByName(mn); ok {
+		in, form = isa.Instr{Op: op, Rd: op.DefaultRd()}, op.Form()
+	} else if p, ok := pseudoOps[mn]; ok {
+		in, form = p.in, p.form
+	} else {
 		return nil, a.errf(line, "unknown mnemonic %q", mn)
 	}
-	in := isa.Instr{Op: op}
 
-	switch op {
-	case isa.OpNop, isa.OpSyscall:
-		if err := a.wantOps(pi, 0); err != nil {
-			return nil, err
-		}
-	case isa.OpJ:
-		if err := a.wantOps(pi, 1); err != nil {
-			return nil, err
-		}
-		t, err := a.target(line, ops[0])
-		if err != nil {
-			return nil, err
-		}
-		in.Target = t
-	case isa.OpJal:
-		if err := a.wantOps(pi, 1); err != nil {
-			return nil, err
-		}
-		t, err := a.target(line, ops[0])
-		if err != nil {
-			return nil, err
-		}
-		in.Target = t
-		in.Rd = isa.RegRA
-	case isa.OpJr, isa.OpRelease:
-		if err := a.wantOps(pi, 1); err != nil {
-			return nil, err
-		}
-		rs, err := a.reg(line, ops[0])
-		if err != nil {
-			return nil, err
-		}
-		in.Rs = rs
-	case isa.OpJalr:
-		switch len(ops) {
-		case 1:
-			rs, err := a.reg(line, ops[0])
-			if err != nil {
-				return nil, err
-			}
-			in.Rd, in.Rs = isa.RegRA, rs
-		case 2:
-			rd, err := a.reg(line, ops[0])
-			if err != nil {
-				return nil, err
-			}
-			rs, err := a.reg(line, ops[1])
-			if err != nil {
-				return nil, err
-			}
-			in.Rd, in.Rs = rd, rs
-		default:
-			return nil, a.errf(line, "jalr wants 1 or 2 operands")
-		}
-	case isa.OpBeq, isa.OpBne:
-		if err := a.wantOps(pi, 3); err != nil {
-			return nil, err
-		}
-		rs, err := a.reg(line, ops[0])
-		if err != nil {
-			return nil, err
-		}
-		rt, err := a.reg(line, ops[1])
-		if err != nil {
-			return nil, err
-		}
-		t, err := a.target(line, ops[2])
-		if err != nil {
-			return nil, err
-		}
-		in.Rs, in.Rt, in.Target = rs, rt, t
-	case isa.OpBlez, isa.OpBgtz, isa.OpBltz, isa.OpBgez:
-		if err := a.wantOps(pi, 2); err != nil {
-			return nil, err
-		}
-		rs, err := a.reg(line, ops[0])
-		if err != nil {
-			return nil, err
-		}
-		t, err := a.target(line, ops[1])
-		if err != nil {
-			return nil, err
-		}
-		in.Rs, in.Target = rs, t
-	case isa.OpBc1t, isa.OpBc1f:
-		if err := a.wantOps(pi, 1); err != nil {
-			return nil, err
-		}
-		t, err := a.target(line, ops[0])
-		if err != nil {
-			return nil, err
-		}
-		in.Target = t
-	case isa.OpLui:
-		if err := a.wantOps(pi, 2); err != nil {
-			return nil, err
-		}
-		rd, err := a.reg(line, ops[0])
-		if err != nil {
-			return nil, err
-		}
-		imm, err := a.imm(line, ops[1])
-		if err != nil {
-			return nil, err
-		}
-		in.Rd, in.Imm = rd, imm
-	case isa.OpCEqD, isa.OpCLtD, isa.OpCLeD:
-		if err := a.wantOps(pi, 2); err != nil {
-			return nil, err
-		}
-		rs, err := a.reg(line, ops[0])
-		if err != nil {
-			return nil, err
-		}
-		rt, err := a.reg(line, ops[1])
-		if err != nil {
-			return nil, err
-		}
-		in.Rs, in.Rt = rs, rt
-	case isa.OpMovD, isa.OpNegD, isa.OpAbsD, isa.OpSqrtD,
-		isa.OpCvtDW, isa.OpCvtWD, isa.OpCvtSD, isa.OpCvtDS,
-		isa.OpMtc1, isa.OpMfc1:
-		if err := a.wantOps(pi, 2); err != nil {
-			return nil, err
-		}
-		rd, err := a.reg(line, ops[0])
-		if err != nil {
-			return nil, err
-		}
-		rs, err := a.reg(line, ops[1])
-		if err != nil {
-			return nil, err
-		}
-		in.Rd, in.Rs = rd, rs
+	switch {
+	case mn == "jalr" && len(ops) == 1:
+		form = form[1:] // jalr rs: the link register stays the default
+	case mn == "jalr" && len(ops) != 2:
+		return nil, a.errf(line, "jalr wants 1 or 2 operands")
+	case len(form) == 3 && form[2] == isa.SlotRt && len(ops) == 3 && !a.isReg(ops[2]):
+		return a.emitConstOperand(out, pi, in)
+	}
+	if err := a.operands(pi, form, &in); err != nil {
+		return nil, err
+	}
+	return append(out, in), nil
+}
+
+// emitConstOperand assembles a 3-register operation whose third operand
+// is a constant: the operation's immediate twin where the ISA has one,
+// addi of the negation for sub, and for mul, div and rem, which have no
+// immediate encoding, a load of the constant into $at first.
+func (a *assembler) emitConstOperand(out []isa.Instr, pi *pendingInstr, in isa.Instr) ([]isa.Instr, error) {
+	if err := a.operands(pi, isa.OpAddi.Form(), &in); err != nil { // rd, rs, imm
+		return nil, err
+	}
+	twin, hasTwin := in.Op.ImmForm()
+	switch {
+	case hasTwin:
+		in.Op = twin
+	case in.Op == isa.OpSub:
+		in.Op, in.Imm = isa.OpAddi, -in.Imm
+	case in.Op == isa.OpMul || in.Op == isa.OpDiv || in.Op == isa.OpRem:
+		li := isa.Instr{Op: isa.OpOri, Rd: isa.RegAT, Rs: isa.RegZero, Imm: in.Imm}
+		in.Rt, in.Imm = isa.RegAT, 0
+		return append(out, li, in), nil
 	default:
-		switch {
-		case op.IsLoad():
-			if err := a.wantOps(pi, 2); err != nil {
-				return nil, err
-			}
-			rd, err := a.reg(line, ops[0])
-			if err != nil {
-				return nil, err
-			}
-			base, off, err := a.mem(line, ops[1])
-			if err != nil {
-				return nil, err
-			}
-			in.Rd, in.Rs, in.Imm = rd, base, off
-		case op.IsStore():
-			if err := a.wantOps(pi, 2); err != nil {
-				return nil, err
-			}
-			rt, err := a.reg(line, ops[0])
-			if err != nil {
-				return nil, err
-			}
-			base, off, err := a.mem(line, ops[1])
-			if err != nil {
-				return nil, err
-			}
-			in.Rt, in.Rs, in.Imm = rt, base, off
-		case op.HasImm():
-			// Explicit immediate forms: addi rd, rs, imm.
-			if err := a.wantOps(pi, 3); err != nil {
-				return nil, err
-			}
-			rd, err := a.reg(line, ops[0])
-			if err != nil {
-				return nil, err
-			}
-			rs, err := a.reg(line, ops[1])
-			if err != nil {
-				return nil, err
-			}
-			imm, err := a.imm(line, ops[2])
-			if err != nil {
-				return nil, err
-			}
-			in.Rd, in.Rs, in.Imm = rd, rs, imm
-		default:
-			// Register 3-operand forms; the third operand may be an
-			// immediate if an immediate form exists (sub accepts an
-			// immediate via addi of the negation).
-			if err := a.wantOps(pi, 3); err != nil {
-				return nil, err
-			}
-			rd, err := a.reg(line, ops[0])
-			if err != nil {
-				return nil, err
-			}
-			rs, err := a.reg(line, ops[1])
-			if err != nil {
-				return nil, err
-			}
-			in.Rd, in.Rs = rd, rs
-			if a.isReg(ops[2]) {
-				rt, err := a.reg(line, ops[2])
-				if err != nil {
-					return nil, err
-				}
-				in.Rt = rt
-			} else {
-				imm, err := a.imm(line, ops[2])
-				if err != nil {
-					return nil, err
-				}
-				switch {
-				case op == isa.OpSub:
-					in.Op, in.Imm = isa.OpAddi, -imm
-				case op == isa.OpMul || op == isa.OpDiv || op == isa.OpRem:
-					// Expand through the assembler temporary.
-					in.Rt = isa.RegAT
-					return append(out,
-						isa.Instr{Op: isa.OpOri, Rd: isa.RegAT, Rs: isa.RegZero, Imm: imm},
-						in,
-					), nil
-				default:
-					if iop, ok := immForm[op]; ok {
-						in.Op, in.Imm = iop, imm
-					} else {
-						return nil, a.errf(line, "%s has no immediate form", mn)
-					}
-				}
-			}
-		}
+		return nil, a.errf(pi.line, "%s has no immediate form", pi.mnemonic)
 	}
 	return append(out, in), nil
 }

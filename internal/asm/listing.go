@@ -53,7 +53,7 @@ func Listing(p *isa.Program) string {
 		in := &p.Text[i]
 		text := in.String()
 		// Symbolize branch/jump targets in the rendered form.
-		if in.Op.IsControl() && in.Op != isa.OpJr && in.Op != isa.OpJalr {
+		if in.Op.HasTarget() {
 			text = strings.Replace(text, fmt.Sprintf("0x%x", in.Target), symbolize(in.Target), 1)
 		}
 		fmt.Fprintf(&b, "  0x%04x  %s\n", addr, text)

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"encoding/json"
-	"fmt"
 	"runtime"
 	"time"
 
@@ -104,45 +103,4 @@ func (r *Report) Finalize() ([]byte, error) {
 		r.MIPS = float64(r.SimInstructions) / r.TotalSeconds / 1e6
 	}
 	return json.MarshalIndent(r, "", "  ")
-}
-
-// ReadReport parses a JSON report written by Finalize (a checked-in
-// BENCH_*.json baseline).
-func ReadReport(data []byte) (*Report, error) {
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-// Compare checks cur against a baseline report section by section and
-// returns one human-readable line per regression: a section whose
-// wall-clock time grew by more than tolerance (a fraction; 0.25 allows
-// +25%), or a baseline section missing from cur. Sections faster than
-// the baseline, new sections, and sub-100ms baseline sections (pure
-// noise) never regress. An empty slice means cur is within tolerance.
-func Compare(base, cur *Report, tolerance float64) []string {
-	curSec := make(map[string]float64, len(cur.Sections))
-	for _, s := range cur.Sections {
-		curSec[s.Name] = s.Seconds
-	}
-	var regressions []string
-	for _, b := range base.Sections {
-		if b.Seconds < 0.1 {
-			continue
-		}
-		c, ok := curSec[b.Name]
-		if !ok {
-			regressions = append(regressions,
-				fmt.Sprintf("section %q: in baseline (%.2fs) but not in current run", b.Name, b.Seconds))
-			continue
-		}
-		if c > b.Seconds*(1+tolerance) {
-			regressions = append(regressions,
-				fmt.Sprintf("section %q: %.2fs vs baseline %.2fs (+%.0f%%, tolerance %.0f%%)",
-					b.Name, c, b.Seconds, 100*(c/b.Seconds-1), 100*tolerance))
-		}
-	}
-	return regressions
 }

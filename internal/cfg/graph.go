@@ -101,7 +101,7 @@ func ExitSyscalls(p *isa.Program) map[uint32]bool {
 	joins := map[uint32]bool{}
 	for i := range p.Text {
 		in := &p.Text[i]
-		if in.Op.IsControl() && in.Op != isa.OpJr && in.Op != isa.OpJalr {
+		if in.Op.HasTarget() {
 			joins[in.Target] = true
 		}
 	}
@@ -158,7 +158,7 @@ func Build(p *isa.Program) *Graph {
 		in := &p.Text[i]
 		addr := isa.TextBase + uint32(i)*isa.InstrSize
 		if in.Op.IsControl() || halts[addr] {
-			if in.Op.IsControl() && in.Op != isa.OpJr && in.Op != isa.OpJalr && in.Target >= isa.TextBase && in.Target < textEnd {
+			if in.Op.HasTarget() && in.Target >= isa.TextBase && in.Target < textEnd {
 				leaders[in.Target] = true
 			}
 			if addr+isa.InstrSize < textEnd {

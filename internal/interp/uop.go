@@ -22,7 +22,13 @@ import (
 type uopKind uint8
 
 const (
-	uNop uopKind = iota
+	// uExec funnels through Exec, which remains the single home of the
+	// semantics of everything without a handler of its own (single-
+	// precision FP, conversions, div/rem with their trap checks). It is
+	// the zero value: an opcode opKinds does not list executes correctly.
+	uExec uopKind = iota
+
+	uNop
 	uSyscall
 
 	// Memory. uLw is split out from the generic load/store handlers:
@@ -45,7 +51,8 @@ const (
 	uBgez
 
 	// Integer ALU, inlined so the hot path avoids the Exec switch and
-	// its by-value ExecResult.
+	// its by-value ExecResult. From here to uMovD the handlers write
+	// Regs[rd] unguarded; decodeInstr keeps $zero out of them.
 	uAdd
 	uAddi
 	uSub
@@ -81,11 +88,6 @@ const (
 	uCLeD
 	uBc1t
 	uBc1f
-
-	// Everything else (single-precision FP, conversions, div/rem with
-	// their trap checks) funnels through Exec, which remains the single
-	// home of those semantics.
-	uExec
 )
 
 // uop is one predecoded instruction. Operand registers are resolved at
@@ -104,10 +106,22 @@ type uop struct {
 	target uint32       // branch or jump target byte address
 }
 
-// aluKinds maps the integer ALU opcodes with dedicated handlers. Ops
-// absent from the table (including OpDiv/OpRem, whose divide-by-zero
-// trap Exec owns) fall back to uExec.
-var aluKinds = map[isa.Op]uopKind{
+// opKinds is the handler each opcode decodes to. Div and rem are absent
+// on purpose: their divide-by-zero trap fires even with a $zero
+// destination, and Exec owns it.
+var opKinds = [256]uopKind{
+	// Release is a pure annotation to the functional engine.
+	isa.OpNop: uNop, isa.OpRelease: uNop, isa.OpSyscall: uSyscall,
+
+	isa.OpLw: uLw, isa.OpLb: uLoad, isa.OpLbu: uLoad, isa.OpLh: uLoad, isa.OpLhu: uLoad,
+	isa.OpLwc1: uLoad, isa.OpLdc1: uLoad,
+	isa.OpSw: uSw, isa.OpSb: uStore, isa.OpSh: uStore, isa.OpSwc1: uStore, isa.OpSdc1: uStore,
+
+	isa.OpJ: uJ, isa.OpJal: uJal, isa.OpJr: uJr, isa.OpJalr: uJalr,
+	isa.OpBeq: uBeq, isa.OpBne: uBne, isa.OpBlez: uBlez,
+	isa.OpBgtz: uBgtz, isa.OpBltz: uBltz, isa.OpBgez: uBgez,
+	isa.OpBc1t: uBc1t, isa.OpBc1f: uBc1f,
+
 	isa.OpAdd: uAdd, isa.OpAddi: uAddi, isa.OpSub: uSub, isa.OpMul: uMul,
 	isa.OpAnd: uAnd, isa.OpAndi: uAndi, isa.OpOr: uOr, isa.OpOri: uOri,
 	isa.OpXor: uXor, isa.OpXori: uXori, isa.OpNor: uNor,
@@ -115,29 +129,16 @@ var aluKinds = map[isa.Op]uopKind{
 	isa.OpSllv: uSllv, isa.OpSrlv: uSrlv, isa.OpSrav: uSrav,
 	isa.OpSlt: uSlt, isa.OpSltu: uSltu, isa.OpSlti: uSlti, isa.OpSltiu: uSltiu,
 	isa.OpLui: uLui,
-}
 
-var branchKinds = map[isa.Op]uopKind{
-	isa.OpBeq: uBeq, isa.OpBne: uBne, isa.OpBlez: uBlez,
-	isa.OpBgtz: uBgtz, isa.OpBltz: uBltz, isa.OpBgez: uBgez,
-	isa.OpBc1t: uBc1t, isa.OpBc1f: uBc1f,
-}
-
-// fpKinds maps the double-precision ops with dedicated handlers. The
-// arithmetic entries need the same $zero-dest demotion as aluKinds; the
-// compares write only the condition flag and never demote.
-var fpKinds = map[isa.Op]uopKind{
 	isa.OpAddD: uAddD, isa.OpSubD: uSubD, isa.OpMulD: uMulD,
 	isa.OpDivD: uDivD, isa.OpMovD: uMovD,
-}
-
-var fccKinds = map[isa.Op]uopKind{
 	isa.OpCEqD: uCEqD, isa.OpCLtD: uCLtD, isa.OpCLeD: uCLeD,
 }
 
 // decodeInstr translates one architectural instruction into its µop.
 func decodeInstr(in *isa.Instr) uop {
 	u := uop{
+		kind:   opKinds[in.Op],
 		rd:     in.Dest(),
 		rs:     in.Rs,
 		rt:     in.Rt,
@@ -147,56 +148,10 @@ func decodeInstr(in *isa.Instr) uop {
 		size:   uint8(in.Op.MemSize()),
 		stop:   in.Stop,
 	}
-	switch {
-	case in.Op == isa.OpSyscall:
-		u.kind = uSyscall
-	case in.Op.IsLoad():
-		if in.Op == isa.OpLw {
-			u.kind = uLw
-		} else {
-			u.kind = uLoad
-		}
-	case in.Op.IsStore():
-		if in.Op == isa.OpSw {
-			u.kind = uSw
-		} else {
-			u.kind = uStore
-		}
-	case in.Op == isa.OpJ:
-		u.kind = uJ
-	case in.Op == isa.OpJal:
-		u.kind = uJal
-	case in.Op == isa.OpJr:
-		u.kind = uJr
-	case in.Op == isa.OpJalr:
-		u.kind = uJalr
-	case in.Op == isa.OpNop || in.Op == isa.OpRelease:
-		// Release is a pure annotation to the functional engine.
+	// An inlined ALU or FP op writing $zero has no architectural effect
+	// beyond retiring, so it decodes to a µ-nop.
+	if u.rd == isa.RegZero && u.kind >= uAdd && u.kind <= uMovD {
 		u.kind = uNop
-	default:
-		if k, ok := branchKinds[in.Op]; ok {
-			u.kind = k
-		} else if k, ok := fccKinds[in.Op]; ok {
-			u.kind = k
-		} else if k, ok := aluKinds[in.Op]; ok {
-			// An ALU op writing $zero has no architectural effect
-			// beyond retiring, so it decodes to a µ-nop. (Div/rem are
-			// not in the table: their trap fires even with a $zero
-			// dest, so they take the Exec path.)
-			if u.rd != isa.RegZero {
-				u.kind = k
-			} else {
-				u.kind = uNop
-			}
-		} else if k, ok := fpKinds[in.Op]; ok {
-			if u.rd != isa.RegZero {
-				u.kind = k
-			} else {
-				u.kind = uNop
-			}
-		} else {
-			u.kind = uExec
-		}
 	}
 	return u
 }

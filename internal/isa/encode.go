@@ -34,7 +34,7 @@ func (i *Instr) Encode(buf []byte) []byte {
 	base |= uint32(i.Rs&0x3f) << 12
 	base |= uint32(i.Rt&0x3f) << 6
 	var ext uint32
-	if i.Op.IsControl() && i.Op != OpJr && i.Op != OpJalr {
+	if i.Op.HasTarget() {
 		ext = i.Target
 	} else {
 		ext = uint32(i.Imm)
@@ -67,7 +67,7 @@ func DecodeInstr(buf []byte) (Instr, int, error) {
 	if !in.Op.Valid() {
 		return Instr{}, 0, fmt.Errorf("isa: invalid opcode %d", base>>24)
 	}
-	if in.Op.IsControl() && in.Op != OpJr && in.Op != OpJalr {
+	if in.Op.HasTarget() {
 		in.Target = ext
 	} else {
 		in.Imm = int32(ext)

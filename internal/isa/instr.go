@@ -1,9 +1,6 @@
 package isa
 
-import (
-	"fmt"
-	"strings"
-)
+import "strconv"
 
 // StopCond is the stop-bit encoding attached to an instruction
 // (Section 2.2): when a processing unit retires an instruction whose stop
@@ -66,15 +63,10 @@ type Instr struct {
 // Writes to $zero are discarded, so a RegZero result always means
 // "no architectural register output".
 func (i *Instr) Dest() Reg {
-	switch i.Op {
-	case OpNop, OpJ, OpJr, OpRelease, OpSyscall,
-		OpSb, OpSh, OpSw, OpSwc1, OpSdc1,
-		OpBeq, OpBne, OpBlez, OpBgtz, OpBltz, OpBgez, OpBc1t, OpBc1f,
-		OpCEqD, OpCLtD, OpCLeD:
-		return RegZero
-	default:
+	if i.Op.WritesRd() {
 		return i.Rd
 	}
+	return RegZero
 }
 
 // Sources returns the architectural registers this instruction reads.
@@ -88,93 +80,55 @@ func (i *Instr) Sources() []Reg {
 	return srcs[:n:n]
 }
 
-// SourceRegs is the allocation-free form of Sources: the issue stage
-// calls it once per issue attempt, so the registers come back in a
-// by-value array instead of a heap slice.
+// SourceRegs is the allocation-free form of Sources: the registers come
+// back in a by-value array instead of a heap slice. The FP condition
+// flag bc1t/bc1f read is tracked separately (ReadsFCC).
 func (i *Instr) SourceRegs() (srcs [5]Reg, n int) {
-	switch i.Op {
-	case OpNop, OpJ, OpJal, OpLui:
-		return srcs, 0
-	case OpJr, OpJalr, OpRelease, OpBltz, OpBgez, OpBlez, OpBgtz:
+	n = i.Op.NumSources()
+	if n > 0 {
 		srcs[0] = i.Rs
-		return srcs, 1
-	case OpBc1t, OpBc1f:
-		return srcs, 0 // read the FP condition flag, tracked separately
-	case OpBeq, OpBne:
-		srcs[0], srcs[1] = i.Rs, i.Rt
-		return srcs, 2
-	case OpSb, OpSh, OpSw, OpSwc1, OpSdc1:
-		srcs[0], srcs[1] = i.Rs, i.Rt // address base + data
-		return srcs, 2
-	case OpSyscall:
-		srcs = [5]Reg{RegV0, RegA0, RegA1, RegA2, RegA3}
-		return srcs, 5
-	default:
-		if i.Op.HasImm() {
-			srcs[0] = i.Rs
-			return srcs, 1
-		}
-		srcs[0], srcs[1] = i.Rs, i.Rt
-		return srcs, 2
 	}
+	if n > 1 {
+		srcs[1] = i.Rt
+	}
+	n += copy(srcs[n:], opInfos[i.Op].uses)
+	return srcs, n
 }
 
 // ReadsFCC reports whether the instruction reads the FP condition flag.
-func (i *Instr) ReadsFCC() bool { return i.Op == OpBc1t || i.Op == OpBc1f }
+func (i *Instr) ReadsFCC() bool { return i.Op.ReadsFCC() }
 
-// String disassembles the instruction, including annotation suffixes.
+// String disassembles the instruction, including annotation suffixes:
+// the mnemonic, then one operand per slot of the operation's form, in
+// the syntax the assembler parses by walking the same list.
 func (i *Instr) String() string {
-	var b strings.Builder
-	b.WriteString(i.Op.String())
-	args := i.operands()
-	if args != "" {
-		b.WriteByte(' ')
-		b.WriteString(args)
-	}
-	if i.Fwd {
-		b.WriteString(" !f")
-	}
-	if i.Stop != StopNone {
-		b.WriteByte(' ')
-		b.WriteString(i.Stop.String())
-	}
-	return b.String()
-}
-
-func (i *Instr) operands() string {
-	switch i.Op {
-	case OpNop, OpSyscall:
-		return ""
-	case OpJ, OpJal:
-		return fmt.Sprintf("0x%x", i.Target)
-	case OpJr:
-		return i.Rs.String()
-	case OpJalr:
-		return fmt.Sprintf("%s, %s", i.Rd, i.Rs)
-	case OpRelease:
-		return i.Rs.String()
-	case OpBeq, OpBne:
-		return fmt.Sprintf("%s, %s, 0x%x", i.Rs, i.Rt, i.Target)
-	case OpBlez, OpBgtz, OpBltz, OpBgez:
-		return fmt.Sprintf("%s, 0x%x", i.Rs, i.Target)
-	case OpBc1t, OpBc1f:
-		return fmt.Sprintf("0x%x", i.Target)
-	case OpLui:
-		return fmt.Sprintf("%s, %d", i.Rd, i.Imm)
-	case OpCEqD, OpCLtD, OpCLeD:
-		return fmt.Sprintf("%s, %s", i.Rs, i.Rt)
-	case OpMovD, OpNegD, OpAbsD, OpSqrtD, OpCvtDW, OpCvtWD, OpCvtSD, OpCvtDS, OpMtc1, OpMfc1:
-		return fmt.Sprintf("%s, %s", i.Rd, i.Rs)
-	default:
-		switch {
-		case i.Op.IsLoad():
-			return fmt.Sprintf("%s, %d(%s)", i.Rd, i.Imm, i.Rs)
-		case i.Op.IsStore():
-			return fmt.Sprintf("%s, %d(%s)", i.Rt, i.Imm, i.Rs)
-		case i.Op.HasImm():
-			return fmt.Sprintf("%s, %s, %d", i.Rd, i.Rs, i.Imm)
-		default:
-			return fmt.Sprintf("%s, %s, %s", i.Rd, i.Rs, i.Rt)
+	b := append(make([]byte, 0, 40), i.Op.String()...)
+	for k, s := range i.Op.Form() {
+		if k > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, ' ')
+		switch s {
+		case SlotRd:
+			b = append(b, i.Rd.String()...)
+		case SlotRs:
+			b = append(b, i.Rs.String()...)
+		case SlotRt:
+			b = append(b, i.Rt.String()...)
+		case SlotImm:
+			b = strconv.AppendInt(b, int64(i.Imm), 10)
+		case SlotMem:
+			b = strconv.AppendInt(b, int64(i.Imm), 10)
+			b = append(append(append(b, '('), i.Rs.String()...), ')')
+		case SlotTarget:
+			b = strconv.AppendUint(append(b, "0x"...), uint64(i.Target), 16)
 		}
 	}
+	if i.Fwd {
+		b = append(b, " !f"...)
+	}
+	if i.Stop != StopNone {
+		b = append(append(b, ' '), i.Stop.String()...)
+	}
+	return string(b)
 }

@@ -41,40 +41,39 @@ func Table1() Latencies {
 	}
 }
 
-// Of returns the execution latency of op under these latencies.
+// Of returns the execution latency of op under these latencies: the field
+// the operation's latency class names. An operation whose table row names
+// no class has no latency, and asking for it is a bug.
 func (l Latencies) Of(op Op) int {
-	switch op {
-	case OpNop, OpRelease, OpSyscall:
+	switch opFacts[op].lat {
+	case latOne:
 		return 1
-	case OpAdd, OpSub, OpAddi, OpSlt, OpSltu, OpSlti, OpSltiu, OpLui:
+	case latIntAddSub:
 		return l.IntAddSub
-	case OpAnd, OpOr, OpXor, OpNor, OpAndi, OpOri, OpXori,
-		OpSll, OpSrl, OpSra, OpSllv, OpSrlv, OpSrav:
+	case latShiftLogic:
 		return l.ShiftLogic
-	case OpMul:
+	case latIntMul:
 		return l.IntMul
-	case OpDiv, OpRem:
+	case latIntDiv:
 		return l.IntDiv
-	case OpSb, OpSh, OpSw, OpSwc1, OpSdc1:
+	case latMemStore:
 		return l.MemStore
-	case OpLb, OpLbu, OpLh, OpLhu, OpLw, OpLwc1, OpLdc1:
+	case latMemLoad:
 		return l.MemLoad
-	case OpBeq, OpBne, OpBlez, OpBgtz, OpBltz, OpBgez, OpJ, OpJal, OpJr, OpJalr, OpBc1t, OpBc1f:
+	case latBranch:
 		return l.Branch
-	case OpAddS, OpSubS:
+	case latSPAddSub:
 		return l.SPAddSub
-	case OpMulS:
+	case latSPMul:
 		return l.SPMul
-	case OpDivS:
+	case latSPDiv:
 		return l.SPDiv
-	case OpAddD, OpSubD, OpNegD, OpAbsD, OpMovD, OpCEqD, OpCLtD, OpCLeD,
-		OpMtc1, OpMfc1, OpCvtDW, OpCvtWD, OpCvtSD, OpCvtDS:
+	case latDPAddSub:
 		return l.DPAddSub
-	case OpMulD:
+	case latDPMul:
 		return l.DPMul
-	case OpDivD, OpSqrtD:
+	case latDPDiv:
 		return l.DPDiv
-	default:
-		return 1
 	}
+	panic("isa: " + op.String() + " has no latency class")
 }

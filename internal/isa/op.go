@@ -130,105 +130,171 @@ func (c FUClass) String() string {
 	return "bad-fu-class"
 }
 
+// Slot is one operand position of an instruction's assembly form. The
+// kind fixes the direction: rd is the register the instruction writes;
+// rs, rt and the base register of off(rs) are registers it reads.
+type Slot uint8
+
+const (
+	SlotRd     Slot = iota + 1 // destination register (written)
+	SlotRs                     // first source register (read)
+	SlotRt                     // second source register (read)
+	SlotImm                    // immediate
+	SlotMem                    // off(rs): immediate offset and base register (read)
+	SlotTarget                 // code address
+)
+
+// The operand forms the ISA uses, in assembly order.
+var (
+	fRdRsRt     = []Slot{SlotRd, SlotRs, SlotRt}
+	fRdRsImm    = []Slot{SlotRd, SlotRs, SlotImm}
+	fRdRs       = []Slot{SlotRd, SlotRs}
+	fRdImm      = []Slot{SlotRd, SlotImm}
+	fRdMem      = []Slot{SlotRd, SlotMem}
+	fRtMem      = []Slot{SlotRt, SlotMem}
+	fRsRt       = []Slot{SlotRs, SlotRt}
+	fRs         = []Slot{SlotRs}
+	fRsRtTarget = []Slot{SlotRs, SlotRt, SlotTarget}
+	fRsTarget   = []Slot{SlotRs, SlotTarget}
+	fTarget     = []Slot{SlotTarget}
+	fNone       = []Slot{}
+)
+
+// latClass names the Latencies field that times an operation.
+type latClass uint8
+
+const (
+	latOne latClass = iota + 1 // always one cycle, whatever the table says
+	latIntAddSub
+	latShiftLogic
+	latIntMul
+	latIntDiv
+	latMemStore
+	latMemLoad
+	latBranch
+	latSPAddSub
+	latSPMul
+	latSPDiv
+	latDPAddSub
+	latDPMul
+	latDPDiv
+)
+
+// opInfo is everything static about one operation. opInfos is the only
+// per-opcode table: the assembler, the disassembler, dependence tracking,
+// the timing model and the documentation check all read it (DESIGN.md,
+// "What an opcode is"). A row without a form or a latency class fails
+// TestOpTableComplete.
 type opInfo struct {
-	name    string
-	class   FUClass
-	load    bool
-	store   bool
-	branch  bool // conditional branch
-	jump    bool // unconditional control transfer
-	imm     bool // uses Imm field
-	setsFCC bool
-	memSize uint8 // bytes accessed for loads/stores
+	name  string
+	class FUClass
+	lat   latClass
+	form  []Slot // operand slots in assembly order; non-nil, fNone for no operands
+
+	// Registers beside the form's. defaultRd: the instruction writes Rd
+	// although its form (jal) or its short form (jalr rs) does not name
+	// it, and the assembler fills in this register. uses/def: registers
+	// read and written whatever the register fields hold.
+	defaultRd Reg
+	uses      []Reg
+	def       Reg
+
+	immOp Op // the immediate twin a constant third operand selects (add -> addi)
+
+	load     bool
+	store    bool
+	branch   bool // conditional branch
+	jump     bool // unconditional control transfer
+	setsFCC  bool
+	readsFCC bool
+	memSize  uint8 // bytes accessed for loads/stores
 }
 
 var opInfos = [numOps]opInfo{
-	OpNop: {name: "nop", class: FUSimpleInt},
+	OpNop: {name: "nop", class: FUSimpleInt, lat: latOne, form: fNone},
 
-	OpAdd:  {name: "add", class: FUSimpleInt},
-	OpSub:  {name: "sub", class: FUSimpleInt},
-	OpMul:  {name: "mul", class: FUComplexInt},
-	OpDiv:  {name: "div", class: FUComplexInt},
-	OpRem:  {name: "rem", class: FUComplexInt},
-	OpAnd:  {name: "and", class: FUSimpleInt},
-	OpOr:   {name: "or", class: FUSimpleInt},
-	OpXor:  {name: "xor", class: FUSimpleInt},
-	OpNor:  {name: "nor", class: FUSimpleInt},
-	OpSllv: {name: "sllv", class: FUSimpleInt},
-	OpSrlv: {name: "srlv", class: FUSimpleInt},
-	OpSrav: {name: "srav", class: FUSimpleInt},
-	OpSlt:  {name: "slt", class: FUSimpleInt},
-	OpSltu: {name: "sltu", class: FUSimpleInt},
+	OpAdd:  {name: "add", class: FUSimpleInt, lat: latIntAddSub, form: fRdRsRt, immOp: OpAddi},
+	OpSub:  {name: "sub", class: FUSimpleInt, lat: latIntAddSub, form: fRdRsRt},
+	OpMul:  {name: "mul", class: FUComplexInt, lat: latIntMul, form: fRdRsRt},
+	OpDiv:  {name: "div", class: FUComplexInt, lat: latIntDiv, form: fRdRsRt},
+	OpRem:  {name: "rem", class: FUComplexInt, lat: latIntDiv, form: fRdRsRt},
+	OpAnd:  {name: "and", class: FUSimpleInt, lat: latShiftLogic, form: fRdRsRt, immOp: OpAndi},
+	OpOr:   {name: "or", class: FUSimpleInt, lat: latShiftLogic, form: fRdRsRt, immOp: OpOri},
+	OpXor:  {name: "xor", class: FUSimpleInt, lat: latShiftLogic, form: fRdRsRt, immOp: OpXori},
+	OpNor:  {name: "nor", class: FUSimpleInt, lat: latShiftLogic, form: fRdRsRt},
+	OpSllv: {name: "sllv", class: FUSimpleInt, lat: latShiftLogic, form: fRdRsRt, immOp: OpSll},
+	OpSrlv: {name: "srlv", class: FUSimpleInt, lat: latShiftLogic, form: fRdRsRt, immOp: OpSrl},
+	OpSrav: {name: "srav", class: FUSimpleInt, lat: latShiftLogic, form: fRdRsRt, immOp: OpSra},
+	OpSlt:  {name: "slt", class: FUSimpleInt, lat: latIntAddSub, form: fRdRsRt, immOp: OpSlti},
+	OpSltu: {name: "sltu", class: FUSimpleInt, lat: latIntAddSub, form: fRdRsRt, immOp: OpSltiu},
 
-	OpAddi:  {name: "addi", class: FUSimpleInt, imm: true},
-	OpAndi:  {name: "andi", class: FUSimpleInt, imm: true},
-	OpOri:   {name: "ori", class: FUSimpleInt, imm: true},
-	OpXori:  {name: "xori", class: FUSimpleInt, imm: true},
-	OpSlti:  {name: "slti", class: FUSimpleInt, imm: true},
-	OpSltiu: {name: "sltiu", class: FUSimpleInt, imm: true},
-	OpSll:   {name: "sll", class: FUSimpleInt, imm: true},
-	OpSrl:   {name: "srl", class: FUSimpleInt, imm: true},
-	OpSra:   {name: "sra", class: FUSimpleInt, imm: true},
-	OpLui:   {name: "lui", class: FUSimpleInt, imm: true},
+	OpAddi:  {name: "addi", class: FUSimpleInt, lat: latIntAddSub, form: fRdRsImm},
+	OpAndi:  {name: "andi", class: FUSimpleInt, lat: latShiftLogic, form: fRdRsImm},
+	OpOri:   {name: "ori", class: FUSimpleInt, lat: latShiftLogic, form: fRdRsImm},
+	OpXori:  {name: "xori", class: FUSimpleInt, lat: latShiftLogic, form: fRdRsImm},
+	OpSlti:  {name: "slti", class: FUSimpleInt, lat: latIntAddSub, form: fRdRsImm},
+	OpSltiu: {name: "sltiu", class: FUSimpleInt, lat: latIntAddSub, form: fRdRsImm},
+	OpSll:   {name: "sll", class: FUSimpleInt, lat: latShiftLogic, form: fRdRsImm},
+	OpSrl:   {name: "srl", class: FUSimpleInt, lat: latShiftLogic, form: fRdRsImm},
+	OpSra:   {name: "sra", class: FUSimpleInt, lat: latShiftLogic, form: fRdRsImm},
+	OpLui:   {name: "lui", class: FUSimpleInt, lat: latIntAddSub, form: fRdImm},
 
-	OpLb:   {name: "lb", class: FUMemory, load: true, imm: true, memSize: 1},
-	OpLbu:  {name: "lbu", class: FUMemory, load: true, imm: true, memSize: 1},
-	OpLh:   {name: "lh", class: FUMemory, load: true, imm: true, memSize: 2},
-	OpLhu:  {name: "lhu", class: FUMemory, load: true, imm: true, memSize: 2},
-	OpLw:   {name: "lw", class: FUMemory, load: true, imm: true, memSize: 4},
-	OpSb:   {name: "sb", class: FUMemory, store: true, imm: true, memSize: 1},
-	OpSh:   {name: "sh", class: FUMemory, store: true, imm: true, memSize: 2},
-	OpSw:   {name: "sw", class: FUMemory, store: true, imm: true, memSize: 4},
-	OpLwc1: {name: "l.s", class: FUMemory, load: true, imm: true, memSize: 4},
-	OpLdc1: {name: "l.d", class: FUMemory, load: true, imm: true, memSize: 8},
-	OpSwc1: {name: "s.s", class: FUMemory, store: true, imm: true, memSize: 4},
-	OpSdc1: {name: "s.d", class: FUMemory, store: true, imm: true, memSize: 8},
+	OpLb:   {name: "lb", class: FUMemory, lat: latMemLoad, form: fRdMem, load: true, memSize: 1},
+	OpLbu:  {name: "lbu", class: FUMemory, lat: latMemLoad, form: fRdMem, load: true, memSize: 1},
+	OpLh:   {name: "lh", class: FUMemory, lat: latMemLoad, form: fRdMem, load: true, memSize: 2},
+	OpLhu:  {name: "lhu", class: FUMemory, lat: latMemLoad, form: fRdMem, load: true, memSize: 2},
+	OpLw:   {name: "lw", class: FUMemory, lat: latMemLoad, form: fRdMem, load: true, memSize: 4},
+	OpSb:   {name: "sb", class: FUMemory, lat: latMemStore, form: fRtMem, store: true, memSize: 1},
+	OpSh:   {name: "sh", class: FUMemory, lat: latMemStore, form: fRtMem, store: true, memSize: 2},
+	OpSw:   {name: "sw", class: FUMemory, lat: latMemStore, form: fRtMem, store: true, memSize: 4},
+	OpLwc1: {name: "l.s", class: FUMemory, lat: latMemLoad, form: fRdMem, load: true, memSize: 4},
+	OpLdc1: {name: "l.d", class: FUMemory, lat: latMemLoad, form: fRdMem, load: true, memSize: 8},
+	OpSwc1: {name: "s.s", class: FUMemory, lat: latMemStore, form: fRtMem, store: true, memSize: 4},
+	OpSdc1: {name: "s.d", class: FUMemory, lat: latMemStore, form: fRtMem, store: true, memSize: 8},
 
-	OpBeq:  {name: "beq", class: FUBranch, branch: true},
-	OpBne:  {name: "bne", class: FUBranch, branch: true},
-	OpBlez: {name: "blez", class: FUBranch, branch: true},
-	OpBgtz: {name: "bgtz", class: FUBranch, branch: true},
-	OpBltz: {name: "bltz", class: FUBranch, branch: true},
-	OpBgez: {name: "bgez", class: FUBranch, branch: true},
-	OpJ:    {name: "j", class: FUBranch, jump: true},
-	OpJal:  {name: "jal", class: FUBranch, jump: true},
-	OpJr:   {name: "jr", class: FUBranch, jump: true},
-	OpJalr: {name: "jalr", class: FUBranch, jump: true},
-	OpBc1t: {name: "bc1t", class: FUBranch, branch: true},
-	OpBc1f: {name: "bc1f", class: FUBranch, branch: true},
+	OpBeq:  {name: "beq", class: FUBranch, lat: latBranch, form: fRsRtTarget, branch: true},
+	OpBne:  {name: "bne", class: FUBranch, lat: latBranch, form: fRsRtTarget, branch: true},
+	OpBlez: {name: "blez", class: FUBranch, lat: latBranch, form: fRsTarget, branch: true},
+	OpBgtz: {name: "bgtz", class: FUBranch, lat: latBranch, form: fRsTarget, branch: true},
+	OpBltz: {name: "bltz", class: FUBranch, lat: latBranch, form: fRsTarget, branch: true},
+	OpBgez: {name: "bgez", class: FUBranch, lat: latBranch, form: fRsTarget, branch: true},
+	OpJ:    {name: "j", class: FUBranch, lat: latBranch, form: fTarget, jump: true},
+	OpJal:  {name: "jal", class: FUBranch, lat: latBranch, form: fTarget, jump: true, defaultRd: RegRA},
+	OpJr:   {name: "jr", class: FUBranch, lat: latBranch, form: fRs, jump: true},
+	OpJalr: {name: "jalr", class: FUBranch, lat: latBranch, form: fRdRs, jump: true, defaultRd: RegRA},
+	OpBc1t: {name: "bc1t", class: FUBranch, lat: latBranch, form: fTarget, branch: true, readsFCC: true},
+	OpBc1f: {name: "bc1f", class: FUBranch, lat: latBranch, form: fTarget, branch: true, readsFCC: true},
 
-	OpAddS: {name: "add.s", class: FUFloat},
-	OpSubS: {name: "sub.s", class: FUFloat},
-	OpMulS: {name: "mul.s", class: FUFloat},
-	OpDivS: {name: "div.s", class: FUFloat},
-	OpAddD: {name: "add.d", class: FUFloat},
-	OpSubD: {name: "sub.d", class: FUFloat},
-	OpMulD: {name: "mul.d", class: FUFloat},
-	OpDivD: {name: "div.d", class: FUFloat},
-	OpNegD: {name: "neg.d", class: FUFloat},
-	OpAbsD: {name: "abs.d", class: FUFloat},
-	OpMovD: {name: "mov.d", class: FUFloat},
+	OpAddS:  {name: "add.s", class: FUFloat, lat: latSPAddSub, form: fRdRsRt},
+	OpSubS:  {name: "sub.s", class: FUFloat, lat: latSPAddSub, form: fRdRsRt},
+	OpMulS:  {name: "mul.s", class: FUFloat, lat: latSPMul, form: fRdRsRt},
+	OpDivS:  {name: "div.s", class: FUFloat, lat: latSPDiv, form: fRdRsRt},
+	OpAddD:  {name: "add.d", class: FUFloat, lat: latDPAddSub, form: fRdRsRt},
+	OpSubD:  {name: "sub.d", class: FUFloat, lat: latDPAddSub, form: fRdRsRt},
+	OpMulD:  {name: "mul.d", class: FUFloat, lat: latDPMul, form: fRdRsRt},
+	OpDivD:  {name: "div.d", class: FUFloat, lat: latDPDiv, form: fRdRsRt},
+	OpNegD:  {name: "neg.d", class: FUFloat, lat: latDPAddSub, form: fRdRs},
+	OpAbsD:  {name: "abs.d", class: FUFloat, lat: latDPAddSub, form: fRdRs},
+	OpMovD:  {name: "mov.d", class: FUFloat, lat: latDPAddSub, form: fRdRs},
+	OpSqrtD: {name: "sqrt.d", class: FUFloat, lat: latDPDiv, form: fRdRs},
 
-	OpSqrtD: {name: "sqrt.d", class: FUFloat},
+	OpCEqD: {name: "c.eq.d", class: FUFloat, lat: latDPAddSub, form: fRsRt, setsFCC: true},
+	OpCLtD: {name: "c.lt.d", class: FUFloat, lat: latDPAddSub, form: fRsRt, setsFCC: true},
+	OpCLeD: {name: "c.le.d", class: FUFloat, lat: latDPAddSub, form: fRsRt, setsFCC: true},
 
-	OpCEqD: {name: "c.eq.d", class: FUFloat, setsFCC: true},
-	OpCLtD: {name: "c.lt.d", class: FUFloat, setsFCC: true},
-	OpCLeD: {name: "c.le.d", class: FUFloat, setsFCC: true},
+	OpMtc1:  {name: "mtc1", class: FUFloat, lat: latDPAddSub, form: fRdRs},
+	OpMfc1:  {name: "mfc1", class: FUFloat, lat: latDPAddSub, form: fRdRs},
+	OpCvtDW: {name: "cvt.d.w", class: FUFloat, lat: latDPAddSub, form: fRdRs},
+	OpCvtWD: {name: "cvt.w.d", class: FUFloat, lat: latDPAddSub, form: fRdRs},
+	OpCvtSD: {name: "cvt.s.d", class: FUFloat, lat: latDPAddSub, form: fRdRs},
+	OpCvtDS: {name: "cvt.d.s", class: FUFloat, lat: latDPAddSub, form: fRdRs},
 
-	OpMtc1:  {name: "mtc1", class: FUFloat},
-	OpMfc1:  {name: "mfc1", class: FUFloat},
-	OpCvtDW: {name: "cvt.d.w", class: FUFloat},
-	OpCvtWD: {name: "cvt.w.d", class: FUFloat},
-	OpCvtSD: {name: "cvt.s.d", class: FUFloat},
-	OpCvtDS: {name: "cvt.d.s", class: FUFloat},
-
-	OpRelease: {name: "release", class: FUSimpleInt},
-	OpSyscall: {name: "syscall", class: FUSimpleInt},
+	OpRelease: {name: "release", class: FUSimpleInt, lat: latOne, form: fRs},
+	OpSyscall: {name: "syscall", class: FUSimpleInt, lat: latOne, form: fNone,
+		uses: []Reg{RegV0, RegA0, RegA1, RegA2, RegA3}, def: RegV0},
 }
 
-// Packed predicate bits derived from opInfos. The predicate methods below
-// sit on the simulators' per-instruction hot path, where a single byte
-// load beats two indexings of the wide opInfo struct.
+// Predicate bits of opFact.flags.
 const (
 	flagLoad = 1 << iota
 	flagStore
@@ -237,32 +303,46 @@ const (
 	flagControl
 	flagImm
 	flagFCC
+	flagReadsFCC
+	flagTarget
+	flagWritesRd
 )
 
-var opFlags = func() [numOps]uint8 {
-	var f [numOps]uint8
-	for op := Op(0); op < numOps; op++ {
-		in := &opInfos[op]
-		if in.load {
-			f[op] |= flagLoad
+// opFact packs what the simulators ask of an opcode on their
+// per-instruction hot paths, derived from opInfos once: any one query is
+// a single four-byte load instead of an indexing of the wide row.
+type opFact struct {
+	flags uint16
+	nsrc  uint8 // how many of Rs, Rt (in that order) the operation reads
+	lat   latClass
+}
+
+var opFacts = func() (t [numOps]opFact) {
+	for op := range t {
+		in, f := &opInfos[op], &t[op]
+		set := func(on bool, bits uint16) {
+			if on {
+				f.flags |= bits
+			}
 		}
-		if in.store {
-			f[op] |= flagStore
+		set(in.load, flagLoad)
+		set(in.store, flagStore)
+		set(in.branch, flagBranch|flagControl)
+		set(in.jump, flagJump|flagControl)
+		set(in.setsFCC, flagFCC)
+		set(in.readsFCC, flagReadsFCC)
+		set(in.defaultRd != RegZero, flagWritesRd)
+		for _, s := range in.form {
+			set(s == SlotRd, flagWritesRd)
+			set(s == SlotImm || s == SlotMem, flagImm)
+			set(s == SlotTarget, flagTarget)
+			if s == SlotRs || s == SlotRt || s == SlotMem {
+				f.nsrc++
+			}
 		}
-		if in.branch {
-			f[op] |= flagBranch | flagControl
-		}
-		if in.jump {
-			f[op] |= flagJump | flagControl
-		}
-		if in.imm {
-			f[op] |= flagImm
-		}
-		if in.setsFCC {
-			f[op] |= flagFCC
-		}
+		f.lat = in.lat
 	}
-	return f
+	return t
 }()
 
 // Valid reports whether op names a defined operation.
@@ -279,33 +359,69 @@ func (op Op) String() string {
 // Class returns the functional unit class that services op.
 func (op Op) Class() FUClass { return opInfos[op].class }
 
+func (op Op) has(bits uint16) bool { return opFacts[op].flags&bits != 0 }
+
 // IsLoad reports whether op reads memory.
-func (op Op) IsLoad() bool { return opFlags[op]&flagLoad != 0 }
+func (op Op) IsLoad() bool { return op.has(flagLoad) }
 
 // IsStore reports whether op writes memory.
-func (op Op) IsStore() bool { return opFlags[op]&flagStore != 0 }
+func (op Op) IsStore() bool { return op.has(flagStore) }
 
 // IsMem reports whether op accesses memory.
-func (op Op) IsMem() bool { return opFlags[op]&(flagLoad|flagStore) != 0 }
+func (op Op) IsMem() bool { return op.has(flagLoad | flagStore) }
 
 // IsBranch reports whether op is a conditional branch.
-func (op Op) IsBranch() bool { return opFlags[op]&flagBranch != 0 }
+func (op Op) IsBranch() bool { return op.has(flagBranch) }
 
 // IsJump reports whether op is an unconditional control transfer.
-func (op Op) IsJump() bool { return opFlags[op]&flagJump != 0 }
+func (op Op) IsJump() bool { return op.has(flagJump) }
 
 // IsControl reports whether op can redirect the program counter.
-func (op Op) IsControl() bool { return opFlags[op]&flagControl != 0 }
+func (op Op) IsControl() bool { return op.has(flagControl) }
 
 // HasImm reports whether op uses the immediate field.
-func (op Op) HasImm() bool { return opFlags[op]&flagImm != 0 }
+func (op Op) HasImm() bool { return op.has(flagImm) }
+
+// HasTarget reports whether op uses the target field: the control
+// transfers that name their destination in the instruction.
+func (op Op) HasTarget() bool { return op.has(flagTarget) }
 
 // SetsFCC reports whether op writes the FP condition flag.
-func (op Op) SetsFCC() bool { return opFlags[op]&flagFCC != 0 }
+func (op Op) SetsFCC() bool { return op.has(flagFCC) }
+
+// ReadsFCC reports whether op reads the FP condition flag.
+func (op Op) ReadsFCC() bool { return op.has(flagReadsFCC) }
+
+// WritesRd reports whether op writes the register its Rd field names.
+func (op Op) WritesRd() bool { return op.has(flagWritesRd) }
+
+// NumSources returns how many of the register fields Rs, Rt (in that
+// order) op reads.
+func (op Op) NumSources() int { return int(opFacts[op].nsrc) }
 
 // MemSize returns the access width in bytes for memory operations, 0 for
 // everything else.
 func (op Op) MemSize() int { return int(opInfos[op].memSize) }
+
+// Form returns op's operand slots in assembly order. The slice is the
+// table's own: read it, do not write it.
+func (op Op) Form() []Slot { return opInfos[op].form }
+
+// DefaultRd returns the register the assembler puts in Rd when the
+// written form leaves it out ($ra for jal and one-operand jalr), or
+// RegZero.
+func (op Op) DefaultRd() Reg { return opInfos[op].defaultRd }
+
+// Implicit returns the registers op reads and the register it writes
+// besides those its register fields name (syscall: $v0, $a0-$a3; $v0).
+func (op Op) Implicit() (uses []Reg, def Reg) { return opInfos[op].uses, opInfos[op].def }
+
+// ImmForm returns the operation a register form turns into when its
+// third operand is a constant (add -> addi).
+func (op Op) ImmForm() (Op, bool) {
+	twin := opInfos[op].immOp
+	return twin, twin != OpNop
+}
 
 // opsByName maps mnemonics back to opcodes for the assembler.
 var opsByName = func() map[string]Op {

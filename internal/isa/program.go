@@ -156,7 +156,7 @@ func (p *Program) Validate() error {
 		if !in.Op.Valid() {
 			return fmt.Errorf("isa: invalid opcode at 0x%x", TextBase+uint32(i)*InstrSize)
 		}
-		if in.Op.IsControl() && in.Op != OpJr && in.Op != OpJalr {
+		if in.Op.HasTarget() {
 			if !inText(in.Target) {
 				return fmt.Errorf("isa: %s at 0x%x targets 0x%x outside text",
 					in.Op, TextBase+uint32(i)*InstrSize, in.Target)

@@ -279,9 +279,6 @@ func (l *linter) lateRelease(b *cfg.Block, i int, reg isa.Reg) bool {
 // entry: a bc1t/bc1f reachable from the entry before any FP compare
 // consumes a flag set in a previous task, and the flag is task-local.
 func (l *linter) checkFCC(r *cfg.TaskRegion) {
-	setsFCC := func(op isa.Op) bool {
-		return op == isa.OpCEqD || op == isa.OpCLtD || op == isa.OpCLeD
-	}
 	entry := l.g.ByAddr[r.TD.Entry]
 	if entry == nil {
 		return
@@ -299,7 +296,7 @@ func (l *linter) checkFCC(r *cfg.TaskRegion) {
 					"%s executes before any FP compare in this task; the FP condition flag does not cross task boundaries", in.Op)
 				return
 			}
-			if setsFCC(in.Op) {
+			if in.Op.SetsFCC() {
 				blocked = true
 				break
 			}

@@ -136,9 +136,10 @@ func (u *Unit) fccOperand(idx int, e *robEntry) (bool, bool) {
 	return u.committedFCC, true
 }
 
-// SyscallRegs are the registers a syscall reads. It executes only as the
-// oldest window entry, so the unit reads them from the Ext.
-var SyscallRegs = [...]isa.Reg{isa.RegV0, isa.RegA0, isa.RegA1, isa.RegA2, isa.RegA3}
+// SyscallRegs are the registers a syscall reads and syscallDef the one it
+// writes. It executes only as the oldest window entry, so the unit reads
+// them from the Ext.
+var SyscallRegs, syscallDef = isa.OpSyscall.Implicit()
 
 // tryIssue starts the entry at window index idx if its operands are
 // ready; issue has already checked its functional unit and memory order.
@@ -308,10 +309,10 @@ func (u *Unit) dispatch(now uint64) {
 	}
 }
 
-// opBinds is bind's per-opcode decode, derived once from the isa
-// package's own queries: SourceRegs and Dest pick the same register
-// fields for every instruction of an opcode (Rs then Rt; Rd), so
-// dispatch reads one table entry instead of walking their switches.
+// opBinds is bind's per-opcode decode: the isa op table's columns packed
+// into robEntry's flag byte, so dispatch reads one entry. An operation
+// reads the first NumSources of Rs, Rt; a syscall's five registers are
+// read at the window head instead (SyscallRegs).
 var opBinds = func() (t [256]struct {
 	flags uint8 // the opcode's robEntry.flags
 	class isa.FUClass
@@ -321,12 +322,7 @@ var opBinds = func() (t [256]struct {
 		if !op.Valid() {
 			continue
 		}
-		probe := isa.Instr{Op: op, Rd: 1, Rs: 2, Rt: 3}
-		_, n := probe.SourceRegs()
-		if op == isa.OpSyscall {
-			n = 0 // SyscallRegs, read at the window head
-		}
-		flags := uint8(n)
+		flags := uint8(op.NumSources())
 		set := func(is bool, bit uint8) {
 			if is {
 				flags |= bit
@@ -335,8 +331,8 @@ var opBinds = func() (t [256]struct {
 		set(op == isa.OpSyscall, bSyscall)
 		set(op.IsControl(), bCtl)
 		set(op.IsMem(), bMem)
-		set(probe.ReadsFCC(), bReadsFCC)
-		set(probe.Dest() == probe.Rd, bWritesRd)
+		set(op.ReadsFCC(), bReadsFCC)
+		set(op.WritesRd(), bWritesRd)
 		set(op.SetsFCC(), bSetsFCC)
 		t[i].flags, t[i].class = flags, op.Class()
 	}
@@ -380,7 +376,7 @@ func (u *Unit) noteWriter(e *robEntry, seq uint64) {
 		u.lastWriter[rd] = seq
 	}
 	if e.flags&bSyscall != 0 {
-		u.lastWriter[isa.RegV0] = seq
+		u.lastWriter[syscallDef] = seq
 	}
 	if e.flags&bSetsFCC != 0 {
 		u.fccWriter = seq

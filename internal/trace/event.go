@@ -6,8 +6,8 @@
 //
 // Producers guard every emission with a nil check, so the disabled path
 // adds no allocations and no calls to the simulator's hot loops; the
-// repository's benchmark baseline (BENCH_*.json) holds the producers to
-// that contract. Enabled, events flow to an in-memory Collector or to a
+// performance ledger (benchmark/, trace_overhead_pct) holds the producers
+// to that contract. Enabled, events flow to an in-memory Collector or to a
 // streaming Writer that persists the compact binary .mstrc format
 // rendered by cmd/mstrace (see docs/tracing.md).
 package trace
