@@ -6,127 +6,102 @@ import (
 	"multiscalar/internal/snapshot"
 )
 
-// SaveState serializes the ARB: every live entry (banks in index
-// order, entries within a bank in ascending chunk order so identical
-// contents give identical bytes), then each unit's touch list as a
-// chunk sequence. Touch-list order matters — ClearUnit and Commit
-// visit entries in list order, and release order decides which chunk
-// stays resident when a bank refills — so the lists are serialized
-// explicitly instead of being rebuilt from the touched bits.
-func (a *ARB) SaveState(e *snapshot.Encoder) {
-	e.Tag("ARB ")
-	e.Len(a.NumBanks)
-	for i := range a.banks {
-		ents := append([]*entry(nil), a.banks[i].ents...)
-		sort.Slice(ents, func(i, j int) bool { return ents[i].chunk < ents[j].chunk })
-		e.Len(len(ents))
-		for _, ent := range ents {
-			e.U32(ent.chunk)
-			e.U32(ent.touched)
-			for b := 0; b < chunkBytes; b++ {
-				e.U32(ent.loads[b])
-			}
-			for b := 0; b < chunkBytes; b++ {
-				e.U32(ent.stores[b])
-			}
-			for u := 0; u < a.NumUnits; u++ {
-				e.Raw(ent.data[u][:])
-			}
-		}
+// State walks the ARB: every live entry (banks in index order, entries
+// within a bank saved in ascending chunk order so identical contents
+// give identical bytes), then each unit's touch list as a chunk
+// sequence, then the counters. Touch-list order matters — ClearUnit and
+// Commit visit entries in list order, and release order decides which
+// chunk stays resident when a bank refills — so the lists are walked
+// explicitly instead of being rebuilt from the touched bits. Loading
+// needs an ARB constructed with the same geometry, and re-resolves the
+// touch-list entries to the restored bank entries by chunk.
+func (a *ARB) State(c *snapshot.Codec) {
+	c.Tag("ARB ")
+	entryBytes := 8 + 2*4*chunkBytes + a.NumUnits*chunkBytes // chunk, touched; load and store bits; a data row per unit
+	if n := c.Len(a.NumBanks, 1<<10, 4); n != a.NumBanks {
+		c.Failf("arb: %d banks, machine has %d", n, a.NumBanks)
 	}
-	e.Len(a.NumUnits)
-	for _, list := range a.touchLists {
-		e.Len(len(list))
-		for _, ent := range list {
-			e.U32(ent.chunk)
-		}
-	}
-	e.U64(a.Violations)
-	e.U64(a.Overflows)
-	e.U64(a.StoreForwards)
-	e.U64(a.LoadsTracked)
-	e.U64(a.StoresTracked)
-	for i := range a.bankStats {
-		e.U64(a.bankStats[i].Allocs)
-		e.U64(a.bankStats[i].Overflows)
-		e.U64(a.bankStats[i].Violations)
-		e.U64(uint64(a.bankStats[i].MaxOccupancy))
-	}
-}
-
-// LoadState restores the ARB contents into an ARB constructed with
-// the same geometry; touch-list entries are re-resolved to the
-// restored bank entries by chunk.
-func (a *ARB) LoadState(d *snapshot.Decoder) {
-	d.Tag("ARB ")
-	if n := d.Len(1 << 10); d.Err() == nil && n != a.NumBanks {
-		d.Failf("arb: %d banks, machine has %d", n, a.NumBanks)
-	}
-	if d.Err() != nil {
+	if c.Err() != nil {
 		return
 	}
 	for i := range a.banks {
-		n := d.Len(1 << 20)
-		a.banks[i].reset()
-		for j := 0; j < n; j++ {
-			ent := &entry{}
-			ent.chunk = d.U32()
-			ent.touched = d.U32()
-			for b := 0; b < chunkBytes; b++ {
-				ent.loads[b] = d.U32()
+		var ents []*entry
+		if !c.Loading() {
+			ents = append(ents, a.banks[i].ents...)
+			sort.Slice(ents, func(i, j int) bool { return ents[i].chunk < ents[j].chunk })
+		}
+		n := c.Len(len(ents), 1<<20, entryBytes)
+		if c.Loading() {
+			a.banks[i].reset()
+			ents = make([]*entry, n)
+		}
+		for j := range ents {
+			if c.Loading() {
+				ents[j] = &entry{}
 			}
-			for b := 0; b < chunkBytes; b++ {
-				ent.stores[b] = d.U32()
-			}
+			ent := ents[j]
+			c.U32(&ent.chunk)
+			c.U32(&ent.touched)
+			c.U32s(ent.loads[:])
+			c.U32s(ent.stores[:])
 			for u := 0; u < a.NumUnits; u++ {
-				d.Raw(ent.data[u][:])
+				c.Raw(ent.data[u][:])
 			}
-			if d.Err() != nil {
+			if c.Err() != nil {
 				return
 			}
 			if a.bankOf(ent.chunk) != i {
-				d.Failf("arb: chunk 0x%x in bank %d", ent.chunk, i)
+				c.Failf("arb: chunk 0x%x in bank %d", ent.chunk, i)
 				return
 			}
-			a.banks[i].insert(ent)
+			if c.Loading() {
+				a.banks[i].insert(ent)
+			}
 		}
 	}
-	if n := d.Len(MaxUnits); d.Err() == nil && n != a.NumUnits {
-		d.Failf("arb: %d touch lists, machine has %d units", n, a.NumUnits)
+	if n := c.Len(a.NumUnits, MaxUnits, 4); n != a.NumUnits {
+		c.Failf("arb: %d touch lists, machine has %d units", n, a.NumUnits)
 	}
-	if d.Err() != nil {
+	if c.Err() != nil {
 		return
 	}
 	for u := range a.touchLists {
-		n := d.Len(1 << 20)
-		a.touchLists[u] = a.touchLists[u][:0]
-		for j := 0; j < n; j++ {
-			c := d.U32()
-			if d.Err() != nil {
+		n := c.Len(len(a.touchLists[u]), 1<<20, 4)
+		if c.Loading() {
+			a.touchLists[u] = append(a.touchLists[u][:0], make([]*entry, n)...)
+		}
+		for j, ent := range a.touchLists[u] {
+			var chunk uint32
+			if !c.Loading() {
+				chunk = ent.chunk
+			}
+			c.U32(&chunk)
+			if c.Err() != nil {
 				return
 			}
-			ent := a.banks[a.bankOf(c)].find(c)
-			if ent == nil {
-				d.Failf("arb: touch list for unit %d references absent chunk 0x%x", u, c)
-				return
+			if c.Loading() {
+				if ent = a.banks[a.bankOf(chunk)].find(chunk); ent == nil {
+					c.Failf("arb: touch list for unit %d references absent chunk 0x%x", u, chunk)
+					return
+				}
+				a.touchLists[u][j] = ent
 			}
-			a.touchLists[u] = append(a.touchLists[u], ent)
 		}
 	}
-	a.Violations = d.U64()
-	a.Overflows = d.U64()
-	a.StoreForwards = d.U64()
-	a.LoadsTracked = d.U64()
-	a.StoresTracked = d.U64()
+	c.U64(&a.Violations)
+	c.U64(&a.Overflows)
+	c.U64(&a.StoreForwards)
+	c.U64(&a.LoadsTracked)
+	c.U64(&a.StoresTracked)
 	for i := range a.bankStats {
-		a.bankStats[i].Allocs = d.U64()
-		a.bankStats[i].Overflows = d.U64()
-		a.bankStats[i].Violations = d.U64()
-		occ := d.U64()
-		if d.Err() == nil && occ > uint64(a.EntriesPerBank) {
-			d.Failf("arb: bank %d max occupancy %d exceeds capacity %d", i, occ, a.EntriesPerBank)
+		bs := &a.bankStats[i]
+		c.U64(&bs.Allocs)
+		c.U64(&bs.Overflows)
+		c.U64(&bs.Violations)
+		c.Int(&bs.MaxOccupancy)
+		if uint64(bs.MaxOccupancy) > uint64(a.EntriesPerBank) {
+			c.Failf("arb: bank %d max occupancy %d exceeds capacity %d", i, bs.MaxOccupancy, a.EntriesPerBank)
 			return
 		}
-		a.bankStats[i].MaxOccupancy = int(occ)
 	}
 }

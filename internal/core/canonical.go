@@ -3,9 +3,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-
-	"multiscalar/internal/arb"
-	"multiscalar/internal/isa"
 )
 
 // CanonicalConfigVersion is the version tag MarshalCanonical emits and
@@ -14,41 +11,14 @@ import (
 // canonical encoding must never alias across meanings.
 const CanonicalConfigVersion = 1
 
-// canonicalConfigV1 is the wire form of a Config: every semantic field
-// under a stable name, in a fixed order, none omitted. The runtime-only
-// attachments (Trace, Sink) deliberately have no representation — two
-// configurations that differ only in observers describe the same machine
-// and must encode identically.
-type canonicalConfigV1 struct {
-	V          int  `json:"v"`
-	NumUnits   int  `json:"num_units"`
-	IssueWidth int  `json:"issue_width"`
-	OutOfOrder bool `json:"out_of_order"`
-	ROBSize    int  `json:"rob_size"`
-	FetchQSize int  `json:"fetchq_size"`
-
-	Latencies isa.Latencies `json:"latencies"`
-
-	ICacheBytes int `json:"icache_bytes"`
-	ICacheBlock int `json:"icache_block"`
-	DBankBytes  int `json:"dbank_bytes"`
-	DBlockBytes int `json:"dblock_bytes"`
-	DCacheHit   int `json:"dcache_hit"`
-	NumMSHRs    int `json:"num_mshrs"`
-
-	ARBEntries int                `json:"arb_entries"`
-	ARBPolicy  arb.OverflowPolicy `json:"arb_policy"`
-
-	RingLatency int `json:"ring_latency"`
-
-	DescCacheEntries int  `json:"desc_cache_entries"`
-	StaticPredict    bool `json:"static_predict"`
-	SharedFPUnits    int  `json:"shared_fp_units"`
-	BranchEntries    int  `json:"branch_entries"`
-
-	MaxCycles     uint64 `json:"max_cycles"`
-	CheckForwards bool   `json:"check_forwards"`
-	NoSkip        bool   `json:"no_skip"`
+// canonicalConfig is the wire form of a Config: the version, then every
+// semantic field under the stable name and in the order Config's own
+// json tags give it, none omitted. The runtime-only attachments (Trace,
+// Sink) are tagged out — two configurations that differ only in
+// observers describe the same machine and must encode identically.
+type canonicalConfig struct {
+	V int `json:"v"`
+	Config
 }
 
 // MarshalCanonical encodes the configuration as its one canonical,
@@ -58,66 +28,19 @@ type canonicalConfigV1 struct {
 // byte-equal, which is what makes the encoding usable as a cache-key
 // component (internal/job, internal/bench, internal/serve).
 func (c Config) MarshalCanonical() ([]byte, error) {
-	return json.Marshal(canonicalConfigV1{
-		V:                CanonicalConfigVersion,
-		NumUnits:         c.NumUnits,
-		IssueWidth:       c.IssueWidth,
-		OutOfOrder:       c.OutOfOrder,
-		ROBSize:          c.ROBSize,
-		FetchQSize:       c.FetchQSize,
-		Latencies:        c.Latencies,
-		ICacheBytes:      c.ICacheBytes,
-		ICacheBlock:      c.ICacheBlock,
-		DBankBytes:       c.DBankBytes,
-		DBlockBytes:      c.DBlockBytes,
-		DCacheHit:        c.DCacheHit,
-		NumMSHRs:         c.NumMSHRs,
-		ARBEntries:       c.ARBEntries,
-		ARBPolicy:        c.ARBPolicy,
-		RingLatency:      c.RingLatency,
-		DescCacheEntries: c.DescCacheEntries,
-		StaticPredict:    c.StaticPredict,
-		SharedFPUnits:    c.SharedFPUnits,
-		BranchEntries:    c.BranchEntries,
-		MaxCycles:        c.MaxCycles,
-		CheckForwards:    c.CheckForwards,
-		NoSkip:           c.NoSkip,
-	})
+	return json.Marshal(canonicalConfig{V: CanonicalConfigVersion, Config: c})
 }
 
 // UnmarshalCanonicalConfig decodes a canonical encoding produced by
 // MarshalCanonical (or assembled by an API client). Unknown versions are
 // rejected rather than half-decoded.
 func UnmarshalCanonicalConfig(data []byte) (Config, error) {
-	var w canonicalConfigV1
+	var w canonicalConfig
 	if err := json.Unmarshal(data, &w); err != nil {
 		return Config{}, fmt.Errorf("core: decoding canonical config: %w", err)
 	}
 	if w.V != CanonicalConfigVersion {
 		return Config{}, fmt.Errorf("core: canonical config version %d (want %d)", w.V, CanonicalConfigVersion)
 	}
-	return Config{
-		NumUnits:         w.NumUnits,
-		IssueWidth:       w.IssueWidth,
-		OutOfOrder:       w.OutOfOrder,
-		ROBSize:          w.ROBSize,
-		FetchQSize:       w.FetchQSize,
-		Latencies:        w.Latencies,
-		ICacheBytes:      w.ICacheBytes,
-		ICacheBlock:      w.ICacheBlock,
-		DBankBytes:       w.DBankBytes,
-		DBlockBytes:      w.DBlockBytes,
-		DCacheHit:        w.DCacheHit,
-		NumMSHRs:         w.NumMSHRs,
-		ARBEntries:       w.ARBEntries,
-		ARBPolicy:        w.ARBPolicy,
-		RingLatency:      w.RingLatency,
-		DescCacheEntries: w.DescCacheEntries,
-		StaticPredict:    w.StaticPredict,
-		SharedFPUnits:    w.SharedFPUnits,
-		BranchEntries:    w.BranchEntries,
-		MaxCycles:        w.MaxCycles,
-		CheckForwards:    w.CheckForwards,
-		NoSkip:           w.NoSkip,
-	}, nil
+	return w.Config, nil
 }

@@ -13,55 +13,58 @@ import (
 )
 
 // Config describes one machine configuration. The defaults reproduce
-// Section 5.1 of the paper.
+// Section 5.1 of the paper. The json tags and the field order are the
+// canonical encoding (canonical.go): job keys and litmus artifacts are
+// made of those bytes, so a semantic field is added, renamed or moved
+// only with a CanonicalConfigVersion bump.
 type Config struct {
 	// Units and issue.
-	NumUnits   int  // parallel processing units (1 for the scalar machine)
-	IssueWidth int  // 1 or 2
-	OutOfOrder bool // out-of-order issue within a unit
-	ROBSize    int  // per-unit instruction window
-	FetchQSize int
+	NumUnits   int  `json:"num_units"`    // parallel processing units (1 for the scalar machine)
+	IssueWidth int  `json:"issue_width"`  // 1 or 2
+	OutOfOrder bool `json:"out_of_order"` // out-of-order issue within a unit
+	ROBSize    int  `json:"rob_size"`     // per-unit instruction window
+	FetchQSize int  `json:"fetchq_size"`
 
 	// Latencies.
-	Latencies isa.Latencies
+	Latencies isa.Latencies `json:"latencies"`
 
 	// Instruction caches: per unit.
-	ICacheBytes int // 32 KB
-	ICacheBlock int // 64 B
+	ICacheBytes int `json:"icache_bytes"` // 32 KB
+	ICacheBlock int `json:"icache_block"` // 64 B
 
 	// Data banks: 2x banks as units; 8 KB direct-mapped, 64 B blocks.
-	DBankBytes  int
-	DBlockBytes int
-	DCacheHit   int // 2 for multiscalar units, 1 for the scalar machine
-	NumMSHRs    int
+	DBankBytes  int `json:"dbank_bytes"`
+	DBlockBytes int `json:"dblock_bytes"`
+	DCacheHit   int `json:"dcache_hit"` // 2 for multiscalar units, 1 for the scalar machine
+	NumMSHRs    int `json:"num_mshrs"`
 
 	// ARB.
-	ARBEntries int // per bank (paper: 256)
-	ARBPolicy  arb.OverflowPolicy
+	ARBEntries int                `json:"arb_entries"` // per bank (paper: 256)
+	ARBPolicy  arb.OverflowPolicy `json:"arb_policy"`
 
 	// Ring.
-	RingLatency int // cycles per hop (paper: 1)
+	RingLatency int `json:"ring_latency"` // cycles per hop (paper: 1)
 
 	// Sequencer.
-	DescCacheEntries int // task descriptor cache (paper: 1024)
+	DescCacheEntries int `json:"desc_cache_entries"` // task descriptor cache (paper: 1024)
 	// StaticPredict disables the two-level predictor: the sequencer
 	// always follows the first listed target (an ablation against the PAs
 	// scheme of Section 5.1).
-	StaticPredict bool
+	StaticPredict bool `json:"static_predict"`
 
 	// SharedFPUnits, when positive, shares the floating-point and complex
 	// integer units between the processing units (the alternative
 	// microarchitecture of Section 2.3): at most this many operations of
 	// each of those classes may start per cycle machine-wide. Zero keeps
 	// the paper's per-unit FUs.
-	SharedFPUnits int
+	SharedFPUnits int `json:"shared_fp_units"`
 
 	// Branch prediction within units.
-	BranchEntries int
+	BranchEntries int `json:"branch_entries"`
 
 	// Safety limits and debug checks.
-	MaxCycles     uint64
-	CheckForwards bool // verify forwarded values equal final task values
+	MaxCycles     uint64 `json:"max_cycles"`
+	CheckForwards bool   `json:"check_forwards"` // verify forwarded values equal final task values
 
 	// NoSkip disables the wakeup scheduler: the timing loop ticks every
 	// unit every cycle, even through stall windows it could prove
@@ -70,19 +73,19 @@ type Config struct {
 	// against (docs/perf.md) — so the flag exists for debugging and for
 	// those tests. A per-cycle text Trace also forces dense ticking,
 	// since its output has one line per cycle.
-	NoSkip bool
+	NoSkip bool `json:"no_skip"`
 
 	// Trace, when non-nil, receives one compact line per cycle: the head
 	// pointer, active count, and a glyph per unit (. idle, * compute,
 	// p wait-pred, m wait-intra, r wait-retire), ordered physically.
-	Trace io.Writer
+	Trace io.Writer `json:"-"`
 
 	// Sink, when non-nil, receives the typed cycle-stamped event stream
 	// (task lifecycle, unit occupancy, ring, ARB, memory system) defined
 	// in internal/trace — see docs/tracing.md. Nil leaves every producer
 	// on its untraced fast path; the usual way to set it is the facade's
 	// WithTrace run option.
-	Sink trace.Sink
+	Sink trace.Sink `json:"-"`
 }
 
 // DefaultConfig returns the paper's multiscalar configuration for the

@@ -77,46 +77,30 @@ func NewWarmState(cfg Config, multi bool) *WarmState {
 	return w
 }
 
-// Encode serializes the warm state as a KindWarm snapshot (header
-// cycle = ICount).
-func (w *WarmState) Encode() []byte {
-	e := snapshot.NewEncoder(snapshot.KindWarm, w.ICount)
-	e.Tag("WARM")
-	e.Bool(w.Multi)
-	e.U32(w.PC)
-	e.Bool(w.FCC)
-	saveRegs(e, &w.Regs)
-	w.Env.SaveState(e)
-	w.Mem.SaveState(e)
-	w.ICache.SaveState(e)
-	w.DCache.SaveState(e)
-	w.Branch.SaveState(e)
+// State walks the warm state: the architectural fields, then the warm
+// structures in the order Encode has always written them. The kind flag
+// decides which sections follow, so a capture for the other kind of
+// machine is refused before anything after it is read.
+func (w *WarmState) State(c *snapshot.Codec) {
+	c.Tag("WARM")
+	multi := w.Multi
+	if c.Bool(&multi); multi != w.Multi {
+		c.Failf("core: warm state for %s machine, want %s", machineName(multi), machineName(w.Multi))
+		return
+	}
+	c.U32(&w.PC)
+	c.Bool(&w.FCC)
+	interp.RegsState(c, &w.Regs)
+	w.Env.State(c)
+	w.Mem.State(c)
+	w.ICache.State(c)
+	w.DCache.State(c)
+	w.Branch.State(c)
 	if w.Multi {
-		w.TaskPred.SaveState(e)
-		w.RAS.SaveState(e)
-		w.DescCache.SaveState(e)
+		w.TaskPred.State(c)
+		w.RAS.State(c)
+		w.DescCache.State(c)
 	}
-	return e.Bytes()
-}
-
-// decodeWarmHeader consumes the common prefix of a warm snapshot.
-func decodeWarmHeader(data []byte, wantMulti bool) (*snapshot.Decoder, uint32, bool, error) {
-	d, err := snapshot.NewDecoder(data, snapshot.KindWarm)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	d.Tag("WARM")
-	multi := d.Bool()
-	pc := d.U32()
-	fcc := d.Bool()
-	if err := d.Err(); err != nil {
-		return nil, 0, false, err
-	}
-	if multi != wantMulti {
-		return nil, 0, false, fmt.Errorf("core: warm state for %s machine, want %s",
-			machineName(multi), machineName(wantMulti))
-	}
-	return d, pc, fcc, nil
 }
 
 func machineName(multi bool) string {
@@ -124,6 +108,26 @@ func machineName(multi bool) string {
 		return "multiscalar"
 	}
 	return "scalar"
+}
+
+// Encode serializes the warm state as a KindWarm snapshot (header
+// cycle = ICount).
+func (w *WarmState) Encode() []byte {
+	// Encode has no error to return: a capture that fails one of the walk's
+	// own checks fails it again in InjectWarm, which rejects it.
+	data, _ := snapshot.Save(snapshot.KindWarm, w.ICount, w.State)
+	return data
+}
+
+// decodeWarm loads a warm-state snapshot for InjectWarm: the
+// architectural state goes straight into the machine's env and backing
+// memory; the warm tables are decoded into throwaway structures for the
+// machine to adopt, so its own statistics and in-flight state stay
+// pristine.
+func decodeWarm(data []byte, cfg Config, multi bool, env *interp.SysEnv, backing *mem.Memory) (*WarmState, error) {
+	w := NewWarmState(cfg, multi)
+	w.Env, w.Mem = env, backing
+	return w, snapshot.Load(data, snapshot.KindWarm, w.State)
 }
 
 // InjectWarm loads a warm-state snapshot into a freshly constructed
@@ -136,52 +140,37 @@ func (m *Multiscalar) InjectWarm(data []byte) error {
 	if m.now != 0 || m.active != 0 || m.finished {
 		return fmt.Errorf("core: InjectWarm on a machine that has run")
 	}
-	d, pc, _, err := decodeWarmHeader(data, true)
+	w, err := decodeWarm(data, m.cfg, true, m.env, m.backing)
 	if err != nil {
 		return err
 	}
-	if m.prog.TaskAt(pc) == nil {
-		return fmt.Errorf("core: warm-state PC 0x%x is not a task boundary", pc)
+	if m.prog.TaskAt(w.PC) == nil {
+		return fmt.Errorf("core: warm-state PC 0x%x is not a task boundary", w.PC)
 	}
-	loadRegs(d, &m.archRegs)
-	m.env.LoadState(d)
-	m.backing.LoadState(d)
-
-	// Warm tables are decoded into throwaway structures and adopted, so
-	// the machine's own statistics and in-flight state stay pristine.
-	tmp := NewWarmState(m.cfg, true)
-	tmp.ICache.LoadState(d)
-	tmp.DCache.LoadState(d)
-	tmp.Branch.LoadState(d)
-	tmp.TaskPred.LoadState(d)
-	tmp.RAS.LoadState(d)
-	tmp.DescCache.LoadState(d)
-	if err := d.Finish(); err != nil {
-		return err
-	}
+	m.archRegs = w.Regs
 	for _, ic := range m.icaches {
-		if !ic.AdoptTags(tmp.ICache) {
+		if !ic.AdoptTags(w.ICache) {
 			return fmt.Errorf("core: warm icache geometry mismatch")
 		}
 	}
 	for i, b := range m.dbanks.Banks {
-		if !b.AdoptTags(tmp.DCache.Banks[i]) {
+		if !b.AdoptTags(w.DCache.Banks[i]) {
 			return fmt.Errorf("core: warm dcache geometry mismatch")
 		}
 	}
 	for _, u := range m.units {
-		if !u.BranchPredictor().AdoptTables(tmp.Branch) {
+		if !u.BranchPredictor().AdoptTables(w.Branch) {
 			return fmt.Errorf("core: warm branch-predictor geometry mismatch")
 		}
 	}
-	if !m.descCache.AdoptTags(tmp.DescCache) {
+	if !m.descCache.AdoptTags(w.DescCache) {
 		return fmt.Errorf("core: warm descriptor-cache geometry mismatch")
 	}
-	m.predictor = tmp.TaskPred
+	m.predictor = w.TaskPred
 	m.predictor.Predictions, m.predictor.Correct = 0, 0
-	m.ras = tmp.RAS
+	m.ras = w.RAS
 
-	m.forced = pc
+	m.forced = w.PC
 	m.forcedValid = true
 	// FCC is not carried across task boundaries by the machine design
 	// (units clear it at Start), so the captured FCC is ignored here.
@@ -196,32 +185,22 @@ func (s *Scalar) InjectWarm(data []byte) error {
 	if s.started {
 		return fmt.Errorf("core: InjectWarm on a machine that has run")
 	}
-	d, pc, fcc, err := decodeWarmHeader(data, false)
+	w, err := decodeWarm(data, s.cfg, false, s.env, s.backing)
 	if err != nil {
 		return err
 	}
-	loadRegs(d, &s.ext.regs)
-	s.env.LoadState(d)
-	s.backing.LoadState(d)
-
-	tmp := NewWarmState(s.cfg, false)
-	tmp.ICache.LoadState(d)
-	tmp.DCache.LoadState(d)
-	tmp.Branch.LoadState(d)
-	if err := d.Finish(); err != nil {
-		return err
-	}
-	if !s.icache.AdoptTags(tmp.ICache) {
+	s.ext.regs = w.Regs
+	if !s.icache.AdoptTags(w.ICache) {
 		return fmt.Errorf("core: warm icache geometry mismatch")
 	}
-	if !s.dcache.AdoptTags(tmp.DCache.Banks[0]) {
+	if !s.dcache.AdoptTags(w.DCache.Banks[0]) {
 		return fmt.Errorf("core: warm dcache geometry mismatch")
 	}
-	if !s.unit.BranchPredictor().AdoptTables(tmp.Branch) {
+	if !s.unit.BranchPredictor().AdoptTables(w.Branch) {
 		return fmt.Errorf("core: warm branch-predictor geometry mismatch")
 	}
 
-	s.startPC = pc
-	s.startFCC = fcc
+	s.startPC = w.PC
+	s.startFCC = w.FCC
 	return nil
 }

@@ -6,135 +6,104 @@ import (
 	"multiscalar/internal/snapshot"
 )
 
-// Snapshot sections for the memory hierarchy. Only mutable run state
-// is serialized: a Memory stores its private copy-on-write pages (the
-// read-only image is rebuilt from the program by the machine
-// constructor), a Cache stores tags/valid bits/MSHRs and stats (its
-// geometry comes from the Config), the Bus its busy timestamp.
+// Snapshot sections for the memory hierarchy: each type's State method
+// is the one list of its mutable run state, walked by save and restore
+// alike. A Memory holds its private copy-on-write pages (the read-only
+// image is rebuilt from the program by the machine constructor), a Cache
+// its tags/valid bits/MSHRs and stats (its geometry comes from the
+// Config), the Bus its busy timestamp.
 
 // maxPages bounds the page count a snapshot may claim: the full
 // 32-bit space holds 1<<20 pages of 4 KB.
 const maxPages = 1 << 20
 
-// SaveState serializes the memory's private pages in ascending page
-// order (deterministic bytes for identical contents).
-func (m *Memory) SaveState(e *snapshot.Encoder) {
-	e.Tag("MEMP")
-	keys := make([]uint32, 0, len(m.pages))
-	for key := range m.pages {
-		keys = append(keys, key)
+// State walks the memory's private pages. Saving visits them in
+// ascending page order (deterministic bytes for identical contents);
+// loading replaces them with the snapshot's. The read-only image is
+// untouched: restoring into a Memory built from the same image
+// reproduces the snapshotted contents exactly.
+func (m *Memory) State(c *snapshot.Codec) {
+	c.Tag("MEMP")
+	var keys []uint32
+	if !c.Loading() {
+		keys = make([]uint32, 0, len(m.pages))
+		for key := range m.pages {
+			keys = append(keys, key)
+		}
+		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	e.Len(len(keys))
-	for _, key := range keys {
-		e.U32(key)
-		e.Raw(m.pages[key][:])
+	n := c.Len(len(keys), maxPages, 4+pageSize)
+	if c.Loading() {
+		m.pages = make(map[uint32]*[pageSize]byte, n)
+		m.lastKey, m.lastPage, m.lastRO = 0, nil, false
+		keys = make([]uint32, n)
 	}
-}
-
-// LoadState replaces the memory's private pages with the snapshot's.
-// The read-only image is untouched: restoring into a Memory built
-// from the same image reproduces the snapshotted contents exactly.
-func (m *Memory) LoadState(d *snapshot.Decoder) {
-	d.Tag("MEMP")
-	n := d.Len(maxPages)
-	m.pages = make(map[uint32]*[pageSize]byte, n)
-	m.lastKey, m.lastPage, m.lastRO = 0, nil, false
-	for i := 0; i < n; i++ {
-		key := d.U32()
-		p := new([pageSize]byte)
-		d.Raw(p[:])
-		if d.Err() != nil {
+	for i := range keys {
+		p := m.pages[keys[i]] // saving: the page to write
+		if c.Loading() {
+			p = new([pageSize]byte)
+		}
+		c.U32(&keys[i])
+		c.Raw(p[:])
+		if c.Err() != nil {
 			return
 		}
-		m.pages[key] = p
+		if c.Loading() {
+			m.pages[keys[i]] = p
+		}
 	}
 }
 
-// SaveState serializes the cache's tag array, valid bits, in-flight
-// MSHRs and statistics.
-func (c *Cache) SaveState(e *snapshot.Encoder) {
-	e.Tag("CACH")
-	e.Len(c.sets)
-	for i := 0; i < c.sets; i++ {
-		e.U32(c.tags[i])
-		e.Bool(c.vld[i])
+// State walks the cache's tag array, valid bits, in-flight MSHRs and
+// statistics. The set count must match the constructed geometry.
+func (c *Cache) State(s *snapshot.Codec) {
+	s.Tag("CACH")
+	if n := s.Len(c.sets, 1<<24, 5); n != c.sets {
+		s.Failf("cache %s: %d sets, machine has %d", c.Name, n, c.sets)
 	}
-	e.Len(len(c.mshrs))
-	for _, m := range c.mshrs {
-		e.U32(m.block)
-		e.U64(m.readyAt)
-	}
-	e.U64(c.Hits)
-	e.U64(c.Misses)
-	e.U64(c.Merges)
-}
-
-// LoadState restores the cache's mutable state. The set count must
-// match the constructed geometry.
-func (c *Cache) LoadState(d *snapshot.Decoder) {
-	d.Tag("CACH")
-	if n := d.Len(1 << 24); d.Err() == nil && n != c.sets {
-		d.Failf("cache %s: %d sets, machine has %d", c.Name, n, c.sets)
-	}
-	if d.Err() != nil {
+	if s.Err() != nil {
 		return
 	}
 	for i := 0; i < c.sets; i++ {
-		c.tags[i] = d.U32()
-		c.vld[i] = d.Bool()
+		s.U32(&c.tags[i])
+		s.Bool(&c.vld[i])
 	}
-	n := d.Len(1 << 16)
-	c.mshrs = c.mshrs[:0]
-	for i := 0; i < n; i++ {
-		c.mshrs = append(c.mshrs, mshr{block: d.U32(), readyAt: d.U64()})
+	n := s.Len(len(c.mshrs), 1<<16, 12)
+	if s.Loading() {
+		c.mshrs = append(c.mshrs[:0], make([]mshr, n)...)
 	}
-	c.Hits = d.U64()
-	c.Misses = d.U64()
-	c.Merges = d.U64()
+	for i := range c.mshrs {
+		s.U32(&c.mshrs[i].block)
+		s.U64(&c.mshrs[i].readyAt)
+	}
+	s.U64(&c.Hits)
+	s.U64(&c.Misses)
+	s.U64(&c.Merges)
 }
 
-// SaveState serializes the bus occupancy and statistics.
-func (b *Bus) SaveState(e *snapshot.Encoder) {
-	e.Tag("BUS ")
-	e.U64(b.busyUntil)
-	e.U64(b.Requests)
-	e.U64(b.BusyCycles)
+// State walks the bus occupancy and statistics.
+func (b *Bus) State(c *snapshot.Codec) {
+	c.Tag("BUS ")
+	c.U64(&b.busyUntil)
+	c.U64(&b.Requests)
+	c.U64(&b.BusyCycles)
 }
 
-// LoadState restores the bus occupancy and statistics.
-func (b *Bus) LoadState(d *snapshot.Decoder) {
-	d.Tag("BUS ")
-	b.busyUntil = d.U64()
-	b.Requests = d.U64()
-	b.BusyCycles = d.U64()
-}
-
-// SaveState serializes every bank plus the crossbar occupancy.
-func (d *BankedDCache) SaveState(e *snapshot.Encoder) {
-	e.Tag("DBNK")
-	e.Len(len(d.Banks))
-	for i, b := range d.Banks {
-		e.U64(d.nextFree[i])
-		b.SaveState(e)
+// State walks every bank plus the crossbar occupancy; the bank count
+// must match.
+func (d *BankedDCache) State(c *snapshot.Codec) {
+	c.Tag("DBNK")
+	const bankBytes = 8 + 36 // nextFree and a CACH section with no sets or MSHRs
+	if n := c.Len(len(d.Banks), 1<<10, bankBytes); n != len(d.Banks) {
+		c.Failf("dcache: %d banks, machine has %d", n, len(d.Banks))
 	}
-	e.U64(d.Conflicts)
-	e.U64(d.Accesses)
-}
-
-// LoadState restores the banks; the bank count must match.
-func (d *BankedDCache) LoadState(dec *snapshot.Decoder) {
-	dec.Tag("DBNK")
-	if n := dec.Len(1 << 10); dec.Err() == nil && n != len(d.Banks) {
-		dec.Failf("dcache: %d banks, machine has %d", n, len(d.Banks))
-	}
-	if dec.Err() != nil {
+	if c.Err() != nil {
 		return
 	}
 	for i, b := range d.Banks {
-		d.nextFree[i] = dec.U64()
-		b.LoadState(dec)
+		c.U64(&d.nextFree[i])
+		b.State(c)
 	}
-	d.Conflicts = dec.U64()
-	d.Accesses = dec.U64()
+	c.U64(&d.Conflicts)
+	c.U64(&d.Accesses)
 }

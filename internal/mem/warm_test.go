@@ -70,12 +70,14 @@ func TestBankedTouchRoutesToBank(t *testing.T) {
 func TestWarmTouchFilterEquivalent(t *testing.T) {
 	type toucher interface {
 		Touch(uint32)
-		SaveState(*snapshot.Encoder)
+		State(*snapshot.Codec)
 	}
 	tags := func(c toucher) []byte {
-		e := snapshot.NewEncoder(snapshot.KindWarm, 0)
-		c.SaveState(e)
-		return e.Bytes()
+		data, err := snapshot.Save(snapshot.KindWarm, 0, c.State)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
 	}
 	bus := NewBus()
 	for _, g := range []struct {

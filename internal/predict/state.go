@@ -2,100 +2,54 @@ package predict
 
 import "multiscalar/internal/snapshot"
 
-// SaveState serializes the task predictor's tables and statistics.
-func (p *TaskPredictor) SaveState(e *snapshot.Encoder) {
-	e.Tag("TPRD")
-	for _, h := range p.histories {
-		e.U16(h)
-	}
-	e.Raw(p.pattern[:])
-	e.U64(p.Predictions)
-	e.U64(p.Correct)
+// State walks the task predictor's tables and statistics (trace wiring
+// is not state).
+func (p *TaskPredictor) State(c *snapshot.Codec) {
+	c.Tag("TPRD")
+	c.U16s(p.histories[:])
+	c.Raw(p.pattern[:])
+	c.U64(&p.Predictions)
+	c.U64(&p.Correct)
 }
 
-// LoadState restores the task predictor (trace wiring untouched).
-func (p *TaskPredictor) LoadState(d *snapshot.Decoder) {
-	d.Tag("TPRD")
-	for i := range p.histories {
-		p.histories[i] = d.U16()
-	}
-	d.Raw(p.pattern[:])
-	p.Predictions = d.U64()
-	p.Correct = d.U64()
-}
-
-// SaveState serializes the return address stack.
-func (r *RAS) SaveState(e *snapshot.Encoder) {
-	e.Tag("RAS ")
-	for _, a := range r.entries {
-		e.U32(a)
-	}
-	e.Int(r.top)
-	e.Int(r.depth)
-}
-
-// LoadState restores the return address stack, clamping the cursor
-// fields into range so a corrupt snapshot cannot index out of bounds.
-func (r *RAS) LoadState(d *snapshot.Decoder) {
-	d.Tag("RAS ")
-	for i := range r.entries {
-		r.entries[i] = d.U32()
-	}
-	r.top = d.Int()
-	r.depth = d.Int()
+// State walks the return address stack. Cursor fields out of range are
+// rejected and zeroed, so a corrupt snapshot cannot index out of bounds.
+func (r *RAS) State(c *snapshot.Codec) {
+	c.Tag("RAS ")
+	c.U32s(r.entries[:])
+	c.Int(&r.top)
+	c.Int(&r.depth)
 	if r.top < 0 || r.top >= len(r.entries) || r.depth < 0 || r.depth > len(r.entries) {
-		d.Failf("RAS cursor out of range (top %d, depth %d)", r.top, r.depth)
+		c.Failf("RAS cursor out of range (top %d, depth %d)", r.top, r.depth)
 		r.top, r.depth = 0, 0
 	}
 }
 
-// SaveState serializes the branch predictor's tables and statistics.
-func (b *BranchPredictor) SaveState(e *snapshot.Encoder) {
-	e.Tag("BPRD")
-	e.Blob(b.counters)
-	for _, a := range b.ras {
-		e.U32(a)
+// State walks the branch predictor's tables and statistics; table sizes
+// must match the constructed configuration.
+func (b *BranchPredictor) State(c *snapshot.Codec) {
+	c.Tag("BPRD")
+	if n := c.Len(len(b.counters), 1<<24, 1); n != len(b.counters) {
+		c.Failf("branch predictor: %d counters, machine has %d", n, len(b.counters))
 	}
-	e.Int(b.rasTop)
-	e.Int(b.rasDepth)
-	e.Len(len(b.targets))
-	for _, t := range b.targets {
-		e.U32(t)
-	}
-	e.U64(b.Lookups)
-	e.U64(b.Hits)
-}
-
-// LoadState restores the branch predictor; table sizes must match the
-// constructed configuration.
-func (b *BranchPredictor) LoadState(d *snapshot.Decoder) {
-	d.Tag("BPRD")
-	c := d.Blob(1 << 24)
-	if d.Err() == nil && len(c) != len(b.counters) {
-		d.Failf("branch predictor: %d counters, machine has %d", len(c), len(b.counters))
-	}
-	if d.Err() != nil {
+	if c.Err() != nil {
 		return
 	}
-	copy(b.counters, c)
-	for i := range b.ras {
-		b.ras[i] = d.U32()
-	}
-	b.rasTop = d.Int()
-	b.rasDepth = d.Int()
+	c.Raw(b.counters)
+	c.U32s(b.ras[:])
+	c.Int(&b.rasTop)
+	c.Int(&b.rasDepth)
 	if b.rasTop < 0 || b.rasTop >= len(b.ras) || b.rasDepth < 0 || b.rasDepth > len(b.ras) {
-		d.Failf("branch predictor RAS cursor out of range (top %d, depth %d)", b.rasTop, b.rasDepth)
+		c.Failf("branch predictor RAS cursor out of range (top %d, depth %d)", b.rasTop, b.rasDepth)
 		b.rasTop, b.rasDepth = 0, 0
 	}
-	if n := d.Len(1 << 24); d.Err() == nil && n != len(b.targets) {
-		d.Failf("branch predictor: %d targets, machine has %d", n, len(b.targets))
+	if n := c.Len(len(b.targets), 1<<24, 4); n != len(b.targets) {
+		c.Failf("branch predictor: %d targets, machine has %d", n, len(b.targets))
 	}
-	if d.Err() != nil {
+	if c.Err() != nil {
 		return
 	}
-	for i := range b.targets {
-		b.targets[i] = d.U32()
-	}
-	b.Lookups = d.U64()
-	b.Hits = d.U64()
+	c.U32s(b.targets)
+	c.U64(&b.Lookups)
+	c.U64(&b.Hits)
 }

@@ -161,15 +161,12 @@ func TestBindingsMatchReferenceScan(t *testing.T) {
 				u.Start(prog.Entry, uint64(step))
 			default:
 				what = "snapshot round trip"
-				e := snapshot.NewEncoder(snapshot.KindScalar, uint64(step))
-				u.SaveState(e)
-				d, err := snapshot.NewDecoder(e.Bytes(), snapshot.KindScalar)
+				data, err := snapshot.Save(snapshot.KindScalar, uint64(step), u.State)
 				if err != nil {
 					t.Fatal(err)
 				}
 				u = New(0, cfg, prog, ext)
-				u.LoadState(d)
-				if err := d.Finish(); err != nil {
+				if err := snapshot.Load(data, snapshot.KindScalar, u.State); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -235,17 +232,14 @@ loop:
 		}
 	}
 
-	e := snapshot.NewEncoder(snapshot.KindScalar, now)
-	a.SaveState(e)
-	d, err := snapshot.NewDecoder(e.Bytes(), snapshot.KindScalar)
+	data, err := snapshot.Save(snapshot.KindScalar, now, a.State)
 	if err != nil {
 		t.Fatal(err)
 	}
 	extB := newExt()
 	extB.Regs = extA.Regs
 	b := New(0, cfg, p, extB)
-	b.LoadState(d)
-	if err := d.Finish(); err != nil {
+	if err := snapshot.Load(data, snapshot.KindScalar, b.State); err != nil {
 		t.Fatal(err)
 	}
 

@@ -7,75 +7,78 @@ import (
 	"multiscalar/internal/core"
 	"multiscalar/internal/interp"
 	"multiscalar/internal/isa"
-	"multiscalar/internal/workloads"
 )
 
-// FuzzSnapshot feeds arbitrary bytes to Restore on all three machine
-// kinds. Any input may be rejected with an error; none may panic or
-// over-allocate (the decoder validates every count against the bytes
-// remaining before allocating).
-func FuzzSnapshot(f *testing.F) {
-	buildF := func(name string, mode asm.Mode) *isa.Program {
-		w := workloads.Get(name)
-		p, err := w.Build(mode, w.TestScale)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return p
-	}
-	sp := buildF("wc", asm.ModeScalar)
-	mp := buildF("wc", asm.ModeMultiscalar)
-	cfg := core.DefaultConfig(4, 1, false)
+// restorePath is one of the five ways snapshot bytes enter a machine:
+// Restore on each of the three machine kinds and InjectWarm on the two
+// timing machines. fresh builds a new machine and returns the method
+// that loads into it; genuine returns a real mid-run capture for the
+// path and one taken from a machine of another geometry.
+type restorePath struct {
+	name    string
+	fresh   func(tb testing.TB) func([]byte) error
+	genuine func(tb testing.TB) (snap, otherGeometry []byte)
+}
 
-	// Seed the corpus with genuine snapshots of each kind.
-	im := interp.NewMachine(sp, interp.NewSysEnv())
-	for i := 0; i < 100; i++ {
-		if err := im.Step(); err != nil {
-			f.Fatal(err)
+func restorePaths(tb testing.TB) []restorePath {
+	sp := buildTB(tb, "wc", asm.ModeScalar)
+	mp := buildTB(tb, "wc", asm.ModeMultiscalar)
+	scfg, mcfg := core.ScalarConfig(1, false), core.DefaultConfig(4, 1, false)
+	bigICache := func(cfg core.Config) core.Config {
+		cfg.ICacheBytes *= 2
+		return cfg
+	}
+	scalar := func() *core.Scalar { return core.NewScalar(sp, interp.NewSysEnv(), scfg) }
+	multi := func(tb testing.TB) *core.Multiscalar {
+		m, err := core.NewMultiscalar(mp, interp.NewSysEnv(), mcfg)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return m
+	}
+	timing := func(p *isa.Program, cfg, other core.Config, multi bool) func(testing.TB) ([]byte, []byte) {
+		return func(tb testing.TB) ([]byte, []byte) {
+			return captureTiming(tb, p, cfg, multi, 100)[0], captureTiming(tb, p, other, multi, 100)[0]
 		}
 	}
-	if snap, err := im.Save(); err == nil {
+	warm := func(p *isa.Program, cfg core.Config, multi bool) func(testing.TB) ([]byte, []byte) {
+		return func(tb testing.TB) ([]byte, []byte) {
+			return captureWarm(tb, p, cfg, multi, 400)[0], captureWarm(tb, p, bigICache(cfg), multi, 400)[0]
+		}
+	}
+	return []restorePath{
+		{"interp.Restore",
+			func(tb testing.TB) func([]byte) error { return interp.NewMachine(sp, interp.NewSysEnv()).Restore },
+			// The functional machine has no geometry to disagree with.
+			func(tb testing.TB) ([]byte, []byte) { return captureInterp(tb, sp, 100)[0], nil }},
+		{"Scalar.Restore",
+			func(tb testing.TB) func([]byte) error { return scalar().Restore },
+			timing(sp, scfg, bigICache(scfg), false)},
+		{"Multiscalar.Restore",
+			func(tb testing.TB) func([]byte) error { return multi(tb).Restore },
+			timing(mp, mcfg, core.DefaultConfig(8, 1, false), true)},
+		{"Scalar.InjectWarm",
+			func(tb testing.TB) func([]byte) error { return scalar().InjectWarm },
+			warm(sp, scfg, false)},
+		{"Multiscalar.InjectWarm",
+			func(tb testing.TB) func([]byte) error { return multi(tb).InjectWarm },
+			warm(mp, mcfg, true)},
+	}
+}
+
+// FuzzSnapshot feeds arbitrary bytes to all five restore paths. Any
+// input may be rejected with an error; none may panic or over-allocate
+// (the codec validates every count against the bytes remaining before
+// allocating). The corpus is seeded with a genuine capture per path.
+func FuzzSnapshot(f *testing.F) {
+	paths := restorePaths(f)
+	for _, p := range paths {
+		snap, _ := p.genuine(f)
 		f.Add(snap)
 	}
-	{
-		s := core.NewScalar(sp, interp.NewSysEnv(), core.ScalarConfig(1, false))
-		var snap []byte
-		s.ScheduleCheckpoint(50, func() error {
-			snap, _ = s.Save()
-			return errInterrupted
-		})
-		s.Run() //nolint:errcheck
-		if snap != nil {
-			f.Add(snap)
-		}
-	}
-	{
-		m, err := core.NewMultiscalar(mp, interp.NewSysEnv(), cfg)
-		if err != nil {
-			f.Fatal(err)
-		}
-		var snap []byte
-		m.ScheduleCheckpoint(50, func() error {
-			snap, _ = m.Save()
-			return errInterrupted
-		})
-		m.Run() //nolint:errcheck
-		if snap != nil {
-			f.Add(snap)
-		}
-	}
-
 	f.Fuzz(func(t *testing.T, data []byte) {
-		im := interp.NewMachine(sp, interp.NewSysEnv())
-		im.Restore(data) //nolint:errcheck
-
-		s := core.NewScalar(sp, interp.NewSysEnv(), core.ScalarConfig(1, false))
-		s.Restore(data) //nolint:errcheck
-
-		m, err := core.NewMultiscalar(mp, interp.NewSysEnv(), cfg)
-		if err != nil {
-			t.Fatal(err)
+		for _, p := range paths {
+			p.fresh(t)(data) //nolint:errcheck
 		}
-		m.Restore(data) //nolint:errcheck
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -17,26 +18,12 @@ import (
 	"multiscalar/internal/litmus"
 	"multiscalar/internal/snapshot"
 	"multiscalar/internal/trace"
-	"multiscalar/internal/workloads"
 )
 
 // errInterrupted is the sentinel a checkpoint callback returns to stop
 // the run at the checkpoint — the "process killed mid-simulation" half
 // of a round trip.
 var errInterrupted = errors.New("interrupted at checkpoint")
-
-func build(t *testing.T, name string, mode asm.Mode) *isa.Program {
-	t.Helper()
-	w := workloads.Get(name)
-	if w == nil {
-		t.Fatalf("unknown workload %s", name)
-	}
-	p, err := w.Build(mode, w.TestScale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
 
 func runMulti(t *testing.T, p *isa.Program, cfg core.Config) *core.Result {
 	t.Helper()
@@ -100,7 +87,7 @@ func sameResult(got, want *core.Result) bool {
 func TestMultiscalarRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, name := range []string{"wc", "compress", "tomcatv"} {
-		p := build(t, name, asm.ModeMultiscalar)
+		p := buildTB(t, name, asm.ModeMultiscalar)
 		for _, units := range []int{2, 4, 8} {
 			cfg := core.DefaultConfig(units, 2, true)
 			full := runMulti(t, p, cfg)
@@ -122,7 +109,7 @@ func TestMultiscalarRoundTrip(t *testing.T) {
 // TestScalarRoundTrip does the same for the baseline machine.
 func TestScalarRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	p := build(t, "wc", asm.ModeScalar)
+	p := buildTB(t, "wc", asm.ModeScalar)
 	cfg := core.ScalarConfig(2, true)
 	sFull := core.NewScalar(p, interp.NewSysEnv(), cfg)
 	full, err := sFull.Run()
@@ -161,7 +148,7 @@ func TestScalarRoundTrip(t *testing.T) {
 // restored half keeps writing to the same trace writer must produce a
 // byte-identical stream to the uninterrupted run.
 func TestTraceRoundTrip(t *testing.T) {
-	p := build(t, "wc", asm.ModeMultiscalar)
+	p := buildTB(t, "wc", asm.ModeMultiscalar)
 	cfg := core.DefaultConfig(4, 1, false)
 	meta := trace.Meta{NumUnits: cfg.NumUnits, Label: "roundtrip"}
 
@@ -234,7 +221,7 @@ func TestTraceRoundTrip(t *testing.T) {
 // multiscalar binary carries stop bits, so the task-exit counter is
 // exercised along with the other class counts.
 func TestInterpRoundTrip(t *testing.T) {
-	p := build(t, "compress", asm.ModeMultiscalar)
+	p := buildTB(t, "compress", asm.ModeMultiscalar)
 	full := interp.NewMachine(p, interp.NewSysEnv())
 	if err := full.Run(1 << 30); err != nil {
 		t.Fatal(err)
@@ -339,90 +326,92 @@ loop:
 	}
 }
 
-// TestRestoreErrors feeds truncated and corrupted snapshots to Restore:
-// every case must return an error (or restore cleanly for benign stat
-// flips) without panicking.
+// TestRestoreErrors feeds truncated, foreign and corrupted snapshots to
+// all five restore paths (restorePaths): every case must return an error
+// (or load cleanly, for a benign flipped byte) without panicking.
 func TestRestoreErrors(t *testing.T) {
-	p := build(t, "wc", asm.ModeMultiscalar)
-	cfg := core.DefaultConfig(4, 1, false)
-	m, err := core.NewMultiscalar(p, interp.NewSysEnv(), cfg)
-	if err != nil {
-		t.Fatal(err)
+	paths := restorePaths(t)
+	snaps := make([][]byte, len(paths))
+	others := make([][]byte, len(paths))
+	for i, p := range paths {
+		snaps[i], others[i] = p.genuine(t)
 	}
-	var snap []byte
-	m.ScheduleCheckpoint(100, func() error {
-		var err error
-		if snap, err = m.Save(); err != nil {
-			return err
-		}
-		return errInterrupted
-	})
-	if _, err := m.Run(); !errors.Is(err, errInterrupted) {
-		t.Fatal(err)
+	for i, p := range paths {
+		t.Run(p.name, func(t *testing.T) {
+			snap := snaps[i]
+			if err := p.fresh(t)(snap); err != nil {
+				t.Fatalf("genuine capture rejected: %v", err)
+			}
+			// Truncations at every length up to the header and a sample beyond.
+			for n := 0; n < len(snap); n += 1 + n/3 {
+				if err := p.fresh(t)(snap[:n]); err == nil {
+					t.Errorf("snap[:%d] accepted", n)
+				}
+			}
+			// Wrong kind — and, between the two InjectWarms, the right kind
+			// for the wrong machine: no path accepts another path's capture.
+			for j, q := range paths {
+				if j != i && p.fresh(t)(snaps[j]) == nil {
+					t.Errorf("accepted a capture made for %s", q.name)
+				}
+			}
+			// Bad magic.
+			bad := append([]byte{}, snap...)
+			bad[0] ^= 0xff
+			if err := p.fresh(t)(bad); err == nil {
+				t.Error("bad magic accepted")
+			}
+			// Random single-byte corruptions must never panic (they may load
+			// as an error or as a valid-but-different state).
+			rng := rand.New(rand.NewSource(59))
+			for trial := 0; trial < 64; trial++ {
+				bad := append([]byte{}, snap...)
+				bad[rng.Intn(len(bad))] ^= byte(1 + rng.Intn(255))
+				p.fresh(t)(bad) //nolint:errcheck
+			}
+			// A capture for a different geometry must be rejected.
+			if others[i] != nil && p.fresh(t)(others[i]) == nil {
+				t.Error("capture from a machine of another geometry accepted")
+			}
+		})
 	}
+}
 
-	fresh := func() *core.Multiscalar {
-		m, err := core.NewMultiscalar(p, interp.NewSysEnv(), cfg)
-		if err != nil {
-			t.Fatal(err)
+// TestHostileCountsDoNotAmplify: a count field is checked against the
+// input left at the element's real encoded size before anything is
+// allocated from it. The input is a genuine capture cut after its memory
+// section's tag, claiming 1<<20 pages over a megabyte of zeros — one
+// byte per claimed page, which a check that assumed one-byte elements
+// let through to a page map pre-sized for a million entries.
+func TestHostileCountsDoNotAmplify(t *testing.T) {
+	for _, p := range restorePaths(t) {
+		snap, _ := p.genuine(t)
+		at := bytes.Index(snap, []byte("MEMP"))
+		if at < 0 {
+			t.Fatalf("%s: no memory section in a genuine capture", p.name)
 		}
-		return m
-	}
+		hostile := append([]byte{}, snap[:at+4]...)
+		hostile = append(hostile, 0x00, 0x10, 0x00, 0x00) // 1<<20 pages
+		hostile = append(hostile, make([]byte, 1<<20+512)...)
+		load := p.fresh(t)
 
-	// Truncations at every length up to the header and a sample beyond.
-	for n := 0; n < len(snap); n += 1 + n/3 {
-		if err := fresh().Restore(snap[:n]); err == nil {
-			t.Errorf("Restore(snap[:%d]) = nil error", n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := load(hostile)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: hostile page count accepted", p.name)
 		}
-	}
-	// Wrong kind: an interp snapshot into a multiscalar machine.
-	im := interp.NewMachine(build(t, "wc", asm.ModeScalar), interp.NewSysEnv())
-	isnap, err := im.Save()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fresh().Restore(isnap); err == nil {
-		t.Error("Restore(interp snapshot) = nil error")
-	}
-	// Bad magic.
-	bad := append([]byte{}, snap...)
-	bad[0] ^= 0xff
-	if err := fresh().Restore(bad); err == nil {
-		t.Error("Restore(bad magic) = nil error")
-	}
-	// Random single-byte corruptions must never panic (they may decode
-	// to an error or to a valid-but-different state).
-	rng := rand.New(rand.NewSource(59))
-	for trial := 0; trial < 64; trial++ {
-		bad := append([]byte{}, snap...)
-		bad[rng.Intn(len(bad))] ^= byte(1 + rng.Intn(255))
-		fresh().Restore(bad) //nolint:errcheck
-	}
-	// A snapshot for a different geometry must be rejected.
-	other, err := core.NewMultiscalar(p, interp.NewSysEnv(), core.DefaultConfig(8, 1, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var osnap []byte
-	other.ScheduleCheckpoint(100, func() error {
-		var err error
-		if osnap, err = other.Save(); err != nil {
-			return err
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*len(hostile)); got > limit {
+			t.Errorf("%s: loading %d hostile bytes allocated %d (limit %d)", p.name, len(hostile), got, limit)
 		}
-		return errInterrupted
-	})
-	if _, err := other.Run(); !errors.Is(err, errInterrupted) {
-		t.Fatal(err)
-	}
-	if err := fresh().Restore(osnap); err == nil {
-		t.Error("Restore(8-unit snapshot into 4-unit machine) = nil error")
 	}
 }
 
 // TestPeek checks kind dispatch and header metadata on opaque
 // snapshots.
 func TestPeek(t *testing.T) {
-	im := interp.NewMachine(build(t, "wc", asm.ModeScalar), interp.NewSysEnv())
+	im := interp.NewMachine(buildTB(t, "wc", asm.ModeScalar), interp.NewSysEnv())
 	for i := 0; i < 100; i++ {
 		if err := im.Step(); err != nil {
 			t.Fatal(err)

@@ -2,9 +2,11 @@
 // machine checkpoints (docs/simulator.md, "Snapshot format"). A
 // snapshot is a flat byte stream: a fixed header (magic, format
 // version, machine kind) followed by the machine's component sections
-// in a fixed order. Component packages serialize themselves through
-// the Encoder/Decoder primitives here; the package knows nothing about
-// the components, so it sits at the bottom of the dependency graph.
+// in a fixed order. Each component lists its mutable state once, in a
+// State(*Codec) method; the Codec carries the direction, so Save and
+// Restore traverse the same list and cannot drift apart. The package
+// knows nothing about the components, so it sits at the bottom of the
+// dependency graph.
 //
 // Snapshots capture only mutable run state. Derived and configured
 // state — program text, decoded µops, cache geometry, the memory
@@ -14,12 +16,14 @@
 // the constructed shape (wrong kind, wrong unit count, wrong cache
 // geometry).
 //
-// The Decoder is sticky: the first malformed read latches an error,
-// every later read returns zero values, and the caller checks Err()
-// once at the end. Length fields are validated against both the
-// remaining input and a caller-supplied cap before any allocation, so
-// a corrupt or adversarial snapshot (see FuzzSnapshot) cannot force a
-// huge allocation or a panic.
+// A loading Codec is sticky: the first malformed read latches an
+// error, every later read yields zero values, and Load returns the
+// error once the walk is done. An element count is validated against a
+// caller-supplied cap and — at the caller-supplied minimum encoded size
+// of one element — against the bytes actually remaining before anything
+// is allocated from it, so a corrupt or adversarial snapshot (see
+// FuzzSnapshot, TestHostileCountsDoNotAmplify) cannot force an
+// allocation larger than a small multiple of itself, or a panic.
 package snapshot
 
 import (
@@ -86,252 +90,266 @@ type Meta struct {
 // caller holding an opaque file can dispatch to the right machine
 // constructor or describe the snapshot to a user.
 func Peek(data []byte) (Meta, error) {
-	d, err := newDecoder(data)
+	_, meta, err := newLoader(data)
+	return meta, err
+}
+
+// Codec moves one snapshot stream in one direction: a saving Codec
+// appends the values its primitives are pointed at, a loading Codec
+// overwrites them from the stream. All integers are big-endian.
+type Codec struct {
+	buf     []byte // the stream: grown when saving, consumed from off when loading
+	off     int
+	loading bool
+	err     error
+}
+
+// Save runs a State walk with a saving codec and returns the stream:
+// the header for one machine kind, then whatever the walk lists. cycle
+// is the capture point (see Meta.Cycle). The error is a walk's own
+// check failing on the state it was asked to save — a machine that has
+// broken one of its invariants must not produce a snapshot.
+func Save(kind uint8, cycle uint64, state func(*Codec)) ([]byte, error) {
+	c := &Codec{buf: make([]byte, 0, 1<<12)}
+	c.buf = append(c.buf, magic...)
+	version := uint16(Version)
+	c.U16(&version)
+	c.U8(&kind)
+	c.U64(&cycle)
+	state(c)
+	return c.buf, c.err
+}
+
+// Load runs the same walk with a loading codec over data, after
+// validating the header against the expected machine kind, and checks
+// that the walk consumed the entire stream cleanly.
+func Load(data []byte, kind uint8, state func(*Codec)) error {
+	c, meta, err := newLoader(data)
+	if err == nil && meta.Kind != kind {
+		err = fmt.Errorf("snapshot: %s snapshot, want %s", KindName(meta.Kind), KindName(kind))
+	}
 	if err != nil {
-		return Meta{}, err
+		return err
 	}
-	return Meta{Version: Version, Kind: d.kind, Cycle: d.cycle}, nil
-}
-
-// Encoder builds a snapshot stream. All integers are big-endian.
-type Encoder struct {
-	buf []byte
-}
-
-// NewEncoder starts a snapshot for one machine kind, writing the
-// header. cycle is the capture point (see Meta.Cycle).
-func NewEncoder(kind uint8, cycle uint64) *Encoder {
-	e := &Encoder{buf: make([]byte, 0, 1<<12)}
-	e.buf = append(e.buf, magic...)
-	e.U16(Version)
-	e.U8(kind)
-	e.U64(cycle)
-	return e
-}
-
-// Bytes returns the encoded snapshot.
-func (e *Encoder) Bytes() []byte { return e.buf }
-
-// U8 appends one byte.
-func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
-
-// U16 appends a big-endian uint16.
-func (e *Encoder) U16(v uint16) { e.buf = binary.BigEndian.AppendUint16(e.buf, v) }
-
-// U32 appends a big-endian uint32.
-func (e *Encoder) U32(v uint32) { e.buf = binary.BigEndian.AppendUint32(e.buf, v) }
-
-// U64 appends a big-endian uint64.
-func (e *Encoder) U64(v uint64) { e.buf = binary.BigEndian.AppendUint64(e.buf, v) }
-
-// I32 appends an int32 (two's complement).
-func (e *Encoder) I32(v int32) { e.U32(uint32(v)) }
-
-// Int appends an int as an int64.
-func (e *Encoder) Int(v int) { e.U64(uint64(int64(v))) }
-
-// Bool appends a bool as one byte.
-func (e *Encoder) Bool(v bool) {
-	if v {
-		e.U8(1)
-	} else {
-		e.U8(0)
+	if state(c); c.err == nil && c.off != len(c.buf) {
+		c.Failf("%d trailing bytes", len(c.buf)-c.off)
 	}
+	return c.err
 }
 
-// F64 appends a float64 by bit pattern.
-func (e *Encoder) F64(v float64) { e.U64(math.Float64bits(v)) }
-
-// Len appends an element count.
-func (e *Encoder) Len(n int) { e.U32(uint32(n)) }
-
-// Raw appends bytes with no length prefix (fixed-size regions whose
-// length both sides know).
-func (e *Encoder) Raw(b []byte) { e.buf = append(e.buf, b...) }
-
-// Blob appends a length-prefixed byte string.
-func (e *Encoder) Blob(b []byte) {
-	e.Len(len(b))
-	e.Raw(b)
-}
-
-// Tag appends a 4-byte section marker. Tags cost 4 bytes per section
-// and turn a component-order mismatch between Save and Load into an
-// immediate named error instead of silently misparsed state.
-func (e *Encoder) Tag(tag string) {
-	var t [4]byte
-	copy(t[:], tag)
-	e.Raw(t[:])
-}
-
-// Decoder reads a snapshot stream with a sticky error: after the
-// first failure every read returns zero values, so Load code needs no
-// per-read error handling.
-type Decoder struct {
-	buf   []byte
-	off   int
-	kind  uint8
-	cycle uint64
-	err   error
-}
-
-func newDecoder(data []byte) (*Decoder, error) {
+// newLoader reads the header and positions a loading codec at the body.
+func newLoader(data []byte) (*Codec, Meta, error) {
 	if len(data) < headerSize {
-		return nil, fmt.Errorf("snapshot: truncated header (%d bytes)", len(data))
+		return nil, Meta{}, fmt.Errorf("snapshot: truncated header (%d bytes)", len(data))
 	}
 	if string(data[:len(magic)]) != magic {
-		return nil, fmt.Errorf("snapshot: bad magic")
+		return nil, Meta{}, fmt.Errorf("snapshot: bad magic")
 	}
-	d := &Decoder{buf: data, off: len(magic)}
-	if v := d.U16(); v != Version {
-		return nil, fmt.Errorf("snapshot: version %d, want %d", v, Version)
+	c, meta := &Codec{buf: data, off: len(magic), loading: true}, Meta{}
+	if c.U16(&meta.Version); meta.Version != Version {
+		return nil, Meta{}, fmt.Errorf("snapshot: version %d, want %d", meta.Version, Version)
 	}
-	d.kind = d.U8()
-	d.cycle = d.U64()
-	return d, nil
+	c.U8(&meta.Kind)
+	c.U64(&meta.Cycle)
+	return c, meta, nil
 }
 
-// NewDecoder validates the header against the expected machine kind
-// and positions the decoder at the body.
-func NewDecoder(data []byte, kind uint8) (*Decoder, error) {
-	d, err := newDecoder(data)
-	if err != nil {
-		return nil, err
-	}
-	if d.kind != kind {
-		return nil, fmt.Errorf("snapshot: %s snapshot, want %s",
-			KindName(d.kind), KindName(kind))
-	}
-	return d, nil
-}
+// Loading reports the direction. A State walk asks only where loading
+// has work saving does not: allocating what it is about to fill,
+// re-deriving a pointer the stream cannot carry.
+func (c *Codec) Loading() bool { return c.loading }
 
-// Failf latches a decoding error (the first one wins). Load code uses
-// it for semantic mismatches — a snapshot field that disagrees with
-// the constructed machine's shape.
-func (d *Decoder) Failf(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("snapshot: "+format, args...)
+// Failf latches an error (the first one wins). State walks use it for
+// semantic mismatches — a snapshot field that disagrees with the
+// constructed machine's shape.
+func (c *Codec) Failf(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf("snapshot: "+format, args...)
+		c.off = len(c.buf) // no input is left, so every later read fails has
 	}
 }
 
 // Err returns the latched error, if any.
-func (d *Decoder) Err() error { return d.err }
+func (c *Codec) Err() error { return c.err }
 
-// Finish checks that decoding consumed the entire stream cleanly.
-func (d *Decoder) Finish() error {
-	if d.err != nil {
-		return d.err
+// has consumes n bytes of a loading Codec's input, leaving them just
+// behind off, or latches an error and reports false. It is the one
+// bounds check of every read and small enough to inline: a latched
+// error needs no test of its own because Failf leaves no input.
+func (c *Codec) has(n int) bool {
+	if n > len(c.buf)-c.off {
+		return c.short(n)
 	}
-	if d.off != len(d.buf) {
-		return fmt.Errorf("snapshot: %d trailing bytes", len(d.buf)-d.off)
-	}
-	return nil
+	c.off += n
+	return true
 }
 
-func (d *Decoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || n > len(d.buf)-d.off {
-		d.Failf("truncated: need %d bytes at offset %d of %d", n, d.off, len(d.buf))
-		return nil
-	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
+func (c *Codec) short(n int) bool {
+	c.Failf("truncated: need %d bytes at offset %d of %d", n, c.off, len(c.buf))
+	return false
 }
 
-// U8 reads one byte.
-func (d *Decoder) U8() uint8 {
-	b := d.take(1)
-	if b == nil {
+// load returns the next n (1, 2, 4 or 8) input bytes as a big-endian
+// integer, 0 once an error is latched.
+func (c *Codec) load(n int) uint64 {
+	if !c.has(n) {
 		return 0
 	}
-	return b[0]
-}
-
-// U16 reads a big-endian uint16.
-func (d *Decoder) U16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(b)
-}
-
-// U32 reads a big-endian uint32.
-func (d *Decoder) U32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-// U64 reads a big-endian uint64.
-func (d *Decoder) U64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
+	b := c.buf[c.off-n:]
+	switch n {
+	case 1:
+		return uint64(b[0])
+	case 2:
+		return uint64(binary.BigEndian.Uint16(b))
+	case 4:
+		return uint64(binary.BigEndian.Uint32(b))
 	}
 	return binary.BigEndian.Uint64(b)
 }
 
-// I32 reads an int32.
-func (d *Decoder) I32() int32 { return int32(d.U32()) }
+// U8, U16, U32 and U64 move a big-endian unsigned integer. They are
+// small enough to inline, so a saving walk appends in place, as cheaply
+// as code written for that direction alone would.
+func (c *Codec) U8(p *uint8) {
+	if c.loading {
+		*p = uint8(c.load(1))
+	} else {
+		c.buf = append(c.buf, *p)
+	}
+}
 
-// Int reads an int stored as int64.
-func (d *Decoder) Int() int { return int(int64(d.U64())) }
+func (c *Codec) U16(p *uint16) {
+	if c.loading {
+		*p = uint16(c.load(2))
+	} else {
+		c.buf = binary.BigEndian.AppendUint16(c.buf, *p)
+	}
+}
 
-// Bool reads a bool byte (anything nonzero is true; the encoder only
-// writes 0 or 1, but fuzzed inputs may not).
-func (d *Decoder) Bool() bool { return d.U8() != 0 }
+func (c *Codec) U32(p *uint32) {
+	if c.loading {
+		*p = uint32(c.load(4))
+	} else {
+		c.buf = binary.BigEndian.AppendUint32(c.buf, *p)
+	}
+}
 
-// F64 reads a float64 by bit pattern.
-func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
+func (c *Codec) U64(p *uint64) {
+	if c.loading {
+		*p = c.load(8)
+	} else {
+		c.buf = binary.BigEndian.AppendUint64(c.buf, *p)
+	}
+}
 
-// Len reads an element count and validates it against max and the
-// bytes actually remaining (at least one byte per element), so a
-// corrupt count fails before any allocation sized by it.
-func (d *Decoder) Len(max int) int {
-	n := int(d.U32())
-	if d.err != nil {
+// I32 moves an int32 (two's complement).
+func (c *Codec) I32(p *int32) {
+	if c.loading {
+		*p = int32(c.load(4))
+	} else {
+		c.buf = binary.BigEndian.AppendUint32(c.buf, uint32(*p))
+	}
+}
+
+// Int moves an int as an int64.
+func (c *Codec) Int(p *int) {
+	if c.loading {
+		*p = int(int64(c.load(8)))
+	} else {
+		c.buf = binary.BigEndian.AppendUint64(c.buf, uint64(int64(*p)))
+	}
+}
+
+// Bool moves a bool as one byte (loading, anything nonzero is true; a
+// saver only writes 0 or 1, but fuzzed inputs may not).
+func (c *Codec) Bool(p *bool) {
+	if c.loading {
+		*p = c.has(1) && c.buf[c.off-1] != 0
+	} else if *p {
+		c.buf = append(c.buf, 1)
+	} else {
+		c.buf = append(c.buf, 0)
+	}
+}
+
+// F64 moves a float64 by bit pattern.
+func (c *Codec) F64(p *float64) {
+	if c.loading {
+		*p = math.Float64frombits(c.load(8))
+	} else {
+		c.buf = binary.BigEndian.AppendUint64(c.buf, math.Float64bits(*p))
+	}
+}
+
+// U16s, U32s and U64s move every element of a slice whose length both
+// directions know (a table sized by the configuration).
+func (c *Codec) U16s(s []uint16) {
+	for i := range s {
+		c.U16(&s[i])
+	}
+}
+
+func (c *Codec) U32s(s []uint32) {
+	for i := range s {
+		c.U32(&s[i])
+	}
+}
+
+func (c *Codec) U64s(s []uint64) {
+	for i := range s {
+		c.U64(&s[i])
+	}
+}
+
+// Raw moves exactly len(b) bytes with no length prefix (fixed-size
+// regions whose length both directions know).
+func (c *Codec) Raw(b []byte) {
+	if !c.loading {
+		c.buf = append(c.buf, b...)
+	} else if c.has(len(b)) {
+		copy(b, c.buf[c.off-len(b):])
+	}
+}
+
+// Len moves an element count. Saving, it writes n and returns it.
+// Loading, it returns the stored count after validating it against max
+// and against the input left — n elements of at least elem encoded
+// bytes each must fit in it — so a corrupt count fails before anything
+// is allocated from it; a failed Len (or one after an earlier failure,
+// which reads a count of 0) returns 0.
+func (c *Codec) Len(n, max, elem int) int {
+	v := uint32(n)
+	c.U32(&v)
+	if !c.loading {
+		return n
+	}
+	if left := len(c.buf) - c.off; int64(v) > int64(max) || int64(v)*int64(elem) > int64(left) {
+		c.Failf("length %d (of %d-byte elements) exceeds limit %d or the %d bytes left", v, elem, max, left)
 		return 0
 	}
-	if n > max || n > len(d.buf)-d.off {
-		d.Failf("length %d exceeds limit %d", n, max)
-		return 0
-	}
-	return n
+	return int(v)
 }
 
-// Raw reads exactly len(dst) bytes into dst.
-func (d *Decoder) Raw(dst []byte) {
-	b := d.take(len(dst))
-	if b != nil {
-		copy(dst, b)
+// Blob moves a length-prefixed byte string of at most max bytes; a
+// loaded blob is a fresh slice.
+func (c *Codec) Blob(p *[]byte, max int) {
+	n := c.Len(len(*p), max, 1)
+	if c.loading {
+		*p = make([]byte, n)
 	}
+	c.Raw(*p)
 }
 
-// Blob reads a length-prefixed byte string of at most max bytes.
-func (d *Decoder) Blob(max int) []byte {
-	n := d.Len(max)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]byte, n)
-	d.Raw(out)
-	return out
-}
-
-// Tag consumes a 4-byte section marker and fails if it is not the
-// expected one.
-func (d *Decoder) Tag(tag string) {
-	var want [4]byte
+// Tag moves a 4-byte section marker; loading fails if it is not the
+// expected one. Tags cost 4 bytes per section and turn a walk that has
+// fallen out of step with the stream into an immediate named error
+// instead of silently misparsed state.
+func (c *Codec) Tag(tag string) {
+	var want, got [4]byte
 	copy(want[:], tag)
-	var got [4]byte
-	d.Raw(got[:])
-	if d.err == nil && got != want {
-		d.Failf("section %q, want %q", got[:], want[:])
+	got = want
+	c.Raw(got[:])
+	if c.err == nil && got != want {
+		c.Failf("section %q, want %q", got[:], want[:])
 	}
 }
