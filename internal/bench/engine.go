@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"multiscalar/internal/asm"
@@ -20,31 +19,11 @@ import (
 // index-addressed slices, so formatted tables are byte-identical to the
 // sequential path regardless of completion order.
 
-// inputs maps workload name → program input bytes (SysReadChar stream).
-// Nothing in today's suite consumes input, but every key below honors
-// the hash(program, config, stdin) contract so a future stdin-consuming
-// workload cannot alias the cache entries of another input.
-var inputs sync.Map // string -> []byte
-
-// SetInput registers the bytes a workload reads as its input stream.
-// Every oracle and timing run of that workload gets a fresh reader over
-// the same bytes, and the input's hash becomes part of the oracle and
-// result keys.
-func SetInput(name string, data []byte) { inputs.Store(name, data) }
-
-func inputFor(name string) []byte {
-	if v, ok := inputs.Load(name); ok {
-		return v.([]byte)
-	}
-	return nil
-}
-
-// buildSpec names one workload build at one (mode, resolved scale) plus
-// the registered input its oracle reads: two lookups share a program and
-// an oracle exactly when their buildSpec keys agree (nil input is
-// distinct from empty-but-present input).
-func buildSpec(w *workloads.Workload, mode asm.Mode, scale Scale, input []byte) *job.Spec {
-	return &job.Spec{Op: job.OpAssemble, Workload: w.Name, Mode: mode, Scale: scale.of(w), Stdin: input}
+// buildSpec names one workload build at one (mode, resolved scale): two
+// lookups share a program and an oracle exactly when their buildSpec keys
+// agree. No workload of the suite reads input, so none is named.
+func buildSpec(w *workloads.Workload, mode asm.Mode, scale Scale) *job.Spec {
+	return &job.Spec{Op: job.OpAssemble, Workload: w.Name, Mode: mode, Scale: scale.of(w)}
 }
 
 // buildOracle returns workload w's binary in the given mode and its
@@ -52,22 +31,21 @@ func buildSpec(w *workloads.Workload, mode asm.Mode, scale Scale, input []byte) 
 // (single-flight, once per process). The returned Program is shared and
 // must not be mutated — clone (cloneProgram) before transforming it.
 func buildOracle(w *workloads.Workload, mode asm.Mode, scale Scale) (*isa.Program, *job.Oracle, error) {
-	spec := buildSpec(w, mode, scale, inputFor(w.Name))
-	p, err := spec.Resolve()
+	p, err := buildSpec(w, mode, scale).Resolve()
 	if err != nil {
 		return nil, nil, err
 	}
-	o, err := job.CachedOracle(p, spec.Stdin, 0)
+	o, err := job.CachedOracle(p, nil, 0)
 	return p, o, err
 }
 
 // pointSpec names the verified simulation of workload w's binary in the
-// given mode: the harness names its work (workload, mode, scale, input)
+// given mode: the harness names its work (workload, mode, scale)
 // and leaves building, oracle verification and machine dispatch to
 // job.Execute. A transformed binary takes the spec's Workload out and
 // puts an inline Program in (ForwardingAblation, AnnotateAblation).
 func pointSpec(w *workloads.Workload, mode asm.Mode, scale Scale) job.Spec {
-	s := *buildSpec(w, mode, scale, inputFor(w.Name))
+	s := *buildSpec(w, mode, scale)
 	s.Op, s.Verify = job.OpSimulate, true
 	return s
 }

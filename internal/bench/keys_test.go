@@ -41,7 +41,6 @@ type legacyBuildKey struct {
 	name  string
 	mode  asm.Mode
 	scale int
-	stdin string
 }
 
 type legacySimKey struct {
@@ -102,7 +101,6 @@ func TestBuildKeyPartitionMatchesLegacy(t *testing.T) {
 		w     *workloads.Workload
 		mode  asm.Mode
 		scale Scale
-		stdin []byte
 	}
 	var pts []point
 	for _, name := range []string{"example", "wc"} {
@@ -112,17 +110,15 @@ func TestBuildKeyPartitionMatchesLegacy(t *testing.T) {
 		}
 		for _, mode := range []asm.Mode{asm.ModeScalar, asm.ModeMultiscalar} {
 			for _, scale := range []Scale{0, -1, 0} { // duplicate on purpose
-				for _, stdin := range [][]byte{nil, {}, []byte("x")} {
-					pts = append(pts, point{w, mode, scale, stdin})
-				}
+				pts = append(pts, point{w, mode, scale})
 			}
 		}
 	}
 	legacy := make([]legacyBuildKey, len(pts))
 	keys := make([]string, len(pts))
 	for i, p := range pts {
-		legacy[i] = legacyBuildKey{name: p.w.Name, mode: p.mode, scale: p.scale.of(p.w), stdin: legacyHashOf(p.stdin)}
-		k, err := buildSpec(p.w, p.mode, p.scale, p.stdin).Key()
+		legacy[i] = legacyBuildKey{name: p.w.Name, mode: p.mode, scale: p.scale.of(p.w)}
+		k, err := buildSpec(p.w, p.mode, p.scale).Key()
 		if err != nil {
 			t.Fatal(err)
 		}

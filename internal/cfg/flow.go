@@ -120,9 +120,15 @@ func (r *TaskRegion) CoverIn(create isa.RegMask, gen map[*Block]isa.RegMask) (co
 // region's task: the union of the successor tasks' entry live-in sets,
 // with retLive standing in for return successors (callers choose the
 // precision: LiveAtReturn is the conservative ABI set, ReturnLiveOut the
-// flow-derived one).
+// flow-derived one). A task that ends in a call has one successor more
+// than its targets name: the continuation it pushes (PushRA) runs after
+// the callee's tasks, which pass through whatever they do not write, so
+// what the caller holds across the call is live out of it too.
 func (r *TaskRegion) LiveOut(retLive isa.RegMask) isa.RegMask {
 	var m isa.RegMask
+	if b := r.g.ByAddr[r.TD.PushRA]; b != nil {
+		m = b.LiveIn
+	}
 	for _, t := range r.TD.Targets {
 		if t == isa.TargetReturn {
 			m = m.Union(retLive)

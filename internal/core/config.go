@@ -8,6 +8,7 @@ import (
 	"io"
 
 	"multiscalar/internal/arb"
+	"multiscalar/internal/interp"
 	"multiscalar/internal/isa"
 	"multiscalar/internal/trace"
 )
@@ -129,4 +130,29 @@ func (c Config) NumBanks() int {
 		return 1
 	}
 	return 2 * c.NumUnits
+}
+
+// Machine is the common surface of the two timing machines.
+type Machine interface {
+	Run() (*Result, error)
+	SetCommitLimit(n uint64)
+	Save() ([]byte, error)
+	Restore(data []byte) error
+	ScheduleCheckpoint(cycle uint64, fn func() error)
+	InjectWarm(data []byte) error
+}
+
+// WantsMultiscalar is the dispatch rule: the scalar baseline iff the
+// configuration has at most one unit and the binary carries no task
+// descriptors, otherwise the multiscalar processor.
+func WantsMultiscalar(p *isa.Program, cfg Config) bool {
+	return cfg.NumUnits > 1 || len(p.Tasks) > 0
+}
+
+// NewMachine builds the multiscalar processor or the scalar baseline.
+func NewMachine(p *isa.Program, env *interp.SysEnv, cfg Config, multi bool) (Machine, error) {
+	if multi {
+		return NewMultiscalar(p, env, cfg)
+	}
+	return NewScalar(p, env, cfg), nil
 }

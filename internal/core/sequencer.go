@@ -97,20 +97,11 @@ func (m *Multiscalar) predictSuccessor(last *taskState) (uint32, bool) {
 		idx = m.predictor.Predict(desc.Entry) % len(desc.Targets)
 		m.progress = true // Predict shifts histories and emits trace events
 	}
-	tgt := desc.Targets[idx]
-	var entry uint32
-	if tgt == isa.TargetReturn {
-		entry = m.ras.Pop()
-		if entry == 0 {
-			// Empty return stack: cannot guess. Wait for validation.
-			m.ras.Restore(last.rasSnap)
-			return 0, false
-		}
-	} else {
-		entry = tgt
-	}
-	if desc.PushRA != 0 && tgt == desc.CallTarget {
-		m.ras.Push(desc.PushRA)
+	entry := m.ras.Follow(desc, idx)
+	if entry == 0 {
+		// Empty return stack: cannot guess. Wait for validation.
+		m.ras.Restore(last.rasSnap)
+		return 0, false
 	}
 
 	last.predMade = true
@@ -311,16 +302,17 @@ func (m *Multiscalar) retire(now uint64) error {
 
 	actual := u.ExitPC()
 	if len(ts.desc.Targets) > 0 && !ts.validated {
-		outcomeIdx, err := m.outcomeIndex(ts, u)
-		if err != nil {
-			return err
+		outcomeIdx := ts.desc.OutcomeIndex(actual, u.ExitByReturn())
+		if outcomeIdx < 0 {
+			return fmt.Errorf("core: task %s exited to 0x%x, not among its targets %v",
+				ts.desc.Name, actual, ts.desc.Targets)
 		}
 		if ts.predMade {
 			m.validateOne(0, ts, actual, outcomeIdx, now)
 		} else {
 			// No successor was ever chosen (stalled prediction): apply the
 			// actual outcome's stack effects and force the target.
-			m.applyOutcome(ts, outcomeIdx)
+			m.ras.Follow(ts.desc, outcomeIdx)
 			m.forced = actual
 			m.forcedValid = true
 			ts.validated = true
@@ -351,38 +343,6 @@ func (m *Multiscalar) retire(now uint64) error {
 	return nil
 }
 
-// applyOutcome replays the actual control outcome's return-stack effects.
-func (m *Multiscalar) applyOutcome(ts *taskState, outcomeIdx int) {
-	tgt := ts.desc.Targets[outcomeIdx]
-	if tgt == isa.TargetReturn {
-		m.ras.Pop()
-	}
-	if ts.desc.PushRA != 0 && tgt == ts.desc.CallTarget {
-		m.ras.Push(ts.desc.PushRA)
-	}
-}
-
-// outcomeIndex maps a completed task's actual exit to its target number.
-func (m *Multiscalar) outcomeIndex(ts *taskState, u unitExit) (int, error) {
-	var idx int
-	if u.ExitByReturn() {
-		idx = ts.desc.TargetIndex(isa.TargetReturn)
-	} else {
-		idx = ts.desc.TargetIndex(u.ExitPC())
-	}
-	if idx < 0 {
-		return 0, fmt.Errorf("core: task %s exited to 0x%x, not among its targets %v",
-			ts.desc.Name, u.ExitPC(), ts.desc.Targets)
-	}
-	return idx, nil
-}
-
-// unitExit is the slice of pu.Unit the validator needs.
-type unitExit interface {
-	ExitPC() uint32
-	ExitByReturn() bool
-}
-
 // validateCompleted checks, for every completed task whose successor has
 // been chosen, that the prediction matches the actual exit — the moment
 // the exit point is known (Section 3.1.2), not at retirement. Detecting a
@@ -395,8 +355,8 @@ func (m *Multiscalar) validateCompleted(now uint64) {
 		if ts == nil || !u.Done() || ts.validated || !ts.predMade {
 			continue
 		}
-		outcomeIdx, err := m.outcomeIndex(ts, u)
-		if err != nil {
+		outcomeIdx := ts.desc.OutcomeIndex(u.ExitPC(), u.ExitByReturn())
+		if outcomeIdx < 0 {
 			continue // surfaced at retire
 		}
 		m.validateOne(d, ts, u.ExitPC(), outcomeIdx, now)
@@ -447,7 +407,7 @@ func (m *Multiscalar) validateOne(dist int, ts *taskState, actual uint32, outcom
 
 	m.predictor.Restore(ts.histSnap)
 	m.ras.Restore(ts.rasSnap)
-	m.applyOutcome(ts, outcomeIdx)
+	m.ras.Follow(ts.desc, outcomeIdx) // the actual outcome's stack effect
 	if ts.predCounts {
 		m.predictor.UpdateWith(ts.histBefore, ts.desc.Entry, outcomeIdx, ts.predIdx)
 	}

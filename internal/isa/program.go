@@ -66,6 +66,17 @@ func (t *TaskDescriptor) TargetIndex(addr uint32) int {
 	return -1
 }
 
+// OutcomeIndex returns the number of the target an execution of the task
+// left through, given where control went next and whether it got there
+// by a return (the TargetReturn slot, whatever the address), or -1 when
+// that exit is not among the targets.
+func (t *TaskDescriptor) OutcomeIndex(next uint32, byReturn bool) int {
+	if byReturn {
+		next = TargetReturn
+	}
+	return t.TargetIndex(next)
+}
+
 func (t *TaskDescriptor) String() string {
 	return fmt.Sprintf("task %s @0x%x create=%s targets=%v", t.Name, t.Entry, t.Create, t.Targets)
 }

@@ -124,14 +124,6 @@ func build(s *Spec) (*isa.Program, error) {
 	return asm.Assemble(s.Source, s.Mode)
 }
 
-// machine is the common surface of the two timing machines.
-type machine interface {
-	Run() (*core.Result, error)
-	Save() ([]byte, error)
-	Restore([]byte) error
-	ScheduleCheckpoint(cycle uint64, fn func() error)
-}
-
 // Execute runs one job to completion: the one execution path behind the
 // facade's Run, the bench harness, and the msserve engine. rt may be nil.
 func Execute(s *Spec, rt *Runtime) (*Output, error) {
@@ -194,7 +186,8 @@ func Execute(s *Spec, rt *Runtime) (*Output, error) {
 
 	env := interp.NewSysEnv()
 	env.In = stdin
-	m, err := newMachine(s, p, env, cfg)
+	multi := s.Machine == MachineMultiscalar || s.Machine == MachineAuto && core.WantsMultiscalar(p, cfg)
+	m, err := core.NewMachine(p, env, cfg, multi)
 	if err != nil {
 		return nil, err
 	}
@@ -302,16 +295,6 @@ func (s *Spec) label() string {
 		return s.Workload
 	}
 	return "job"
-}
-
-// newMachine is the one copy of the dispatch rule (MachineAuto): the
-// scalar baseline iff the configuration has at most one unit and the
-// binary carries no task descriptors.
-func newMachine(s *Spec, p *isa.Program, env *interp.SysEnv, cfg core.Config) (machine, error) {
-	if s.Machine == MachineScalar || s.Machine == MachineAuto && cfg.NumUnits <= 1 && len(p.Tasks) == 0 {
-		return core.NewScalar(p, env, cfg), nil
-	}
-	return core.NewMultiscalar(p, env, cfg)
 }
 
 // RunOracle executes a program on the functional simulator and returns

@@ -123,6 +123,31 @@ done:
 			},
 		},
 		{
+			// $t2 is written by main and read by cont, the continuation
+			// main's call pushes: no target names cont, but it runs after
+			// fn's tasks, which pass $t2 through untouched.
+			name: "MS001 register held across a call",
+			src: `
+main:
+	li $t2, 7
+	jal fn !s
+cont:
+	move $a0, $t2
+	li $v0, 10
+	syscall
+fn:
+	add $v0, $a0, $a0 !f
+	jr $ra !s
+.task main targets=fn pushra=cont create=$ra
+.task cont
+.task fn targets=ret create=$v0
+`,
+			wants: []want{
+				{mslint.CodeCreateMissing, mslint.SevError, 3, "$t2"},
+				{mslint.CodeFlushOnly, mslint.SevWarning, 4, "$ra"},
+			},
+		},
+		{
 			// $s3 is in the create mask but dead at the only successor;
 			// it also rides the completion flush (never forwarded), so the
 			// coverage check fires alongside.

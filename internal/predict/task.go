@@ -4,7 +4,10 @@
 // processing units.
 package predict
 
-import "multiscalar/internal/trace"
+import (
+	"multiscalar/internal/isa"
+	"multiscalar/internal/trace"
+)
 
 // TaskPredictor is the sequencer's control flow predictor: a PAs
 // configuration with 4 targets per prediction and 6 outcome histories.
@@ -141,6 +144,20 @@ func (r *RAS) Pop() uint32 {
 	r.top = (r.top - 1 + len(r.entries)) % len(r.entries)
 	r.depth--
 	return r.entries[r.top]
+}
+
+// Follow applies the stack effect of a task leaving through target number
+// idx of its descriptor and returns the successor's entry: a return pops
+// it off the stack (0 if empty), any other target names it, and the call
+// target pushes the continuation the callee will return to.
+func (r *RAS) Follow(desc *isa.TaskDescriptor, idx int) uint32 {
+	entry := desc.Targets[idx]
+	if entry == isa.TargetReturn {
+		entry = r.Pop()
+	} else if desc.PushRA != 0 && entry == desc.CallTarget {
+		r.Push(desc.PushRA)
+	}
+	return entry
 }
 
 // Depth returns the number of live entries.

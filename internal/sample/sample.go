@@ -209,22 +209,16 @@ func (w *warmer) Retire(pc, next uint32) {
 
 // boundary replays what the sequencer's committed path does at a task
 // transition — train the task predictor on the actual outcome and
-// apply the outcome's return-stack effects (sequencer.go:
-// predictSuccessor + validateOne/applyOutcome net to exactly this
-// along the non-squashed path) — then advances to the next task and
-// considers a capture.
+// apply the outcome's return-stack effect (RAS.Follow, as the
+// sequencer does when it predicts and when it repairs a misprediction)
+// — then advances to the next task and considers a capture.
 func (w *warmer) boundary(next uint32, byRet bool) {
 	desc := w.cur
 	if w.err != nil || desc == nil {
 		return
 	}
 	if len(desc.Targets) > 0 {
-		var actualIdx int
-		if byRet {
-			actualIdx = desc.TargetIndex(isa.TargetReturn)
-		} else {
-			actualIdx = desc.TargetIndex(next)
-		}
+		actualIdx := desc.OutcomeIndex(next, byRet)
 		if actualIdx < 0 {
 			w.err = fmt.Errorf("sample: task %s exited to 0x%x, not among its targets %v",
 				desc.Name, next, desc.Targets)
@@ -243,13 +237,7 @@ func (w *warmer) boundary(next uint32, byRet bool) {
 		if counts {
 			w.ws.TaskPred.UpdateWith(hist, desc.Entry, actualIdx, predIdx)
 		}
-		tgt := desc.Targets[actualIdx]
-		if tgt == isa.TargetReturn {
-			w.ws.RAS.Pop()
-		}
-		if desc.PushRA != 0 && tgt == desc.CallTarget {
-			w.ws.RAS.Push(desc.PushRA)
-		}
+		w.ws.RAS.Follow(desc, actualIdx)
 	}
 	w.ws.DescCache.Touch(next)
 	if w.cur = w.prog.TaskAt(next); w.cur == nil {
@@ -329,12 +317,6 @@ func (prm Params) schedule(total uint64) []uint64 {
 	return pts
 }
 
-// useMulti mirrors the job layer's machine auto-selection: scalar only
-// for single-unit configs of task-less programs.
-func useMulti(p *isa.Program, cfg core.Config) bool {
-	return cfg.NumUnits > 1 || len(p.Tasks) > 0
-}
-
 func newEnv(stdin []byte) *interp.SysEnv {
 	env := interp.NewSysEnv()
 	if stdin != nil {
@@ -351,7 +333,7 @@ func newEnv(stdin []byte) *interp.SysEnv {
 // at its capture point. maxInstrs bounds the warming pass, which must
 // end where ref says the program ends.
 func Run(p *isa.Program, cfg core.Config, prm Params, stdin []byte, maxInstrs uint64, ref Functional, pool Runner) (*Estimate, error) {
-	multi := useMulti(p, cfg)
+	multi := core.WantsMultiscalar(p, cfg)
 	if multi && p.TaskAt(p.Entry) == nil {
 		return nil, fmt.Errorf("sample: no task descriptor at program entry 0x%x", p.Entry)
 	}
@@ -533,7 +515,7 @@ func (ws *windows) run(k int, snap []byte) {
 }
 
 func (ws *windows) measure(snap []byte) (windowRes, error) {
-	m, err := newTiming(ws.p, ws.cfg, ws.stdin, ws.multi)
+	m, err := core.NewMachine(ws.p, newEnv(ws.stdin), ws.cfg, ws.multi)
 	if err != nil {
 		return windowRes{}, err
 	}
@@ -562,24 +544,10 @@ func (ws *windows) measure(snap []byte) (windowRes, error) {
 	}, nil
 }
 
-// measurable is the machine surface the windows need.
-type measurable interface {
-	InjectWarm([]byte) error
-	SetCommitLimit(uint64)
-	Run() (*core.Result, error)
-}
-
-func newTiming(p *isa.Program, cfg core.Config, stdin []byte, multi bool) (measurable, error) {
-	if multi {
-		return core.NewMultiscalar(p, newEnv(stdin), cfg)
-	}
-	return core.NewScalar(p, newEnv(stdin), cfg), nil
-}
-
 // runFullDetail is the fallback for runs too short to sample: one
 // exact detailed run, reported as a zero-width interval.
 func runFullDetail(p *isa.Program, cfg core.Config, prm Params, stdin []byte, multi bool, ref Functional) (*Estimate, error) {
-	m, err := newTiming(p, cfg, stdin, multi)
+	m, err := core.NewMachine(p, newEnv(stdin), cfg, multi)
 	if err != nil {
 		return nil, err
 	}

@@ -31,20 +31,9 @@ func buildTB(tb testing.TB, name string, mode asm.Mode) *isa.Program {
 	return p
 }
 
-// timingMachine is what the scalar and multiscalar machines share as far
-// as a capture is concerned.
-type timingMachine interface {
-	ScheduleCheckpoint(cycle uint64, fn func() error)
-	Save() ([]byte, error)
-	Run() (*core.Result, error)
-}
-
-func newTiming(tb testing.TB, p *isa.Program, cfg core.Config, multi bool) timingMachine {
+func newTiming(tb testing.TB, p *isa.Program, cfg core.Config, multi bool) core.Machine {
 	tb.Helper()
-	if !multi {
-		return core.NewScalar(p, interp.NewSysEnv(), cfg)
-	}
-	m, err := core.NewMultiscalar(p, interp.NewSysEnv(), cfg)
+	m, err := core.NewMachine(p, interp.NewSysEnv(), cfg, multi)
 	if err != nil {
 		tb.Fatal(err)
 	}

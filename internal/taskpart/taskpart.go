@@ -1,14 +1,19 @@
 // Package taskpart is the automatic task partitioner: the compiler half of
 // the multiscalar toolchain (Section 2.2 of the paper). Given an assembled
-// program with no task annotations, it
+// program with no task annotations, it decides where tasks begin and end:
 //
-//   - chooses task boundaries (natural-loop iterations, function bodies,
-//     call continuations — the granularities the paper's examples use),
-//   - builds task descriptors with conservative create masks trimmed by
-//     dead-register analysis,
-//   - sets forward bits on last updaters (no later write possible on any
-//     path within the task), and
-//   - sets stop bits on task exit edges.
+//   - task entries (natural-loop iterations, function bodies, call
+//     continuations — the granularities the paper's examples use), and
+//   - stop bits on every edge that leaves a task.
+//
+// What those decisions make of each task is not restated here. Once the
+// entries are registered and the stops marked, the task is walked the way
+// a processing unit executes it (cfg.Graph.TaskRegion, the walk the linter
+// and the annotation optimizer read), and the descriptor is filled in from
+// that walk: the exits are the successor targets, the registers the region
+// writes that are live into a successor are the create mask (dead-register
+// trimming), and every write after which no further write of the register
+// is possible on any path within the task carries the forward bit.
 //
 // It does not insert release instructions (that would require re-laying
 // out the text); registers in the create mask that a dynamic execution
@@ -36,14 +41,6 @@ type Options struct {
 	SuppressFuncs []string
 	// SuppressAllCalls absorbs every call.
 	SuppressAllCalls bool
-	// KeepLoopTasks==false disables loop-header task entries (only useful
-	// for ablation).
-	NoLoopTasks bool
-	// NoLint skips the annotation-contract post-pass (internal/mslint)
-	// over the produced partition. The linter is the partitioner's safety
-	// net: a partition with hard lint errors indicates a partitioner bug
-	// and is rejected by default.
-	NoLint bool
 }
 
 // TaskInfo describes one produced task.
@@ -59,7 +56,9 @@ type Partition struct {
 }
 
 // Run partitions prog in place: it fills prog.Tasks and sets tag bits on
-// prog.Text. prog must not already carry task annotations.
+// prog.Text. prog must not already carry task annotations. The produced
+// partition is held to the annotation contract (internal/mslint): a hard
+// lint error indicates a partitioner bug and rejects the result.
 func Run(prog *isa.Program, opt Options) (*Partition, error) {
 	if len(prog.Tasks) != 0 {
 		return nil, fmt.Errorf("taskpart: program already has task descriptors")
@@ -77,9 +76,8 @@ func Run(prog *isa.Program, opt Options) (*Partition, error) {
 	}
 
 	p := &partitioner{prog: prog, g: g, opt: opt, suppressed: suppressed}
-	if err := p.chooseEntries(); err != nil {
-		return nil, err
-	}
+	p.shared = p.suppressedBlocks()
+	p.chooseEntries()
 	// Task entries must be block leaders; they are, because entries are
 	// either loop headers, call targets, post-call continuations, or the
 	// program entry — all block starts.
@@ -114,22 +112,31 @@ func Run(prog *isa.Program, opt Options) (*Partition, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
-	if !opt.NoLint {
-		if err := mslint.Lint(prog, nil).Err(); err != nil {
-			return nil, fmt.Errorf("taskpart: produced an invalid partition (partitioner bug): %w", err)
-		}
+	if err := mslint.Lint(prog, nil).Err(); err != nil {
+		return nil, fmt.Errorf("taskpart: produced an invalid partition (partitioner bug): %w", err)
 	}
 	return &Partition{Graph: g, Tasks: tasks}, nil
 }
 
-// resetTags clears tag bits and descriptors before a (re)partitioning
-// round.
+// resetTags clears the tag bits and registers a bare descriptor for every
+// chosen entry before a (re)partitioning round: the region walk tells
+// tasks apart by what prog.Tasks names.
 func (p *partitioner) resetTags() {
 	for i := range p.prog.Text {
 		p.prog.Text[i].Fwd = false
 		p.prog.Text[i].Stop = isa.StopNone
 	}
 	p.prog.Tasks = make(map[uint32]*isa.TaskDescriptor)
+	for entry := range p.entries {
+		if p.g.ByAddr[entry] == nil {
+			continue // the continuation of a call that ends the text
+		}
+		td := &isa.TaskDescriptor{Name: fmt.Sprintf("t_%x", entry), Entry: entry}
+		if name := p.symbolFor(entry); name != "" {
+			td.Name = name
+		}
+		p.prog.Tasks[entry] = td
+	}
 }
 
 // splitRegion promotes internal join blocks (several predecessors) of an
@@ -168,6 +175,9 @@ type partitioner struct {
 	opt        Options
 	suppressed map[uint32]bool
 	entries    map[uint32]bool // task entry addresses
+	// shared holds the blocks of suppressed function bodies: they execute
+	// inside their callers' tasks and receive neither entries nor stops.
+	shared map[*cfg.Block]bool
 }
 
 // isTaskFunc reports whether a call target becomes its own task.
@@ -208,28 +218,24 @@ func (p *partitioner) suppressedBlocks() map[*cfg.Block]bool {
 	return out
 }
 
-func (p *partitioner) chooseEntries() error {
+func (p *partitioner) chooseEntries() {
 	p.entries = map[uint32]bool{p.prog.Entry: true}
-	inSuppressed := p.suppressedBlocks()
-
-	if !p.opt.NoLoopTasks {
-		for _, l := range p.g.Loops {
-			if inSuppressed[l.Header] {
-				continue
-			}
-			p.entries[l.Header.Start] = true
-			// Loop exits become entries so the post-loop code is a task.
-			for b := range l.Blocks {
-				for _, s := range b.Succs {
-					if !l.Blocks[s] && !inSuppressed[s] {
-						p.entries[s.Start] = true
-					}
+	for _, l := range p.g.Loops {
+		if p.shared[l.Header] {
+			continue
+		}
+		p.entries[l.Header.Start] = true
+		// Loop exits become entries so the post-loop code is a task.
+		for b := range l.Blocks {
+			for _, s := range b.Succs {
+				if !l.Blocks[s] && !p.shared[s] {
+					p.entries[s.Start] = true
 				}
 			}
 		}
 	}
 	for _, b := range p.g.Blocks {
-		if inSuppressed[b] {
+		if p.shared[b] {
 			continue
 		}
 		if b.CallTarget != 0 && p.isTaskFunc(b.CallTarget) {
@@ -237,39 +243,35 @@ func (p *partitioner) chooseEntries() error {
 			p.entries[b.End] = true        // continuation task
 		}
 	}
-	return nil
 }
 
 // markStops sets stop bits on every edge that leaves a task region: edges
 // into task entries, returns, and calls to task functions.
 func (p *partitioner) markStops() error {
-	// Suppressed callee bodies execute inside their caller's task and must
-	// not carry stop bits: in particular their jr returns control within
-	// the task rather than ending it.
-	shared := p.suppressedBlocks()
+	// An entry past the end of the text (the continuation of a final
+	// call) is no block and takes no edge.
+	isEntry := func(addr uint32) bool { return p.entries[addr] && p.g.ByAddr[addr] != nil }
 	for _, b := range p.g.Blocks {
-		if shared[b] {
+		// Suppressed callee bodies execute inside their caller's task and
+		// must not carry stop bits: in particular their jr returns control
+		// within the task rather than ending it.
+		if p.shared[b] {
 			continue
 		}
 		lastAddr := b.End - isa.InstrSize
 		last := p.prog.InstrAt(lastAddr)
-		isEntry := func(bb *cfg.Block) bool { return p.entries[bb.Start] }
 		switch {
 		case last.Op.IsBranch():
-			tkn := p.g.ByAddr[last.Target]
-			ft := p.g.ByAddr[b.End]
-			tknExit := tkn != nil && isEntry(tkn)
-			ftExit := ft != nil && isEntry(ft)
-			switch {
-			case tknExit && ftExit:
+			switch tkn, ft := isEntry(last.Target), isEntry(b.End); {
+			case tkn && ft:
 				last.Stop = isa.StopAlways
-			case tknExit:
+			case tkn:
 				last.Stop = isa.StopTaken
-			case ftExit:
+			case ft:
 				last.Stop = isa.StopNotTaken
 			}
 		case last.Op == isa.OpJ:
-			if t := p.g.ByAddr[last.Target]; t != nil && isEntry(t) {
+			if isEntry(last.Target) {
 				last.Stop = isa.StopAlways
 			}
 		case last.Op == isa.OpJal:
@@ -283,7 +285,7 @@ func (p *partitioner) markStops() error {
 		case last.Op == isa.OpJr:
 			last.Stop = isa.StopAlways
 		default:
-			if t := p.g.ByAddr[b.End]; t != nil && isEntry(t) {
+			if isEntry(b.End) {
 				last.Stop = isa.StopAlways
 			}
 		}
@@ -291,156 +293,77 @@ func (p *partitioner) markStops() error {
 	return nil
 }
 
-// region computes the blocks of the task entered at entry: blocks
-// reachable without crossing into another task entry, including the
-// bodies of suppressed callees.
-func (p *partitioner) region(entry uint32) []*cfg.Block {
-	start := p.g.ByAddr[entry]
-	if start == nil {
-		return nil
-	}
-	seen := map[*cfg.Block]bool{}
-	var out []*cfg.Block
-	var stack []*cfg.Block
-	push := func(b *cfg.Block) {
-		if b != nil && !seen[b] {
-			seen[b] = true
-			stack = append(stack, b)
-		}
-	}
-	push(start)
-	for len(stack) > 0 {
-		b := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		out = append(out, b)
-		// A call to a suppressed function pulls the callee body in.
-		if b.CallTarget != 0 && !p.isTaskFunc(b.CallTarget) {
-			push(p.g.ByAddr[b.CallTarget])
-		}
-		// A call to a task function ends the task here.
-		if b.CallTarget != 0 && p.isTaskFunc(b.CallTarget) {
-			continue
-		}
-		if b.Returns {
-			continue
-		}
-		for _, s := range b.Succs {
-			if !p.entries[s.Start] {
-				push(s)
-			}
-		}
-	}
-	return out
-}
-
-// buildTasks creates descriptors, computes create masks, sets forward
-// bits, and validates target counts. A task with too many exit targets is
-// returned as `fat` for the caller to split.
+// buildTasks fills in every registered descriptor from the walk of its
+// region: targets from the exits, the create mask, forward bits. A task
+// with too many exit targets is returned as `fat` for the caller to
+// split.
 func (p *partitioner) buildTasks() ([]*TaskInfo, *TaskInfo, error) {
-	entryList := make([]uint32, 0, len(p.entries))
-	for e := range p.entries {
-		entryList = append(entryList, e)
-	}
-	sort.Slice(entryList, func(i, j int) bool { return entryList[i] < entryList[j] })
+	// Live at a return: the ABI set plus anything any caller holds live
+	// across a call that ends its task.
+	retLive, _ := p.g.ReturnLiveOut()
+	retLive = retLive.Union(cfg.LiveAtReturn)
 
 	var tasks []*TaskInfo
-	for _, entry := range entryList {
-		blocks := p.region(entry)
-		if blocks == nil {
-			continue
-		}
-		td := &isa.TaskDescriptor{
-			Name:  fmt.Sprintf("t_%x", entry),
-			Entry: entry,
-		}
-		if name := p.symbolFor(entry); name != "" {
-			td.Name = name
+	for _, td := range p.prog.TaskList() {
+		r := p.g.TaskRegion(td)
+		ti := &TaskInfo{Desc: td, Blocks: r.Blocks}
+		indirect := false
+		for _, pr := range r.Problems {
+			indirect = indirect || pr.Kind == cfg.ProbIndirect
 		}
 
-		// Exit targets and PushRA.
-		targets := map[uint32]bool{}
-		liveOut := isa.RegMask(0)
-		for _, b := range blocks {
-			lastAddr := b.End - isa.InstrSize
-			last := p.prog.InstrAt(lastAddr)
-			addTarget := func(addr uint32) {
-				targets[addr] = true
-				if t := p.g.ByAddr[addr]; t != nil {
-					liveOut = liveOut.Union(t.LiveIn)
-				}
+		for _, e := range r.Exits {
+			if !td.HasTarget(e.Target) {
+				td.Targets = append(td.Targets, e.Target)
 			}
-			switch last.Stop {
-			case isa.StopAlways:
-				switch {
-				case last.Op.IsBranch():
-					addTarget(last.Target)
-					addTarget(b.End)
-				case last.Op == isa.OpJ:
-					addTarget(last.Target)
-				case last.Op == isa.OpJal:
-					addTarget(last.Target)
-					cont := b.End
-					if td.PushRA != 0 && td.PushRA != cont {
-						return nil, nil, fmt.Errorf("taskpart: task %s has multiple call continuations", td.Name)
-					}
-					td.PushRA = cont
-					td.CallTarget = last.Target
-					// Values the caller holds across the call are live
-					// outside this task even though the callee never reads
-					// them: the call block's live-out is the set live after
-					// the return.
-					liveOut = liveOut.Union(b.LiveOut)
-				case last.Op == isa.OpJr:
-					targets[isa.TargetReturn] = true
-					// Live at return: the ABI set plus anything any caller
-					// of this function holds live across its call sites.
-					liveOut = liveOut.Union(cfg.LiveAtReturn)
-					liveOut = liveOut.Union(p.retLiveOut(entry))
-				default:
-					addTarget(b.End)
+			if e.Kind == cfg.ExitCall {
+				if td.PushRA != 0 && td.PushRA != e.Cont {
+					return nil, nil, fmt.Errorf("taskpart: task %s has multiple call continuations", td.Name)
 				}
-			case isa.StopTaken:
-				addTarget(last.Target)
-			case isa.StopNotTaken:
-				addTarget(b.End)
+				td.PushRA, td.CallTarget = e.Cont, e.Target
 			}
-		}
-		for t := range targets {
-			td.Targets = append(td.Targets, t)
 		}
 		sort.Slice(td.Targets, func(i, j int) bool { return td.Targets[i] < td.Targets[j] })
 		if len(td.Targets) > isa.MaxTaskTargets {
-			return tasks, &TaskInfo{Desc: td, Blocks: blocks}, nil
+			return tasks, ti, nil
 		}
 
 		// Create mask: registers the region may write, trimmed to those
-		// live into some exit.
-		var def isa.RegMask
-		for _, b := range blocks {
-			def = def.Union(b.Def)
+		// live into some exit. What an indirect callee writes is unknown.
+		defs := r.Defs()
+		if indirect {
+			defs = cfg.AllRegs
 		}
-		td.Create = def.Intersect(liveOut)
+		td.Create = defs.Intersect(r.LiveOut(retLive))
+		tasks = append(tasks, ti)
+		if indirect {
+			continue // nor is any write provably the last: the flush sends them
+		}
 
-		p.setForwardBits(td, blocks)
-
-		p.prog.Tasks[entry] = td
-		tasks = append(tasks, &TaskInfo{Desc: td, Blocks: blocks})
+		// Forward bits: every write of a create-mask register after which
+		// no further write of it is possible on any path within the task.
+		// Callee bodies are left unmarked (the completion flush covers
+		// them): a callee shared by several tasks cannot carry per-task
+		// forward bits. Neither can a call: a task call ends the task
+		// anyway, and its $ra rides the flush.
+		mwIn := r.MayWriteIn()
+		for _, b := range r.Blocks {
+			if r.Callee[b] {
+				continue
+			}
+			for i, later := range r.LaterWrites(b, mwIn) {
+				in := p.prog.InstrAt(b.Start + uint32(i)*isa.InstrSize)
+				d := in.Dest()
+				if d == isa.RegZero || in.Op == isa.OpJal || in.Op == isa.OpJalr {
+					continue
+				}
+				if td.Create.Has(d) && !later.Has(d) {
+					in.Fwd = true
+				}
+			}
+		}
 	}
 	return tasks, nil, nil
-}
-
-// retLiveOut returns the registers live after any call site that can
-// reach the function task entered at `entry` — the union of the live-out
-// sets of every block calling a function whose body contains this task.
-// Conservative: called from anywhere means live-out of every call block.
-func (p *partitioner) retLiveOut(entry uint32) isa.RegMask {
-	var m isa.RegMask
-	for _, b := range p.g.Blocks {
-		if b.CallTarget != 0 && p.isTaskFunc(b.CallTarget) {
-			m = m.Union(b.LiveOut)
-		}
-	}
-	return m
 }
 
 func (p *partitioner) symbolFor(addr uint32) string {
@@ -451,120 +374,4 @@ func (p *partitioner) symbolFor(addr uint32) string {
 		}
 	}
 	return best
-}
-
-// setForwardBits marks, for each register in the create mask, every write
-// after which no further write of that register is possible on any path
-// within the task. Writes inside suppressed callee bodies are left
-// unmarked (the completion flush covers them), because a callee shared by
-// several tasks cannot carry per-task forward bits.
-func (p *partitioner) setForwardBits(td *isa.TaskDescriptor, blocks []*cfg.Block) {
-	inRegion := map[*cfg.Block]bool{}
-	for _, b := range blocks {
-		inRegion[b] = true
-	}
-	// Blocks belonging to suppressed callee bodies: reachable via call
-	// edges from region call sites. Approximate: a block is "shared" if it
-	// is part of any suppressed function body.
-	shared := p.suppressedBlocks()
-
-	// mwIn[b]: registers that may be written at or after the start of b
-	// within the task. Fixpoint over internal edges.
-	mwIn := map[*cfg.Block]isa.RegMask{}
-	mwOut := func(b *cfg.Block) isa.RegMask {
-		var m isa.RegMask
-		if b.CallTarget != 0 && p.isTaskFunc(b.CallTarget) {
-			return 0 // task ends at the call
-		}
-		if b.Returns {
-			return 0
-		}
-		// A call to a suppressed function returns to the fall-through,
-		// which is a normal successor edge already.
-		for _, s := range b.Succs {
-			if inRegion[s] && !p.entries[s.Start] {
-				m = m.Union(mwIn[s])
-			}
-		}
-		// Block ending in a suppressed call: the callee may write more
-		// after this block's instructions, before the fall-through — the
-		// callee writes are accounted in the jal instruction's defs below,
-		// so nothing extra is needed here.
-		return m
-	}
-	for changed := true; changed; {
-		changed = false
-		for i := len(blocks) - 1; i >= 0; i-- {
-			b := blocks[i]
-			var defs isa.RegMask
-			for a := b.Start; a < b.End; a += isa.InstrSize {
-				d, _ := p.instrDefs(p.prog.InstrAt(a))
-				defs = defs.Union(d)
-			}
-			in := defs.Union(mwOut(b))
-			if in != mwIn[b] {
-				mwIn[b] = in
-				changed = true
-			}
-		}
-	}
-
-	for _, b := range blocks {
-		if shared[b] {
-			continue
-		}
-		// Walk forward computing "may be written later" per instruction.
-		// Collect per-instruction defs first.
-		n := b.NumInstrs()
-		defs := make([]isa.RegMask, n)
-		for i := 0; i < n; i++ {
-			a := b.Start + uint32(i)*isa.InstrSize
-			d, _ := p.instrDefs(p.prog.InstrAt(a))
-			defs[i] = d
-		}
-		later := make([]isa.RegMask, n) // may be written strictly after instr i
-		tail := mwOut(b)
-		for i := n - 1; i >= 0; i-- {
-			later[i] = tail
-			tail = tail.Union(defs[i])
-		}
-		for i := 0; i < n; i++ {
-			a := b.Start + uint32(i)*isa.InstrSize
-			in := p.prog.InstrAt(a)
-			d := in.Dest()
-			// Calls never carry forward bits: a suppressed callee may
-			// clobber registers after the call instruction itself, and a
-			// task call ends the task anyway (completion flush covers $ra).
-			if d == isa.RegZero || in.Op == isa.OpJal || in.Op == isa.OpJalr {
-				continue
-			}
-			if td.Create.Has(d) && !later[i].Has(d) {
-				in.Fwd = true
-			}
-		}
-	}
-}
-
-// instrDefs returns the registers an instruction may define, including
-// suppressed-callee effects at call sites.
-func (p *partitioner) instrDefs(in *isa.Instr) (isa.RegMask, isa.RegMask) {
-	switch in.Op {
-	case isa.OpJal:
-		var d isa.RegMask
-		d = d.Set(in.Rd)
-		if !p.isTaskFunc(in.Target) {
-			if fs := p.g.Funcs[in.Target]; fs != nil {
-				d = d.Union(fs.Defs)
-			}
-		}
-		return d, 0
-	case isa.OpJalr:
-		return cfg.AllRegs, 0
-	default:
-		var d isa.RegMask
-		if dest := in.Dest(); dest != isa.RegZero {
-			d = d.Set(dest)
-		}
-		return d, 0
-	}
 }

@@ -25,9 +25,29 @@ loop:
 	add $s1, $s1, $s0
 	addi $s0, $s0, -1
 	bnez $s0, loop
+done:
 	move $a0, $s1
 	li $v0, 10
 	syscall
+`
+
+// exitBeforeLoop is simpleLoop laid out the way cmp and example are: the
+// terminal block sits in front of the loop, so text — a task entry —
+// follows the exit syscall.
+const exitBeforeLoop = `
+main:
+	li $s0, 10
+	li $s1, 0
+	j loop
+done:
+	move $a0, $s1
+	li $v0, 10
+	syscall
+loop:
+	add $s1, $s1, $s0
+	addi $s0, $s0, -1
+	beqz $s0, done
+	j loop
 `
 
 func TestPartitionSimpleLoop(t *testing.T) {
@@ -137,14 +157,22 @@ work:
 	if !entryTask.HasTarget(workAddr) {
 		t.Errorf("entry targets = %v", entryTask.Targets)
 	}
-	contAddr := p.Entry + 3*isa.InstrSize // after li;li(expanded?);jal — compute from symbol
-	_ = contAddr
 	if entryTask.PushRA == 0 || entryTask.CallTarget != workAddr {
 		t.Errorf("PushRA=0x%x CallTarget=0x%x", entryTask.PushRA, entryTask.CallTarget)
 	}
 	// Continuation task exists at PushRA.
 	if p.TaskAt(entryTask.PushRA) == nil {
 		t.Error("no continuation task")
+	}
+	// The caller's mask holds what the caller writes and a later task
+	// reads. $v0 is the callee task's to create: charged to the caller as
+	// well, every reader of $v0 would wait on a task that never sends it
+	// before its flush.
+	if want := isa.MaskOf(isa.RegA0, isa.RegRA); entryTask.Create != want {
+		t.Errorf("entry create = %v, want %v", entryTask.Create, want)
+	}
+	if !workTask.Create.Has(isa.RegV0) {
+		t.Errorf("work create = %v", workTask.Create)
 	}
 	// The jal carries a stop bit; the jr carries a stop bit.
 	foundJalStop, foundJrStop := false, false
@@ -245,18 +273,21 @@ main:
 }
 
 func TestTerminalTaskHasNoTargets(t *testing.T) {
-	p := assembleRaw(t, simpleLoop)
-	if _, err := Run(p, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	// The exit task (after the loop) ends at the syscall with no successor.
-	loopAddr, _ := p.Symbol("loop")
-	exitTask := p.TaskAt(loopAddr + 3*isa.InstrSize)
-	if exitTask == nil {
-		t.Fatal("no exit task")
-	}
-	if len(exitTask.Targets) != 0 {
-		t.Errorf("terminal task targets = %v", exitTask.Targets)
+	// The exit task ends at the syscall with no successor, whether the
+	// text ends there or goes on: nothing falls through an exit.
+	for _, src := range []string{simpleLoop, exitBeforeLoop} {
+		p := assembleRaw(t, src)
+		if _, err := Run(p, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		doneAddr, _ := p.Symbol("done")
+		exitTask := p.TaskAt(doneAddr)
+		if exitTask == nil {
+			t.Fatal("no exit task")
+		}
+		if len(exitTask.Targets) != 0 || !exitTask.Create.Empty() {
+			t.Errorf("terminal task targets = %v, create = %v\n%s", exitTask.Targets, exitTask.Create, src)
+		}
 	}
 }
 
