@@ -45,20 +45,6 @@ func (p *Plan) Apply(prog *isa.Program) {
 	}
 }
 
-// Clone returns a copy of prog whose text and task descriptors may be
-// mutated freely. Data and symbols stay shared: nothing here writes to
-// them.
-func Clone(prog *isa.Program) *isa.Program {
-	q := *prog
-	q.Text = append([]isa.Instr(nil), prog.Text...)
-	q.Tasks = make(map[uint32]*isa.TaskDescriptor, len(prog.Tasks))
-	for a, td := range prog.Tasks {
-		c := *td
-		q.Tasks[a] = &c
-	}
-	return &q
-}
-
 // Optimize analyzes prog and returns an optimized clone beside the plan.
 // The input program is not modified. The clone is functionally
 // equivalent by construction — annotations never change architectural
@@ -66,7 +52,7 @@ func Clone(prog *isa.Program) *isa.Program {
 // oracle anyway.
 func Optimize(prog *isa.Program) (*isa.Program, *Plan) {
 	plan := Analyze(prog, Options{})
-	out := Clone(prog)
+	out := prog.Clone()
 	plan.Apply(out)
 	return out, plan
 }

@@ -148,7 +148,10 @@ func (a *ARB) Stats() Stats {
 }
 
 // New builds an ARB. numBanks and entriesPerBank mirror the data-cache
-// banking (paper: 256 entries per bank).
+// banking (paper: 256 entries per bank). Zero entries is no ARB at all —
+// what a machine whose one task has nothing to disambiguate against
+// builds: loads read memory, head stores are written through by the
+// caller exactly as on overflow, and no overflow is counted or traced.
 func New(numUnits, numBanks, entriesPerBank int, policy OverflowPolicy) *ARB {
 	if numUnits > MaxUnits {
 		panic(fmt.Sprintf("arb: %d units exceeds MaxUnits", numUnits))
@@ -259,8 +262,14 @@ func (a *ARB) bankOf(chunk uint32) int {
 	return int(chunk) % a.NumBanks
 }
 
-// dist is the stage distance of unit u from the head in circular order.
-func (a *ARB) dist(u, head int) int { return (u - head + a.NumUnits) % a.NumUnits }
+// dist is the stage distance of unit u from the head in circular order
+// (a comparison, not a division: every memory operation asks).
+func (a *ARB) dist(u, head int) int {
+	if u < head {
+		return u - head + a.NumUnits
+	}
+	return u - head
+}
 
 // find returns the entry for a chunk, or nil.
 func (a *ARB) find(chunk uint32) *entry {
@@ -276,10 +285,13 @@ func (a *ARB) alloc(chunk uint32) (*entry, bool) {
 		return e, true
 	}
 	if len(bank.keys) >= a.EntriesPerBank {
-		a.Overflows++
-		a.bankStats[bi].Overflows++
-		if a.Sink != nil {
-			a.Sink.Emit(trace.Event{Cycle: a.Now, Kind: trace.KARBOverflow, Unit: -1, Task: -1, Arg: chunk * chunkBytes})
+		// An ARB of zero entries is absent, not full: nothing overflowed.
+		if a.EntriesPerBank > 0 {
+			a.Overflows++
+			a.bankStats[bi].Overflows++
+			if a.Sink != nil {
+				a.Sink.Emit(trace.Event{Cycle: a.Now, Kind: trace.KARBOverflow, Unit: -1, Task: -1, Arg: chunk * chunkBytes})
+			}
 		}
 		return nil, false
 	}
@@ -319,30 +331,32 @@ func (a *ARB) Load(unit, head, active int, addr uint32, size int, backing *mem.M
 			return LoadResult{Overflow: true}
 		}
 	}
+	if e == nil {
+		// A head load of a chunk nobody has touched: memory has every byte.
+		a.LoadsTracked++
+		return LoadResult{Value: backing.ReadN(addr, size)}
+	}
 
 	var val uint64
 	for i := 0; i < size; i++ {
 		b := off + i
 		byteVal := backing.Byte(addr + uint32(i))
-		supplier := -1
-		if e != nil {
-			bestDist := -1
-			for u := 0; u < a.NumUnits; u++ {
-				if e.stores[b]&(1<<uint(u)) == 0 {
-					continue
-				}
-				d := a.dist(u, head)
-				if d >= active || d > du {
-					continue
-				}
-				if d > bestDist {
-					bestDist, supplier = d, u
-				}
+		supplier, bestDist := -1, -1
+		for u := 0; u < a.NumUnits; u++ {
+			if e.stores[b]&(1<<uint(u)) == 0 {
+				continue
 			}
-			if supplier >= 0 {
-				byteVal = e.data[supplier][b]
-				a.StoreForwards++
+			d := a.dist(u, head)
+			if d >= active || d > du {
+				continue
 			}
+			if d > bestDist {
+				bestDist, supplier = d, u
+			}
+		}
+		if supplier >= 0 {
+			byteVal = e.data[supplier][b]
+			a.StoreForwards++
 		}
 		if needTrack && supplier != unit {
 			e.loads[b] |= 1 << uint(unit)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"multiscalar/internal/mem"
+	"multiscalar/internal/trace"
 )
 
 func newTestARB(units int, policy OverflowPolicy) (*ARB, *mem.Memory) {
@@ -466,5 +467,35 @@ func TestPerBankStats(t *testing.T) {
 		if b != (BankStats{}) {
 			t.Errorf("bank %d stats not reset: %+v", i, b)
 		}
+	}
+}
+
+// sinkFunc adapts a function to trace.Sink.
+type sinkFunc func(trace.Event)
+
+func (f sinkFunc) Emit(e trace.Event) { f(e) }
+
+// TestZeroEntriesIsAbsent: an ARB built with no entries is no ARB. The
+// one unit's loads read memory; its stores find no room, which the owner
+// answers by writing through (head stores are non-speculative) exactly as
+// on an overflow — but nothing overflowed: no count, no event, no
+// allocation — and the written value reads back.
+func TestZeroEntriesIsAbsent(t *testing.T) {
+	a, m := New(1, 1, 0, PolicyStall), mem.NewMemory()
+	a.Sink = sinkFunc(func(e trace.Event) { t.Errorf("event from an absent ARB: %v", e) })
+	m.WriteWord(0x100, 0xcafebabe)
+	if r := a.Load(0, 0, 1, 0x100, 4, m); r.Overflow || uint32(r.Value) != 0xcafebabe {
+		t.Fatalf("load = %+v", r)
+	}
+	res := a.Store(0, 0, 1, 0x100, 4, 0x1234)
+	if !res.Overflow || res.Violator != -1 {
+		t.Fatalf("store = %+v, want it left to the caller", res)
+	}
+	m.WriteN(0x100, 4, 0x1234)
+	if r := a.Load(0, 0, 1, 0x100, 4, m); r.Overflow || r.Value != 0x1234 {
+		t.Fatalf("load after write-through = %+v", r)
+	}
+	if s := a.Stats(); s.Overflows != 0 || s.Allocs != 0 || s.StoreForwards != 0 || s.MaxOccupancy != 0 || a.Occupancy() != 0 {
+		t.Errorf("absent ARB counted something: %+v", s)
 	}
 }

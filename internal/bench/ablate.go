@@ -124,7 +124,7 @@ func ForwardingAblation(name string, scale Scale) ([]AblationRow, error) {
 	// functional outcome (a release becomes a nop, which still retires).
 	// The stripped clone is a program of its own content hash, verified
 	// against its own oracle run.
-	stripped := cloneProgram(p)
+	stripped := p.Clone()
 	stripForwarding(stripped)
 	bare := hand
 	bare.Workload, bare.Program = "", stripped

@@ -29,7 +29,7 @@ func buildSpec(w *workloads.Workload, mode asm.Mode, scale Scale) *job.Spec {
 // buildOracle returns workload w's binary in the given mode and its
 // functional-oracle reference, both answered from job's stores
 // (single-flight, once per process). The returned Program is shared and
-// must not be mutated — clone (cloneProgram) before transforming it.
+// must not be mutated — Clone it before transforming it.
 func buildOracle(w *workloads.Workload, mode asm.Mode, scale Scale) (*isa.Program, *job.Oracle, error) {
 	p, err := buildSpec(w, mode, scale).Resolve()
 	if err != nil {
@@ -102,15 +102,6 @@ func runPoint(spec job.Spec, cfg core.Config, what string) (*core.Result, error)
 func BuildsPerformed() uint64 {
 	builds, _ := job.Stats()
 	return builds.Runs
-}
-
-// cloneProgram returns a copy whose Text may be mutated freely (the
-// ablations transform binaries in place). Data, task descriptors and
-// symbols stay shared: nothing in the repository writes to them.
-func cloneProgram(p *isa.Program) *isa.Program {
-	q := *p
-	q.Text = append([]isa.Instr(nil), p.Text...)
-	return &q
 }
 
 // noSkip, when set, disables the simulator's wakeup scheduler for every

@@ -209,7 +209,7 @@ func TestCloneProgramIsolatesText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := cloneProgram(p)
+	q := p.Clone()
 	if len(q.Text) == 0 || &q.Text[0] == &p.Text[0] {
 		t.Fatal("clone shares Text backing array")
 	}

@@ -140,7 +140,7 @@ func TestSimKeyPartitionMatchesLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2 := cloneProgram(p1) // same bytes, distinct identity under the old pointer-hash memo too
+	p2 := p1.Clone() // same bytes, distinct identity under the old pointer-hash memo too
 	w2 := workloads.Get("wc")
 	p3, _, err := buildOracle(w2, asm.ModeMultiscalar, -1)
 	if err != nil {

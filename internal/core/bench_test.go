@@ -34,7 +34,11 @@ func BenchmarkScalarCore(b *testing.B) {
 			var cycles uint64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := core.NewScalar(p, interp.NewSysEnv(), core.ScalarConfig(1, false)).Run()
+				m, err := core.NewMultiscalar(p, interp.NewSysEnv(), core.ScalarConfig(1, false))
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := m.Run()
 				if err != nil {
 					b.Fatal(err)
 				}

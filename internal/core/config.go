@@ -1,14 +1,15 @@
-// Package core assembles the full machines: the multiscalar processor of
+// Package core assembles the full machine: the multiscalar processor of
 // Figure 1 (circular queue of processing units, sequencer with task
-// prediction, register forwarding ring, ARB, banked data caches) and the
-// scalar baseline processor built from one identical processing unit.
+// prediction, register forwarding ring, ARB, banked data caches). The
+// scalar baseline the paper's speedups are measured against is its
+// one-unit configuration running a binary without task descriptors
+// (ScalarConfig, DESIGN.md §4).
 package core
 
 import (
 	"io"
 
 	"multiscalar/internal/arb"
-	"multiscalar/internal/interp"
 	"multiscalar/internal/isa"
 	"multiscalar/internal/trace"
 )
@@ -20,7 +21,7 @@ import (
 // only with a CanonicalConfigVersion bump.
 type Config struct {
 	// Units and issue.
-	NumUnits   int  `json:"num_units"`    // parallel processing units (1 for the scalar machine)
+	NumUnits   int  `json:"num_units"`    // parallel processing units (1 for the scalar baseline)
 	IssueWidth int  `json:"issue_width"`  // 1 or 2
 	OutOfOrder bool `json:"out_of_order"` // out-of-order issue within a unit
 	ROBSize    int  `json:"rob_size"`     // per-unit instruction window
@@ -36,7 +37,7 @@ type Config struct {
 	// Data banks: 2x banks as units; 8 KB direct-mapped, 64 B blocks.
 	DBankBytes  int `json:"dbank_bytes"`
 	DBlockBytes int `json:"dblock_bytes"`
-	DCacheHit   int `json:"dcache_hit"` // 2 for multiscalar units, 1 for the scalar machine
+	DCacheHit   int `json:"dcache_hit"` // 2 for multiscalar units, 1 for the scalar baseline
 	NumMSHRs    int `json:"num_mshrs"`
 
 	// ARB.
@@ -124,35 +125,10 @@ func ScalarConfig(width int, outOfOrder bool) Config {
 }
 
 // NumBanks returns the data bank count: twice the unit count (Figure 1),
-// and a single bank for the scalar machine.
+// and a single bank on one unit.
 func (c Config) NumBanks() int {
 	if c.NumUnits <= 1 {
 		return 1
 	}
 	return 2 * c.NumUnits
-}
-
-// Machine is the common surface of the two timing machines.
-type Machine interface {
-	Run() (*Result, error)
-	SetCommitLimit(n uint64)
-	Save() ([]byte, error)
-	Restore(data []byte) error
-	ScheduleCheckpoint(cycle uint64, fn func() error)
-	InjectWarm(data []byte) error
-}
-
-// WantsMultiscalar is the dispatch rule: the scalar baseline iff the
-// configuration has at most one unit and the binary carries no task
-// descriptors, otherwise the multiscalar processor.
-func WantsMultiscalar(p *isa.Program, cfg Config) bool {
-	return cfg.NumUnits > 1 || len(p.Tasks) > 0
-}
-
-// NewMachine builds the multiscalar processor or the scalar baseline.
-func NewMachine(p *isa.Program, env *interp.SysEnv, cfg Config, multi bool) (Machine, error) {
-	if multi {
-		return NewMultiscalar(p, env, cfg)
-	}
-	return NewScalar(p, env, cfg), nil
 }

@@ -21,7 +21,18 @@ func oracle(t *testing.T, p *isa.Program) (*interp.Machine, *interp.SysEnv) {
 	return m, env
 }
 
-// runScalar assembles in scalar mode and runs the scalar machine.
+// newScalarMachine builds the one-unit machine for a binary without task
+// descriptors: the scalar baseline.
+func newScalarMachine(t testing.TB, p *isa.Program, cfg Config) *Multiscalar {
+	t.Helper()
+	m, err := NewMultiscalar(p, interp.NewSysEnv(), cfg)
+	if err != nil {
+		t.Fatalf("scalar machine: %v", err)
+	}
+	return m
+}
+
+// runScalar assembles in scalar mode and runs the scalar baseline.
 func runScalar(t *testing.T, src string, width int, ooo bool) (*Result, *interp.Machine) {
 	t.Helper()
 	p, err := asm.Assemble(src, asm.ModeScalar)
@@ -29,9 +40,7 @@ func runScalar(t *testing.T, src string, width int, ooo bool) (*Result, *interp.
 		t.Fatalf("assemble scalar: %v", err)
 	}
 	om, oenv := oracle(t, p)
-	env := interp.NewSysEnv()
-	s := NewScalar(p, env, ScalarConfig(width, ooo))
-	res, err := s.Run()
+	res, err := newScalarMachine(t, p, ScalarConfig(width, ooo)).Run()
 	if err != nil {
 		t.Fatalf("scalar run: %v", err)
 	}

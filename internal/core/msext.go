@@ -6,6 +6,7 @@ import (
 	"multiscalar/internal/arb"
 	"multiscalar/internal/interp"
 	"multiscalar/internal/isa"
+	"multiscalar/internal/mem"
 	"multiscalar/internal/pu"
 )
 
@@ -15,14 +16,19 @@ import (
 type msExt struct {
 	m  *Multiscalar
 	id int
+	// The unit's own register file and instruction cache (m.rfs[id],
+	// m.icaches[id]): every operand read and every fetch group goes
+	// through one of them.
+	rf     *regFile
+	icache *mem.Cache
 }
 
 func (e *msExt) ReadReg(now uint64, r isa.Reg) (interp.Value, bool) {
-	return e.m.rfs[e.id].read(now, r)
+	return e.rf.read(now, r)
 }
 
 func (e *msExt) WriteReg(r isa.Reg, v interp.Value) {
-	e.m.rfs[e.id].write(r, v)
+	e.rf.write(r, v)
 }
 
 func (e *msExt) Forward(now uint64, r isa.Reg, v interp.Value) {
@@ -46,33 +52,27 @@ func (e *msExt) Store(now uint64, op isa.Op, addr uint32, v interp.Value) (uint6
 	m := e.m
 	raw := interp.StoreValue(op, v)
 	res := m.arb.Store(e.id, m.head, m.active, addr, op.MemSize(), raw)
-	if res.Overflow {
-		if e.id == m.head {
-			// Head stores are non-speculative: on ARB overflow they may
-			// write memory directly. No violation is possible — an entry
-			// would exist if any successor had touched the location.
-			m.backing.WriteN(addr, op.MemSize(), raw)
-			done := m.dbanks.Access(now, addr, true)
-			return done, true
-		}
+	switch {
+	case res.Overflow && e.id == m.head:
+		// Head stores are non-speculative: with no ARB entry to be had
+		// they write memory directly. No violation is possible — an entry
+		// would exist if any successor had touched the location.
+		m.backing.WriteN(addr, op.MemSize(), raw)
+	case res.Overflow:
 		if m.arb.Policy == arb.PolicySquash {
 			m.arbOverflowSquash(now, addr)
 		}
 		return 0, false
-	}
-	if res.Violator >= 0 {
+	case res.Violator >= 0 && (m.viol < 0 || m.dist(res.Violator) < m.dist(m.viol)):
 		// Record the distance-earliest violator seen this cycle.
-		if m.viol < 0 || m.dist(res.Violator) < m.dist(m.viol) {
-			m.viol = res.Violator
-			m.violAddr = addr
-		}
+		m.viol = res.Violator
+		m.violAddr = addr
 	}
-	done := m.dbanks.Access(now, addr, true)
-	return done, true
+	return m.dbanks.Access(now, addr, true), true
 }
 
 func (e *msExt) FetchDone(now uint64, groupAddr uint32) uint64 {
-	return e.m.icaches[e.id].Access(now, groupAddr, false)
+	return e.icache.Access(now, groupAddr, false)
 }
 
 // ClaimSharedFU arbitrates the machine-wide FP/complex-integer units when
@@ -102,7 +102,7 @@ func (e *msExt) Syscall(now uint64) (uint32, bool, bool, error) {
 	if e.id != m.head {
 		return 0, false, false, nil // syscalls execute only at the head
 	}
-	rf := m.rfs[e.id]
+	rf := e.rf
 	for _, r := range pu.SyscallRegs {
 		if rf.pending.Has(r) {
 			return 0, false, false, fmt.Errorf("core: syscall with pending register %v", r)

@@ -59,6 +59,14 @@ type Multiscalar struct {
 	prog *isa.Program
 	env  *interp.SysEnv
 
+	// implicit is the one task of a program without descriptors (the
+	// scalar baseline, DESIGN.md §4): the whole program from wherever
+	// execution starts, no targets, empty create mask; nil otherwise.
+	// startFCC is the condition flag a warm start in mid-program seeds
+	// into that task's unit (InjectWarm).
+	implicit *isa.TaskDescriptor
+	startFCC bool
+
 	backing *mem.Memory
 	bus     *mem.Bus
 	icaches []*mem.Cache
@@ -66,7 +74,6 @@ type Multiscalar struct {
 	arb     *arb.ARB
 
 	units []*pu.Unit
-	exts  []*msExt
 	rfs   []*regFile
 	tasks []*taskState
 	// taskPool backs tasks: assignment is frequent (every task is one)
@@ -153,14 +160,13 @@ type Multiscalar struct {
 	squashedCycles uint64
 }
 
-// NewMultiscalar builds the machine for a multiscalar binary.
+// NewMultiscalar builds the machine cfg describes for a program. A binary
+// without task descriptors is one task on one unit — the scalar baseline,
+// ScalarConfig — and is refused by anything wider. Its descriptor is the
+// machine's, not the binary's, so assigning it fetches nothing, and with
+// no second task to disambiguate against the ARB has zero entries: every
+// load reads memory and every (head) store writes it.
 func NewMultiscalar(prog *isa.Program, env *interp.SysEnv, cfg Config) (*Multiscalar, error) {
-	if len(prog.Tasks) == 0 {
-		return nil, fmt.Errorf("core: program has no task descriptors (assemble in multiscalar mode or run taskpart)")
-	}
-	if prog.TaskAt(prog.Entry) == nil {
-		return nil, fmt.Errorf("core: no task descriptor at program entry 0x%x", prog.Entry)
-	}
 	m := &Multiscalar{
 		cfg:     cfg,
 		prog:    prog,
@@ -170,8 +176,20 @@ func NewMultiscalar(prog *isa.Program, env *interp.SysEnv, cfg Config) (*Multisc
 		viol:    -1,
 		sink:    cfg.Sink,
 	}
+	arbEntries := cfg.ARBEntries
+	switch {
+	case len(prog.Tasks) > 0:
+		if prog.TaskAt(prog.Entry) == nil {
+			return nil, fmt.Errorf("core: no task descriptor at program entry 0x%x", prog.Entry)
+		}
+	case cfg.NumUnits == 1:
+		m.implicit = &isa.TaskDescriptor{Name: "program", Entry: prog.Entry}
+		arbEntries = 0
+	default:
+		return nil, fmt.Errorf("core: program has no task descriptors (assemble in multiscalar mode or run taskpart)")
+	}
 	m.dbanks = mem.NewBankedDCache(cfg.NumBanks(), cfg.DBankBytes, cfg.DBlockBytes, cfg.DCacheHit, cfg.NumMSHRs, m.bus)
-	m.arb = arb.New(cfg.NumUnits, cfg.NumBanks(), cfg.ARBEntries, cfg.ARBPolicy)
+	m.arb = arb.New(cfg.NumUnits, cfg.NumBanks(), arbEntries, cfg.ARBPolicy)
 	m.descCache = mem.NewCache("desccache", cfg.DescCacheEntries*16, 16, 0, 1, m.bus)
 	if m.sink != nil {
 		m.bus.Sink = m.sink
@@ -198,10 +216,9 @@ func NewMultiscalar(prog *isa.Program, env *interp.SysEnv, cfg Config) (*Multisc
 			ic.Sink, ic.SinkKind, ic.SinkID = m.sink, trace.KICacheMiss, int8(i)
 		}
 		m.icaches = append(m.icaches, ic)
-		ext := &msExt{m: m, id: i}
-		m.exts = append(m.exts, ext)
-		m.units = append(m.units, pu.New(i, ucfg, prog, ext))
-		m.rfs = append(m.rfs, &regFile{})
+		rf := &regFile{}
+		m.rfs = append(m.rfs, rf)
+		m.units = append(m.units, pu.New(i, ucfg, prog, &msExt{m: m, id: i, rf: rf, icache: ic}))
 		m.tasks = append(m.tasks, nil)
 	}
 	m.taskPool = make([]taskState, cfg.NumUnits)
@@ -222,11 +239,44 @@ func NewMultiscalar(prog *isa.Program, env *interp.SysEnv, cfg Config) (*Multisc
 	return m, nil
 }
 
+// dist is unit u's distance from the head around the circular queue and
+// unitAt its inverse, for d up to NumUnits. They wrap by comparison, not
+// division: both run for every active task on every executed cycle.
 func (m *Multiscalar) dist(u int) int {
-	return (u - m.head + m.cfg.NumUnits) % m.cfg.NumUnits
+	if u < m.head {
+		return u - m.head + m.cfg.NumUnits
+	}
+	return u - m.head
+}
+
+func (m *Multiscalar) unitAt(d int) int {
+	q := m.head + d
+	if q >= m.cfg.NumUnits {
+		q -= m.cfg.NumUnits
+	}
+	return q
 }
 
 func (m *Multiscalar) withinActive(u int) bool { return m.dist(u) < m.active }
+
+// taskAt is the descriptor lookup: the binary's table, or the implicit
+// task, which starts wherever execution does.
+func (m *Multiscalar) taskAt(entry uint32) *isa.TaskDescriptor {
+	if m.implicit != nil {
+		return m.implicit
+	}
+	return m.prog.TaskAt(entry)
+}
+
+// committedNow is the count the commit limit and Result read: whole
+// tasks, except that the implicit task is the head from first cycle to
+// last — never speculative — so it commits as its instructions retire.
+func (m *Multiscalar) committedNow() uint64 {
+	if m.implicit != nil && !m.finished {
+		return m.units[0].Retired
+	}
+	return m.committed
+}
 
 // Run executes the program to completion.
 //
@@ -252,7 +302,7 @@ func (m *Multiscalar) Run() (*Result, error) {
 				return nil, err
 			}
 		}
-		if m.limit > 0 && m.committed >= m.limit {
+		if m.limit > 0 && m.committedNow() >= m.limit {
 			return m.result(), nil
 		}
 		if m.now >= m.cfg.MaxCycles {
@@ -263,8 +313,12 @@ func (m *Multiscalar) Run() (*Result, error) {
 		if m.sink != nil {
 			m.arb.Now = m.now // the ARB has no clock of its own
 		}
-		m.assign(m.now)
-		awake := false
+		if m.active < m.cfg.NumUnits && !m.terminal {
+			m.assign(m.now)
+		}
+		// completed: some unit holds a finished task, asleep or not — the
+		// only cycles on which there is anything to validate or retire.
+		awake, completed := false, false
 		for i, idx := 0, m.head; i < m.cfg.NumUnits; i, idx = i+1, idx+1 {
 			if idx == m.cfg.NumUnits {
 				idx = 0
@@ -272,12 +326,14 @@ func (m *Multiscalar) Run() (*Result, error) {
 			u := m.units[idx]
 			if m.now < m.wake[idx] {
 				u.AddStallCycles(1)
+				completed = completed || u.Done()
 				continue
 			}
 			m.unitTicks++
 			if err := u.Tick(m.now); err != nil {
 				return nil, err
 			}
+			completed = completed || u.Done()
 			if u.Progressed() {
 				awake = true
 			} else if sleep {
@@ -296,9 +352,11 @@ func (m *Multiscalar) Run() (*Result, error) {
 		if m.viol >= 0 {
 			m.memoryViolationSquash(m.now)
 		}
-		m.validateCompleted(m.now)
-		if err := m.retire(m.now); err != nil {
-			return nil, err
+		if completed {
+			m.validateCompleted(m.now)
+			if err := m.retire(m.now); err != nil {
+				return nil, err
+			}
 		}
 		if m.cfg.Trace != nil {
 			m.traceCycle()
@@ -329,15 +387,7 @@ func (m *Multiscalar) finish() {
 				Task: m.tasks[m.head].seq, Arg: u.ExitPC(), Arg2: u.Retired})
 		}
 		// Remaining in-flight tasks were beyond the program's end.
-		for d := 1; d < m.active; d++ {
-			q := (m.head + d) % m.cfg.NumUnits
-			m.foldActivity(q, false)
-			m.tasksSquashed++
-			if m.sink != nil {
-				m.sink.Emit(trace.Event{Cycle: m.now, Kind: trace.KTaskSquash, Unit: int8(q),
-					Task: m.tasks[q].seq, Arg: trace.CauseDrain, Arg2: uint64(d)})
-			}
-		}
+		m.squash(m.now, 1, trace.CauseDrain, 0, false)
 	}
 	m.now++ // the exit cycle counts
 	m.finished = true
@@ -433,9 +483,11 @@ func (m *Multiscalar) ARBStats() arb.Stats { return m.arb.Stats() }
 
 // SetCommitLimit arranges for Run to pause — return the Result so far
 // without finishing the program — once at least n instructions have
-// committed (task commit is the granularity: the machine commits whole
-// tasks, so the pause lands on the first task-retire cycle at or past
-// n). The pause touches no machine state: calling Run again resumes
+// committed (task commit is the granularity for a program with
+// descriptors: the machine commits whole tasks, so the pause lands on
+// the first task-retire cycle at or past n; the implicit task of a
+// program without them commits instruction by instruction). The pause
+// touches no machine state: calling Run again resumes
 // exactly where the paused run stopped and the eventual results are
 // identical to an uninterrupted run. The sampled-simulation engine
 // uses two pauses per detailed window to delimit the measured region.
@@ -452,7 +504,7 @@ func (m *Multiscalar) result() *Result {
 		Cycles:           m.now,
 		CyclesTicked:     m.ticked,
 		UnitTicks:        m.unitTicks,
-		Committed:        m.committed,
+		Committed:        m.committedNow(),
 		Out:              m.env.Out.String(),
 		ExitCode:         m.env.ExitCode,
 		TasksRetired:     m.tasksRetired,

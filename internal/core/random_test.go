@@ -208,14 +208,13 @@ func TestRandomProgramsEquivalence(t *testing.T) {
 		}
 		wantOut := env.Out.String()
 
-		// Scalar machine on the same annotated binary is not meaningful
-		// (stop bits end tasks); build the plain program for it.
+		// The scalar baseline runs the plain build of the same source: a
+		// binary without descriptors, one implicit task.
 		plain, err := asm.Assemble(src, asm.ModeScalar)
 		if err != nil {
 			t.Fatal(err)
 		}
-		senv := interp.NewSysEnv()
-		sres, err := NewScalar(plain, senv, ScalarConfig(1+g.r.Intn(2), g.r.Intn(2) == 0)).Run()
+		sres, err := newScalarMachine(t, plain, ScalarConfig(1+g.r.Intn(2), g.r.Intn(2) == 0)).Run()
 		if err != nil {
 			t.Fatalf("trial %d: scalar: %v\n%s", trial, err, src)
 		}

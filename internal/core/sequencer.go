@@ -12,11 +12,9 @@ import (
 // assign performs at most one task assignment per cycle: choose the next
 // task (known exactly after a validation, or predicted from the youngest
 // assigned task's descriptor), fetch its descriptor through the task
-// descriptor cache, and start it on the unit after the current tail.
+// descriptor cache, and start it on the unit after the current tail. Run
+// calls it while a unit is free and the terminal task has not been seen.
 func (m *Multiscalar) assign(now uint64) {
-	if m.terminal || m.active >= m.cfg.NumUnits {
-		return
-	}
 	// A descriptor fetch in flight?
 	if m.pending.valid {
 		if now < m.pending.ready {
@@ -34,7 +32,7 @@ func (m *Multiscalar) assign(now uint64) {
 	case m.active == 0:
 		return // nothing to predict from; wait for a forced target
 	default:
-		tail := (m.head + m.active - 1) % m.cfg.NumUnits
+		tail := m.unitAt(m.active - 1)
 		last := m.tasks[tail]
 		if last.predMade {
 			return // successor prediction already pending a bad target
@@ -50,7 +48,7 @@ func (m *Multiscalar) assign(now uint64) {
 		}
 	}
 
-	desc := m.prog.TaskAt(entry)
+	desc := m.taskAt(entry)
 	if desc == nil {
 		if m.forcedValid {
 			// A validated actual successor must be a task: anything else
@@ -62,7 +60,10 @@ func (m *Multiscalar) assign(now uint64) {
 		// the correct target and squash.
 		return
 	}
-	ready := m.descCache.Access(now, entry, false)
+	ready := now
+	if desc != m.implicit { // which is not in the binary: nothing to fetch
+		ready = m.descCache.Access(now, entry, false)
+	}
 	if ready > now {
 		m.pending = pendingAssign{valid: true, ready: ready, entry: entry, desc: desc}
 		m.progress = true // descriptor fetch started; nextWake watches pending.ready
@@ -128,7 +129,7 @@ func (m *Multiscalar) squashUnit(q int) {
 
 func (m *Multiscalar) doAssign(entry uint32, desc *isa.TaskDescriptor, now uint64) {
 	m.progress = true
-	unit := (m.head + m.active) % m.cfg.NumUnits
+	unit := m.unitAt(m.active)
 	seq := m.nextSeq
 	m.nextSeq++
 	ts := &m.taskPool[unit]
@@ -146,6 +147,10 @@ func (m *Multiscalar) doAssign(entry uint32, desc *isa.TaskDescriptor, now uint6
 			Task: seq, Arg: entry})
 	}
 	m.startUnit(unit, now)
+	if m.startFCC {
+		m.units[unit].SeedFCC(true)
+		m.startFCC = false
+	}
 	m.active++
 	if m.forcedValid && m.forced == entry {
 		m.forcedValid = false
@@ -168,7 +173,7 @@ func (m *Multiscalar) rebuildRegs(unit int, now uint64) {
 	var accum isa.RegMask
 	du := m.dist(unit)
 	for d := 0; d < du; d++ {
-		q := (m.head + d) % m.cfg.NumUnits
+		q := m.unitAt(d)
 		qt := m.tasks[q]
 		if qt == nil {
 			continue
@@ -337,7 +342,7 @@ func (m *Multiscalar) retire(now uint64) error {
 	}
 	m.squashUnit(m.head)
 	m.tasks[m.head] = nil
-	m.head = (m.head + 1) % m.cfg.NumUnits
+	m.head = m.unitAt(1)
 	m.active--
 	m.wake[m.head] = 0 // a unit parked on a syscall executes it once it is the head
 	return nil
@@ -349,7 +354,7 @@ func (m *Multiscalar) retire(now uint64) error {
 // misprediction here squashes the non-useful successors early.
 func (m *Multiscalar) validateCompleted(now uint64) {
 	for d := 0; d < m.active; d++ {
-		q := (m.head + d) % m.cfg.NumUnits
+		q := m.unitAt(d)
 		u := m.units[q]
 		ts := m.tasks[q]
 		if ts == nil || !u.Done() || ts.validated || !ts.predMade {
@@ -378,7 +383,7 @@ func (m *Multiscalar) validateOne(dist int, ts *taskState, actual uint32, outcom
 			hit = 1
 		}
 		m.sink.Emit(trace.Event{Cycle: now, Kind: trace.KPredValidate,
-			Unit: int8((m.head + dist) % m.cfg.NumUnits), Task: ts.seq, Arg: actual, Arg2: hit})
+			Unit: int8(m.unitAt(dist)), Task: ts.seq, Arg: actual, Arg2: hit})
 	}
 	if ts.predEntry == actual {
 		if ts.predCounts {
@@ -388,20 +393,7 @@ func (m *Multiscalar) validateOne(dist int, ts *taskState, actual uint32, outcom
 		return
 	}
 	// Control squash: every task after this one is on the wrong path.
-	for d := dist + 1; d < m.active; d++ {
-		q := (m.head + d) % m.cfg.NumUnits
-		m.foldActivity(q, false)
-		m.tasksSquashed++
-		if m.sink != nil {
-			m.sink.Emit(trace.Event{Cycle: now, Kind: trace.KTaskSquash, Unit: int8(q),
-				Task: m.tasks[q].seq, Arg: trace.CauseControl, Arg2: uint64(d)})
-			m.units[q].SetTraceTask(-1)
-		}
-		m.arb.ClearUnit(q)
-		m.squashUnit(q)
-		m.tasks[q] = nil
-	}
-	m.active = dist + 1
+	m.squash(now, dist+1, trace.CauseControl, 0, false)
 	m.pending.valid = false
 	m.terminal = false
 
@@ -419,10 +411,62 @@ func (m *Multiscalar) validateOne(dist int, ts *taskState, actual uint32, outcom
 	m.ctlSquashes++
 }
 
+// squash discards the activations at distances first and beyond from
+// the head for one cause: their cycles become squashed work, each is
+// counted and traced (memory and ARB causes with the conflicting address
+// and its bank) and loses its speculative memory and pipeline state.
+// With restart the same tasks re-execute from the next cycle — their
+// predictions stay valid, their ring sends are all withdrawn before any
+// register file is rebuilt; without, they were on the wrong path, their
+// units are freed and the caller redirects the sequencer. Tasks draining
+// at exit are only accounted for: the units stay as the exit found them.
+func (m *Multiscalar) squash(now uint64, first int, cause, addr uint32, restart bool) {
+	bank := -1
+	if cause == trace.CauseMemory || cause == trace.CauseARB {
+		bank = m.arb.BankIndex(addr)
+	}
+	for d := first; d < m.active; d++ {
+		q := m.unitAt(d)
+		m.foldActivity(q, false)
+		m.tasksSquashed++
+		if m.sink != nil {
+			m.sink.Emit(trace.Event{Cycle: now, Kind: trace.KTaskSquash, Unit: int8(q),
+				Task: m.tasks[q].seq, Arg: cause, Arg2: trace.SquashArg2(uint64(d), addr, bank)})
+		}
+		if cause == trace.CauseDrain {
+			continue
+		}
+		m.arb.ClearUnit(q)
+		m.squashUnit(q)
+		if restart {
+			m.tasks[q].sentMask = 0
+			continue
+		}
+		if m.sink != nil {
+			m.units[q].SetTraceTask(-1)
+		}
+		m.tasks[q] = nil
+	}
+	if !restart {
+		if cause != trace.CauseDrain {
+			m.active = first
+		}
+		return
+	}
+	for d := first; d < m.active; d++ {
+		q := m.unitAt(d)
+		m.rebuildRegs(q, now+1)
+		if m.sink != nil {
+			m.sink.Emit(trace.Event{Cycle: now + 1, Kind: trace.KTaskRestart, Unit: int8(q),
+				Task: m.tasks[q].seq, Arg: m.tasks[q].entry})
+		}
+		m.startUnit(q, now+1)
+	}
+}
+
 // memoryViolationSquash re-executes the violating task and squashes all
 // its successors (Section 2.1: squashing a task squashes all tasks in
-// execution following it). The same tasks restart — their predictions
-// remain valid.
+// execution following it).
 func (m *Multiscalar) memoryViolationSquash(now uint64) {
 	m.progress = true
 	w := m.viol
@@ -432,30 +476,11 @@ func (m *Multiscalar) memoryViolationSquash(now uint64) {
 		return // stale (already squashed) or impossible
 	}
 	first := m.dist(w)
+	m.squash(now, first, trace.CauseMemory, addr, true)
 	for d := first; d < m.active; d++ {
-		q := (m.head + d) % m.cfg.NumUnits
-		m.foldActivity(q, false)
-		m.tasksSquashed++
-		if m.sink != nil {
-			m.sink.Emit(trace.Event{Cycle: now, Kind: trace.KTaskSquash, Unit: int8(q),
-				Task: m.tasks[q].seq, Arg: trace.CauseMemory,
-				Arg2: trace.SquashArg2(uint64(d), addr, m.arb.BankIndex(addr))})
-		}
-		m.arb.ClearUnit(q)
-		m.squashUnit(q)
-		m.tasks[q].sentMask = 0
-	}
-	for d := first; d < m.active; d++ {
-		q := (m.head + d) % m.cfg.NumUnits
-		m.rebuildRegs(q, now+1)
-		if m.sink != nil {
-			m.sink.Emit(trace.Event{Cycle: now + 1, Kind: trace.KTaskRestart, Unit: int8(q),
-				Task: m.tasks[q].seq, Arg: m.tasks[q].entry})
-		}
-		m.startUnit(q, now+1)
 		// Re-execution may take a different path: the task's exit must be
 		// validated afresh.
-		m.tasks[q].validated = false
+		m.tasks[m.unitAt(d)].validated = false
 	}
 	m.memSquashes++
 }
@@ -467,23 +492,7 @@ func (m *Multiscalar) arbOverflowSquash(now uint64, addr uint32) bool {
 		return false // never squash the head
 	}
 	m.progress = true
-	tail := (m.head + m.active - 1) % m.cfg.NumUnits
-	m.foldActivity(tail, false)
-	m.tasksSquashed++
 	m.arbSquashes++
-	if m.sink != nil {
-		m.sink.Emit(trace.Event{Cycle: now, Kind: trace.KTaskSquash, Unit: int8(tail),
-			Task: m.tasks[tail].seq, Arg: trace.CauseARB,
-			Arg2: trace.SquashArg2(uint64(m.active-1), addr, m.arb.BankIndex(addr))})
-	}
-	m.arb.ClearUnit(tail)
-	m.squashUnit(tail)
-	m.tasks[tail].sentMask = 0
-	m.rebuildRegs(tail, now+1)
-	if m.sink != nil {
-		m.sink.Emit(trace.Event{Cycle: now + 1, Kind: trace.KTaskRestart, Unit: int8(tail),
-			Task: m.tasks[tail].seq, Arg: m.tasks[tail].entry})
-	}
-	m.startUnit(tail, now+1)
+	m.squash(now, m.active-1, trace.CauseARB, addr, true)
 	return true
 }

@@ -293,8 +293,9 @@ tail:
 	}
 }
 
-// TestScalarSkipMatchesDense is the scalar machine's version of the
-// equivalence property.
+// TestScalarSkipMatchesDense is the equivalence property on the scalar
+// baseline: generated binaries without descriptors on the one-unit
+// configuration.
 func TestScalarSkipMatchesDense(t *testing.T) {
 	trials := 60
 	if testing.Short() {
@@ -313,7 +314,7 @@ func TestScalarSkipMatchesDense(t *testing.T) {
 		run := func(noskip bool) *Result {
 			c := cfg
 			c.NoSkip = noskip
-			res, err := NewScalar(prog, interp.NewSysEnv(), c).Run()
+			res, err := newScalarMachine(t, prog, c).Run()
 			if err != nil {
 				t.Fatalf("trial %d (noskip=%v): %v\n%s", trial, noskip, err, src)
 			}

@@ -2,13 +2,12 @@ package core
 
 import (
 	"multiscalar/internal/interp"
-	"multiscalar/internal/isa"
 	"multiscalar/internal/snapshot"
 )
 
-// Checkpoint/restore for the timing machines (docs/simulator.md,
-// "Snapshot format"). Each machine's State method lists every piece of
-// its mutable state once; Save walks the list with a saving codec and
+// Checkpoint/restore for the timing machine (docs/simulator.md,
+// "Snapshot format"). The State method lists every piece of the machine's
+// mutable state once; Save walks the list with a saving codec and
 // Restore walks the same list with a loading one, into a machine freshly
 // constructed from the same Program and Config, re-deriving the pointers
 // a snapshot cannot carry (task descriptors by entry address, window
@@ -24,40 +23,8 @@ import (
 // broken up, so a restored run replays the exact iteration sequence of
 // an uninterrupted one and all Result fields, CyclesTicked included,
 // come out identical). A non-nil error from fn aborts the run.
-func (s *Scalar) ScheduleCheckpoint(cycle uint64, fn func() error) {
-	s.chkAt, s.chkFn = cycle, fn
-}
-
-// ScheduleCheckpoint is the multiscalar form; see Scalar.ScheduleCheckpoint.
 func (m *Multiscalar) ScheduleCheckpoint(cycle uint64, fn func() error) {
 	m.chkAt, m.chkFn = cycle, fn
-}
-
-// State walks the scalar machine.
-func (s *Scalar) State(c *snapshot.Codec) {
-	c.Tag("SCLR")
-	c.Bool(&s.started)
-	c.U64(&s.now)
-	c.U64(&s.ticked)
-	s.env.State(c)
-	s.backing.State(c)
-	s.bus.State(c)
-	s.icache.State(c)
-	s.dcache.State(c)
-	s.unit.State(c)
-	interp.RegsState(c, &s.ext.regs)
-}
-
-// Save serializes the scalar machine.
-func (s *Scalar) Save() ([]byte, error) {
-	return snapshot.Save(snapshot.KindScalar, s.now, s.State)
-}
-
-// Restore loads a scalar snapshot into a machine built from the same
-// Program and Config; Run then resumes the saved run. On error the
-// machine must not be run.
-func (s *Scalar) Restore(data []byte) error {
-	return snapshot.Load(data, snapshot.KindScalar, s.State)
 }
 
 // State walks one unit's ring register file.
@@ -70,14 +37,14 @@ func (rf *regFile) State(c *snapshot.Codec) {
 }
 
 // State walks one in-flight task record; loading re-derives its
-// descriptor from prog by entry address.
-func (ts *taskState) State(c *snapshot.Codec, prog *isa.Program) {
+// descriptor from the machine's lookup by entry address.
+func (ts *taskState) State(c *snapshot.Codec, m *Multiscalar) {
 	c.U32(&ts.entry)
 	if c.Loading() {
 		if c.Err() != nil {
 			return
 		}
-		if ts.desc = prog.TaskAt(ts.entry); ts.desc == nil {
+		if ts.desc = m.taskAt(ts.entry); ts.desc == nil {
 			c.Failf("core: task entry 0x%x has no descriptor", ts.entry)
 			return
 		}
@@ -99,7 +66,7 @@ func (ts *taskState) State(c *snapshot.Codec, prog *isa.Program) {
 	c.Bool(&ts.validated)
 }
 
-// State walks the multiscalar machine.
+// State walks the machine.
 func (m *Multiscalar) State(c *snapshot.Codec) {
 	c.Tag("MSC ")
 	units := m.cfg.NumUnits
@@ -135,7 +102,7 @@ func (m *Multiscalar) State(c *snapshot.Codec) {
 	if c.Loading() {
 		m.pending.desc = nil
 		if c.Err() == nil && m.pending.valid {
-			if m.pending.desc = m.prog.TaskAt(m.pending.entry); m.pending.desc == nil {
+			if m.pending.desc = m.taskAt(m.pending.entry); m.pending.desc == nil {
 				c.Failf("core: pending entry 0x%x has no descriptor", m.pending.entry)
 				return
 			}
@@ -180,7 +147,7 @@ func (m *Multiscalar) State(c *snapshot.Codec) {
 		if c.Loading() {
 			m.tasks[i] = &taskState{}
 		}
-		if m.tasks[i].State(c, m.prog); c.Err() != nil {
+		if m.tasks[i].State(c, m); c.Err() != nil {
 			return
 		}
 	}
@@ -198,13 +165,13 @@ func (m *Multiscalar) State(c *snapshot.Codec) {
 	c.U64(&m.squashedCycles)
 }
 
-// Save serializes the multiscalar machine.
+// Save serializes the machine.
 func (m *Multiscalar) Save() ([]byte, error) {
 	return snapshot.Save(snapshot.KindMultiscalar, m.now, m.State)
 }
 
-// Restore loads a multiscalar snapshot into a machine built from the
-// same Program and Config; Run then resumes the saved run. On error
+// Restore loads a snapshot into a machine built from the same Program
+// and Config; Run then resumes the saved run. On error
 // the machine must not be run.
 func (m *Multiscalar) Restore(data []byte) error {
 	return snapshot.Load(data, snapshot.KindMultiscalar, m.State)

@@ -29,7 +29,8 @@ type Result struct {
 	Out      string
 	ExitCode int32
 
-	// Task-level statistics (multiscalar runs).
+	// Task-level statistics. A binary without task descriptors retires
+	// one task, the whole program.
 	TasksRetired  uint64
 	TasksSquashed uint64
 	CtlSquashes   uint64 // control (task prediction) squash events
@@ -96,7 +97,7 @@ func (r *Result) Speedup(baseline *Result) float64 {
 
 func (r *Result) String() string {
 	s := fmt.Sprintf("cycles=%d committed=%d IPC=%.3f", r.Cycles, r.Committed, r.IPC())
-	if r.TasksRetired > 0 {
+	if r.TasksRetired > 1 { // one task is the whole program: no task statistics to show
 		s += fmt.Sprintf(" tasks=%d squashed=%d(ctl=%d,mem=%d) pred=%.1f%%",
 			r.TasksRetired, r.TasksSquashed, r.CtlSquashes, r.MemSquashes, 100*r.PredAccuracy())
 	}

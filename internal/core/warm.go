@@ -17,7 +17,7 @@ import (
 // instruction boundary: the architectural state (PC, registers, FCC,
 // memory, system environment) plus the warmed microarchitectural
 // structures whose contents accumulate over the whole run — cache tag
-// arrays, branch-predictor tables, and for the multiscalar machine the
+// arrays, branch-predictor tables, and for a program with descriptors the
 // task predictor, sequencer return-address stack and task-descriptor
 // cache. Everything else in a timing machine (pipelines, MSHRs, the
 // ARB, register-forwarding state) is short-lived and is left cold; the
@@ -26,9 +26,9 @@ import (
 // Injection loads a WarmState into a freshly constructed machine and
 // points it at the capture PC, so a detailed measurement window starts
 // from state a full detailed run would plausibly have at that point.
-// For the multiscalar machine the capture PC must be a task boundary
-// (the sequencer can only start tasks); the sample engine captures at
-// boundaries only.
+// For a program with task descriptors the capture PC must be a task
+// boundary (the sequencer can only start tasks); a program without them
+// is one task that can start at any instruction.
 
 // WarmState accumulates warm structures during functional fast-forward
 // and serializes them at capture points. The warm caches are built by
@@ -49,43 +49,43 @@ type WarmState struct {
 	DCache *mem.BankedDCache
 	Branch *predict.BranchPredictor
 
-	// Multiscalar-only sequencer structures.
+	// Sequencer structures, captured when the program carries task
+	// descriptors (Multi): with one implicit task there is nothing to
+	// predict or fetch.
 	Multi     bool
 	TaskPred  predict.TaskPredictor
 	RAS       predict.RAS
 	DescCache *mem.Cache
 }
 
-// NewWarmState allocates warm structures matching the machines a
-// Config would build (the geometry rules mirror NewScalar and
-// NewMultiscalar; the backing bus is a throwaway — warm structures are
-// only ever Touched, never Accessed). The caller sets Env and Mem to
-// the functional machine's and the per-capture fields before Encode.
-func NewWarmState(cfg Config, multi bool) *WarmState {
+// NewWarmState allocates warm structures matching the machine
+// NewMultiscalar would build for p under cfg (the backing bus is a
+// throwaway — warm structures are only ever Touched, never Accessed).
+// The caller sets Env and Mem to the functional machine's and the
+// per-capture fields before Encode.
+func NewWarmState(p *isa.Program, cfg Config) *WarmState {
 	bus := mem.NewBus()
 	w := &WarmState{
-		Multi:  multi,
+		Multi:  len(p.Tasks) > 0,
 		ICache: mem.NewCache("icache", cfg.ICacheBytes, cfg.ICacheBlock, 0, cfg.NumMSHRs, bus),
+		DCache: mem.NewBankedDCache(cfg.NumBanks(), cfg.DBankBytes, cfg.DBlockBytes, cfg.DCacheHit, cfg.NumMSHRs, bus),
 		Branch: predict.NewBranchPredictor(cfg.BranchEntries),
 	}
-	if multi {
-		w.DCache = mem.NewBankedDCache(cfg.NumBanks(), cfg.DBankBytes, cfg.DBlockBytes, cfg.DCacheHit, cfg.NumMSHRs, bus)
+	if w.Multi {
 		w.DescCache = mem.NewCache("desccache", cfg.DescCacheEntries*16, 16, 0, 1, bus)
-	} else {
-		w.DCache = mem.NewBankedDCache(1, cfg.DBankBytes, cfg.DBlockBytes, cfg.DCacheHit, cfg.NumMSHRs, bus)
 	}
 	return w
 }
 
 // State walks the warm state: the architectural fields, then the warm
-// structures in the order Encode has always written them. The kind flag
+// structures in the order Encode has always written them. The shape flag
 // decides which sections follow, so a capture for the other kind of
-// machine is refused before anything after it is read.
+// program is refused before anything after it is read.
 func (w *WarmState) State(c *snapshot.Codec) {
 	c.Tag("WARM")
 	multi := w.Multi
 	if c.Bool(&multi); multi != w.Multi {
-		c.Failf("core: warm state for %s machine, want %s", machineName(multi), machineName(w.Multi))
+		c.Failf("core: warm state captured with sequencer state: %v, the program has task descriptors: %v", multi, w.Multi)
 		return
 	}
 	c.U32(&w.PC)
@@ -103,13 +103,6 @@ func (w *WarmState) State(c *snapshot.Codec) {
 	}
 }
 
-func machineName(multi bool) string {
-	if multi {
-		return "multiscalar"
-	}
-	return "scalar"
-}
-
 // Encode serializes the warm state as a KindWarm snapshot (header
 // cycle = ICount).
 func (w *WarmState) Encode() []byte {
@@ -119,32 +112,26 @@ func (w *WarmState) Encode() []byte {
 	return data
 }
 
-// decodeWarm loads a warm-state snapshot for InjectWarm: the
-// architectural state goes straight into the machine's env and backing
-// memory; the warm tables are decoded into throwaway structures for the
-// machine to adopt, so its own statistics and in-flight state stay
-// pristine.
-func decodeWarm(data []byte, cfg Config, multi bool, env *interp.SysEnv, backing *mem.Memory) (*WarmState, error) {
-	w := NewWarmState(cfg, multi)
-	w.Env, w.Mem = env, backing
-	return w, snapshot.Load(data, snapshot.KindWarm, w.State)
-}
-
 // InjectWarm loads a warm-state snapshot into a freshly constructed
-// multiscalar machine: execution will start at the capture PC (which
-// must be a task boundary) with the captured architectural state, and
-// caches, predictors and the sequencer's history arrive pre-warmed.
-// Timing state starts cold at cycle 0. On error the machine must not
-// be run.
+// machine: execution will start at the capture PC (a task boundary, or
+// any instruction of a program that is one implicit task) with the
+// captured architectural state, and caches, predictors and the
+// sequencer's history arrive pre-warmed. Timing state starts cold at
+// cycle 0. On error the machine must not be run.
 func (m *Multiscalar) InjectWarm(data []byte) error {
 	if m.now != 0 || m.active != 0 || m.finished {
 		return fmt.Errorf("core: InjectWarm on a machine that has run")
 	}
-	w, err := decodeWarm(data, m.cfg, true, m.env, m.backing)
-	if err != nil {
+	// The architectural state goes straight into the machine's env and
+	// backing memory; the warm tables are decoded into throwaway
+	// structures for the machine to adopt, so its own statistics and
+	// in-flight state stay pristine.
+	w := NewWarmState(m.prog, m.cfg)
+	w.Env, w.Mem = m.env, m.backing
+	if err := snapshot.Load(data, snapshot.KindWarm, w.State); err != nil {
 		return err
 	}
-	if m.prog.TaskAt(w.PC) == nil {
+	if m.taskAt(w.PC) == nil {
 		return fmt.Errorf("core: warm-state PC 0x%x is not a task boundary", w.PC)
 	}
 	m.archRegs = w.Regs
@@ -163,44 +150,21 @@ func (m *Multiscalar) InjectWarm(data []byte) error {
 			return fmt.Errorf("core: warm branch-predictor geometry mismatch")
 		}
 	}
-	if !m.descCache.AdoptTags(w.DescCache) {
-		return fmt.Errorf("core: warm descriptor-cache geometry mismatch")
+	if w.Multi {
+		if !m.descCache.AdoptTags(w.DescCache) {
+			return fmt.Errorf("core: warm descriptor-cache geometry mismatch")
+		}
+		m.predictor = w.TaskPred
+		m.predictor.Predictions, m.predictor.Correct = 0, 0
+		m.ras = w.RAS
+		// FCC is not carried across task boundaries by the machine design
+		// (units clear it at Start), so the captured FCC is ignored here.
+	} else {
+		// The implicit task resumes in the middle of the program it is.
+		m.implicit.Entry = w.PC
+		m.startFCC = w.FCC
 	}
-	m.predictor = w.TaskPred
-	m.predictor.Predictions, m.predictor.Correct = 0, 0
-	m.ras = w.RAS
-
 	m.forced = w.PC
 	m.forcedValid = true
-	// FCC is not carried across task boundaries by the machine design
-	// (units clear it at Start), so the captured FCC is ignored here.
-	return nil
-}
-
-// InjectWarm loads a warm-state snapshot into a freshly constructed
-// scalar machine; see Multiscalar.InjectWarm. The scalar machine can
-// resume at any instruction, so the captured FCC is seeded into the
-// unit when Run starts it.
-func (s *Scalar) InjectWarm(data []byte) error {
-	if s.started {
-		return fmt.Errorf("core: InjectWarm on a machine that has run")
-	}
-	w, err := decodeWarm(data, s.cfg, false, s.env, s.backing)
-	if err != nil {
-		return err
-	}
-	s.ext.regs = w.Regs
-	if !s.icache.AdoptTags(w.ICache) {
-		return fmt.Errorf("core: warm icache geometry mismatch")
-	}
-	if !s.dcache.AdoptTags(w.DCache.Banks[0]) {
-		return fmt.Errorf("core: warm dcache geometry mismatch")
-	}
-	if !s.unit.BranchPredictor().AdoptTables(w.Branch) {
-		return fmt.Errorf("core: warm branch-predictor geometry mismatch")
-	}
-
-	s.startPC = w.PC
-	s.startFCC = w.FCC
 	return nil
 }

@@ -25,8 +25,8 @@ func buildWarmTest(t *testing.T, name string, mode asm.Mode) *isa.Program {
 
 // entryWarmState builds the warm state a capture at the program entry
 // would produce: initial architectural state, cold tables.
-func entryWarmState(p *isa.Program, cfg Config, multi bool) *WarmState {
-	ws := NewWarmState(cfg, multi)
+func entryWarmState(p *isa.Program, cfg Config) *WarmState {
+	ws := NewWarmState(p, cfg)
 	ws.PC = p.Entry
 	ws.Regs[isa.RegSP] = interp.IntVal(isa.StackTop)
 	ws.Regs[isa.RegGP] = interp.IntVal(isa.DataBase)
@@ -51,7 +51,7 @@ func TestInjectWarmAtEntryMultiscalar(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ws := entryWarmState(p, cfg, true)
+	ws := entryWarmState(p, cfg)
 	m, err := NewMultiscalar(p, interp.NewSysEnv(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -69,18 +69,18 @@ func TestInjectWarmAtEntryMultiscalar(t *testing.T) {
 	}
 }
 
-// TestInjectWarmAtEntryScalar: the scalar machine's injection contract.
+// TestInjectWarmAtEntryScalar: the same contract for the implicit task.
 func TestInjectWarmAtEntryScalar(t *testing.T) {
 	p := buildWarmTest(t, "example", asm.ModeScalar)
 	cfg := ScalarConfig(1, false)
 
-	want, err := NewScalar(p, interp.NewSysEnv(), cfg).Run()
+	want, err := newScalarMachine(t, p, cfg).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	ws := entryWarmState(p, cfg, false)
-	s := NewScalar(p, interp.NewSysEnv(), cfg)
+	ws := entryWarmState(p, cfg)
+	s := newScalarMachine(t, p, cfg)
 	if err := s.InjectWarm(ws.Encode()); err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +95,11 @@ func TestInjectWarmAtEntryScalar(t *testing.T) {
 }
 
 // TestInjectWarmRejections: injection is defined only on a fresh
-// machine, for the matching machine kind, at a task boundary.
+// machine, from a capture of the matching shape, at a task boundary.
 func TestInjectWarmRejections(t *testing.T) {
 	p := buildWarmTest(t, "example", asm.ModeMultiscalar)
 	cfg := DefaultConfig(4, 1, false)
-	ws := entryWarmState(p, cfg, true)
+	ws := entryWarmState(p, cfg)
 	data := ws.Encode()
 
 	m, err := NewMultiscalar(p, interp.NewSysEnv(), cfg)
@@ -113,14 +113,19 @@ func TestInjectWarmRejections(t *testing.T) {
 		t.Error("InjectWarm accepted a machine that has already run")
 	}
 
-	// Scalar-kind snapshot into a multiscalar machine.
-	sws := entryWarmState(p, cfg, false)
+	// A capture of the program's scalar build (no sequencer sections)
+	// into a machine running the one with descriptors, and the reverse.
+	sp := buildWarmTest(t, "example", asm.ModeScalar)
 	m2, err := NewMultiscalar(p, interp.NewSysEnv(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m2.InjectWarm(sws.Encode()); err == nil {
-		t.Error("InjectWarm accepted a scalar warm state on the multiscalar machine")
+	if err := m2.InjectWarm(entryWarmState(sp, cfg).Encode()); err == nil {
+		t.Error("InjectWarm accepted a capture without sequencer state for a program with descriptors")
+	}
+	scfg := ScalarConfig(1, false)
+	if err := newScalarMachine(t, sp, scfg).InjectWarm(entryWarmState(p, scfg).Encode()); err == nil {
+		t.Error("InjectWarm accepted a capture with sequencer state for a program without descriptors")
 	}
 
 	// A PC that is not a task boundary.
@@ -182,11 +187,11 @@ func TestCommitLimitPauseResume(t *testing.T) {
 	t.Run("scalar", func(t *testing.T) {
 		p := buildWarmTest(t, "example", asm.ModeScalar)
 		cfg := ScalarConfig(1, false)
-		want, err := NewScalar(p, interp.NewSysEnv(), cfg).Run()
+		want, err := newScalarMachine(t, p, cfg).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := NewScalar(p, interp.NewSysEnv(), cfg)
+		s := newScalarMachine(t, p, cfg)
 		for _, limit := range []uint64{1, want.Committed / 3} {
 			s.SetCommitLimit(limit)
 			if _, err := s.Run(); err != nil {

@@ -1,8 +1,6 @@
 package interp
 
 import (
-	"sync"
-
 	"multiscalar/internal/isa"
 	"multiscalar/internal/mem"
 )
@@ -156,48 +154,29 @@ func decodeInstr(in *isa.Instr) uop {
 	return u
 }
 
-// uopCache shares decoded programs across machines, keyed by program
-// identity. Programs in this codebase are immutable once built (rewrites
-// clone the image first), so pointer identity is a sound key.
-var uopCache sync.Map // *isa.Program -> []uop
-
-// memImages caches the loaded data segment of each program as an
-// immutable copy-on-write image, so constructing a machine shares the
-// image instead of re-copying the segment (mem.NewMemoryFromImage).
-var memImages sync.Map // *isa.Program -> *mem.Image
-
-// ForgetPrograms empties both caches. What they held is rebuilt on next
-// use; a program nothing else refers to can then be collected, which the
-// pointer keys otherwise prevent for the life of the process.
-func ForgetPrograms() {
-	for _, m := range []*sync.Map{&uopCache, &memImages} {
-		m.Range(func(k, _ any) bool { m.Delete(k); return true })
-	}
-}
-
 // ProgramImage returns the initial memory image for p — the data
-// segment at isa.DataBase — building and caching it on first use. The
-// timing simulators seed their backing stores from the same image.
+// segment at isa.DataBase as an immutable copy-on-write image, so
+// constructing a machine shares it instead of re-copying the segment
+// (mem.NewMemoryFromImage). It is built on first use and lives on the
+// program. The timing simulator seeds its backing store from the same
+// image.
 func ProgramImage(p *isa.Program) *mem.Image {
-	if v, ok := memImages.Load(p); ok {
-		return v.(*mem.Image)
-	}
-	m := mem.NewMemory()
-	m.WriteBytes(isa.DataBase, p.Data)
-	v, _ := memImages.LoadOrStore(p, m.Image())
-	return v.(*mem.Image)
+	return p.Image.Get(func() any {
+		m := mem.NewMemory()
+		m.WriteBytes(isa.DataBase, p.Data)
+		return m.Image()
+	}).(*mem.Image)
 }
 
-// decodedUops returns the µop stream for p, decoding and caching it on
-// first use.
+// decodedUops returns the µop stream for p, decoded on first use and
+// kept on the program: every machine over it shares the stream, and it
+// goes when the program does.
 func decodedUops(p *isa.Program) []uop {
-	if v, ok := uopCache.Load(p); ok {
-		return v.([]uop)
-	}
-	us := make([]uop, len(p.Text))
-	for i := range p.Text {
-		us[i] = decodeInstr(&p.Text[i])
-	}
-	v, _ := uopCache.LoadOrStore(p, us)
-	return v.([]uop)
+	return p.Uops.Get(func() any {
+		us := make([]uop, len(p.Text))
+		for i := range p.Text {
+			us[i] = decodeInstr(&p.Text[i])
+		}
+		return us
+	}).([]uop)
 }

@@ -3,6 +3,7 @@ package isa
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Memory layout constants shared by the assembler, loader and simulators.
@@ -83,14 +84,53 @@ func (t *TaskDescriptor) String() string {
 
 // Program is a loaded multiscalar binary: text, initialized data, the task
 // descriptors, and the symbol table. The same Program image is accepted by
-// the functional interpreter, the scalar timing simulator, and the
-// multiscalar timing simulator.
+// the functional interpreter and the timing simulator.
 type Program struct {
 	Entry   uint32
 	Text    []Instr // instruction i lives at TextBase + 4*i
 	Data    []byte  // bytes at DataBase
 	Tasks   map[uint32]*TaskDescriptor
 	Symbols map[string]uint32
+
+	// Uops and Image are what the functional interpreter derives from
+	// Text and Data — the decoded instruction stream, and the initial
+	// memory image every machine's backing store starts from
+	// (internal/interp). They are built on first use, shared by every
+	// machine constructed over the program, and collected with it. A
+	// program is immutable once something has run it; a copy that will be
+	// rewritten must not carry them (Clone).
+	Uops, Image Derived
+}
+
+// Derived is a value computed from a Program once, on first use, and
+// kept for as long as the Program itself.
+type Derived struct {
+	once sync.Once
+	v    any
+}
+
+// Get returns the value, calling build for it the first time.
+func (d *Derived) Get(build func() any) any {
+	d.once.Do(func() { d.v = build() })
+	return d.v
+}
+
+// Clone returns a copy of p whose text and task descriptors may be
+// mutated freely and which derives its own Uops and Image. Data and
+// symbols stay shared: nothing in the repository writes to them.
+func (p *Program) Clone() *Program {
+	q := &Program{
+		Entry:   p.Entry,
+		Text:    append([]Instr(nil), p.Text...),
+		Data:    p.Data,
+		Tasks:   make(map[uint32]*TaskDescriptor, len(p.Tasks)),
+		Symbols: p.Symbols,
+	}
+	for a, td := range p.Tasks {
+		c := *td
+		q.Tasks[a] = &c
+	}
+	return q
 }
 
 // InstrAt returns the instruction at byte address addr, or nil if addr is

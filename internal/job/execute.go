@@ -80,14 +80,12 @@ var (
 	oracles  = NewStore[*Oracle](storeCap)
 )
 
-// ResetBuildMemo drops every process-wide store — programs, oracles and
-// what the interpreter derived from the programs it ran (or the dropped
-// programs would stay reachable from there) — so the next job starts cold
-// (tests, benchmarks).
+// ResetBuildMemo drops every process-wide store — programs (and with
+// them what the interpreter derived from each) and oracles — so the next
+// job starts cold (tests, benchmarks).
 func ResetBuildMemo() {
 	programs.Reset()
 	oracles.Reset()
-	interp.ForgetPrograms()
 }
 
 // Stats snapshots the process-wide stores: program builds and memoized
@@ -186,8 +184,7 @@ func Execute(s *Spec, rt *Runtime) (*Output, error) {
 
 	env := interp.NewSysEnv()
 	env.In = stdin
-	multi := s.Machine == MachineMultiscalar || s.Machine == MachineAuto && core.WantsMultiscalar(p, cfg)
-	m, err := core.NewMachine(p, env, cfg, multi)
+	m, err := core.NewMultiscalar(p, env, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -69,10 +69,9 @@ func TestSampledSpecKeySensitivity(t *testing.T) {
 // no meaning for an estimated run.
 func TestSampledSpecValidation(t *testing.T) {
 	for name, mutate := range map[string]func(*Spec){
-		"machine-override": func(s *Spec) { s.Machine = MachineScalar },
-		"want-trace":       func(s *Spec) { s.WantTrace = true },
-		"want-snapshot":    func(s *Spec) { s.WantSnapshot = true },
-		"verify":           func(s *Spec) { s.Verify = true },
+		"want-trace":    func(s *Spec) { s.WantTrace = true },
+		"want-snapshot": func(s *Spec) { s.WantSnapshot = true },
+		"verify":        func(s *Spec) { s.Verify = true },
 	} {
 		s := sampledSpec()
 		mutate(s)

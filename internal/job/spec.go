@@ -5,9 +5,8 @@
 // as source, or as a suite workload), the machine Config, the program
 // input, the run bounds, and the artifacts the caller wants back — and
 // hashes to a stable content-addressed Key. Execute is the one execution
-// path (machine dispatch, oracle verification, trace and snapshot
-// artifacts, sampled runs) behind the facade, the bench harness and
-// msserve.
+// path (oracle verification, trace and snapshot artifacts, sampled runs)
+// behind the facade, the bench harness and msserve.
 //
 // "Have I already done this?" has one implementation: Store, a
 // single-flight LRU. Program builds (Spec.Resolve) and functional-oracle
@@ -65,22 +64,6 @@ func (o Op) String() string {
 	return fmt.Sprintf("Op(%d)", uint8(o))
 }
 
-// MachineSel overrides the machine-dispatch rule for a simulate job.
-type MachineSel uint8
-
-const (
-	// MachineAuto applies the facade rule: the scalar baseline iff the
-	// configuration has at most one unit and the binary carries no task
-	// descriptors, otherwise the multiscalar processor.
-	MachineAuto MachineSel = iota
-	// MachineScalar forces the scalar baseline (msserve's wire "machine"
-	// field).
-	MachineScalar
-	// MachineMultiscalar forces the multiscalar machine (the program must
-	// carry task descriptors).
-	MachineMultiscalar
-)
-
 // Spec is one unit of simulation-service work. The zero value is not a
 // valid job: exactly one program identity (Program, Source, or Workload)
 // must be set.
@@ -99,8 +82,6 @@ type Spec struct {
 
 	Scale int      // workload problem scale (0 = the workload's default)
 	Mode  asm.Mode // build mode for Source/Workload jobs
-
-	Machine MachineSel
 
 	// Config describes the simulated machine (OpSimulate only; its
 	// runtime-only Trace/Sink fields never reach the key).
@@ -133,18 +114,12 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("job: unknown op %d", int(s.Op))
 	}
 	if s.Op == OpSampled {
-		if s.Machine != MachineAuto {
-			return errors.New("job: sampled jobs use automatic machine dispatch")
-		}
 		if s.WantTrace || s.WantSnapshot {
 			return errors.New("job: sampled jobs produce no trace or snapshot artifacts")
 		}
 		if s.Verify {
 			return errors.New("job: sampled jobs are inherently oracle-checked (the functional pass is the oracle)")
 		}
-	}
-	if s.Machine != MachineAuto && s.Machine != MachineScalar && s.Machine != MachineMultiscalar {
-		return fmt.Errorf("job: unknown machine selector %d", int(s.Machine))
 	}
 	n := 0
 	if s.Program != nil {
@@ -186,7 +161,9 @@ func (s *Spec) MarshalCanonical() ([]byte, error) {
 	// several times the encoding on every Key.
 	buf := make([]byte, 0, 160+len(s.Source)+len(s.Workload)+len(cfg)+len(s.Stdin))
 	buf = append(buf, 'M', 'S', 'J', 'B', SpecVersion)
-	buf = append(buf, byte(s.Op), byte(s.Machine), byte(s.Mode))
+	// The zero between op and mode was the machine selector; there is one
+	// machine, and the byte stays so that no key moves.
+	buf = append(buf, byte(s.Op), 0, byte(s.Mode))
 
 	appendBytes := func(tag byte, b []byte) {
 		buf = append(buf, tag)

@@ -37,7 +37,6 @@ func TestKeyDeterministicAndSensitive(t *testing.T) {
 		"workload":  func(s *Spec) { s.Workload = "cmp" },
 		"scale":     func(s *Spec) { s.Scale = 0 },
 		"op":        func(s *Spec) { s.Op = OpAssemble },
-		"machine":   func(s *Spec) { s.Machine = MachineMultiscalar },
 		"stdin":     func(s *Spec) { s.Stdin = []byte("x") },
 		"maxcycles": func(s *Spec) { s.MaxCycles = 99 },
 		"verify":    func(s *Spec) { s.Verify = true },
@@ -81,7 +80,7 @@ func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 
 func TestValidate(t *testing.T) {
 	bad := []*Spec{
-		{Op: OpSimulate, Config: core.DefaultConfig(1, 1, false)},  // no source
+		{Op: OpSimulate, Config: core.DefaultConfig(1, 1, false)},                                   // no source
 		{Op: OpSimulate, Workload: "example", Source: "x", Config: core.DefaultConfig(1, 1, false)}, // two sources
 		{Op: 99, Workload: "example", Config: core.DefaultConfig(1, 1, false)},                      // bad op
 	}

@@ -101,7 +101,6 @@ func (a *Artifact) Replay() (*ReplayResult, error) {
 	spec := &job.Spec{
 		Op:      job.OpSimulate,
 		Program: prog,
-		Machine: job.MachineMultiscalar,
 		Config:  cfg,
 	}
 	out, err := job.Execute(spec, nil)

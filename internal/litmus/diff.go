@@ -101,7 +101,6 @@ func runOne(p *Program, e MatrixEntry, seed int64) *Mismatch {
 	spec := &job.Spec{
 		Op:      job.OpSimulate,
 		Program: p.Prog,
-		Machine: job.MachineMultiscalar,
 		Config:  e.Config(),
 		// Verify is off: the runner compares against the generation
 		// -time oracle itself so a divergent output is captured for

@@ -11,7 +11,11 @@ type BankedDCache struct {
 	Banks []*Cache
 
 	blockBytes uint32
-	nextFree   []uint64
+	// blockShift and bankMask are BankOf without its two divisions, for
+	// the usual power-of-two geometry (bankMask < 0 otherwise): every
+	// data access starts there.
+	blockShift, bankMask int
+	nextFree             []uint64
 
 	// Stats
 	Conflicts uint64
@@ -22,7 +26,11 @@ type BankedDCache struct {
 func NewBankedDCache(numBanks, bankBytes, blockBytes, hitLatency, numMSHRs int, bus *Bus) *BankedDCache {
 	d := &BankedDCache{
 		blockBytes: uint32(blockBytes),
+		bankMask:   -1,
 		nextFree:   make([]uint64, numBanks),
+	}
+	if shift, ok := log2OfPow2(blockBytes); ok && numBanks&(numBanks-1) == 0 {
+		d.blockShift, d.bankMask = shift, numBanks-1
 	}
 	for i := 0; i < numBanks; i++ {
 		c := NewCache("dbank", bankBytes, blockBytes, hitLatency, numMSHRs, bus)
@@ -34,6 +42,9 @@ func NewBankedDCache(numBanks, bankBytes, blockBytes, hitLatency, numMSHRs int, 
 
 // BankOf returns the bank index serving addr (interleaved by block).
 func (d *BankedDCache) BankOf(addr uint32) int {
+	if d.bankMask >= 0 {
+		return int(addr>>d.blockShift) & d.bankMask
+	}
 	return int(addr/d.blockBytes) % len(d.Banks)
 }
 

@@ -114,6 +114,14 @@ func (c *Cache) index(addr uint32) (set int, tag uint32) {
 	return int(block) % c.sets, block / uint32(c.sets)
 }
 
+// block is addr's block number, the MSHRs' key.
+func (c *Cache) block(addr uint32) uint32 {
+	if c.pow2 {
+		return addr >> c.blockShift
+	}
+	return addr / uint32(c.BlockBytes)
+}
+
 // Lookup reports whether addr currently hits, without touching state.
 func (c *Cache) Lookup(addr uint32) bool {
 	set, tag := c.index(addr)
@@ -126,7 +134,7 @@ func (c *Cache) Lookup(addr uint32) bool {
 // matching the paper's level of detail).
 func (c *Cache) Access(now uint64, addr uint32, write bool) (done uint64) {
 	set, tag := c.index(addr)
-	block := addr / uint32(c.BlockBytes)
+	block := c.block(addr)
 	if c.vld[set] && c.tags[set] == tag {
 		// Tag present — but if the block is still being filled, the data
 		// arrives with the fill, not at the hit latency.

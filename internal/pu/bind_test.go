@@ -161,12 +161,12 @@ func TestBindingsMatchReferenceScan(t *testing.T) {
 				u.Start(prog.Entry, uint64(step))
 			default:
 				what = "snapshot round trip"
-				data, err := snapshot.Save(snapshot.KindScalar, uint64(step), u.State)
+				data, err := snapshot.Save(snapshot.KindMultiscalar, uint64(step), u.State)
 				if err != nil {
 					t.Fatal(err)
 				}
 				u = New(0, cfg, prog, ext)
-				if err := snapshot.Load(data, snapshot.KindScalar, u.State); err != nil {
+				if err := snapshot.Load(data, snapshot.KindMultiscalar, u.State); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -232,14 +232,14 @@ loop:
 		}
 	}
 
-	data, err := snapshot.Save(snapshot.KindScalar, now, a.State)
+	data, err := snapshot.Save(snapshot.KindMultiscalar, now, a.State)
 	if err != nil {
 		t.Fatal(err)
 	}
 	extB := newExt()
 	extB.Regs = extA.Regs
 	b := New(0, cfg, p, extB)
-	if err := snapshot.Load(data, snapshot.KindScalar, b.State); err != nil {
+	if err := snapshot.Load(data, snapshot.KindMultiscalar, b.State); err != nil {
 		t.Fatal(err)
 	}
 

@@ -8,8 +8,7 @@
 // parallel units of a multiscalar processor — the paper's speedups compare
 // "identical processing units". Everything outside the unit (register
 // file semantics, memory hierarchy, ARB, syscalls) is reached through the
-// Ext interface, which is where the scalar and multiscalar machines
-// differ.
+// Ext interface.
 package pu
 
 import (
@@ -305,8 +304,7 @@ func (u *Unit) ExitPC() uint32 { return u.exitPC }
 // ExitByReturn reports whether the task exited through a jr (return).
 func (u *Unit) ExitByReturn() bool { return u.exitByRet }
 
-// Start assigns a task (or, for the scalar machine, the program) starting
-// at entry.
+// Start assigns a task starting at entry.
 func (u *Unit) Start(entry uint32, now uint64) {
 	u.active = true
 	u.pc = entry
@@ -329,9 +327,9 @@ func (u *Unit) Start(entry uint32, now uint64) {
 
 // SeedFCC sets the committed floating-point condition flag. Start
 // clears it, which is correct for multiscalar task assignment (FCC is
-// not carried across task boundaries by the machine design), but the
-// scalar machine resuming mid-program from warm state needs the
-// functional machine's FCC seeded after Start.
+// not carried across task boundaries by the machine design), but a
+// program that is one implicit task, resuming mid-program from warm
+// state, needs the functional machine's FCC seeded after Start.
 func (u *Unit) SeedFCC(v bool) { u.committedFCC = v }
 
 // SetTraceTask labels this unit's subsequent trace events with the

@@ -160,10 +160,9 @@ type warmer struct {
 	ws     *core.WarmState
 	side   []instrInfo
 	prog   *isa.Program
-	multi  bool
 	static bool // Config.StaticPredict
 
-	cur *isa.TaskDescriptor // task being executed (multi only)
+	cur *isa.TaskDescriptor // task being executed (nil: the program has no descriptors)
 	err error
 
 	// Touch is idempotent per block and nothing else writes the warm tag
@@ -196,9 +195,9 @@ func (w *warmer) Retire(pc, next uint32) {
 	case kindJalr:
 		w.ws.Branch.UpdateIndirect(pc, next)
 	}
-	if !w.multi {
-		// The scalar machine can resume anywhere: every instruction
-		// boundary is a capture opportunity.
+	if !w.ws.Multi {
+		// A program without descriptors is one task that can start
+		// anywhere: every instruction boundary is a capture opportunity.
 		w.maybeCapture(next)
 		return
 	}
@@ -333,36 +332,28 @@ func newEnv(stdin []byte) *interp.SysEnv {
 // at its capture point. maxInstrs bounds the warming pass, which must
 // end where ref says the program ends.
 func Run(p *isa.Program, cfg core.Config, prm Params, stdin []byte, maxInstrs uint64, ref Functional, pool Runner) (*Estimate, error) {
-	multi := core.WantsMultiscalar(p, cfg)
-	if multi && p.TaskAt(p.Entry) == nil {
-		return nil, fmt.Errorf("sample: no task descriptor at program entry 0x%x", p.Entry)
-	}
 	// Window machines must not trace: tracing is defined for full runs.
 	cfg.Sink = nil
 	cfg.Trace = nil
 
 	total := ref.TotalInstrs
-	units := 1
-	if multi {
-		units = cfg.NumUnits
-	}
-	prm = prm.withDefaults(total, ref.TaskExits, units)
+	prm = prm.withDefaults(total, ref.TaskExits, cfg.NumUnits)
 	sched := prm.schedule(total)
 	if len(sched) < 2 || prm.PeriodInstrs < prm.WarmupInstrs+prm.WindowInstrs {
-		return runFullDetail(p, cfg, prm, stdin, multi, ref)
+		return runFullDetail(p, cfg, prm, stdin, ref)
 	}
 
-	win := &windows{p: p, cfg: cfg, prm: prm, stdin: stdin, multi: multi,
+	win := &windows{p: p, cfg: cfg, prm: prm, stdin: stdin,
 		results: make([]windowRes, len(sched)), errs: make([]error, len(sched))}
 	win.start(pool)
 
 	wm := interp.NewMachine(p, newEnv(stdin))
 	w := &warmer{
 		m:      wm,
-		ws:     core.NewWarmState(cfg, multi),
+		ws:     core.NewWarmState(p, cfg),
 		side:   buildSide(p),
 		prog:   p,
-		multi:  multi,
+		cur:    p.TaskAt(p.Entry),
 		static: cfg.StaticPredict,
 		sched:  sched,
 		win:    win,
@@ -371,9 +362,6 @@ func Run(p *isa.Program, cfg core.Config, prm Params, stdin []byte, maxInstrs ui
 	w.dLine.BlockBytes = uint32(w.ws.DCache.Banks[0].BlockBytes)
 	w.ws.Env = wm.Env
 	w.ws.Mem = wm.Mem
-	if multi {
-		w.cur = p.TaskAt(p.Entry)
-	}
 	wm.Warm = w
 	err := wm.Run(maxInstrs)
 	winErr := win.finish() // on every path: no window outlives Run
@@ -407,7 +395,7 @@ func Run(p *isa.Program, cfg core.Config, prm Params, stdin []byte, maxInstrs ui
 		est.WindowInstrs = append(est.WindowInstrs, r.instrs)
 	}
 	if len(cpis) < 2 {
-		return runFullDetail(p, cfg, prm, stdin, multi, ref)
+		return runFullDetail(p, cfg, prm, stdin, ref)
 	}
 	est.Windows = len(cpis)
 	est.MeanCPI, est.VarCPI, est.StdErrCPI = meanStdErr(cpis)
@@ -441,7 +429,6 @@ type windows struct {
 	cfg   core.Config
 	prm   Params
 	stdin []byte
-	multi bool
 
 	results []windowRes
 	errs    []error
@@ -515,7 +502,7 @@ func (ws *windows) run(k int, snap []byte) {
 }
 
 func (ws *windows) measure(snap []byte) (windowRes, error) {
-	m, err := core.NewMachine(ws.p, newEnv(ws.stdin), ws.cfg, ws.multi)
+	m, err := core.NewMultiscalar(ws.p, newEnv(ws.stdin), ws.cfg)
 	if err != nil {
 		return windowRes{}, err
 	}
@@ -546,8 +533,8 @@ func (ws *windows) measure(snap []byte) (windowRes, error) {
 
 // runFullDetail is the fallback for runs too short to sample: one
 // exact detailed run, reported as a zero-width interval.
-func runFullDetail(p *isa.Program, cfg core.Config, prm Params, stdin []byte, multi bool, ref Functional) (*Estimate, error) {
-	m, err := core.NewMachine(p, newEnv(stdin), cfg, multi)
+func runFullDetail(p *isa.Program, cfg core.Config, prm Params, stdin []byte, ref Functional) (*Estimate, error) {
+	m, err := core.NewMultiscalar(p, newEnv(stdin), cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -256,27 +256,49 @@ func TestPipelineMatchesSerial(t *testing.T) {
 // TestSampledEstimatesPinned: the whole Estimate of the two msbench
 // -sampled rows (example and wc at 16x table scale, 8 units 2-way
 // out-of-order, default regime), byte for byte as recorded at the commit
-// before the sampler became a pipeline. The schedule, every snapshot a
-// window starts from and the estimator are all inside these bytes.
+// before the sampler became a pipeline; and of three scalar-baseline
+// runs (scalar builds at 64x test scale on ScalarConfig(2, true) —
+// windows that start mid-program, tomcatv's with the FP condition flag
+// to seed), as recorded from the separate scalar machine at the commit
+// before it was deleted. The schedule, every snapshot a window starts
+// from and the estimator are all inside these bytes.
 func TestSampledEstimatesPinned(t *testing.T) {
-	cfg := core.DefaultConfig(8, 2, true)
+	type pinned struct {
+		file, name string
+		mode       asm.Mode
+		scale      int
+		cfg        core.Config
+	}
+	var cases []pinned
 	for _, name := range []string{"example", "wc"} {
 		scale := workloads.Get(name).DefaultScale * 16
-		want, err := os.ReadFile(fmt.Sprintf("testdata/estimate_%s_%d.json", name, scale))
+		cases = append(cases, pinned{fmt.Sprintf("estimate_%s_%d.json", name, scale),
+			name, asm.ModeMultiscalar, scale, core.DefaultConfig(8, 2, true)})
+	}
+	for _, name := range []string{"wc", "tomcatv", "example"} {
+		scale := workloads.Get(name).TestScale * 64
+		cases = append(cases, pinned{fmt.Sprintf("estimate_scalar_%s_%d.json", name, scale),
+			name, asm.ModeScalar, scale, core.ScalarConfig(2, true)})
+	}
+	for _, tc := range cases {
+		want, err := os.ReadFile("testdata/" + tc.file)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := buildMulti(t, name, scale)
-		est, err := sample.Run(p, cfg, sample.Params{}, nil, 1<<40, reference(t, p), job.RunJobs)
+		p := build(t, tc.name, tc.mode, tc.scale)
+		est, err := sample.Run(p, tc.cfg, sample.Params{}, nil, 1<<40, reference(t, p), job.RunJobs)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", tc.file, err)
+		}
+		if est.FullDetail {
+			t.Errorf("%s: fell back to full detail; the recording samples", tc.file)
 		}
 		got, err := json.Marshal(est)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if string(got) != strings.TrimSpace(string(want)) {
-			t.Errorf("%s@%d: estimate moved\n got %s\nwant %s", name, scale, got, want)
+			t.Errorf("%s: estimate moved\n got %s\nwant %s", tc.file, got, want)
 		}
 	}
 }

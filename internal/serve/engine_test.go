@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -270,14 +271,27 @@ func TestRealJobRoundTrip(t *testing.T) {
 // its request count: 2000 submissions that each bring a never-seen source
 // text or inline program leave job's process-wide stores — programs and
 // oracles; nothing is keyed by program pointer — and the engine's result
-// cache at or below their fixed capacities.
+// cache at or below their fixed capacities, and the live heap where it
+// was once those had filled: a program the stores evict takes its decoded
+// µops and its memory image (16 KB of data segment each, here) with it.
 func TestJobStoresStayBounded(t *testing.T) {
 	job.ResetBuildMemo()
 	progs0, oracles0 := job.Stats()
 	eng := NewLocal(Options{CacheEntries: 64})
 	const n = 2000
+	const bound = 256 // job's store capacity
+	live := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	var filled uint64
 	for i := 0; i < n; i++ {
-		src := fmt.Sprintf("main:\n\tli $a0, %d\n\tli $v0, 1\n\tsyscall\n\tli $v0, 10\n\tli $a0, 0\n\tsyscall\n", i)
+		if i == 3*bound {
+			filled = live()
+		}
+		src := fmt.Sprintf("\t.data\nbuf:\t.space 16384\n\t.text\nmain:\n\tli $a0, %d\n\tli $v0, 1\n\tsyscall\n\tli $v0, 10\n\tli $a0, 0\n\tsyscall\n", i)
 		spec := &job.Spec{Op: job.OpSimulate, Mode: asm.ModeScalar, Config: core.ScalarConfig(1, false), Verify: true}
 		if i%2 == 0 {
 			spec.Source = src
@@ -302,7 +316,6 @@ func TestJobStoresStayBounded(t *testing.T) {
 	if b, o := progs.Runs-progs0.Runs, oracles.Runs-oracles0.Runs; b != n/2 || o != n {
 		t.Fatalf("expected %d builds and %d oracle runs, got %d and %d", n/2, n, b, o)
 	}
-	const bound = 256 // job's store capacity
 	if progs.Entries > bound || oracles.Entries > bound {
 		t.Fatalf("job stores grew with the request count: %d programs, %d oracles (bound %d)",
 			progs.Entries, oracles.Entries, bound)
@@ -312,5 +325,11 @@ func TestJobStoresStayBounded(t *testing.T) {
 	}
 	if m := eng.Metrics(); m.CacheEntries > 64 {
 		t.Fatalf("result cache holds %d entries, bound 64", m.CacheEntries)
+	}
+	// The 1232 programs evicted since the stores filled carried 16 KB of
+	// data segment each, and as much again in the image derived from it.
+	if end := live(); end > filled+4<<20 {
+		t.Fatalf("live heap grew from %d KB with the stores full to %d KB at the end: evicted programs are still reachable",
+			filled>>10, end>>10)
 	}
 }

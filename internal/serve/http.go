@@ -31,9 +31,8 @@ type WireJob struct {
 	Scale int    `json:"scale,omitempty"` // workload scale (0 = default)
 	Mode  string `json:"mode,omitempty"`  // "scalar" | "multiscalar"
 
-	Machine string          `json:"machine,omitempty"` // "auto" | "scalar" | "multiscalar"
-	Config  json.RawMessage `json:"config,omitempty"`  // canonical Config JSON
-	Preset  *WirePreset     `json:"preset,omitempty"`  // or a paper preset
+	Config json.RawMessage `json:"config,omitempty"` // canonical Config JSON
+	Preset *WirePreset     `json:"preset,omitempty"` // or a paper preset
 
 	Stdin     []byte `json:"stdin,omitempty"` // program input (base64)
 	MaxCycles uint64 `json:"max_cycles,omitempty"`
@@ -86,16 +85,6 @@ func (w *WireJob) Decode() (*job.Spec, error) {
 	default:
 		return nil, fmt.Errorf("unknown op %q (valid: simulate, assemble, trace)", w.Op)
 	}
-	switch w.Machine {
-	case "", "auto":
-		s.Machine = job.MachineAuto
-	case "scalar":
-		s.Machine = job.MachineScalar
-	case "multiscalar":
-		s.Machine = job.MachineMultiscalar
-	default:
-		return nil, fmt.Errorf("unknown machine %q (valid: auto, scalar, multiscalar)", w.Machine)
-	}
 	if len(w.Program) > 0 {
 		p, err := isa.ReadProgram(bytes.NewReader(w.Program))
 		if err != nil {
@@ -133,7 +122,7 @@ func (w *WireJob) Decode() (*job.Spec, error) {
 	case "":
 		// The mssim rule: one unit (or interpretation) gets the scalar
 		// binary, everything else the annotated multiscalar build.
-		if s.Op == job.OpSimulate && units <= 1 && s.Machine != job.MachineMultiscalar {
+		if s.Op == job.OpSimulate && units <= 1 {
 			s.Mode = asm.ModeScalar
 		} else {
 			s.Mode = asm.ModeMultiscalar
@@ -238,8 +227,7 @@ func NewHandler(e Engine) http.Handler {
 			return
 		}
 		var req SubmitRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "decoding request: %v", err)
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		spec, err := req.Job.Decode()
@@ -260,8 +248,7 @@ func NewHandler(e Engine) http.Handler {
 			return
 		}
 		var req BatchRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "decoding request: %v", err)
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		jobs := req.Jobs
@@ -308,6 +295,33 @@ func NewHandler(e Engine) http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 	return mux
+}
+
+// maxRequestBytes bounds a request body. The largest single job in the
+// repository is an inline source at 16x table scale (cmp, 2.6 MB; the
+// largest inline .msb is 0.7 MB in base64) and the benchmark's and the
+// tests' batches are sweeps of a few hundred bytes, so this is an order
+// of magnitude of margin and still a small fraction of a daemon's memory.
+const maxRequestBytes = 32 << 20
+
+// decodeBody decodes a request's JSON body into v, reading at most
+// maxRequestBytes of it. On failure it has answered — 413 for a body over
+// the bound, 400 for one that does not decode, which includes a field
+// the API does not have — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+	default:
+		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
+	}
+	return false
 }
 
 // clientID names the fairness bucket: the request's explicit client

@@ -173,3 +173,60 @@ func TestBadRequestsRejected(t *testing.T) {
 		}
 	}
 }
+
+// endlessBody is a request body that never ends: a JSON string opened
+// and then filled for as long as anyone reads. It counts what was read.
+type endlessBody struct{ read int64 }
+
+func (b *endlessBody) Read(p []byte) (int, error) {
+	n := 0
+	if b.read == 0 {
+		n = copy(p, `{"job":{"source":"`)
+	}
+	for i := n; i < len(p); i++ {
+		p[i] = 'a'
+	}
+	b.read += int64(len(p))
+	return len(p), nil
+}
+
+func (b *endlessBody) Close() error { return nil }
+
+// TestOversizedBodyRefused: a body past maxRequestBytes is answered 413
+// with a named error after at most the bound (and the decoder's
+// read-ahead) has been read — not buffered to its end, which for this
+// body never comes — and the handler goes on serving.
+func TestOversizedBodyRefused(t *testing.T) {
+	h := NewHandler(NewLocal(Options{CacheEntries: 8}))
+	for _, path := range []string{"/v1/jobs", "/v1/batch"} {
+		body := &endlessBody{}
+		req := httptest.NewRequest(http.MethodPost, path, body)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), "request body exceeds") {
+			t.Errorf("%s: status %d, body %q; want 413 naming the bound", path, rec.Code, rec.Body.String())
+		}
+		if body.read > maxRequestBytes+1<<20 {
+			t.Errorf("%s: %d bytes read of a body refused at %d", path, body.read, maxRequestBytes)
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	if rec.Code != http.StatusOK {
+		t.Errorf("healthz after oversized requests: status %d", rec.Code)
+	}
+}
+
+// TestRemovedMachineFieldRejected: the wire "machine" selector went with
+// the second machine. A request that still sends one is told so, not run
+// as if it had not.
+func TestRemovedMachineFieldRejected(t *testing.T) {
+	h := NewHandler(NewLocal(Options{CacheEntries: 8}))
+	req := httptest.NewRequest(http.MethodPost, "/v1/jobs",
+		strings.NewReader(`{"job":{"workload":"example","machine":"scalar","preset":{"units":1}}}`))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `unknown field \"machine\"`) {
+		t.Errorf("status %d, body %q; want 400 naming the field", rec.Code, rec.Body.String())
+	}
+}

@@ -28,22 +28,14 @@ func restorePaths(tb testing.TB) []restorePath {
 		cfg.ICacheBytes *= 2
 		return cfg
 	}
-	scalar := func() *core.Scalar { return core.NewScalar(sp, interp.NewSysEnv(), scfg) }
-	multi := func(tb testing.TB) *core.Multiscalar {
-		m, err := core.NewMultiscalar(mp, interp.NewSysEnv(), mcfg)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		return m
-	}
-	timing := func(p *isa.Program, cfg, other core.Config, multi bool) func(testing.TB) ([]byte, []byte) {
+	timing := func(p *isa.Program, cfg, other core.Config) func(testing.TB) ([]byte, []byte) {
 		return func(tb testing.TB) ([]byte, []byte) {
-			return captureTiming(tb, p, cfg, multi, 100)[0], captureTiming(tb, p, other, multi, 100)[0]
+			return captureTiming(tb, p, cfg, 100)[0], captureTiming(tb, p, other, 100)[0]
 		}
 	}
-	warm := func(p *isa.Program, cfg core.Config, multi bool) func(testing.TB) ([]byte, []byte) {
+	warm := func(p *isa.Program, cfg core.Config) func(testing.TB) ([]byte, []byte) {
 		return func(tb testing.TB) ([]byte, []byte) {
-			return captureWarm(tb, p, cfg, multi, 400)[0], captureWarm(tb, p, bigICache(cfg), multi, 400)[0]
+			return captureWarm(tb, p, cfg, 400)[0], captureWarm(tb, p, bigICache(cfg), 400)[0]
 		}
 	}
 	return []restorePath{
@@ -51,22 +43,19 @@ func restorePaths(tb testing.TB) []restorePath {
 			func(tb testing.TB) func([]byte) error { return interp.NewMachine(sp, interp.NewSysEnv()).Restore },
 			// The functional machine has no geometry to disagree with.
 			func(tb testing.TB) ([]byte, []byte) { return captureInterp(tb, sp, 100)[0], nil }},
-		{"Scalar.Restore",
-			func(tb testing.TB) func([]byte) error { return scalar().Restore },
-			timing(sp, scfg, bigICache(scfg), false)},
 		{"Multiscalar.Restore",
-			func(tb testing.TB) func([]byte) error { return multi(tb).Restore },
-			timing(mp, mcfg, core.DefaultConfig(8, 1, false), true)},
-		{"Scalar.InjectWarm",
-			func(tb testing.TB) func([]byte) error { return scalar().InjectWarm },
-			warm(sp, scfg, false)},
+			func(tb testing.TB) func([]byte) error { return newTiming(tb, mp, mcfg).Restore },
+			timing(mp, mcfg, core.DefaultConfig(8, 1, false))},
+		{"Scalar.InjectWarm", // the warm shape of a program without descriptors
+			func(tb testing.TB) func([]byte) error { return newTiming(tb, sp, scfg).InjectWarm },
+			warm(sp, scfg)},
 		{"Multiscalar.InjectWarm",
-			func(tb testing.TB) func([]byte) error { return multi(tb).InjectWarm },
-			warm(mp, mcfg, true)},
+			func(tb testing.TB) func([]byte) error { return newTiming(tb, mp, mcfg).InjectWarm },
+			warm(mp, mcfg)},
 	}
 }
 
-// FuzzSnapshot feeds arbitrary bytes to all five restore paths. Any
+// FuzzSnapshot feeds arbitrary bytes to all four restore paths. Any
 // input may be rejected with an error; none may panic or over-allocate
 // (the codec validates every count against the bytes remaining before
 // allocating). The corpus is seeded with a genuine capture per path.

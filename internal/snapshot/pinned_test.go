@@ -31,9 +31,9 @@ func buildTB(tb testing.TB, name string, mode asm.Mode) *isa.Program {
 	return p
 }
 
-func newTiming(tb testing.TB, p *isa.Program, cfg core.Config, multi bool) core.Machine {
+func newTiming(tb testing.TB, p *isa.Program, cfg core.Config) *core.Multiscalar {
 	tb.Helper()
-	m, err := core.NewMachine(p, interp.NewSysEnv(), cfg, multi)
+	m, err := core.NewMultiscalar(p, interp.NewSysEnv(), cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -43,9 +43,9 @@ func newTiming(tb testing.TB, p *isa.Program, cfg core.Config, multi bool) core.
 // captureTiming runs one machine to completion, saving at the first
 // executed iteration at or after each cycle in at (ascending) and once
 // more on the finished machine.
-func captureTiming(tb testing.TB, p *isa.Program, cfg core.Config, multi bool, at ...uint64) [][]byte {
+func captureTiming(tb testing.TB, p *isa.Program, cfg core.Config, at ...uint64) [][]byte {
 	tb.Helper()
-	m := newTiming(tb, p, cfg, multi)
+	m := newTiming(tb, p, cfg)
 	var snaps [][]byte
 	save := func() error {
 		snap, err := m.Save()
@@ -109,13 +109,12 @@ func captureInterp(tb testing.TB, p *isa.Program, at ...uint64) [][]byte {
 // (internal/sample): every retired instruction touches the caches and
 // trains the branch predictor, every task exit trains the sequencer's
 // predictor and return stack, and a capture is encoded at the first
-// permitted point — any instruction for the scalar machine, a task
-// boundary for the multiscalar — at or after each scheduled count.
+// permitted point — any instruction of a program without descriptors, a
+// task boundary of one with — at or after each scheduled count.
 type testWarmer struct {
 	m     *interp.Machine
 	ws    *core.WarmState
 	prog  *isa.Program
-	multi bool
 	cur   *isa.TaskDescriptor
 	at    []uint64
 	snaps [][]byte
@@ -133,7 +132,7 @@ func (w *testWarmer) Retire(pc, next uint32) {
 	case in.Op == isa.OpJalr:
 		w.ws.Branch.UpdateIndirect(pc, next)
 	}
-	if w.multi {
+	if w.ws.Multi {
 		if !in.Stop.Holds(taken) {
 			return
 		}
@@ -175,14 +174,11 @@ func (w *testWarmer) capture(pc uint32, icount uint64) {
 
 // captureWarm runs the functional machine under a testWarmer and returns
 // a warm capture per scheduled count plus one of the exited machine.
-func captureWarm(tb testing.TB, p *isa.Program, cfg core.Config, multi bool, at ...uint64) [][]byte {
+func captureWarm(tb testing.TB, p *isa.Program, cfg core.Config, at ...uint64) [][]byte {
 	tb.Helper()
 	m := interp.NewMachine(p, interp.NewSysEnv())
-	w := &testWarmer{m: m, ws: core.NewWarmState(cfg, multi), prog: p, multi: multi, at: at}
+	w := &testWarmer{m: m, ws: core.NewWarmState(p, cfg), prog: p, cur: p.TaskAt(p.Entry), at: at}
 	w.ws.Env, w.ws.Mem = m.Env, m.Mem
-	if multi {
-		w.cur = p.TaskAt(p.Entry)
-	}
 	m.Warm = w
 	if err := m.Run(1 << 30); err != nil {
 		tb.Fatal(err)
@@ -195,25 +191,25 @@ func captureWarm(tb testing.TB, p *isa.Program, cfg core.Config, multi bool, at 
 }
 
 // pinnedMachine is one timing configuration TestSnapshotBytesPinned
-// records.
+// records: the workload's multiscalar build, or its scalar one.
 type pinnedMachine struct {
-	name  string
-	multi bool
-	cfg   core.Config
+	name   string
+	scalar bool
+	cfg    core.Config
 }
 
-// pinnedMachines: both issue orders of the scalar machine, and three
-// multiscalar shapes that between them reach in-order and out-of-order
-// windows, 4 to 16 units and both ARB overflow policies.
+// pinnedMachines: three multiscalar shapes that between them reach
+// in-order and out-of-order windows, 4 to 16 units and both ARB overflow
+// policies, then both issue orders of the scalar baseline.
 func pinnedMachines() []pinnedMachine {
 	squash := core.DefaultConfig(16, 1, false)
 	squash.ARBPolicy = arb.PolicySquash
 	return []pinnedMachine{
-		{"scalar-1w-inorder", false, core.ScalarConfig(1, false)},
-		{"scalar-2w-ooo", false, core.ScalarConfig(2, true)},
-		{"ms-4u-inorder", true, core.DefaultConfig(4, 1, false)},
-		{"ms-8u-2w-ooo", true, core.DefaultConfig(8, 2, true)},
-		{"ms-16u-arbsquash", true, squash},
+		{"ms-4u-inorder", false, core.DefaultConfig(4, 1, false)},
+		{"ms-8u-2w-ooo", false, core.DefaultConfig(8, 2, true)},
+		{"ms-16u-arbsquash", false, squash},
+		{"ms-1u-scalar-1w-inorder", true, core.ScalarConfig(1, false)},
+		{"ms-1u-scalar-2w-ooo", true, core.ScalarConfig(2, true)},
 	}
 }
 
@@ -240,23 +236,23 @@ func snapshotHashes(t *testing.T) []string {
 		}
 		add(name, "interp", "nosink", captureInterp(t, mp, 100, ref.ICount/2))
 		add(name, "warm-scalar", "nosink",
-			captureWarm(t, sp, core.ScalarConfig(1, false), false, 100, ref.ICount/2))
+			captureWarm(t, sp, core.ScalarConfig(1, false), 100, ref.ICount/2))
 		add(name, "warm-multiscalar", "nosink",
-			captureWarm(t, mp, core.DefaultConfig(4, 1, false), true, 100, ref.ICount/2))
+			captureWarm(t, mp, core.DefaultConfig(4, 1, false), 100, ref.ICount/2))
 
 		for _, pm := range pinnedMachines() {
-			p := sp
-			if pm.multi {
-				p = mp
+			p := mp
+			if pm.scalar {
+				p = sp
 			}
-			full, err := newTiming(t, p, pm.cfg, pm.multi).Run()
+			full, err := newTiming(t, p, pm.cfg).Run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			add(name, pm.name, "nosink", captureTiming(t, p, pm.cfg, pm.multi, 50, full.Cycles/2))
+			add(name, pm.name, "nosink", captureTiming(t, p, pm.cfg, 50, full.Cycles/2))
 			traced := pm.cfg
 			traced.Sink = &trace.Collector{}
-			add(name, pm.name, "sink", captureTiming(t, p, traced, pm.multi, 50, full.Cycles/2))
+			add(name, pm.name, "sink", captureTiming(t, p, traced, 50, full.Cycles/2))
 		}
 	}
 	return lines

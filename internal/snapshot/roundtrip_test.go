@@ -106,38 +106,16 @@ func TestMultiscalarRoundTrip(t *testing.T) {
 	}
 }
 
-// TestScalarRoundTrip does the same for the baseline machine.
+// TestScalarRoundTrip does the same for the scalar baseline, whose one
+// task the snapshot walk looks up through the machine, not the binary.
 func TestScalarRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	p := buildTB(t, "wc", asm.ModeScalar)
 	cfg := core.ScalarConfig(2, true)
-	sFull := core.NewScalar(p, interp.NewSysEnv(), cfg)
-	full, err := sFull.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := runMulti(t, p, cfg)
 	for trial := 0; trial < 4; trial++ {
 		at := 1 + uint64(rng.Int63n(int64(full.Cycles-1)))
-		s1 := core.NewScalar(p, interp.NewSysEnv(), cfg)
-		var snap []byte
-		s1.ScheduleCheckpoint(at, func() error {
-			var err error
-			if snap, err = s1.Save(); err != nil {
-				return err
-			}
-			return errInterrupted
-		})
-		if _, err := s1.Run(); !errors.Is(err, errInterrupted) {
-			t.Fatalf("interrupted run: err = %v", err)
-		}
-		s2 := core.NewScalar(p, interp.NewSysEnv(), cfg)
-		if err := s2.Restore(snap); err != nil {
-			t.Fatalf("Restore: %v", err)
-		}
-		got, err := s2.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := interruptAndResume(t, p, cfg, at)
 		if !sameResult(got, full) {
 			t.Errorf("scalar checkpoint@%d: resumed result differs\ngot  %+v\nwant %+v", at, got, full)
 		}

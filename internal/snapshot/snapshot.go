@@ -45,10 +45,11 @@ const magic = "MSSNAP"
 const Version = 4
 
 // Machine kinds, stored in the header so a snapshot cannot be fed to
-// the wrong Restore.
+// the wrong Restore. 2 is retired: it was the separate scalar timing
+// machine's, whose runs are now KindMultiscalar runs on one unit; a
+// snapshot carrying it is refused by name like any other wrong kind.
 const (
 	KindInterp      uint8 = 1
-	KindScalar      uint8 = 2
 	KindMultiscalar uint8 = 3
 	// KindWarm is not a machine: it is the architectural-plus-warm state
 	// the sampled-simulation engine captures during functional-warm
@@ -65,8 +66,8 @@ func KindName(kind uint8) string {
 	switch kind {
 	case KindInterp:
 		return "interp"
-	case KindScalar:
-		return "scalar"
+	case 2:
+		return "scalar (a kind retired with the separate scalar machine)"
 	case KindMultiscalar:
 		return "multiscalar"
 	case KindWarm:

@@ -53,9 +53,11 @@ func TestWorkloadsEndToEnd(t *testing.T) {
 					mom.ICount, som.ICount)
 			}
 
-			// Scalar timing machine.
-			env := interp.NewSysEnv()
-			sc := core.NewScalar(scalarProg, env, core.ScalarConfig(1, false))
+			// Scalar baseline: the one-unit configuration.
+			sc, err := core.NewMultiscalar(scalarProg, interp.NewSysEnv(), core.ScalarConfig(1, false))
+			if err != nil {
+				t.Fatalf("scalar machine: %v", err)
+			}
 			sres, err := sc.Run()
 			if err != nil {
 				t.Fatalf("scalar machine: %v", err)

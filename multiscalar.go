@@ -13,11 +13,11 @@
 //     the toolchain) over an un-annotated program.
 //   - Interpret executes a Program functionally (the correctness oracle).
 //   - Run simulates a Program cycle by cycle on the machine a Config
-//     describes: the scalar baseline for one unit, otherwise a
-//     multiscalar processor — N processing units on a circular queue,
+//     describes — N processing units on a circular queue,
 //     sequencer with two-level task prediction and a return address
 //     stack, register forwarding ring, Address Resolution Buffer, banked
-//     data caches, shared memory bus. RunOption values attach an event
+//     data caches, shared memory bus; the scalar baseline is its
+//     one-unit configuration. RunOption values attach an event
 //     trace (WithTrace), program input (WithStdin), bounds (WithMaxCycles,
 //     WithMaxInstrs), oracle verification (WithVerify) or checkpoint and
 //     resume (WithCheckpoint, RestoreFrom).
@@ -285,13 +285,13 @@ func ScalarConfig(width int, outOfOrder bool) Config {
 	return core.ScalarConfig(width, outOfOrder)
 }
 
-// Run simulates a program cycle by cycle on the machine cfg describes:
-// the scalar baseline processor for an un-annotated binary on a one-unit
-// configuration (ScalarConfig), otherwise a multiscalar processor — a
-// binary with task descriptors runs on the multiscalar machine even with
-// cfg.NumUnits of 1 (the single-unit ablation point), and a multiscalar
-// configuration requires the descriptors. Options attach a trace sink,
-// program input, run bounds, and oracle verification.
+// Run simulates a program cycle by cycle on the machine cfg describes.
+// There is one machine. A binary without task descriptors is one task: it
+// runs on a one-unit configuration — ScalarConfig is the paper's scalar
+// baseline — and a wider one refuses it. A binary with descriptors runs
+// on any unit count, one included (the single-unit ablation point).
+// Options attach a trace sink, program input, run bounds, and oracle
+// verification.
 func Run(p *Program, cfg Config, opts ...RunOption) (*Result, error) {
 	o := gather(p, cfg, opts)
 	out, err := job.Execute(&o.spec, &o.rt)
@@ -312,15 +312,11 @@ func Run(p *Program, cfg Config, opts ...RunOption) (*Result, error) {
 // JobSpec is one unit of simulation-service work.
 type JobSpec = job.Spec
 
-// Job operations and machine selectors.
+// Job operations.
 const (
 	JobSimulate = job.OpSimulate
 	JobAssemble = job.OpAssemble
 	JobSampled  = job.OpSampled
-
-	JobMachineAuto        = job.MachineAuto
-	JobMachineScalar      = job.MachineScalar
-	JobMachineMultiscalar = job.MachineMultiscalar
 )
 
 // Sampled simulation (docs/perf.md, "Sampled simulation"): a run is
@@ -363,8 +359,8 @@ type SnapshotMeta = snapshot.Meta
 // what a tool should print before committing to a restore.
 func PeekSnapshot(data []byte) (SnapshotMeta, error) { return snapshot.Peek(data) }
 
-// SnapshotKindName names a snapshot kind ("multiscalar", "scalar",
-// "interp", "warm").
+// SnapshotKindName names a snapshot kind ("multiscalar", "interp",
+// "warm").
 func SnapshotKindName(kind uint8) string { return snapshot.KindName(kind) }
 
 // JobResult is a job's outcome: the result payload plus whether this

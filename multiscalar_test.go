@@ -90,7 +90,7 @@ func TestFacadeRejectsUnannotated(t *testing.T) {
 // TestFacadeOptionsReplaceWrappers pins that the options facade covers
 // every entry point the removed pre-options wrappers offered: a mode-
 // selected build with its line table, a multiscalar run, a scalar run
-// (machine dispatch from the configuration and the binary), and an
+// (the one-unit configuration on a binary without descriptors), and an
 // oracle-verified run.
 func TestFacadeOptionsReplaceWrappers(t *testing.T) {
 	full, err := multiscalar.Assemble(apiDemo, multiscalar.WithMode(multiscalar.ModeMultiscalar))
@@ -105,7 +105,9 @@ func TestFacadeOptionsReplaceWrappers(t *testing.T) {
 	if err != nil || len(sc.Prog.Tasks) != 0 {
 		t.Fatalf("default Assemble should be a scalar build: %+v, %v", sc, err)
 	}
-	if res, err := multiscalar.Run(sc.Prog, multiscalar.ScalarConfig(1, false)); err != nil || res.TasksRetired != 0 {
+	// The scalar baseline retires one task — the program — and prints no
+	// task statistics.
+	if res, err := multiscalar.Run(sc.Prog, multiscalar.ScalarConfig(1, false)); err != nil || res.TasksRetired != 1 || strings.Contains(res.String(), "tasks=") {
 		t.Fatalf("scalar Run = %+v, %v", res, err)
 	}
 	if res, err := multiscalar.Run(prog, multiscalar.DefaultConfig(4, 1, false), multiscalar.WithVerify()); err != nil || res.Out != "1275" {
@@ -240,5 +242,40 @@ func TestFacadeSaveLoadProgram(t *testing.T) {
 	}
 	if res.Out != "1275" {
 		t.Errorf("out = %q", res.Out)
+	}
+}
+
+// TestScalarIsAConfiguration pins the two edges of "the scalar baseline
+// is the one-unit machine on a binary without descriptors": wider
+// machines still refuse such a binary by name, and a snapshot written by
+// the separate scalar machine of earlier versions (kind 2 in the header)
+// is described and refused by name — what mssim -restore prints and
+// exits with — rather than misread.
+func TestScalarIsAConfiguration(t *testing.T) {
+	prog := mustAssemble(t, apiDemo, multiscalar.ModeScalar)
+	if _, err := multiscalar.Run(prog, multiscalar.DefaultConfig(4, 1, false)); err == nil || !strings.Contains(err.Error(), "no task descriptors") {
+		t.Errorf("4 units on a binary without descriptors: %v", err)
+	}
+
+	cfg := multiscalar.ScalarConfig(1, false)
+	var snap []byte
+	if _, err := multiscalar.Run(prog, cfg, multiscalar.WithCheckpoint(10, func(s []byte) error {
+		snap = append([]byte(nil), s...)
+		return nil
+	})); err != nil || snap == nil {
+		t.Fatalf("checkpointed scalar run: %v (snapshot %d bytes)", err, len(snap))
+	}
+	if res, err := multiscalar.Run(prog, cfg, multiscalar.RestoreFrom(snap)); err != nil || res.Out != "1275" {
+		t.Fatalf("restoring the one machine's own snapshot: %+v, %v", res, err)
+	}
+	const kindAt = 6 + 2 // after the magic and the format version
+	snap[kindAt] = 2
+	meta, err := multiscalar.PeekSnapshot(snap)
+	if err != nil || !strings.Contains(multiscalar.SnapshotKindName(meta.Kind), "scalar") {
+		t.Fatalf("peeking a retired-kind snapshot: %+v, %v", meta, err)
+	}
+	if _, err := multiscalar.Run(prog, cfg, multiscalar.RestoreFrom(snap)); err == nil ||
+		!strings.Contains(err.Error(), "scalar") || !strings.Contains(err.Error(), "want multiscalar") {
+		t.Errorf("restoring a retired-kind snapshot: %v", err)
 	}
 }
