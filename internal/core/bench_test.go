@@ -27,25 +27,48 @@ func buildFor(b *testing.B, name string, mode asm.Mode) *isa.Program {
 	return p
 }
 
+// issueModes are the unit microarchitectures the machine benchmarks build:
+// the 1-way in-order unit, which never scans its window, and the 2-way
+// out-of-order unit the ledger's exact workloads run, where the window
+// path is the cost.
+var issueModes = []struct {
+	name  string
+	width int
+	ooo   bool
+}{{"1way-inorder", 1, false}, {"2way-ooo", 2, true}}
+
+// benchMachine runs p to completion b.N times on the machine cfg builds
+// and reports simulated Mcycles per second, host nanoseconds per executed
+// unit Tick, and the share of unit ticks the wakeup scheduler slept.
+func benchMachine(b *testing.B, p *isa.Program, cfg core.Config) {
+	var cycles, ticked, unitTicks uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := core.NewMultiscalar(p, interp.NewSysEnv(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := m.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		cycles += res.Cycles
+		ticked += res.CyclesTicked
+		unitTicks += res.UnitTicks
+	}
+	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds()/1e6, "mcycles/s")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(unitTicks), "ns/unit-tick")
+	b.ReportMetric(100*(1-float64(unitTicks)/float64(uint64(cfg.NumUnits)*ticked)), "%unit-ticks-slept")
+}
+
 func BenchmarkScalarCore(b *testing.B) {
 	for _, name := range []string{"wc", "compress"} {
-		b.Run(name, func(b *testing.B) {
-			p := buildFor(b, name, asm.ModeScalar)
-			var cycles uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m, err := core.NewMultiscalar(p, interp.NewSysEnv(), core.ScalarConfig(1, false))
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := m.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles += res.Cycles
-			}
-			b.ReportMetric(float64(cycles)/b.Elapsed().Seconds()/1e6, "mcycles/s")
-		})
+		p := buildFor(b, name, asm.ModeScalar)
+		for _, mode := range issueModes {
+			b.Run(name+"/"+mode.name, func(b *testing.B) {
+				benchMachine(b, p, core.ScalarConfig(mode.width, mode.ooo))
+			})
+		}
 	}
 }
 
@@ -88,25 +111,11 @@ func BenchmarkStallHeavy(b *testing.B) {
 
 func BenchmarkMultiscalarCore8Units(b *testing.B) {
 	for _, name := range []string{"wc", "compress", "tomcatv"} {
-		b.Run(name, func(b *testing.B) {
-			p := buildFor(b, name, asm.ModeMultiscalar)
-			var cycles, ticked, unitTicks uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m, err := core.NewMultiscalar(p, interp.NewSysEnv(), core.DefaultConfig(8, 1, false))
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := m.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles += res.Cycles
-				ticked += res.CyclesTicked
-				unitTicks += res.UnitTicks
-			}
-			b.ReportMetric(float64(cycles)/b.Elapsed().Seconds()/1e6, "mcycles/s")
-			b.ReportMetric(100*(1-float64(unitTicks)/float64(8*ticked)), "%unit-ticks-slept")
-		})
+		p := buildFor(b, name, asm.ModeMultiscalar)
+		for _, mode := range issueModes {
+			b.Run(name+"/"+mode.name, func(b *testing.B) {
+				benchMachine(b, p, core.DefaultConfig(8, mode.width, mode.ooo))
+			})
+		}
 	}
 }

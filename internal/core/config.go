@@ -7,6 +7,7 @@
 package core
 
 import (
+	"fmt"
 	"io"
 
 	"multiscalar/internal/arb"
@@ -122,6 +123,45 @@ func ScalarConfig(width int, outOfOrder bool) Config {
 	c.DCacheHit = 1
 	c.DBankBytes = 64 << 10 // one 64 KB cache
 	return c
+}
+
+// Validate reports the first field whose value no machine can be built
+// from: a geometry that would divide by zero, index an empty table,
+// allocate without bound or never start. NewMultiscalar calls it first,
+// and msserve when it decodes a job, so a hostile configuration is a
+// named error (400 at the door) instead of a panic inside the run. Zero
+// keeps its meaning where it is a default (issue_width 1, rob_size 16,
+// fetchq_size 8, branch_entries 2048) or an absence (arb_entries,
+// shared_fp_units).
+func (c Config) Validate() error {
+	const maxBytes, maxEntries = 1 << 28, 1 << 20
+	for _, f := range []struct {
+		name      string
+		v, lo, hi int
+		why       string
+	}{
+		{"num_units", c.NumUnits, 1, arb.MaxUnits, "the ARB tracks that many tasks"},
+		{"issue_width", c.IssueWidth, 0, 64, "0 selects 1"},
+		{"rob_size", c.ROBSize, 0, 1 << 16, "producer distances are 16-bit; 0 selects 16"},
+		{"fetchq_size", c.FetchQSize, 0, 1 << 16, "0 selects 8"},
+		{"icache_block", c.ICacheBlock, 1, maxBytes, "bytes per block"},
+		{"icache_bytes", c.ICacheBytes, c.ICacheBlock, maxBytes, "at least one block"},
+		{"dblock_bytes", c.DBlockBytes, 1, maxBytes, "bytes per block"},
+		{"dbank_bytes", c.DBankBytes, c.DBlockBytes, maxBytes, "at least one block"},
+		{"dcache_hit", c.DCacheHit, 0, maxEntries, "cycles"},
+		{"num_mshrs", c.NumMSHRs, 1, maxEntries, "a miss needs one"},
+		{"arb_entries", c.ARBEntries, 0, maxEntries, "per bank"},
+		{"arb_policy", int(c.ARBPolicy), int(arb.PolicyStall), int(arb.PolicySquash), "0 stall, 1 squash"},
+		{"ring_latency", c.RingLatency, 0, maxEntries, "cycles per hop"},
+		{"desc_cache_entries", c.DescCacheEntries, 1, maxEntries, "a descriptor fetch needs one"},
+		{"shared_fp_units", c.SharedFPUnits, 0, maxEntries, "0 keeps per-unit FUs"},
+		{"branch_entries", c.BranchEntries, 0, maxEntries, "0 selects 2048"},
+	} {
+		if f.v < f.lo || f.v > f.hi {
+			return fmt.Errorf("core: config %s = %d: want %d to %d (%s)", f.name, f.v, f.lo, f.hi, f.why)
+		}
+	}
+	return nil
 }
 
 // NumBanks returns the data bank count: twice the unit count (Figure 1),

@@ -167,6 +167,9 @@ type Multiscalar struct {
 // no second task to disambiguate against the ARB has zero entries: every
 // load reads memory and every (head) store writes it.
 func NewMultiscalar(prog *isa.Program, env *interp.SysEnv, cfg Config) (*Multiscalar, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	m := &Multiscalar{
 		cfg:     cfg,
 		prog:    prog,

@@ -74,7 +74,8 @@ func slept(r *Result, units int) bool { return r.UnitTicks < r.CyclesTicked*uint
 // configurations deliberately include the corners the scheduler
 // special-cases: single units (sleep degenerates to the global jump),
 // 16 units, multi-cycle ring hops, squashing ARB overflow with tiny
-// ARBs, shared FP units, and static task prediction.
+// ARBs, shared FP units, static task prediction, and windows of 40 and
+// 200 entries, whose masks span several words (internal/pu window.go).
 func TestSkipMatchesDense(t *testing.T) {
 	trials := 120
 	if testing.Short() {
@@ -106,8 +107,9 @@ func TestSkipMatchesDense(t *testing.T) {
 		case 2:
 			cfg.StaticPredict = true
 		}
+		cfg.ROBSize = []int{16, 16, 40, 200}[g.r.Intn(4)]
 
-		label := fmt.Sprintf("trial %d (units=%d ring=%d)", trial, units, cfg.RingLatency)
+		label := fmt.Sprintf("trial %d (units=%d ring=%d rob=%d)", trial, units, cfg.RingLatency, cfg.ROBSize)
 		res := runSleepAndDense(t, label, src, prog, cfg)
 		sawSkip = sawSkip || res.CyclesTicked < res.Cycles
 		sawSleep = sawSleep || slept(res, units)

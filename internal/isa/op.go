@@ -107,6 +107,10 @@ const (
 	numOps // sentinel
 )
 
+// NumOps bounds the operation set: every valid Op is below it, so a table
+// of that length can be indexed by opcode.
+const NumOps = int(numOps)
+
 // FUClass identifies which functional unit services an operation
 // (Section 5.1: 1-2 simple integer, 1 complex integer, 1 floating point,
 // 1 branch, 1 memory unit per processing unit).

@@ -1,6 +1,7 @@
 package job
 
 import (
+	"strings"
 	"testing"
 
 	"multiscalar/internal/asm"
@@ -91,5 +92,41 @@ func TestValidate(t *testing.T) {
 	}
 	if err := baseSpec().Validate(); err != nil {
 		t.Errorf("valid spec rejected: %v", err)
+	}
+}
+
+// TestHostileConfigsRefused runs machine geometries that used to panic
+// inside core.NewMultiscalar (negative window, zero-byte banks, zero-byte
+// blocks, no MSHRs), burn MaxCycles (no units) or be silently clamped (a
+// window past the 16-bit producer distance): each is a named error from
+// Execute, and the next job still runs.
+func TestHostileConfigsRefused(t *testing.T) {
+	for name, edit := range map[string]func(*core.Config){
+		"rob_size":           func(c *core.Config) { c.ROBSize = -1 },
+		"rob_size = 65537":   func(c *core.Config) { c.ROBSize = 1<<16 + 1 },
+		"fetchq_size":        func(c *core.Config) { c.FetchQSize = -1 },
+		"dbank_bytes":        func(c *core.Config) { c.DBankBytes = 0 },
+		"dblock_bytes":       func(c *core.Config) { c.DBlockBytes = 0 },
+		"icache_block":       func(c *core.Config) { c.ICacheBlock = 0 },
+		"icache_bytes":       func(c *core.Config) { c.ICacheBytes = 32 },
+		"num_mshrs":          func(c *core.Config) { c.NumMSHRs = 0 },
+		"num_units":          func(c *core.Config) { c.NumUnits = 0 },
+		"num_units = 33":     func(c *core.Config) { c.NumUnits = 33 },
+		"desc_cache_entries": func(c *core.Config) { c.DescCacheEntries = 0 },
+		"branch_entries":     func(c *core.Config) { c.BranchEntries = -8 },
+		"arb_policy":         func(c *core.Config) { c.ARBPolicy = 7 },
+		"ring_latency":       func(c *core.Config) { c.RingLatency = -1 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := baseSpec()
+			edit(&s.Config)
+			field, _, _ := strings.Cut(name, " ")
+			if _, err := Execute(s, nil); err == nil || !strings.Contains(err.Error(), "config "+field+" = ") {
+				t.Errorf("Execute: %v; want an error naming %s", err, field)
+			}
+		})
+	}
+	if _, err := Execute(baseSpec(), nil); err != nil {
+		t.Errorf("a sound job after the hostile ones: %v", err)
 	}
 }

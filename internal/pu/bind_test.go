@@ -1,6 +1,7 @@
 package pu
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -94,10 +95,13 @@ func checkBindings(t *testing.T, u *Unit, step int, what string) {
 }
 
 // TestBindingsMatchReferenceScan walks a unit's window through random
-// dispatches, head retirements, mis-speculation flushes, task restarts and
-// snapshot round trips over a program of random instructions, checking
-// after every step that each entry's dispatch-time binding names exactly
-// the producers a backward scan of the window finds.
+// ticks, dispatches, head retirements, mis-speculation flushes, task
+// restarts and snapshot round trips over a program of random
+// instructions, checking after every step that each entry's dispatch-time
+// binding names exactly the producers a backward scan of the window
+// finds, and that the window masks are what a scan of the entries says
+// (checkWindow). Window sizes cross the mask word boundary (a 16-entry
+// window has a 64-slot buffer, one word) and every size compacts.
 func TestBindingsMatchReferenceScan(t *testing.T) {
 	var ops []isa.Op
 	for i := 0; i < 256; i++ {
@@ -105,81 +109,146 @@ func TestBindingsMatchReferenceScan(t *testing.T) {
 			ops = append(ops, op)
 		}
 	}
-	for seed := int64(0); seed < 6; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		// A small register pool makes producer chains (and $v0 traffic
-		// around syscalls) dense.
-		pool := []isa.Reg{isa.RegZero, isa.RegV0, isa.RegA0, isa.RegT0, isa.RegT0 + 1, isa.F(0), isa.F(2)}
-		reg := func() isa.Reg { return pool[r.Intn(len(pool))] }
-		prog := &isa.Program{Entry: isa.TextBase, Text: make([]isa.Instr, 2048)}
-		for i := range prog.Text {
-			prog.Text[i] = isa.Instr{Op: ops[r.Intn(len(ops))], Rd: reg(), Rs: reg(), Rt: reg()}
-		}
-
-		cfg := DefaultConfig(1+r.Intn(2), true)
-		cfg.ROBSize = []int{4, 16, 40}[r.Intn(3)]
-		ext := newMockExt()
-		u := New(0, cfg, prog, ext)
-		u.Start(prog.Entry, 0)
-		pc := prog.Entry
-
-		for step := 0; step < 4000; step++ {
-			what := ""
-			switch k := r.Intn(100); {
-			case k < 55:
-				what = "dispatch"
-				if len(u.rob) == cfg.ROBSize {
-					continue
-				}
-				in := prog.InstrAt(pc)
-				if in == nil {
-					pc = prog.Entry
-					continue
-				}
-				u.fetchQ = qpush(u.fetchQBuf, u.fetchQ[:0], fetchedInstr{addr: pc, instr: in, predictedNext: pc + isa.InstrSize})
-				u.dispatch(uint64(step))
-				pc += isa.InstrSize
-			case k < 80:
-				what = "retire"
-				if len(u.rob) == 0 {
-					continue
-				}
-				u.rob[0].state = stDone
-				ext.Regs[isa.RegV0] = interp.IntVal(1) // a retiring syscall prints $a0
-				if err := u.retire(uint64(step)); err != nil {
-					t.Fatal(err)
-				}
-			case k < 88:
-				what = "flush"
-				if len(u.rob) == 0 {
-					continue
-				}
-				u.flushAfter(r.Intn(len(u.rob)), pc, false)
-			case k < 92:
-				what = "restart"
-				u.Squash()
-				u.Start(prog.Entry, uint64(step))
-			default:
-				what = "snapshot round trip"
-				data, err := snapshot.Save(snapshot.KindMultiscalar, uint64(step), u.State)
-				if err != nil {
-					t.Fatal(err)
-				}
-				u = New(0, cfg, prog, ext)
-				if err := snapshot.Load(data, snapshot.KindMultiscalar, u.State); err != nil {
-					t.Fatal(err)
-				}
+	seed := int64(0)
+	for _, robSize := range []int{1, 4, 16, 40, 64, 65, 200} {
+		for _, ooo := range []bool{false, true} {
+			for width := 1; width <= 2; width++ {
+				seed++
+				t.Run(fmt.Sprintf("rob%d/ooo=%v/%dway", robSize, ooo, width), func(t *testing.T) {
+					walkWindow(t, ops, robSize, ooo, width, seed)
+				})
 			}
-			checkBindings(t, u, step, what)
 		}
 	}
 }
 
+func walkWindow(t *testing.T, ops []isa.Op, robSize int, ooo bool, width int, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	// A small register pool makes producer chains (and $v0 traffic
+	// around syscalls) dense.
+	pool := []isa.Reg{isa.RegZero, isa.RegV0, isa.RegA0, isa.RegT0, isa.RegT0 + 1, isa.F(0), isa.F(2)}
+	reg := func() isa.Reg { return pool[r.Intn(len(pool))] }
+	prog := &isa.Program{Entry: isa.TextBase, Text: make([]isa.Instr, 2048)}
+	for i := range prog.Text {
+		in := isa.Instr{Op: ops[r.Intn(len(ops))], Rd: reg(), Rs: reg(), Rt: reg(),
+			Imm: int32(8 * r.Intn(8)), Target: isa.TextBase + uint32(r.Intn(len(prog.Text)))*isa.InstrSize}
+		in.Fwd = r.Intn(6) == 0
+		if r.Intn(40) == 0 {
+			in.Stop = isa.StopCond(1 + r.Intn(3))
+		}
+		prog.Text[i] = in
+	}
+
+	cfg := DefaultConfig(width, ooo)
+	cfg.ROBSize = robSize
+	ext := newMockExt()
+	ext.LoadLatency = 5
+	u := New(0, cfg, prog, ext)
+	// start begins a task with the (empty) window near the end of its
+	// buffer, where enough retirements leave it, so that it soon has to
+	// slide back to the front.
+	start := func(entry uint32, now uint64) {
+		u.Start(entry, now)
+		n := len(u.robBuf) - r.Intn(min(len(u.robBuf), 8)+1)
+		u.rob = u.robBuf[n:n]
+	}
+	start(prog.Entry, 0)
+	pc := prog.Entry
+	compactions, parkedSeen := 0, 0
+
+	for step := 0; step < 3000; step++ {
+		what, wasAtEnd := "", len(u.rob) == cap(u.rob) && len(u.rob) > 0
+		switch k := r.Intn(100); {
+		case k < 45:
+			// A real cycle. A random program soon divides by zero, leaves
+			// the text or ends its task: start over somewhere else.
+			what = "tick"
+			ext.unready = isa.RegMask(0)
+			if r.Intn(4) == 0 {
+				ext.unready = isa.MaskOf(reg())
+			}
+			ext.Regs[isa.RegV0] = interp.IntVal(1) // a retiring syscall prints $a0
+			if err := u.Tick(uint64(step)); err != nil || u.Done() || prog.InstrAt(u.pc) == nil || ext.Env.Exited {
+				what = "tick, restart"
+				ext.Env.Exited = false
+				u.Squash()
+				start(prog.Entry+uint32(r.Intn(len(prog.Text)))*isa.InstrSize, uint64(step))
+			}
+		case k < 65:
+			what = "dispatch"
+			if len(u.rob) == cfg.ROBSize {
+				continue
+			}
+			in := prog.InstrAt(pc)
+			if in == nil {
+				pc = prog.Entry
+				continue
+			}
+			u.fetchQ = qpush(u.fetchQBuf, u.fetchQ[:0], fetchedInstr{addr: pc, instr: in, predictedNext: pc + isa.InstrSize})
+			u.dispatch(uint64(step))
+			pc += isa.InstrSize
+		case k < 80:
+			what = "retire"
+			if len(u.rob) == 0 {
+				continue
+			}
+			u.rob[0].state = stDone // forced, not completed: its consumers forget they parked
+			for i := range u.rob {
+				u.rob[i].waitOn = 0
+			}
+			u.remark()
+			ext.Regs[isa.RegV0] = interp.IntVal(1)
+			if err := u.retire(uint64(step)); err != nil {
+				t.Fatal(err)
+			}
+			ext.Env.Exited = false
+		case k < 88:
+			what = "flush"
+			if len(u.rob) == 0 {
+				continue
+			}
+			u.flushAfter(u.head()+r.Intn(len(u.rob)), pc, false)
+		case k < 92:
+			what = "restart"
+			u.Squash()
+			start(prog.Entry, uint64(step))
+		default:
+			what = "snapshot round trip"
+			data, err := snapshot.Save(snapshot.KindMultiscalar, uint64(step), u.State)
+			if err != nil {
+				t.Fatal(err)
+			}
+			u = New(0, cfg, prog, ext)
+			if err := snapshot.Load(data, snapshot.KindMultiscalar, u.State); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if wasAtEnd && u.head() == 0 && len(u.rob) > 1 {
+			compactions++
+		}
+		if u.any(mParked) {
+			parkedSeen++
+		}
+		checkBindings(t, u, step, what)
+		if err := u.checkWindow(); err != nil {
+			t.Fatalf("step %d (%s): %v", step, what, err)
+		}
+	}
+	if compactions == 0 && robSize > 1 {
+		t.Error("the window never slid back to the front of its buffer")
+	}
+	if parkedSeen == 0 && robSize > 1 {
+		t.Error("no entry was ever parked")
+	}
+}
+
 // TestRestoredUnitContinuesIdentically checkpoints a unit mid-run at a
-// cycle where window entries are parked on in-window producers, restores
-// the snapshot into a fresh unit (bindings re-derived, parked entries
-// forgotten) and runs both to the end in lockstep: every cycle must be
-// classified the same and retire the same instructions.
+// cycle where the window holds an entry parked on an in-window producer,
+// an issued one, and a completed one whose forward waits behind an
+// unresolved branch; restores the snapshot into a fresh unit (bindings and
+// masks re-derived, parked entries forgotten) and runs both to the end in
+// lockstep: every cycle must be classified the same and retire the same
+// instructions.
 func TestRestoredUnitContinuesIdentically(t *testing.T) {
 	src := `
 	.data
@@ -192,6 +261,9 @@ loop:
 	lw  $t0, 0($s1)
 	mul $t1, $t0, $t0
 	mul $t2, $t1, $t0
+	beqz $t2, skip
+	addi $s3, $s3, 1 !f
+skip:
 	lw  $t3, 4($s1)
 	mul $t4, $t3, $t2
 	add $s2, $s2, $t4
@@ -215,17 +287,9 @@ loop:
 	a := New(0, cfg, p, extA)
 	a.Start(p.Entry, 0)
 	var now uint64
-	parked := func() bool {
-		for i := range a.rob {
-			if j := i - int(a.rob[i].waitOn); a.rob[i].waitOn != 0 && j >= 0 && !a.rob[j].produced() {
-				return true
-			}
-		}
-		return false
-	}
-	for ; now < 40 || !parked(); now++ {
+	for ; now < 40 || !(a.any(mParked) && a.any(mIssued) && a.any(mFwd)); now++ {
 		if now > 1000 {
-			t.Fatal("no cycle with an entry parked on an in-window producer")
+			t.Fatal("no cycle with a parked, an issued and a forward-pending entry in the window")
 		}
 		if err := a.Tick(now); err != nil {
 			t.Fatal(err)
@@ -253,11 +317,17 @@ loop:
 		if err := b.Tick(now); err != nil {
 			t.Fatal(err)
 		}
+		if err := b.checkWindow(); err != nil {
+			t.Fatalf("cycle %d: restored unit: %v", now, err)
+		}
 		if a.lastAct != b.lastAct || a.Retired != b.Retired || len(a.rob) != len(b.rob) ||
 			a.progressed != b.progressed || a.ActCounts != b.ActCounts {
 			t.Fatalf("cycle %d: restored unit diverged: activity %v/%v retired %d/%d window %d/%d",
 				now, a.lastAct, b.lastAct, a.Retired, b.Retired, len(a.rob), len(b.rob))
 		}
+	}
+	if extB.Forwards[isa.RegS0+3] != extA.Forwards[isa.RegS0+3] {
+		t.Errorf("restored unit last forwarded $s3 = %v, the original %v", extB.Forwards[isa.RegS0+3], extA.Forwards[isa.RegS0+3])
 	}
 	if !extB.Env.Exited || extA.Regs != extB.Regs || extA.Env.Out.String() != extB.Env.Out.String() {
 		t.Fatalf("restored unit finished differently: out %q vs %q", extB.Env.Out.String(), extA.Env.Out.String())

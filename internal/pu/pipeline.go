@@ -2,90 +2,60 @@ package pu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"multiscalar/internal/interp"
 	"multiscalar/internal/isa"
 )
 
-// fuLimit returns how many operations of a class may start per cycle:
-// Section 5.1 gives each unit 1 or 2 simple integer FUs (matching the
-// issue width), and 1 each of complex integer, floating point, branch and
-// memory — all pipelined, so each accepts one operation per cycle.
-func (u *Unit) fuLimit(c isa.FUClass) int {
-	if c == isa.FUSimpleInt && u.cfg.IssueWidth >= 2 {
-		return 2
-	}
-	return 1
-}
-
-// issue scans the window oldest-first and starts ready instructions:
-// strictly in program order for in-order units, any ready instruction for
-// out-of-order units. Completion is out of order in both cases.
+// issue starts ready instructions, oldest first: strictly in program
+// order for in-order units, any ready instruction for out-of-order units.
+// Completion is out of order in both cases. It visits the try set only,
+// a word of slots at a time.
 func (u *Unit) issue(now uint64) error {
-	var fuUsed [isa.NumFUClasses]int
-	// Facts about the entries older than the scan position: bCtl an
-	// unresolved control op, bMem a memory op that has not accessed memory
-	// yet, bSyscall a syscall.
-	var older uint8
-
-	// u.rob is re-read every iteration: an ARB-overflow squash inside
-	// tryIssue may restart this very unit and empty the window.
-	for i := 0; i < len(u.rob) && u.issuedNow < u.cfg.IssueWidth; i++ {
-		e := &u.rob[i]
-		if e.state != stDispatched {
-			if e.state != stDone {
-				older |= e.flags & bCtl
+	var fuUsed [isa.NumFUClasses]uint8
+	olderMem := false // an earlier word holds an unresolved control op or a memory op not yet at the ARB
+	for k := range u.win {
+		w := &u.win[k]
+		try := w[mTry]
+		if !u.cfg.OutOfOrder {
+			try |= w[mParked] // in-order issue: the oldest dispatched instruction or none
+		}
+		if s := w[mSys]; s != 0 {
+			try &= s ^ (s - 1) // syscalls serialize the window: nothing younger issues
+		}
+		for ; try != 0 && u.issuedNow < u.cfg.IssueWidth; try &= try - 1 {
+			i := bits.TrailingZeros64(try) // the oldest candidate
+			b, p := uint64(1)<<i, k<<6+i
+			e, ok := &u.robBuf[p], false
+			switch {
+			case w[mParked]&b != 0: // in-order, and still parked
+			case fuUsed[e.class] >= u.fuCap[e.class]: // no unit of its class left
+			case e.flags&bMem != 0 && (olderMem || (w[mCtl]|w[mMem])&(b-1) != 0):
+				// Memory operations wait for older branches to resolve
+				// (wrong-path loads/stores must never reach the ARB) and issue
+				// to the single memory unit in program order.
+			default:
+				var err error
+				if ok, err = u.tryIssue(now, p, e); err != nil {
+					return err
+				}
 			}
-			older |= e.flags & bSyscall
-			continue
-		}
-		if older&bSyscall != 0 {
-			break // syscalls serialize the window: nothing younger issues
-		}
-
-		ok := false
-		switch {
-		case u.stillBlocked(i, e): // parked on a producer
-		case fuUsed[e.class] >= u.fuLimit(e.class): // no unit of its class left
-		case e.flags&bMem != 0 && older&(bCtl|bMem) != 0:
-			// Memory operations wait for older branches to resolve
-			// (wrong-path loads/stores must never reach the ARB) and issue
-			// to the single memory unit in program order.
-		default:
-			var err error
-			if ok, err = u.tryIssue(now, i, e); err != nil {
-				return err
+			if ok {
+				fuUsed[e.class]++
+				u.issuedNow++
+			} else if !u.cfg.OutOfOrder {
+				return nil // in-order issue: stop at the first stalled instruction
+			} else if (w[mTry]|w[mParked])&b == 0 {
+				return nil // an ARB-overflow squash inside tryIssue restarted this very unit
 			}
 		}
-		if ok {
-			fuUsed[e.class]++
-			u.issuedNow++
-		} else if !u.cfg.OutOfOrder {
-			break // in-order issue: stop at the first stalled instruction
+		if w[mSys] != 0 {
+			break
 		}
-		older |= e.flags & (bCtl | bSyscall) // just issued at best: unresolved
-		if e.flags&bMem != 0 && !e.memDone {
-			older |= bMem
-		}
+		olderMem = olderMem || w[mCtl]|w[mMem] != 0
 	}
 	return nil
-}
-
-// stillBlocked reports whether the entry's last issue attempt failed on
-// an in-window producer that has still not produced. Re-attempting it
-// would fail the same way with no side effect: the sources before the
-// blocking one were ready, which is monotonic within an activation, so
-// the attempt would stop at the same producer without reaching
-// Ext.ReadReg (no extWait bit, hence the same activity class).
-func (u *Unit) stillBlocked(idx int, e *robEntry) bool {
-	if e.waitOn == 0 {
-		return false
-	}
-	if j := idx - int(e.waitOn); j >= 0 && !u.rob[j].produced() {
-		return true
-	}
-	e.waitOn = 0
-	return false
 }
 
 // produced reports whether consumers can take the entry's result from
@@ -106,34 +76,39 @@ func (u *Unit) readExt(now uint64, r isa.Reg) (interp.Value, bool) {
 	return v, ready
 }
 
-// operand fetches source k of the entry at window index idx: from the
-// producer bound at dispatch while that is still in the window, else from
-// the Ext (where a retired producer's WriteReg put it).
-func (u *Unit) operand(now uint64, idx int, e *robEntry, k int) (interp.Value, bool) {
-	if d := e.prod[k]; d != 0 {
-		if j := idx - int(d); j >= 0 {
-			if p := &u.rob[j]; p.produced() {
-				return p.val, true
-			}
-			e.waitOn = d
-			return interp.Value{}, false
-		}
+// producer returns the entry d slots before slot p while it is still in
+// the window (d = 0: there never was one).
+func (u *Unit) producer(p int, d uint16) *robEntry {
+	if j := p - int(d); d != 0 && j >= u.head() {
+		return &u.robBuf[j]
 	}
-	return u.readExt(now, e.src[k])
+	return nil
 }
 
-// fccOperand resolves the FP condition flag for bc1t/bc1f.
-func (u *Unit) fccOperand(idx int, e *robEntry) (bool, bool) {
-	if d := e.fccProd; d != 0 {
-		if j := idx - int(d); j >= 0 {
-			if p := &u.rob[j]; p.produced() {
-				return p.fcc, true
-			}
-			e.waitOn = d
-			return false, false
+// park takes the entry in slot p, whose producer d slots back has not
+// produced, out of the try set until complete sees that producer done.
+// Re-attempting it before would fail the same way with no side effect:
+// the sources before the blocking one were ready, which is monotonic
+// within an activation, so the attempt would stop at the same producer
+// without reaching Ext.ReadReg (no extWait bit, hence the same activity
+// class). An entry blocked on the Ext is never parked: its failed ReadReg
+// is what the activity class and the owner's wakeup are read from.
+func (u *Unit) park(p int, e *robEntry, d uint16) {
+	e.waitOn = d
+	u.move(p, mTry, mParked)
+}
+
+// operand fetches source k of the entry in slot p: from the producer bound
+// at dispatch while that is still in the window, else from the Ext (where
+// a retired producer's WriteReg put it).
+func (u *Unit) operand(now uint64, p int, e *robEntry, k int) (interp.Value, bool) {
+	if q := u.producer(p, e.prod[k]); q != nil {
+		if !q.produced() {
+			u.park(p, e, e.prod[k])
 		}
+		return q.val, q.produced()
 	}
-	return u.committedFCC, true
+	return u.readExt(now, e.src[k])
 }
 
 // SyscallRegs are the registers a syscall reads and syscallDef the one it
@@ -141,16 +116,16 @@ func (u *Unit) fccOperand(idx int, e *robEntry) (bool, bool) {
 // them from the Ext.
 var SyscallRegs, syscallDef = isa.OpSyscall.Implicit()
 
-// tryIssue starts the entry at window index idx if its operands are
-// ready; issue has already checked its functional unit and memory order.
-func (u *Unit) tryIssue(now uint64, idx int, e *robEntry) (bool, error) {
+// tryIssue starts the entry in slot p if its operands are ready; issue
+// has already checked its functional unit and memory order.
+func (u *Unit) tryIssue(now uint64, p int, e *robEntry) (bool, error) {
 	in := e.instr
 
 	// Gather operands.
 	var rsV, rtV interp.Value
 	var fcc bool
 	if e.flags&bSyscall != 0 {
-		if idx != 0 {
+		if p != u.head() {
 			return false, nil // syscall executes only when oldest
 		}
 		// Ext.Syscall reads the values at retire; here they must be ready.
@@ -162,21 +137,24 @@ func (u *Unit) tryIssue(now uint64, idx int, e *robEntry) (bool, error) {
 	}
 	if n := e.flags & bNsrc; n > 0 {
 		var ready bool
-		if rsV, ready = u.operand(now, idx, e, 0); !ready {
+		if rsV, ready = u.operand(now, p, e, 0); !ready {
 			return false, nil
 		}
 		if n > 1 {
-			if rtV, ready = u.operand(now, idx, e, 1); !ready {
+			if rtV, ready = u.operand(now, p, e, 1); !ready {
 				return false, nil
 			}
 		}
 	}
-	if e.flags&bReadsFCC != 0 {
-		v, ready := u.fccOperand(idx, e)
-		if !ready {
-			return false, nil
+	if e.flags&bReadsFCC != 0 { // bc1t/bc1f
+		fcc = u.committedFCC
+		if q := u.producer(p, e.fccProd); q != nil {
+			if !q.produced() {
+				u.park(p, e, e.fccProd)
+				return false, nil
+			}
+			fcc = q.fcc
 		}
-		fcc = v
 	}
 
 	// Shared functional units (if the machine has them) are claimed last,
@@ -194,12 +172,19 @@ func (u *Unit) tryIssue(now uint64, idx int, e *robEntry) (bool, error) {
 
 	// Execute.
 	switch {
-	case in.Op.IsLoad():
+	case e.flags&bMem != 0:
 		addr := interp.EffAddr(rsV, in.Imm)
 		if addr%uint32(in.Op.MemSize()) != 0 {
 			return false, fmt.Errorf("pu%d: unaligned %s of 0x%x at 0x%x", u.ID, in.Op, addr, e.addr)
 		}
-		v, done, ok := u.ext.Load(now, in.Op, addr)
+		var v interp.Value
+		var done uint64
+		var ok bool
+		if e.flags&bWritesRd != 0 {
+			v, done, ok = u.ext.Load(now, in.Op, addr)
+		} else {
+			done, ok = u.ext.Store(now, in.Op, addr, rtV)
+		}
 		if !ok {
 			// ARB overflow: retry next cycle. Each attempt counts (the
 			// ARB's Overflows statistic, possibly an overflow squash), so
@@ -208,22 +193,9 @@ func (u *Unit) tryIssue(now uint64, idx int, e *robEntry) (bool, error) {
 			u.progressed = true
 			return false, nil
 		}
-		e.val = v
-		e.doneAt = done
-		e.memDone = true
-	case in.Op.IsStore():
-		addr := interp.EffAddr(rsV, in.Imm)
-		if addr%uint32(in.Op.MemSize()) != 0 {
-			return false, fmt.Errorf("pu%d: unaligned %s of 0x%x at 0x%x", u.ID, in.Op, addr, e.addr)
-		}
-		done, ok := u.ext.Store(now, in.Op, addr, rtV)
-		if !ok {
-			u.progressed = true // overflow retry: see the load case above
-			return false, nil
-		}
-		e.doneAt = done
-		e.memDone = true
-	case in.Op == isa.OpSyscall:
+		e.val, e.doneAt, e.memDone = v, done, true
+		u.win[p>>6][mMem] &^= 1 << (p & 63)
+	case e.flags&bSyscall != 0:
 		// Executes at retire; occupy one cycle here.
 		e.doneAt = now + 1
 	case in.Op == isa.OpRelease:
@@ -231,21 +203,18 @@ func (u *Unit) tryIssue(now uint64, idx int, e *robEntry) (bool, error) {
 		// forwarded on the ring at local retire.
 		e.val = rsV
 		e.doneAt = now + 1
-	case in.Op == isa.OpJ:
-		e.actualNext = in.Target
-		e.doneAt = now + uint64(u.cfg.Latencies.Of(in.Op))
-	case in.Op == isa.OpJal:
-		e.actualNext = in.Target
-		e.val = interp.IntVal(e.addr + isa.InstrSize)
-		e.doneAt = now + uint64(u.cfg.Latencies.Of(in.Op))
-	case in.Op == isa.OpJr:
-		e.actualNext = rsV.I
-		e.doneAt = now + uint64(u.cfg.Latencies.Of(in.Op))
-	case in.Op == isa.OpJalr:
-		e.actualNext = rsV.I
-		e.val = interp.IntVal(e.addr + isa.InstrSize)
-		e.doneAt = now + uint64(u.cfg.Latencies.Of(in.Op))
-		u.bp.UpdateIndirect(e.addr, rsV.I)
+	case e.flags&bCtl != 0 && in.Op.IsJump():
+		e.actualNext = in.Target // j, jal
+		if e.flags&bNsrc != 0 {
+			e.actualNext = rsV.I // jr, jalr
+		}
+		if e.flags&bWritesRd != 0 { // jal, jalr
+			e.val = interp.IntVal(e.addr + isa.InstrSize)
+			if e.flags&bNsrc != 0 {
+				u.bp.UpdateIndirect(e.addr, rsV.I)
+			}
+		}
+		e.doneAt = now + u.lat[in.Op]
 	default:
 		res, err := interp.Exec(in.Op, rsV, rtV, in.Imm, fcc)
 		if err != nil {
@@ -253,13 +222,12 @@ func (u *Unit) tryIssue(now uint64, idx int, e *robEntry) (bool, error) {
 		}
 		e.val = res.Val
 		e.fcc, e.setFCC = res.FCC, res.SetFCC
-		e.doneAt = now + uint64(u.cfg.Latencies.Of(in.Op))
-		if in.Op.IsBranch() {
+		e.doneAt = now + u.lat[in.Op]
+		if e.flags&bCtl != 0 { // conditional branch
 			e.taken = res.Taken
+			e.actualNext = e.addr + isa.InstrSize
 			if res.Taken {
 				e.actualNext = in.Target
-			} else {
-				e.actualNext = e.addr + isa.InstrSize
 			}
 			predTaken := e.predictedNext == in.Target && in.Target != e.addr+isa.InstrSize
 			if in.Target == e.addr+isa.InstrSize {
@@ -273,38 +241,35 @@ func (u *Unit) tryIssue(now uint64, idx int, e *robEntry) (bool, error) {
 	if e.flags&bCtl == 0 {
 		e.actualNext = e.addr + isa.InstrSize
 	}
-	switch in.Stop {
-	case isa.StopAlways:
-		e.stopHit = true
-	case isa.StopTaken:
-		e.stopHit = e.taken
-	case isa.StopNotTaken:
-		e.stopHit = !e.taken
-	}
+	e.stopHit = in.Stop.Holds(e.taken)
 
 	e.state = stIssued
+	u.move(p, mTry, mIssued)
 	if e.doneAt < u.nextDone {
 		u.nextDone = e.doneAt
 	}
 	return true, nil
 }
 
-// dispatch moves fetched instructions into the window.
+// dispatch moves fetched instructions into the window, building each
+// entry in place. When the window has slid to the end of robBuf it first
+// moves back to the front (queue.go) and every slot number changes, so the
+// masks are marked afresh.
 func (u *Unit) dispatch(now uint64) {
-	n := 0
-	for n < u.cfg.IssueWidth && len(u.fetchQ) > 0 && len(u.rob) < u.cfg.ROBSize {
-		f := u.fetchQ[0]
+	for n := 0; n < u.cfg.IssueWidth && len(u.fetchQ) > 0 && len(u.rob) < u.cfg.ROBSize; n++ {
+		if len(u.rob) == cap(u.rob) {
+			u.rob = u.robBuf[:copy(u.robBuf, u.rob)]
+			clear(u.win)
+			for p := range u.rob {
+				u.mark(p)
+			}
+		}
+		f, i := &u.fetchQ[0], len(u.rob)
+		u.rob = u.rob[:i+1]
+		// Every field a snapshot walks must be zeroed: the slot is reused.
+		u.rob[i] = robEntry{addr: f.addr, instr: f.instr, predictedNext: f.predictedNext}
 		u.fetchQ = u.fetchQ[1:] // head pop: the window slides, nothing moves
-		u.rob = qpush(u.robBuf, u.rob, robEntry{
-			addr:          f.addr,
-			instr:         f.instr,
-			state:         stDispatched,
-			predictedNext: f.predictedNext,
-		})
-		u.bind(len(u.rob) - 1)
-		n++
-	}
-	if n > 0 {
+		u.bind(i)
 		u.progressed = true
 	}
 }
@@ -339,10 +304,11 @@ var opBinds = func() (t [256]struct {
 	return t
 }()
 
-// bind decodes, once, what issue needs to know about the entry just
-// dispatched at window index i (the youngest): FU class, flag bits,
+// bind decodes, once, what the later stages need to know about the entry
+// at window index i (the youngest): FU class, flag bits, destination and
 // source registers and — from the writer tables — the youngest older
-// window entry producing each, which operand then reaches in O(1).
+// window entry producing each source, which operand then reaches in O(1);
+// then it marks the entry in the masks.
 func (u *Unit) bind(i int) {
 	e := &u.rob[i]
 	in, seq := e.instr, u.headSeq+uint64(i)
@@ -356,7 +322,17 @@ func (u *Unit) bind(i int) {
 	if e.flags&bReadsFCC != 0 {
 		e.fccProd = u.distTo(seq, u.fccWriter)
 	}
+	if e.flags&bWritesRd != 0 {
+		e.dest = in.Rd
+	}
 	u.noteWriter(e, seq)
+	// What dispatch mostly meets is a new operation that touches neither
+	// memory nor control: mark would set its try bit and nothing else.
+	if p := u.head() + i; e.state == stDispatched && e.flags&(bMem|bCtl|bSyscall) == 0 && in.Stop == isa.StopNone {
+		u.win[p>>6][mTry] |= 1 << (p & 63)
+	} else {
+		u.mark(p)
+	}
 }
 
 // distTo is how far back from the entry dispatched as seq the window
@@ -372,8 +348,8 @@ func (u *Unit) distTo(seq, writer uint64) uint16 {
 // youngest writer of its destination register, of $v0 for a syscall, and
 // of the FP condition flag.
 func (u *Unit) noteWriter(e *robEntry, seq uint64) {
-	if rd := e.instr.Rd; e.flags&bWritesRd != 0 && rd != isa.RegZero {
-		u.lastWriter[rd] = seq
+	if e.dest != isa.RegZero {
+		u.lastWriter[e.dest] = seq
 	}
 	if e.flags&bSyscall != 0 {
 		u.lastWriter[syscallDef] = seq
@@ -388,14 +364,12 @@ func (u *Unit) noteWriter(e *robEntry, seq uint64) {
 func (u *Unit) clearWindow() {
 	u.headSeq += uint64(len(u.rob))
 	u.rob = u.robBuf[:0]
+	clear(u.win)
 }
 
 // fetch pulls up to four instructions per cycle from the instruction
 // cache along the predicted path.
 func (u *Unit) fetch(now uint64) {
-	if u.fetchStopped || u.done {
-		return
-	}
 	in := u.prog.InstrAt(u.pc)
 	if in == nil {
 		return // waiting for a resolve to redirect (e.g. unpredicted jr)

@@ -7,11 +7,11 @@ package pu
 // or dispatched instruction, and that copy showed up as >10% of timing
 // simulation. Instead each queue is a contiguous window into a backing
 // buffer a few times its architectural capacity: a pop just advances the
-// window (q = q[1:]), and qpush slides the window back to the front of
-// the buffer only when it reaches the end, amortizing the copy over the
-// slack. Entries stay contiguous in logical (oldest-first) order, so the
-// per-cycle window scans and the snapshot serialization index the slice
-// directly, exactly as a plain slice.
+// window (q = q[1:]), and a push (qpush; dispatch, which builds its entry
+// in place) slides the window back to the front of the buffer only when
+// it reaches the end, amortizing the copy over the slack. Entries stay
+// contiguous in logical (oldest-first) order, so the window masks and the
+// snapshot serialization index the slice directly.
 
 // queueSlack sizes the backing buffer as a multiple of the architectural
 // capacity: compaction copies at most one capacity's worth of entries per

@@ -67,14 +67,8 @@ func (u *Unit) State(c *snapshot.Codec) {
 				c.Failf("pu%d: window address 0x%x outside text", u.ID, r.addr)
 				return
 			}
-			u.bind(i) // not serialized: re-derived in window order, as dispatch did
+			u.bind(i) // bindings and masks are not serialized: re-derived in window order, as dispatch did
 		}
-	}
-	if c.Loading() {
-		// Not serialized: conservatively assume the restored window may hold
-		// a completed entry awaiting an early forward (a stale-true flag only
-		// costs one scan, so restored runs stay bit-identical).
-		u.fwdPending = len(u.rob) > 0
 	}
 	c.U64(&u.nextDone)
 	c.Bool(&u.committedFCC)

@@ -13,6 +13,7 @@ package pu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"multiscalar/internal/interp"
 	"multiscalar/internal/isa"
@@ -98,8 +99,9 @@ const (
 	stDone
 )
 
-// robEntry is one window slot, ordered to stay at 64 bytes: the window
-// buffer is the bulk of a unit's footprint and machines are built per job.
+// robEntry is one window slot, ordered to stay at exactly 64 bytes: the
+// window buffer is the bulk of a unit's footprint and machines are built
+// per job.
 type robEntry struct {
 	addr          uint32
 	predictedNext uint32 // fetch-time prediction of the following PC
@@ -114,8 +116,9 @@ type robEntry struct {
 	// is the Ext's.
 	prod    [2]uint16  // youngest older in-window writer of src[k]
 	fccProd uint16     // youngest older in-window FCC setter (bc1t/bc1f)
-	waitOn  uint16     // producer the last issue attempt failed on (0 = none)
+	waitOn  uint16     // producer the entry is parked on (0 = not parked)
 	src     [2]isa.Reg // decoded sources; flags&bNsrc says how many
+	dest    isa.Reg    // register written at retire (RegZero = none)
 	class   isa.FUClass
 	flags   uint8
 
@@ -183,20 +186,20 @@ type Unit struct {
 	fetchReady   uint64 // icache availability for the current group
 	fetchGroup   uint32 // group address being fetched (^0 = none)
 
-	// Window. rob slides over robBuf the same way as the fetch queue.
+	// Window. rob slides over robBuf the same way as the fetch queue; win
+	// holds its masks (window.go) and fuCap the operations of each class
+	// that may start per cycle: Section 5.1 gives a unit 1 or 2 simple
+	// integer FUs (matching the issue width) and 1 each of complex integer,
+	// floating point, branch and memory, all pipelined.
 	rob    []robEntry
 	robBuf []robEntry
-	// fwdPending is true whenever the window may hold a completed entry
-	// that still wants an early forward (release or forward bit), so
-	// forwardEarly can skip its window scan on the common cycle where
-	// nothing is forwardable. Stale-true after a flush or squash only
-	// costs one wasted scan; it is never stale-false (complete is the
-	// only place entries become done, and it raises the flag).
-	fwdPending bool
+	win    []winWord
+	fuCap  [isa.NumFUClasses]uint8
+	lat    [isa.NumOps]uint64 // cfg.Latencies.Of by opcode
 	// nextDone is a lower bound on the earliest doneAt of any issued
-	// entry (^0 when none), so complete can skip its ROB scan on cycles
-	// where nothing can finish. Entry removal (retire, flush, squash) may
-	// leave it stale-low, which only costs a wasted scan.
+	// entry (^0 when none), so Tick enters complete only on cycles where
+	// something can finish. Entry removal (retire, flush, squash) may
+	// leave it stale-low, which only costs a wasted visit.
 	nextDone uint64
 
 	// rob[i] was dispatched as sequence number headSeq+i. lastWriter[r]
@@ -261,9 +264,6 @@ func New(id int, cfg Config, prog *isa.Program, ext Ext) *Unit {
 	if cfg.BranchEntries == 0 {
 		cfg.BranchEntries = 2048
 	}
-	if cfg.ROBSize > 1<<16 {
-		cfg.ROBSize = 1 << 16 // producer distances are 16-bit
-	}
 	u := &Unit{
 		ID:   id,
 		cfg:  cfg,
@@ -274,6 +274,8 @@ func New(id int, cfg Config, prog *isa.Program, ext Ext) *Unit {
 		// (queue.go); the windows start at the front.
 		fetchQBuf: make([]fetchedInstr, queueSlack*cfg.FetchQSize),
 		robBuf:    make([]robEntry, queueSlack*cfg.ROBSize),
+		win:       make([]winWord, (queueSlack*cfg.ROBSize+63)/64),
+		fuCap:     [isa.NumFUClasses]uint8{isa.FUSimpleInt: uint8(min(cfg.IssueWidth, 2)), 1, 1, 1, 1},
 		headSeq:   1, // 0 is lastWriter's "never written"
 
 		sink:    cfg.Sink,
@@ -281,6 +283,9 @@ func New(id int, cfg Config, prog *isa.Program, ext Ext) *Unit {
 	}
 	u.fetchQ = u.fetchQBuf[:0]
 	u.rob = u.robBuf[:0]
+	for op := range u.lat {
+		u.lat[op] = uint64(cfg.Latencies.Of(isa.Op(op)))
+	}
 	if s, ok := ext.(SharedFUs); ok {
 		u.shared = s
 	}
@@ -372,16 +377,33 @@ func (u *Unit) Tick(now uint64) error {
 	u.issuedNow = 0
 	u.retiredNow = 0
 
-	u.complete(now)
-	u.forwardEarly(now)
-	if err := u.retire(now); err != nil {
+	// A stage with nothing to do is not entered.
+	if now >= u.nextDone {
+		u.complete(now)
+	}
+	var fwd, try uint64
+	for k := range u.win {
+		fwd, try = fwd|u.win[k][mFwd], try|u.win[k][mTry]
+	}
+	if fwd != 0 {
+		u.forwardEarly(now)
+	}
+	var err error
+	if len(u.rob) > 0 && u.rob[0].state == stDone {
+		err = u.retire(now)
+	}
+	if err == nil && try != 0 {
+		err = u.issue(now)
+	}
+	if err != nil {
 		return err
 	}
-	if err := u.issue(now); err != nil {
-		return err
+	if len(u.fetchQ) > 0 {
+		u.dispatch(now)
 	}
-	u.dispatch(now)
-	u.fetch(now)
+	if !u.fetchStopped && !u.done {
+		u.fetch(now)
+	}
 	if u.issuedNow > 0 || u.retiredNow > 0 {
 		u.progressed = true
 	}
@@ -456,40 +478,65 @@ func (u *Unit) AddStallCycles(k uint64) { u.ActCounts[u.lastAct] += k }
 // complete transitions issued entries whose latency has elapsed to done,
 // handling branch resolution and local mis-speculation recovery.
 func (u *Unit) complete(now uint64) {
-	if now < u.nextDone {
-		return
-	}
 	next := ^uint64(0)
-	for i := 0; i < len(u.rob); i++ {
-		e := &u.rob[i]
-		if e.state != stIssued || e.doneAt > now {
-			if e.state == stIssued && e.doneAt < next {
-				next = e.doneAt
+	for k := range u.win {
+		w := &u.win[k]
+		for m := w[mIssued]; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			b, p := uint64(1)<<i, k<<6+i
+			e := &u.robBuf[p]
+			if e.doneAt > now {
+				next = min(next, e.doneAt)
+				continue
 			}
-			continue
-		}
-		e.state = stDone
-		u.progressed = true
-		if in := e.instr; in.Op == isa.OpRelease || (in.Fwd && in.Dest() != isa.RegZero) {
-			u.fwdPending = true
-		}
-		// Control resolution: flush younger work on a wrong path.
-		if e.instr.Op.IsControl() || e.stopResolvable() {
-			if e.actualNext != e.predictedNext {
-				u.flushAfter(i, e.actualNext, e.stopHit)
-			} else if e.stopHit && !u.fetchStopped {
-				// Predicted path continued past a satisfied stop
-				// condition (e.g. StopAlways known only at execute for a
-				// jr): cut fetch.
-				u.flushAfter(i, e.actualNext, true)
+			e.state = stDone
+			u.progressed = true
+			w[mIssued] &^= b
+			w[mCtl] &^= b
+			if e.wantsFwd() {
+				w[mFwd] |= b
+			}
+			// The entries parked on this producer can be tried again.
+			// (Nothing parks on a syscall — it is a barrier to issue — and
+			// its $v0 is not produced until it retires.)
+			if e.flags&bSyscall == 0 {
+				u.unpark(p)
+			}
+			// Control resolution: flush younger work on a wrong path.
+			if w[mBar]&b != 0 {
+				switch {
+				case !e.onPath():
+					u.flushAfter(p, e.actualNext, e.stopHit)
+				case !e.stopHit:
+					w[mBar] &^= b
+				case !u.fetchStopped:
+					// Predicted path continued past a satisfied stop
+					// condition (e.g. StopAlways known only at execute for
+					// a jr): cut fetch.
+					u.flushAfter(p, e.actualNext, true)
+				}
+				m &= w[mIssued] | b // a flush dropped the younger slots
 			}
 		}
 	}
 	u.nextDone = next
 }
 
-// stopResolvable reports whether this entry can end the task.
-func (e *robEntry) stopResolvable() bool { return e.instr.Stop != isa.StopNone }
+// onPath reports whether the executed entry went where fetch predicted.
+func (e *robEntry) onPath() bool { return e.actualNext == e.predictedNext }
+
+// wantsFwd reports whether the entry sends a value on the ring (release,
+// or a forward bit on a register write) and fwdReg which register: a
+// release names it as its source.
+func (e *robEntry) wantsFwd() bool {
+	return e.instr.Op == isa.OpRelease || e.instr.Fwd && e.dest != isa.RegZero
+}
+func (e *robEntry) fwdReg() isa.Reg {
+	if e.dest != isa.RegZero {
+		return e.dest
+	}
+	return e.src[0]
+}
 
 // forwardEarly implements the paper's operate-and-forward semantics: a
 // completed instruction with the forward bit (or a release) sends its
@@ -498,49 +545,33 @@ func (e *robEntry) stopResolvable() bool { return e.instr.Stop != isa.StopNone }
 // resolved the same way the fetch predicted. Otherwise the forward
 // happens at local retire.
 func (u *Unit) forwardEarly(now uint64) {
-	if !u.fwdPending {
-		return
-	}
-	safe := true
-	for i := 0; i < len(u.rob); i++ {
-		e := &u.rob[i]
-		if !safe {
-			return // blocked entries may still be pending: keep the flag
+	for k := range u.win {
+		w, safe := &u.win[k], ^uint64(0)
+		if bar := w[mBar]; bar != 0 {
+			safe = bar ^ (bar - 1) // up to the oldest barrier, which may itself forward
 		}
-		if e.state == stDone && !e.fwded {
-			in := e.instr
-			switch {
-			case in.Op == isa.OpRelease:
-				u.ext.Forward(now, in.Rs, e.val)
-				e.fwded = true
-				u.progressed = true
-			case in.Fwd && in.Dest() != isa.RegZero:
-				u.ext.Forward(now, in.Dest(), e.val)
-				e.fwded = true
-				u.progressed = true
-			}
+		for m := w[mFwd] & safe; m != 0; m &= m - 1 {
+			e := &u.robBuf[k<<6+bits.TrailingZeros64(m)]
+			u.ext.Forward(now, e.fwdReg(), e.val)
+			e.fwded = true
+			u.progressed = true
 		}
-		// Anything that can redirect or end the task blocks younger
-		// forwards until it resolves on the predicted path.
-		if in := e.instr; in.Op.IsControl() || in.Stop != isa.StopNone {
-			if e.state != stDone || e.stopHit || e.actualNext != e.predictedNext {
-				safe = false
-			}
-		}
-		if e.instr.Op == isa.OpSyscall && e.state != stDone {
-			safe = false
+		if w[mFwd] &^= safe; w[mBar] != 0 {
+			return
 		}
 	}
-	// The scan covered the whole window with every older redirect
-	// resolved, so everything forwardable has been sent.
-	u.fwdPending = false
 }
 
-// flushAfter discards all entries younger than index i and redirects
-// fetch. If stopped, the task is complete at entry i and no further fetch
-// happens.
-func (u *Unit) flushAfter(i int, nextPC uint32, stopped bool) {
-	u.rob = u.rob[:i+1]
+// flushAfter discards all entries younger than slot p and redirects
+// fetch. If stopped, the task is complete at that entry and no further
+// fetch happens.
+func (u *Unit) flushAfter(p int, nextPC uint32, stopped bool) {
+	u.rob = u.rob[:p-u.head()+1]
+	for k, keep := p>>6, uint64(2)<<(p&63)-1; k < len(u.win); k, keep = k+1, 0 {
+		for m := range u.win[k] {
+			u.win[k][m] &= keep
+		}
+	}
 	// Later dispatches reuse the flushed sequence numbers, so the writer
 	// tables are rebuilt from the survivors. (Surviving bindings cannot
 	// dangle: a consumer is always younger than its producers.)
@@ -560,15 +591,13 @@ func (u *Unit) flushAfter(i int, nextPC uint32, stopped bool) {
 // retire commits done entries from the ROB head, in order, up to the
 // issue width.
 func (u *Unit) retire(now uint64) error {
-	n := 0
-	for n < u.cfg.IssueWidth && len(u.rob) > 0 {
-		e := &u.rob[0]
+	for n := 0; n < u.cfg.IssueWidth && len(u.rob) > 0; n++ {
+		e, h := &u.rob[0], u.head()
 		if e.state != stDone {
 			break
 		}
-		in := e.instr
-
-		if in.Op == isa.OpSyscall {
+		w, b := &u.win[h>>6], uint64(1)<<(h&63)
+		if e.flags&bSyscall != 0 {
 			v0, writes, handled, err := u.ext.Syscall(now)
 			if err != nil {
 				return fmt.Errorf("pu%d @0x%x: %w", u.ID, e.addr, err)
@@ -580,38 +609,32 @@ func (u *Unit) retire(now uint64) error {
 				u.ext.WriteReg(isa.RegV0, interp.IntVal(v0))
 			}
 		} else {
-			if d := in.Dest(); d != isa.RegZero {
-				u.ext.WriteReg(d, e.val)
-				if in.Fwd && !e.fwded {
-					u.ext.Forward(now, d, e.val)
-				}
+			if e.dest != isa.RegZero {
+				u.ext.WriteReg(e.dest, e.val)
 			}
 			if e.setFCC {
 				u.committedFCC = e.fcc
 			}
-			if in.Op == isa.OpRelease && !e.fwded {
-				u.ext.Forward(now, in.Rs, e.val)
+			if w[mFwd]&b != 0 { // not sent early
+				u.ext.Forward(now, e.fwdReg(), e.val)
 			}
 		}
 
 		u.Retired++
 		u.retiredNow++
-		n++
-		stop := e.stopHit
-		exitPC := e.actualNext
-		byRet := in.Op == isa.OpJr
 		u.rob = u.rob[1:] // head pop: the window slides, nothing moves
 		u.headSeq++
-		if stop {
+		w[mSys], w[mFwd], w[mBar] = w[mSys]&^b, w[mFwd]&^b, w[mBar]&^b // all a done entry can hold
+		if e.stopHit {
 			u.done = true
-			u.exitPC = exitPC
-			u.exitByRet = byRet
+			u.exitPC = e.actualNext
+			u.exitByRet = e.instr.Op == isa.OpJr
 			u.clearWindow()
 			u.fetchQ = u.fetchQBuf[:0]
 			u.fetchStopped = true
 			if u.sink != nil {
 				u.sink.Emit(trace.Event{Cycle: now, Kind: trace.KTaskComplete,
-					Unit: int8(u.ID), Task: u.taskSeq, Arg: exitPC})
+					Unit: int8(u.ID), Task: u.taskSeq, Arg: u.exitPC})
 			}
 			break
 		}

@@ -107,6 +107,9 @@ func (w *WireJob) Decode() (*job.Spec, error) {
 		default:
 			return nil, errors.New("simulate jobs need a config or a preset")
 		}
+		if err := s.Config.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	units := 0
 	if w.Preset != nil {

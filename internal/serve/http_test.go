@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"multiscalar/internal/core"
 )
 
 func postJSON(t *testing.T, srv *httptest.Server, path string, body any) *http.Response {
@@ -228,5 +230,30 @@ func TestRemovedMachineFieldRejected(t *testing.T) {
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `unknown field \"machine\"`) {
 		t.Errorf("status %d, body %q; want 400 naming the field", rec.Code, rec.Body.String())
+	}
+}
+
+// TestHostileConfigIsABadRequest: a configuration no machine can be built
+// from is answered 400 with the field named when the job is decoded, never
+// run (it used to panic a worker), and the server goes on serving.
+func TestHostileConfigIsABadRequest(t *testing.T) {
+	h := NewHandler(NewLocal(Options{CacheEntries: 8}))
+	post := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
+		return rec
+	}
+	cfg := core.DefaultConfig(4, 1, false)
+	cfg.ROBSize = -1
+	enc, err := cfg.MarshalCanonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := post(`{"job":{"workload":"example","scale":-1,"config":` + string(enc) + `}}`)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "config rob_size = -1") {
+		t.Errorf("status %d, body %q; want 400 naming rob_size", rec.Code, rec.Body.String())
+	}
+	if rec := post(`{"job":{"workload":"example","scale":-1,"preset":{"units":4}}}`); rec.Code != http.StatusOK {
+		t.Errorf("a sound job after the hostile one: status %d, body %q", rec.Code, rec.Body.String())
 	}
 }
