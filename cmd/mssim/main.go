@@ -30,7 +30,6 @@ func main() {
 		width    = flag.Int("width", 1, "issue width per unit (1 or 2)")
 		ooo      = flag.Bool("ooo", false, "out-of-order issue within units")
 		list     = flag.Bool("list", false, "list benchmark names")
-		trace    = flag.Bool("trace", false, "print a per-cycle pipeline trace (multiscalar only)")
 		mstrc    = flag.String("mstrc", "", "record an event trace to this .mstrc file (render with mstrace)")
 		stdin    = flag.Bool("stdin", false, "feed standard input to the program (read-char syscall)")
 		showOut  = flag.Bool("out", false, "print the program's output")
@@ -40,11 +39,26 @@ func main() {
 		chkAt    = flag.Uint64("checkpoint-at", 0, "cycle to take the -checkpoint snapshot at")
 		restore  = flag.String("restore", "", "resume from a snapshot file (same program, scale and machine flags as the saving run)")
 		sampled  = flag.Bool("sample", false, "estimate cycles by sampled simulation instead of simulating every cycle (docs/perf.md)")
-		sWindow  = flag.Uint64("sample-window", 0, "sampled: measured instructions per detailed window (0 = derived)")
-		sWarmup  = flag.Uint64("sample-warmup", 0, "sampled: detailed warm-up instructions per window (0 = derived)")
-		sPeriod  = flag.Uint64("sample-period", 0, "sampled: instructions between window starts (0 = derived)")
 	)
 	flag.Parse()
+
+	// A flag the chosen mode would silently ignore is a usage error.
+	given := map[string]bool{"mstrc": *mstrc != "", "checkpoint": *chkFile != "", "restore": *restore != "",
+		"sample": *sampled, "noskip": *noskip, "stats": *stats}
+	refuse := func(mode string, names ...string) {
+		for _, n := range names {
+			if given[n] {
+				fmt.Fprintf(os.Stderr, "mssim: %s cannot be combined with -%s\n", mode, n)
+				os.Exit(2)
+			}
+		}
+	}
+	if *units <= 0 {
+		refuse(fmt.Sprintf("-units %d", *units), "mstrc", "checkpoint", "restore", "sample", "noskip", "stats")
+	}
+	if *sampled {
+		refuse("-sample", "mstrc", "checkpoint", "restore", "stats")
+	}
 
 	if *list {
 		for _, n := range multiscalar.WorkloadNames() {
@@ -81,9 +95,6 @@ func main() {
 		cfg = multiscalar.ScalarConfig(*width, *ooo)
 	} else {
 		cfg = multiscalar.DefaultConfig(*units, *width, *ooo)
-		if *trace {
-			cfg.Trace = os.Stdout
-		}
 	}
 	cfg.NoSkip = *noskip
 	opts := append(runOpts, multiscalar.WithVerify())
@@ -106,9 +117,7 @@ func main() {
 		opts = append(opts, multiscalar.RestoreFrom(snap))
 	}
 	if *sampled {
-		est, err := multiscalar.RunSampled(prog, cfg, multiscalar.SampleParams{
-			WindowInstrs: *sWindow, WarmupInstrs: *sWarmup, PeriodInstrs: *sPeriod,
-		}, runOpts...)
+		est, err := multiscalar.RunSampled(prog, cfg, multiscalar.SampleParams{}, runOpts...)
 		if err != nil {
 			fatal(err)
 		}

@@ -1,22 +1,29 @@
-// mstrace records and renders event traces of multiscalar simulations
-// (docs/tracing.md). It either re-runs a workload or assembly file with
-// tracing enabled, or reads a previously recorded .mstrc file, and
-// renders a per-task timeline (default), a per-task/per-unit cycle
+// mstrace renders event traces of multiscalar simulations
+// (docs/tracing.md). It reads an .mstrc file — recorded by mssim -mstrc,
+// by a NewTraceWriter passed to the facade's WithTrace, or returned as
+// the trace artifact of a job (JobSpec.WantTrace, "trace": true on
+// msserve's wire) — and renders a per-task timeline
+// (default), one line per cycle (-cycles), a per-task/per-unit cycle
 // decomposition (-metrics), raw events (-events), or Chrome trace_event
 // JSON loadable in Perfetto (-perfetto).
 //
 // Usage:
 //
-//	mstrace -w example -units 8                record and show the timeline
-//	mstrace -w example -o example.mstrc        record to a file
-//	mstrace -i example.mstrc -metrics          render a recorded trace
-//	mstrace -i example.mstrc -perfetto t.json  export for ui.perfetto.dev
+//	mssim -w example -units 8 -mstrc example.mstrc   record a run
+//	mstrace -i example.mstrc                         show the timeline
+//	mstrace -i example.mstrc -cycles                 head, occupancy and unit activity per cycle
+//	mstrace -i example.mstrc -metrics                cycle decomposition
+//	mstrace -i example.mstrc -perfetto t.json        export for ui.perfetto.dev
 package main
 
 import (
+	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -28,21 +35,20 @@ import (
 
 func main() {
 	var (
-		input    = flag.String("i", "", "read a recorded .mstrc trace instead of simulating")
-		workload = flag.String("w", "", "benchmark name to trace (see mssim -list)")
-		file     = flag.String("f", "", "assembly source file to trace")
-		scale    = flag.Int("scale", 0, "problem scale (0 = workload default)")
-		units    = flag.Int("units", 8, "processing units (1 = scalar baseline)")
-		width    = flag.Int("width", 1, "issue width per unit")
-		ooo      = flag.Bool("ooo", false, "out-of-order issue within units")
-		output   = flag.String("o", "", "write the recorded trace to this .mstrc file")
+		input    = flag.String("i", "", "recorded .mstrc trace to render (record one with mssim -mstrc)")
+		cycles   = flag.Bool("cycles", false, "print one line per cycle: head unit, active tasks, a glyph per unit, tasks retired and squashed")
 		metrics  = flag.Bool("metrics", false, "print the per-task / per-unit cycle decomposition")
 		events   = flag.Bool("events", false, "dump the raw event stream")
 		perfetto = flag.String("perfetto", "", "write Chrome trace_event JSON to this file")
 	)
 	flag.Parse()
+	if *input == "" {
+		fmt.Fprintln(os.Stderr, "mstrace: -i is required")
+		flag.Usage()
+		os.Exit(2)
+	}
 
-	tr, err := obtain(*input, *workload, *file, *scale, *units, *width, *ooo, *output)
+	tr, err := readTrace(*input)
 	if err != nil {
 		fatal(err)
 	}
@@ -51,6 +57,10 @@ func main() {
 	case *events:
 		for _, e := range tr.Events {
 			fmt.Println(e)
+		}
+	case *cycles:
+		if err := renderCycles(os.Stdout, tr); err != nil {
+			fatal(err)
 		}
 	case *metrics:
 		renderMetrics(tr)
@@ -67,86 +77,93 @@ func main() {
 	}
 }
 
-// obtain loads a trace from a file or records one by simulating.
-func obtain(input, workload, file string, scale, units, width int, ooo bool, output string) (*trace.Trace, error) {
-	if input != "" {
-		f, err := os.Open(input)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return multiscalar.ReadTrace(f)
-	}
-
-	prog, label, err := build(workload, file, scale, units)
+func readTrace(path string) (*trace.Trace, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	var cfg multiscalar.Config
-	if units <= 1 {
-		cfg = multiscalar.ScalarConfig(width, ooo)
-	} else {
-		cfg = multiscalar.DefaultConfig(units, width, ooo)
-	}
-	col := &multiscalar.TraceCollector{}
-	if _, err := multiscalar.Run(prog, cfg, multiscalar.WithTrace(col), multiscalar.WithVerify()); err != nil {
-		return nil, err
-	}
-	tr := &trace.Trace{Meta: multiscalar.TraceMetaFor(prog, cfg, label), Events: col.Events}
-	if output != "" {
-		if err := save(output, tr); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "mstrace: wrote %s (%d events)\n", output, len(tr.Events))
-	}
-	return tr, nil
+	defer f.Close()
+	return multiscalar.ReadTrace(f)
 }
 
-func build(workload, file string, scale, units int) (*multiscalar.Program, string, error) {
-	mode := multiscalar.ModeMultiscalar
-	if units <= 1 {
-		mode = multiscalar.ModeScalar
-	}
-	if workload != "" {
-		w := multiscalar.GetWorkload(workload)
-		if w == nil {
-			return nil, "", fmt.Errorf("unknown workload %q (try mssim -list)", workload)
-		}
-		p, err := w.Build(mode, scale)
-		return p, workload, err
-	}
-	if file == "" {
-		return nil, "", fmt.Errorf("one of -i, -w or -f is required")
-	}
-	src, err := os.ReadFile(file)
-	if err != nil {
-		return nil, "", err
-	}
-	res, err := multiscalar.Assemble(string(src), multiscalar.WithMode(mode))
-	if err != nil {
-		return nil, "", err
-	}
-	return res.Prog, file, nil
+// errResumed refuses -cycles on a stream that does not start at cycle 0:
+// a run resumed from a snapshot, whose head, occupancy and counts at its
+// first cycle the stream does not carry.
+var errResumed = errors.New("trace does not start at cycle 0 (a run resumed from a snapshot): -cycles needs the whole run")
+
+// cycleGlyphs draws a unit's activity class in the -cycles line.
+var cycleGlyphs = [pu.NumActivities]byte{
+	pu.ActIdle: '.', pu.ActCompute: '*', pu.ActWaitPred: 'p', pu.ActWaitIntra: 'm', pu.ActWaitRetire: 'r',
 }
 
-func save(path string, tr *trace.Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// renderCycles prints one line per cycle, from cycle 0 up to the one
+// before the exit cycle: the head unit, the tasks in flight, each unit's
+// activity class in physical order, and the tasks retired and squashed
+// so far. It folds four event kinds, all stamped with the cycle they
+// happen in: a KUnitActivity sets its unit's glyph, a KTaskAssign adds a
+// task, a KTaskRetire removes one and makes the next unit the head, and
+// a KTaskSquash removes one unless the same unit restarts the next cycle
+// (a KTaskRestart, stamped ahead, counted per cycle and unit because a
+// restarted task can be squashed again in its squash cycle).
+func renderCycles(w io.Writer, tr *trace.Trace) error {
+	if len(tr.Events) > 0 && tr.Events[0].Cycle != 0 {
+		return errResumed
 	}
-	w, err := trace.NewWriter(f, tr.Meta)
-	if err != nil {
-		f.Close()
-		return err
+	type slot struct {
+		cycle uint64
+		unit  int8
 	}
+	n := tr.Meta.NumUnits
+	if n < 1 || n > math.MaxInt8+1 { // events name units in an int8
+		return fmt.Errorf("-cycles: header claims %d units", n)
+	}
+	restarts := map[slot]int{}
+	var evs []trace.Event
+	var end uint64
 	for _, e := range tr.Events {
-		w.Emit(e)
+		switch e.Kind {
+		case trace.KRunEnd:
+			end = e.Arg2
+		case trace.KTaskRestart:
+			restarts[slot{e.Cycle, e.Unit}]++
+		case trace.KUnitActivity, trace.KTaskAssign, trace.KTaskRetire, trace.KTaskSquash:
+			if e.Unit < 0 || int(e.Unit) >= n || e.Kind == trace.KUnitActivity && e.Arg >= uint32(pu.NumActivities) {
+				return fmt.Errorf("-cycles: malformed event for %d units: %v", n, e)
+			}
+			evs = append(evs, e)
+		}
 	}
-	if err := w.Close(); err != nil {
-		f.Close()
-		return err
+	if end == 0 {
+		return errors.New("-cycles: trace has no run-end event")
 	}
-	return f.Close()
+	glyphs := []byte(strings.Repeat(string(cycleGlyphs[pu.ActIdle]), n))
+	head, active, retired, squashed := 0, 0, 0, 0
+	bw := bufio.NewWriter(w)
+	for c := uint64(0); c+1 < end; c++ {
+		for ; len(evs) > 0 && evs[0].Cycle <= c; evs = evs[1:] {
+			e := evs[0]
+			switch e.Kind {
+			case trace.KUnitActivity:
+				glyphs[e.Unit] = cycleGlyphs[e.Arg]
+			case trace.KTaskAssign:
+				active++
+			case trace.KTaskRetire:
+				active--
+				retired++
+				head = (int(e.Unit) + 1) % n
+			case trace.KTaskSquash:
+				squashed++
+				if k := (slot{e.Cycle + 1, e.Unit}); restarts[k] > 0 {
+					restarts[k]--
+				} else {
+					active--
+				}
+			}
+		}
+		fmt.Fprintf(bw, "%8d head=%d active=%d [%s] retired=%d squashed=%d\n",
+			c, head, active, glyphs, retired, squashed)
+	}
+	return bw.Flush()
 }
 
 // renderTimeline prints one row per task: lifecycle milestones, outcome,

@@ -20,10 +20,9 @@ import (
 // representative key spaces.
 
 // legacyCfgString is the pre-migration run-memo config component:
-// fmt's %#v over the Config with the trace fields nilled.
+// fmt's %#v over the Config with the trace sink nilled.
 func legacyCfgString(cfg core.Config) string {
 	cfg.Sink = nil
-	cfg.Trace = nil
 	return fmt.Sprintf("%#v", cfg)
 }
 

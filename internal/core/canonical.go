@@ -13,9 +13,9 @@ const CanonicalConfigVersion = 1
 
 // canonicalConfig is the wire form of a Config: the version, then every
 // semantic field under the stable name and in the order Config's own
-// json tags give it, none omitted. The runtime-only attachments (Trace,
-// Sink) are tagged out — two configurations that differ only in
-// observers describe the same machine and must encode identically.
+// json tags give it, none omitted. The runtime-only attachment (Sink) is
+// tagged out — two configurations that differ only in observers
+// describe the same machine and must encode identically.
 type canonicalConfig struct {
 	V int `json:"v"`
 	Config
@@ -23,7 +23,7 @@ type canonicalConfig struct {
 
 // MarshalCanonical encodes the configuration as its one canonical,
 // versioned JSON form: fixed field order, every semantic field present,
-// runtime-only attachments (Trace, Sink) excluded. Two Config values
+// the runtime-only attachment (Sink) excluded. Two Config values
 // describe the same machine if and only if their canonical encodings are
 // byte-equal, which is what makes the encoding usable as a cache-key
 // component (internal/job, internal/bench, internal/serve).

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"os"
 	"testing"
 
 	"multiscalar/internal/arb"
@@ -87,16 +86,15 @@ func TestMarshalCanonicalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCanonicalExcludesObservers pins that the runtime-only attachments
-// never reach the encoding: a configuration with a trace writer and an
-// event sink keys identically to the bare machine description.
+// TestCanonicalExcludesObservers pins that the runtime-only attachment
+// never reaches the encoding: a configuration with an event sink keys
+// identically to the bare machine description.
 func TestCanonicalExcludesObservers(t *testing.T) {
 	c := DefaultConfig(8, 1, false)
 	bare, err := c.MarshalCanonical()
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Trace = os.Stderr
 	c.Sink = nopSink{}
 	observed, err := c.MarshalCanonical()
 	if err != nil {

@@ -8,7 +8,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"multiscalar/internal/arb"
 	"multiscalar/internal/isa"
@@ -74,14 +73,8 @@ type Config struct {
 	// unchanging and jump over. Results and event traces are identical
 	// either way — that equivalence is what the skip logic is tested
 	// against (docs/perf.md) — so the flag exists for debugging and for
-	// those tests. A per-cycle text Trace also forces dense ticking,
-	// since its output has one line per cycle.
+	// those tests.
 	NoSkip bool `json:"no_skip"`
-
-	// Trace, when non-nil, receives one compact line per cycle: the head
-	// pointer, active count, and a glyph per unit (. idle, * compute,
-	// p wait-pred, m wait-intra, r wait-retire), ordered physically.
-	Trace io.Writer `json:"-"`
 
 	// Sink, when non-nil, receives the typed cycle-stamped event stream
 	// (task lifecycle, unit occupancy, ring, ARB, memory system) defined

@@ -278,32 +278,6 @@ end:
 	}
 }
 
-// TestTraceOutput exercises the cycle tracer.
-func TestTraceOutput(t *testing.T) {
-	p, err := asm.Assemble(sumLoop, asm.ModeMultiscalar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	cfg := DefaultConfig(4, 1, false)
-	cfg.Trace = &buf
-	m, err := NewMultiscalar(p, interp.NewSysEnv(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if uint64(len(lines)) < res.Cycles-1 {
-		t.Fatalf("trace lines = %d, cycles = %d", len(lines), res.Cycles)
-	}
-	if !strings.Contains(lines[0], "head=0") || !strings.Contains(lines[0], "[") {
-		t.Errorf("trace format: %q", lines[0])
-	}
-}
-
 // TestSyscallInsideLoopTasks prints from within each loop task: syscalls
 // must serialize at the head and see the speculative memory view, and the
 // interleaved output must still be sequential.

@@ -129,10 +129,6 @@ type Multiscalar struct {
 	ticked    uint64
 	unitTicks uint64
 
-	// glyphs is traceCycle's per-unit activity line, hoisted here so the
-	// per-cycle text trace allocates nothing per cycle.
-	glyphs []byte
-
 	// Event tracing (Config.Sink). nextSeq numbers task assignments so
 	// every trace event about a task carries a stable identity.
 	sink    trace.Sink
@@ -229,7 +225,6 @@ func NewMultiscalar(prog *isa.Program, env *interp.SysEnv, cfg Config) (*Multisc
 	m.sendN = make([]int, cfg.NumUnits)
 	m.sendBusy = make([]uint64, cfg.NumUnits)
 	m.wake = make([]uint64, cfg.NumUnits)
-	m.glyphs = make([]byte, cfg.NumUnits)
 
 	// Initial architectural register state.
 	var arch [isa.NumRegs]interp.Value
@@ -296,7 +291,7 @@ func (m *Multiscalar) committedNow() uint64 {
 // bit-identical either way (Config.NoSkip never sleeps and never jumps —
 // the dense reference; see docs/perf.md for the argument).
 func (m *Multiscalar) Run() (*Result, error) {
-	sleep := !m.cfg.NoSkip && m.cfg.Trace == nil
+	sleep := !m.cfg.NoSkip
 	for !m.finished {
 		if m.chkFn != nil && m.now >= m.chkAt {
 			fn := m.chkFn
@@ -360,9 +355,6 @@ func (m *Multiscalar) Run() (*Result, error) {
 			if err := m.retire(m.now); err != nil {
 				return nil, err
 			}
-		}
-		if m.cfg.Trace != nil {
-			m.traceCycle()
 		}
 		if sleep && !awake && !m.progress {
 			if t := m.nextWake(); t > m.now+1 {
@@ -447,17 +439,6 @@ func (m *Multiscalar) skipTo(t uint64) {
 	}
 	m.activity[pu.ActIdle] += k * uint64(m.cfg.NumUnits-m.active)
 	m.now = t
-}
-
-var actGlyphs = [pu.NumActivities]byte{'.', '*', 'p', 'm', 'r'}
-
-// traceCycle emits one compact line describing this cycle.
-func (m *Multiscalar) traceCycle() {
-	for i, u := range m.units {
-		m.glyphs[i] = actGlyphs[u.LastActivity()]
-	}
-	fmt.Fprintf(m.cfg.Trace, "%8d head=%d active=%d [%s] retired=%d squashed=%d\n",
-		m.now, m.head, m.active, m.glyphs, m.tasksRetired, m.tasksSquashed)
 }
 
 func (m *Multiscalar) foldActivity(unit int, retired bool) {

@@ -6,6 +6,7 @@ import (
 
 	"multiscalar/internal/asm"
 	"multiscalar/internal/core"
+	"multiscalar/internal/trace"
 )
 
 func baseSpec() *Spec {
@@ -65,19 +66,15 @@ func TestKeyStdinNilVsEmpty(t *testing.T) {
 }
 
 // TestKeyIgnoresRuntimeObservers pins the spec/runtime split from the
-// config side: attaching a tracer or sink to the Config must not split
-// the cache, because canonical config encoding excludes observers.
+// config side: attaching a sink to the Config must not split the cache,
+// because canonical config encoding excludes observers.
 func TestKeyIgnoresRuntimeObservers(t *testing.T) {
 	a, b := baseSpec(), baseSpec()
-	b.Config.Trace = discardWriter{}
+	b.Config.Sink = &trace.Collector{}
 	if key(t, a) != key(t, b) {
 		t.Fatal("a Config observer changed the job key")
 	}
 }
-
-type discardWriter struct{}
-
-func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 
 func TestValidate(t *testing.T) {
 	bad := []*Spec{

@@ -246,10 +246,6 @@ type Unit struct {
 	emitActSet  bool
 }
 
-// LastActivity reports how the most recent Tick was classified (for
-// tracing).
-func (u *Unit) LastActivity() Activity { return u.lastAct }
-
 // New builds a unit over a program image.
 func New(id int, cfg Config, prog *isa.Program, ext Ext) *Unit {
 	if cfg.IssueWidth < 1 {

@@ -584,8 +584,8 @@ main:
 	}
 	// The first add stops at $s1; the second reads $s2 before reaching
 	// its in-window producer.
-	if u.Progressed() || u.ExtWait() != isa.MaskOf((isa.RegS0+1), (isa.RegS0+2)) || u.LastActivity() != ActWaitPred {
-		t.Fatalf("stalled unit: progressed=%v ext wait=%v activity=%v", u.Progressed(), u.ExtWait(), u.LastActivity())
+	if u.Progressed() || u.ExtWait() != isa.MaskOf((isa.RegS0+1), (isa.RegS0+2)) || u.lastAct != ActWaitPred {
+		t.Fatalf("stalled unit: progressed=%v ext wait=%v activity=%v", u.Progressed(), u.ExtWait(), u.lastAct)
 	}
 	if u.NextEvent(now) != NoEvent {
 		t.Errorf("stalled unit has a next event at %d", u.NextEvent(now))
@@ -594,7 +594,7 @@ main:
 	if err := u.Tick(now); err != nil {
 		t.Fatal(err)
 	}
-	if u.Progressed() || !u.ExtWait().Empty() || u.LastActivity() != ActIdle {
-		t.Fatalf("idle unit: progressed=%v ext wait=%v activity=%v", u.Progressed(), u.ExtWait(), u.LastActivity())
+	if u.Progressed() || !u.ExtWait().Empty() || u.lastAct != ActIdle {
+		t.Fatalf("idle unit: progressed=%v ext wait=%v activity=%v", u.Progressed(), u.ExtWait(), u.lastAct)
 	}
 }

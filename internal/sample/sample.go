@@ -334,7 +334,6 @@ func newEnv(stdin []byte) *interp.SysEnv {
 func Run(p *isa.Program, cfg core.Config, prm Params, stdin []byte, maxInstrs uint64, ref Functional, pool Runner) (*Estimate, error) {
 	// Window machines must not trace: tracing is defined for full runs.
 	cfg.Sink = nil
-	cfg.Trace = nil
 
 	total := ref.TotalInstrs
 	prm = prm.withDefaults(total, ref.TaskExits, cfg.NumUnits)

@@ -405,18 +405,12 @@ type TraceCollector = trace.Collector
 // TraceData is a fully decoded .mstrc trace.
 type TraceData = trace.Trace
 
-// TraceMetaFor describes a run for the .mstrc header: unit count from
-// the configuration and task-descriptor names from the program, plus a
-// free-form label (workload name, config summary).
-func TraceMetaFor(p *Program, cfg Config, label string) trace.Meta {
-	return job.TraceMeta(p, cfg, label)
-}
-
 // NewTraceWriter opens a streaming .mstrc writer for a run of p under
-// cfg: pass it to WithTrace and Close it (checking the error) after Run
+// cfg, its header naming the unit count, the program's tasks and label:
+// pass it to WithTrace and Close it (checking the error) after Run
 // returns.
 func NewTraceWriter(w io.Writer, p *Program, cfg Config, label string) (*trace.Writer, error) {
-	return trace.NewWriter(w, TraceMetaFor(p, cfg, label))
+	return trace.NewWriter(w, job.TraceMeta(p, cfg, label))
 }
 
 // ReadTrace decodes an .mstrc stream written by NewTraceWriter.
