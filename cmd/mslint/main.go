@@ -2,10 +2,9 @@
 // program: create-mask soundness, forward/release coverage, forward-bit
 // placement, and stop/exit structure (see docs/lint.md for the full rule
 // set). It accepts annotated assembly (.s) or a binary container (.msb)
-// and prints one finding per line, a JSON report with -json, or a SARIF
-// 2.1.0 log with -sarif (the format code-scanning services ingest). The
-// exit status is 0 when the program is clean or carries only warnings,
-// 1 on hard errors, 2 on usage or input errors.
+// and prints one finding per line, or a JSON report with -json. The exit
+// status is 0 when the program is clean or carries only warnings, 1 on
+// hard errors, 2 on usage or input errors.
 package main
 
 import (
@@ -21,13 +20,12 @@ import (
 
 func main() {
 	var (
-		jsonOut  = flag.Bool("json", false, "print the report as JSON")
-		sarifOut = flag.Bool("sarif", false, "print the report as SARIF 2.1.0 (for code-scanning upload)")
-		quiet    = flag.Bool("q", false, "suppress warnings; print errors only")
+		jsonOut = flag.Bool("json", false, "print the report as JSON")
+		quiet   = flag.Bool("q", false, "suppress warnings; print errors only")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: mslint [-json|-sarif] [-q] file.s|file.msb")
+		fmt.Fprintln(os.Stderr, "usage: mslint [-json] [-q] file.s|file.msb")
 		os.Exit(2)
 	}
 	path := flag.Arg(0)
@@ -63,20 +61,13 @@ func main() {
 	}
 
 	rep := mslint.Lint(prog, lines)
-	switch {
-	case *sarifOut:
-		out, err := rep.SARIF(path)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%s\n", out)
-	case *jsonOut:
+	if *jsonOut {
 		out, err := rep.JSON()
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("%s\n", out)
-	default:
+	} else {
 		for _, d := range rep.Diags {
 			if *quiet && d.Severity != mslint.SevError {
 				continue

@@ -26,11 +26,11 @@
 // verified against the functional interpreter.
 //
 // Soundness is inherited from the linter's contract: the optimizer only
-// shrinks create masks toward defs ∩ live-out — the exact set MS001
-// requires as a lower bound — and only places sends where the
-// stale-forward analysis proves the value final. Tasks whose regions the
-// walk could not analyze (structural problems, unknown exits) are left
-// untouched.
+// shrinks create masks toward what the task owes its successors
+// (cfg.TaskRegion.Sends) — the exact set MS001 requires as a lower bound
+// — and only places sends at the last updates Sends names. Tasks whose
+// regions the walk could not analyze (structural problems, unknown
+// exits) are left untouched.
 package annotate
 
 import (
@@ -85,11 +85,6 @@ func (t *TaskPlan) Changed() bool {
 type Plan struct {
 	Prog  *isa.Program
 	Tasks []*TaskPlan
-	// RetLive is the return-exit liveness the mask computation used;
-	// Refined reports whether the flow-derived ReturnLiveOut narrowed
-	// the conservative ABI set.
-	RetLive isa.RegMask
-	Refined bool
 }
 
 // Changed reports whether any task has edits.
@@ -160,12 +155,7 @@ func Analyze(p *isa.Program, opts Options) *Plan {
 	g := cfg.Build(p)
 	g.Analyze()
 
-	plan := &Plan{Prog: p, RetLive: cfg.LiveAtReturn}
-	if m, ok := g.ReturnLiveOut(); ok {
-		plan.RetLive = cfg.LiveAtReturn.Intersect(m)
-		plan.Refined = true
-	}
-
+	plan := &Plan{Prog: p}
 	own := &ownership{depth0: map[*cfg.Block]int{}, callee: map[*cfg.Block]bool{}}
 	regions := make([]*cfg.TaskRegion, 0, len(p.Tasks))
 	for _, td := range p.TaskList() {
@@ -181,13 +171,13 @@ func Analyze(p *isa.Program, opts Options) *Plan {
 		}
 	}
 	for _, r := range regions {
-		plan.Tasks = append(plan.Tasks, planTask(r, own, plan.RetLive, opts))
+		plan.Tasks = append(plan.Tasks, planTask(r, own, opts))
 	}
 	return plan
 }
 
 // planTask plans the edits of one task region.
-func planTask(r *cfg.TaskRegion, own *ownership, retLive isa.RegMask, opts Options) *TaskPlan {
+func planTask(r *cfg.TaskRegion, own *ownership, opts Options) *TaskPlan {
 	td := r.TD
 	t := &TaskPlan{
 		TD:        td,
@@ -228,12 +218,12 @@ func planTask(r *cfg.TaskRegion, own *ownership, retLive isa.RegMask, opts Optio
 		}
 	}
 
-	// Minimal sound mask: what the task may write and a successor may
-	// read. MS001 makes defs ∩ liveOut a lower bound; anything above it
-	// is pass-through (MS017) or dead (MS002) weight. Frozen registers
-	// keep their bit: removing it would orphan a send we cannot edit.
-	liveOut := r.LiveOut(retLive)
-	t.NewCreate = td.Create.Intersect(r.Defs()).Intersect(liveOut).Union(td.Create.Intersect(frozen))
+	// Minimal sound mask: what the task owes its successors (Sends). MS001
+	// makes it a lower bound; anything above it is pass-through (MS017)
+	// or dead (MS002) weight. Frozen registers keep their bit: removing
+	// it would orphan a send we cannot edit.
+	create, last := r.Sends()
+	t.NewCreate = td.Create.Intersect(create).Union(td.Create.Intersect(frozen))
 	t.Drops = t.OldCreate.Minus(t.NewCreate)
 
 	// Sends of dropped registers satisfy no reservation any more; strip
@@ -253,10 +243,9 @@ func planTask(r *cfg.TaskRegion, own *ownership, retLive isa.RegMask, opts Optio
 		}
 	}
 
-	// Forward bits at last updates: the earliest sound send point of
-	// each kept register. mwIn/later answer "may this register still be
-	// written"; coverIn answers "was it already sent on every path".
-	mwIn := r.MayWriteIn()
+	// Forward bits at last updates, the earliest sound send point of each
+	// kept register, unless coverIn says it was already sent on every
+	// path.
 	gen := r.SendGen(t.NewCreate)
 	coverIn, _ := r.CoverIn(t.NewCreate, gen)
 	addAt := map[uint32]bool{}
@@ -264,7 +253,6 @@ func planTask(r *cfg.TaskRegion, own *ownership, retLive isa.RegMask, opts Optio
 		if !own.editable(r, b) {
 			continue
 		}
-		later := r.LaterWrites(b, mwIn)
 		sent := coverIn[b]
 		n := b.NumInstrs()
 		for i := 0; i < n; i++ {
@@ -284,7 +272,7 @@ func planTask(r *cfg.TaskRegion, own *ownership, retLive isa.RegMask, opts Optio
 				sent = sent.Set(d)
 				continue
 			}
-			if !later[i].Has(d) && !sent.Has(d) && !frozen.Has(d) {
+			if last[a] && !sent.Has(d) && !frozen.Has(d) {
 				t.AddFwd = append(t.AddFwd, a)
 				addAt[a] = true
 				sent = sent.Set(d)

@@ -29,23 +29,90 @@ func runInterp(t *testing.T, p *isa.Program) (string, int32, uint64) {
 	return env.Out.String(), env.ExitCode, m.ICount
 }
 
-// runCore executes a program on the timing simulator and returns the
+// runCore executes a program on the timing simulator, with every
+// forwarded value checked against the task's final one, and returns the
 // result after checking it against the oracle reference.
-func runCore(t *testing.T, p *isa.Program, wantOut string) *core.Result {
+func runCore(t *testing.T, p *isa.Program, units int, wantOut string, wantInstrs uint64) *core.Result {
 	t.Helper()
-	env := interp.NewSysEnv()
-	m, err := core.NewMultiscalar(p, env, core.DefaultConfig(4, 1, false))
+	c := core.DefaultConfig(units, 1, false)
+	c.CheckForwards = true
+	m, err := core.NewMultiscalar(p, interp.NewSysEnv(), c)
 	if err != nil {
 		t.Fatalf("core: %v", err)
 	}
 	res, err := m.Run()
 	if err != nil {
-		t.Fatalf("core run: %v", err)
+		t.Fatalf("core run on %d units: %v", units, err)
 	}
-	if res.Out != wantOut {
-		t.Fatalf("timing output diverged from oracle: %q vs %q", res.Out, wantOut)
+	if res.Out != wantOut || res.Committed != wantInstrs {
+		t.Fatalf("%d units committed %d instructions with output %q, oracle %d with %q",
+			units, res.Committed, res.Out, wantInstrs, wantOut)
 	}
 	return res
+}
+
+// returnSrc is a caller loop of six iterations around a function task
+// that returns its result in $v0 and leaves a second value in $t5, which
+// the continuation adds in as well: 615 on the oracle. FN's mask names
+// both, and both are needed: nothing in the calling convention keeps $t5
+// live after a return, but CONT reads it.
+const returnSrc = `
+main:
+	li   $s0, 6 !f
+	li   $s1, 0 !f
+	j    CALL !s
+CALL:
+	move $a0, $s0 !f
+	jal  FN !s !f
+CONT:
+	add  $s1, $s1, $v0
+	add  $s1, $s1, $t5 !f
+	addi $s0, $s0, -1 !f
+	bnez $s0, CALL !s
+DONE:
+	move $a0, $s1
+	li   $v0, 1
+	syscall
+	li   $v0, 10
+	li   $a0, 0
+	syscall
+FN:
+	sll  $t0, $a0, 3
+	sll  $t1, $a0, 1
+	add  $t0, $t0, $t1
+	addi $v0, $t0, 50 !f
+	sll  $t5, $a0, 2
+	add  $t5, $t5, $a0 !f
+	jr   $ra !s
+.task main targets=CALL create=$s0,$s1
+.task CALL targets=FN pushra=CONT call=FN create=$a0,$ra
+.task FN targets=ret create=$v0,$t5
+.task CONT targets=CALL,DONE create=$s0,$s1
+.task DONE
+`
+
+// TestKeepsRegisterReadAfterReturn: a register the callee leaves for the
+// continuation stays in the callee's mask, and the optimized binary still
+// computes the oracle's answer on 4 and 8 units. The interpreter ignores
+// annotations, so only the timing machine can tell.
+func TestKeepsRegisterReadAfterReturn(t *testing.T) {
+	res, err := asm.AssembleOpts(returnSrc, asm.Options{Mode: asm.ModeMultiscalar})
+	if err != nil {
+		t.Fatalf("assemble: %v", err)
+	}
+	opt, plan := annotate.Optimize(res.Prog)
+	for _, tp := range plan.Tasks {
+		if tp.TD.Name == "FN" && !tp.NewCreate.Has(isa.RegT0+5) {
+			t.Errorf("FN's $t5 dropped, plan:\n%s", plan)
+		}
+	}
+	wantOut, _, wantInstrs := runInterp(t, res.Prog)
+	if wantOut != "615" {
+		t.Fatalf("oracle printed %q", wantOut)
+	}
+	for _, units := range []int{4, 8} {
+		runCore(t, opt, units, wantOut, wantInstrs)
+	}
 }
 
 // TestPassThroughDrop: a create-mask register the task never writes
@@ -184,7 +251,8 @@ tgt:
 // TestWorkloadRewrites certifies the whole suite (extras included): the
 // rewritten source of every workload re-assembles under the lint gate
 // with zero findings of any severity, matches the hand-annotated build
-// on the functional oracle, and leaves the scalar build byte-identical.
+// on the functional oracle and on 4 and 8 timing units with every
+// forward checked, and leaves the scalar build byte-identical.
 func TestWorkloadRewrites(t *testing.T) {
 	for _, w := range workloads.AllWithExtras() {
 		t.Run(w.Name, func(t *testing.T) {
@@ -205,10 +273,15 @@ func TestWorkloadRewrites(t *testing.T) {
 				t.Fatalf("rewritten source not lint-clean:\n%s", rep)
 			}
 			wantOut, wantExit, _ := runInterp(t, orig.Prog)
-			gotOut, gotExit, _ := runInterp(t, res.Prog)
+			gotOut, gotExit, gotInstrs := runInterp(t, res.Prog)
 			if wantOut != gotOut || wantExit != gotExit {
 				t.Fatalf("oracle divergence: out %d vs %d bytes, exit %d vs %d",
 					len(wantOut), len(gotOut), wantExit, gotExit)
+			}
+			// A rewrite may delete release lines, so the count to commit
+			// is the rewritten program's own.
+			for _, units := range []int{4, 8} {
+				runCore(t, res.Prog, units, wantOut, gotInstrs)
 			}
 			s1, err := asm.Assemble(src, asm.ModeScalar)
 			if err != nil {
@@ -232,7 +305,7 @@ func TestWorkloadRewrites(t *testing.T) {
 
 // TestRingSendReduction is the headline property: on the extras whose
 // function tasks are annotated to the conservative ABI contract, the
-// optimizer's refined return-liveness drops create-mask bits and the
+// flow-derived return liveness drops create-mask bits and the
 // timing simulator places measurably fewer values on the forwarding
 // ring, with identical architectural results.
 func TestRingSendReduction(t *testing.T) {
@@ -251,11 +324,8 @@ func TestRingSendReduction(t *testing.T) {
 				t.Fatalf("no create-mask bits dropped, plan:\n%s", plan)
 			}
 			wantOut, _, wantInstrs := runInterp(t, p)
-			hand := runCore(t, p, wantOut)
-			auto := runCore(t, opt, wantOut)
-			if hand.Committed != wantInstrs || auto.Committed != wantInstrs {
-				t.Fatalf("committed %d/%d, oracle %d", hand.Committed, auto.Committed, wantInstrs)
-			}
+			hand := runCore(t, p, 4, wantOut, wantInstrs)
+			auto := runCore(t, opt, 4, wantOut, wantInstrs)
 			if auto.RingSends >= hand.RingSends {
 				t.Fatalf("ring sends not reduced: hand %d, optimized %d", hand.RingSends, auto.RingSends)
 			}

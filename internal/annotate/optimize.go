@@ -46,10 +46,10 @@ func (p *Plan) Apply(prog *isa.Program) {
 }
 
 // Optimize analyzes prog and returns an optimized clone beside the plan.
-// The input program is not modified. The clone is functionally
-// equivalent by construction — annotations never change architectural
-// results, only timing — and the tests hold it to the interpreter
-// oracle anyway.
+// The input program is not modified. The clone's instructions are the
+// input's, so the interpreter cannot tell them apart; a wrong annotation
+// shows only on the timing machine, where the tests hold the clone to
+// the oracle.
 func Optimize(prog *isa.Program) (*isa.Program, *Plan) {
 	plan := Analyze(prog, Options{})
 	out := prog.Clone()

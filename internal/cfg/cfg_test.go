@@ -289,6 +289,42 @@ func TestReturnBlockMarked(t *testing.T) {
 	}
 }
 
+// TestReturnLiveness: what is live after a return is what the call
+// continuations read — $t5 here, which no calling convention keeps, and
+// not the callee-saved registers, which nobody reads — and the ABI set
+// once an indirect call could return anywhere.
+func TestReturnLiveness(t *testing.T) {
+	const src = `
+main:
+	li   $a0, 5
+	jal  fn
+	add  $a0, $v0, $t5
+	li   $v0, 10
+	syscall
+fn:
+	add  $v0, $a0, $a0
+	li   $t5, 1
+	jr   $ra
+`
+	retLive := func(g *cfg.Graph) isa.RegMask {
+		for _, b := range g.Blocks {
+			if b.Returns {
+				return b.LiveOut
+			}
+		}
+		t.Fatal("no return block")
+		return 0
+	}
+	// The exit syscall reads $a1-$a3 as well.
+	want := isa.MaskOf(isa.RegV0, isa.RegT0+5, isa.RegA0+1, isa.RegA0+2, isa.RegA0+3)
+	if got := retLive(buildGraph(t, src)); got != want {
+		t.Errorf("live after return = %v, want %v", got, want)
+	}
+	if got := retLive(buildGraph(t, src+"\tjalr $t0\n")); got != cfg.LiveAtReturn {
+		t.Errorf("live after return with an indirect call = %v, want the ABI set %v", got, cfg.LiveAtReturn)
+	}
+}
+
 func TestIndirectCallConservative(t *testing.T) {
 	g := buildGraph(t, `
 main:

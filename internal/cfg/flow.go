@@ -21,8 +21,12 @@ import (
 
 // MayWriteIn computes, for each region block b, the registers that may
 // be written at or after the start of b within the task:
-// mwIn[b] = defs(b) ∪ (∪ succ mwIn) over internal edges.
+// mwIn[b] = defs(b) ∪ (∪ succ mwIn) over internal edges. The fixpoint
+// runs once per region; later calls return the same map.
 func (r *TaskRegion) MayWriteIn() map[*Block]isa.RegMask {
+	if r.mwIn != nil {
+		return r.mwIn
+	}
 	mwIn := map[*Block]isa.RegMask{}
 	for changed := true; changed; {
 		changed = false
@@ -39,15 +43,16 @@ func (r *TaskRegion) MayWriteIn() map[*Block]isa.RegMask {
 			}
 		}
 	}
+	r.mwIn = mwIn
 	return mwIn
 }
 
 // LaterWrites returns, per instruction of b, the registers that may be
 // written strictly after that instruction within the task (the stale-
 // forward predicate: a forward bit or release of a register in its
-// later-set would transmit a stale value). mwIn must come from
-// MayWriteIn on the same region.
-func (r *TaskRegion) LaterWrites(b *Block, mwIn map[*Block]isa.RegMask) []isa.RegMask {
+// later-set would transmit a stale value).
+func (r *TaskRegion) LaterWrites(b *Block) []isa.RegMask {
+	mwIn := r.MayWriteIn()
 	n := b.NumInstrs()
 	later := make([]isa.RegMask, n)
 	var tail isa.RegMask
@@ -118,20 +123,19 @@ func (r *TaskRegion) CoverIn(create isa.RegMask, gen map[*Block]isa.RegMask) (co
 
 // LiveOut returns the registers live into any declared successor of the
 // region's task: the union of the successor tasks' entry live-in sets,
-// with retLive standing in for return successors (callers choose the
-// precision: LiveAtReturn is the conservative ABI set, ReturnLiveOut the
-// flow-derived one). A task that ends in a call has one successor more
-// than its targets name: the continuation it pushes (PushRA) runs after
-// the callee's tasks, which pass through whatever they do not write, so
-// what the caller holds across the call is live out of it too.
-func (r *TaskRegion) LiveOut(retLive isa.RegMask) isa.RegMask {
+// with the graph's one return rule (returnLive) standing in for return
+// successors. A task that ends in a call has one successor more than its
+// targets name: the continuation it pushes (PushRA) runs after the
+// callee's tasks, which pass through whatever they do not write, so what
+// the caller holds across the call is live out of it too.
+func (r *TaskRegion) LiveOut() isa.RegMask {
 	var m isa.RegMask
 	if b := r.g.ByAddr[r.TD.PushRA]; b != nil {
 		m = b.LiveIn
 	}
 	for _, t := range r.TD.Targets {
 		if t == isa.TargetReturn {
-			m = m.Union(retLive)
+			m = m.Union(r.g.returnLive())
 			continue
 		}
 		if b := r.g.ByAddr[t]; b != nil {
@@ -141,28 +145,36 @@ func (r *TaskRegion) LiveOut(retLive isa.RegMask) isa.RegMask {
 	return m
 }
 
-// ReturnLiveOut derives the registers live after a task exit by return
-// from the program's actual call sites: every dynamic return target is
-// the continuation of some stop-tagged jal (the task calls that push the
-// return address), so the union of those call blocks' live-out sets
-// bounds what any return continuation reads. ok is false when the set is
-// unanalyzable — an indirect call anywhere (return addresses may not
-// come from visible jals) or no stop-tagged call at all — and callers
-// must fall back to the conservative ABI set (LiveAtReturn).
-func (g *Graph) ReturnLiveOut() (m isa.RegMask, ok bool) {
-	found := false
-	for _, b := range g.Blocks {
-		if b.IndirectCall {
-			return 0, false
-		}
-		if b.CallTarget == 0 {
-			continue
-		}
-		last := g.Prog.InstrAt(b.End - isa.InstrSize)
-		if last.Stop != isa.StopNone {
-			m = m.Union(b.LiveOut)
-			found = true
+// Sends is what the task owes its successors under Section 2.2, stated
+// once for the partitioner that writes it, the optimizer that tightens
+// toward it and the linter that checks a binary against it:
+//
+//   - create: the registers the task may write that are live out of it
+//     (defs ∩ LiveOut). What an indirect callee writes is unknown, so a
+//     task holding one creates everything live out of it.
+//   - last: the addresses of the last updates of create registers, the
+//     writes after which no path within the task writes the register
+//     again, outside pulled-in callee bodies (a body shared by several
+//     tasks cannot carry one task's sends). A task holding an indirect
+//     call has none: no write in it is provably the last.
+func (r *TaskRegion) Sends() (create isa.RegMask, last map[uint32]bool) {
+	for _, p := range r.Problems {
+		if p.Kind == ProbIndirect {
+			return AllRegs.Intersect(r.LiveOut()), nil
 		}
 	}
-	return m, found
+	create = r.Defs().Intersect(r.LiveOut())
+	last = map[uint32]bool{}
+	for _, b := range r.Blocks {
+		if r.Callee[b] {
+			continue
+		}
+		for i, later := range r.LaterWrites(b) {
+			a := b.Start + uint32(i)*isa.InstrSize
+			if d := r.g.Prog.InstrAt(a).Dest(); create.Has(d) && !later.Has(d) {
+				last[a] = true
+			}
+		}
+	}
+	return create, last
 }

@@ -6,16 +6,17 @@ import "multiscalar/internal/isa"
 //
 // Calls are summarized: a jal contributes its callee's transitive
 // defs/uses (computed by a fixpoint over the call graph); an indirect call
-// (jalr) conservatively defines and uses every register. Return blocks
-// (jr) use LiveAtReturn — the ABI registers that may be observed by the
-// caller — making the analysis conservative but sound for create-mask
-// trimming: a register *not* live at a task exit can safely be dropped
-// from the create mask (Section 2.2's dead register analysis).
+// (jalr) conservatively defines and uses every register. What is live
+// after a return (jr) is decided once, by returnLive, for every reader:
+// global liveness, TaskRegion.LiveOut and so Sends. A register *not* live
+// at a task exit can then safely be dropped from the create mask (Section
+// 2.2's dead register analysis).
 
-// LiveAtReturn is the set of registers assumed live when a function
-// returns: results, stack/global/frame pointers, and all callee-saved
-// registers (integer $s0-$s7 and conventionally preserved FP regs
-// $f20-$f31).
+// LiveAtReturn is the calling convention's view of what a caller observes
+// after a return: results, stack/global/frame pointers, and all
+// callee-saved registers (integer $s0-$s7 and conventionally preserved FP
+// regs $f20-$f31). It is only the fallback of returnLive, for a program
+// whose return continuations cannot all be seen.
 var LiveAtReturn = func() isa.RegMask {
 	m := isa.MaskOf(isa.RegV0, isa.RegV1, isa.RegSP, isa.RegGP, isa.RegFP, isa.RegRA)
 	for r := isa.RegS0; r <= isa.RegS7; r++ {
@@ -198,15 +199,41 @@ func (g *Graph) computeDefUse() {
 	}
 }
 
-// computeLiveness runs backward liveness to a fixpoint.
+// returnLive is the one rule for what is live after a return: every
+// return lands on the continuation of some direct call, so it is the union
+// of the live-outs of the direct-call blocks. An indirect call may push a
+// return address no jal shows, and a program with no direct call has no
+// continuation to read; both fall back to the ABI set. The rule refers to
+// liveness itself, so computeLiveness iterates it to its fixpoint.
+func (g *Graph) returnLive() isa.RegMask {
+	var m isa.RegMask
+	calls := false
+	for _, b := range g.Blocks {
+		if b.IndirectCall {
+			return LiveAtReturn
+		}
+		if b.CallTarget != 0 {
+			m = m.Union(b.LiveOut)
+			calls = true
+		}
+	}
+	if !calls {
+		return LiveAtReturn
+	}
+	return m
+}
+
+// computeLiveness runs backward liveness to a fixpoint, return blocks
+// included (returnLive, re-read on every pass).
 func (g *Graph) computeLiveness() {
 	for changed := true; changed; {
 		changed = false
+		ret := g.returnLive()
 		for i := len(g.Blocks) - 1; i >= 0; i-- {
 			b := g.Blocks[i]
 			var out isa.RegMask
 			if b.Returns {
-				out = LiveAtReturn
+				out = ret
 			}
 			for _, s := range b.Succs {
 				out = out.Union(s.LiveIn)

@@ -8,13 +8,13 @@ import (
 // executes it: start at the entry, follow control flow, end at any
 // satisfied stop bit. A call without a stop bit pulls the callee body
 // into the task (the paper's suppressed functions); a call with a stop
-// bit ends the task at the callee's entry. The walk is shared by the
-// annotation linter (internal/mslint), the annotation optimizer
-// (internal/annotate), and any other client that needs the runtime's
-// view of a task's extent; structural oddities found along the way are
-// recorded as Problems for the caller to interpret (the linter turns
-// them into diagnostics, the optimizer treats them as reasons to leave
-// a task alone).
+// bit ends the task at the callee's entry. The walk, and what the task
+// owes its successors over it (Sends), is shared by the partitioner
+// (internal/taskpart), the annotation linter (internal/mslint) and the
+// annotation optimizer (internal/annotate). Structural oddities found
+// along the way are recorded as Problems for the caller to interpret
+// (the linter turns them into diagnostics, the optimizer treats them as
+// reasons to leave a task alone).
 
 // ExitKind distinguishes how a stop-tagged instruction leaves the task.
 type ExitKind int
@@ -74,10 +74,10 @@ type Problem struct {
 // edges, exits, and structural problems.
 type TaskRegion struct {
 	TD     *isa.TaskDescriptor
-	Blocks []*Block              // discovery order (fixpoints iterate this)
-	Depth0 map[*Block]bool       // reached from the entry without a call edge
-	Callee map[*Block]bool       // reached (possibly only) through call edges
-	Edges  map[*Block][]*Block   // intra-task control flow
+	Blocks []*Block            // discovery order (fixpoints iterate this)
+	Depth0 map[*Block]bool     // reached from the entry without a call edge
+	Callee map[*Block]bool     // reached (possibly only) through call edges
+	Edges  map[*Block][]*Block // intra-task control flow
 	Exits  []Exit
 	// UnknownExit: a stop-tagged jalr makes the exit set unknowable.
 	UnknownExit bool
@@ -85,7 +85,8 @@ type TaskRegion struct {
 	Halts    []uint32
 	Problems []Problem
 
-	g *Graph
+	g    *Graph
+	mwIn map[*Block]isa.RegMask // MayWriteIn's fixpoint, once computed
 }
 
 // Graph returns the graph the region was walked over.

@@ -15,16 +15,6 @@ func (l *linter) run() {
 	l.g = cfg.Build(p)
 	l.g.Analyze()
 
-	// Return-exit liveness for the soundness direction (MS001). The
-	// conservative ABI set always works; when every call site is visible
-	// and stop-tagged, the flow-derived set refines it (never past the ABI
-	// contract: a continuation reading a caller-saved register was already
-	// outside it).
-	l.retMin = cfg.LiveAtReturn
-	if m, ok := l.g.ReturnLiveOut(); ok {
-		l.retMin = cfg.LiveAtReturn.Intersect(m)
-	}
-
 	if p.TaskAt(p.Entry) == nil {
 		l.diag(SevError, CodeEntryNotTask, "", isa.RegZero, p.Entry,
 			"program entry 0x%x has no task descriptor; the sequencer cannot dispatch the first task", p.Entry)
@@ -121,31 +111,25 @@ func (l *linter) taskNameAt(addr uint32) string {
 	return "<no task>"
 }
 
-// checkCreate verifies create-mask soundness in both directions: every
-// register the task writes that is live into a successor must be in the
-// mask (error — the successor would consume a stale pass-through value),
-// and no register dead at every successor should be (warning — it
-// serializes successors for nothing). The soundness direction uses the
-// refined return-liveness (retMin); the hygiene directions (MS002, MS017)
-// keep the conservative ABI set so hand annotations written against the
-// ABI contract stay clean.
+// checkCreate checks the create mask against what the task owes its
+// successors (cfg.TaskRegion.Sends). A register owed but not in the mask
+// is an error: the successor would consume a stale pass-through value.
+// A register in the mask but not owed is a warning, since it serializes
+// successors for nothing: it is dead at every successor (MS002), or live
+// but never written by the task (MS017).
 func (l *linter) checkCreate(r *cfg.TaskRegion) {
 	td := r.TD
-	liveMin := r.LiveOut(l.retMin)
-	liveMax := r.LiveOut(cfg.LiveAtReturn)
-	defs := r.Defs()
-	missing := defs.Intersect(liveMin).Minus(td.Create)
-	missing.ForEach(func(reg isa.Reg) {
+	create, _ := r.Sends()
+	create.Minus(td.Create).ForEach(func(reg isa.Reg) {
 		l.diag(SevError, CodeCreateMissing, td.Name, reg, l.firstDefOf(r, reg),
-			"task writes %s, which is live into a successor, but %s is not in the create mask", reg, reg)
+			"task may write %s, which is live into a successor, but %s is not in the create mask", reg, reg)
 	})
-	dead := td.Create.Minus(liveMax)
-	dead.ForEach(func(reg isa.Reg) {
+	extra, liveOut := td.Create.Minus(create), r.LiveOut()
+	extra.Minus(liveOut).ForEach(func(reg isa.Reg) {
 		l.diag(SevWarning, CodeCreateDead, td.Name, reg, td.Entry,
 			"create-mask register %s is dead at every declared successor", reg)
 	})
-	unwritten := td.Create.Intersect(liveMax).Minus(defs)
-	unwritten.ForEach(func(reg isa.Reg) {
+	extra.Intersect(liveOut).ForEach(func(reg isa.Reg) {
 		l.diag(SevWarning, CodeOverBroadCreate, td.Name, reg, td.Entry,
 			"create-mask register %s is never written by the task: successors wait to receive a value the task only passes through", reg)
 	})
@@ -200,11 +184,10 @@ func (l *linter) checkCoverage(r *cfg.TaskRegion) {
 // only after unrelated work delays a value that was already final.
 func (l *linter) checkForwardBits(r *cfg.TaskRegion) {
 	create := r.TD.Create
-	mwIn := r.MayWriteIn()
 	gen := r.SendGen(create)
 	coverIn, _ := r.CoverIn(create, gen)
 	for _, b := range r.Blocks {
-		later := r.LaterWrites(b, mwIn)
+		later := r.LaterWrites(b)
 		sent := coverIn[b] // must-sent before instruction i
 		n := b.NumInstrs()
 		for i := 0; i < n; i++ {

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"multiscalar/internal/annotate"
 	"multiscalar/internal/asm"
 	"multiscalar/internal/isa"
 	"multiscalar/internal/mslint"
@@ -125,7 +126,9 @@ done:
 		{
 			// $t2 is written by main and read by cont, the continuation
 			// main's call pushes: no target names cont, but it runs after
-			// fn's tasks, which pass $t2 through untouched.
+			// fn's tasks, which pass $t2 through untouched. fn's $v0 is
+			// dead after its return: the only continuation, cont, writes
+			// $v0 before reading it.
 			name: "MS001 register held across a call",
 			src: `
 main:
@@ -145,6 +148,17 @@ fn:
 			wants: []want{
 				{mslint.CodeCreateMissing, mslint.SevError, 3, "$t2"},
 				{mslint.CodeFlushOnly, mslint.SevWarning, 4, "$ra"},
+				{mslint.CodeCreateDead, mslint.SevWarning, 10, "$v0"},
+			},
+		},
+		{
+			// FN leaves $t5 for its caller, and the continuation CONT reads
+			// it, but FN's mask omits it. No ABI names $t5 live after a
+			// return; the continuation does.
+			name: "MS001 register read after a return",
+			src:  returnSrc,
+			wants: []want{
+				{mslint.CodeCreateMissing, mslint.SevError, 26, "$t5"},
 			},
 		},
 		{
@@ -417,7 +431,9 @@ done:
 		},
 		{
 			// An indirect call inside the region defeats static exit and
-			// effect analysis.
+			// effect analysis. What the callee writes is unknown, so main
+			// owes done everything live into it: the exit syscall's
+			// argument registers beyond the $a0 done writes.
 			name: "MS014 indirect call",
 			src: `
 main:
@@ -434,6 +450,9 @@ done:
 .task done
 `,
 			wants: []want{
+				{mslint.CodeCreateMissing, mslint.SevError, 3, ""}, // $a1
+				{mslint.CodeCreateMissing, mslint.SevError, 3, ""}, // $a2
+				{mslint.CodeCreateMissing, mslint.SevError, 3, ""}, // $a3
 				{mslint.CodeIndirect, mslint.SevWarning, 4, ""},
 			},
 		},
@@ -617,10 +636,90 @@ next:
 	}
 }
 
+// returnSrc is a caller loop of six iterations around a function task
+// that returns its result in $v0 and leaves a second value in $t5, which
+// the continuation adds in as well: 615 on the oracle. FN's mask omits
+// $t5. Nothing in the calling convention keeps $t5 live after a return,
+// but CONT reads it, and a continuation running on another unit that
+// holds no reservation for $t5 adds a stale value instead.
+const returnSrc = `
+main:
+	li   $s0, 6 !f
+	li   $s1, 0 !f
+	j    CALL !s
+CALL:
+	move $a0, $s0 !f
+	jal  FN !s !f
+CONT:
+	add  $s1, $s1, $v0
+	add  $s1, $s1, $t5 !f
+	addi $s0, $s0, -1 !f
+	bnez $s0, CALL !s
+DONE:
+	move $a0, $s1
+	li   $v0, 1
+	syscall
+	li   $v0, 10
+	li   $a0, 0
+	syscall
+FN:
+	sll  $t0, $a0, 3
+	sll  $t1, $a0, 1
+	add  $t0, $t0, $t1
+	addi $v0, $t0, 50 !f
+	sll  $t5, $a0, 2
+	add  $t5, $t5, $a0
+	jr   $ra !s
+.task main targets=CALL create=$s0,$s1
+.task CALL targets=FN pushra=CONT call=FN create=$a0,$ra
+.task FN targets=ret create=$v0
+.task CONT targets=CALL,DONE create=$s0,$s1
+.task DONE
+`
+
+// orderSrc produces four findings across two anchors: $s3 is dead at
+// every successor (MS002) and $s1 is never written (MS017), both
+// anchored at the task entry on line 3; neither is ever sent, so the
+// coverage check flags both at the exit on line 4.
+const orderSrc = `
+main:
+	li $s0, 1 !f
+	j next !s
+next:
+	add $a0, $s0, $s1
+	li $v0, 10
+	li $a0, 0
+	syscall
+.task main targets=next create=$s0,$s1,$s3
+.task next
+`
+
+// TestDiagnosticOrder pins the documented report order: ascending by
+// source line, then instruction address, then code, then register. The
+// four findings of orderSrc exercise every tier — two share line AND
+// address (code breaks the tie), two share line, address and code
+// (register breaks the tie).
+func TestDiagnosticOrder(t *testing.T) {
+	rep := lintSrc(t, orderSrc)
+	got := ""
+	for _, d := range rep.Diags {
+		got += fmt.Sprintf("%d:%s:%s ", d.Line, d.Code, d.Reg)
+	}
+	want := "3:MS002:$s3 3:MS017:$s1 4:MS003:$s1 4:MS003:$s3 "
+	if got != want {
+		t.Fatalf("diagnostic order:\n got %q\nwant %q\nreport:\n%s", got, want, rep)
+	}
+}
+
 // TestWorkloadsLintClean certifies the bundled benchmark suite against
 // the contract: every workload (including the extras) must assemble and
-// lint with zero errors and zero warnings at its test scale.
+// lint with zero errors at its test scale. The only findings allowed are
+// create-mask bits the task does not owe (MS002, MS017), and those are
+// exactly the bits the annotation optimizer drops: the linter and the
+// optimizer read one statement of what a task sends. bsearch and hashmix
+// are annotated to the calling convention and carry two each.
 func TestWorkloadsLintClean(t *testing.T) {
+	var extra, drops []string
 	for _, w := range workloads.AllWithExtras() {
 		t.Run(w.Name, func(t *testing.T) {
 			res, err := asm.AssembleOpts(w.Source(w.TestScale),
@@ -629,10 +728,23 @@ func TestWorkloadsLintClean(t *testing.T) {
 				t.Fatalf("assemble: %v", err)
 			}
 			rep := mslint.Lint(res.Prog, res.Lines)
-			if len(rep.Diags) != 0 {
-				t.Fatalf("workload %s does not lint clean:\n%s", w.Name, rep)
+			for _, d := range rep.Diags {
+				if d.Code != mslint.CodeCreateDead && d.Code != mslint.CodeOverBroadCreate {
+					t.Errorf("workload %s: %s", w.Name, d.String())
+					continue
+				}
+				extra = append(extra, w.Name+" "+d.Task+" "+d.Reg)
+			}
+			for _, tp := range annotate.Analyze(res.Prog, annotate.Options{}).Tasks {
+				tp.Drops.ForEach(func(r isa.Reg) { drops = append(drops, w.Name+" "+tp.TD.Name+" "+r.String()) })
 			}
 		})
+	}
+	sort.Strings(extra)
+	sort.Strings(drops)
+	want := "[bsearch BFIND $s6 bsearch BFIND $v1 hashmix HASH $s7 hashmix HASH $v1]"
+	if got := fmt.Sprint(extra); got != want || fmt.Sprint(drops) != want {
+		t.Errorf("MS002/MS017 findings %v, optimizer drops %v, want both %s", extra, drops, want)
 	}
 }
 

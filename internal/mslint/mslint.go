@@ -216,8 +216,8 @@ func (r *Report) Err() error {
 //
 // Diagnostic order is deterministic and documented: ascending by source
 // line, then instruction address, then code, then register (emission
-// order breaks any remaining tie stably). Text, JSON, and SARIF output
-// all inherit this order, so diffs across runs are stable.
+// order breaks any remaining tie stably). Text and JSON output both
+// inherit this order, so diffs across runs are stable.
 func Lint(p *isa.Program, lines map[uint32]int) *Report {
 	l := &linter{prog: p, lines: lines, rep: &Report{}}
 	l.run()

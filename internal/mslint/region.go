@@ -17,10 +17,6 @@ type linter struct {
 	g     *cfg.Graph
 	lines map[uint32]int
 	rep   *Report
-	// retMin is the return-exit liveness used for the MS001 soundness
-	// direction: the ABI set, refined by the flow-derived ReturnLiveOut
-	// when every call site is visible (see run).
-	retMin isa.RegMask
 }
 
 // walkTask reconstructs the region of one task and reports its

@@ -131,6 +131,66 @@ func TestDescriptorMatchesRegion(t *testing.T) {
 	})
 }
 
+// TestRegisterReadAfterReturn: FN leaves $t5 for its caller, and the
+// continuation adds it in (615 on the oracle). No calling convention
+// keeps $t5 live after a return; the continuation does. The loop after
+// the write makes FN two tasks, so the first one's mask depends on what
+// is live at the loop header, which global liveness takes from what is
+// live after FN's return.
+func TestRegisterReadAfterReturn(t *testing.T) {
+	p := assembleRaw(t, `
+main:
+	li   $s0, 6
+	li   $s1, 0
+CALL:
+	move $a0, $s0
+	jal  FN
+	add  $s1, $s1, $v0
+	add  $s1, $s1, $t5
+	addi $s0, $s0, -1
+	bnez $s0, CALL
+	move $a0, $s1
+	li   $v0, 1
+	syscall
+	li   $v0, 10
+	li   $a0, 0
+	syscall
+FN:
+	sll  $t0, $a0, 3
+	sll  $t1, $a0, 1
+	add  $t0, $t0, $t1
+	addi $v0, $t0, 50
+	sll  $t5, $a0, 2
+	add  $t5, $t5, $a0
+	li   $t2, 3
+FWAIT:
+	addi $t2, $t2, -1
+	bnez $t2, FWAIT
+	jr   $ra
+`)
+	if _, err := Run(p, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if fn, _ := p.Symbol("FN"); !p.TaskAt(fn).Create.Has(isa.RegT0 + 5) {
+		t.Errorf("FN create = %v", p.TaskAt(fn).Create)
+	}
+	om := interp.NewMachine(p, interp.NewSysEnv())
+	if err := om.Run(1_000_000); err != nil {
+		t.Fatal(err)
+	}
+	for _, units := range []int{4, 8} {
+		c := core.DefaultConfig(units, 1, false)
+		c.CheckForwards = true
+		m, err := core.NewMultiscalar(p, interp.NewSysEnv(), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := m.Run(); err != nil || res.Out != "615" || res.Committed != om.ICount {
+			t.Errorf("%d units ran to %+v, %v; the oracle prints 615 after %d instructions", units, res, err, om.ICount)
+		}
+	}
+}
+
 // TestIndirectCallIsConservative: what a jalr's callee writes is not
 // known to the walk, so a task holding one forwards nothing early and
 // creates everything live out of it; the flush sends the final values.

@@ -10,10 +10,9 @@
 // entries are registered and the stops marked, the task is walked the way
 // a processing unit executes it (cfg.Graph.TaskRegion, the walk the linter
 // and the annotation optimizer read), and the descriptor is filled in from
-// that walk: the exits are the successor targets, the registers the region
-// writes that are live into a successor are the create mask (dead-register
-// trimming), and every write after which no further write of the register
-// is possible on any path within the task carries the forward bit.
+// that walk: the exits are the successor targets, and what the region owes
+// its successors (cfg.TaskRegion.Sends) is the create mask (dead-register
+// trimming) and the forward bits, one on every last update.
 //
 // It does not insert release instructions (that would require re-laying
 // out the text); registers in the create mask that a dynamic execution
@@ -298,20 +297,10 @@ func (p *partitioner) markStops() error {
 // with too many exit targets is returned as `fat` for the caller to
 // split.
 func (p *partitioner) buildTasks() ([]*TaskInfo, *TaskInfo, error) {
-	// Live at a return: the ABI set plus anything any caller holds live
-	// across a call that ends its task.
-	retLive, _ := p.g.ReturnLiveOut()
-	retLive = retLive.Union(cfg.LiveAtReturn)
-
 	var tasks []*TaskInfo
 	for _, td := range p.prog.TaskList() {
 		r := p.g.TaskRegion(td)
 		ti := &TaskInfo{Desc: td, Blocks: r.Blocks}
-		indirect := false
-		for _, pr := range r.Problems {
-			indirect = indirect || pr.Kind == cfg.ProbIndirect
-		}
-
 		for _, e := range r.Exits {
 			if !td.HasTarget(e.Target) {
 				td.Targets = append(td.Targets, e.Target)
@@ -328,40 +317,17 @@ func (p *partitioner) buildTasks() ([]*TaskInfo, *TaskInfo, error) {
 			return tasks, ti, nil
 		}
 
-		// Create mask: registers the region may write, trimmed to those
-		// live into some exit. What an indirect callee writes is unknown.
-		defs := r.Defs()
-		if indirect {
-			defs = cfg.AllRegs
+		// The create mask is what the region owes its successors, and a
+		// forward bit goes on every last update, except on a call: a task
+		// call ends the task anyway, and its $ra rides the flush.
+		create, last := r.Sends()
+		td.Create = create
+		for a := range last {
+			if in := p.prog.InstrAt(a); in.Op != isa.OpJal {
+				in.Fwd = true
+			}
 		}
-		td.Create = defs.Intersect(r.LiveOut(retLive))
 		tasks = append(tasks, ti)
-		if indirect {
-			continue // nor is any write provably the last: the flush sends them
-		}
-
-		// Forward bits: every write of a create-mask register after which
-		// no further write of it is possible on any path within the task.
-		// Callee bodies are left unmarked (the completion flush covers
-		// them): a callee shared by several tasks cannot carry per-task
-		// forward bits. Neither can a call: a task call ends the task
-		// anyway, and its $ra rides the flush.
-		mwIn := r.MayWriteIn()
-		for _, b := range r.Blocks {
-			if r.Callee[b] {
-				continue
-			}
-			for i, later := range r.LaterWrites(b, mwIn) {
-				in := p.prog.InstrAt(b.Start + uint32(i)*isa.InstrSize)
-				d := in.Dest()
-				if d == isa.RegZero || in.Op == isa.OpJal || in.Op == isa.OpJalr {
-					continue
-				}
-				if td.Create.Has(d) && !later.Has(d) {
-					in.Fwd = true
-				}
-			}
-		}
 	}
 	return tasks, nil, nil
 }
