@@ -15,6 +15,7 @@ package arb
 
 import (
 	"fmt"
+	"math/bits"
 
 	"multiscalar/internal/mem"
 	"multiscalar/internal/trace"
@@ -46,6 +47,7 @@ const chunkBytes = 8
 
 type entry struct {
 	chunk   uint32             // address >> 3
+	slot    int                // position in its bank's index
 	touched uint32             // bit u set => entry is on unit u's touch list
 	loads   [chunkBytes]uint32 // per byte: bit u set => unit u loaded it from elsewhere
 	stores  [chunkBytes]uint32 // per byte: bit u set => unit u stored it
@@ -77,6 +79,7 @@ type ARB struct {
 	Now  uint64
 
 	banks []arbBank
+	all   uint32 // one bit per unit
 	// bankMask is NumBanks-1 when NumBanks is a power of two (the usual
 	// cache-matched geometry), letting bankOf mask instead of divide on
 	// the per-memory-op path; -1 selects the modulo fallback.
@@ -161,6 +164,7 @@ func New(numUnits, numBanks, entriesPerBank int, policy OverflowPolicy) *ARB {
 		NumBanks:       numBanks,
 		EntriesPerBank: entriesPerBank,
 		Policy:         policy,
+		all:            uint32(uint64(1)<<numUnits - 1),
 	}
 	a.banks = make([]arbBank, numBanks)
 	a.bankMask = -1
@@ -172,31 +176,51 @@ func New(numUnits, numBanks, entriesPerBank int, policy OverflowPolicy) *ARB {
 	return a
 }
 
-// arbBank indexes one bank's live entries with dense parallel arrays
-// (keys[i] == ents[i].chunk): occupancy is bounded by EntriesPerBank and
-// usually a few dozen chunks, so a linear key scan beats a map on the
-// simulator's per-memory-op path, and released entries are pooled for
-// reuse instead of churning 300-byte heap allocations. Pooling is safe
-// because release only fires on an empty entry as it leaves the last
-// touch list that references it.
+// arbBank indexes one bank's live entries by chunk — software's form of
+// the hardware comparing every row's address at once (docs/perf.md,
+// "Inside the ARB"): a power-of-two table at most half full, probed
+// linearly from a hash, rebuilt by the State walk on load and never
+// serialized. Released entries are pooled for reuse; that is safe because
+// release only fires on an empty entry as it leaves the last touch list
+// that references it.
 type arbBank struct {
-	keys []uint32
-	ents []*entry
-	pool []*entry
+	index []*entry
+	shift uint // 32 - log2(len(index))
+	n     int  // live entries
+	pool  []*entry
 }
 
+func (b *arbBank) home(chunk uint32) int { return int(chunk * 0x9e3779b1 >> b.shift) }
+
 func (b *arbBank) find(chunk uint32) *entry {
-	for i, k := range b.keys {
-		if k == chunk {
-			return b.ents[i]
+	if b.n == 0 {
+		return nil
+	}
+	for i := b.home(chunk); ; i = (i + 1) & (len(b.index) - 1) {
+		if e := b.index[i]; e == nil || e.chunk == chunk {
+			return e
 		}
 	}
-	return nil
 }
 
 func (b *arbBank) insert(e *entry) {
-	b.keys = append(b.keys, e.chunk)
-	b.ents = append(b.ents, e)
+	if 2*(b.n+1) > len(b.index) {
+		old := b.index
+		b.index = make([]*entry, max(16, 2*len(old)))
+		b.shift = 32 - uint(bits.TrailingZeros(uint(len(b.index))))
+		b.n = 0
+		for _, o := range old {
+			if o != nil {
+				b.insert(o)
+			}
+		}
+	}
+	i := b.home(e.chunk)
+	for b.index[i] != nil {
+		i = (i + 1) & (len(b.index) - 1)
+	}
+	b.index[i], e.slot = e, i
+	b.n++
 }
 
 // take returns a zeroed entry for chunk, reusing a pooled one if
@@ -214,33 +238,32 @@ func (b *arbBank) take(chunk uint32) *entry {
 	return e
 }
 
-// remove drops e from the bank (identity-checked) and pools it.
+// remove drops e from its slot (identity-checked) and pools it; each
+// entry behind the hole whose probe path crosses it moves in.
 func (b *arbBank) remove(e *entry) {
-	for i, k := range b.keys {
-		if k == e.chunk {
-			if b.ents[i] != e {
-				return
-			}
-			last := len(b.keys) - 1
-			b.keys[i] = b.keys[last]
-			b.ents[i] = b.ents[last]
-			b.keys = b.keys[:last]
-			b.ents[last] = nil
-			b.ents = b.ents[:last]
-			b.pool = append(b.pool, e)
-			return
+	i, mask := e.slot, len(b.index)-1
+	if b.index[i] != e {
+		return
+	}
+	for j := (i + 1) & mask; b.index[j] != nil; j = (j + 1) & mask {
+		if f := b.index[j]; (j-b.home(f.chunk))&mask >= (j-i)&mask {
+			b.index[i], f.slot, i = f, i, j
 		}
 	}
+	b.index[i] = nil
+	b.n--
+	b.pool = append(b.pool, e)
 }
 
 // reset empties the bank, keeping the allocated entries pooled.
 func (b *arbBank) reset() {
-	b.pool = append(b.pool, b.ents...)
-	b.keys = b.keys[:0]
-	for i := range b.ents {
-		b.ents[i] = nil
+	for i, e := range b.index {
+		if e != nil {
+			b.pool = append(b.pool, e)
+			b.index[i] = nil
+		}
 	}
-	b.ents = b.ents[:0]
+	b.n = 0
 }
 
 // touch puts e on unit's touch list (once). Callers must only touch
@@ -271,6 +294,41 @@ func (a *ARB) dist(u, head int) int {
 	return u - head
 }
 
+// rot turns a per-byte load or store word into stage order: bit d is the
+// unit d stages after the head. Over it, the supplier of a load at stage
+// du is the highest store bit at <= du and < active, and the violator of
+// a store at du is the lowest load bit in (du, first store bit above du]
+// and < active (docs/perf.md, "Inside the ARB").
+func (a *ARB) rot(x uint32, head int) uint32 {
+	return (x>>uint(head) | x<<uint(a.NumUnits-head)) & a.all
+}
+
+// stage returns the unit d stages after the head.
+func (a *ARB) stage(head, d int) int {
+	if u := head + d; u < a.NumUnits {
+		return u
+	}
+	return head + d - a.NumUnits
+}
+
+// stages returns the stage sets a unit at distance du sees: visible, the
+// stages at or before it among the active ones, and later, the active
+// ones after it.
+func stages(du, active int) (visible, later uint32) {
+	upTo, act := uint32(2)<<uint(du)-1, uint32(1)<<uint(active)-1
+	return upTo & act, act &^ upTo
+}
+
+// supplier returns the unit whose buffered store a byte with the given
+// store bits comes from for a reader seeing the visible stages, -1 when
+// it comes from memory.
+func (a *ARB) supplier(stores uint32, head int, visible uint32) int {
+	if s := a.rot(stores, head) & visible; s != 0 {
+		return a.stage(head, 31-bits.LeadingZeros32(s))
+	}
+	return -1
+}
+
 // find returns the entry for a chunk, or nil.
 func (a *ARB) find(chunk uint32) *entry {
 	return a.banks[a.bankOf(chunk)].find(chunk)
@@ -284,7 +342,7 @@ func (a *ARB) alloc(chunk uint32) (*entry, bool) {
 	if e := bank.find(chunk); e != nil {
 		return e, true
 	}
-	if len(bank.keys) >= a.EntriesPerBank {
+	if bank.n >= a.EntriesPerBank {
 		// An ARB of zero entries is absent, not full: nothing overflowed.
 		if a.EntriesPerBank > 0 {
 			a.Overflows++
@@ -297,7 +355,7 @@ func (a *ARB) alloc(chunk uint32) (*entry, bool) {
 	}
 	e := bank.take(chunk)
 	a.bankStats[bi].Allocs++
-	if occ := len(bank.keys); occ > a.bankStats[bi].MaxOccupancy {
+	if occ := bank.n; occ > a.bankStats[bi].MaxOccupancy {
 		a.bankStats[bi].MaxOccupancy = occ
 	}
 	if a.Sink != nil {
@@ -331,40 +389,31 @@ func (a *ARB) Load(unit, head, active int, addr uint32, size int, backing *mem.M
 			return LoadResult{Overflow: true}
 		}
 	}
+	a.LoadsTracked++
+	val := backing.ReadN(addr, size)
 	if e == nil {
-		// A head load of a chunk nobody has touched: memory has every byte.
-		a.LoadsTracked++
-		return LoadResult{Value: backing.ReadN(addr, size)}
+		return LoadResult{Value: val} // a head load of a chunk nobody has touched
 	}
-
-	var val uint64
+	visible, _ := stages(du, active)
+	tracked := false
 	for i := 0; i < size; i++ {
 		b := off + i
-		byteVal := backing.Byte(addr + uint32(i))
-		supplier, bestDist := -1, -1
-		for u := 0; u < a.NumUnits; u++ {
-			if e.stores[b]&(1<<uint(u)) == 0 {
-				continue
-			}
-			d := a.dist(u, head)
-			if d >= active || d > du {
-				continue
-			}
-			if d > bestDist {
-				bestDist, supplier = d, u
-			}
-		}
-		if supplier >= 0 {
-			byteVal = e.data[supplier][b]
+		if s := a.supplier(e.stores[b], head, visible); s >= 0 {
+			shift := 8 * uint(size-1-i)
+			val = val&^(0xff<<shift) | uint64(e.data[s][b])<<shift
 			a.StoreForwards++
+			if s == unit {
+				continue // its own store: nothing to track
+			}
 		}
-		if needTrack && supplier != unit {
+		if needTrack {
 			e.loads[b] |= 1 << uint(unit)
-			a.touch(e, unit)
+			tracked = true
 		}
-		val = val<<8 | uint64(byteVal)
 	}
-	a.LoadsTracked++
+	if tracked {
+		a.touch(e, unit)
+	}
 	return LoadResult{Value: val}
 }
 
@@ -393,39 +442,24 @@ func (a *ARB) Store(unit, head, active int, addr uint32, size int, value uint64)
 	}
 
 	a.touch(e, unit)
-	violator := -1
-	violDist := a.NumUnits + 1
+	_, later := stages(du, active)
+	violDist := MaxUnits
 	for i := size - 1; i >= 0; i-- {
 		b := off + i
 		e.data[unit][b] = byte(value)
 		value >>= 8
 		e.stores[b] |= 1 << uint(unit)
-
-		// Violation scan: a later unit w that loaded byte b from a stage
-		// at or before `unit` (no intervening store between unit and w)
-		// read a value this store supersedes.
-		for w := 0; w < a.NumUnits; w++ {
-			dw := a.dist(w, head)
-			if dw <= du || dw >= active {
-				continue
-			}
-			if e.loads[b]&(1<<uint(w)) == 0 {
-				continue
-			}
-			intervening := false
-			for x := 0; x < a.NumUnits; x++ {
-				dx := a.dist(x, head)
-				if dx > du && dx < dw && e.stores[b]&(1<<uint(x)) != 0 {
-					intervening = true
-					break
-				}
-			}
-			if !intervening && dw < violDist {
-				violDist, violator = dw, w
-			}
+		l := a.rot(e.loads[b], head) & later
+		if s := a.rot(e.stores[b], head) & later; s != 0 {
+			l &= s ^ (s - 1) // up to and including the first later store
+		}
+		if l != 0 {
+			violDist = min(violDist, bits.TrailingZeros32(l))
 		}
 	}
-	if violator >= 0 {
+	violator := -1
+	if violDist < MaxUnits {
+		violator = a.stage(head, violDist)
 		a.Violations++
 		a.bankStats[a.bankOf(chunk)].Violations++
 		if a.Sink != nil {
@@ -505,37 +539,14 @@ type View struct {
 // Byte implements interp.MemReader over the speculative view. It does not
 // record load bits (syscalls execute at the head, non-speculatively).
 func (v *View) Byte(addr uint32) byte {
-	chunk := addr / chunkBytes
-	b := int(addr % chunkBytes)
-	if e := v.ARB.find(chunk); e != nil {
-		du := v.ARB.dist(v.Unit, v.Head)
-		best, supplier := -1, -1
-		for u := 0; u < v.ARB.NumUnits; u++ {
-			if e.stores[b]&(1<<uint(u)) == 0 {
-				continue
-			}
-			d := v.ARB.dist(u, v.Head)
-			if d >= v.Active || d > du {
-				continue
-			}
-			if d > best {
-				best, supplier = d, u
-			}
-		}
-		if supplier >= 0 {
-			return e.data[supplier][b]
+	a, b := v.ARB, addr%chunkBytes
+	if e := a.find(addr / chunkBytes); e != nil {
+		visible, _ := stages(a.dist(v.Unit, v.Head), v.Active)
+		if s := a.supplier(e.stores[b], v.Head, visible); s >= 0 {
+			return e.data[s][b]
 		}
 	}
 	return v.Backing.Byte(addr)
-}
-
-// Occupancy returns the total entries in use (for stats / stall policy).
-func (a *ARB) Occupancy() int {
-	n := 0
-	for i := range a.banks {
-		n += len(a.banks[i].keys)
-	}
-	return n
 }
 
 // BankIndex returns the bank an address maps to — the pow2 mask or
@@ -543,31 +554,4 @@ func (a *ARB) Occupancy() int {
 // and litmus repro artifacts can name the conflicting bank.
 func (a *ARB) BankIndex(addr uint32) int {
 	return a.bankOf(addr / chunkBytes)
-}
-
-// BankFull reports whether the bank holding addr has no free entries and
-// no existing entry for that address — i.e. a new operation there would
-// overflow.
-func (a *ARB) BankFull(addr uint32) bool {
-	chunk := addr / chunkBytes
-	bank := &a.banks[a.bankOf(chunk)]
-	if bank.find(chunk) != nil {
-		return false
-	}
-	return len(bank.keys) >= a.EntriesPerBank
-}
-
-// Reset clears everything.
-func (a *ARB) Reset() {
-	for i := range a.banks {
-		a.banks[i].reset()
-	}
-	for i := range a.touchLists {
-		a.touchLists[i] = a.touchLists[i][:0]
-	}
-	a.Violations, a.Overflows, a.StoreForwards = 0, 0, 0
-	a.LoadsTracked, a.StoresTracked = 0, 0
-	for i := range a.bankStats {
-		a.bankStats[i] = BankStats{}
-	}
 }

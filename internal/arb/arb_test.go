@@ -1,10 +1,14 @@
 package arb
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"multiscalar/internal/mem"
+	"multiscalar/internal/snapshot"
 	"multiscalar/internal/trace"
 )
 
@@ -162,8 +166,8 @@ func TestCommitDrainsToMemory(t *testing.T) {
 	if m.ReadWord(0x100) != 0x01020304 || uint32(m.ReadN(0x200, 2)) != 0xbeef {
 		t.Error("commit did not write memory")
 	}
-	if a.Occupancy() != 0 {
-		t.Errorf("occupancy = %d after commit", a.Occupancy())
+	if n := live(a); n != 0 {
+		t.Errorf("%d entries live after commit", n)
 	}
 }
 
@@ -176,9 +180,9 @@ func TestClearUnitRemovesState(t *testing.T) {
 	if uint32(r.Value) != 7 {
 		t.Errorf("load after clear = %d, want 7", r.Value)
 	}
-	if a.Occupancy() != 1 {
-		// the load by unit 3 allocated a fresh entry for its load bit
-		t.Logf("occupancy = %d", a.Occupancy())
+	// The cleared entry was freed; unit 3's load bit allocated it afresh.
+	if n, s := live(a), a.Stats(); n != 1 || s.Allocs != 2 {
+		t.Errorf("%d entries live after %d allocations, want 1 after 2", n, s.Allocs)
 	}
 }
 
@@ -203,7 +207,7 @@ func TestHeadWrapAround(t *testing.T) {
 func TestHeadLoadNoTracking(t *testing.T) {
 	a, m := newTestARB(4, PolicyStall)
 	a.Load(0, 0, 4, 0x300, 4, m) // head: no entry allocated
-	if a.Occupancy() != 0 {
+	if a.Stats().Allocs != 0 {
 		t.Errorf("head load allocated an entry")
 	}
 }
@@ -218,16 +222,16 @@ func TestOverflow(t *testing.T) {
 	if !res.Overflow {
 		t.Fatal("expected overflow")
 	}
-	if !a.BankFull(8 * 8) {
-		t.Error("BankFull should report full")
+	if b := a.Stats().Banks[0]; b.Overflows != 1 || b.MaxOccupancy != 2 {
+		t.Errorf("bank 0 stats = %+v, want one overflow at two entries", b)
 	}
 	r := a.Load(2, 0, 4, 8*8, 4, m)
 	if !r.Overflow {
 		t.Error("tracked load should overflow too")
 	}
 	// Existing entries still work.
-	if a.BankFull(0) {
-		t.Error("existing chunk should not report full")
+	if res := a.Store(2, 0, 4, 0, 4, 2); res.Overflow {
+		t.Error("a store to a resident chunk overflowed")
 	}
 }
 
@@ -461,13 +465,6 @@ func TestPerBankStats(t *testing.T) {
 	if ov != a.Overflows || vi != a.Violations {
 		t.Errorf("per-bank sums ov=%d vi=%d, flat ov=%d vi=%d", ov, vi, a.Overflows, a.Violations)
 	}
-
-	a.Reset()
-	for i, b := range a.Stats().Banks {
-		if b != (BankStats{}) {
-			t.Errorf("bank %d stats not reset: %+v", i, b)
-		}
-	}
 }
 
 // sinkFunc adapts a function to trace.Sink.
@@ -495,7 +492,326 @@ func TestZeroEntriesIsAbsent(t *testing.T) {
 	if r := a.Load(0, 0, 1, 0x100, 4, m); r.Overflow || r.Value != 0x1234 {
 		t.Fatalf("load after write-through = %+v", r)
 	}
-	if s := a.Stats(); s.Overflows != 0 || s.Allocs != 0 || s.StoreForwards != 0 || s.MaxOccupancy != 0 || a.Occupancy() != 0 {
+	if s := a.Stats(); s.Overflows != 0 || s.Allocs != 0 || s.StoreForwards != 0 || s.MaxOccupancy != 0 || live(a) != 0 {
 		t.Errorf("absent ARB counted something: %+v", s)
+	}
+}
+
+// The reference model is the ARB as it was before its bank index and
+// stage bitmasks: a scan of the bank for the chunk, a loop over every unit
+// for each byte (Load, View) and over every pair of units for each byte
+// (Store), kept verbatim. It runs on an ARB of its own, sharing the
+// allocation, touch-list, Commit, ClearUnit and State code, so
+// TestARBMatchesReference judges the index and the three bitmask
+// identities against the loops they replaced.
+type refARB struct{ *ARB }
+
+func (a refARB) find(chunk uint32) *entry {
+	for _, e := range a.banks[a.bankOf(chunk)].index {
+		if e != nil && e.chunk == chunk {
+			return e
+		}
+	}
+	return nil
+}
+
+func (a refARB) alloc(chunk uint32) (*entry, bool) {
+	if e := a.find(chunk); e != nil {
+		return e, true
+	}
+	return a.ARB.alloc(chunk)
+}
+
+func (a refARB) Load(unit, head, active int, addr uint32, size int, backing *mem.Memory) LoadResult {
+	chunk := addr / chunkBytes
+	off := int(addr % chunkBytes)
+	du := a.dist(unit, head)
+
+	e := a.find(chunk)
+	needTrack := du > 0 // head loads need no load bits
+	if e == nil && needTrack {
+		var ok bool
+		e, ok = a.alloc(chunk)
+		if !ok {
+			return LoadResult{Overflow: true}
+		}
+	}
+	if e == nil {
+		// A head load of a chunk nobody has touched: memory has every byte.
+		a.LoadsTracked++
+		return LoadResult{Value: backing.ReadN(addr, size)}
+	}
+
+	var val uint64
+	for i := 0; i < size; i++ {
+		b := off + i
+		byteVal := backing.Byte(addr + uint32(i))
+		supplier, bestDist := -1, -1
+		for u := 0; u < a.NumUnits; u++ {
+			if e.stores[b]&(1<<uint(u)) == 0 {
+				continue
+			}
+			d := a.dist(u, head)
+			if d >= active || d > du {
+				continue
+			}
+			if d > bestDist {
+				bestDist, supplier = d, u
+			}
+		}
+		if supplier >= 0 {
+			byteVal = e.data[supplier][b]
+			a.StoreForwards++
+		}
+		if needTrack && supplier != unit {
+			e.loads[b] |= 1 << uint(unit)
+			a.touch(e, unit)
+		}
+		val = val<<8 | uint64(byteVal)
+	}
+	a.LoadsTracked++
+	return LoadResult{Value: val}
+}
+
+func (a refARB) Store(unit, head, active int, addr uint32, size int, value uint64) StoreResult {
+	chunk := addr / chunkBytes
+	off := int(addr % chunkBytes)
+	du := a.dist(unit, head)
+
+	e, ok := a.alloc(chunk)
+	if !ok {
+		return StoreResult{Violator: -1, Overflow: true}
+	}
+
+	a.touch(e, unit)
+	violator := -1
+	violDist := a.NumUnits + 1
+	for i := size - 1; i >= 0; i-- {
+		b := off + i
+		e.data[unit][b] = byte(value)
+		value >>= 8
+		e.stores[b] |= 1 << uint(unit)
+
+		// Violation scan: a later unit w that loaded byte b from a stage
+		// at or before `unit` (no intervening store between unit and w)
+		// read a value this store supersedes.
+		for w := 0; w < a.NumUnits; w++ {
+			dw := a.dist(w, head)
+			if dw <= du || dw >= active {
+				continue
+			}
+			if e.loads[b]&(1<<uint(w)) == 0 {
+				continue
+			}
+			intervening := false
+			for x := 0; x < a.NumUnits; x++ {
+				dx := a.dist(x, head)
+				if dx > du && dx < dw && e.stores[b]&(1<<uint(x)) != 0 {
+					intervening = true
+					break
+				}
+			}
+			if !intervening && dw < violDist {
+				violDist, violator = dw, w
+			}
+		}
+	}
+	if violator >= 0 {
+		a.Violations++
+		a.bankStats[a.bankOf(chunk)].Violations++
+	}
+	a.StoresTracked++
+	return StoreResult{Violator: violator}
+}
+
+// viewByte is View.Byte.
+func (a refARB) viewByte(unit, head, active int, addr uint32, backing *mem.Memory) byte {
+	chunk := addr / chunkBytes
+	b := int(addr % chunkBytes)
+	if e := a.find(chunk); e != nil {
+		du := a.dist(unit, head)
+		best, supplier := -1, -1
+		for u := 0; u < a.NumUnits; u++ {
+			if e.stores[b]&(1<<uint(u)) == 0 {
+				continue
+			}
+			d := a.dist(u, head)
+			if d >= active || d > du {
+				continue
+			}
+			if d > best {
+				best, supplier = d, u
+			}
+		}
+		if supplier >= 0 {
+			return e.data[supplier][b]
+		}
+	}
+	return backing.Byte(addr)
+}
+
+// live counts the entries resident in every bank.
+func live(a *ARB) (n int) {
+	for _, b := range a.banks {
+		for _, e := range b.index {
+			if e != nil {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestARBMatchesReference drives the ARB and the reference model with the
+// same random stream of loads, stores, speculative-view reads, squashes
+// (ClearUnit) and retires (Commit), at every head and every active count,
+// with accesses of 1, 2, 4 and 8 bytes at every offset inside a chunk, and
+// requires the same values, violators, overflows, counters and snapshot
+// bytes throughout. Unit counts that are not powers of two exercise the
+// stage rotation (and modulo banking) and 32 the full word; one- and
+// two-entry banks overflow, and 256-entry banks grow their index and shift
+// entries back on removal. Halfway through each stream the ARB under test
+// is replaced by a snapshot round trip of itself.
+func TestARBMatchesReference(t *testing.T) {
+	for _, units := range []int{1, 2, 3, 5, 8, 16, 32} {
+		for _, entries := range []int{0, 1, 2, 256} {
+			for _, policy := range []OverflowPolicy{PolicyStall, PolicySquash} {
+				t.Run(fmt.Sprintf("units=%d/entries=%d/%v", units, entries, policy), func(t *testing.T) {
+					matchReference(t, units, entries, policy)
+				})
+			}
+		}
+	}
+}
+
+func matchReference(t *testing.T, units, entries int, policy OverflowPolicy) {
+	banks := 2 * units
+	if units == 1 {
+		banks = 1
+	}
+	r := rand.New(rand.NewSource(int64(1000*units + 2*entries + int(policy))))
+	got, ref := New(units, banks, entries, policy), refARB{New(units, banks, entries, policy)}
+	gotMem, refMem := mem.NewMemory(), mem.NewMemory()
+	const base = 0x10000000
+	for i := uint32(0); i < uint32(64*banks); i++ {
+		w := r.Uint32()
+		gotMem.WriteWord(base+4*i, w)
+		refMem.WriteWord(base+4*i, w)
+	}
+	save := func(a *ARB) []byte {
+		data, err := snapshot.Save(snapshot.KindMultiscalar, 0, a.State)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+
+	const perPair = 12
+	total, n := units*(units+1)*perPair, 0
+	for head := 0; head < units; head++ {
+		for active := 0; active <= units; active++ {
+			for k := 0; k < perPair; k, n = k+1, n+1 {
+				if n == total/2 {
+					a := New(units, banks, entries, policy)
+					if err := snapshot.Load(save(got), snapshot.KindMultiscalar, a.State); err != nil {
+						t.Fatalf("round trip: %v", err)
+					}
+					got = a
+				}
+				unit := r.Intn(units)
+				// Most accesses share a few chunks, so bytes collide; the
+				// rest spread over enough chunks to grow a bank's index.
+				chunks := 3 * banks
+				if r.Intn(4) == 0 {
+					chunks = 40 * banks
+				}
+				size := 1 << r.Intn(4)
+				addr := base + uint32(8*r.Intn(chunks)+r.Intn(chunkBytes-size+1))
+				what := fmt.Sprintf("op %d (head %d, active %d, unit %d, %d bytes at 0x%x)", n, head, active, unit, size, addr)
+				switch op := r.Intn(100); {
+				case op < 40:
+					g, w := got.Load(unit, head, active, addr, size, gotMem), ref.Load(unit, head, active, addr, size, refMem)
+					if g != w {
+						t.Fatalf("%s: load %+v, reference %+v", what, g, w)
+					}
+				case op < 80:
+					v := r.Uint64()
+					g, w := got.Store(unit, head, active, addr, size, v), ref.Store(unit, head, active, addr, size, v)
+					if g != w {
+						t.Fatalf("%s: store %+v, reference %+v", what, g, w)
+					}
+				case op < 88:
+					v := View{ARB: got, Unit: unit, Head: head, Active: active, Backing: gotMem}
+					if g, w := v.Byte(addr), ref.viewByte(unit, head, active, addr, refMem); g != w {
+						t.Fatalf("%s: view byte %#x, reference %#x", what, g, w)
+					}
+				case op < 94:
+					got.ClearUnit(unit)
+					ref.ClearUnit(unit)
+				default:
+					if g, w := got.Commit(unit, gotMem), ref.Commit(unit, refMem); g != w {
+						t.Fatalf("%s: commit wrote %d chunks, reference %d", what, g, w)
+					}
+				}
+			}
+			if g, w := got.Stats(), ref.Stats(); !reflect.DeepEqual(g, w) {
+				t.Fatalf("head %d, active %d: stats %+v, reference %+v", head, active, g, w)
+			}
+		}
+		if !bytes.Equal(save(got), save(ref.ARB)) {
+			t.Fatalf("head %d: snapshot bytes differ from the reference's", head)
+		}
+		if !gotMem.Equal(refMem) {
+			t.Fatalf("head %d: committed memory differs from the reference's", head)
+		}
+	}
+}
+
+// BenchmarkARB replays the stream of the benchmark ledger's arb.ops_per_s
+// row (arbProbe in benchmark/probes.go, seed 1995) at 8 and 16 units: each
+// unit in ring order from the head issues eight loads or stores (three in
+// ten are stores) to 4096 words, a violating store squashes the violator
+// and its successors, and the head commits and advances once per round.
+// It reports operations — loads, stores, squashes, commits — per second.
+func BenchmarkARB(b *testing.B) {
+	for _, units := range []int{8, 16} {
+		b.Run(fmt.Sprintf("units=%d", units), func(b *testing.B) {
+			a, backing := New(units, 2*units, 256, PolicyStall), mem.NewMemory()
+			rng := rand.New(rand.NewSource(1995))
+			type op struct {
+				addr  uint32
+				store bool
+			}
+			ops := make([]op, 1<<15)
+			for i := range ops {
+				ops[i] = op{0x10000000 + uint32(rng.Intn(4096))*4, rng.Intn(10) < 3}
+			}
+			head, calls := 0, 0
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				for i := 0; i < len(ops); {
+					for d := 0; d < units; d++ {
+						u := (head + d) % units
+						for k := 0; k < 8 && i < len(ops); k, i = k+1, i+1 {
+							calls++
+							if !ops[i].store {
+								a.Load(u, head, units, ops[i].addr, 4, backing)
+								continue
+							}
+							if r := a.Store(u, head, units, ops[i].addr, 4, uint64(i)); r.Violator >= 0 {
+								for v := (r.Violator - head + units) % units; v < units; v++ {
+									a.ClearUnit((head + v) % units)
+									calls++
+								}
+							}
+						}
+					}
+					a.Commit(head, backing)
+					calls++
+					head = (head + 1) % units
+				}
+			}
+			b.ReportMetric(float64(calls)/b.Elapsed().Seconds(), "ops/s")
+		})
 	}
 }

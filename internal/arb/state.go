@@ -1,6 +1,7 @@
 package arb
 
 import (
+	"slices"
 	"sort"
 
 	"multiscalar/internal/snapshot"
@@ -13,8 +14,9 @@ import (
 // Commit visit entries in list order, and release order decides which
 // chunk stays resident when a bank refills — so the lists are walked
 // explicitly instead of being rebuilt from the touched bits. Loading
-// needs an ARB constructed with the same geometry, and re-resolves the
-// touch-list entries to the restored bank entries by chunk.
+// needs an ARB constructed with the same geometry; it rebuilds each
+// bank's index from the restored entries and re-resolves the touch-list
+// entries through it by chunk.
 func (a *ARB) State(c *snapshot.Codec) {
 	c.Tag("ARB ")
 	entryBytes := 8 + 2*4*chunkBytes + a.NumUnits*chunkBytes // chunk, touched; load and store bits; a data row per unit
@@ -27,7 +29,7 @@ func (a *ARB) State(c *snapshot.Codec) {
 	for i := range a.banks {
 		var ents []*entry
 		if !c.Loading() {
-			ents = append(ents, a.banks[i].ents...)
+			ents = slices.DeleteFunc(slices.Clone(a.banks[i].index), func(e *entry) bool { return e == nil })
 			sort.Slice(ents, func(i, j int) bool { return ents[i].chunk < ents[j].chunk })
 		}
 		n := c.Len(len(ents), 1<<20, entryBytes)

@@ -42,6 +42,12 @@ type taskState struct {
 	validated bool
 }
 
+// sentValue records one forwarded register for rebuild after squashes.
+type sentValue struct {
+	val  interp.Value
+	when uint64 // cycle the value left the unit
+}
+
 // pendingAssign is an assignment waiting on the task-descriptor cache.
 type pendingAssign struct {
 	valid bool
@@ -55,6 +61,11 @@ type pendingAssign struct {
 // forwarding ring, an ARB, per-unit instruction caches and interleaved
 // data banks behind a crossbar, all sharing one memory bus.
 type Multiscalar struct {
+	// What every unit reads and writes as data: the head and active count,
+	// the ARB, data banks and memory, this cycle's violation, the
+	// shared-FU claims and the completed units (pu.Shared).
+	pu.Shared
+
 	cfg  Config
 	prog *isa.Program
 	env  *interp.SysEnv
@@ -67,23 +78,17 @@ type Multiscalar struct {
 	implicit *isa.TaskDescriptor
 	startFCC bool
 
-	backing *mem.Memory
 	bus     *mem.Bus
 	icaches []*mem.Cache
-	dbanks  *mem.BankedDCache
-	arb     *arb.ARB
 
 	units []*pu.Unit
-	rfs   []*regFile
+	rfs   []*pu.RegFile
 	tasks []*taskState
 	// taskPool backs tasks: assignment is frequent (every task is one)
 	// and a taskState is never referenced after its tasks slot is
 	// cleared, so doAssign reuses the unit's pooled state instead of
 	// heap-allocating per task.
 	taskPool []taskState
-
-	head   int
-	active int
 
 	predictor predict.TaskPredictor
 	ras       predict.RAS
@@ -99,19 +104,9 @@ type Multiscalar struct {
 	sendN    []int
 	sendBusy []uint64
 
-	// Violation found during the current cycle's sweep (unit index, -1
-	// none) and the store address that exposed it, for the squash
-	// event's conflict detail.
-	viol     int
-	violAddr uint32
-
 	// archRegs is the committed register state as of the most recently
 	// retired task; it seeds the register file of newly assigned tasks.
 	archRegs [isa.NumRegs]interp.Value
-
-	// Shared-FU arbitration (Config.SharedFPUnits).
-	sharedFUAt   uint64
-	sharedFUUsed [2]int // [float, complex-int] started this cycle
 
 	finished bool
 	now      uint64
@@ -120,11 +115,22 @@ type Multiscalar struct {
 	// is ticked again: after a Tick that progressed nothing it sleeps until
 	// its own next latched timestamp, or until something that can change
 	// its next Tick lowers the entry (a ring delivery it waits on, becoming
-	// the head, a start or squash). progress records whether the sequencer
-	// changed any state this cycle (assignment, prediction, forward,
-	// validation, squash, retire). ticked counts the loop iterations
-	// executed, unitTicks the unit Ticks.
+	// the head, a start or squash). asleep has bit i set while unit i
+	// sleeps past the current cycle and soonest bounds their wakes from
+	// below, so the sweep visits the awake units only and looks at the
+	// sleepers only on a cycle one of them may be due. A sleeper's stall
+	// cycles are charged in bulk: its ActCounts cover the cycles before
+	// counted[i], and are settled up to swept — where this cycle's sweep
+	// has got to, now before and during it and now+1 after — when it
+	// wakes and before they are read. progress records whether the sequencer changed any
+	// state this cycle (assignment, prediction, forward, validation,
+	// squash, retire). ticked counts the loop iterations executed,
+	// unitTicks the unit Ticks.
 	wake      []uint64
+	counted   []uint64
+	asleep    uint32
+	soonest   uint64
+	swept     uint64
 	progress  bool
 	ticked    uint64
 	unitTicks uint64
@@ -167,13 +173,20 @@ func NewMultiscalar(prog *isa.Program, env *interp.SysEnv, cfg Config) (*Multisc
 		return nil, err
 	}
 	m := &Multiscalar{
-		cfg:     cfg,
-		prog:    prog,
-		env:     env,
-		backing: mem.NewMemoryFromImage(interp.ProgramImage(prog)),
-		bus:     mem.NewBus(),
-		viol:    -1,
-		sink:    cfg.Sink,
+		cfg:  cfg,
+		prog: prog,
+		env:  env,
+		bus:  mem.NewBus(),
+		sink: cfg.Sink,
+	}
+	m.Shared = pu.Shared{
+		NumUnits:       cfg.NumUnits,
+		Backing:        mem.NewMemoryFromImage(interp.ProgramImage(prog)),
+		Viol:           -1,
+		SharedFUs:      cfg.SharedFPUnits,
+		Forward:        m.forward,
+		Syscall:        m.syscall,
+		OverflowSquash: m.arbOverflowSquash,
 	}
 	arbEntries := cfg.ARBEntries
 	switch {
@@ -187,14 +200,14 @@ func NewMultiscalar(prog *isa.Program, env *interp.SysEnv, cfg Config) (*Multisc
 	default:
 		return nil, fmt.Errorf("core: program has no task descriptors (assemble in multiscalar mode or run taskpart)")
 	}
-	m.dbanks = mem.NewBankedDCache(cfg.NumBanks(), cfg.DBankBytes, cfg.DBlockBytes, cfg.DCacheHit, cfg.NumMSHRs, m.bus)
-	m.arb = arb.New(cfg.NumUnits, cfg.NumBanks(), arbEntries, cfg.ARBPolicy)
+	m.DCache = mem.NewBankedDCache(cfg.NumBanks(), cfg.DBankBytes, cfg.DBlockBytes, cfg.DCacheHit, cfg.NumMSHRs, m.bus)
+	m.ARB = arb.New(cfg.NumUnits, cfg.NumBanks(), arbEntries, cfg.ARBPolicy)
 	m.descCache = mem.NewCache("desccache", cfg.DescCacheEntries*16, 16, 0, 1, m.bus)
 	if m.sink != nil {
 		m.bus.Sink = m.sink
-		m.arb.Sink = m.sink
+		m.ARB.Sink = m.sink
 		m.descCache.Sink, m.descCache.SinkKind, m.descCache.SinkID = m.sink, trace.KDescMiss, -1
-		for i, b := range m.dbanks.Banks {
+		for i, b := range m.DCache.Banks {
 			b.Sink, b.SinkKind, b.SinkID = m.sink, trace.KDCacheMiss, int8(i)
 		}
 		m.predictor.Sink, m.predictor.Now = m.sink, &m.now
@@ -215,9 +228,9 @@ func NewMultiscalar(prog *isa.Program, env *interp.SysEnv, cfg Config) (*Multisc
 			ic.Sink, ic.SinkKind, ic.SinkID = m.sink, trace.KICacheMiss, int8(i)
 		}
 		m.icaches = append(m.icaches, ic)
-		rf := &regFile{}
+		rf := &pu.RegFile{}
 		m.rfs = append(m.rfs, rf)
-		m.units = append(m.units, pu.New(i, ucfg, prog, &msExt{m: m, id: i, rf: rf, icache: ic}))
+		m.units = append(m.units, pu.New(i, ucfg, prog, pu.Ext{Shared: &m.Shared, Regs: rf, ICache: ic}))
 		m.tasks = append(m.tasks, nil)
 	}
 	m.taskPool = make([]taskState, cfg.NumUnits)
@@ -225,37 +238,18 @@ func NewMultiscalar(prog *isa.Program, env *interp.SysEnv, cfg Config) (*Multisc
 	m.sendN = make([]int, cfg.NumUnits)
 	m.sendBusy = make([]uint64, cfg.NumUnits)
 	m.wake = make([]uint64, cfg.NumUnits)
+	m.counted = make([]uint64, cfg.NumUnits)
 
 	// Initial architectural register state.
-	var arch [isa.NumRegs]interp.Value
-	arch[isa.RegSP] = interp.IntVal(isa.StackTop)
-	arch[isa.RegGP] = interp.IntVal(isa.DataBase)
-	m.archRegs = arch
+	m.archRegs[isa.RegSP] = interp.IntVal(isa.StackTop)
+	m.archRegs[isa.RegGP] = interp.IntVal(isa.DataBase)
 
 	m.forced = prog.Entry
 	m.forcedValid = true
 	return m, nil
 }
 
-// dist is unit u's distance from the head around the circular queue and
-// unitAt its inverse, for d up to NumUnits. They wrap by comparison, not
-// division: both run for every active task on every executed cycle.
-func (m *Multiscalar) dist(u int) int {
-	if u < m.head {
-		return u - m.head + m.cfg.NumUnits
-	}
-	return u - m.head
-}
-
-func (m *Multiscalar) unitAt(d int) int {
-	q := m.head + d
-	if q >= m.cfg.NumUnits {
-		q -= m.cfg.NumUnits
-	}
-	return q
-}
-
-func (m *Multiscalar) withinActive(u int) bool { return m.dist(u) < m.active }
+func (m *Multiscalar) withinActive(u int) bool { return m.Dist(u) < m.Active }
 
 // taskAt is the descriptor lookup: the binary's table, or the implicit
 // task, which starts wherever execution does.
@@ -282,17 +276,19 @@ func (m *Multiscalar) committedNow() uint64 {
 // — it issued, retired, completed, dispatched, fetched nothing and
 // touched neither the ring nor the memory system — is not ticked again
 // before its wake cycle, because every Tick until then would provably be
-// the same no-op with the same activity class (DESIGN.md §5); the cycles
-// it sleeps through are charged to that class at its slot in the sweep,
-// where the dense loop would have counted them. When every unit is
-// asleep and the sequencer did nothing either, the whole cycle repeats
-// unchanged until the earliest wake, so the clock jumps there and the
-// skipped cycles are accounted in bulk. Result and event traces are
-// bit-identical either way (Config.NoSkip never sleeps and never jumps —
-// the dense reference; see docs/perf.md for the argument).
+// the same no-op with the same activity class (DESIGN.md §5). The sweep
+// visits the awake units only; the cycles a unit sleeps through are
+// charged to that class in bulk, as the dense loop would have counted
+// them at its slot, when it wakes or its counts are read. When every unit
+// is asleep and the sequencer did nothing either, the whole cycle repeats
+// unchanged until the earliest wake, so the clock jumps there. Result and
+// event traces are bit-identical either way (Config.NoSkip never sleeps
+// and never jumps — the dense reference; see docs/perf.md for the
+// argument).
 func (m *Multiscalar) Run() (*Result, error) {
-	sleep := !m.cfg.NoSkip
+	sleep, all := !m.cfg.NoSkip, uint32(uint64(1)<<m.cfg.NumUnits-1)
 	for !m.finished {
+		m.swept = m.now
 		if m.chkFn != nil && m.now >= m.chkAt {
 			fn := m.chkFn
 			m.chkFn = nil
@@ -309,54 +305,36 @@ func (m *Multiscalar) Run() (*Result, error) {
 		m.ticked++
 		m.progress = false
 		if m.sink != nil {
-			m.arb.Now = m.now // the ARB has no clock of its own
+			m.ARB.Now = m.now // the ARB has no clock of its own
 		}
-		if m.active < m.cfg.NumUnits && !m.terminal {
+		if m.Active < m.cfg.NumUnits && !m.terminal {
 			m.assign(m.now)
 		}
-		// completed: some unit holds a finished task, asleep or not — the
-		// only cycles on which there is anything to validate or retire.
-		awake, completed := false, false
-		for i, idx := 0, m.head; i < m.cfg.NumUnits; i, idx = i+1, idx+1 {
-			if idx == m.cfg.NumUnits {
-				idx = 0
-			}
-			u := m.units[idx]
-			if m.now < m.wake[idx] {
-				u.AddStallCycles(1)
-				completed = completed || u.Done()
-				continue
-			}
-			m.unitTicks++
-			if err := u.Tick(m.now); err != nil {
-				return nil, err
-			}
-			completed = completed || u.Done()
-			if u.Progressed() {
-				awake = true
-			} else if sleep {
-				m.wake[idx] = m.wakeAfter(idx)
-			}
+		if m.now >= m.soonest {
+			m.wakeDue()
+		}
+		if err := m.sweep(sleep, all); err != nil {
+			return nil, err
 		}
 		// Idle accounting: units that had no task during this cycle's
 		// sweep (before retire/squash frees units). A unit is active exactly
-		// while it holds one of the m.active tasks — assignment, squashes
+		// while it holds one of the m.Active tasks — assignment, squashes
 		// and retirement change both together, and a restart keeps both.
-		m.activity[pu.ActIdle] += uint64(m.cfg.NumUnits - m.active)
+		m.activity[pu.ActIdle] += uint64(m.cfg.NumUnits - m.Active)
 		if m.env.Exited {
 			m.finish()
 			break
 		}
-		if m.viol >= 0 {
+		if m.Viol >= 0 {
 			m.memoryViolationSquash(m.now)
 		}
-		if completed {
+		if m.Completed != 0 { // the only cycles with anything to validate or retire
 			m.validateCompleted(m.now)
 			if err := m.retire(m.now); err != nil {
 				return nil, err
 			}
 		}
-		if sleep && !awake && !m.progress {
+		if !m.progress && m.asleep == all {
 			if t := m.nextWake(); t > m.now+1 {
 				m.skipTo(t)
 				continue
@@ -370,16 +348,88 @@ func (m *Multiscalar) Run() (*Result, error) {
 	return m.result(), nil
 }
 
+// sweep ticks the awake units in head order. A unit whose Tick progressed
+// nothing goes to sleep. A Tick may wake a later unit — an ARB-overflow
+// squash restarts the tail, a ring delivery arrives — and then the awake
+// set is read afresh.
+func (m *Multiscalar) sweep(sleep bool, all uint32) error {
+	for rest, seen := m.awake(all), m.asleep; rest != 0; rest &= rest - 1 {
+		d := bits.TrailingZeros32(rest)
+		idx := m.UnitAt(d)
+		u := m.units[idx]
+		m.unitTicks++
+		if err := u.Tick(m.now); err != nil {
+			return err
+		}
+		if sleep && !u.Progressed() {
+			t := m.wakeAfter(idx)
+			if m.wake[idx] = t; t > m.now+1 { // due next cycle: as good as awake
+				m.asleep |= 1 << uint(idx)
+				m.counted[idx], m.soonest = m.now+1, min(m.soonest, t)
+			}
+		}
+		if seen&^m.asleep != 0 { // keep bit d: the loop clears it
+			seen, rest = m.asleep, m.awake(all)&^(1<<uint(d)-1)|1<<uint(d)
+		}
+	}
+	m.swept = m.now + 1
+	return nil
+}
+
+// awake returns the units not asleep by distance: bit d is the unit d
+// stages after the head. (With the head at 0 the left shift would be by
+// the width on 32 units; masked to 0 it repeats the same bits.)
+func (m *Multiscalar) awake(all uint32) uint32 {
+	a, h := ^m.asleep&all, uint(m.Head)
+	return (a>>h | a<<((uint(m.cfg.NumUnits)-h)&31)) & all
+}
+
+// wakeDue wakes the sleepers whose wake has come and bounds the rest.
+func (m *Multiscalar) wakeDue() {
+	m.soonest = pu.NoEvent
+	for s := m.asleep; s != 0; s &= s - 1 {
+		q := bits.TrailingZeros32(s)
+		if w := m.wake[q]; w <= m.now {
+			m.settle(q)
+			m.asleep &^= 1 << uint(q)
+		} else {
+			m.soonest = min(m.soonest, w)
+		}
+	}
+}
+
+// wakeBy lowers unit q's wake to cycle t: at once when t has come (a
+// unit restarted or delivered to mid-sweep is ticked in this sweep).
+func (m *Multiscalar) wakeBy(q int, t uint64) {
+	if t < m.wake[q] {
+		m.wake[q], m.soonest = t, min(m.soonest, t)
+		if t <= m.now {
+			m.settle(q)
+			m.asleep &^= 1 << uint(q)
+		}
+	}
+}
+
+// settle charges unit q, if asleep, the stall cycles it has slept
+// through up to the sweep's position. An awake unit's counts are exact:
+// it is ticked every cycle.
+func (m *Multiscalar) settle(q int) {
+	if c := m.counted[q]; m.asleep&(1<<uint(q)) != 0 && c < m.swept {
+		m.units[q].AddStallCycles(m.swept - c)
+		m.counted[q] = m.swept
+	}
+}
+
 func (m *Multiscalar) finish() {
 	// The head task executed the exit syscall: its work is architectural.
-	if m.active > 0 {
-		u := m.units[m.head]
+	if m.Active > 0 {
+		u := m.units[m.Head]
 		m.committed += u.Retired
 		m.tasksRetired++
-		m.foldActivity(m.head, true)
+		m.foldActivity(m.Head, true)
 		if m.sink != nil {
-			m.sink.Emit(trace.Event{Cycle: m.now, Kind: trace.KTaskRetire, Unit: int8(m.head),
-				Task: m.tasks[m.head].seq, Arg: u.ExitPC(), Arg2: u.Retired})
+			m.sink.Emit(trace.Event{Cycle: m.now, Kind: trace.KTaskRetire, Unit: int8(m.Head),
+				Task: m.tasks[m.Head].seq, Arg: u.ExitPC(), Arg2: u.Retired})
 		}
 		// Remaining in-flight tasks were beyond the program's end.
 		m.squash(m.now, 1, trace.CauseDrain, 0, false)
@@ -397,8 +447,8 @@ func (m *Multiscalar) finish() {
 func (m *Multiscalar) wakeAfter(idx int) uint64 {
 	t := m.units[idx].NextEvent(m.now)
 	rf := m.rfs[idx]
-	for bm := m.units[idx].ExtWait().Minus(rf.pending); bm != 0; bm &= bm - 1 {
-		if w := rf.readyAt[bits.TrailingZeros64(uint64(bm))]; w < t {
+	for bm := m.units[idx].ExtWait().Minus(rf.Pending); bm != 0; bm &= bm - 1 {
+		if w := rf.ReadyAt[bits.TrailingZeros64(uint64(bm))]; w < t {
 			t = w
 		}
 	}
@@ -411,37 +461,28 @@ func (m *Multiscalar) wakeAfter(idx int) uint64 {
 // no latched event exists; the machine is deadlocked and the jump clamps
 // to MaxCycles, where Run reports it exactly as the dense loop would.
 func (m *Multiscalar) nextWake() uint64 {
-	t := pu.NoEvent
+	m.wakeDue() // every unit sleeps past now: soonest becomes their earliest wake
 	if m.pending.valid && m.pending.ready > m.now {
-		t = m.pending.ready
+		return min(m.soonest, m.pending.ready)
 	}
-	for _, w := range m.wake {
-		if w < t {
-			t = w
-		}
-	}
-	return t
+	return m.soonest
 }
 
 // skipTo advances the clock from now to cycle t (exclusive of the cycle
-// already executed at now), charging the skipped stall cycles to the
-// same per-unit activity counters and the machine idle counter that the
-// dense loop would have incremented one cycle at a time. Within the
-// skipped window no unit changes activity class (every unit is asleep
-// and no wake fires before t), so bulk accounting is exact.
+// already executed at now), charging the skipped cycles to the machine
+// idle counter the dense loop would have incremented one cycle at a time.
+// Every unit is asleep through them, and no wake fires before t, so each
+// is charged in bulk like any other sleep (settle).
 func (m *Multiscalar) skipTo(t uint64) {
 	if t > m.cfg.MaxCycles {
 		t = m.cfg.MaxCycles
 	}
-	k := t - (m.now + 1)
-	for _, u := range m.units {
-		u.AddStallCycles(k)
-	}
-	m.activity[pu.ActIdle] += k * uint64(m.cfg.NumUnits-m.active)
+	m.activity[pu.ActIdle] += (t - (m.now + 1)) * uint64(m.cfg.NumUnits-m.Active)
 	m.now = t
 }
 
 func (m *Multiscalar) foldActivity(unit int, retired bool) {
+	m.settle(unit)
 	u := m.units[unit]
 	for a := pu.ActCompute; a < pu.NumActivities; a++ {
 		if retired {
@@ -463,7 +504,7 @@ func (m *Multiscalar) foldActivity(unit int, retired bool) {
 // ARBStats exposes the ARB's counter surface — aggregates plus the
 // per-bank breakdown — for callers that own the machine (the litmus
 // stress fuzzer's histograms). Result carries the aggregate totals.
-func (m *Multiscalar) ARBStats() arb.Stats { return m.arb.Stats() }
+func (m *Multiscalar) ARBStats() arb.Stats { return m.ARB.Stats() }
 
 // SetCommitLimit arranges for Run to pause — return the Result so far
 // without finishing the program — once at least n instructions have
@@ -483,7 +524,7 @@ func (m *Multiscalar) result() *Result {
 	for _, ic := range m.icaches {
 		imiss += ic.Misses
 	}
-	astats := m.arb.Stats()
+	astats := m.ARB.Stats()
 	return &Result{
 		Cycles:           m.now,
 		CyclesTicked:     m.ticked,
@@ -502,12 +543,12 @@ func (m *Multiscalar) result() *Result {
 		Activity:         m.activity,
 		SquashedCycles:   m.squashedCycles,
 		ICacheMisses:     imiss,
-		DCacheMisses:     m.dbanks.Misses(),
-		DBankConflicts:   m.dbanks.Conflicts,
+		DCacheMisses:     m.DCache.Misses(),
+		DBankConflicts:   m.DCache.Conflicts,
 		BusRequests:      m.bus.Requests,
-		ARBViolations:    m.arb.Violations,
-		ARBOverflows:     m.arb.Overflows,
-		ARBStoreForwards: m.arb.StoreForwards,
+		ARBViolations:    m.ARB.Violations,
+		ARBOverflows:     m.ARB.Overflows,
+		ARBStoreForwards: m.ARB.StoreForwards,
 		ARBAllocs:        astats.Allocs,
 		ARBPeakOccupancy: astats.MaxOccupancy,
 	}

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math/bits"
 
+	"multiscalar/internal/arb"
 	"multiscalar/internal/interp"
 	"multiscalar/internal/isa"
+	"multiscalar/internal/pu"
 	"multiscalar/internal/trace"
 )
 
@@ -29,10 +31,10 @@ func (m *Multiscalar) assign(now uint64) {
 	switch {
 	case m.forcedValid:
 		entry = m.forced
-	case m.active == 0:
+	case m.Active == 0:
 		return // nothing to predict from; wait for a forced target
 	default:
-		tail := m.unitAt(m.active - 1)
+		tail := m.UnitAt(m.Active - 1)
 		last := m.tasks[tail]
 		if last.predMade {
 			return // successor prediction already pending a bad target
@@ -119,17 +121,18 @@ func (m *Multiscalar) predictSuccessor(last *taskState) (uint32, bool) {
 // the tail from inside an older unit's Tick, before its slot in the sweep.
 func (m *Multiscalar) startUnit(q int, at uint64) {
 	m.units[q].Start(m.tasks[q].entry, at)
-	m.wake[q] = 0
+	m.counted[q] = at
+	m.wakeBy(q, 0)
 }
 
 func (m *Multiscalar) squashUnit(q int) {
 	m.units[q].Squash()
-	m.wake[q] = 0
+	m.wakeBy(q, 0)
 }
 
 func (m *Multiscalar) doAssign(entry uint32, desc *isa.TaskDescriptor, now uint64) {
 	m.progress = true
-	unit := m.unitAt(m.active)
+	unit := m.UnitAt(m.Active)
 	seq := m.nextSeq
 	m.nextSeq++
 	ts := &m.taskPool[unit]
@@ -151,7 +154,7 @@ func (m *Multiscalar) doAssign(entry uint32, desc *isa.TaskDescriptor, now uint6
 		m.units[unit].SeedFCC(true)
 		m.startFCC = false
 	}
-	m.active++
+	m.Active++
 	if m.forcedValid && m.forced == entry {
 		m.forcedValid = false
 	}
@@ -164,16 +167,14 @@ func (m *Multiscalar) doAssign(entry uint32, desc *isa.TaskDescriptor, now uint6
 // Section 2.2).
 func (m *Multiscalar) rebuildRegs(unit int, now uint64) {
 	rf := m.rfs[unit]
-	rf.vals = m.archRegs
-	for i := range rf.readyAt {
-		rf.readyAt[i] = 0
-	}
-	rf.pending = 0
-	rf.sent = 0
+	rf.Vals = m.archRegs
+	clear(rf.ReadyAt[:])
+	rf.Pending = 0
+	rf.Sent = 0
 	var accum isa.RegMask
-	du := m.dist(unit)
+	du := m.Dist(unit)
 	for d := 0; d < du; d++ {
-		q := m.unitAt(d)
+		q := m.UnitAt(d)
 		qt := m.tasks[q]
 		if qt == nil {
 			continue
@@ -187,15 +188,15 @@ func (m *Multiscalar) rebuildRegs(unit int, now uint64) {
 			r := isa.Reg(bits.TrailingZeros64(uint64(bm)))
 			if qt.sentMask.Has(r) {
 				sv := qt.sentVals[r]
-				rf.vals[r] = sv.val
-				rf.readyAt[r] = sv.when + hop
-				rf.pending = rf.pending.Clear(r)
+				rf.Vals[r] = sv.val
+				rf.ReadyAt[r] = sv.when + hop
+				rf.Pending = rf.Pending.Clear(r)
 			} else {
-				rf.pending = rf.pending.Set(r)
+				rf.Pending = rf.Pending.Set(r)
 			}
 		}
 	}
-	rf.accum = accum
+	rf.Accum = accum
 }
 
 // forward sends one register value from unit p around the ring: at most
@@ -205,10 +206,10 @@ func (m *Multiscalar) rebuildRegs(unit int, now uint64) {
 // its own version).
 func (m *Multiscalar) forward(p int, now uint64, r isa.Reg, v interp.Value) {
 	rf := m.rfs[p]
-	if r == isa.RegZero || rf.sent.Has(r) {
+	if r == isa.RegZero || rf.Sent.Has(r) {
 		return
 	}
-	rf.sent = rf.sent.Set(r)
+	rf.Sent = rf.Sent.Set(r)
 	m.ringSends++
 	m.progress = true // a new value enters the ring (also reached from tryFlush)
 
@@ -242,11 +243,11 @@ func (m *Multiscalar) forward(p int, now uint64, r isa.Reg, v interp.Value) {
 			break
 		}
 		at := sc + uint64(d*m.cfg.RingLatency)
-		m.rfs[q].deliver(r, v, at)
+		m.rfs[q].Deliver(r, v, at)
 		// A unit asleep on this register wakes when it arrives (mid-sweep
 		// deliveries reach successors, whose slot in the sweep comes later).
-		if at < m.wake[q] && m.units[q].ExtWait().Has(r) {
-			m.wake[q] = at
+		if m.units[q].ExtWait().Has(r) {
+			m.wakeBy(q, at)
 		}
 		if m.tasks[q].desc.Create.Has(r) {
 			break // swallowed
@@ -267,20 +268,20 @@ func (m *Multiscalar) tryFlush(unit int, now uint64) (bool, error) {
 	var err error
 	for bm := ts.desc.Create; bm != 0; bm &= bm - 1 { // bit loop: see rebuildRegs
 		r := isa.Reg(bits.TrailingZeros64(uint64(bm)))
-		if rf.sent.Has(r) {
+		if rf.Sent.Has(r) {
 			if m.cfg.CheckForwards && err == nil {
-				if sv := ts.sentVals[r]; sv.val != rf.vals[r] && !rf.pending.Has(r) {
+				if sv := ts.sentVals[r]; sv.val != rf.Vals[r] && !rf.Pending.Has(r) {
 					err = fmt.Errorf("core: task %s forwarded stale %v: sent %v, final %v",
-						ts.desc.Name, r, sv.val, rf.vals[r])
+						ts.desc.Name, r, sv.val, rf.Vals[r])
 				}
 			}
 			continue
 		}
-		if rf.pending.Has(r) {
+		if rf.Pending.Has(r) {
 			all = false // predecessor value still in flight; retry
 			continue
 		}
-		m.forward(unit, now, r, rf.vals[r])
+		m.forward(unit, now, r, rf.Vals[r])
 	}
 	return all, err
 }
@@ -288,15 +289,15 @@ func (m *Multiscalar) tryFlush(unit int, now uint64) (bool, error) {
 // retire validates and retires the head task when it is complete
 // (Section 2.3: tasks retire in assignment order; one per cycle).
 func (m *Multiscalar) retire(now uint64) error {
-	if m.active == 0 {
+	if m.Active == 0 {
 		return nil
 	}
-	u := m.units[m.head]
-	ts := m.tasks[m.head]
+	u := m.units[m.Head]
+	ts := m.tasks[m.Head]
 	if !u.Done() {
 		return nil
 	}
-	flushed, err := m.tryFlush(m.head, now)
+	flushed, err := m.tryFlush(m.Head, now)
 	if err != nil {
 		return err
 	}
@@ -326,25 +327,25 @@ func (m *Multiscalar) retire(now uint64) error {
 
 	// Commit: drain speculative stores, publish the architectural
 	// register state, free the unit.
-	m.arb.Commit(m.head, m.backing)
-	m.archRegs = m.rfs[m.head].vals
-	if !m.rfs[m.head].pending.Empty() {
+	m.ARB.Commit(m.Head, m.Backing)
+	m.archRegs = m.rfs[m.Head].Vals
+	if !m.rfs[m.Head].Pending.Empty() {
 		return fmt.Errorf("core: retiring task %s with pending registers %v",
-			ts.desc.Name, m.rfs[m.head].pending)
+			ts.desc.Name, m.rfs[m.Head].Pending)
 	}
 	m.committed += u.Retired
 	m.tasksRetired++
-	m.foldActivity(m.head, true)
+	m.foldActivity(m.Head, true)
 	if m.sink != nil {
-		m.sink.Emit(trace.Event{Cycle: now, Kind: trace.KTaskRetire, Unit: int8(m.head),
+		m.sink.Emit(trace.Event{Cycle: now, Kind: trace.KTaskRetire, Unit: int8(m.Head),
 			Task: ts.seq, Arg: u.ExitPC(), Arg2: u.Retired})
 		u.SetTraceTask(-1)
 	}
-	m.squashUnit(m.head)
-	m.tasks[m.head] = nil
-	m.head = m.unitAt(1)
-	m.active--
-	m.wake[m.head] = 0 // a unit parked on a syscall executes it once it is the head
+	m.squashUnit(m.Head)
+	m.tasks[m.Head] = nil
+	m.Head = m.UnitAt(1)
+	m.Active--
+	m.wakeBy(m.Head, 0) // a unit parked on a syscall executes it once it is the head
 	return nil
 }
 
@@ -353,8 +354,8 @@ func (m *Multiscalar) retire(now uint64) error {
 // the exit point is known (Section 3.1.2), not at retirement. Detecting a
 // misprediction here squashes the non-useful successors early.
 func (m *Multiscalar) validateCompleted(now uint64) {
-	for d := 0; d < m.active; d++ {
-		q := m.unitAt(d)
+	for d := 0; d < m.Active; d++ {
+		q := m.UnitAt(d)
 		u := m.units[q]
 		ts := m.tasks[q]
 		if ts == nil || !u.Done() || ts.validated || !ts.predMade {
@@ -383,7 +384,7 @@ func (m *Multiscalar) validateOne(dist int, ts *taskState, actual uint32, outcom
 			hit = 1
 		}
 		m.sink.Emit(trace.Event{Cycle: now, Kind: trace.KPredValidate,
-			Unit: int8(m.unitAt(dist)), Task: ts.seq, Arg: actual, Arg2: hit})
+			Unit: int8(m.UnitAt(dist)), Task: ts.seq, Arg: actual, Arg2: hit})
 	}
 	if ts.predEntry == actual {
 		if ts.predCounts {
@@ -423,10 +424,10 @@ func (m *Multiscalar) validateOne(dist int, ts *taskState, actual uint32, outcom
 func (m *Multiscalar) squash(now uint64, first int, cause, addr uint32, restart bool) {
 	bank := -1
 	if cause == trace.CauseMemory || cause == trace.CauseARB {
-		bank = m.arb.BankIndex(addr)
+		bank = m.ARB.BankIndex(addr)
 	}
-	for d := first; d < m.active; d++ {
-		q := m.unitAt(d)
+	for d := first; d < m.Active; d++ {
+		q := m.UnitAt(d)
 		m.foldActivity(q, false)
 		m.tasksSquashed++
 		if m.sink != nil {
@@ -436,7 +437,7 @@ func (m *Multiscalar) squash(now uint64, first int, cause, addr uint32, restart 
 		if cause == trace.CauseDrain {
 			continue
 		}
-		m.arb.ClearUnit(q)
+		m.ARB.ClearUnit(q)
 		m.squashUnit(q)
 		if restart {
 			m.tasks[q].sentMask = 0
@@ -449,12 +450,12 @@ func (m *Multiscalar) squash(now uint64, first int, cause, addr uint32, restart 
 	}
 	if !restart {
 		if cause != trace.CauseDrain {
-			m.active = first
+			m.Active = first
 		}
 		return
 	}
-	for d := first; d < m.active; d++ {
-		q := m.unitAt(d)
+	for d := first; d < m.Active; d++ {
+		q := m.UnitAt(d)
 		m.rebuildRegs(q, now+1)
 		if m.sink != nil {
 			m.sink.Emit(trace.Event{Cycle: now + 1, Kind: trace.KTaskRestart, Unit: int8(q),
@@ -469,30 +470,43 @@ func (m *Multiscalar) squash(now uint64, first int, cause, addr uint32, restart 
 // execution following it).
 func (m *Multiscalar) memoryViolationSquash(now uint64) {
 	m.progress = true
-	w := m.viol
-	addr := m.violAddr
-	m.viol = -1
-	if !m.withinActive(w) || m.dist(w) == 0 {
+	w := m.Viol
+	addr := m.ViolAddr
+	m.Viol = -1
+	if !m.withinActive(w) || m.Dist(w) == 0 {
 		return // stale (already squashed) or impossible
 	}
-	first := m.dist(w)
+	first := m.Dist(w)
 	m.squash(now, first, trace.CauseMemory, addr, true)
-	for d := first; d < m.active; d++ {
+	for d := first; d < m.Active; d++ {
 		// Re-execution may take a different path: the task's exit must be
 		// validated afresh.
-		m.tasks[m.unitAt(d)].validated = false
+		m.tasks[m.UnitAt(d)].validated = false
 	}
 	m.memSquashes++
 }
 
 // arbOverflowSquash frees ARB space under PolicySquash by squashing the
-// youngest task. Returns true if something was squashed.
-func (m *Multiscalar) arbOverflowSquash(now uint64, addr uint32) bool {
-	if m.active <= 1 {
-		return false // never squash the head
+// youngest task.
+func (m *Multiscalar) arbOverflowSquash(now uint64, addr uint32) {
+	if m.Active <= 1 {
+		return // never squash the head
 	}
 	m.progress = true
 	m.arbSquashes++
-	m.squash(now, m.active-1, trace.CauseARB, addr, true)
-	return true
+	m.squash(now, m.Active-1, trace.CauseARB, addr, true)
+}
+
+// syscall executes the head unit's system call over its speculative view
+// of memory: buffers earlier tasks wrote may still be in the ARB.
+func (m *Multiscalar) syscall(unit int) (uint32, bool, error) {
+	rf := m.rfs[unit]
+	for _, r := range pu.SyscallRegs {
+		if rf.Pending.Has(r) {
+			return 0, false, fmt.Errorf("core: syscall with pending register %v", r)
+		}
+	}
+	view := &arb.View{ARB: m.ARB, Unit: unit, Head: m.Head, Active: m.Active, Backing: m.Backing}
+	return m.env.Call(view, rf.Vals[isa.RegV0].I, rf.Vals[isa.RegA0].I,
+		rf.Vals[isa.RegA1].I, rf.Vals[isa.RegA2].I, rf.Vals[isa.RegA3].I)
 }

@@ -27,15 +27,6 @@ func (m *Multiscalar) ScheduleCheckpoint(cycle uint64, fn func() error) {
 	m.chkAt, m.chkFn = cycle, fn
 }
 
-// State walks one unit's ring register file.
-func (rf *regFile) State(c *snapshot.Codec) {
-	interp.RegsState(c, &rf.vals)
-	c.U64s(rf.readyAt[:])
-	c.U64((*uint64)(&rf.pending))
-	c.U64((*uint64)(&rf.sent))
-	c.U64((*uint64)(&rf.accum))
-}
-
 // State walks one in-flight task record; loading re-derives its
 // descriptor from the machine's lookup by entry address.
 func (ts *taskState) State(c *snapshot.Codec, m *Multiscalar) {
@@ -78,19 +69,23 @@ func (m *Multiscalar) State(c *snapshot.Codec) {
 	}
 	c.U64(&m.now)
 	c.U64(&m.ticked)
+	for q := range m.units {
+		m.settle(q) // a sleeper's activity counts are due before they are walked
+	}
 	if c.Loading() {
 		// Not in the snapshot: every unit resumes awake (waking early is always
 		// safe) and UnitTicks restarts from the executed cycles' dense count.
 		m.unitTicks = m.ticked * uint64(m.cfg.NumUnits)
 		clear(m.wake)
+		m.asleep = 0
 	}
 	c.Bool(&m.finished)
 	c.Bool(&m.progress)
-	c.Int(&m.head)
-	c.Int(&m.active)
+	c.Int(&m.Head)
+	c.Int(&m.Active)
 	c.I32(&m.nextSeq)
-	if m.head < 0 || m.head >= m.cfg.NumUnits || m.active < 0 || m.active > m.cfg.NumUnits {
-		c.Failf("core: head %d / active %d out of range", m.head, m.active)
+	if m.Head < 0 || m.Head >= m.cfg.NumUnits || m.Active < 0 || m.Active > m.cfg.NumUnits {
+		c.Failf("core: head %d / active %d out of range", m.Head, m.Active)
 		return
 	}
 	c.U32(&m.forced)
@@ -113,24 +108,24 @@ func (m *Multiscalar) State(c *snapshot.Codec) {
 		c.Int(&m.sendN[i])
 		c.U64(&m.sendBusy[i])
 	}
-	c.Int(&m.viol)
-	c.U32(&m.violAddr)
+	c.Int(&m.Viol)
+	c.U32(&m.ViolAddr)
 	interp.RegsState(c, &m.archRegs)
-	c.U64(&m.sharedFUAt)
-	c.Int(&m.sharedFUUsed[0])
-	c.Int(&m.sharedFUUsed[1])
+	c.U64(&m.FUAt)
+	c.Int(&m.FUUsed[0])
+	c.Int(&m.FUUsed[1])
 
 	m.predictor.State(c)
 	m.ras.State(c)
 	m.descCache.State(c)
 	m.env.State(c)
-	m.backing.State(c)
+	m.Backing.State(c)
 	m.bus.State(c)
 	for _, ic := range m.icaches {
 		ic.State(c)
 	}
-	m.dbanks.State(c)
-	m.arb.State(c)
+	m.DCache.State(c)
+	m.ARB.State(c)
 	for _, u := range m.units {
 		u.State(c)
 	}

@@ -119,7 +119,7 @@ func (w *WarmState) Encode() []byte {
 // sequencer's history arrive pre-warmed. Timing state starts cold at
 // cycle 0. On error the machine must not be run.
 func (m *Multiscalar) InjectWarm(data []byte) error {
-	if m.now != 0 || m.active != 0 || m.finished {
+	if m.now != 0 || m.Active != 0 || m.finished {
 		return fmt.Errorf("core: InjectWarm on a machine that has run")
 	}
 	// The architectural state goes straight into the machine's env and
@@ -127,7 +127,7 @@ func (m *Multiscalar) InjectWarm(data []byte) error {
 	// structures for the machine to adopt, so its own statistics and
 	// in-flight state stay pristine.
 	w := NewWarmState(m.prog, m.cfg)
-	w.Env, w.Mem = m.env, m.backing
+	w.Env, w.Mem = m.env, m.Backing
 	if err := snapshot.Load(data, snapshot.KindWarm, w.State); err != nil {
 		return err
 	}
@@ -140,7 +140,7 @@ func (m *Multiscalar) InjectWarm(data []byte) error {
 			return fmt.Errorf("core: warm icache geometry mismatch")
 		}
 	}
-	for i, b := range m.dbanks.Banks {
+	for i, b := range m.DCache.Banks {
 		if !b.AdoptTags(w.DCache.Banks[i]) {
 			return fmt.Errorf("core: warm dcache geometry mismatch")
 		}

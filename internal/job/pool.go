@@ -6,20 +6,22 @@ import (
 	"sync/atomic"
 )
 
-// The one worker pool: the bench harness's sections, msserve's batch
-// fan-out, the litmus matrix and a sampled job's detailed windows all run
-// their independent simulations through RunJobs, so every level of
-// parallelism shares one bound. Results land in index-addressed slices,
-// so output is byte-identical to the sequential path regardless of
-// completion order.
+// The one fan-out primitive: the bench harness's sections, msserve's
+// batch fan-out, the litmus matrix and a sampled job's detailed windows
+// all run their independent simulations through RunJobs. Each call bounds
+// its own fan-out by Workers with a semaphore of its own, so nested calls
+// multiply: a served batch of sampled jobs runs each job's windows inside
+// its batch slot, up to Workers² simulations at once. Results land in
+// index-addressed slices, so output is byte-identical to the sequential
+// path regardless of completion order.
 
 var workers atomic.Int64
 
 func init() { workers.Store(int64(runtime.GOMAXPROCS(0))) }
 
-// SetWorkers bounds the number of concurrent simulation jobs. 1 forces
-// the fully sequential path; values above GOMAXPROCS buy nothing but are
-// harmless.
+// SetWorkers bounds the number of concurrent jobs one RunJobs call runs.
+// 1 forces the fully sequential path; values above GOMAXPROCS buy nothing
+// but are harmless.
 func SetWorkers(n int) {
 	if n < 1 {
 		n = 1
@@ -27,7 +29,7 @@ func SetWorkers(n int) {
 	workers.Store(int64(n))
 }
 
-// Workers returns the current job-pool bound.
+// Workers returns the current per-call bound.
 func Workers() int { return int(workers.Load()) }
 
 // RunJobs runs fn(0..n-1), fanning out across the worker pool. Each fn

@@ -13,7 +13,7 @@
 // runs (CachedOracle, Execute's Verify path) are process-wide instances
 // here; msserve's result cache and the bench harness's per-point results
 // are instances in their own packages, keyed by Spec.Key. Independent jobs
-// at every level fan out over one worker pool, RunJobs.
+// at every level fan out through RunJobs, each call under its own bound.
 package job
 
 import (

@@ -70,7 +70,7 @@ func checkBindings(t *testing.T, u *Unit, step int, what string) {
 		}
 		srcs, n := in.SourceRegs()
 		if in.Op == isa.OpSyscall {
-			n = 0 // read from the Ext at the window head, not bound
+			n = 0 // read from the register file at the window head, not bound
 		}
 		if int(e.flags&bNsrc) != n {
 			fail("%d sources bound, want %d", e.flags&bNsrc, n)
@@ -141,9 +141,8 @@ func walkWindow(t *testing.T, ops []isa.Op, robSize int, ooo bool, width int, se
 
 	cfg := DefaultConfig(width, ooo)
 	cfg.ROBSize = robSize
-	ext := newMockExt()
-	ext.LoadLatency = 5
-	u := New(0, cfg, prog, ext)
+	ext := newTestExt(5)
+	u := New(0, cfg, prog, ext.Ext)
 	// start begins a task with the (empty) window near the end of its
 	// buffer, where enough retirements leave it, so that it soon has to
 	// slide back to the front.
@@ -163,11 +162,11 @@ func walkWindow(t *testing.T, ops []isa.Op, robSize int, ooo bool, width int, se
 			// A real cycle. A random program soon divides by zero, leaves
 			// the text or ends its task: start over somewhere else.
 			what = "tick"
-			ext.unready = isa.RegMask(0)
+			ext.Regs.Pending = isa.RegMask(0)
 			if r.Intn(4) == 0 {
-				ext.unready = isa.MaskOf(reg())
+				ext.Regs.Pending = isa.MaskOf(reg())
 			}
-			ext.Regs[isa.RegV0] = interp.IntVal(1) // a retiring syscall prints $a0
+			ext.Regs.Vals[isa.RegV0] = interp.IntVal(1) // a retiring syscall prints $a0
 			if err := u.Tick(uint64(step)); err != nil || u.Done() || prog.InstrAt(u.pc) == nil || ext.Env.Exited {
 				what = "tick, restart"
 				ext.Env.Exited = false
@@ -197,7 +196,7 @@ func walkWindow(t *testing.T, ops []isa.Op, robSize int, ooo bool, width int, se
 				u.rob[i].waitOn = 0
 			}
 			u.remark()
-			ext.Regs[isa.RegV0] = interp.IntVal(1)
+			ext.Regs.Vals[isa.RegV0] = interp.IntVal(1)
 			if err := u.retire(uint64(step)); err != nil {
 				t.Fatal(err)
 			}
@@ -218,7 +217,7 @@ func walkWindow(t *testing.T, ops []isa.Op, robSize int, ooo bool, width int, se
 			if err != nil {
 				t.Fatal(err)
 			}
-			u = New(0, cfg, prog, ext)
+			u = New(0, cfg, prog, ext.Ext)
 			if err := snapshot.Load(data, snapshot.KindMultiscalar, u.State); err != nil {
 				t.Fatal(err)
 			}
@@ -276,15 +275,18 @@ skip:
 ` + exitSeq
 	p := assembleMS(t, src)
 	cfg := DefaultConfig(2, true)
-	newExt := func() *mockExt {
-		ext := newMockExt()
+	newExt := func() *testExt {
+		ext := newTestExt(9)
 		ext.Mem.WriteBytes(isa.DataBase, p.Data)
-		ext.LoadLatency = 9
 		return ext
+	}
+	// The unit and what its timing depends on outside it.
+	walk := func(u *Unit, x *testExt) func(*snapshot.Codec) {
+		return func(c *snapshot.Codec) { u.State(c); x.State(c) }
 	}
 
 	extA := newExt()
-	a := New(0, cfg, p, extA)
+	a := New(0, cfg, p, extA.Ext)
 	a.Start(p.Entry, 0)
 	var now uint64
 	for ; now < 40 || !(a.any(mParked) && a.any(mIssued) && a.any(mFwd)); now++ {
@@ -296,14 +298,14 @@ skip:
 		}
 	}
 
-	data, err := snapshot.Save(snapshot.KindMultiscalar, now, a.State)
+	data, err := snapshot.Save(snapshot.KindMultiscalar, now, walk(a, extA))
 	if err != nil {
 		t.Fatal(err)
 	}
 	extB := newExt()
-	extB.Regs = extA.Regs
-	b := New(0, cfg, p, extB)
-	if err := snapshot.Load(data, snapshot.KindMultiscalar, b.State); err != nil {
+	*extB.Regs = *extA.Regs
+	b := New(0, cfg, p, extB.Ext)
+	if err := snapshot.Load(data, snapshot.KindMultiscalar, walk(b, extB)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -329,7 +331,7 @@ skip:
 	if extB.Forwards[isa.RegS0+3] != extA.Forwards[isa.RegS0+3] {
 		t.Errorf("restored unit last forwarded $s3 = %v, the original %v", extB.Forwards[isa.RegS0+3], extA.Forwards[isa.RegS0+3])
 	}
-	if !extB.Env.Exited || extA.Regs != extB.Regs || extA.Env.Out.String() != extB.Env.Out.String() {
+	if !extB.Env.Exited || extA.Regs.Vals != extB.Regs.Vals || extA.Env.Out.String() != extB.Env.Out.String() {
 		t.Fatalf("restored unit finished differently: out %q vs %q", extB.Env.Out.String(), extA.Env.Out.String())
 	}
 }

@@ -63,17 +63,20 @@ func (u *Unit) issue(now uint64) error {
 // wait for it to leave the window.
 func (p *robEntry) produced() bool { return p.state == stDone && p.flags&bSyscall == 0 }
 
-// readExt reads a register from the Ext, recording an unready one for
-// the activity class and the owner's wakeup.
+// readExt reads a register from the register file, a scoreboard: a
+// reservation (an accum-mask register a predecessor has not produced) or
+// a ring value still in flight is unready, recorded for the activity
+// class and the owner's wakeup.
 func (u *Unit) readExt(now uint64, r isa.Reg) (interp.Value, bool) {
-	if r == isa.RegZero {
+	rf := u.ext.Regs
+	switch {
+	case r == isa.RegZero:
 		return interp.Value{}, true
-	}
-	v, ready := u.ext.ReadReg(now, r)
-	if !ready {
+	case rf.Pending.Has(r) || rf.ReadyAt[r] > now:
 		u.extWait = u.extWait.Set(r)
+		return interp.Value{}, false
 	}
-	return v, ready
+	return rf.Vals[r], true
 }
 
 // producer returns the entry d slots before slot p while it is still in
@@ -90,17 +93,18 @@ func (u *Unit) producer(p int, d uint16) *robEntry {
 // Re-attempting it before would fail the same way with no side effect:
 // the sources before the blocking one were ready, which is monotonic
 // within an activation, so the attempt would stop at the same producer
-// without reaching Ext.ReadReg (no extWait bit, hence the same activity
-// class). An entry blocked on the Ext is never parked: its failed ReadReg
-// is what the activity class and the owner's wakeup are read from.
+// without reaching the register file (no extWait bit, hence the same
+// activity class). An entry blocked on the register file is never parked:
+// its failed read is what the activity class and the owner's wakeup are
+// read from.
 func (u *Unit) park(p int, e *robEntry, d uint16) {
 	e.waitOn = d
 	u.move(p, mTry, mParked)
 }
 
 // operand fetches source k of the entry in slot p: from the producer bound
-// at dispatch while that is still in the window, else from the Ext (where
-// a retired producer's WriteReg put it).
+// at dispatch while that is still in the window, else from the register
+// file (where a retired producer's write put it).
 func (u *Unit) operand(now uint64, p int, e *robEntry, k int) (interp.Value, bool) {
 	if q := u.producer(p, e.prod[k]); q != nil {
 		if !q.produced() {
@@ -113,7 +117,7 @@ func (u *Unit) operand(now uint64, p int, e *robEntry, k int) (interp.Value, boo
 
 // SyscallRegs are the registers a syscall reads and syscallDef the one it
 // writes. It executes only as the oldest window entry, so the unit reads
-// them from the Ext.
+// them from the register file.
 var SyscallRegs, syscallDef = isa.OpSyscall.Implicit()
 
 // tryIssue starts the entry in slot p if its operands are ready; issue
@@ -128,7 +132,7 @@ func (u *Unit) tryIssue(now uint64, p int, e *robEntry) (bool, error) {
 		if p != u.head() {
 			return false, nil // syscall executes only when oldest
 		}
-		// Ext.Syscall reads the values at retire; here they must be ready.
+		// The syscall reads the values at retire; here they must be ready.
 		for _, r := range SyscallRegs {
 			if _, ready := u.readExt(now, r); !ready {
 				return false, nil
@@ -159,8 +163,8 @@ func (u *Unit) tryIssue(now uint64, p int, e *robEntry) (bool, error) {
 
 	// Shared functional units (if the machine has them) are claimed last,
 	// once the operation is otherwise ready to start.
-	if u.shared != nil && (e.class == isa.FUFloat || e.class == isa.FUComplexInt) {
-		if !u.shared.ClaimSharedFU(now, e.class) {
+	if u.ext.SharedFUs > 0 && (e.class == isa.FUFloat || e.class == isa.FUComplexInt) {
+		if !u.ext.claimFU(now, e.class) {
 			// The outcome depends on the other units' claims this cycle,
 			// which the unit cannot see: a lost arbitration is a retry, not
 			// a stall with a known end, so it counts as progress and the
@@ -181,9 +185,9 @@ func (u *Unit) tryIssue(now uint64, p int, e *robEntry) (bool, error) {
 		var done uint64
 		var ok bool
 		if e.flags&bWritesRd != 0 {
-			v, done, ok = u.ext.Load(now, in.Op, addr)
+			v, done, ok = u.load(now, in.Op, addr)
 		} else {
-			done, ok = u.ext.Store(now, in.Op, addr, rtV)
+			done, ok = u.store(now, in.Op, addr, rtV)
 		}
 		if !ok {
 			// ARB overflow: retry next cycle. Each attempt counts (the
@@ -377,7 +381,7 @@ func (u *Unit) fetch(now uint64) {
 	group := u.pc &^ 15
 	if u.fetchGroup != group {
 		u.fetchGroup = group
-		u.fetchReady = u.ext.FetchDone(now, group) // icache access: state changed
+		u.fetchReady = u.ext.ICache.Access(now, group, false) // icache access: state changed
 		u.progressed = true
 	}
 	if u.fetchReady > now {

@@ -73,7 +73,11 @@ func (u *Unit) State(c *snapshot.Codec) {
 	c.U64(&u.nextDone)
 	c.Bool(&u.committedFCC)
 
-	c.Bool(&u.done)
+	if c.Bool(&u.done); u.done {
+		u.ext.Completed |= u.bit
+	} else {
+		u.ext.Completed &^= u.bit
+	}
 	c.U32(&u.exitPC)
 	c.Bool(&u.exitByRet)
 

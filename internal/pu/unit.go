@@ -6,9 +6,11 @@
 //
 // The same Unit type is the scalar baseline processor and each of the
 // parallel units of a multiscalar processor — the paper's speedups compare
-// "identical processing units". Everything outside the unit (register
-// file semantics, memory hierarchy, ARB, syscalls) is reached through the
-// Ext interface.
+// "identical processing units". Everything outside the unit is data the
+// unit reads through its Ext (ext.go): its register file copy, the
+// memory hierarchy and ARB, the machine's head and active count. Sending
+// on the ring, a syscall and an ARB-overflow squash are the only calls
+// back into the machine.
 package pu
 
 import (
@@ -21,45 +23,10 @@ import (
 	"multiscalar/internal/trace"
 )
 
-// Ext is the unit's view of the rest of the machine.
-type Ext interface {
-	// ReadReg reads an architectural register. ready=false means the
-	// register is reserved (an accum-mask reservation whose value has not
-	// arrived on the ring yet) — the consuming instruction must wait.
-	ReadReg(now uint64, r isa.Reg) (v interp.Value, ready bool)
-	// WriteReg updates the unit's register file at local retire.
-	WriteReg(r isa.Reg, v interp.Value)
-	// Forward routes a produced value to successor units (forward bit or
-	// release, Section 2.2). Values are sent once per register per task.
-	Forward(now uint64, r isa.Reg, v interp.Value)
-	// Load performs a (possibly speculative) load at execute time.
-	// ok=false means the operation must retry next cycle (ARB overflow).
-	Load(now uint64, op isa.Op, addr uint32) (v interp.Value, done uint64, ok bool)
-	// Store performs a speculative store at execute time.
-	Store(now uint64, op isa.Op, addr uint32, v interp.Value) (done uint64, ok bool)
-	// FetchDone returns the cycle at which the 4-word fetch group at
-	// groupAddr is available from the instruction cache.
-	FetchDone(now uint64, groupAddr uint32) uint64
-	// Syscall executes a system call at local retire. handled=false means
-	// the unit must stall the syscall (it is not the head yet). v0/writesV0
-	// carry the result register update.
-	Syscall(now uint64) (v0 uint32, writesV0 bool, handled bool, err error)
-}
-
 // NoEvent is NextEvent's sentinel: the unit cannot make progress on its
 // own — only an external action (a task assignment, a predecessor's
 // retirement, a ring delivery) can change its state.
 const NoEvent = ^uint64(0)
-
-// SharedFUs is an optional extension of Ext: when the environment
-// implements it, the unit asks permission before starting an operation on
-// a shared functional-unit class. This models the alternative
-// microarchitecture of Section 2.3 in which expensive units (floating
-// point, complex integer) are shared between the processing units rather
-// than replicated.
-type SharedFUs interface {
-	ClaimSharedFU(now uint64, class isa.FUClass) bool
-}
 
 // Config selects the unit microarchitecture.
 type Config struct {
@@ -113,7 +80,7 @@ type robEntry struct {
 	// Dispatch-time binding (bind). Producers are named by their distance
 	// back in the window (0 = none), which stays valid as the window
 	// slides: at a negative index the producer has retired and its value
-	// is the Ext's.
+	// is the register file's.
 	prod    [2]uint16  // youngest older in-window writer of src[k]
 	fccProd uint16     // youngest older in-window FCC setter (bc1t/bc1f)
 	waitOn  uint16     // producer the entry is parked on (0 = not parked)
@@ -167,11 +134,11 @@ func (a Activity) String() string { return activityNames[a] }
 
 // Unit is one processing unit.
 type Unit struct {
-	ID     int
-	cfg    Config
-	ext    Ext
-	shared SharedFUs // non-nil when the machine shares FP/complex units
-	bp     *predict.BranchPredictor
+	ID  int
+	bit uint32 // 1 << ID
+	cfg Config
+	ext Ext
+	bp  *predict.BranchPredictor
 
 	prog *isa.Program
 
@@ -221,7 +188,7 @@ type Unit struct {
 	// retire or squash).
 	Retired    uint64 // locally retired instructions this activation
 	ActCounts  [NumActivities]uint64
-	extWait    isa.RegMask // registers an issue found unready in Ext.ReadReg this cycle
+	extWait    isa.RegMask // registers an issue found unready in the register file this cycle
 	issuedNow  int
 	retiredNow int
 	startCycle uint64
@@ -262,6 +229,7 @@ func New(id int, cfg Config, prog *isa.Program, ext Ext) *Unit {
 	}
 	u := &Unit{
 		ID:   id,
+		bit:  1 << uint(id),
 		cfg:  cfg,
 		ext:  ext,
 		bp:   predict.NewBranchPredictor(cfg.BranchEntries),
@@ -282,18 +250,12 @@ func New(id int, cfg Config, prog *isa.Program, ext Ext) *Unit {
 	for op := range u.lat {
 		u.lat[op] = uint64(cfg.Latencies.Of(isa.Op(op)))
 	}
-	if s, ok := ext.(SharedFUs); ok {
-		u.shared = s
-	}
 	return u
 }
 
 // BranchPredictor exposes the unit's branch predictor (persistent
 // hardware: it survives task reassignment).
 func (u *Unit) BranchPredictor() *predict.BranchPredictor { return u.bp }
-
-// Active reports whether a task is assigned.
-func (u *Unit) Active() bool { return u.active }
 
 // Done reports whether the assigned task has completed (all instructions
 // locally retired and the stop condition reached).
@@ -316,6 +278,7 @@ func (u *Unit) Start(entry uint32, now uint64) {
 	u.clearWindow()
 	u.nextDone = ^uint64(0)
 	u.done = false
+	u.ext.Completed &^= u.bit
 	u.exitPC = 0
 	u.exitByRet = false
 	u.Retired = 0
@@ -356,6 +319,7 @@ func (u *Unit) Squash() {
 	u.clearWindow()
 	u.nextDone = ^uint64(0)
 	u.done = false
+	u.ext.Completed &^= u.bit
 }
 
 // Tick advances the unit by one cycle.
@@ -435,7 +399,7 @@ func (u *Unit) classify() Activity {
 func (u *Unit) Progressed() bool { return u.progressed }
 
 // ExtWait reports the registers the last Tick's issue attempts found
-// unready in Ext.ReadReg. The owning machine translates them into a
+// unready in the register file. The owning machine translates them into a
 // wakeup time from its register-file delivery timing, which the unit
 // cannot see; no other register's arrival can change the next Tick.
 func (u *Unit) ExtWait() isa.RegMask { return u.extWait }
@@ -465,10 +429,10 @@ func (u *Unit) NextEvent(now uint64) uint64 {
 }
 
 // AddStallCycles accounts k cycles identical to the unit's last ticked
-// cycle. The wakeup scheduler calls this instead of ticking the unit
-// through cycles it has proven unchanging, so the per-activity counters
-// match the dense loop bit for bit (a stalled cycle's classification
-// cannot change before the unit's wake cycle).
+// cycle. The wakeup scheduler charges the cycles it has proven
+// unchanging this way, in bulk, so the per-activity counters match the
+// dense loop bit for bit (a stalled cycle's classification cannot change
+// before the unit's wake cycle).
 func (u *Unit) AddStallCycles(k uint64) { u.ActCounts[u.lastAct] += k }
 
 // complete transitions issued entries whose latency has elapsed to done,
@@ -548,7 +512,7 @@ func (u *Unit) forwardEarly(now uint64) {
 		}
 		for m := w[mFwd] & safe; m != 0; m &= m - 1 {
 			e := &u.robBuf[k<<6+bits.TrailingZeros64(m)]
-			u.ext.Forward(now, e.fwdReg(), e.val)
+			u.ext.Forward(u.ID, now, e.fwdReg(), e.val)
 			e.fwded = true
 			u.progressed = true
 		}
@@ -594,25 +558,23 @@ func (u *Unit) retire(now uint64) error {
 		}
 		w, b := &u.win[h>>6], uint64(1)<<(h&63)
 		if e.flags&bSyscall != 0 {
-			v0, writes, handled, err := u.ext.Syscall(now)
+			if u.ID != u.ext.Head {
+				break // not the head yet: syscalls are non-speculative
+			}
+			v0, writes, err := u.ext.Syscall(u.ID)
 			if err != nil {
 				return fmt.Errorf("pu%d @0x%x: %w", u.ID, e.addr, err)
 			}
-			if !handled {
-				break // not the head yet: syscalls are non-speculative
-			}
 			if writes {
-				u.ext.WriteReg(isa.RegV0, interp.IntVal(v0))
+				u.ext.Regs.write(isa.RegV0, interp.IntVal(v0))
 			}
 		} else {
-			if e.dest != isa.RegZero {
-				u.ext.WriteReg(e.dest, e.val)
-			}
+			u.ext.Regs.write(e.dest, e.val)
 			if e.setFCC {
 				u.committedFCC = e.fcc
 			}
 			if w[mFwd]&b != 0 { // not sent early
-				u.ext.Forward(now, e.fwdReg(), e.val)
+				u.ext.Forward(u.ID, now, e.fwdReg(), e.val)
 			}
 		}
 
@@ -623,6 +585,7 @@ func (u *Unit) retire(now uint64) error {
 		w[mSys], w[mFwd], w[mBar] = w[mSys]&^b, w[mFwd]&^b, w[mBar]&^b // all a done entry can hold
 		if e.stopHit {
 			u.done = true
+			u.ext.Completed |= u.bit
 			u.exitPC = e.actualNext
 			u.exitByRet = e.instr.Op == isa.OpJr
 			u.clearWindow()

@@ -3,67 +3,57 @@ package pu
 import (
 	"testing"
 
+	"multiscalar/internal/arb"
 	"multiscalar/internal/asm"
 	"multiscalar/internal/interp"
 	"multiscalar/internal/isa"
 	"multiscalar/internal/mem"
+	"multiscalar/internal/snapshot"
 )
 
-// mockExt is a scalar-like environment: registers always ready, memory
-// with fixed latency, syscalls always handled.
-type mockExt struct {
-	Regs     [isa.NumRegs]interp.Value
+// testExt is the machine around one unit under test: registers always
+// ready unless marked pending, a zero-entry ARB (loads read memory, head
+// stores write it), one data bank hitting in loadLatency cycles, a
+// syscall environment over the memory, and a record of the values sent
+// on the ring.
+type testExt struct {
+	Ext
 	Mem      *mem.Memory
 	Env      *interp.SysEnv
 	Forwards map[isa.Reg]interp.Value
-
-	LoadLatency  uint64
-	StoreLatency uint64
-
-	syscallDelay int         // syscalls unhandled for this many attempts
-	unready      isa.RegMask // registers ReadReg reports as not arrived yet
+	bus      *mem.Bus
 }
 
-func newMockExt() *mockExt {
-	m := &mockExt{
-		Mem:          mem.NewMemory(),
-		Env:          interp.NewSysEnv(),
-		Forwards:     map[isa.Reg]interp.Value{},
-		LoadLatency:  2,
-		StoreLatency: 1,
+func newTestExt(loadLatency int) *testExt {
+	x := &testExt{
+		Mem:      mem.NewMemory(),
+		Env:      interp.NewSysEnv(),
+		Forwards: map[isa.Reg]interp.Value{},
+		bus:      mem.NewBus(),
 	}
-	m.Regs[isa.RegSP] = interp.IntVal(isa.StackTop)
-	m.Regs[isa.RegGP] = interp.IntVal(isa.DataBase)
-	return m
+	x.Ext = Ext{
+		Shared: &Shared{NumUnits: 1, Active: 1, Viol: -1, Backing: x.Mem,
+			ARB:    arb.New(1, 1, 0, arb.PolicyStall),
+			DCache: mem.NewBankedDCache(1, 64<<10, 64, loadLatency, 4, x.bus)},
+		Regs:   &RegFile{},
+		ICache: mem.NewCache("icache", 32<<10, 64, 0, 4, x.bus),
+	}
+	x.Forward = func(_ int, _ uint64, r isa.Reg, v interp.Value) { x.Forwards[r] = v }
+	x.Syscall = func(int) (uint32, bool, error) {
+		r := &x.Regs.Vals
+		return x.Env.Call(x.Mem, r[isa.RegV0].I, r[isa.RegA0].I, r[isa.RegA1].I, r[isa.RegA2].I, r[isa.RegA3].I)
+	}
+	x.Regs.Vals[isa.RegSP] = interp.IntVal(isa.StackTop)
+	x.Regs.Vals[isa.RegGP] = interp.IntVal(isa.DataBase)
+	return x
 }
 
-func (m *mockExt) ReadReg(now uint64, r isa.Reg) (interp.Value, bool) {
-	return m.Regs[r], !m.unready.Has(r)
-}
-func (m *mockExt) WriteReg(r isa.Reg, v interp.Value) {
-	if r != isa.RegZero {
-		m.Regs[r] = v
-	}
-}
-func (m *mockExt) Forward(now uint64, r isa.Reg, v interp.Value) { m.Forwards[r] = v }
-func (m *mockExt) Load(now uint64, op isa.Op, addr uint32) (interp.Value, uint64, bool) {
-	raw := m.Mem.ReadN(addr, op.MemSize())
-	return interp.LoadValue(op, raw), now + m.LoadLatency, true
-}
-func (m *mockExt) Store(now uint64, op isa.Op, addr uint32, v interp.Value) (uint64, bool) {
-	m.Mem.WriteN(addr, op.MemSize(), interp.StoreValue(op, v))
-	return now + m.StoreLatency, true
-}
-func (m *mockExt) FetchDone(now uint64, groupAddr uint32) uint64 { return now }
-func (m *mockExt) Syscall(now uint64) (uint32, bool, bool, error) {
-	if m.syscallDelay > 0 {
-		m.syscallDelay--
-		return 0, false, false, nil
-	}
-	ret, writes, err := m.Env.Call(m.Mem,
-		m.Regs[isa.RegV0].I, m.Regs[isa.RegA0].I,
-		m.Regs[isa.RegA1].I, m.Regs[isa.RegA2].I, m.Regs[isa.RegA3].I)
-	return ret, writes, true, err
+// State walks what the unit's timing depends on outside it: the caches
+// and the bus.
+func (x *testExt) State(c *snapshot.Codec) {
+	x.DCache.State(c)
+	x.ICache.State(c)
+	x.bus.State(c)
 }
 
 func assembleMS(t *testing.T, src string) *isa.Program {
@@ -78,12 +68,12 @@ func assembleMS(t *testing.T, src string) *isa.Program {
 // runWholeProgram executes an entire program on a single unit with the
 // mock environment (the scalar-machine usage pattern) and returns the
 // ext, the cycle count, and the unit.
-func runWholeProgram(t *testing.T, src string, cfg Config) (*mockExt, uint64, *Unit) {
+func runWholeProgram(t *testing.T, src string, cfg Config) (*testExt, uint64, *Unit) {
 	t.Helper()
 	p := assembleMS(t, src)
-	ext := newMockExt()
+	ext := newTestExt(2)
 	ext.Mem.WriteBytes(isa.DataBase, p.Data)
-	u := New(0, cfg, p, ext)
+	u := New(0, cfg, p, ext.Ext)
 	u.Start(p.Entry, 0)
 	var now uint64
 	for !ext.Env.Exited {
@@ -201,8 +191,8 @@ floop:
 				// which pseudo-expansions may use differently... they do not:
 				// same binary).
 				for r := isa.Reg(1); r < isa.NumRegs; r++ {
-					if ext.Regs[r] != om.Regs[r] {
-						t.Errorf("reg %v = %v, want %v", r, ext.Regs[r], om.Regs[r])
+					if ext.Regs.Vals[r] != om.Regs[r] {
+						t.Errorf("reg %v = %v, want %v", r, ext.Regs.Vals[r], om.Regs[r])
 					}
 				}
 				if !ext.Mem.Equal(om.Mem) {
@@ -221,8 +211,8 @@ main:
 	li $s1, 99
 ` + exitSeq
 	p := assembleMS(t, src)
-	ext := newMockExt()
-	u := New(0, DefaultConfig(1, false), p, ext)
+	ext := newTestExt(2)
+	u := New(0, DefaultConfig(1, false), p, ext.Ext)
 	u.Start(p.Entry, 0)
 	var now uint64
 	for !u.Done() {
@@ -234,10 +224,10 @@ main:
 		}
 		now++
 	}
-	if ext.Regs[isa.RegS0].I != 8 {
-		t.Errorf("s0 = %v", ext.Regs[isa.RegS0])
+	if ext.Regs.Vals[isa.RegS0].I != 8 {
+		t.Errorf("s0 = %v", ext.Regs.Vals[isa.RegS0])
 	}
-	if ext.Regs[isa.RegS0+1].I == 99 {
+	if ext.Regs.Vals[isa.RegS0+1].I == 99 {
 		t.Error("executed past stop")
 	}
 	if u.ExitPC() != p.Entry+2*isa.InstrSize {
@@ -264,9 +254,9 @@ loop:
 	p := assembleMS(t, src)
 	loopAddr, _ := p.Symbol("loop")
 
-	ext := newMockExt()
-	u := New(0, DefaultConfig(1, false), p, ext)
-	ext.Regs[isa.RegS0] = interp.IntVal(3)
+	ext := newTestExt(2)
+	u := New(0, DefaultConfig(1, false), p, ext.Ext)
+	ext.Regs.Vals[isa.RegS0] = interp.IntVal(3)
 	u.Start(loopAddr, 0)
 	var now uint64
 	for !u.Done() && now < 1000 {
@@ -284,8 +274,8 @@ loop:
 	if u.ExitPC() != loopAddr {
 		t.Errorf("exitPC = 0x%x, want loop 0x%x (taken)", u.ExitPC(), loopAddr)
 	}
-	if ext.Regs[isa.RegS0].I != 2 {
-		t.Errorf("s0 = %v", ext.Regs[isa.RegS0])
+	if ext.Regs.Vals[isa.RegS0].I != 2 {
+		t.Errorf("s0 = %v", ext.Regs.Vals[isa.RegS0])
 	}
 }
 
@@ -303,9 +293,9 @@ done:
 	loopAddr, _ := p.Symbol("loop")
 	doneAddr, _ := p.Symbol("done")
 
-	ext := newMockExt()
-	u := New(0, DefaultConfig(2, true), p, ext)
-	ext.Regs[isa.RegS0] = interp.IntVal(1)
+	ext := newTestExt(2)
+	u := New(0, DefaultConfig(2, true), p, ext.Ext)
+	ext.Regs.Vals[isa.RegS0] = interp.IntVal(1)
 	u.Start(loopAddr, 0)
 	var now uint64
 	for !u.Done() && now < 1000 {
@@ -334,8 +324,8 @@ main:
 	li $v0, 0 !s
 ` + exitSeq
 	p := assembleMS(t, src)
-	ext := newMockExt()
-	u := New(0, DefaultConfig(1, false), p, ext)
+	ext := newTestExt(2)
+	u := New(0, DefaultConfig(1, false), p, ext.Ext)
 	u.Start(p.Entry, 0)
 	for now := uint64(0); !u.Done() && now < 1000; now++ {
 		if err := u.Tick(now); err != nil {
@@ -353,9 +343,9 @@ main:
 	jr $ra !s
 ` + exitSeq
 	p := assembleMS(t, src)
-	ext := newMockExt()
-	ext.Regs[isa.RegRA] = interp.IntVal(0x1040)
-	u := New(0, DefaultConfig(1, false), p, ext)
+	ext := newTestExt(2)
+	ext.Regs.Vals[isa.RegRA] = interp.IntVal(0x1040)
+	u := New(0, DefaultConfig(1, false), p, ext.Ext)
 	u.Start(p.Entry, 0)
 	for now := uint64(0); !u.Done() && now < 100; now++ {
 		if err := u.Tick(now); err != nil {
@@ -375,12 +365,15 @@ main:
 	syscall
 ` + exitSeq
 	p := assembleMS(t, src)
-	ext := newMockExt()
-	ext.syscallDelay = 20
-	u := New(0, DefaultConfig(2, true), p, ext)
+	ext := newTestExt(2)
+	ext.Head = 1 // another unit's: syscalls wait for the head
+	u := New(0, DefaultConfig(2, true), p, ext.Ext)
 	u.Start(p.Entry, 0)
 	var now uint64
 	for !ext.Env.Exited && now < 1000 {
+		if now == 20 {
+			ext.Head = 0
+		}
 		if err := u.Tick(now); err != nil {
 			t.Fatal(err)
 		}
@@ -429,10 +422,9 @@ main:
 	p := assembleMS(t, src)
 
 	run := func(cfg Config) uint64 {
-		ext := newMockExt()
+		ext := newTestExt(30)
 		ext.Mem.WriteBytes(isa.DataBase, p.Data)
-		ext.LoadLatency = 30
-		u := New(0, cfg, p, ext)
+		u := New(0, cfg, p, ext.Ext)
 		u.Start(p.Entry, 0)
 		var now uint64
 		for !ext.Env.Exited && now < 10000 {
@@ -441,8 +433,8 @@ main:
 			}
 			now++
 		}
-		if ext.Regs[isa.RegS0].I != 8 {
-			t.Fatalf("s0 = %v", ext.Regs[isa.RegS0])
+		if ext.Regs.Vals[isa.RegS0].I != 8 {
+			t.Fatalf("s0 = %v", ext.Regs.Vals[isa.RegS0])
 		}
 		return now
 	}
@@ -510,13 +502,13 @@ main:
 	li $s2, 3 !s
 ` + exitSeq
 	p := assembleMS(t, src)
-	ext := newMockExt()
-	u := New(0, DefaultConfig(1, false), p, ext)
+	ext := newTestExt(2)
+	u := New(0, DefaultConfig(1, false), p, ext.Ext)
 	u.Start(p.Entry, 0)
 	u.Tick(0)
 	u.Tick(1)
 	u.Squash()
-	if u.Active() || u.Done() {
+	if u.active || u.Done() {
 		t.Error("squash did not deactivate")
 	}
 	// Restart and run to completion.
@@ -537,8 +529,8 @@ main:
 	li $s0, 1 !s
 ` + exitSeq
 	p := assembleMS(t, src)
-	ext := newMockExt()
-	u := New(0, DefaultConfig(1, false), p, ext)
+	ext := newTestExt(2)
+	u := New(0, DefaultConfig(1, false), p, ext.Ext)
 	// Inactive: idle.
 	u.Tick(0)
 	if u.ActCounts[ActIdle] != 1 {
@@ -563,7 +555,7 @@ main:
 
 // TestExtWaitReportsBlockingRegisters pins what the owner's wakeup
 // scheduler reads after a Tick: exactly the registers issue found
-// unready in the Ext, classified as waiting on a predecessor — and
+// unready in the register file, classified as waiting on a predecessor — and
 // nothing once the unit has no task, or a squashed task's stale wait
 // would keep an idle unit awake.
 func TestExtWaitReportsBlockingRegisters(t *testing.T) {
@@ -572,9 +564,9 @@ main:
 	add $t0, $s0, $s1
 	add $t1, $s2, $t0
 `+exitSeq)
-	ext := newMockExt()
-	ext.unready = isa.MaskOf((isa.RegS0 + 1), (isa.RegS0 + 2))
-	u := New(0, DefaultConfig(2, true), p, ext)
+	ext := newTestExt(2)
+	ext.Regs.Pending = isa.MaskOf((isa.RegS0 + 1), (isa.RegS0 + 2))
+	u := New(0, DefaultConfig(2, true), p, ext.Ext)
 	u.Start(p.Entry, 0)
 	var now uint64
 	for ; now < 20; now++ {
