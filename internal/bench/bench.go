@@ -11,6 +11,7 @@ import (
 
 	"multiscalar/internal/asm"
 	"multiscalar/internal/core"
+	"multiscalar/internal/isa"
 	"multiscalar/internal/job"
 	"multiscalar/internal/pu"
 	"multiscalar/internal/workloads"
@@ -147,6 +148,22 @@ func PerfTable(width int, outOfOrder bool, scale Scale) ([]PerfRow, error) {
 		})
 	}
 	return rows, nil
+}
+
+// FormatTable1 renders Table 1, the functional unit latencies, from the
+// configuration.
+func FormatTable1() string {
+	l := isa.Table1()
+	var b strings.Builder
+	b.WriteString("Table 1: functional unit latencies (cycles)\n")
+	fmt.Fprintf(&b, "  %-12s %2d    %-14s %2d\n", "Add/Sub", l.IntAddSub, "SP Add/Sub", l.SPAddSub)
+	fmt.Fprintf(&b, "  %-12s %2d    %-14s %2d\n", "Shift/Logic", l.ShiftLogic, "SP Multiply", l.SPMul)
+	fmt.Fprintf(&b, "  %-12s %2d    %-14s %2d\n", "Multiply", l.IntMul, "SP Divide", l.SPDiv)
+	fmt.Fprintf(&b, "  %-12s %2d    %-14s %2d\n", "Divide", l.IntDiv, "DP Add/Sub", l.DPAddSub)
+	fmt.Fprintf(&b, "  %-12s %2d    %-14s %2d\n", "Mem Store", l.MemStore, "DP Multiply", l.DPMul)
+	fmt.Fprintf(&b, "  %-12s %2d    %-14s %2d\n", "Mem Load", l.MemLoad, "DP Divide", l.DPDiv)
+	fmt.Fprintf(&b, "  %-12s %2d\n", "Branch", l.Branch)
+	return b.String()
 }
 
 // FormatTable2 renders Table 2 next to the paper's percentages.

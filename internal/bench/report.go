@@ -8,7 +8,10 @@ import (
 	"multiscalar/internal/job"
 )
 
-// Section is one timed phase of a benchmark-harness invocation.
+// Section is one timed section of a benchmark-harness invocation. The
+// sections run as one fan-out and overlap, so Seconds is the time from
+// the previous section's output being ready to this one's (RunSections):
+// the sections of a report sum to the fan-out's wall time.
 type Section struct {
 	Name    string  `json:"name"`
 	Seconds float64 `json:"seconds"`
@@ -74,13 +77,6 @@ func NewReport(scale Scale) *Report {
 		Workers:    job.Workers(),
 		Scale:      name,
 	}
-}
-
-// Time runs fn as a named section and records its wall-clock seconds.
-func (r *Report) Time(name string, fn func()) {
-	start := time.Now()
-	fn()
-	r.Sections = append(r.Sections, Section{Name: name, Seconds: time.Since(start).Seconds()})
 }
 
 // Finalize fills the totals and throughput fields from the process-wide

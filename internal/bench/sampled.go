@@ -59,38 +59,50 @@ type SampledRow struct {
 }
 
 // RunSampled runs the sampled-vs-exact comparison on 8 2-way
-// out-of-order units (the paper's headline configuration). Rows run
-// serially; each sampled run's detailed windows already fan out over
-// the worker pool.
+// out-of-order units (the paper's headline configuration). A row's exact
+// run and its estimate are independent jobs, and all of them fan out
+// over the worker budget at once; each estimate's detailed windows fan
+// out again inside it.
 func RunSampled(scale Scale) ([]SampledRow, error) {
-	rows := make([]SampledRow, 0, len(sampledWorkloads))
-	for _, name := range sampledWorkloads {
+	specs := make([]job.Spec, len(sampledWorkloads))
+	for i, name := range sampledWorkloads {
 		w := workloads.Get(name)
 		if w == nil {
 			return nil, fmt.Errorf("sampled: unknown workload %q", name)
 		}
-		eff := Scale(scale.of(w) * sampledScaleFactor)
-		spec := pointSpec(w, asm.ModeMultiscalar, eff)
-		cfg := core.DefaultConfig(8, 2, true)
-		full, err := runPoint(spec, cfg,
-			fmt.Sprintf("%s sampled-baseline scale=%d", name, int(eff)))
-		if err != nil {
-			return nil, err
+		specs[i] = pointSpec(w, asm.ModeMultiscalar, Scale(scale.of(w)*sampledScaleFactor))
+		specs[i].Config = core.DefaultConfig(8, 2, true)
+	}
+	full := make([]*core.Result, len(specs))
+	ests := make([]*sample.Estimate, len(specs))
+	err := job.RunJobs(2*len(specs), func(j int) (err error) { // job 2i: row i exact, 2i+1: sampled
+		spec := specs[j/2]
+		if j%2 == 0 {
+			full[j/2], err = runPoint(spec, spec.Config,
+				fmt.Sprintf("%s sampled-baseline scale=%d", spec.Workload, spec.Scale))
+			return err
 		}
 		// The same job, sampled: the functional pass is its own oracle.
-		spec.Op, spec.Verify, spec.Config = job.OpSampled, false, cfg
+		spec.Op, spec.Verify = job.OpSampled, false
 		applyRunFlags(&spec.Config)
 		out, err := job.Execute(&spec, nil)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
+			return fmt.Errorf("%s: %w", spec.Workload, err)
 		}
-		est := out.Sampled
-		recordSampled(est)
-		rows = append(rows, SampledRow{
-			Name:        name,
-			Scale:       int(eff),
+		ests[j/2] = out.Sampled
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]SampledRow, len(specs))
+	for i, est := range ests {
+		recordSampled(est) // in row order, so the variance sum is too
+		rows[i] = SampledRow{
+			Name:        specs[i].Workload,
+			Scale:       specs[i].Scale,
 			TotalInstrs: est.TotalInstrs,
-			FullCycles:  full.Cycles,
+			FullCycles:  full[i].Cycles,
 			EstCycles:   est.EstCycles,
 			CyclesLow:   est.CyclesLow,
 			CyclesHi:    est.CyclesHi,
@@ -99,11 +111,11 @@ func RunSampled(scale Scale) ([]SampledRow, error) {
 			MeanCPI:     est.MeanCPI,
 			VarCPI:      est.VarCPI,
 			StdErrCPI:   est.StdErrCPI,
-			ErrPct:      est.ErrPct(full.Cycles),
-			InCI:        est.InCI(full.Cycles),
-			Reduction:   est.DetailReduction(full.Cycles),
+			ErrPct:      est.ErrPct(full[i].Cycles),
+			InCI:        est.InCI(full[i].Cycles),
+			Reduction:   est.DetailReduction(full[i].Cycles),
 			Params:      est.Params,
-		})
+		}
 	}
 	return rows, nil
 }

@@ -1,7 +1,9 @@
 package job
 
 import (
+	"reflect"
 	"testing"
+	"time"
 
 	"multiscalar/internal/asm"
 	"multiscalar/internal/core"
@@ -108,6 +110,56 @@ func TestExecuteSampled(t *testing.T) {
 	if out.Sampled.EstCycles == 0 {
 		t.Error("estimate has zero cycles")
 	}
+}
+
+// TestSampledBatchUnderBudget: a fan-out of sampled jobs whose windows
+// fan out again, on a two-runner budget, finishes — the shape a served
+// /v1/batch of sampled jobs has, and the one a blocking process-wide
+// bound deadlocked on (outer runners held while their windows waited for
+// runners). Sampling schedules its windows before it starts, so the
+// estimates equal the same jobs run one at a time.
+func TestSampledBatchUnderBudget(t *testing.T) {
+	var specs []*Spec
+	for _, p := range []struct {
+		workload string
+		scale    int
+	}{{"example", 14400}, {"wc", 32768}, {"example", 3600}, {"wc", 8192}, {"example", 900}} {
+		specs = append(specs, &Spec{Op: OpSampled, Workload: p.workload, Scale: p.scale,
+			Mode: asm.ModeMultiscalar, Config: core.DefaultConfig(8, 2, true)})
+	}
+	batch := make([]*sample.Estimate, len(specs))
+	done := make(chan error, 1)
+	withWorkers(t, 2, func() {
+		go func() {
+			done <- RunJobs(len(specs), func(i int) error {
+				out, err := Execute(specs[i], nil)
+				if err == nil {
+					batch[i] = out.Sampled
+				}
+				return err
+			})
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(3 * time.Minute):
+			t.Fatal("a batch of sampled jobs did not finish on a two-runner budget")
+		}
+	})
+	withWorkers(t, 1, func() {
+		for i, s := range specs {
+			out, err := Execute(s, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(out.Sampled, batch[i]) {
+				t.Errorf("%s@%d: estimate in the batch differs from the job run alone:\n%+v\n%+v",
+					s.Workload, s.Scale, batch[i], out.Sampled)
+			}
+		}
+	})
 }
 
 // exitHook counts task exits the way the sampler's warming pass sees

@@ -13,7 +13,8 @@
 // runs (CachedOracle, Execute's Verify path) are process-wide instances
 // here; msserve's result cache and the bench harness's per-point results
 // are instances in their own packages, keyed by Spec.Key. Independent jobs
-// at every level fan out through RunJobs, each call under its own bound.
+// at every level fan out through RunJobs, and every call, nested or not,
+// draws on one process-wide budget of Workers() runners.
 package job
 
 import (

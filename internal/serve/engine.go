@@ -135,8 +135,14 @@ func (l *Local) Submit(ctx context.Context, client string, spec *job.Spec) (*Res
 		if err := l.queue.acquire(ctx, client); err != nil {
 			return nil, err
 		}
-		out, err := l.runJob(spec)
-		l.queue.release(client)
+		// The slot comes back on every exit, and a panicking job is this
+		// flight's error: not cached, and the next submission retries.
+		var out *job.Output
+		err := job.Contain(func() (err error) {
+			defer l.queue.release(client)
+			out, err = l.runJob(spec)
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}

@@ -4,7 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -167,6 +170,47 @@ func TestErrorsAreNotCached(t *testing.T) {
 	}
 	if res.Cached || res.Sim.Cycles != 7 {
 		t.Fatalf("retry not executed fresh: %+v", res)
+	}
+}
+
+// TestPanickingJobIsContained pins the worker boundary: a job whose
+// execution panics fails alone. Its submission gets an error naming the
+// panic, the daemon goes on answering, its one execution slot comes back
+// (with Workers 1 a leaked slot would stall the retry until the deadline),
+// and nothing is cached, so the next submission of the same key runs.
+func TestPanickingJobIsContained(t *testing.T) {
+	var calls atomic.Int64
+	eng := testEngine(Options{CacheEntries: 4, Workers: 1}, func(s *job.Spec) (*job.Output, error) {
+		if calls.Add(1) == 1 {
+			panic("injected fault")
+		}
+		return &job.Output{Result: &core.Result{Cycles: 9}}, nil
+	})
+	srv := httptest.NewServer(NewHandler(eng))
+	defer srv.Close()
+
+	if _, err := eng.Submit(context.Background(), "c", simSpec(8)); err == nil || !strings.Contains(err.Error(), "injected fault") {
+		t.Fatalf("panicking job: err = %v, want one naming the panic", err)
+	}
+	resp, err := http.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz after a panic: %s", resp.Status)
+	}
+	if m := eng.Metrics(); m.QueueDepth != 0 || m.InFlight != 0 || m.Errors != 1 || m.CacheEntries != 0 {
+		t.Fatalf("after a panic: metrics %+v, want an empty queue, no slot held, one error, nothing cached", m)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	res, err := eng.Submit(ctx, "c", simSpec(8))
+	if err != nil {
+		t.Fatalf("retry after a panic: %v", err)
+	}
+	if res.Cached || res.Sim.Cycles != 9 || eng.Metrics().Executed != 1 {
+		t.Fatalf("retry not executed fresh: %+v, metrics %+v", res, eng.Metrics())
 	}
 }
 
