@@ -7,10 +7,11 @@
 // output bytes and exit code — before anything is written.
 //
 // By default the optimized source goes to stdout and the per-task plan
-// to stderr. -w rewrites the file in place, -o names an output file,
-// -plan prints only the plan, and -d prints a unified summary of the
-// mask changes. The exit status is 0 on success (including "nothing to
-// change"), 1 on any error.
+// to stderr. -w rewrites the file in place, -o names an output file, -q
+// silences the plan, and -plan prints only the plan (with -w, -o or -q
+// it is a usage error). This is the optimizer's one command: to assemble
+// the result, run msas on its output. The exit status is 0 on success
+// (including "nothing to change"), 1 on any error, 2 on a usage error.
 package main
 
 import (
@@ -36,6 +37,15 @@ func main() {
 	if *inPlace && *out != "" {
 		fmt.Fprintln(os.Stderr, "msannotate: -w and -o are mutually exclusive")
 		os.Exit(2)
+	}
+	// -plan writes nothing and prints only the plan: a flag that picks an
+	// output or silences the plan would be ignored.
+	given := map[string]bool{"w": *inPlace, "o": *out != "", "q": *quiet}
+	for _, name := range []string{"w", "o", "q"} {
+		if *planOnly && given[name] {
+			fmt.Fprintf(os.Stderr, "msannotate: -plan cannot be combined with -%s\n", name)
+			os.Exit(2)
+		}
 	}
 	path := flag.Arg(0)
 	src, err := os.ReadFile(path)

@@ -7,9 +7,8 @@
 // Multiscalar builds are checked against the annotation contract
 // (docs/lint.md): hard violations reject the build with one line per
 // finding, warnings are printed to stderr alongside the listing. Disable
-// with -lint off. With -O the annotation optimizer (msannotate) rewrites
-// the source first: minimal create masks, forward bits at last updates,
-// releases on flush-only paths, verified against the functional oracle.
+// with -lint off. To tighten the annotations first, run the source
+// through msannotate (msannotate -o opt.s prog.s && msas opt.s).
 package main
 
 import (
@@ -28,11 +27,14 @@ func main() {
 		encode   = flag.Bool("encode", false, "also print the binary encoding of each instruction")
 		out      = flag.String("o", "", "write a binary container (.msb) instead of a listing")
 		lintFlag = flag.String("lint", "on", "annotation-contract check: on (reject errors, print warnings) or off")
-		optimize = flag.Bool("O", false, "run the annotation optimizer before building (multiscalar mode, oracle-verified; see msannotate)")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: msas [-mode scalar|multiscalar] [-lint on|off] [-encode] file.s")
+		fmt.Fprintln(os.Stderr, "usage: msas [-mode scalar|multiscalar] [-lint on|off] [-encode | -o out.msb] file.s")
+		os.Exit(2)
+	}
+	if *encode && *out != "" {
+		fmt.Fprintln(os.Stderr, "msas: -encode cannot be combined with -o (the binary container carries no listing)")
 		os.Exit(2)
 	}
 	if *lintFlag != "on" && *lintFlag != "off" {
@@ -42,19 +44,6 @@ func main() {
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
 		fatal(err)
-	}
-	if *optimize {
-		if *modeFlag == "scalar" {
-			fatal(fmt.Errorf("-O applies only to multiscalar builds (scalar builds carry no annotations)"))
-		}
-		newSrc, plan, err := multiscalar.OptimizeSource(string(src))
-		if err != nil {
-			fatal(err)
-		}
-		if plan.Changed() {
-			fmt.Fprint(os.Stderr, plan.String())
-		}
-		src = []byte(newSrc)
 	}
 	opts := []multiscalar.AssembleOption{}
 	if *modeFlag != "scalar" {

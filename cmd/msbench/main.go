@@ -4,25 +4,24 @@
 // for in-order and out-of-order units), the Section 3 cycle-distribution
 // breakdown, and the ablation sweeps.
 //
-// The flags only select sections of one registry (internal/bench); the
-// selected sections run as one fan-out over the process's worker budget
-// (GOMAXPROCS runners, -par N), with builds, functional-oracle runs and
-// finished simulation points answered from content-keyed stores
-// (internal/job). Output is printed in registry order and is
-// byte-identical to the sequential path (-par 1).
+// Each is a section of one registry (internal/bench), picked by name with
+// -sections or all at once with -all; the selected sections run as one
+// fan-out over the process's worker budget (GOMAXPROCS runners, -par N),
+// with builds, functional-oracle runs and finished simulation points
+// answered from content-keyed stores (internal/job). Output is printed in
+// registry order and is byte-identical to the sequential path (-par 1).
 //
 // Usage:
 //
-//	msbench -table 3              one table at full benchmark scale
+//	msbench -sections table3      one table at full benchmark scale
 //	msbench -all -quick           everything at the fast test scale
-//	msbench -breakdown -units 8
-//	msbench -ablate
+//	msbench -sections breakdown,ablate
 //	msbench -all -par 1           force the sequential path
 //	msbench -all -json out.json   also write a timing/throughput report
 //	msbench -all -noskip          force the dense per-cycle simulation loop
-//	msbench -sections table3,sweep
-//	                              run an arbitrary subset of sections by name
-//	msbench -sampled -sample-gate 10
+//	msbench -sections annotate    hand vs optimizer annotations (not part
+//	                              of -all; docs/annotate.md)
+//	msbench -sections sampled -sample-gate 10
 //	                              sampled-simulation estimates vs exact long
 //	                              runs (not part of -all; docs/perf.md)
 package main
@@ -46,24 +45,35 @@ func main() {
 	// collection and write-barrier work on the 1-core CI runner.
 	debug.SetGCPercent(400)
 	var (
-		table      = flag.Int("table", 0, "print one table (1-4)")
-		all        = flag.Bool("all", false, "print every table")
-		breakdown  = flag.Bool("breakdown", false, "print the Section 3 cycle distribution")
-		ablate     = flag.Bool("ablate", false, "run the ablation sweeps")
-		annotate   = flag.Bool("annotate", false, "compare hand annotations against the optimizer's (not part of -all; see docs/annotate.md)")
-		sampled    = flag.Bool("sampled", false, "compare sampled-simulation estimates against exact long runs (not part of -all; see docs/perf.md)")
-		sampleGate = flag.Float64("sample-gate", 0, "with -sampled: exit 1 unless every workload's exact cycles land in the 95% CI and detailed cycles shrink by at least this factor")
-		sweep      = flag.Bool("sweep", false, "print speedup-vs-units curves (figure-style view)")
-		mix        = flag.Bool("mix", false, "print the dynamic instruction mix of the benchmarks")
-		units      = flag.Int("units", 8, "unit count for -breakdown")
+		all        = flag.Bool("all", false, "run every section of the paper's evaluation")
+		sections   = flag.String("sections", "", "comma-separated sections to run ("+strings.Join(bench.SectionNames(), ",")+")")
+		sampleGate = flag.Float64("sample-gate", 0, "with the sampled section: exit 1 unless every workload's exact cycles land in the 95% CI and detailed cycles shrink by at least this factor")
 		quick      = flag.Bool("quick", false, "use fast test-scale inputs")
 		par        = flag.Int("par", 0, "cap concurrent simulation jobs (default GOMAXPROCS; 1 forces the sequential path)")
 		jsonOut    = flag.String("json", "", "write a machine-readable timing/throughput report to this file (- for stdout)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		noskip     = flag.Bool("noskip", false, "disable the simulator's wakeup scheduler (dense per-cycle ticking; tables are byte-identical either way)")
-		sections   = flag.String("sections", "", "comma-separated sections to run ("+strings.Join(bench.SectionNames(), ",")+")")
 	)
 	flag.Parse()
+
+	sel, err := bench.ParseSections(*sections)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "msbench: %v\n", err)
+		os.Exit(2)
+	}
+	if *all {
+		for _, name := range bench.AllSections() {
+			sel[name] = true
+		}
+	}
+	if len(sel) == 0 {
+		flag.Usage()
+		os.Exit(2)
+	}
+	if *sampleGate != 0 && !sel["sampled"] {
+		fmt.Fprintln(os.Stderr, "msbench: -sample-gate applies only to the sampled section (-sections sampled)")
+		os.Exit(2)
+	}
 
 	if *par > 0 {
 		job.SetWorkers(*par)
@@ -76,41 +86,15 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	sel, err := bench.ParseSections(*sections)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "msbench: %v\n", err)
-		os.Exit(2)
-	}
-	for name, on := range map[string]bool{
-		"breakdown": *breakdown, "ablate": *ablate, "annotate": *annotate,
-		"sampled": *sampled, "sweep": *sweep, "mix": *mix,
-	} {
-		if on {
-			sel[name] = true
-		}
-	}
-	if *table >= 1 && *table <= 4 {
-		sel[fmt.Sprintf("table%d", *table)] = true
-	}
-	if *all {
-		for _, name := range bench.AllSections() {
-			sel[name] = true
-		}
-	}
-	if len(sel) == 0 {
-		flag.Usage()
-		os.Exit(2)
-	}
-
 	scale := bench.Scale(0)
 	if *quick {
 		scale = -1
 	}
 	report := bench.NewReport(scale)
 	report.Sections, err = bench.RunSections(sel,
-		bench.Options{Scale: scale, Units: *units, SampleGate: *sampleGate}, os.Stdout)
+		bench.Options{Scale: scale, SampleGate: *sampleGate}, os.Stdout)
 	check(err)
-	if sel["sampled"] && *sampleGate > 0 {
+	if *sampleGate > 0 {
 		fmt.Fprintf(os.Stderr, "msbench: sampled gate passed (in-CI, ≥%.1fx detail reduction)\n", *sampleGate)
 	}
 

@@ -11,10 +11,10 @@
 //	mslitmus -stress 500 -seed 1           run seeded random ARB stress programs
 //	mslitmus -replay artifact.json         re-run a dumped mismatch artifact
 //
-// Every failure report prints the seed that reproduces it; -ci rejects
-// an unseeded stress run and makes any mismatch (or missing -seed) a
-// non-zero exit. -artifacts DIR dumps each mismatch as a self-contained
-// JSON repro artifact.
+// Any mismatch is a non-zero exit, and every failure report prints the
+// seed that reproduces it: -stress always runs from -seed (its default
+// when not given), so every run replays. -artifacts DIR dumps each
+// mismatch as a self-contained JSON repro artifact.
 package main
 
 import (
@@ -35,22 +35,17 @@ func main() {
 		dump      = flag.String("dump", "", "print the generated source and outcomes for a corpus program `name`")
 		corpus    = flag.Bool("corpus", false, "run the curated corpus across the differential config matrix")
 		quick     = flag.Bool("quick", false, "with -corpus: the reduced matrix (units x policies x noskip, capacity-1 banks)")
-		stressN   = flag.Int("stress", 0, "run `n` seeded random stress programs across tiny-bank configs")
+		stressN   = flag.Int("stress", 0, "run `n` seeded random stress programs across tiny-bank configs (4,8 units x 1,2 ARB entries per bank x both overflow policies)")
 		seed      = flag.Int64("seed", 0, "generation seed for -stress (and recorded in artifacts)")
-		units     = flag.String("units", "", "with -stress: comma-separated unit counts (default 4,8)")
-		entries   = flag.String("entries", "", "with -stress: comma-separated ARB entries per bank (default 1,2)")
 		replay    = flag.String("replay", "", "replay a mismatch artifact `file`")
 		artifacts = flag.String("artifacts", "", "write mismatch artifacts into `dir`")
-		ci        = flag.Bool("ci", false, "CI mode: require an explicit -stress seed, exit non-zero on any mismatch")
 	)
 	flag.Parse()
 
-	seedSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "seed" {
-			seedSet = true
-		}
-	})
+	if *quick && !*corpus {
+		fmt.Fprintln(os.Stderr, "mslitmus: -quick applies only with -corpus")
+		os.Exit(2)
+	}
 
 	switch {
 	case *list:
@@ -60,14 +55,7 @@ func main() {
 	case *corpus:
 		os.Exit(runCorpus(*quick, *seed, *artifacts))
 	case *stressN > 0:
-		if !seedSet {
-			if *ci {
-				fmt.Fprintln(os.Stderr, "mslitmus: -ci requires an explicit -seed (unseeded stress runs are not replayable)")
-				os.Exit(2)
-			}
-			*seed = time.Now().UnixNano()
-		}
-		os.Exit(runStress(*stressN, *seed, *units, *entries, *artifacts))
+		os.Exit(runStress(*stressN, *seed, *artifacts))
 	case *replay != "":
 		os.Exit(replayArtifact(*replay))
 	default:
@@ -134,18 +122,8 @@ func runCorpus(quick bool, seed int64, artifactDir string) int {
 	return report(mms, seed, artifactDir)
 }
 
-func runStress(n int, seed int64, unitsArg, entriesArg, artifactDir string) int {
-	opts := litmus.StressOpts{Seed: seed, Programs: n}
-	var err error
-	if opts.Units, err = parseInts(unitsArg); err != nil {
-		fmt.Fprintln(os.Stderr, "mslitmus: -units:", err)
-		return 2
-	}
-	if opts.Entries, err = parseInts(entriesArg); err != nil {
-		fmt.Fprintln(os.Stderr, "mslitmus: -entries:", err)
-		return 2
-	}
-	rep, err := litmus.Stress(opts)
+func runStress(n int, seed int64, artifactDir string) int {
+	rep, err := litmus.Stress(litmus.StressOpts{Seed: seed, Programs: n})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mslitmus: stress (seed %d): %v\n", seed, err)
 		return 2
@@ -214,21 +192,6 @@ func replayArtifact(path string) int {
 	}
 	fmt.Println("did not reproduce (run now matches the recorded oracle)")
 	return 0
-}
-
-func parseInts(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 func sanitize(name string) string {

@@ -9,6 +9,10 @@
 //	mssim -f prog.s -units 1            (scalar baseline)
 //	mssim -w compress -sample           (sampled estimate with a 95% CI
 //	                                    instead of an exact run; docs/perf.md)
+//	mssim -w example -checkpoint s.snap -checkpoint-at 500
+//	mssim -w example -restore s.snap    (resume the same run from the snapshot)
+//
+// A flag the chosen mode would ignore is a usage error (exit 2).
 package main
 
 import (
@@ -58,6 +62,10 @@ func main() {
 	}
 	if *sampled {
 		refuse("-sample", "mstrc", "checkpoint", "restore", "stats")
+	}
+	if *chkAt != 0 && *chkFile == "" {
+		fmt.Fprintln(os.Stderr, "mssim: -checkpoint-at applies only with -checkpoint")
+		os.Exit(2)
 	}
 
 	if *list {

@@ -15,7 +15,6 @@ import (
 // Options is what a section reads from msbench's flags.
 type Options struct {
 	Scale      Scale
-	Units      int     // the breakdown's unit count
 	SampleGate float64 // sampled: fail unless GateSampled passes at this reduction (0 = no gate)
 }
 
@@ -46,7 +45,7 @@ var sections = []section{
 	{"table3", true, []block{perfTable(1, false), perfTable(2, false)}},
 	{"table4", true, []block{perfTable(1, true), perfTable(2, true)}},
 	{"breakdown", true, []block{func(o Options) (string, error) {
-		rows, err := Breakdown(o.Units, o.Scale)
+		rows, err := Breakdown(8, o.Scale)
 		return FormatBreakdown(rows), err
 	}}},
 	{"ablate", true, []block{

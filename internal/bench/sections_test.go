@@ -54,7 +54,7 @@ func TestSectionsMatchSequential(t *testing.T) {
 		var out strings.Builder
 		ResetMemo()
 		withWorkers(t, w, func() {
-			secs, err := RunSections(sel, Options{Scale: -1, Units: 8}, &out)
+			secs, err := RunSections(sel, Options{Scale: -1}, &out)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -15,26 +15,16 @@ import (
 // StressOpts configure a randomized ARB-capacity stress run.
 type StressOpts struct {
 	Seed     int64
-	Programs int // generated programs (seeds Seed, Seed+1, ...)
-	Units    []int
-	Entries  []int // ARB entries per bank (tiny: the point of the stressor)
-	Policies []arb.OverflowPolicy
+	Programs int // generated programs (seeds Seed, Seed+1, ...); default 100
 }
 
-func (o *StressOpts) defaults() {
-	if o.Programs <= 0 {
-		o.Programs = 100
-	}
-	if len(o.Units) == 0 {
-		o.Units = []int{4, 8}
-	}
-	if len(o.Entries) == 0 {
-		o.Entries = []int{1, 2}
-	}
-	if len(o.Policies) == 0 {
-		o.Policies = []arb.OverflowPolicy{arb.PolicyStall, arb.PolicySquash}
-	}
-}
+// The stressor's config grid: units × ARB entries per bank (tiny: the
+// point of the stressor) × overflow policies.
+var (
+	stressUnits    = [...]int{4, 8}
+	stressEntries  = [...]int{1, 2}
+	stressPolicies = [...]arb.OverflowPolicy{arb.PolicyStall, arb.PolicySquash}
+)
 
 // maxHistBanks bounds the per-bank aggregation (2× the largest unit
 // count the stressor runs).
@@ -96,7 +86,9 @@ func (s *squashSink) Emit(e trace.Event) {
 // checking every run against the generation-time oracle and folding
 // the per-bank ARB counters and squash histograms into the report.
 func Stress(opts StressOpts) (*StressReport, error) {
-	opts.defaults()
+	if opts.Programs <= 0 {
+		opts.Programs = 100
+	}
 	rep := &StressReport{Seed: opts.Seed, Programs: opts.Programs}
 	var mu sync.Mutex
 	var genErr error
@@ -112,9 +104,9 @@ func Stress(opts StressOpts) (*StressReport, error) {
 			return err
 		}
 		local := &StressReport{}
-		for _, units := range opts.Units {
-			for _, entries := range opts.Entries {
-				for _, pol := range opts.Policies {
+		for _, units := range stressUnits {
+			for _, entries := range stressEntries {
+				for _, pol := range stressPolicies {
 					e := MatrixEntry{Units: units, Policy: pol, Entries: entries}
 					stressOne(p, e, opts.Seed, local)
 				}

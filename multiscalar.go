@@ -17,12 +17,13 @@
 //     sequencer with two-level task prediction and a return address
 //     stack, register forwarding ring, Address Resolution Buffer, banked
 //     data caches, shared memory bus; the scalar baseline is its
-//     one-unit configuration. RunOption values attach an event
-//     trace (WithTrace), program input (WithStdin), bounds (WithMaxCycles,
-//     WithMaxInstrs), oracle verification (WithVerify) or checkpoint and
-//     resume (WithCheckpoint, RestoreFrom).
-//   - Workload/Workloads expose the paper's benchmark suite (Section 5.2
-//     rewritten for this ISA).
+//     one-unit configuration (Config.MaxCycles bounds it). RunOption
+//     values attach an event trace (WithTrace), program input
+//     (WithStdin), an instruction bound (WithMaxInstrs), oracle
+//     verification (WithVerify) or checkpoint and resume
+//     (WithCheckpoint, RestoreFrom).
+//   - WorkloadNames/GetWorkload expose the paper's benchmark suite
+//     (Section 5.2 rewritten for this ISA).
 //
 // See DESIGN.md for the system inventory, EXPERIMENTS.md for the
 // reproduction of Tables 2-4, and docs/tracing.md for the event tracing
@@ -39,7 +40,6 @@ import (
 	"multiscalar/internal/core"
 	"multiscalar/internal/isa"
 	"multiscalar/internal/job"
-	"multiscalar/internal/mslint"
 	"multiscalar/internal/sample"
 	"multiscalar/internal/serve"
 	"multiscalar/internal/snapshot"
@@ -50,9 +50,6 @@ import (
 
 // Program is an assembled binary image: text, data, task descriptors.
 type Program = isa.Program
-
-// TaskDescriptor describes one task (entry, create mask, targets).
-type TaskDescriptor = isa.TaskDescriptor
 
 // Config selects a machine configuration (units, issue width and order,
 // caches, ARB, ring, predictor). Zero values are not useful — start from
@@ -77,14 +74,6 @@ const (
 // PartitionOptions controls the automatic task partitioner.
 type PartitionOptions = taskpart.Options
 
-// LintReport is the outcome of checking a program against the
-// multiscalar annotation contract (Section 2.2): create-mask soundness,
-// forward/release coverage, forward-bit placement, stop/exit structure.
-type LintReport = mslint.Report
-
-// LintDiag is one finding in a LintReport.
-type LintDiag = mslint.Diag
-
 // AssembleOption configures Assemble.
 type AssembleOption func(*asm.Options)
 
@@ -97,7 +86,7 @@ func WithMode(m Mode) AssembleOption {
 
 // WithoutLint skips the annotation-contract post-pass that multiscalar
 // builds otherwise run — for programs that deliberately violate the
-// contract (tests, fuzzing) or callers that run Lint themselves.
+// contract (tests, fuzzing).
 func WithoutLint() AssembleOption {
 	return func(o *asm.Options) { o.NoLint = true }
 }
@@ -119,16 +108,6 @@ func Assemble(src string, opts ...AssembleOption) (*AssembleResult, error) {
 	return asm.AssembleOpts(src, o)
 }
 
-// Lint checks an assembled program against the annotation contract. The
-// report separates hard errors (contract violations the runtime turns
-// into wrong values or deadlocks) from warnings (legal but slow or
-// suspicious constructs). A program without task descriptors lints
-// clean. lines optionally maps instruction addresses to source lines
-// (see AssembleResult.Lines); pass nil for loaded binaries.
-func Lint(p *Program, lines map[uint32]int) *LintReport {
-	return mslint.Lint(p, lines)
-}
-
 // Partition runs the automatic task partitioner over a program that has
 // no hand annotations, filling in task descriptors and tag bits.
 func Partition(p *Program, opt PartitionOptions) error {
@@ -140,17 +119,11 @@ func Partition(p *Program, opt PartitionOptions) error {
 // create masks, forward-bit placement, release changes (docs/annotate.md).
 type AnnotatePlan = annotate.Plan
 
-// Optimize tightens a program's task annotations at the binary level:
-// create masks shrink to the flow-derived minimum (every dropped bit is
-// one ring send fewer per task execution), forward bits move to last
-// updates, dead sends are removed. The input program is not modified;
-// the optimized clone and the edit plan are returned.
-func Optimize(p *Program) (*Program, *AnnotatePlan) {
-	return annotate.Optimize(p)
-}
-
-// OptimizeSource tightens the annotations of assembly source text,
-// additionally inserting releases on flush-only paths. The rewritten
+// OptimizeSource tightens the annotations of assembly source text: create
+// masks shrink to the flow-derived minimum (every dropped bit is one ring
+// send fewer per task execution), forward bits move to last updates, dead
+// sends are removed and releases are inserted on flush-only paths. The
+// rewritten
 // source is re-assembled under the lint gate and held to the functional
 // oracle (identical output and exit code) before it is returned;
 // unchanged sources are returned as-is.
@@ -199,11 +172,6 @@ func WithTrace(sink TraceSink) RunOption {
 // slurped once and both the oracle and the timing run see the same bytes.
 func WithStdin(r io.Reader) RunOption {
 	return func(o *runOptions) { o.rt.Stdin = r }
-}
-
-// WithMaxCycles overrides Config.MaxCycles, the timing-run deadlock bound.
-func WithMaxCycles(n uint64) RunOption {
-	return func(o *runOptions) { o.spec.MaxCycles = n }
 }
 
 // WithMaxInstrs bounds functional executions — Interpret itself and the
@@ -290,8 +258,8 @@ func ScalarConfig(width int, outOfOrder bool) Config {
 // runs on a one-unit configuration — ScalarConfig is the paper's scalar
 // baseline — and a wider one refuses it. A binary with descriptors runs
 // on any unit count, one included (the single-unit ablation point).
-// Options attach a trace sink, program input, run bounds, and oracle
-// verification.
+// Options attach a trace sink, program input, an instruction bound, and
+// oracle verification; cfg.MaxCycles bounds the run.
 func Run(p *Program, cfg Config, opts ...RunOption) (*Result, error) {
 	o := gather(p, cfg, opts)
 	out, err := job.Execute(&o.spec, &o.rt)
@@ -335,7 +303,7 @@ type SampleParams = sample.Params
 type SampleEstimate = sample.Estimate
 
 // RunSampled estimates a program's cycle count by sampled simulation
-// instead of simulating every cycle. It honors WithStdin, WithMaxCycles
+// instead of simulating every cycle. It honors cfg.MaxCycles, WithStdin
 // and WithMaxInstrs; trace, checkpoint and verification options do not
 // apply (the functional pass is the run's oracle by construction).
 func RunSampled(p *Program, cfg Config, prm SampleParams, opts ...RunOption) (*SampleEstimate, error) {
@@ -367,20 +335,10 @@ func SnapshotKindName(kind uint8) string { return snapshot.KindName(kind) }
 // submission was answered from the content-addressed cache.
 type JobResult = serve.Result
 
-// JobEngine is the transport-agnostic job service interface msserve's
-// HTTP layer and SubmitJob share; NewJobEngine builds one.
-type JobEngine = serve.Engine
-
-// JobEngineOptions configures NewJobEngine.
-type JobEngineOptions = serve.Options
-
-// NewJobEngine builds a job engine: a content-addressed result cache
-// (LRU + single-flight + optional disk spill) over a fair-queued
-// executor. Most callers want SubmitJob; a daemon wants cmd/msserve.
-func NewJobEngine(o JobEngineOptions) JobEngine { return serve.NewLocal(o) }
-
-// defaultJobEngine serves SubmitJob: one process-wide in-memory engine.
-var defaultJobEngine = sync.OnceValue(func() JobEngine { return serve.NewLocal(serve.Options{}) })
+// defaultJobEngine serves SubmitJob: one process-wide in-memory engine, a
+// content-addressed result cache (LRU + single-flight) over a fair-queued
+// executor. A daemon with disk spill is cmd/msserve.
+var defaultJobEngine = sync.OnceValue(func() serve.Engine { return serve.NewLocal(serve.Options{}) })
 
 // SubmitJob runs a job on the process-wide engine. Duplicate
 // submissions — equal JobSpec keys — are answered from the cache with
@@ -427,9 +385,6 @@ func LoadProgram(r io.Reader) (*Program, error) { return isa.ReadProgram(r) }
 
 // GetWorkload returns a benchmark by name (nil if unknown).
 func GetWorkload(name string) *Workload { return workloads.Get(name) }
-
-// Workloads returns the benchmark suite in the paper's table order.
-func Workloads() []*Workload { return workloads.All() }
 
 // WorkloadNames lists the benchmark names in table order.
 func WorkloadNames() []string { return workloads.Names() }

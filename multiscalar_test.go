@@ -201,9 +201,6 @@ func TestFacadeWorkloadRegistry(t *testing.T) {
 	if multiscalar.GetWorkload("nope") != nil {
 		t.Error("unknown workload should be nil")
 	}
-	if len(multiscalar.Workloads()) != 10 {
-		t.Error("Workloads() should return the paper suite only")
-	}
 }
 
 func TestFacadeConfigDefaults(t *testing.T) {

@@ -341,7 +341,9 @@ done:
 // TestRunWithMaxCycles bounds a timing run below its cycle need.
 func TestRunWithMaxCycles(t *testing.T) {
 	prog := mustAssemble(t, apiDemo, multiscalar.ModeMultiscalar)
-	if _, err := multiscalar.Run(prog, multiscalar.DefaultConfig(4, 1, false), multiscalar.WithMaxCycles(10)); err == nil {
+	cfg := multiscalar.DefaultConfig(4, 1, false)
+	cfg.MaxCycles = 10
+	if _, err := multiscalar.Run(prog, cfg); err == nil {
 		t.Error("a 10-cycle bound should abort the run")
 	}
 }
