@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"math/bits"
 
 	"multiscalar/internal/isa"
 	"multiscalar/internal/mem"
@@ -10,14 +11,21 @@ import (
 // Warmer observes the retired instruction stream during functional
 // execution so simulation structures (caches, predictors, the task
 // sequencer's history) can be kept warm without running the timing
-// machine. Both callbacks are on the hot path: implementations must be
-// cheap and must not touch machine state. A nil Warm field costs one
-// predictable branch per instruction.
+// machine. The stream is delivered as straight-line runs: a run ends at
+// a control instruction or at one carrying a stop condition, which are
+// the only places the warm state changes other than by a memory access
+// or by entering a new cache block. Both callbacks are on the hot path:
+// implementations must be cheap and must not touch machine state. A nil
+// Warm field costs one predictable branch per run end and per access.
 type Warmer interface {
 	// Mem is called for every load and store with the effective address.
 	Mem(addr uint32, store bool)
-	// Retire is called after every instruction with its PC and the PC
-	// of the next instruction (control flow already resolved).
+	// Retire is called after the instruction that ends a run, with its
+	// PC and the PC of the next instruction (control flow already
+	// resolved). The run is every instruction from the previous call's
+	// next (or the machine's PC when the Warmer was attached) up to pc,
+	// in address order. Instructions retired since the last call, up to
+	// PC-InstrSize, are the open run, which no call reports.
 	Retire(pc, next uint32)
 }
 
@@ -79,11 +87,11 @@ func (m *Machine) steps(limit uint64) error {
 		m.uops = decodedUops(m.Prog)
 	}
 	for {
-		if m.PC < isa.TextBase || m.PC&3 != 0 {
-			return fmt.Errorf("interp: PC 0x%x outside text", m.PC)
-		}
-		idx := (m.PC - isa.TextBase) / isa.InstrSize
-		if int(idx) >= len(m.uops) {
+		// Rotating the text offset right by two turns a misaligned or
+		// below-text PC into an index past any program, so one unsigned
+		// compare rejects both as well as a PC past the text.
+		idx := bits.RotateLeft32(m.PC-isa.TextBase, -2)
+		if idx >= uint32(len(m.uops)) {
 			return fmt.Errorf("interp: PC 0x%x outside text", m.PC)
 		}
 		u := &m.uops[idx]
@@ -100,6 +108,9 @@ func (m *Machine) steps(limit uint64) error {
 			}
 			if writes {
 				m.Regs[isa.RegV0] = IntVal(ret)
+			}
+			if m.Env.Exited {
+				limit = 0 // only a syscall exits: stop after this instruction
 			}
 
 		case uLw:
@@ -306,15 +317,17 @@ func (m *Machine) steps(limit uint64) error {
 			}
 		}
 
-		if u.stop != isa.StopNone && u.stop.Holds(nextPC != m.PC+isa.InstrSize) {
-			m.TaskExits++
-		}
-		if m.Warm != nil {
-			m.Warm.Retire(m.PC, nextPC)
+		if u.runEnd {
+			if u.stop != isa.StopNone && u.stop.Holds(nextPC != m.PC+isa.InstrSize) {
+				m.TaskExits++
+			}
+			if m.Warm != nil {
+				m.Warm.Retire(m.PC, nextPC)
+			}
 		}
 		m.ICount++
 		m.PC = nextPC
-		if m.ICount >= limit || m.Env.Exited {
+		if m.ICount >= limit {
 			return nil
 		}
 	}
@@ -323,11 +336,18 @@ func (m *Machine) steps(limit uint64) error {
 // Run executes until the program exits or maxInstrs instructions have
 // retired (0 means no limit is a mistake — pass an explicit bound).
 func (m *Machine) Run(maxInstrs uint64) error {
-	for !m.Env.Exited {
-		if m.ICount >= maxInstrs {
-			return fmt.Errorf("interp: exceeded %d instructions without exiting", maxInstrs)
-		}
-		if err := m.steps(maxInstrs); err != nil {
+	if err := m.RunTo(maxInstrs); err != nil || m.Env.Exited {
+		return err
+	}
+	return fmt.Errorf("interp: exceeded %d instructions without exiting", maxInstrs)
+}
+
+// RunTo executes until the program exits or ICount reaches n, whichever
+// comes first. Unlike Run, stopping at n is not an error: it is how a
+// caller stops at an exact instruction count.
+func (m *Machine) RunTo(n uint64) error {
+	for !m.Env.Exited && m.ICount < n {
+		if err := m.steps(n); err != nil {
 			return err
 		}
 	}

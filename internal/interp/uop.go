@@ -99,7 +99,8 @@ type uop struct {
 	rt     isa.Reg
 	op     isa.Op
 	size   uint8        // memory access width in bytes
-	stop   isa.StopCond // task-exit condition (fills the struct's padding)
+	stop   isa.StopCond // task-exit condition (this and runEnd fill the struct's padding)
+	runEnd bool         // control or stop-bit instruction: it ends a straight-line run (Warmer)
 	imm    int32        // immediate / shift amount / memory offset
 	target uint32       // branch or jump target byte address
 }
@@ -145,6 +146,7 @@ func decodeInstr(in *isa.Instr) uop {
 		target: in.Target,
 		size:   uint8(in.Op.MemSize()),
 		stop:   in.Stop,
+		runEnd: in.Op.IsControl() || in.Stop != isa.StopNone,
 	}
 	// An inlined ALU or FP op writing $zero has no architectural effect
 	// beyond retiring, so it decodes to a µ-nop.

@@ -223,6 +223,33 @@ func (b *LastBlock) Moved(addr uint32) bool {
 	return true
 }
 
+// Enter is Moved for a straight-line run of instruction addresses
+// [first, last]: it calls touch once for each block the run enters,
+// other than the block remembered, in ascending order, and remembers
+// last's block. The blocks come out as Moved filters them when called
+// for every instruction of the run (a block is at least one instruction
+// wide); a run that stays in the remembered block costs two compares.
+func (b *LastBlock) Enter(first, last uint32, touch func(addr uint32)) {
+	if first-b.base < b.span && last-b.base < b.span {
+		return
+	}
+	b.enter(first, last, touch)
+}
+
+func (b *LastBlock) enter(first, last uint32, touch func(addr uint32)) {
+	var base uint32
+	if first-b.base < b.span {
+		base = b.base + b.span // the run leaves the remembered block
+	} else {
+		base = first - first%b.BlockBytes
+	}
+	for ; last-base >= b.BlockBytes; base += b.BlockBytes {
+		touch(base)
+	}
+	touch(base)
+	b.base, b.span = base, b.BlockBytes
+}
+
 // AdoptTags copies another cache's tag array into this one (same-
 // geometry caches only). The multiscalar machine's per-unit icaches
 // all see the same fetch stream during functional warming, so one

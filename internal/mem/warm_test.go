@@ -63,10 +63,12 @@ func TestBankedTouchRoutesToBank(t *testing.T) {
 
 // TestWarmTouchFilterEquivalent: functional warming puts a LastBlock
 // in front of Touch (one Touch per line entered instead of one per
-// instruction). Random fetch-like and data-like address streams must
-// leave the tag arrays byte-identical with and without it — at a capture
-// in mid-stream (the filter's memo lives across captures) and at the
-// end, for power-of-two and other geometries, single and banked.
+// instruction), address by address (Moved) and run by run (Enter).
+// Random fetch-like and data-like address streams must leave the tag
+// arrays byte-identical with and without it — at a capture in
+// mid-stream (the filter's memo lives across captures) and at the end,
+// for power-of-two and other geometries, single and banked. A run is
+// one instruction or crosses up to three block boundaries.
 func TestWarmTouchFilterEquivalent(t *testing.T) {
 	type toucher interface {
 		Touch(uint32)
@@ -90,36 +92,55 @@ func TestWarmTouchFilterEquivalent(t *testing.T) {
 		{"4 banks 512/64", 64, func() toucher { return NewBankedDCache(4, 512, 64, 0, 2, bus) }},
 		{"3 banks 480/24", 24, func() toucher { return NewBankedDCache(3, 480, 24, 0, 2, bus) }},
 	} {
-		for seed := int64(1); seed <= 4; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			plain, filtered := g.mk(), g.mk()
-			last := LastBlock{BlockBytes: uint32(g.block)}
-			addr, skipped := uint32(0x400000), 0
-			const n = 20000
-			for i := 0; i < n; i++ {
-				switch r := rng.Intn(16); {
-				case r < 11: // straight-line fetch, sequential walk
-					addr += 4
-				case r < 13: // short backward branch, same or neighbouring line
-					addr -= uint32(rng.Intn(40))
-				case r < 15: // a call, or an unrelated array
-					addr = 0x400000 + uint32(rng.Intn(1<<14))
-				default: // re-touch exactly the same address
+		for _, runs := range []bool{false, true} {
+			for seed := int64(1); seed <= 4; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				plain, filtered := g.mk(), g.mk()
+				last := LastBlock{BlockBytes: uint32(g.block)}
+				addr, touches, kept := uint32(0x400000), 0, 0
+				keep := func(a uint32) {
+					filtered.Touch(a)
+					kept++
 				}
-				plain.Touch(addr)
-				if last.Moved(addr) {
-					filtered.Touch(addr)
-				} else {
-					skipped++
-				}
-				if i == n/2 || i == n-1 {
-					if !bytes.Equal(tags(plain), tags(filtered)) {
-						t.Fatalf("%s seed %d: tag arrays differ after %d touches", g.name, seed, i+1)
+				const n = 20000
+				for i := 0; i < n; i++ {
+					switch r := rng.Intn(16); {
+					case r < 11: // straight-line fetch, sequential walk
+						addr += 4
+					case r < 13: // short backward branch, same or neighbouring line
+						addr -= uint32(rng.Intn(40))
+					case r < 15: // a call, or an unrelated array
+						addr = 0x400000 + uint32(rng.Intn(1<<14))
+					default: // re-touch exactly the same address
+					}
+					if !runs {
+						plain.Touch(addr)
+						touches++
+						if last.Moved(addr) {
+							keep(addr)
+						}
+					} else {
+						addr &^= 3
+						end := addr // a one-instruction run
+						if rng.Intn(3) > 0 {
+							end += 4 * uint32(rng.Intn(3*g.block/4+1))
+						}
+						for a := addr; a <= end; a += 4 {
+							plain.Touch(a)
+							touches++
+						}
+						last.Enter(addr, end, keep)
+						addr = end
+					}
+					if i == n/2 || i == n-1 {
+						if !bytes.Equal(tags(plain), tags(filtered)) {
+							t.Fatalf("%s runs %v seed %d: tag arrays differ after %d steps", g.name, runs, seed, i+1)
+						}
 					}
 				}
-			}
-			if skipped < n/4 {
-				t.Errorf("%s seed %d: filter skipped only %d of %d touches; the stream does not exercise it", g.name, seed, skipped, n)
+				if kept > touches*3/4 {
+					t.Errorf("%s runs %v seed %d: filter kept %d of %d touches; the stream does not exercise it", g.name, runs, seed, kept, touches)
+				}
 			}
 		}
 	}

@@ -55,6 +55,25 @@ func (b *BranchPredictor) UpdateTaken(pc uint32, taken, predicted bool) {
 	}
 }
 
+// Train is PredictTaken followed by UpdateTaken with that prediction,
+// indexing the table once: the counters, Lookups and Hits end as the
+// pair leaves them. Functional warming trains on committed outcomes
+// with it.
+func (b *BranchPredictor) Train(pc uint32, taken bool) {
+	b.Lookups++
+	c := &b.counters[b.index(pc)]
+	if (*c >= 2) == taken {
+		b.Hits++
+	}
+	if taken {
+		if *c < 3 {
+			*c++
+		}
+	} else if *c > 0 {
+		*c--
+	}
+}
+
 // PushReturn records a return address at a call inside the task.
 func (b *BranchPredictor) PushReturn(addr uint32) {
 	b.ras[b.rasTop] = addr

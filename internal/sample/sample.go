@@ -119,7 +119,7 @@ type Functional struct {
 }
 
 // instruction-kind side table, precomputed over the program text so
-// the per-instruction warming hooks do no decoding.
+// the per-run warming hook does no decoding.
 type instrKind uint8
 
 const (
@@ -169,10 +169,36 @@ type warmer struct {
 	// arrays, so a fetch or access that stays in the block last touched
 	// is skipped: one Touch per line entered, not one per instruction.
 	iLine, dLine mem.LastBlock // block sizes from the warm caches' geometry
+	iTouch       func(uint32)  // ws.ICache.Touch
+	runStart     uint32        // first instruction of the open run (interp.Warmer)
 
 	sched []uint64 // window start points, ascending
 	k     int      // captures made so far
 	win   *windows
+}
+
+// newWarmer builds the warming pass over a fresh functional machine for
+// p, capturing at the points of sched for win.
+func newWarmer(p *isa.Program, cfg core.Config, stdin []byte, sched []uint64, win *windows) *warmer {
+	wm := interp.NewMachine(p, newEnv(stdin))
+	w := &warmer{
+		m:        wm,
+		ws:       core.NewWarmState(p, cfg),
+		side:     buildSide(p),
+		prog:     p,
+		cur:      p.TaskAt(p.Entry),
+		static:   cfg.StaticPredict,
+		runStart: wm.PC,
+		sched:    sched,
+		win:      win,
+	}
+	w.iLine.BlockBytes = uint32(w.ws.ICache.BlockBytes)
+	w.dLine.BlockBytes = uint32(w.ws.DCache.Banks[0].BlockBytes)
+	w.iTouch = w.ws.ICache.Touch
+	w.ws.Env = wm.Env
+	w.ws.Mem = wm.Mem
+	wm.Warm = w
+	return w
 }
 
 func (w *warmer) Mem(addr uint32, store bool) {
@@ -181,29 +207,57 @@ func (w *warmer) Mem(addr uint32, store bool) {
 	}
 }
 
+// Retire ends a run: it fetches the run's blocks, trains the branch
+// predictor on the run's last instruction and, at a task exit, replays
+// the sequencer.
 func (w *warmer) Retire(pc, next uint32) {
-	idx := (pc - isa.TextBase) / isa.InstrSize
-	si := w.side[idx]
+	w.iLine.Enter(w.runStart, pc, w.iTouch)
+	w.runStart = next
+	si := w.side[(pc-isa.TextBase)/isa.InstrSize]
 	taken := next != pc+isa.InstrSize
-	if w.iLine.Moved(pc) {
-		w.ws.ICache.Touch(pc)
-	}
 	switch si.kind {
 	case kindCond:
-		pred := w.ws.Branch.PredictTaken(pc)
-		w.ws.Branch.UpdateTaken(pc, taken, pred)
+		w.ws.Branch.Train(pc, taken)
 	case kindJalr:
 		w.ws.Branch.UpdateIndirect(pc, next)
 	}
-	if !w.ws.Multi {
-		// A program without descriptors is one task that can start
-		// anywhere: every instruction boundary is a capture opportunity.
-		w.maybeCapture(next)
-		return
-	}
-	if si.stop.Holds(taken) {
+	if w.ws.Multi && si.stop.Holds(taken) {
 		w.boundary(next, si.kind == kindJr)
 	}
+}
+
+// flush fetches the open run, so the warm I-cache holds every
+// instruction retired so far.
+func (w *warmer) flush() {
+	if pc := w.m.PC; pc != w.runStart {
+		w.iLine.Enter(w.runStart, pc-isa.InstrSize, w.iTouch)
+		w.runStart = pc
+	}
+}
+
+// pass runs the warming pass to the program's end (or maxInstrs). A
+// program with descriptors is captured at task boundaries, from Retire.
+// One without is a single task that can start at any instruction, so
+// each of its windows starts at exactly its scheduled count: the pass
+// runs the interpreter to that count, flushes the open run and captures.
+func (w *warmer) pass(maxInstrs uint64) error {
+	for !w.ws.Multi && w.k < len(w.sched) {
+		// A capture follows at least one retirement: a schedule point 0
+		// is taken after the first instruction.
+		at := max(w.sched[w.k], w.m.ICount+1)
+		if at > maxInstrs {
+			break
+		}
+		if err := w.m.RunTo(at); err != nil {
+			return err
+		}
+		if w.m.ICount != at || w.win.failed.Load() {
+			break
+		}
+		w.flush()
+		w.capture(w.m.PC, at)
+	}
+	return w.m.Run(maxInstrs)
 }
 
 // boundary replays what the sequencer's committed path does at a task
@@ -246,12 +300,12 @@ func (w *warmer) boundary(next uint32, byRet bool) {
 	w.maybeCapture(next)
 }
 
-// maybeCapture snapshots the warm state if the next scheduled window
+// maybeCapture captures at a task boundary if the next scheduled window
 // start has been reached (at most one capture per call, so overlapping
-// schedule points yield distinct capture sites) and hands the snapshot
-// to its window. Once a window has failed the estimate is lost, so no
-// further snapshot is made; the pass itself runs on, because its own
-// errors take precedence over a window's.
+// schedule points yield distinct capture sites). Once a window has
+// failed the estimate is lost, so no further snapshot is made; the pass
+// itself runs on, because its own errors take precedence over a
+// window's.
 func (w *warmer) maybeCapture(nextPC uint32) {
 	if w.err != nil || w.k >= len(w.sched) {
 		return
@@ -260,9 +314,15 @@ func (w *warmer) maybeCapture(nextPC uint32) {
 	if done < w.sched[w.k] || w.win.failed.Load() {
 		return
 	}
-	w.ws.PC = nextPC
+	w.capture(nextPC, done)
+}
+
+// capture snapshots the warm state at the instruction boundary (pc,
+// icount) and hands the snapshot to the next window.
+func (w *warmer) capture(pc uint32, icount uint64) {
+	w.ws.PC = pc
 	w.ws.FCC = w.m.FCC
-	w.ws.ICount = done
+	w.ws.ICount = icount
 	w.ws.Regs = w.m.Regs
 	w.win.hand(w.k, w.ws.Encode())
 	w.k++
@@ -346,23 +406,9 @@ func Run(p *isa.Program, cfg core.Config, prm Params, stdin []byte, maxInstrs ui
 		results: make([]windowRes, len(sched)), errs: make([]error, len(sched))}
 	win.start(pool)
 
-	wm := interp.NewMachine(p, newEnv(stdin))
-	w := &warmer{
-		m:      wm,
-		ws:     core.NewWarmState(p, cfg),
-		side:   buildSide(p),
-		prog:   p,
-		cur:    p.TaskAt(p.Entry),
-		static: cfg.StaticPredict,
-		sched:  sched,
-		win:    win,
-	}
-	w.iLine.BlockBytes = uint32(w.ws.ICache.BlockBytes)
-	w.dLine.BlockBytes = uint32(w.ws.DCache.Banks[0].BlockBytes)
-	w.ws.Env = wm.Env
-	w.ws.Mem = wm.Mem
-	wm.Warm = w
-	err := wm.Run(maxInstrs)
+	w := newWarmer(p, cfg, stdin, sched, win)
+	wm := w.m
+	err := w.pass(maxInstrs)
 	winErr := win.finish() // on every path: no window outlives Run
 	switch {
 	case err != nil:

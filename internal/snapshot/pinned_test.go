@@ -106,41 +106,57 @@ func captureInterp(tb testing.TB, p *isa.Program, at ...uint64) [][]byte {
 }
 
 // testWarmer drives a WarmState the way the sampler's warming pass does
-// (internal/sample): every retired instruction touches the caches and
-// trains the branch predictor, every task exit trains the sequencer's
-// predictor and return stack, and a capture is encoded at the first
-// permitted point — any instruction of a program without descriptors, a
-// task boundary of one with — at or after each scheduled count.
+// (internal/sample), in its plainest form: every load and store touches
+// the D-cache; every instruction of a run touches the I-cache when the
+// run ends (interp.Warmer), or when a capture flushes the open run; the
+// run's last instruction trains the branch predictor; every task exit
+// trains the sequencer's predictor and return stack; and a capture is
+// encoded at the first permitted point — the exact count in a program
+// without descriptors, a task boundary in one with — at or after each
+// scheduled count.
 type testWarmer struct {
-	m     *interp.Machine
-	ws    *core.WarmState
-	prog  *isa.Program
-	cur   *isa.TaskDescriptor
-	at    []uint64
-	snaps [][]byte
+	m        *interp.Machine
+	ws       *core.WarmState
+	prog     *isa.Program
+	cur      *isa.TaskDescriptor
+	runStart uint32 // first instruction of the open run
+	at       []uint64
+	snaps    [][]byte
 }
 
 func (w *testWarmer) Mem(addr uint32, store bool) { w.ws.DCache.Touch(addr) }
 
 func (w *testWarmer) Retire(pc, next uint32) {
+	w.fetch(pc)
+	w.runStart = next
 	in := w.prog.InstrAt(pc)
 	taken := next != pc+isa.InstrSize
-	w.ws.ICache.Touch(pc)
 	switch {
 	case in.Op.IsBranch():
 		w.ws.Branch.UpdateTaken(pc, taken, w.ws.Branch.PredictTaken(pc))
 	case in.Op == isa.OpJalr:
 		w.ws.Branch.UpdateIndirect(pc, next)
 	}
-	if w.ws.Multi {
-		if !in.Stop.Holds(taken) {
-			return
-		}
+	if w.ws.Multi && in.Stop.Holds(taken) {
 		w.boundary(next, in.Op == isa.OpJr)
+		if len(w.snaps) < len(w.at) && w.m.ICount+1 >= w.at[len(w.snaps)] {
+			w.capture(next, w.m.ICount+1)
+		}
 	}
-	if len(w.snaps) < len(w.at) && w.m.ICount+1 >= w.at[len(w.snaps)] {
-		w.capture(next, w.m.ICount+1)
+}
+
+// fetch touches the I-cache at every instruction of the open run up to
+// last.
+func (w *testWarmer) fetch(last uint32) {
+	for a := w.runStart; a <= last; a += isa.InstrSize {
+		w.ws.ICache.Touch(a)
 	}
+}
+
+// flush fetches the whole open run before a capture.
+func (w *testWarmer) flush() {
+	w.fetch(w.m.PC - isa.InstrSize)
+	w.runStart = w.m.PC
 }
 
 func (w *testWarmer) boundary(next uint32, byRet bool) {
@@ -177,15 +193,23 @@ func (w *testWarmer) capture(pc uint32, icount uint64) {
 func captureWarm(tb testing.TB, p *isa.Program, cfg core.Config, at ...uint64) [][]byte {
 	tb.Helper()
 	m := interp.NewMachine(p, interp.NewSysEnv())
-	w := &testWarmer{m: m, ws: core.NewWarmState(p, cfg), prog: p, cur: p.TaskAt(p.Entry), at: at}
+	w := &testWarmer{m: m, ws: core.NewWarmState(p, cfg), prog: p, cur: p.TaskAt(p.Entry), runStart: m.PC, at: at}
 	w.ws.Env, w.ws.Mem = m.Env, m.Mem
 	m.Warm = w
+	for i := 0; !w.ws.Multi && i < len(at); i++ {
+		if err := m.RunTo(at[i]); err != nil || m.ICount != at[i] {
+			tb.Fatalf("warming stopped at %d instructions, not %d: %v", m.ICount, at[i], err)
+		}
+		w.flush()
+		w.capture(m.PC, at[i])
+	}
 	if err := m.Run(1 << 30); err != nil {
 		tb.Fatal(err)
 	}
 	if len(w.snaps) != len(at) {
 		tb.Fatalf("warming ended after %d of %d captures", len(w.snaps), len(at))
 	}
+	w.flush()
 	w.capture(m.PC, m.ICount)
 	return w.snaps
 }
