@@ -7,8 +7,7 @@
 // Multiscalar builds are checked against the annotation contract
 // (docs/lint.md): hard violations reject the build with one line per
 // finding, warnings are printed to stderr alongside the listing. Disable
-// with -lint off. To tighten the annotations first, run the source
-// through msannotate (msannotate -o opt.s prog.s && msas opt.s).
+// with -lint off.
 package main
 
 import (

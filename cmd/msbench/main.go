@@ -19,8 +19,6 @@
 //	msbench -all -par 1           force the sequential path
 //	msbench -all -json out.json   also write a timing/throughput report
 //	msbench -all -noskip          force the dense per-cycle simulation loop
-//	msbench -sections annotate    hand vs optimizer annotations (not part
-//	                              of -all; docs/annotate.md)
 //	msbench -sections sampled -sample-gate 10
 //	                              sampled-simulation estimates vs exact long
 //	                              runs (not part of -all; docs/perf.md)

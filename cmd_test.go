@@ -27,7 +27,7 @@ func TestCommandLine(t *testing.T) {
 	}
 	bin := t.TempDir()
 	build := exec.Command("go", "build", "-o", bin+string(filepath.Separator),
-		"./cmd/msbench", "./cmd/msannotate", "./cmd/msas", "./cmd/mssim", "./cmd/mslitmus")
+		"./cmd/msbench", "./cmd/msas", "./cmd/mssim", "./cmd/mslitmus")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
@@ -35,13 +35,6 @@ func TestCommandLine(t *testing.T) {
 	tmp := t.TempDir()
 	at := func(name string) string { return filepath.Join(tmp, name) }
 	const hist = "testdata/histogram.s"
-	src, err := os.ReadFile(hist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(at("inplace.s"), src, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	// An artifact whose recorded outcome is the oracle's: the replay
 	// runs the machine again and finds nothing to reproduce.
 	p, err := litmus.Generate(litmus.Params{Shape: "xviol"})
@@ -71,9 +64,6 @@ func TestCommandLine(t *testing.T) {
 	}{
 		// A flag the chosen mode would ignore.
 		{"msbench", []string{"-sections", "table1", "-sample-gate", "10"}, 2, "", "-sample-gate applies only to the sampled section"},
-		{"msannotate", []string{"-plan", "-w", hist}, 2, "", "-plan cannot be combined with -w"},
-		{"msannotate", []string{"-plan", "-o", at("x.s"), hist}, 2, "", "-plan cannot be combined with -o"},
-		{"msannotate", []string{"-plan", "-q", hist}, 2, "", "-plan cannot be combined with -q"},
 		{"msas", []string{"-encode", "-o", at("x.msb"), hist}, 2, "", "-encode cannot be combined with -o"},
 		{"mssim", []string{"-w", "example", "-checkpoint-at", "500"}, 2, "", "-checkpoint-at applies only with -checkpoint"},
 		{"mslitmus", []string{"-quick", "-stress", "2"}, 2, "", "-quick applies only with -corpus"},
@@ -86,6 +76,7 @@ func TestCommandLine(t *testing.T) {
 		{"msbench", []string{"-sampled"}, 2, "", undefined("sampled")},
 		{"msbench", []string{"-sweep"}, 2, "", undefined("sweep")},
 		{"msbench", []string{"-mix"}, 2, "", undefined("mix")},
+		{"msbench", []string{"-sections", "annotate"}, 2, "", "unknown section \"annotate\""},
 		{"msbench", []string{"-units", "8", "-sections", "breakdown"}, 2, "", undefined("units")},
 		{"msas", []string{"-O", hist}, 2, "", undefined("O")},
 		{"mslitmus", []string{"-ci", "-corpus"}, 2, "", undefined("ci")},
@@ -98,9 +89,6 @@ func TestCommandLine(t *testing.T) {
 		{"msas", []string{"-encode", hist}, 0, "binary encoding", ""},
 		{"msas", []string{"-lint", "off", hist}, 0, "3 tasks", ""},
 		{"msas", []string{"-o", at("h.msb"), hist}, 0, "wrote " + at("h.msb"), ""},
-		{"msannotate", []string{"-o", at("opt.s"), hist}, 0, "", "task chunk"},
-		{"msannotate", []string{"-plan", at("opt.s")}, 0, "task chunk", ""},
-		{"msannotate", []string{"-q", "-w", at("inplace.s")}, 0, "", ""},
 		{"mssim", []string{"-list"}, 0, "example", ""},
 		{"mssim", []string{"-w", "example", "-units", "0"}, 0, "instructions:", ""},
 		{"mssim", []string{"-f", at("h.msb"), "-units", "4", "-width", "2", "-ooo", "-stats", "-out"}, 0, "output: 32", ""},
@@ -137,11 +125,6 @@ func TestCommandLine(t *testing.T) {
 		if c.stderr == "" && stderr.Len() > 0 || !strings.Contains(stderr.String(), c.stderr) {
 			t.Errorf("%s: stderr %q, want %q", name, stderr.String(), c.stderr)
 		}
-	}
-	if opt, err := os.ReadFile(at("opt.s")); err != nil {
-		t.Error(err)
-	} else if inplace, _ := os.ReadFile(at("inplace.s")); !bytes.Equal(inplace, opt) {
-		t.Error("msannotate -w rewrote the file differently from msannotate -o")
 	}
 }
 

@@ -43,7 +43,7 @@ func buildOracle(w *workloads.Workload, mode asm.Mode, scale Scale) (*isa.Progra
 // given mode: the harness names its work (workload, mode, scale)
 // and leaves building, oracle verification and machine dispatch to
 // job.Execute. A transformed binary takes the spec's Workload out and
-// puts an inline Program in (ForwardingAblation, AnnotateAblation).
+// puts an inline Program in (ForwardingAblation).
 func pointSpec(w *workloads.Workload, mode asm.Mode, scale Scale) job.Spec {
 	s := *buildSpec(w, mode, scale)
 	s.Op, s.Verify = job.OpSimulate, true

@@ -16,9 +16,9 @@ import (
 // simulation"): run the suite's two longest workloads both exactly and
 // sampled at a long-run scale, and report the estimate's error, whether
 // the exact cycle count lands inside the 95% confidence interval, and
-// how many detailed cycles sampling avoided. Like -annotate, the
-// section is not part of -all so the -all output stays byte-identical
-// with the sampling engine present but unused.
+// how many detailed cycles sampling avoided. The section is not part of
+// -all so the -all output stays byte-identical with the sampling engine
+// present but unused.
 
 // sampledWorkloads names the two longest table workloads by multiscalar
 // dynamic instruction count at default scale (example ~378k, wc ~160k)

@@ -32,10 +32,8 @@ type section struct {
 // sections is the single registry of msbench sections, in display order.
 // The -sections flag help, its error message, -all, and what runs all
 // derive from it, so adding a row here is the only edit needed to make a
-// section addressable. annotate and sampled are deliberately not part of
-// -all: the -all output stays byte-identical with the annotation
-// optimizer present but unused, and sampled runs are estimates, never
-// inputs to the paper tables.
+// section addressable. sampled is deliberately not part of -all: its
+// runs are estimates, never inputs to the paper tables.
 var sections = []section{
 	{"table1", true, []block{func(Options) (string, error) { return FormatTable1(), nil }}},
 	{"table2", true, []block{func(o Options) (string, error) {
@@ -63,10 +61,6 @@ var sections = []section{
 	{"mix", true, []block{func(o Options) (string, error) {
 		rows, err := Mixes(o.Scale)
 		return FormatMixes(rows), err
-	}}},
-	{"annotate", false, []block{func(o Options) (string, error) {
-		rows, err := AnnotateAblation(o.Scale)
-		return FormatAnnotate(rows), err
 	}}},
 	{"sampled", false, []block{func(o Options) (string, error) {
 		rows, err := RunSampled(o.Scale)

@@ -7,11 +7,11 @@ import (
 )
 
 func TestParseSectionsValid(t *testing.T) {
-	sel, err := ParseSections("table2, sweep ,,annotate")
+	sel, err := ParseSections("table2, sweep ,,sampled")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sel) != 3 || !sel["table2"] || !sel["sweep"] || !sel["annotate"] {
+	if len(sel) != 3 || !sel["table2"] || !sel["sweep"] || !sel["sampled"] {
 		t.Fatalf("selection %v", sel)
 	}
 	if sel, err := ParseSections(""); err != nil || len(sel) != 0 {

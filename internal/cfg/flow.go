@@ -10,20 +10,19 @@ import (
 //   - may-write-later: can a register still be written at or after a
 //     point within the task? Its complement identifies last updates —
 //     the only places a forward bit is sound (the linter's stale-forward
-//     check) and exactly the places the optimizer auto-places them.
+//     check) and where the partitioner places them (Sends).
 //   - path-cover: on every path from the task entry to a point, has a
 //     register already been forwarded or released? The complement at an
-//     exit identifies flush-only paths (the linter's coverage check) and
-//     the frontier where the optimizer inserts releases.
+//     exit identifies flush-only paths (the linter's coverage check).
 //
 // Both are fixpoints over the region's internal edge set (exit edges
 // contribute nothing: the task has ended).
 
-// MayWriteIn computes, for each region block b, the registers that may
+// mayWriteIn computes, for each region block b, the registers that may
 // be written at or after the start of b within the task:
 // mwIn[b] = defs(b) ∪ (∪ succ mwIn) over internal edges. The fixpoint
 // runs once per region; later calls return the same map.
-func (r *TaskRegion) MayWriteIn() map[*Block]isa.RegMask {
+func (r *TaskRegion) mayWriteIn() map[*Block]isa.RegMask {
 	if r.mwIn != nil {
 		return r.mwIn
 	}
@@ -52,7 +51,7 @@ func (r *TaskRegion) MayWriteIn() map[*Block]isa.RegMask {
 // forward predicate: a forward bit or release of a register in its
 // later-set would transmit a stale value).
 func (r *TaskRegion) LaterWrites(b *Block) []isa.RegMask {
-	mwIn := r.MayWriteIn()
+	mwIn := r.mayWriteIn()
 	n := b.NumInstrs()
 	later := make([]isa.RegMask, n)
 	var tail isa.RegMask
@@ -146,8 +145,8 @@ func (r *TaskRegion) LiveOut() isa.RegMask {
 }
 
 // Sends is what the task owes its successors under Section 2.2, stated
-// once for the partitioner that writes it, the optimizer that tightens
-// toward it and the linter that checks a binary against it:
+// once for the partitioner that writes it and the linter that checks a
+// binary against it:
 //
 //   - create: the registers the task may write that are live out of it
 //     (defs ∩ LiveOut). What an indirect callee writes is unknown, so a

@@ -10,11 +10,10 @@ import (
 // into the task (the paper's suppressed functions); a call with a stop
 // bit ends the task at the callee's entry. The walk, and what the task
 // owes its successors over it (Sends), is shared by the partitioner
-// (internal/taskpart), the annotation linter (internal/mslint) and the
-// annotation optimizer (internal/annotate). Structural oddities found
-// along the way are recorded as Problems for the caller to interpret
-// (the linter turns them into diagnostics, the optimizer treats them as
-// reasons to leave a task alone).
+// (internal/taskpart), which writes annotations from it, and the
+// annotation linter (internal/mslint), which checks a binary against it.
+// Structural oddities found along the way are recorded as Problems for
+// the caller to interpret (the linter turns them into diagnostics).
 
 // ExitKind distinguishes how a stop-tagged instruction leaves the task.
 type ExitKind int
@@ -86,7 +85,7 @@ type TaskRegion struct {
 	Problems []Problem
 
 	g    *Graph
-	mwIn map[*Block]isa.RegMask // MayWriteIn's fixpoint, once computed
+	mwIn map[*Block]isa.RegMask // mayWriteIn's fixpoint, once computed
 }
 
 // Graph returns the graph the region was walked over.

@@ -40,8 +40,7 @@ type Result struct {
 	// RingSends counts register values actually placed on the forwarding
 	// ring (each create-mask register is sent at most once per task
 	// execution, by an early forward/release or by the completion flush).
-	// The annotation optimizer's figure of merit: a tighter create mask
-	// sends fewer values.
+	// A tighter create mask sends fewer values.
 	RingSends uint64
 
 	// Task prediction.

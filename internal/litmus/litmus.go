@@ -177,10 +177,10 @@ func Find(progs []*Program, name string) *Program {
 	return nil
 }
 
-// Random generates one randomized program from the seed: a straight
-//-line chain of tasks issuing loads, stores and read-modify-writes
-// over a small address pool biased toward aliasing, the layout the ARB
-// stressor feeds on. Deterministic per seed.
+// Random generates one randomized program from the seed: a
+// straight-line chain of tasks issuing loads, stores and
+// read-modify-writes over a small address pool biased toward aliasing,
+// the layout the ARB stressor feeds on. Deterministic per seed.
 func Random(seed int64) (*Program, error) {
 	return Generate(Params{Shape: "rand", Seed: seed})
 }

@@ -9,7 +9,7 @@
 // What those decisions make of each task is not restated here. Once the
 // entries are registered and the stops marked, the task is walked the way
 // a processing unit executes it (cfg.Graph.TaskRegion, the walk the linter
-// and the annotation optimizer read), and the descriptor is filled in from
+// reads too), and the descriptor is filled in from
 // that walk: the exits are the successor targets, and what the region owes
 // its successors (cfg.TaskRegion.Sends) is the create mask (dead-register
 // trimming) and the forward bits, one on every last update.

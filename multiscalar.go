@@ -35,7 +35,6 @@ import (
 	"io"
 	"sync"
 
-	"multiscalar/internal/annotate"
 	"multiscalar/internal/asm"
 	"multiscalar/internal/core"
 	"multiscalar/internal/isa"
@@ -113,22 +112,6 @@ func Assemble(src string, opts ...AssembleOption) (*AssembleResult, error) {
 func Partition(p *Program, opt PartitionOptions) error {
 	_, err := taskpart.Run(p, opt)
 	return err
-}
-
-// AnnotatePlan is the annotation optimizer's per-task edit plan: minimal
-// create masks, forward-bit placement, release changes (docs/annotate.md).
-type AnnotatePlan = annotate.Plan
-
-// OptimizeSource tightens the annotations of assembly source text: create
-// masks shrink to the flow-derived minimum (every dropped bit is one ring
-// send fewer per task execution), forward bits move to last updates, dead
-// sends are removed and releases are inserted on flush-only paths. The
-// rewritten
-// source is re-assembled under the lint gate and held to the functional
-// oracle (identical output and exit code) before it is returned;
-// unchanged sources are returned as-is.
-func OptimizeSource(src string) (string, *AnnotatePlan, error) {
-	return annotate.RewriteSource(src)
 }
 
 // InterpResult is the outcome of a functional execution.
