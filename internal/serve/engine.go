@@ -9,7 +9,10 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"sync/atomic"
 
 	"multiscalar/internal/core"
@@ -18,8 +21,13 @@ import (
 )
 
 // Result is what a job submission returns. The same key always carries
-// byte-identical payload fields; only Cached varies per retrieval (false
+// a byte-identical payload; only Cached varies per retrieval (false
 // exactly once, on the submission that executed the job).
+//
+// The submission that executed the job gets the typed payload fields. A
+// cached result — a memory or a spill hit alike — carries only Key,
+// Cached and its encoded bytes: a hit written to /v1/jobs never needs
+// more, and SubmitDecoded fills the rest for a reader that does.
 type Result struct {
 	Key    string `json:"key"`
 	Cached bool   `json:"cached"`
@@ -30,6 +38,12 @@ type Result struct {
 	Program  []byte           `json:"program,omitempty"`  // assemble jobs: .msb bytes
 	Trace    []byte           `json:"trace,omitempty"`    // .mstrc artifact
 	Snapshot []byte           `json:"snapshot,omitempty"` // finished-machine snapshot
+
+	// wire is the result's /v1/jobs response, encoded once when the job
+	// executed: the JSON with "cached":false at cachedAt(Key), and the
+	// trailing newline. It is all the cache and the spill keep, and every
+	// answer writes it.
+	wire []byte
 }
 
 // withCached returns a shallow copy with the per-retrieval flag set; the
@@ -38,6 +52,66 @@ func (r *Result) withCached(hit bool) *Result {
 	cp := *r
 	cp.Cached = hit
 	return &cp
+}
+
+// A sealed result's bytes open with its key and then the cached flag, so
+// the flag's value sits at a fixed offset.
+const keyOpen, cachedOpen = `{"key":"`, `","cached":`
+
+// cachedAt is where the cached flag's value starts in key's sealed bytes.
+func cachedAt(key string) int { return len(keyOpen) + len(key) + len(cachedOpen) }
+
+// sealedFor reports whether b opens as key's sealed bytes do.
+func sealedFor(b []byte, key string) bool {
+	return bytes.HasPrefix(b, []byte(keyOpen+key+cachedOpen+"false,"))
+}
+
+// seal encodes the freshly executed result once, as writeJSON would
+// write it, and keeps the bytes.
+func (r *Result) seal() error {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(r); err != nil {
+		return fmt.Errorf("encoding result: %w", err)
+	}
+	if !sealedFor(buf.Bytes(), r.Key) {
+		return fmt.Errorf("encoding result: key %q does not open the encoding", r.Key)
+	}
+	r.wire = buf.Bytes()
+	return nil
+}
+
+// decode fills the typed payload fields (Op, Sim, Sampled, Program,
+// Trace, Snapshot) of a cached result from the bytes it is served as.
+// On a result that already has them — the executing submission's, or
+// one decoded before — it does nothing. Cached is left as the retrieval
+// set it.
+func (r *Result) decode() error {
+	if r.Op != "" {
+		return nil
+	}
+	var typed Result
+	if err := json.Unmarshal(r.wire, &typed); err != nil {
+		return fmt.Errorf("decoding result %s: %w", r.Key, err)
+	}
+	r.Op, r.Sim, r.Sampled = typed.Op, typed.Sim, typed.Sampled
+	r.Program, r.Trace, r.Snapshot = typed.Program, typed.Trace, typed.Snapshot
+	return nil
+}
+
+// SubmitDecoded submits spec to e and returns the result with its typed
+// payload fields filled, decoding a cached result's bytes: what an
+// in-process reader of Sim, Trace and the rest calls.
+func SubmitDecoded(ctx context.Context, e Engine, client string, spec *job.Spec) (*Result, error) {
+	res, err := e.Submit(ctx, client, spec)
+	if err == nil {
+		err = res.decode()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // Metrics is the engine's counter snapshot (the /v1/metrics payload).
@@ -62,6 +136,8 @@ type Engine interface {
 	// client and returns its result. Identical specs — equal job keys —
 	// are answered from the content-addressed cache with byte-identical
 	// payloads; Result.Cached reports whether this submission executed.
+	// Only the executing submission's result has typed payload fields;
+	// a cached one is its encoded bytes (see Result, SubmitDecoded).
 	Submit(ctx context.Context, client string, spec *job.Spec) (*Result, error)
 	// Metrics snapshots the engine counters.
 	Metrics() Metrics
@@ -84,7 +160,7 @@ type Options struct {
 
 // Local is the in-process Engine implementation.
 type Local struct {
-	cache *job.Store[*Result] // canonical results by job key; Cached always false here
+	cache *job.Store[*Result] // encoded results by job key: Key and wire only
 	spill spill
 	queue *fairQueue
 
@@ -123,9 +199,11 @@ func (l *Local) Submit(ctx context.Context, client string, spec *job.Spec) (*Res
 	}
 
 	// A resident key or a coalesced duplicate is a hit; the first
-	// submission of a key runs the miss path below, single-flight.
+	// submission of a key runs the miss path below, single-flight, and
+	// keeps the typed result in ran when it executes the job.
 	fromDisk := false
-	res, hit, err := l.cache.Do(ctx, key, func() (*Result, error) {
+	var ran *Result
+	res, _, err := l.cache.Do(ctx, key, func() (*Result, error) {
 		// The spill answers before a slot is taken — restoring a result
 		// from disk is a read, not a simulation.
 		if res := l.spill.load(key); res != nil {
@@ -147,7 +225,7 @@ func (l *Local) Submit(ctx context.Context, client string, spec *job.Spec) (*Res
 			return nil, err
 		}
 		l.executed.Add(1)
-		res := &Result{
+		ran = &Result{
 			Key:      key,
 			Op:       spec.Op.String(),
 			Sim:      out.Result,
@@ -156,21 +234,26 @@ func (l *Local) Submit(ctx context.Context, client string, spec *job.Spec) (*Res
 			Trace:    out.Trace,
 			Snapshot: out.Snapshot,
 		}
-		if l.spill.store(key, res) {
+		if err := ran.seal(); err != nil {
+			return nil, err
+		}
+		if l.spill.store(ran) {
 			l.spilled.Add(1)
 		}
-		return res, nil
+		return &Result{Key: key, wire: ran.wire}, nil
 	})
 	switch {
 	case err != nil:
 		l.errs.Add(1)
 		return nil, err
+	case ran != nil:
+		return ran, nil
 	case fromDisk:
 		l.diskHits.Add(1)
-	case hit:
+	default:
 		l.hits.Add(1)
 	}
-	return res.withCached(hit || fromDisk), nil
+	return res.withCached(true), nil
 }
 
 // Metrics implements Engine.

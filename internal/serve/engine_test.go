@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -64,13 +63,8 @@ func TestConcurrentDuplicatesSingleFlight(t *testing.T) {
 			if res.Cached {
 				cachedCount.Add(1)
 			}
-			// Compare the payload without the per-retrieval flag.
-			data, err := json.Marshal(res.withCached(false))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			payloads[i] = data
+			// Compare the written payload without the per-retrieval flag.
+			payloads[i] = []byte(written(res))
 		}(i)
 	}
 	wg.Wait()
@@ -244,9 +238,7 @@ func TestDiskSpillSurvivesEvictionAndRestart(t *testing.T) {
 	if !res.Cached {
 		t.Fatal("evicted key should be answered from the spill")
 	}
-	a, _ := json.Marshal(first.withCached(false))
-	b, _ := json.Marshal(res.withCached(false))
-	if string(a) != string(b) {
+	if a, b := written(first), written(res); a != b {
 		t.Fatalf("spill round trip not byte-identical:\n%s\nvs\n%s", a, b)
 	}
 
@@ -278,7 +270,7 @@ func TestRealJobRoundTrip(t *testing.T) {
 	if first.Cached || first.Sim == nil || first.Sim.Cycles == 0 {
 		t.Fatalf("first submission: %+v", first)
 	}
-	again, err := eng.Submit(context.Background(), "t", spec)
+	again, err := SubmitDecoded(context.Background(), eng, "t", spec)
 	if err != nil {
 		t.Fatal(err)
 	}

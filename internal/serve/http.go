@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
+	"strconv"
 
 	"multiscalar/internal/asm"
 	"multiscalar/internal/core"
@@ -243,7 +245,7 @@ func NewHandler(e Engine) http.Handler {
 			httpError(w, http.StatusUnprocessableEntity, "%v", err)
 			return
 		}
-		writeJSON(w, res)
+		writeResult(w, res)
 	})
 	mux.HandleFunc("/v1/batch", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -271,7 +273,9 @@ func NewHandler(e Engine) http.Handler {
 			resp.Results[i] = jr
 			spec, err := jobs[i].Decode()
 			if err == nil {
-				jr.Result, err = e.Submit(r.Context(), client, spec)
+				// The batch response is encoded as a whole, so a cached
+				// slot needs its typed fields.
+				jr.Result, err = SubmitDecoded(r.Context(), e, client, spec)
 			}
 			if err != nil {
 				jr.Error = err.Error()
@@ -340,6 +344,26 @@ func clientID(explicit string, r *http.Request) string {
 		return r.RemoteAddr
 	}
 	return "anonymous"
+}
+
+// writeResult writes a job's response: the bytes sealed when it
+// executed, with this retrieval's cached flag in place of "false" —
+// no encoding, no copy.
+func writeResult(w http.ResponseWriter, r *Result) {
+	at := cachedAt(r.Key)
+	flag := "false"
+	if r.Cached {
+		flag = "true"
+	}
+	rest := r.wire[at+len("false"):]
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(at+len(flag)+len(rest)))
+	// The status is sent with the first write, so a failed write has no
+	// answer left to change.
+	w.Write(r.wire[:at])
+	io.WriteString(w, flag)
+	w.Write(rest)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -36,7 +36,7 @@ func TestSubmitSampled(t *testing.T) {
 		t.Errorf("result op %q, want %q", res.Op, "sampled")
 	}
 
-	again, err := eng.Submit(context.Background(), "client", spec)
+	again, err := SubmitDecoded(context.Background(), eng, "client", spec)
 	if err != nil {
 		t.Fatal(err)
 	}

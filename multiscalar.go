@@ -327,7 +327,7 @@ var defaultJobEngine = sync.OnceValue(func() serve.Engine { return serve.NewLoca
 // submissions — equal JobSpec keys — are answered from the cache with
 // byte-identical payloads and Cached set.
 func SubmitJob(ctx context.Context, spec JobSpec) (*JobResult, error) {
-	return defaultJobEngine().Submit(ctx, "local", &spec)
+	return serve.SubmitDecoded(ctx, defaultJobEngine(), "local", &spec)
 }
 
 // Event tracing (docs/tracing.md). WithTrace accepts any TraceSink: a
