@@ -66,7 +66,6 @@ func main() {
 	eng := serve.NewLocal(serve.Options{
 		CacheEntries:      *cacheN,
 		SpillDir:          *spill,
-		Workers:           *workers,
 		PerClientInFlight: *perClient,
 	})
 	srv := &http.Server{

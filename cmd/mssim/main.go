@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	"multiscalar"
+	"multiscalar/internal/job"
 	"multiscalar/internal/pu"
 )
 
@@ -76,7 +77,8 @@ func main() {
 		return
 	}
 
-	prog, err := buildProgram(*workload, *file, *scale, *units)
+	cfg, mode := job.Machine(*units, *width, *ooo)
+	prog, err := buildProgram(*workload, *file, *scale, mode)
 	if err != nil {
 		fatal(err)
 	}
@@ -98,12 +100,6 @@ func main() {
 		return
 	}
 
-	var cfg multiscalar.Config
-	if *units == 1 {
-		cfg = multiscalar.ScalarConfig(*width, *ooo)
-	} else {
-		cfg = multiscalar.DefaultConfig(*units, *width, *ooo)
-	}
 	cfg.NoSkip = *noskip
 	opts := append(runOpts, multiscalar.WithVerify())
 	if *chkFile != "" {
@@ -125,7 +121,7 @@ func main() {
 		opts = append(opts, multiscalar.RestoreFrom(snap))
 	}
 	if *sampled {
-		est, err := multiscalar.RunSampled(prog, cfg, multiscalar.SampleParams{}, runOpts...)
+		est, err := multiscalar.RunSampled(prog, cfg, runOpts...)
 		if err != nil {
 			fatal(err)
 		}
@@ -214,11 +210,7 @@ func printSampled(est *multiscalar.SampleEstimate) {
 		100*float64(est.DetailedInstrs)/float64(est.TotalInstrs))
 }
 
-func buildProgram(workload, file string, scale, units int) (*multiscalar.Program, error) {
-	mode := multiscalar.ModeMultiscalar
-	if units == 1 || units == 0 {
-		mode = multiscalar.ModeScalar
-	}
+func buildProgram(workload, file string, scale int, mode multiscalar.Mode) (*multiscalar.Program, error) {
 	if workload != "" {
 		w := multiscalar.GetWorkload(workload)
 		if w == nil {

@@ -1,7 +1,7 @@
 // mstrace renders event traces of multiscalar simulations
 // (docs/tracing.md). It reads an .mstrc file — recorded by mssim -mstrc,
 // by a NewTraceWriter passed to the facade's WithTrace, or returned as
-// the trace artifact of a job (JobSpec.WantTrace, "trace": true on
+// the trace artifact of a job (JobSpec.WantTrace, "op": "trace" on
 // msserve's wire) — and renders a per-task timeline
 // (default), one line per cycle (-cycles), a per-task/per-unit cycle
 // decomposition (-metrics), raw events (-events), or Chrome trace_event

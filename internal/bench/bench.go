@@ -91,16 +91,7 @@ type PerfRow struct {
 // runOne simulates one workload at one configuration, verifying against
 // the (memoized) oracle.
 func runOne(w *workloads.Workload, scale Scale, units, width int, ooo bool) (*core.Result, error) {
-	mode := asm.ModeMultiscalar
-	if units <= 1 {
-		mode = asm.ModeScalar
-	}
-	var cfg core.Config
-	if units <= 1 {
-		cfg = core.ScalarConfig(width, ooo)
-	} else {
-		cfg = core.DefaultConfig(units, width, ooo)
-	}
+	cfg, mode := job.Machine(units, width, ooo)
 	return runPoint(pointSpec(w, mode, scale), cfg,
 		fmt.Sprintf("%s units=%d width=%d ooo=%v", w.Name, units, width, ooo))
 }

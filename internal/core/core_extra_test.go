@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -275,6 +276,40 @@ end:
 	}
 	if _, err := m.Run(); err == nil || !strings.Contains(err.Error(), "not among its targets") {
 		t.Fatalf("expected target-validation error, got %v", err)
+	}
+}
+
+// TestValidatedNextTaskWithoutDescriptor: fn's return leads to cont,
+// which no .task declares. The linter finds only warnings (MS002, MS003,
+// MS011), so the program assembles with the gate on; the run must end in
+// a NoTaskError naming cont, not a panic, at every unit count.
+func TestValidatedNextTaskWithoutDescriptor(t *testing.T) {
+	src := `
+main:	li $t0, 1
+	jal fn !s
+cont:	li $v0, 10
+	li $a0, 0
+	syscall
+fn:	addi $t0, $t0, 1
+	jr $ra !s
+.task main targets=fn create=$t0,$ra
+.task fn targets=ret create=$t0
+`
+	prog, err := asm.Assemble(src, asm.ModeMultiscalar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cont := prog.Symbols["cont"]
+	for _, units := range []int{1, 2, 4} {
+		m, err := NewMultiscalar(prog, interp.NewSysEnv(), DefaultConfig(units, 1, false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = m.Run()
+		var nt *NoTaskError
+		if !errors.As(err, &nt) || nt.Entry != cont {
+			t.Errorf("%d units: err = %v, want a NoTaskError at cont (0x%x)", units, err, cont)
+		}
 	}
 }
 

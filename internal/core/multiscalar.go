@@ -308,7 +308,9 @@ func (m *Multiscalar) Run() (*Result, error) {
 			m.ARB.Now = m.now // the ARB has no clock of its own
 		}
 		if m.Active < m.cfg.NumUnits && !m.terminal {
-			m.assign(m.now)
+			if err := m.assign(m.now); err != nil {
+				return nil, err
+			}
 		}
 		if m.now >= m.soonest {
 			m.wakeDue()

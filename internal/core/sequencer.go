@@ -16,15 +16,15 @@ import (
 // assigned task's descriptor), fetch its descriptor through the task
 // descriptor cache, and start it on the unit after the current tail. Run
 // calls it while a unit is free and the terminal task has not been seen.
-func (m *Multiscalar) assign(now uint64) {
+func (m *Multiscalar) assign(now uint64) error {
 	// A descriptor fetch in flight?
 	if m.pending.valid {
 		if now < m.pending.ready {
-			return
+			return nil
 		}
 		m.doAssign(m.pending.entry, m.pending.desc, now)
 		m.pending.valid = false
-		return
+		return nil
 	}
 
 	var entry uint32
@@ -32,17 +32,17 @@ func (m *Multiscalar) assign(now uint64) {
 	case m.forcedValid:
 		entry = m.forced
 	case m.Active == 0:
-		return // nothing to predict from; wait for a forced target
+		return nil // nothing to predict from; wait for a forced target
 	default:
 		tail := m.UnitAt(m.Active - 1)
 		last := m.tasks[tail]
 		if last.predMade {
-			return // successor prediction already pending a bad target
+			return nil // successor prediction already pending a bad target
 		}
 		var ok bool
 		entry, ok = m.predictSuccessor(last)
 		if !ok {
-			return
+			return nil
 		}
 		if m.sink != nil {
 			m.sink.Emit(trace.Event{Cycle: now, Kind: trace.KTaskPredict, Unit: int8(tail),
@@ -54,13 +54,13 @@ func (m *Multiscalar) assign(now uint64) {
 	if desc == nil {
 		if m.forcedValid {
 			// A validated actual successor must be a task: anything else
-			// is a partitioning bug, surfaced loudly.
-			panic(fmt.Sprintf("core: validated next task 0x%x has no descriptor", entry))
+			// is a partitioning bug the program carries.
+			return &NoTaskError{Entry: entry}
 		}
 		// Mispredicted into a non-task address (stale return address):
 		// leave the slot empty; validation of the predecessor will force
 		// the correct target and squash.
-		return
+		return nil
 	}
 	ready := now
 	if desc != m.implicit { // which is not in the binary: nothing to fetch
@@ -69,9 +69,22 @@ func (m *Multiscalar) assign(now uint64) {
 	if ready > now {
 		m.pending = pendingAssign{valid: true, ready: ready, entry: entry, desc: desc}
 		m.progress = true // descriptor fetch started; nextWake watches pending.ready
-		return
+		return nil
 	}
 	m.doAssign(entry, desc, now)
+	return nil
+}
+
+// NoTaskError is a run whose validated next task is an address with no
+// task descriptor: a task's actual exit leads somewhere the program's
+// annotations never declared a task (a return to a point no .task names,
+// say). The linter reports such programs as warnings only (MS011).
+type NoTaskError struct {
+	Entry uint32 // the validated successor address
+}
+
+func (e *NoTaskError) Error() string {
+	return fmt.Sprintf("core: validated next task 0x%x has no descriptor", e.Entry)
 }
 
 // predictSuccessor chooses the next task after `last`, recording the

@@ -44,8 +44,8 @@ type SysEnv struct {
 	// In, when non-nil, backs SysReadChar. With a nil In the syscall
 	// returns end-of-input. Timing simulators replay tasks after
 	// squashes, so a determinate In (a bytes.Reader, not a terminal) is
-	// required for verification runs; the facade's WithVerify slurps the
-	// reader for exactly this reason.
+	// required; the facade's WithStdin reads its reader to bytes before
+	// the run for exactly this reason.
 	In io.Reader
 
 	heapEnd uint32

@@ -31,11 +31,6 @@ type Runtime struct {
 	// — an artifact run owns its writer.
 	Sink trace.Sink
 
-	// Stdin, when non-nil, overrides Spec.Stdin with a streaming reader
-	// (the facade's WithStdin escape hatch for os.Stdin-style sources;
-	// service requests always carry bytes in the spec so they can hash).
-	Stdin io.Reader
-
 	// Checkpoint: at the first executed cycle at or after CheckpointAt,
 	// serialize the machine and pass the bytes to CheckpointSave.
 	CheckpointAt   uint64
@@ -140,35 +135,17 @@ func Execute(s *Spec, rt *Runtime) (*Output, error) {
 		return &Output{Program: buf.Bytes()}, nil
 	}
 	if s.Op == OpSampled {
-		return executeSampled(s, rt, p)
+		return executeSampled(s, p)
 	}
 
 	cfg := s.Config
 	if rt.Sink != nil && !s.WantTrace {
 		cfg.Sink = rt.Sink
 	}
-	if s.MaxCycles > 0 {
-		cfg.MaxCycles = s.MaxCycles
-	}
-
-	stdin := rt.Stdin
-	var stdinBytes []byte
-	if stdin == nil && s.Stdin != nil {
-		stdinBytes = s.Stdin
-		stdin = bytes.NewReader(s.Stdin)
-	}
 
 	out := &Output{}
 	if s.Verify {
-		// The oracle and the timing run must read the same input, so a
-		// one-shot reader is slurped and each run gets its own view.
-		if rt.Stdin != nil {
-			if stdinBytes, err = io.ReadAll(rt.Stdin); err != nil {
-				return nil, fmt.Errorf("multiscalar: reading stdin for verification: %w", err)
-			}
-			stdin = bytes.NewReader(stdinBytes)
-		}
-		if out.Oracle, err = CachedOracle(p, stdinBytes, s.MaxInstrs); err != nil {
+		if out.Oracle, err = CachedOracle(p, s.Stdin, s.MaxInstrs); err != nil {
 			return nil, err
 		}
 	}
@@ -183,7 +160,7 @@ func Execute(s *Spec, rt *Runtime) (*Output, error) {
 	}
 
 	env := interp.NewSysEnv()
-	env.In = stdin
+	env.In = bytes.NewReader(s.Stdin)
 	m, err := core.NewMultiscalar(p, env, cfg)
 	if err != nil {
 		return nil, err
@@ -235,26 +212,13 @@ func Execute(s *Spec, rt *Runtime) (*Output, error) {
 // not interpreted again for its totals), then sample.Run warms once and
 // starts each detailed window on the worker pool as its snapshot is
 // captured — inline, with no goroutine, when the pool is one worker wide.
-// Streaming stdin is slurped first: the functional passes and every
-// window need independent views of the same bytes.
-func executeSampled(s *Spec, rt *Runtime, p *isa.Program) (*Output, error) {
-	cfg := s.Config
-	if s.MaxCycles > 0 {
-		cfg.MaxCycles = s.MaxCycles
-	}
-	stdin := s.Stdin
-	if rt.Stdin != nil {
-		b, err := io.ReadAll(rt.Stdin)
-		if err != nil {
-			return nil, fmt.Errorf("multiscalar: reading stdin for sampling: %w", err)
-		}
-		stdin = b
-	}
+// The sampling regime is derived from the run (the zero sample.Params).
+func executeSampled(s *Spec, p *isa.Program) (*Output, error) {
 	maxInstrs := s.MaxInstrs
 	if maxInstrs == 0 {
 		maxInstrs = DefaultMaxInstrs
 	}
-	o, err := CachedOracle(p, stdin, maxInstrs)
+	o, err := CachedOracle(p, s.Stdin, maxInstrs)
 	if err != nil {
 		return nil, err
 	}
@@ -263,7 +227,7 @@ func executeSampled(s *Spec, rt *Runtime, p *isa.Program) (*Output, error) {
 	if Workers() > 1 {
 		pool = RunJobs
 	}
-	est, err := sample.Run(p, cfg, s.Sample, stdin, maxInstrs, ref, pool)
+	est, err := sample.Run(p, s.Config, sample.Params{}, s.Stdin, maxInstrs, ref, pool)
 	if err != nil {
 		return nil, err
 	}

@@ -23,19 +23,18 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"math"
 
 	"multiscalar/internal/asm"
 	"multiscalar/internal/core"
 	"multiscalar/internal/isa"
-	"multiscalar/internal/sample"
 )
 
 // SpecVersion tags the canonical encoding Key hashes. Bump it whenever a
 // Spec field is added, removed, or reinterpreted, so keys from different
 // layouts can never alias. Version 2 added sampled jobs (OpSampled and
-// the Sample parameter section).
-const SpecVersion = 2
+// the Sample parameter section); version 3 dropped that section and the
+// spec's own cycle bound, which Config.MaxCycles states.
+const SpecVersion = 3
 
 // Op selects what a job does.
 type Op uint8
@@ -71,8 +70,8 @@ func (o Op) String() string {
 //
 // Spec is a value type: the fields fully determine the result, and Key
 // hashes a canonical encoding of them. Runtime attachments that do not
-// affect the result bytes — live trace sinks, checkpoint callbacks,
-// streaming stdin — ride in a Runtime instead and never enter the key.
+// affect the result bytes — live trace sinks, checkpoint callbacks — ride
+// in a Runtime instead and never enter the key.
 type Spec struct {
 	Op Op
 
@@ -84,8 +83,9 @@ type Spec struct {
 	Scale int      // workload problem scale (0 = the workload's default)
 	Mode  asm.Mode // build mode for Source/Workload jobs
 
-	// Config describes the simulated machine (OpSimulate only; its
-	// runtime-only Trace/Sink fields never reach the key).
+	// Config describes the simulated machine (OpSimulate and OpSampled;
+	// its runtime-only Sink never reaches the key). Config.MaxCycles is
+	// the run's cycle bound.
 	Config core.Config
 
 	// Stdin is the program's input stream. nil (no input) and empty
@@ -93,12 +93,7 @@ type Spec struct {
 	// contract the bench harness has always kept.
 	Stdin []byte
 
-	// Sample configures sampled jobs (OpSampled); zero fields are derived
-	// from the run (sample.Params). Ignored for other ops.
-	Sample sample.Params
-
-	// Run bounds. Zero means the Config / facade default.
-	MaxCycles uint64
+	// MaxInstrs bounds functional executions (0 = DefaultMaxInstrs).
 	MaxInstrs uint64
 
 	// Verify checks the timing run against the functional oracle.
@@ -107,6 +102,17 @@ type Spec struct {
 	// Requested artifacts.
 	WantTrace    bool // return the run's .mstrc event trace
 	WantSnapshot bool // return the finished machine's snapshot
+}
+
+// Machine is what "N units" means in the paper's experiments (Section
+// 5.1): at most one unit is the scalar baseline, ScalarConfig running the
+// scalar build; more is DefaultConfig running the annotated multiscalar
+// build. The bench harness, msserve's presets and mssim all ask it.
+func Machine(units, width int, ooo bool) (core.Config, asm.Mode) {
+	if units <= 1 {
+		return core.ScalarConfig(width, ooo), asm.ModeScalar
+	}
+	return core.DefaultConfig(units, width, ooo), asm.ModeMultiscalar
 }
 
 // Validate checks structural invariants common to every consumer.
@@ -188,18 +194,6 @@ func (s *Spec) MarshalCanonical() ([]byte, error) {
 	if cfg != nil {
 		appendBytes('C', cfg)
 	}
-	if s.Op == OpSampled {
-		// Sampling parameters change the estimate, so they are part of the
-		// job's identity (zero fields are derived deterministically from
-		// the run, so the zero Params is a stable identity too).
-		var sp [5 * 8]byte
-		binary.BigEndian.PutUint64(sp[0:], s.Sample.WindowInstrs)
-		binary.BigEndian.PutUint64(sp[8:], s.Sample.WarmupInstrs)
-		binary.BigEndian.PutUint64(sp[16:], s.Sample.PeriodInstrs)
-		binary.BigEndian.PutUint64(sp[24:], s.Sample.OffsetInstrs)
-		binary.BigEndian.PutUint64(sp[32:], math.Float64bits(s.Sample.BiasFrac))
-		appendBytes('G', sp[:])
-	}
 
 	if s.Stdin == nil {
 		buf = append(buf, 0)
@@ -207,7 +201,6 @@ func (s *Spec) MarshalCanonical() ([]byte, error) {
 		appendBytes(1, s.Stdin)
 	}
 
-	buf = binary.BigEndian.AppendUint64(buf, s.MaxCycles)
 	buf = binary.BigEndian.AppendUint64(buf, s.MaxInstrs)
 
 	var flags byte

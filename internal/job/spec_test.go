@@ -40,7 +40,7 @@ func TestKeyDeterministicAndSensitive(t *testing.T) {
 		"scale":     func(s *Spec) { s.Scale = 0 },
 		"op":        func(s *Spec) { s.Op = OpAssemble },
 		"stdin":     func(s *Spec) { s.Stdin = []byte("x") },
-		"maxcycles": func(s *Spec) { s.MaxCycles = 99 },
+		"maxcycles": func(s *Spec) { s.Config.MaxCycles = 99 },
 		"verify":    func(s *Spec) { s.Verify = true },
 		"trace":     func(s *Spec) { s.WantTrace = true },
 		"snapshot":  func(s *Spec) { s.WantSnapshot = true },

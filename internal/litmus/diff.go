@@ -5,7 +5,9 @@ import (
 
 	"multiscalar/internal/arb"
 	"multiscalar/internal/core"
+	"multiscalar/internal/interp"
 	"multiscalar/internal/job"
+	"multiscalar/internal/trace"
 )
 
 // MatrixEntry is one machine configuration of the differential matrix.
@@ -94,37 +96,38 @@ func (m *Mismatch) String() string {
 		m.Program.Name, m.Entry, m.Got, m.Program.Oracle.Out, m.Diagnosis)
 }
 
-// runOne executes one (program, entry) cell through the job.Spec path
-// and checks the result against the program's oracle. A nil return is
-// a pass.
-func runOne(p *Program, e MatrixEntry, seed int64) *Mismatch {
-	spec := &job.Spec{
-		Op:      job.OpSimulate,
-		Program: p.Prog,
-		Config:  e.Config(),
-		// Verify is off: the runner compares against the generation
-		// -time oracle itself so a divergent output is captured for
-		// classification instead of surfacing as an opaque error.
-		WantSnapshot: true,
+// runCell runs one (program, entry) cell on a directly built machine,
+// sink attached, and checks the result against the program's
+// generation-time oracle itself, so a divergent output is captured for
+// classification instead of surfacing as an opaque error. It returns the
+// machine (nil when none could be built) for the caller's statistics and
+// the mismatch (nil on a pass). Only a mismatch pays for a snapshot: the
+// machine as the run left it goes into the artifact.
+func runCell(p *Program, e MatrixEntry, seed int64, sink trace.Sink) (*core.Multiscalar, *Mismatch) {
+	cfg := e.Config()
+	cfg.Sink = sink
+	m, err := core.NewMultiscalar(p.Prog, interp.NewSysEnv(), cfg)
+	var res *core.Result
+	if err == nil {
+		res, err = m.Run()
 	}
-	out, err := job.Execute(spec, nil)
 	mm := &Mismatch{Program: p, Entry: e}
 	switch {
 	case err != nil:
 		mm.Err = err.Error()
-	case out.Result.Out == p.Oracle.Out && out.Result.Committed == p.Oracle.ICount:
-		return nil
+	case res.Out == p.Oracle.Out && res.Committed == p.Oracle.ICount:
+		return m, nil
 	default:
-		mm.Got = out.Result.Out
-		mm.Committed = out.Result.Committed
-		mm.Diagnosis = p.Classify(out.Result.Out)
+		mm.Got = res.Out
+		mm.Committed = res.Committed
+		mm.Diagnosis = p.Classify(res.Out)
 	}
 	var snap []byte
-	if out != nil {
-		snap = out.Snapshot
+	if m != nil {
+		snap, _ = m.Save()
 	}
 	mm.Artifact = NewArtifact(p, e, mm, seed, snap)
-	return mm
+	return m, mm
 }
 
 // RunDiff executes every program across every matrix entry in parallel
@@ -144,7 +147,7 @@ func RunDiff(progs []*Program, matrix []MatrixEntry, seed int64) []*Mismatch {
 	}
 	results := make([]*Mismatch, len(cells))
 	_ = job.RunJobs(len(cells), func(i int) error {
-		results[i] = runOne(cells[i].p, cells[i].e, seed)
+		_, results[i] = runCell(cells[i].p, cells[i].e, seed, nil)
 		return nil
 	})
 	var mms []*Mismatch

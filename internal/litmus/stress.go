@@ -6,8 +6,6 @@ import (
 	"sync"
 
 	"multiscalar/internal/arb"
-	"multiscalar/internal/core"
-	"multiscalar/internal/interp"
 	"multiscalar/internal/job"
 	"multiscalar/internal/trace"
 )
@@ -126,37 +124,13 @@ func Stress(opts StressOpts) (*StressReport, error) {
 	return rep, nil
 }
 
-// stressOne runs one cell on a direct machine and folds its stats into
-// the local report.
+// stressOne runs one cell and folds its mismatch, ARB counters and
+// squash histograms into the local report.
 func stressOne(p *Program, e MatrixEntry, seed int64, rep *StressReport) {
-	cfg := e.Config()
 	sink := &squashSink{}
-	cfg.Sink = sink
-	env := interp.NewSysEnv()
-	m, err := core.NewMultiscalar(p.Prog, env, cfg)
-	var res *core.Result
-	if err == nil {
-		res, err = m.Run()
-	}
+	m, mm := runCell(p, e, seed, sink)
 	rep.Runs++
-
-	mm := &Mismatch{Program: p, Entry: e}
-	switch {
-	case err != nil:
-		mm.Err = err.Error()
-	case res.Out == p.Oracle.Out && res.Committed == p.Oracle.ICount:
-		mm = nil
-	default:
-		mm.Got = res.Out
-		mm.Committed = res.Committed
-		mm.Diagnosis = p.Classify(res.Out)
-	}
 	if mm != nil {
-		var snap []byte
-		if m != nil {
-			snap, _ = m.Save()
-		}
-		mm.Artifact = NewArtifact(p, e, mm, seed, snap)
 		rep.Mismatches = append(rep.Mismatches, mm)
 	}
 	if m == nil {

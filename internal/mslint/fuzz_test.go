@@ -110,8 +110,9 @@ func FuzzLint(f *testing.F) {
 // never transmits (MS018) or one that comes late (MS019). Such a program
 // honours the contract, so the machine must run it right. Any other
 // finding breaks the contract or its structure. MS011 in particular
-// stays outside: a call with wrong return metadata can still stop the
-// sequencer on a validated next task that has no descriptor.
+// stays outside: a call with wrong return metadata can validate a next
+// task that has no descriptor, and the run ends in core.NoTaskError
+// instead of the oracle's output.
 func advisoryOnly(rep *mslint.Report) bool {
 	for _, d := range rep.Diags {
 		switch d.Code {

@@ -150,9 +150,6 @@ type Options struct {
 	// SpillDir, when set, persists every finished result to disk keyed
 	// by job hash; evicted (or post-restart) keys are answered from it.
 	SpillDir string
-	// Workers bounds concurrently executing jobs (default: the job pool
-	// width, i.e. GOMAXPROCS).
-	Workers int
 	// PerClientInFlight bounds one client's concurrently executing jobs
 	// (default 2), so a flood from one client cannot occupy every slot.
 	PerClientInFlight int
@@ -170,13 +167,12 @@ type Local struct {
 	jobs, executed, hits, diskHits, errs, spilled atomic.Uint64
 }
 
-// NewLocal builds an engine over the real executor (job.Execute).
+// NewLocal builds an engine over the real executor (job.Execute). It
+// executes at most job.Workers() jobs at once, the budget as it stands
+// when the engine is built.
 func NewLocal(o Options) *Local {
 	if o.CacheEntries <= 0 {
 		o.CacheEntries = 512
-	}
-	if o.Workers <= 0 {
-		o.Workers = job.Workers()
 	}
 	if o.PerClientInFlight <= 0 {
 		o.PerClientInFlight = 2
@@ -184,7 +180,7 @@ func NewLocal(o Options) *Local {
 	return &Local{
 		cache:  job.NewStore[*Result](o.CacheEntries),
 		spill:  spill(o.SpillDir),
-		queue:  newFairQueue(o.Workers, o.PerClientInFlight),
+		queue:  newFairQueue(job.Workers(), o.PerClientInFlight),
 		runJob: func(s *job.Spec) (*job.Output, error) { return job.Execute(s, nil) },
 	}
 }

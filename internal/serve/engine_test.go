@@ -25,6 +25,14 @@ func testEngine(o Options, fn func(*job.Spec) (*job.Output, error)) *Local {
 	return l
 }
 
+// setWorkers sets the job budget an engine built next takes its slot
+// count from, restoring it when the test ends.
+func setWorkers(t *testing.T, n int) {
+	prev := job.Workers()
+	job.SetWorkers(n)
+	t.Cleanup(func() { job.SetWorkers(prev) })
+}
+
 func simSpec(units int) *job.Spec {
 	return &job.Spec{
 		Op:       job.OpSimulate,
@@ -93,7 +101,8 @@ func TestEvictionRespectsInFlight(t *testing.T) {
 	slowGate := make(chan struct{})
 	started := make(chan struct{})
 	var once sync.Once
-	eng := testEngine(Options{CacheEntries: 1, Workers: 8, PerClientInFlight: 8},
+	setWorkers(t, 8)
+	eng := testEngine(Options{CacheEntries: 1, PerClientInFlight: 8},
 		func(s *job.Spec) (*job.Output, error) {
 			if s.Config.NumUnits == 1 { // the slow job
 				once.Do(func() { close(started) })
@@ -170,11 +179,12 @@ func TestErrorsAreNotCached(t *testing.T) {
 // TestPanickingJobIsContained pins the worker boundary: a job whose
 // execution panics fails alone. Its submission gets an error naming the
 // panic, the daemon goes on answering, its one execution slot comes back
-// (with Workers 1 a leaked slot would stall the retry until the deadline),
+// (with a budget of one worker a leaked slot would stall the retry until the deadline),
 // and nothing is cached, so the next submission of the same key runs.
 func TestPanickingJobIsContained(t *testing.T) {
 	var calls atomic.Int64
-	eng := testEngine(Options{CacheEntries: 4, Workers: 1}, func(s *job.Spec) (*job.Output, error) {
+	setWorkers(t, 1)
+	eng := testEngine(Options{CacheEntries: 4}, func(s *job.Spec) (*job.Output, error) {
 		if calls.Add(1) == 1 {
 			panic("injected fault")
 		}

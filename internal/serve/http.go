@@ -21,8 +21,8 @@ import (
 // MarshalCanonical form) or as a preset naming the paper's
 // configurations; exactly one program identity must be set.
 type WireJob struct {
-	// Op: "simulate" (default), "assemble", or "trace" — sugar for
-	// simulate with the trace artifact requested.
+	// Op: "simulate" (default), "assemble", or "trace" — simulate with
+	// the .mstrc artifact requested.
 	Op string `json:"op,omitempty"`
 
 	// Program identity (exactly one).
@@ -36,31 +36,19 @@ type WireJob struct {
 	Config json.RawMessage `json:"config,omitempty"` // canonical Config JSON
 	Preset *WirePreset     `json:"preset,omitempty"` // or a paper preset
 
-	Stdin     []byte `json:"stdin,omitempty"` // program input (base64)
-	MaxCycles uint64 `json:"max_cycles,omitempty"`
+	Stdin     []byte `json:"stdin,omitempty"`      // program input (base64)
+	MaxCycles uint64 `json:"max_cycles,omitempty"` // sets the config's max_cycles
 	MaxInstrs uint64 `json:"max_instrs,omitempty"`
 	Verify    bool   `json:"verify,omitempty"`
-	Trace     bool   `json:"trace,omitempty"`    // request the .mstrc artifact
 	Snapshot  bool   `json:"snapshot,omitempty"` // request the finished-machine snapshot
 }
 
-// WirePreset names a Section 5.1 configuration: DefaultConfig(units,
-// width, ooo), or ScalarConfig(width, ooo) when units <= 1.
+// WirePreset names a Section 5.1 configuration: job.Machine(units,
+// width, ooo).
 type WirePreset struct {
 	Units int  `json:"units"`
 	Width int  `json:"width,omitempty"` // default 1
 	OOO   bool `json:"ooo,omitempty"`
-}
-
-func (p *WirePreset) config() core.Config {
-	w := p.Width
-	if w <= 0 {
-		w = 1
-	}
-	if p.Units <= 1 {
-		return core.ScalarConfig(w, p.OOO)
-	}
-	return core.DefaultConfig(p.Units, w, p.OOO)
 }
 
 // Decode converts the wire form to the canonical job.Spec.
@@ -70,10 +58,8 @@ func (w *WireJob) Decode() (*job.Spec, error) {
 		Source:       w.Source,
 		Scale:        w.Scale,
 		Stdin:        w.Stdin,
-		MaxCycles:    w.MaxCycles,
 		MaxInstrs:    w.MaxInstrs,
 		Verify:       w.Verify,
-		WantTrace:    w.Trace,
 		WantSnapshot: w.Snapshot,
 	}
 	switch w.Op {
@@ -94,6 +80,9 @@ func (w *WireJob) Decode() (*job.Spec, error) {
 		}
 		s.Program = p
 	}
+	// An assemble job's default build is the annotated one; a simulate
+	// job's is the one its unit count runs (job.Machine).
+	mode := asm.ModeMultiscalar
 	if s.Op == job.OpSimulate {
 		switch {
 		case len(w.Config) > 0 && w.Preset != nil:
@@ -104,20 +93,18 @@ func (w *WireJob) Decode() (*job.Spec, error) {
 				return nil, err
 			}
 			s.Config = cfg
+			_, mode = job.Machine(cfg.NumUnits, 1, false)
 		case w.Preset != nil:
-			s.Config = w.Preset.config()
+			s.Config, mode = job.Machine(w.Preset.Units, max(w.Preset.Width, 1), w.Preset.OOO)
 		default:
 			return nil, errors.New("simulate jobs need a config or a preset")
+		}
+		if w.MaxCycles > 0 {
+			s.Config.MaxCycles = w.MaxCycles
 		}
 		if err := s.Config.Validate(); err != nil {
 			return nil, err
 		}
-	}
-	units := 0
-	if w.Preset != nil {
-		units = w.Preset.Units
-	} else if s.Op == job.OpSimulate {
-		units = s.Config.NumUnits
 	}
 	switch w.Mode {
 	case "scalar":
@@ -125,13 +112,7 @@ func (w *WireJob) Decode() (*job.Spec, error) {
 	case "multiscalar":
 		s.Mode = asm.ModeMultiscalar
 	case "":
-		// The mssim rule: one unit (or interpretation) gets the scalar
-		// binary, everything else the annotated multiscalar build.
-		if s.Op == job.OpSimulate && units <= 1 {
-			s.Mode = asm.ModeScalar
-		} else {
-			s.Mode = asm.ModeMultiscalar
-		}
+		s.Mode = mode
 	default:
 		return nil, fmt.Errorf("unknown mode %q (valid: scalar, multiscalar)", w.Mode)
 	}

@@ -257,3 +257,49 @@ func TestHostileConfigIsABadRequest(t *testing.T) {
 		t.Errorf("a sound job after the hostile one: status %d, body %q", rec.Code, rec.Body.String())
 	}
 }
+
+// TestOneSpellingPerInput: a job has one key however the wire spells its
+// machine. A preset with max_cycles, the full config carrying the same
+// bound, and the full default config with max_cycles beside it are one
+// run, so they are one key and one cache entry. A trace is asked for one
+// way, "op": "trace"; a "trace" field is refused, not ignored.
+func TestOneSpellingPerInput(t *testing.T) {
+	cfg := core.DefaultConfig(4, 1, false)
+	def, err := cfg.MarshalCanonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.MaxCycles = 100000
+	bounded, err := cfg.MarshalCanonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spellings := map[string]WireJob{
+		"preset + max_cycles": {Workload: "wc", Scale: -1, Preset: &WirePreset{Units: 4}, MaxCycles: 100000},
+		"config bound":        {Workload: "wc", Scale: -1, Config: bounded},
+		"config + max_cycles": {Workload: "wc", Scale: -1, Config: def, MaxCycles: 100000},
+	}
+	keys := map[string]string{}
+	for name, w := range spellings {
+		s, err := w.Decode()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if keys[name], err = s.Key(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	for name, k := range keys {
+		if want := keys["preset + max_cycles"]; k != want {
+			t.Errorf("%s: key %s, want the preset's %s", name, k, want)
+		}
+	}
+
+	h := NewHandler(NewLocal(Options{CacheEntries: 8}))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs",
+		strings.NewReader(`{"job":{"workload":"example","scale":-1,"preset":{"units":4},"trace":true}}`)))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `unknown field \"trace\"`) {
+		t.Errorf("status %d, body %q; want 400 naming the field", rec.Code, rec.Body.String())
+	}
+}

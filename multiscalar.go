@@ -31,7 +31,9 @@
 package multiscalar
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"sync"
 
@@ -130,11 +132,13 @@ const DefaultMaxInstrs uint64 = job.DefaultMaxInstrs
 // runOptions is the job the options describe: every RunOption folds into
 // either the JobSpec (the canonical, hashable request shape shared with
 // the bench harness and the msserve service) or the job Runtime (live
-// attachments — sinks, streaming readers, checkpoint callbacks — that
-// never participate in a job's identity).
+// attachments — sinks, checkpoint callbacks — that never participate in a
+// job's identity). The WithStdin reader waits in stdin until gather reads
+// it into the spec's input bytes.
 type runOptions struct {
-	spec job.Spec
-	rt   job.Runtime
+	spec  job.Spec
+	rt    job.Runtime
+	stdin io.Reader
 }
 
 // RunOption configures Run or Interpret.
@@ -150,11 +154,10 @@ func WithTrace(sink TraceSink) RunOption {
 }
 
 // WithStdin supplies the program's input stream (syscall SysReadChar).
-// Timing runs replay squashed tasks, so r should be a determinate
-// re-readable source like a bytes.Reader — with WithVerify the reader is
-// slurped once and both the oracle and the timing run see the same bytes.
+// r is read to EOF once, before the run starts; the oracle, the timing
+// run and every sampled window then read those bytes.
 func WithStdin(r io.Reader) RunOption {
-	return func(o *runOptions) { o.rt.Stdin = r }
+	return func(o *runOptions) { o.stdin = r }
 }
 
 // WithMaxInstrs bounds functional executions — Interpret itself and the
@@ -195,16 +198,24 @@ func RestoreFrom(snapshot []byte) RunOption {
 	return func(o *runOptions) { o.rt.Restore = snapshot }
 }
 
-// gather folds the options into the shared job request shape.
-func gather(p *Program, cfg Config, opts []RunOption) *runOptions {
+// gather folds the options into the shared job request shape, reading
+// the WithStdin reader into the spec's input bytes.
+func gather(p *Program, cfg Config, opts []RunOption) (*runOptions, error) {
 	o := &runOptions{}
 	for _, opt := range opts {
 		opt(o)
 	}
+	if o.stdin != nil {
+		in, err := io.ReadAll(o.stdin)
+		if err != nil {
+			return nil, fmt.Errorf("multiscalar: reading stdin: %w", err)
+		}
+		o.spec.Stdin = in
+	}
 	o.spec.Op = job.OpSimulate
 	o.spec.Program = p
 	o.spec.Config = cfg
-	return o
+	return o, nil
 }
 
 // Interpret runs a program on the functional simulator (the oracle all
@@ -212,8 +223,11 @@ func gather(p *Program, cfg Config, opts []RunOption) *runOptions {
 // WithMaxInstrs (default DefaultMaxInstrs) and ignores timing-only
 // options.
 func Interpret(p *Program, opts ...RunOption) (*InterpResult, error) {
-	o := gather(p, Config{}, opts)
-	res, err := job.RunOracle(p, o.rt.Stdin, o.spec.MaxInstrs)
+	o, err := gather(p, Config{}, opts)
+	if err != nil {
+		return nil, err
+	}
+	res, err := job.RunOracle(p, bytes.NewReader(o.spec.Stdin), o.spec.MaxInstrs)
 	if err != nil {
 		return nil, err
 	}
@@ -244,7 +258,10 @@ func ScalarConfig(width int, outOfOrder bool) Config {
 // Options attach a trace sink, program input, an instruction bound, and
 // oracle verification; cfg.MaxCycles bounds the run.
 func Run(p *Program, cfg Config, opts ...RunOption) (*Result, error) {
-	o := gather(p, cfg, opts)
+	o, err := gather(p, cfg, opts)
+	if err != nil {
+		return nil, err
+	}
 	out, err := job.Execute(&o.spec, &o.rt)
 	if err != nil {
 		return nil, err
@@ -276,23 +293,22 @@ const (
 // whole-run cycle count is extrapolated with a 95% confidence interval
 // at a fraction of the detailed-simulation cost.
 
-// SampleParams configures a sampled run's regime (window, warm-up,
-// period, offset, bias allowance). The zero value derives everything
-// from the run itself.
-type SampleParams = sample.Params
-
 // SampleEstimate is a sampled run's outcome: the extrapolated cycle
 // count, its confidence interval, and the detailed cost actually paid.
 type SampleEstimate = sample.Estimate
 
 // RunSampled estimates a program's cycle count by sampled simulation
-// instead of simulating every cycle. It honors cfg.MaxCycles, WithStdin
-// and WithMaxInstrs; trace, checkpoint and verification options do not
-// apply (the functional pass is the run's oracle by construction).
-func RunSampled(p *Program, cfg Config, prm SampleParams, opts ...RunOption) (*SampleEstimate, error) {
-	o := gather(p, cfg, opts)
+// instead of simulating every cycle. The sampling regime (window,
+// warm-up, period) is derived from the run, and the estimate reports it.
+// It honors cfg.MaxCycles, WithStdin and WithMaxInstrs; trace, checkpoint
+// and verification options do not apply (the functional pass is the
+// run's oracle by construction).
+func RunSampled(p *Program, cfg Config, opts ...RunOption) (*SampleEstimate, error) {
+	o, err := gather(p, cfg, opts)
+	if err != nil {
+		return nil, err
+	}
 	o.spec.Op = job.OpSampled
-	o.spec.Sample = prm
 	o.spec.Verify = false
 	out, err := job.Execute(&o.spec, &o.rt)
 	if err != nil {
