@@ -1,147 +1,29 @@
-// Benchmark harness: one testing.B benchmark per table and figure-class
-// result in the paper's evaluation section, plus the ablation sweeps.
-// Each benchmark regenerates its table (at the fast test scale, so `go
-// test -bench .` stays tractable) and reports the headline numbers as
-// custom metrics. Full-scale tables are produced by `go run ./cmd/msbench
-// -all`.
+// Benchmark harness: one sub-benchmark per msbench section (the paper's
+// tables, the breakdown, the ablations, the sweep, the mixes and the
+// sampled estimates), each regenerated from cold at the workloads' fast
+// test scale so `go test -bench .` stays tractable. The headline numbers
+// are msbench's tables: `go run ./cmd/msbench -all` at full scale.
 package multiscalar_test
 
 import (
+	"io"
 	"testing"
 
 	"multiscalar/internal/bench"
 )
 
-const benchScale = bench.Scale(-1) // workloads' fast test scale
-
-// BenchmarkTable2 regenerates Table 2: dynamic instruction counts of the
-// scalar vs multiscalar binaries.
-func BenchmarkTable2(b *testing.B) {
-	var rows []bench.Table2Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.Table2(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkSections times each section of the msbench registry. Every
+// iteration starts with empty build, oracle and result stores, so it
+// measures the section's simulations, not memo hits.
+func BenchmarkSections(b *testing.B) {
+	for _, name := range bench.SectionNames() {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				bench.ResetMemo()
+				if _, err := bench.RunSections(map[string]bool{name: true}, bench.Options{Scale: bench.Scale(-1)}, io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	var avg float64
-	for _, r := range rows {
-		avg += r.PctIncrease
-	}
-	b.ReportMetric(avg/float64(len(rows)), "mean-instr-increase-%")
-}
-
-func perfBench(b *testing.B, width int, ooo bool) {
-	var rows []bench.PerfRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.PerfTable(width, ooo, benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	var sp4, sp8, pred float64
-	for _, r := range rows {
-		sp4 += r.Speedup4
-		sp8 += r.Speedup8
-		pred += r.Pred8
-	}
-	n := float64(len(rows))
-	b.ReportMetric(sp4/n, "mean-speedup-4u")
-	b.ReportMetric(sp8/n, "mean-speedup-8u")
-	b.ReportMetric(pred/n, "mean-pred-%")
-}
-
-// BenchmarkTable3 regenerates Table 3 (in-order issue units).
-func BenchmarkTable3InOrder1Way(b *testing.B) { perfBench(b, 1, false) }
-func BenchmarkTable3InOrder2Way(b *testing.B) { perfBench(b, 2, false) }
-
-// BenchmarkTable4 regenerates Table 4 (out-of-order issue units).
-func BenchmarkTable4OutOfOrder1Way(b *testing.B) { perfBench(b, 1, true) }
-func BenchmarkTable4OutOfOrder2Way(b *testing.B) { perfBench(b, 2, true) }
-
-// BenchmarkBreakdown regenerates the Section 3 cycle-distribution
-// accounting at 8 units.
-func BenchmarkBreakdown(b *testing.B) {
-	var rows []bench.BreakdownRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.Breakdown(8, benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	var busy float64
-	for _, r := range rows {
-		busy += r.Compute
-	}
-	b.ReportMetric(100*busy/float64(len(rows)), "mean-compute-%")
-}
-
-// BenchmarkAblationUnits sweeps the unit count on the paper's example.
-func BenchmarkAblationUnits(b *testing.B) {
-	var rows []bench.AblationRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.UnitSweep("example", benchScale, []int{1, 2, 4, 8, 16})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows[len(rows)-1].Speedup, "speedup-16u-vs-1u")
-}
-
-// BenchmarkAblationRing sweeps the forwarding-ring hop latency.
-func BenchmarkAblationRing(b *testing.B) {
-	var rows []bench.AblationRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.RingLatencySweep("compress", benchScale, []int{0, 1, 2, 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows[len(rows)-1].Speedup, "speedup-ring4-vs-ring0")
-}
-
-// BenchmarkAblationARB sweeps ARB capacity under both overflow policies.
-func BenchmarkAblationARB(b *testing.B) {
-	var rows []bench.AblationRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.ARBSweep("tomcatv", benchScale, []int{2, 8, 256})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	_ = rows
-}
-
-// BenchmarkAblationForwarding compares forward bits + releases against
-// completion-flush-only register communication.
-func BenchmarkAblationForwarding(b *testing.B) {
-	var rows []bench.AblationRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.ForwardingAblation("wc", benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows[1].Speedup, "flush-only-relative-speed")
-}
-
-// BenchmarkAblationPredictor compares the PAs task predictor against
-// static first-target prediction.
-func BenchmarkAblationPredictor(b *testing.B) {
-	var rows []bench.AblationRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.PredictorAblation("gcc", benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows[1].Speedup, "static-relative-speed")
 }

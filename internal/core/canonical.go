@@ -9,7 +9,7 @@ import (
 // UnmarshalCanonicalConfig accepts. Bump it whenever a semantic Config
 // field is added, removed, or reinterpreted: cache keys derived from the
 // canonical encoding must never alias across meanings.
-const CanonicalConfigVersion = 1
+const CanonicalConfigVersion = 2
 
 // canonicalConfig is the wire form of a Config: the version, then every
 // semantic field under the stable name and in the order Config's own

@@ -50,11 +50,11 @@ func TestCanonicalBytesPinned(t *testing.T) {
 		want string
 	}{
 		{"DefaultConfig(8,2,true)", DefaultConfig(8, 2, true),
-			`{"v":1,"num_units":8,"issue_width":2,"out_of_order":true,"rob_size":16,"fetchq_size":8,` + latencies +
-				`,"icache_bytes":32768,"icache_block":64,"dbank_bytes":8192,"dblock_bytes":64,"dcache_hit":2,"num_mshrs":4,"arb_entries":256,"arb_policy":0,"ring_latency":1,"desc_cache_entries":1024,"static_predict":false,"shared_fp_units":0,"branch_entries":2048,"max_cycles":2000000000,"check_forwards":false,"no_skip":false}`},
+			`{"v":2,"num_units":8,"issue_width":2,"out_of_order":true,"rob_size":16,"fetchq_size":8,` + latencies +
+				`,"icache_bytes":32768,"icache_block":64,"dbank_bytes":8192,"dblock_bytes":64,"dcache_hit":2,"num_mshrs":4,"arb_entries":256,"arb_policy":0,"ring_latency":1,"desc_cache_entries":1024,"static_predict":false,"shared_fp_units":0,"branch_entries":2048,"max_cycles":2000000000,"no_skip":false}`},
 		{"ScalarConfig(1,false)", ScalarConfig(1, false),
-			`{"v":1,"num_units":1,"issue_width":1,"out_of_order":false,"rob_size":16,"fetchq_size":8,` + latencies +
-				`,"icache_bytes":32768,"icache_block":64,"dbank_bytes":65536,"dblock_bytes":64,"dcache_hit":1,"num_mshrs":4,"arb_entries":256,"arb_policy":0,"ring_latency":1,"desc_cache_entries":1024,"static_predict":false,"shared_fp_units":0,"branch_entries":2048,"max_cycles":2000000000,"check_forwards":false,"no_skip":false}`},
+			`{"v":2,"num_units":1,"issue_width":1,"out_of_order":false,"rob_size":16,"fetchq_size":8,` + latencies +
+				`,"icache_bytes":32768,"icache_block":64,"dbank_bytes":65536,"dblock_bytes":64,"dcache_hit":1,"num_mshrs":4,"arb_entries":256,"arb_policy":0,"ring_latency":1,"desc_cache_entries":1024,"static_predict":false,"shared_fp_units":0,"branch_entries":2048,"max_cycles":2000000000,"no_skip":false}`},
 	} {
 		got, err := tc.cfg.MarshalCanonical()
 		if err != nil {

@@ -64,9 +64,8 @@ type Config struct {
 	// Branch prediction within units.
 	BranchEntries int `json:"branch_entries"`
 
-	// Safety limits and debug checks.
-	MaxCycles     uint64 `json:"max_cycles"`
-	CheckForwards bool   `json:"check_forwards"` // verify forwarded values equal final task values
+	// Safety limit.
+	MaxCycles uint64 `json:"max_cycles"`
 
 	// NoSkip disables the wakeup scheduler: the timing loop ticks every
 	// unit every cycle, even through stall windows it could prove
@@ -122,10 +121,10 @@ func ScalarConfig(width int, outOfOrder bool) Config {
 // from: a geometry that would divide by zero, index an empty table,
 // allocate without bound or never start. NewMultiscalar calls it first,
 // and msserve when it decodes a job, so a hostile configuration is a
-// named error (400 at the door) instead of a panic inside the run. Zero
-// keeps its meaning where it is a default (issue_width 1, rob_size 16,
-// fetchq_size 8, branch_entries 2048) or an absence (arb_entries,
-// shared_fp_units).
+// named error (400 at the door) instead of a panic inside the run. Every
+// size is spelled out: zero is accepted only where it means an absence
+// (arb_entries, shared_fp_units), never as a second spelling of a
+// default.
 func (c Config) Validate() error {
 	const maxBytes, maxEntries = 1 << 28, 1 << 20
 	for _, f := range []struct {
@@ -134,9 +133,9 @@ func (c Config) Validate() error {
 		why       string
 	}{
 		{"num_units", c.NumUnits, 1, arb.MaxUnits, "the ARB tracks that many tasks"},
-		{"issue_width", c.IssueWidth, 0, 64, "0 selects 1"},
-		{"rob_size", c.ROBSize, 0, 1 << 16, "producer distances are 16-bit; 0 selects 16"},
-		{"fetchq_size", c.FetchQSize, 0, 1 << 16, "0 selects 8"},
+		{"issue_width", c.IssueWidth, 1, 64, "instructions issued per cycle"},
+		{"rob_size", c.ROBSize, 1, 1 << 16, "producer distances are 16-bit"},
+		{"fetchq_size", c.FetchQSize, 1, 1 << 16, "fetched instructions buffered"},
 		{"icache_block", c.ICacheBlock, 1, maxBytes, "bytes per block"},
 		{"icache_bytes", c.ICacheBytes, c.ICacheBlock, maxBytes, "at least one block"},
 		{"dblock_bytes", c.DBlockBytes, 1, maxBytes, "bytes per block"},
@@ -148,7 +147,7 @@ func (c Config) Validate() error {
 		{"ring_latency", c.RingLatency, 0, maxEntries, "cycles per hop"},
 		{"desc_cache_entries", c.DescCacheEntries, 1, maxEntries, "a descriptor fetch needs one"},
 		{"shared_fp_units", c.SharedFPUnits, 0, maxEntries, "0 keeps per-unit FUs"},
-		{"branch_entries", c.BranchEntries, 0, maxEntries, "0 selects 2048"},
+		{"branch_entries", c.BranchEntries, 1, maxEntries, "predictor entries"},
 	} {
 		if f.v < f.lo || f.v > f.hi {
 			return fmt.Errorf("core: config %s = %d: want %d to %d (%s)", f.name, f.v, f.lo, f.hi, f.why)

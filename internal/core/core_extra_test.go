@@ -10,8 +10,9 @@ import (
 )
 
 // TestCheckForwardsCatchesBadAnnotation plants a forward bit on an early
-// write (the final value differs) and expects the debug checker to
-// reject the run — the invariant that makes hand annotation safe.
+// write (the final value differs) and expects the forward check, which
+// every run makes, to reject the run — the invariant that makes hand
+// annotation safe.
 func TestCheckForwardsCatchesBadAnnotation(t *testing.T) {
 	src := `
 main:
@@ -40,7 +41,6 @@ end:
 	}
 	p := res.Prog
 	cfg := DefaultConfig(4, 1, false)
-	cfg.CheckForwards = true
 	m, err := NewMultiscalar(p, interp.NewSysEnv(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -49,6 +49,21 @@ end:
 	if err == nil || !strings.Contains(err.Error(), "stale") {
 		t.Fatalf("expected stale-forward error, got %v", err)
 	}
+}
+
+// TestForwardedNaNIsNotStale: the forward check compares bit patterns,
+// so a register forwarded as NaN and still NaN at task end is the value
+// that was sent (NaN != NaN as a float).
+func TestForwardedNaNIsNotStale(t *testing.T) {
+	runMS(t, `
+main:	mtc1 $f0, $zero
+	div.d $f2, $f0, $f0 !f
+	j next !s
+next:	mfc1 $t0, $f2
+`+exitSeq+`
+	.task main targets=next create=$f2
+	.task next
+`, 2, 1, false)
 }
 
 // TestStaticPredictionStillCorrect: turning the predictor off must never

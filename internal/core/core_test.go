@@ -65,7 +65,6 @@ func runMS(t *testing.T, src string, units, width int, ooo bool) *Result {
 	om, oenv := oracle(t, p)
 	env := interp.NewSysEnv()
 	cfg := DefaultConfig(units, width, ooo)
-	cfg.CheckForwards = true
 	cfg.MaxCycles = 50_000_000
 	m, err := NewMultiscalar(p, env, cfg)
 	if err != nil {

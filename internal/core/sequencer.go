@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"multiscalar/internal/arb"
@@ -273,7 +274,9 @@ func (m *Multiscalar) forward(p int, now uint64, r isa.Reg, v interp.Value) {
 // wait for any register an earlier task said it might produce, so
 // remaining reservations must be cleared). Registers still awaiting a
 // predecessor value retry next cycle. Returns true when all create-mask
-// registers have been sent.
+// registers have been sent. A register the task already forwarded must
+// hold the value it sent (a forward bit on a write that is not the last
+// one is an error, not a result).
 func (m *Multiscalar) tryFlush(unit int, now uint64) (bool, error) {
 	rf := m.rfs[unit]
 	ts := m.tasks[unit]
@@ -282,11 +285,9 @@ func (m *Multiscalar) tryFlush(unit int, now uint64) (bool, error) {
 	for bm := ts.desc.Create; bm != 0; bm &= bm - 1 { // bit loop: see rebuildRegs
 		r := isa.Reg(bits.TrailingZeros64(uint64(bm)))
 		if rf.Sent.Has(r) {
-			if m.cfg.CheckForwards && err == nil {
-				if sv := ts.sentVals[r]; sv.val != rf.Vals[r] && !rf.Pending.Has(r) {
-					err = fmt.Errorf("core: task %s forwarded stale %v: sent %v, final %v",
-						ts.desc.Name, r, sv.val, rf.Vals[r])
-				}
+			if err == nil && !rf.Pending.Has(r) && !sameBits(ts.sentVals[r].val, rf.Vals[r]) {
+				err = fmt.Errorf("core: task %s forwarded stale %v: sent %v, final %v",
+					ts.desc.Name, r, ts.sentVals[r].val, rf.Vals[r])
 			}
 			continue
 		}
@@ -297,6 +298,12 @@ func (m *Multiscalar) tryFlush(unit int, now uint64) (bool, error) {
 		m.forward(unit, now, r, rf.Vals[r])
 	}
 	return all, err
+}
+
+// sameBits reports whether two register values are bit for bit the
+// same: a forwarded NaN is the value it was, and -0 is not +0.
+func sameBits(a, b interp.Value) bool {
+	return a.I == b.I && math.Float64bits(a.F) == math.Float64bits(b.F)
 }
 
 // retire validates and retires the head task when it is complete

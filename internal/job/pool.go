@@ -11,9 +11,9 @@ import (
 )
 
 // The one fan-out primitive: the bench harness's sections and points,
-// msserve's batches, the litmus matrix and a sampled job's windows all
-// fan out through RunJobs, and every call in the process draws on one
-// budget of Workers() runners.
+// the litmus matrix and a sampled job's windows all fan out through
+// RunJobs, and every call in the process draws on one budget of
+// Workers() runners.
 //
 // The rule: the goroutine that calls RunJobs is a runner. It claims and
 // runs the call's jobs itself, and on entry recruits a helper for each

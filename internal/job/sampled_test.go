@@ -86,8 +86,8 @@ func TestExecuteSampled(t *testing.T) {
 }
 
 // TestSampledBatchUnderBudget: a fan-out of sampled jobs whose windows
-// fan out again, on a two-runner budget, finishes — the shape a served
-// /v1/batch of sampled jobs has, and the one a blocking process-wide
+// fan out again, on a two-runner budget, finishes — the shape a bench
+// section of sampled rows has, and the one a blocking process-wide
 // bound deadlocked on (outer runners held while their windows waited for
 // runners). Sampling schedules its windows before it starts, so the
 // estimates equal the same jobs run one at a time.

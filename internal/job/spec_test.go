@@ -94,8 +94,10 @@ func TestValidate(t *testing.T) {
 
 // TestHostileConfigsRefused runs machine geometries that used to panic
 // inside core.NewMultiscalar (negative window, zero-byte banks, zero-byte
-// blocks, no MSHRs), burn MaxCycles (no units) or be silently clamped (a
-// window past the 16-bit producer distance): each is a named error from
+// blocks, no MSHRs), burn MaxCycles (no units), be silently clamped (a
+// window past the 16-bit producer distance) or be a second spelling of a
+// default (a zero width, window, fetch queue or predictor, which ran as
+// 1, 16, 8 and 2048 under another key): each is a named error from
 // Execute, and the next job still runs.
 func TestHostileConfigsRefused(t *testing.T) {
 	for name, edit := range map[string]func(*core.Config){
@@ -113,6 +115,10 @@ func TestHostileConfigsRefused(t *testing.T) {
 		"branch_entries":     func(c *core.Config) { c.BranchEntries = -8 },
 		"arb_policy":         func(c *core.Config) { c.ARBPolicy = 7 },
 		"ring_latency":       func(c *core.Config) { c.RingLatency = -1 },
+		"issue_width = 0":    func(c *core.Config) { c.IssueWidth = 0 },
+		"rob_size = 0":       func(c *core.Config) { c.ROBSize = 0 },
+		"fetchq_size = 0":    func(c *core.Config) { c.FetchQSize = 0 },
+		"branch_entries = 0": func(c *core.Config) { c.BranchEntries = 0 },
 	} {
 		t.Run(name, func(t *testing.T) {
 			s := baseSpec()

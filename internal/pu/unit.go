@@ -215,18 +215,6 @@ type Unit struct {
 
 // New builds a unit over a program image.
 func New(id int, cfg Config, prog *isa.Program, ext Ext) *Unit {
-	if cfg.IssueWidth < 1 {
-		cfg.IssueWidth = 1
-	}
-	if cfg.ROBSize == 0 {
-		cfg.ROBSize = 16
-	}
-	if cfg.FetchQSize == 0 {
-		cfg.FetchQSize = 8
-	}
-	if cfg.BranchEntries == 0 {
-		cfg.BranchEntries = 2048
-	}
 	u := &Unit{
 		ID:   id,
 		bit:  1 << uint(id),

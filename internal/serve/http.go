@@ -128,81 +128,9 @@ type SubmitRequest struct {
 	Job    WireJob `json:"job"`
 }
 
-// BatchRequest is the POST /v1/batch body: an explicit job list, a sweep
-// (one base job expanded over unit/width/order axes — one request, a
-// whole config sweep), or both.
-type BatchRequest struct {
-	Client string      `json:"client,omitempty"`
-	Jobs   []WireJob   `json:"jobs,omitempty"`
-	Sweep  *BatchSweep `json:"sweep,omitempty"`
-}
-
-// BatchSweep expands Base over the cross product of the axes. Empty axes
-// default to the base preset's value (or units=8, width=1, in-order).
-type BatchSweep struct {
-	Base   WireJob `json:"base"`
-	Units  []int   `json:"units,omitempty"`
-	Widths []int   `json:"widths,omitempty"`
-	OOO    []bool  `json:"ooo,omitempty"`
-}
-
-// Expand returns the sweep's job list.
-func (s *BatchSweep) Expand() []WireJob {
-	units, widths, ooo := s.Units, s.Widths, s.OOO
-	base := s.Base
-	bp := WirePreset{Units: 8, Width: 1}
-	if base.Preset != nil {
-		bp = *base.Preset
-	}
-	if len(units) == 0 {
-		units = []int{bp.Units}
-	}
-	if len(widths) == 0 {
-		w := bp.Width
-		if w <= 0 {
-			w = 1
-		}
-		widths = []int{w}
-	}
-	if len(ooo) == 0 {
-		ooo = []bool{bp.OOO}
-	}
-	var jobs []WireJob
-	for _, u := range units {
-		for _, w := range widths {
-			for _, o := range ooo {
-				j := base
-				j.Config = nil
-				j.Preset = &WirePreset{Units: u, Width: w, OOO: o}
-				jobs = append(jobs, j)
-			}
-		}
-	}
-	return jobs
-}
-
-// JobResponse is one job's slot in a batch response.
-type JobResponse struct {
-	Index  int     `json:"index"`
-	Error  string  `json:"error,omitempty"`
-	Result *Result `json:"result,omitempty"`
-}
-
-// BatchResponse summarizes a batch submission. Cached counts jobs
-// answered without a new execution (memory, disk, or a flight another
-// submission started); Executed is the rest.
-type BatchResponse struct {
-	Count    int            `json:"count"`
-	Cached   int            `json:"cached"`
-	Executed int            `json:"executed"`
-	Errors   int            `json:"errors"`
-	Results  []*JobResponse `json:"results"`
-}
-
 // NewHandler wraps an Engine in the HTTP/JSON API:
 //
 //	POST /v1/jobs     one job            (SubmitRequest -> Result)
-//	POST /v1/batch    a job list/sweep   (BatchRequest -> BatchResponse)
 //	GET  /v1/metrics  engine counters    (Metrics)
 //	GET  /healthz     liveness
 func NewHandler(e Engine) http.Handler {
@@ -228,53 +156,6 @@ func NewHandler(e Engine) http.Handler {
 		}
 		writeResult(w, res)
 	})
-	mux.HandleFunc("/v1/batch", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, "POST only")
-			return
-		}
-		var req BatchRequest
-		if !decodeBody(w, r, &req) {
-			return
-		}
-		jobs := req.Jobs
-		if req.Sweep != nil {
-			jobs = append(jobs, req.Sweep.Expand()...)
-		}
-		if len(jobs) == 0 {
-			httpError(w, http.StatusBadRequest, "empty batch: give jobs, a sweep, or both")
-			return
-		}
-		client := clientID(req.Client, r)
-		resp := &BatchResponse{Count: len(jobs), Results: make([]*JobResponse, len(jobs))}
-		// One batch = one fan-out over the harness worker pool; per-job
-		// failures land in their slot instead of aborting the batch.
-		_ = job.RunJobs(len(jobs), func(i int) error {
-			jr := &JobResponse{Index: i}
-			resp.Results[i] = jr
-			spec, err := jobs[i].Decode()
-			if err == nil {
-				// The batch response is encoded as a whole, so a cached
-				// slot needs its typed fields.
-				jr.Result, err = SubmitDecoded(r.Context(), e, client, spec)
-			}
-			if err != nil {
-				jr.Error = err.Error()
-			}
-			return nil
-		})
-		for _, jr := range resp.Results {
-			switch {
-			case jr.Error != "":
-				resp.Errors++
-			case jr.Result.Cached:
-				resp.Cached++
-			default:
-				resp.Executed++
-			}
-		}
-		writeJSON(w, resp)
-	})
 	mux.HandleFunc("/v1/metrics", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, e.Metrics())
 	})
@@ -287,9 +168,8 @@ func NewHandler(e Engine) http.Handler {
 
 // maxRequestBytes bounds a request body. The largest single job in the
 // repository is an inline source at 16x table scale (cmp, 2.6 MB; the
-// largest inline .msb is 0.7 MB in base64) and the benchmark's and the
-// tests' batches are sweeps of a few hundred bytes, so this is an order
-// of magnitude of margin and still a small fraction of a daemon's memory.
+// largest inline .msb is 0.7 MB in base64), so this is an order of
+// magnitude of margin and still a small fraction of a daemon's memory.
 const maxRequestBytes = 32 << 20
 
 // decodeBody decodes a request's JSON body into v, reading at most

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -34,73 +35,69 @@ func decode[T any](t *testing.T, resp *http.Response) *T {
 	return &v
 }
 
-// TestBatchSweepRepeatFullyCached is the acceptance path end to end: a
-// batch sweep submitted twice over HTTP. The second submission must
-// report every job cached — zero new simulations — with result payloads
-// byte-identical to the first run.
-func TestBatchSweepRepeatFullyCached(t *testing.T) {
+// TestSweepRepeatFullyCached is the acceptance path end to end: a
+// config sweep, one POST /v1/jobs per configuration, submitted twice.
+// The second pass must be answered wholly from the cache — zero new
+// simulations — with bytes equal to the first pass but for the cached
+// flag.
+func TestSweepRepeatFullyCached(t *testing.T) {
 	eng := NewLocal(Options{CacheEntries: 64})
 	srv := httptest.NewServer(NewHandler(eng))
 	defer srv.Close()
 
-	req := BatchRequest{
-		Client: "itest",
-		Sweep: &BatchSweep{
-			Base:  WireJob{Workload: "example", Scale: -1, Verify: true},
-			Units: []int{1, 2, 4},
-		},
-	}
-	marshalResults := func(b *BatchResponse) []string {
-		out := make([]string, len(b.Results))
-		for i, jr := range b.Results {
-			if jr.Error != "" {
-				t.Fatalf("job %d failed: %s", i, jr.Error)
+	units := []int{1, 2, 4}
+	pass := func() [][]byte {
+		out := make([][]byte, len(units))
+		for i, u := range units {
+			resp := postJSON(t, srv, "/v1/jobs", SubmitRequest{
+				Client: "itest",
+				Job:    WireJob{Workload: "example", Scale: -1, Verify: true, Preset: &WirePreset{Units: u}},
+			})
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("%d units: status %d, err %v: %s", u, resp.StatusCode, err, body)
 			}
-			data, err := json.Marshal(jr.Result.withCached(false))
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[i] = string(data)
+			out[i] = body
 		}
 		return out
 	}
 
-	resp1 := decode[BatchResponse](t, postJSON(t, srv, "/v1/batch", req))
-	if resp1.Count != 3 || resp1.Errors != 0 || resp1.Executed != 3 || resp1.Cached != 0 {
-		t.Fatalf("first submission: %+v", resp1)
+	first := pass()
+	for i, b := range first {
+		if !bytes.Contains(b, []byte(`"cached":false,`)) {
+			t.Fatalf("%d units: first submission not executed: %.200s", units[i], b)
+		}
 	}
-	first := marshalResults(resp1)
-
 	executedBefore := eng.Metrics().Executed
-	resp2 := decode[BatchResponse](t, postJSON(t, srv, "/v1/batch", req))
-	if resp2.Count != 3 || resp2.Cached != 3 || resp2.Executed != 0 || resp2.Errors != 0 {
-		t.Fatalf("repeat submission not fully cached: %+v", resp2)
+	if executedBefore != uint64(len(units)) {
+		t.Fatalf("first pass executed %d jobs, want %d", executedBefore, len(units))
+	}
+	for i, b := range pass() {
+		if !bytes.Contains(b, []byte(`"cached":true,`)) {
+			t.Fatalf("%d units: repeat submission not cached: %.200s", units[i], b)
+		}
+		if !bytes.Equal(uncached(b), first[i]) {
+			t.Fatalf("%d units: repeat payload differs: %s", units[i], firstDiff(uncached(b), first[i]))
+		}
 	}
 	if got := eng.Metrics().Executed; got != executedBefore {
 		t.Fatalf("repeat submission ran %d new simulations", got-executedBefore)
 	}
-	for i, payload := range marshalResults(resp2) {
-		if payload != first[i] {
-			t.Fatalf("job %d: repeat payload differs:\n%s\nvs\n%s", i, payload, first[i])
-		}
-	}
 
 	// The scalar baseline point really took the scalar path and the
 	// multiscalar points sped up over it.
-	var r1, r4 struct{ Cycles uint64 }
-	pick := func(i int, into *struct{ Cycles uint64 }) {
+	cycles := func(b []byte) uint64 {
 		var w struct {
 			Sim struct{ Cycles uint64 } `json:"sim"`
 		}
-		if err := json.Unmarshal([]byte(first[i]), &w); err != nil {
+		if err := json.Unmarshal(b, &w); err != nil {
 			t.Fatal(err)
 		}
-		into.Cycles = w.Sim.Cycles
+		return w.Sim.Cycles
 	}
-	pick(0, &r1)
-	pick(2, &r4)
-	if r1.Cycles == 0 || r4.Cycles == 0 || r4.Cycles >= r1.Cycles {
-		t.Fatalf("sweep results implausible: scalar=%d cycles, 4 units=%d cycles", r1.Cycles, r4.Cycles)
+	if c1, c4 := cycles(first[0]), cycles(first[2]); c1 == 0 || c4 == 0 || c4 >= c1 {
+		t.Fatalf("sweep results implausible: scalar=%d cycles, 4 units=%d cycles", c1, c4)
 	}
 }
 
@@ -135,6 +132,16 @@ func TestSingleJobAndMetricsEndpoints(t *testing.T) {
 		t.Fatalf("healthz: %v %v", h.StatusCode, err)
 	}
 	h.Body.Close()
+
+	// One job per request: there is no batch route.
+	b, err := http.Post(srv.URL+"/v1/batch", "application/json", strings.NewReader(`{"jobs":[]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Body.Close()
+	if b.StatusCode != http.StatusNotFound {
+		t.Fatalf("/v1/batch: status %d, want 404", b.StatusCode)
+	}
 }
 
 func TestBadRequestsRejected(t *testing.T) {
@@ -149,14 +156,11 @@ func TestBadRequestsRejected(t *testing.T) {
 		{`{"job":{"workload":"example","op":"explode"}}`, "unknown op"},
 		{`{"job":{"workload":"nope","preset":{"units":2}}}`, "unknown workload"},
 		{`{"job":{"workload":"example"}}`, "config or a preset"},
-		{`{}`, "empty batch"},
+		{`{"sweep":{"base":{"workload":"example"},"units":[1,2]}}`, `unknown field "sweep"`},
+		{`{"jobs":[{"workload":"example","preset":{"units":2}}]}`, `unknown field "jobs"`},
 	}
 	for i, c := range cases {
-		path := "/v1/jobs"
-		if i == len(cases)-1 {
-			path = "/v1/batch"
-		}
-		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(c.body))
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,19 +204,16 @@ func (b *endlessBody) Close() error { return nil }
 // body never comes — and the handler goes on serving.
 func TestOversizedBodyRefused(t *testing.T) {
 	h := NewHandler(NewLocal(Options{CacheEntries: 8}))
-	for _, path := range []string{"/v1/jobs", "/v1/batch"} {
-		body := &endlessBody{}
-		req := httptest.NewRequest(http.MethodPost, path, body)
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), "request body exceeds") {
-			t.Errorf("%s: status %d, body %q; want 413 naming the bound", path, rec.Code, rec.Body.String())
-		}
-		if body.read > maxRequestBytes+1<<20 {
-			t.Errorf("%s: %d bytes read of a body refused at %d", path, body.read, maxRequestBytes)
-		}
-	}
+	body := &endlessBody{}
 	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", body))
+	if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), "request body exceeds") {
+		t.Errorf("status %d, body %q; want 413 naming the bound", rec.Code, rec.Body.String())
+	}
+	if body.read > maxRequestBytes+1<<20 {
+		t.Errorf("%d bytes read of a body refused at %d", body.read, maxRequestBytes)
+	}
+	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	if rec.Code != http.StatusOK {
 		t.Errorf("healthz after oversized requests: status %d", rec.Code)

@@ -185,9 +185,8 @@ func (c answerCase) answer(t *testing.T, eng *Local) []byte {
 // TestEveryAnswerWritesTheSameBytes: for each kind of job, the executing
 // response, a memory hit, a spill hit and a hit on a restarted engine
 // are the same bytes but for the cached flag, and the executing response
-// is the typed result encoded as every other response is. A batch
-// answered from the spill equals a fresh one, and a memory hit on a
-// trace job allocates less than the payload it writes.
+// is the typed result encoded as every other response is, and a memory
+// hit on a trace job allocates less than the payload it writes.
 func TestEveryAnswerWritesTheSameBytes(t *testing.T) {
 	cases := answerCases(t)
 	dir := t.TempDir()
@@ -211,48 +210,6 @@ func TestEveryAnswerWritesTheSameBytes(t *testing.T) {
 				t.Fatalf("%s: spill hit (disk hits %d -> %d) differs from the executing response: %s",
 					c.name, hits, e.Metrics().DiskHits, firstDiff(got, executed[i]))
 			}
-		}
-	}
-
-	batch := BatchRequest{Client: "t"}
-	for _, c := range cases {
-		if c.wire != nil {
-			batch.Jobs = append(batch.Jobs, *c.wire)
-		}
-	}
-	results := func(eng *Local) [][]byte {
-		body, err := json.Marshal(batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec := httptest.NewRecorder()
-		NewHandler(eng).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body)))
-		var resp struct {
-			Results []struct {
-				Error  string
-				Result json.RawMessage
-			}
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-			t.Fatal(err)
-		}
-		var out [][]byte
-		for i, r := range resp.Results {
-			if r.Error != "" {
-				t.Fatalf("batch job %d: %s", i, r.Error)
-			}
-			out = append(out, uncached(r.Result))
-		}
-		return out
-	}
-	fromSpill, fresh := NewLocal(Options{CacheEntries: 8, SpillDir: dir}), NewLocal(Options{CacheEntries: 8})
-	spilled, executedBatch := results(fromSpill), results(fresh)
-	if m := fromSpill.Metrics(); m.DiskHits != uint64(len(batch.Jobs)) || m.Executed != 0 {
-		t.Fatalf("batch not answered from the spill: %+v", m)
-	}
-	for i := range executedBatch {
-		if !bytes.Equal(spilled[i], executedBatch[i]) {
-			t.Fatalf("batch job %d from the spill differs from a fresh one: %s", i, firstDiff(spilled[i], executedBatch[i]))
 		}
 	}
 

@@ -77,7 +77,7 @@ func TestPartitionsPinned(t *testing.T) {
 // the targets are exactly the region's exits, the create mask holds
 // nothing the region does not write, the walk has nothing to object to —
 // and the partition lints clean and commits the oracle's run on 4 and 8
-// units with the stale-forward checker on.
+// units, forwarding no stale value.
 func TestDescriptorMatchesRegion(t *testing.T) {
 	eachWorkloadPartition(t, func(name string, p *isa.Program, part *Partition) {
 		g := cfg.Build(p)
@@ -114,7 +114,6 @@ func TestDescriptorMatchesRegion(t *testing.T) {
 		}
 		for _, units := range []int{4, 8} {
 			c := core.DefaultConfig(units, 2, true)
-			c.CheckForwards = true
 			m, err := core.NewMultiscalar(p, interp.NewSysEnv(), c)
 			if err != nil {
 				t.Fatal(err)
@@ -180,7 +179,6 @@ FWAIT:
 	}
 	for _, units := range []int{4, 8} {
 		c := core.DefaultConfig(units, 1, false)
-		c.CheckForwards = true
 		m, err := core.NewMultiscalar(p, interp.NewSysEnv(), c)
 		if err != nil {
 			t.Fatal(err)
@@ -230,7 +228,6 @@ bump:
 		t.Errorf("create = %v", td.Create)
 	}
 	c := core.DefaultConfig(4, 2, true)
-	c.CheckForwards = true
 	m, err := core.NewMultiscalar(p, interp.NewSysEnv(), c)
 	if err != nil {
 		t.Fatal(err)

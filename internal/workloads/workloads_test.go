@@ -71,7 +71,6 @@ func TestWorkloadsEndToEnd(t *testing.T) {
 			for _, units := range []int{4, 8} {
 				env := interp.NewSysEnv()
 				cfg := core.DefaultConfig(units, 1, false)
-				cfg.CheckForwards = true
 				cfg.MaxCycles = 500_000_000
 				m, err := core.NewMultiscalar(msProg, env, cfg)
 				if err != nil {
