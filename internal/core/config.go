@@ -153,6 +153,11 @@ func (c Config) Validate() error {
 			return fmt.Errorf("core: config %s = %d: want %d to %d (%s)", f.name, f.v, f.lo, f.hi, f.why)
 		}
 	}
+	// The bimodal predictor indexes with entries-1 as a mask: any other
+	// size would silently build a smaller table.
+	if c.BranchEntries&(c.BranchEntries-1) != 0 {
+		return fmt.Errorf("core: config branch_entries = %d: want a power of two (indexed by mask)", c.BranchEntries)
+	}
 	return nil
 }
 

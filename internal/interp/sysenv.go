@@ -55,6 +55,17 @@ type SysEnv struct {
 	inConsumed uint64
 }
 
+// SbrkError is an sbrk whose increment would carry the break past
+// isa.StackBase into the stack region, or wrap it around 2³² (a negative
+// increment is a wrap: the heap only grows).
+type SbrkError struct {
+	Break, Incr uint32 // the break before the call, and the increment asked for
+}
+
+func (e *SbrkError) Error() string {
+	return fmt.Sprintf("interp: sbrk(%d) from break 0x%x passes the heap ceiling 0x%x", int32(e.Incr), e.Break, isa.StackBase)
+}
+
 // NewSysEnv returns an environment with an empty heap at isa.HeapBase.
 func NewSysEnv() *SysEnv {
 	return &SysEnv{heapEnd: isa.HeapBase}
@@ -93,6 +104,9 @@ func (e *SysEnv) Call(m MemReader, v0, a0, a1, a2, a3 uint32) (ret uint32, write
 		return ^uint32(0), true, nil // -1: end of input
 	case SysSbrk:
 		old := e.heapEnd
+		if uint64(old)+uint64(a0) > uint64(isa.StackBase) {
+			return 0, false, &SbrkError{Break: old, Incr: a0}
+		}
 		e.heapEnd += a0
 		return old, true, nil
 	case SysExit:

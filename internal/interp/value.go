@@ -28,9 +28,6 @@ func IntVal(v uint32) Value { return Value{I: v} }
 // FPVal makes a floating-point register value.
 func FPVal(f float64) Value { return Value{F: f} }
 
-// Signed returns the integer value as a signed 32-bit quantity.
-func (v Value) Signed() int32 { return int32(v.I) }
-
 func (v Value) String() string {
 	if v.F != 0 {
 		return fmt.Sprintf("%g", v.F)

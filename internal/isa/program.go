@@ -11,6 +11,7 @@ const (
 	TextBase  uint32 = 0x0000_1000 // program text
 	DataBase  uint32 = 0x1000_0000 // static data
 	HeapBase  uint32 = 0x2000_0000 // sbrk arena
+	StackBase uint32 = 0x7000_0000 // bottom of the stack region: the sbrk break stays at or below it
 	StackTop  uint32 = 0x7fff_fff0 // initial $sp (grows down)
 	InstrSize uint32 = 4           // architectural instruction size in bytes
 )

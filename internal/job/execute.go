@@ -50,6 +50,16 @@ type Oracle struct {
 	ExitCode                int32
 }
 
+// ExitCodeError is a verified timing run whose exit code is not the
+// functional oracle's.
+type ExitCodeError struct {
+	Timing, Oracle int32
+}
+
+func (e *ExitCodeError) Error() string {
+	return fmt.Sprintf("multiscalar: exit code %d, oracle exited %d", e.Timing, e.Oracle)
+}
+
 // Output is what a job produces.
 type Output struct {
 	Result   *core.Result     // simulate jobs
@@ -197,6 +207,9 @@ func Execute(s *Spec, rt *Runtime) (*Output, error) {
 			return nil, fmt.Errorf("multiscalar: committed %d instructions, oracle executed %d",
 				res.Committed, o.ICount)
 		}
+		if res.ExitCode != o.ExitCode {
+			return nil, &ExitCodeError{Timing: res.ExitCode, Oracle: o.ExitCode}
+		}
 	}
 	if s.WantSnapshot {
 		if out.Snapshot, err = m.Save(); err != nil {
@@ -290,16 +303,11 @@ func CachedOracle(p *isa.Program, stdin []byte, maxInstrs uint64) (*Oracle, erro
 	if maxInstrs == 0 {
 		maxInstrs = DefaultMaxInstrs
 	}
-	h, err := ProgramHash(p)
+	key, err := oracleKey(p, stdin, maxInstrs)
 	if err != nil {
 		return nil, err
 	}
-	key := binary.BigEndian.AppendUint64([]byte(h), maxInstrs)
-	if stdin != nil {
-		sum := sha256.Sum256(stdin)
-		key = append(key, sum[:]...)
-	}
-	o, _, err := oracles.Do(context.Background(), string(key), func() (*Oracle, error) {
+	o, _, err := oracles.Do(context.Background(), key, func() (*Oracle, error) {
 		var in io.Reader
 		if stdin != nil {
 			in = bytes.NewReader(stdin)
@@ -307,4 +315,19 @@ func CachedOracle(p *isa.Program, stdin []byte, maxInstrs uint64) (*Oracle, erro
 		return RunOracle(p, in, maxInstrs)
 	})
 	return o, err
+}
+
+// oracleKey is the oracle store's key: program content, instruction
+// bound and input digest.
+func oracleKey(p *isa.Program, stdin []byte, maxInstrs uint64) (string, error) {
+	h, err := ProgramHash(p)
+	if err != nil {
+		return "", err
+	}
+	key := binary.BigEndian.AppendUint64([]byte(h), maxInstrs)
+	if stdin != nil {
+		sum := sha256.Sum256(stdin)
+		key = append(key, sum[:]...)
+	}
+	return string(key), nil
 }

@@ -101,24 +101,25 @@ func TestValidate(t *testing.T) {
 // Execute, and the next job still runs.
 func TestHostileConfigsRefused(t *testing.T) {
 	for name, edit := range map[string]func(*core.Config){
-		"rob_size":           func(c *core.Config) { c.ROBSize = -1 },
-		"rob_size = 65537":   func(c *core.Config) { c.ROBSize = 1<<16 + 1 },
-		"fetchq_size":        func(c *core.Config) { c.FetchQSize = -1 },
-		"dbank_bytes":        func(c *core.Config) { c.DBankBytes = 0 },
-		"dblock_bytes":       func(c *core.Config) { c.DBlockBytes = 0 },
-		"icache_block":       func(c *core.Config) { c.ICacheBlock = 0 },
-		"icache_bytes":       func(c *core.Config) { c.ICacheBytes = 32 },
-		"num_mshrs":          func(c *core.Config) { c.NumMSHRs = 0 },
-		"num_units":          func(c *core.Config) { c.NumUnits = 0 },
-		"num_units = 33":     func(c *core.Config) { c.NumUnits = 33 },
-		"desc_cache_entries": func(c *core.Config) { c.DescCacheEntries = 0 },
-		"branch_entries":     func(c *core.Config) { c.BranchEntries = -8 },
-		"arb_policy":         func(c *core.Config) { c.ARBPolicy = 7 },
-		"ring_latency":       func(c *core.Config) { c.RingLatency = -1 },
-		"issue_width = 0":    func(c *core.Config) { c.IssueWidth = 0 },
-		"rob_size = 0":       func(c *core.Config) { c.ROBSize = 0 },
-		"fetchq_size = 0":    func(c *core.Config) { c.FetchQSize = 0 },
-		"branch_entries = 0": func(c *core.Config) { c.BranchEntries = 0 },
+		"rob_size":              func(c *core.Config) { c.ROBSize = -1 },
+		"rob_size = 65537":      func(c *core.Config) { c.ROBSize = 1<<16 + 1 },
+		"fetchq_size":           func(c *core.Config) { c.FetchQSize = -1 },
+		"dbank_bytes":           func(c *core.Config) { c.DBankBytes = 0 },
+		"dblock_bytes":          func(c *core.Config) { c.DBlockBytes = 0 },
+		"icache_block":          func(c *core.Config) { c.ICacheBlock = 0 },
+		"icache_bytes":          func(c *core.Config) { c.ICacheBytes = 32 },
+		"num_mshrs":             func(c *core.Config) { c.NumMSHRs = 0 },
+		"num_units":             func(c *core.Config) { c.NumUnits = 0 },
+		"num_units = 33":        func(c *core.Config) { c.NumUnits = 33 },
+		"desc_cache_entries":    func(c *core.Config) { c.DescCacheEntries = 0 },
+		"branch_entries":        func(c *core.Config) { c.BranchEntries = -8 },
+		"arb_policy":            func(c *core.Config) { c.ARBPolicy = 7 },
+		"ring_latency":          func(c *core.Config) { c.RingLatency = -1 },
+		"issue_width = 0":       func(c *core.Config) { c.IssueWidth = 0 },
+		"rob_size = 0":          func(c *core.Config) { c.ROBSize = 0 },
+		"fetchq_size = 0":       func(c *core.Config) { c.FetchQSize = 0 },
+		"branch_entries = 0":    func(c *core.Config) { c.BranchEntries = 0 },
+		"branch_entries = 1000": func(c *core.Config) { c.BranchEntries = 1000 },
 	} {
 		t.Run(name, func(t *testing.T) {
 			s := baseSpec()

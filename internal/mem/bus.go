@@ -50,9 +50,6 @@ func (b *Bus) Access(now uint64, words int) (done uint64) {
 	return done
 }
 
-// BusyUntil reports when the bus frees (for tests and stats).
-func (b *Bus) BusyUntil() uint64 { return b.busyUntil }
-
 // Reset clears bus state between runs.
 func (b *Bus) Reset() {
 	b.busyUntil = 0

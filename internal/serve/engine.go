@@ -161,11 +161,22 @@ type Local struct {
 	spill spill
 	queue *fairQueue
 
+	// aliases maps the SHA-256 of a /v1/jobs body to its job key, filled
+	// by the body's first successful decode: a repeated body is keyed
+	// without being decoded (see serveJob).
+	aliases *job.Store[string]
+
 	// runJob executes a cache-missed job; swapped in tests.
 	runJob func(*job.Spec) (*job.Output, error)
 
 	jobs, executed, hits, diskHits, errs, spilled atomic.Uint64
 }
+
+// aliasesPerResult sizes the alias table against the result cache: room
+// for a few request spellings (client names, field order) of every
+// resident result and as many again of spilled ones, at about 100 bytes
+// an entry.
+const aliasesPerResult = 4
 
 // NewLocal builds an engine over the real executor (job.Execute). It
 // executes at most job.Workers() jobs at once, the budget as it stands
@@ -178,22 +189,31 @@ func NewLocal(o Options) *Local {
 		o.PerClientInFlight = 2
 	}
 	return &Local{
-		cache:  job.NewStore[*Result](o.CacheEntries),
-		spill:  spill(o.SpillDir),
-		queue:  newFairQueue(job.Workers(), o.PerClientInFlight),
-		runJob: func(s *job.Spec) (*job.Output, error) { return job.Execute(s, nil) },
+		cache:   job.NewStore[*Result](o.CacheEntries),
+		spill:   spill(o.SpillDir),
+		queue:   newFairQueue(job.Workers(), o.PerClientInFlight),
+		aliases: job.NewStore[string](aliasesPerResult * o.CacheEntries),
+		runJob:  func(s *job.Spec) (*job.Output, error) { return job.Execute(s, nil) },
 	}
 }
 
 // Submit implements Engine.
 func (l *Local) Submit(ctx context.Context, client string, spec *job.Spec) (*Result, error) {
-	l.jobs.Add(1)
 	key, err := spec.Key()
 	if err != nil {
+		l.jobs.Add(1)
 		l.errs.Add(1)
 		return nil, err
 	}
+	return l.submitKey(ctx, key, func() (*job.Spec, string, error) { return spec, client, nil })
+}
 
+// submitKey answers the job whose key is key. decode yields its spec and
+// the submitting client, and is called only on the miss path — the key
+// neither resident nor spilled — so a held result is answered without
+// the spec.
+func (l *Local) submitKey(ctx context.Context, key string, decode func() (*job.Spec, string, error)) (*Result, error) {
+	l.jobs.Add(1)
 	// A resident key or a coalesced duplicate is a hit; the first
 	// submission of a key runs the miss path below, single-flight, and
 	// keeps the typed result in ran when it executes the job.
@@ -206,13 +226,17 @@ func (l *Local) Submit(ctx context.Context, client string, spec *job.Spec) (*Res
 			fromDisk = true
 			return res, nil
 		}
+		spec, client, err := decode()
+		if err != nil {
+			return nil, err
+		}
 		if err := l.queue.acquire(ctx, client); err != nil {
 			return nil, err
 		}
 		// The slot comes back on every exit, and a panicking job is this
 		// flight's error: not cached, and the next submission retries.
 		var out *job.Output
-		err := job.Contain(func() (err error) {
+		err = job.Contain(func() (err error) {
 			defer l.queue.release(client)
 			out, err = l.runJob(spec)
 			return err

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -140,16 +141,20 @@ func NewHandler(e Engine) http.Handler {
 			httpError(w, http.StatusMethodNotAllowed, "POST only")
 			return
 		}
-		var req SubmitRequest
-		if !decodeBody(w, r, &req) {
+		body, ok := readBody(w, r)
+		if !ok {
 			return
 		}
-		spec, err := req.Job.Decode()
+		if l, ok := e.(*Local); ok {
+			l.serveJob(w, r, body)
+			return
+		}
+		client, spec, err := decodeRequest(body)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad job: %v", err)
+			httpError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		res, err := e.Submit(r.Context(), clientID(req.Client, r), spec)
+		res, err := e.Submit(r.Context(), clientID(client, r), spec)
 		if err != nil {
 			httpError(w, http.StatusUnprocessableEntity, "%v", err)
 			return
@@ -166,30 +171,113 @@ func NewHandler(e Engine) http.Handler {
 	return mux
 }
 
+// serveJob answers a /v1/jobs body on l through the alias table: the
+// body's SHA-256 names its job key. The first request of a body decodes
+// it, keys the spec and submits it inside the alias flight, so identical
+// bodies arriving meanwhile wait for that answer rather than decode
+// again; a body already aliased goes straight to submitKey, which decodes
+// it only when the result is neither resident nor spilled. Identical
+// bytes always decode to the same spec, so an alias never names another
+// job. A body that does not decode is refused and never aliased.
+func (l *Local) serveJob(w http.ResponseWriter, r *http.Request, body []byte) {
+	ctx := r.Context()
+	var spec *job.Spec
+	var client string
+	decode := func() (*job.Spec, string, error) { // at most once per request
+		if spec == nil {
+			named, s, err := decodeRequest(body)
+			if err != nil {
+				return nil, "", err
+			}
+			spec, client = s, clientID(named, r)
+		}
+		return spec, client, nil
+	}
+	var res *Result
+	var err error // the job's, once it is keyed
+	submitted := false
+	sum := sha256.Sum256(body)
+	key, _, aliasErr := l.aliases.Do(ctx, string(sum[:]), func() (string, error) {
+		s, _, decodeErr := decode()
+		if decodeErr != nil {
+			return "", decodeErr
+		}
+		key, keyErr := s.Key()
+		if keyErr != nil {
+			return "", keyErr
+		}
+		submitted = true
+		res, err = l.submitKey(ctx, key, decode)
+		return key, nil
+	})
+	var bad *badRequest
+	switch {
+	case errors.As(aliasErr, &bad):
+		httpError(w, http.StatusBadRequest, "%v", aliasErr)
+		return
+	case aliasErr != nil: // the spec has no key, or the wait was cancelled
+		l.jobs.Add(1)
+		l.errs.Add(1)
+		err = aliasErr
+	case !submitted:
+		res, err = l.submitKey(ctx, key, decode)
+	}
+	if err != nil {
+		httpError(w, http.StatusUnprocessableEntity, "%v", err)
+		return
+	}
+	writeResult(w, res)
+}
+
 // maxRequestBytes bounds a request body. The largest single job in the
 // repository is an inline source at 16x table scale (cmp, 2.6 MB; the
 // largest inline .msb is 0.7 MB in base64), so this is an order of
 // magnitude of margin and still a small fraction of a daemon's memory.
 const maxRequestBytes = 32 << 20
 
-// decodeBody decodes a request's JSON body into v, reading at most
-// maxRequestBytes of it. On failure it has answered — 413 for a body over
-// the bound, 400 for one that does not decode, which includes a field
-// the API does not have — and returns false.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
+// readBody reads a request's body, at most maxRequestBytes of it, into
+// one buffer sized from Content-Length (up to a megabyte: a declared
+// length is not trusted further). On failure it has answered — 413 for
+// a body over the bound, 400 for one that could not be read — and
+// returns false.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	size := int64(0)
+	if r.ContentLength > 0 {
+		size = min(r.ContentLength, 1<<20)
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	var tooLarge *http.MaxBytesError
 	switch {
 	case err == nil:
-		return true
+		return buf.Bytes(), true
 	case errors.As(err, &tooLarge):
 		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
 	default:
-		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
+		httpError(w, http.StatusBadRequest, "reading request: %v", err)
 	}
-	return false
+	return nil, false
+}
+
+// badRequest is a body the API refuses: answered 400, never aliased.
+type badRequest struct{ msg string }
+
+func (e *badRequest) Error() string { return e.msg }
+
+// decodeRequest decodes a /v1/jobs body strictly — a field the API does
+// not have is refused — into the client it names and the job's spec. Its
+// errors are *badRequest.
+func decodeRequest(body []byte) (client string, spec *job.Spec, err error) {
+	var req SubmitRequest
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return "", nil, &badRequest{"decoding request: " + err.Error()}
+	}
+	if spec, err = req.Job.Decode(); err != nil {
+		return "", nil, &badRequest{"bad job: " + err.Error()}
+	}
+	return req.Client, spec, nil
 }
 
 // clientID names the fairness bucket: the request's explicit client

@@ -203,7 +203,8 @@ func (b *endlessBody) Close() error { return nil }
 // read-ahead) has been read — not buffered to its end, which for this
 // body never comes — and the handler goes on serving.
 func TestOversizedBodyRefused(t *testing.T) {
-	h := NewHandler(NewLocal(Options{CacheEntries: 8}))
+	eng := NewLocal(Options{CacheEntries: 8})
+	h := NewHandler(eng)
 	body := &endlessBody{}
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", body))
@@ -212,6 +213,9 @@ func TestOversizedBodyRefused(t *testing.T) {
 	}
 	if body.read > maxRequestBytes+1<<20 {
 		t.Errorf("%d bytes read of a body refused at %d", body.read, maxRequestBytes)
+	}
+	if st := eng.aliases.Stats(); st.Runs != 0 || st.Entries != 0 {
+		t.Errorf("alias store %+v; an oversized body is refused before it is digested", st)
 	}
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
@@ -253,6 +257,15 @@ func TestHostileConfigIsABadRequest(t *testing.T) {
 	rec := post(`{"job":{"workload":"example","scale":-1,"config":` + string(enc) + `}}`)
 	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "config rob_size = -1") {
 		t.Errorf("status %d, body %q; want 400 naming rob_size", rec.Code, rec.Body.String())
+	}
+	cfg = core.DefaultConfig(4, 1, false)
+	cfg.BranchEntries = 1000 // indexed by mask: not a power of two
+	if enc, err = cfg.MarshalCanonical(); err != nil {
+		t.Fatal(err)
+	}
+	rec = post(`{"job":{"workload":"example","scale":-1,"config":` + string(enc) + `}}`)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "config branch_entries = 1000") {
+		t.Errorf("status %d, body %q; want 400 naming branch_entries", rec.Code, rec.Body.String())
 	}
 	if rec := post(`{"job":{"workload":"example","scale":-1,"preset":{"units":4}}}`); rec.Code != http.StatusOK {
 		t.Errorf("a sound job after the hostile one: status %d, body %q", rec.Code, rec.Body.String())

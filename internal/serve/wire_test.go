@@ -15,6 +15,7 @@ import (
 	"multiscalar/internal/asm"
 	"multiscalar/internal/core"
 	"multiscalar/internal/job"
+	"multiscalar/internal/workloads"
 )
 
 // written is what /v1/jobs writes for r, with the cached flag cleared.
@@ -285,10 +286,11 @@ func serveHits(b *testing.B, h http.Handler, bodies ...[]byte) {
 	}
 }
 
-// BenchmarkHit times a cache hit on a trace job through the HTTP
-// handler, request bytes in to response bytes out: from memory, and from
-// the spill (one resident entry and two keys, so every request reads its
-// result back from disk).
+// BenchmarkHit times a cache hit through the HTTP handler, request bytes
+// in to response bytes out: a trace job from memory, and from the spill
+// (one resident entry and two keys, so every request reads its result
+// back from disk); and a verified simulate job given as source text
+// (cmp at its test scale, a 16 KB body), from memory.
 func BenchmarkHit(b *testing.B) {
 	trace := func(units int) WireJob {
 		return WireJob{Op: "trace", Workload: "example", Scale: -1, Preset: &WirePreset{Units: units, Width: 2}}
@@ -306,6 +308,11 @@ func BenchmarkHit(b *testing.B) {
 		if got := eng.Metrics().DiskHits - before; got != uint64(b.N) {
 			b.Fatalf("%d of %d hits came from the spill", got, b.N)
 		}
+	})
+	b.Run("source", func(b *testing.B) {
+		w := workloads.Get("cmp")
+		body := requestBody(b, WireJob{Source: w.Source(w.TestScale), Preset: &WirePreset{Units: 4}, Verify: true})
+		serveHits(b, hitHandler(b, NewLocal(Options{}), body), body)
 	})
 }
 
