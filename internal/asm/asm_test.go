@@ -209,7 +209,7 @@ main:
 	if td == nil {
 		t.Fatal("task descriptor missing")
 	}
-	if !td.Create.Has(isa.RegS0) || td.Create.Count() != 1 {
+	if td.Create != isa.MaskOf(isa.RegS0) {
 		t.Errorf("create = %v", td.Create)
 	}
 	if len(td.Targets) != 1 || td.Targets[0] != isa.TextBase {

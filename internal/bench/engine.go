@@ -65,13 +65,6 @@ var results = job.NewStore[*core.Result](0)
 // runs_restored).
 func RunsRestored() uint64 { return results.Stats().Hits }
 
-// ResetMemo drops the harness's results and job's build/oracle stores
-// (tests and long-lived hosts).
-func ResetMemo() {
-	results.Reset()
-	job.ResetBuildMemo()
-}
-
 // runPoint simulates spec's program under cfg, verified against the
 // memoized functional oracle, sharing the work of duplicate points as
 // described above. The returned Result is shared: read-only. what labels

@@ -13,6 +13,13 @@ import (
 	"multiscalar/internal/workloads"
 )
 
+// resetMemo drops the harness's results and job's build/oracle stores,
+// so the next run simulates instead of answering from a store.
+func resetMemo() {
+	results.Reset()
+	job.ResetBuildMemo()
+}
+
 // withWorkers runs the body under a specific pool bound, restoring the
 // process-wide setting afterwards.
 func withWorkers(t *testing.T, n int, fn func()) {
@@ -24,7 +31,7 @@ func withWorkers(t *testing.T, n int, fn func()) {
 }
 
 func TestMemoReturnsIdenticalProgram(t *testing.T) {
-	ResetMemo()
+	resetMemo()
 	w := workloads.Get("wc")
 	if w == nil {
 		t.Fatal("workload wc missing")
@@ -60,7 +67,7 @@ func TestMemoReturnsIdenticalProgram(t *testing.T) {
 // one build must run, and every caller must share its result. Run under
 // -race in CI.
 func TestMemoSingleFlight(t *testing.T) {
-	ResetMemo()
+	resetMemo()
 	w := workloads.Get("cmp")
 	if w == nil {
 		t.Fatal("workload cmp missing")
@@ -151,12 +158,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 			// Cold stores on both sides, so the parallel pass simulates
 			// (and single-flights) instead of reading back the sequential
 			// pass's results.
-			ResetMemo()
+			resetMemo()
 			withWorkers(t, 1, func() { seq, err = section() })
 			if err != nil {
 				t.Fatal(err)
 			}
-			ResetMemo()
+			resetMemo()
 			withWorkers(t, 8, func() { par, err = section() })
 			if err != nil {
 				t.Fatal(err)
@@ -173,7 +180,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 // verification — at the same time. Backed by -race in CI, it is the
 // shared-state audit for workloads.Workload.Build and interp.NewSysEnv.
 func TestConcurrentWorkloadsEndToEnd(t *testing.T) {
-	ResetMemo()
+	resetMemo()
 	names := []string{"wc", "tomcatv", "cmp", "compress"}
 	var wg sync.WaitGroup
 	errs := make([]error, len(names))
@@ -203,7 +210,7 @@ func TestConcurrentWorkloadsEndToEnd(t *testing.T) {
 }
 
 func TestCloneProgramIsolatesText(t *testing.T) {
-	ResetMemo()
+	resetMemo()
 	w := workloads.Get("wc")
 	p, _, err := buildOracle(w, asm.ModeMultiscalar, -1)
 	if err != nil {
@@ -225,7 +232,7 @@ func TestCloneProgramIsolatesText(t *testing.T) {
 // Result, is identical to a fresh, isolated job.Execute of the same point
 // outside the store, and counts as one restored run.
 func TestRunSharingMatchesIsolated(t *testing.T) {
-	ResetMemo()
+	resetMemo()
 	w := workloads.Get("wc")
 	if w == nil {
 		t.Fatal("workload wc missing")

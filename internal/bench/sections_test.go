@@ -1,10 +1,28 @@
 package bench
 
 import (
+	"io"
 	"strings"
 	"testing"
 	"time"
 )
+
+// BenchmarkSections times each section of the msbench registry at the
+// workloads' fast test scale, so `go test -bench .` stays tractable.
+// Every iteration starts with empty build, oracle and result stores, so
+// it measures the section's simulations, not memo hits.
+func BenchmarkSections(b *testing.B) {
+	for _, name := range SectionNames() {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				resetMemo()
+				if _, err := RunSections(map[string]bool{name: true}, Options{Scale: -1}, io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
 
 func TestParseSectionsValid(t *testing.T) {
 	sel, err := ParseSections("table2, sweep ,,sampled")
@@ -52,7 +70,7 @@ func TestSectionsMatchSequential(t *testing.T) {
 	var want string
 	for _, w := range []int{1, 2, 8} {
 		var out strings.Builder
-		ResetMemo()
+		resetMemo()
 		withWorkers(t, w, func() {
 			secs, err := RunSections(sel, Options{Scale: -1}, &out)
 			if err != nil {

@@ -246,21 +246,3 @@ func (g *Graph) computeLiveness() {
 		}
 	}
 }
-
-// LiveAt returns the registers live immediately before the instruction at
-// addr, by replaying the block backwards from LiveOut.
-func (g *Graph) LiveAt(addr uint32) isa.RegMask {
-	b := g.BlockOf(addr)
-	if b == nil {
-		return AllRegs
-	}
-	live := b.LiveOut
-	for a := b.End - isa.InstrSize; a >= addr && a >= b.Start; a -= isa.InstrSize {
-		d, u := g.instrDefUse(g.instrOf(a))
-		live = live.Minus(d).Union(u)
-		if a == b.Start {
-			break // avoid uint32 underflow
-		}
-	}
-	return live
-}

@@ -88,9 +88,6 @@ type TaskRegion struct {
 	mwIn map[*Block]isa.RegMask // mayWriteIn's fixpoint, once computed
 }
 
-// Graph returns the graph the region was walked over.
-func (r *TaskRegion) Graph() *Graph { return r.g }
-
 func (r *TaskRegion) problem(k ProblemKind, addr, target uint32, op isa.Op) {
 	r.Problems = append(r.Problems, Problem{Kind: k, Addr: addr, Target: target, Op: op})
 }

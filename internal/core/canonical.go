@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"sort"
 )
 
 // CanonicalConfigVersion is the version tag MarshalCanonical emits and
@@ -33,14 +35,57 @@ func (c Config) MarshalCanonical() ([]byte, error) {
 
 // UnmarshalCanonicalConfig decodes a canonical encoding produced by
 // MarshalCanonical (or assembled by an API client). Unknown versions are
-// rejected rather than half-decoded.
+// rejected rather than half-decoded, and so is an encoding that is not
+// the canonical form's field set: an unknown field (a misspelled name
+// would otherwise be dropped) or an omitted or null one (it would
+// otherwise decode as zero). Key order and spacing are free.
 func UnmarshalCanonicalConfig(data []byte) (Config, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	var w canonicalConfig
-	if err := json.Unmarshal(data, &w); err != nil {
+	var fields map[string]any
+	if err := dec.Decode(&w); err != nil {
+		return Config{}, fmt.Errorf("core: decoding canonical config: %w", err)
+	}
+	if err := json.Unmarshal(data, &fields); err != nil {
 		return Config{}, fmt.Errorf("core: decoding canonical config: %w", err)
 	}
 	if w.V != CanonicalConfigVersion {
 		return Config{}, fmt.Errorf("core: canonical config version %d (want %d)", w.V, CanonicalConfigVersion)
 	}
+	enc, err := w.MarshalCanonical()
+	if err != nil {
+		return Config{}, err
+	}
+	var want map[string]any
+	if err := json.Unmarshal(enc, &want); err != nil {
+		return Config{}, err
+	}
+	if name := firstMissing(fields, want, ""); name != "" {
+		return Config{}, fmt.Errorf("core: canonical config has no %s field (every field is required)", name)
+	}
 	return w.Config, nil
+}
+
+// firstMissing returns the alphabetically first key path of want that
+// got lacks or holds as null, descending into nested objects, or "".
+func firstMissing(got, want map[string]any, prefix string) string {
+	keys := make([]string, 0, len(want))
+	for k := range want {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		g, ok := got[k]
+		if !ok || g == nil {
+			return prefix + k
+		}
+		if w, ok := want[k].(map[string]any); ok {
+			g, _ := g.(map[string]any) // a non-object already failed to decode
+			if name := firstMissing(g, w, prefix+k+"."); name != "" {
+				return name
+			}
+		}
+	}
+	return ""
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"multiscalar/internal/arb"
@@ -63,6 +65,54 @@ func TestCanonicalBytesPinned(t *testing.T) {
 		if string(got) != tc.want {
 			t.Errorf("%s: canonical bytes moved\n got %s\nwant %s", tc.name, got, tc.want)
 		}
+		if back, err := UnmarshalCanonicalConfig([]byte(tc.want)); err != nil || back != tc.cfg {
+			t.Errorf("%s: the pinned encoding no longer decodes to its config: %v", tc.name, err)
+		}
+	}
+}
+
+// TestCanonicalFieldSetEnforced: a canonical config is the whole field
+// set, in any order and spacing. A misspelled field is refused rather
+// than dropped, and an omitted or null field is refused rather than
+// decoded as zero (a typo of arb_entries used to yield a 0-entry ARB
+// that Validate accepts).
+func TestCanonicalFieldSetEnforced(t *testing.T) {
+	enc, err := DefaultConfig(4, 1, false).MarshalCanonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := string(enc)
+	edit := func(s, old, new string) string {
+		if !strings.Contains(s, old) {
+			t.Fatalf("%s not in %s", old, s)
+		}
+		return strings.Replace(s, old, new, 1)
+	}
+	i := strings.Index(good, `,"latencies":{`)
+	latencies := good[i : i+strings.Index(good[i:], "}")+1]
+	typo := edit(good, `"arb_entries":256`, `"arb_entires":8`)
+	for _, tc := range []struct{ name, data, want string }{
+		{"misspelled", typo, `unknown field "arb_entires"`},
+		{"misspelled, latencies omitted", edit(typo, latencies, ``), `unknown field "arb_entires"`},
+		{"latencies omitted", edit(good, latencies, ``), "no latencies field"},
+		{"omitted", edit(good, `,"arb_entries":256`, ``), "no arb_entries field"},
+		{"null", edit(good, `"arb_entries":256`, `"arb_entries":null`), "no arb_entries field"},
+		{"omitted latency", edit(good, `"IntMul":4,`, ``), "no latencies.IntMul field"},
+		{"unknown latency", edit(good, `"IntMul":4,`, `"IntMul":4,"FMA":3,`), `unknown field "FMA"`},
+		{"trailing data", good + `{}`, "invalid character"},
+	} {
+		if _, err := UnmarshalCanonicalConfig([]byte(tc.data)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v; want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+	moved := edit(good, `"v":2,`, ``)
+	moved = moved[:len(moved)-1] + `,"v":2}`
+	var spaced bytes.Buffer
+	if err := json.Indent(&spaced, []byte(moved), "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := UnmarshalCanonicalConfig(spaced.Bytes()); err != nil || got != DefaultConfig(4, 1, false) {
+		t.Errorf("reordered and indented canonical config: %v", err)
 	}
 }
 

@@ -126,7 +126,8 @@ func ScalarConfig(width int, outOfOrder bool) Config {
 // (arb_entries, shared_fp_units), never as a second spelling of a
 // default.
 func (c Config) Validate() error {
-	const maxBytes, maxEntries = 1 << 28, 1 << 20
+	const maxBytes, maxEntries, maxLatency = 1 << 28, 1 << 20, 1 << 16
+	lat := c.Latencies
 	for _, f := range []struct {
 		name      string
 		v, lo, hi int
@@ -148,6 +149,21 @@ func (c Config) Validate() error {
 		{"desc_cache_entries", c.DescCacheEntries, 1, maxEntries, "a descriptor fetch needs one"},
 		{"shared_fp_units", c.SharedFPUnits, 0, maxEntries, "0 keeps per-unit FUs"},
 		{"branch_entries", c.BranchEntries, 1, maxEntries, "predictor entries"},
+		// A latency below one would finish an operation before it issued,
+		// and zero would only be a second key for one.
+		{"latencies.IntAddSub", lat.IntAddSub, 1, maxLatency, "cycles"},
+		{"latencies.ShiftLogic", lat.ShiftLogic, 1, maxLatency, "cycles"},
+		{"latencies.IntMul", lat.IntMul, 1, maxLatency, "cycles"},
+		{"latencies.IntDiv", lat.IntDiv, 1, maxLatency, "cycles"},
+		{"latencies.MemStore", lat.MemStore, 1, maxLatency, "cycles"},
+		{"latencies.MemLoad", lat.MemLoad, 1, maxLatency, "cycles"},
+		{"latencies.Branch", lat.Branch, 1, maxLatency, "cycles"},
+		{"latencies.SPAddSub", lat.SPAddSub, 1, maxLatency, "cycles"},
+		{"latencies.SPMul", lat.SPMul, 1, maxLatency, "cycles"},
+		{"latencies.SPDiv", lat.SPDiv, 1, maxLatency, "cycles"},
+		{"latencies.DPAddSub", lat.DPAddSub, 1, maxLatency, "cycles"},
+		{"latencies.DPMul", lat.DPMul, 1, maxLatency, "cycles"},
+		{"latencies.DPDiv", lat.DPDiv, 1, maxLatency, "cycles"},
 	} {
 		if f.v < f.lo || f.v > f.hi {
 			return fmt.Errorf("core: config %s = %d: want %d to %d (%s)", f.name, f.v, f.lo, f.hi, f.why)

@@ -70,10 +70,6 @@ func NewMachine(p *isa.Program, env *SysEnv) *Machine {
 	return m
 }
 
-// Step executes one instruction. It returns an error on traps (bad PC,
-// unaligned access, division by zero, unknown syscall).
-func (m *Machine) Step() error { return m.steps(m.ICount + 1) }
-
 // steps executes at least one instruction, then on until the program
 // has exited or ICount has reached limit. The loop lives here rather
 // than in Run so that a run pays for one call, not one per instruction.

@@ -253,15 +253,15 @@ func TestRunawayLimit(t *testing.T) {
 		t.Error("expected instruction-limit error")
 	}
 	// The bound is exact (checkpoints and the sampler's warming pass
-	// stop at it), a later Run resumes from it, and Step retires one
-	// instruction whatever the count.
+	// stop at it), a later Run resumes from it, and RunTo one past the
+	// count retires exactly one more instruction.
 	for _, bound := range []uint64{100, 101, 250} {
 		if err := m.Run(bound); err == nil || m.ICount != bound {
 			t.Errorf("Run(%d): err %v at ICount %d", bound, err, m.ICount)
 		}
 	}
-	if err := m.Step(); err != nil || m.ICount != 251 {
-		t.Errorf("Step: err %v, ICount %d, want 251", err, m.ICount)
+	if err := m.RunTo(m.ICount + 1); err != nil || m.ICount != 251 {
+		t.Errorf("RunTo(ICount+1): err %v, ICount %d, want 251", err, m.ICount)
 	}
 }
 
@@ -442,10 +442,10 @@ func (z *zerolessMemory) Byte(addr uint32) byte { return 'x' }
 
 func TestHeapEnd(t *testing.T) {
 	env := NewSysEnv()
-	start := env.HeapEnd()
+	start := env.heapEnd
 	env.Call(nil, SysSbrk, 100, 0, 0, 0)
-	if env.HeapEnd() != start+100 {
-		t.Errorf("heap end = %#x", env.HeapEnd())
+	if env.heapEnd != start+100 {
+		t.Errorf("heap end = %#x", env.heapEnd)
 	}
 }
 

@@ -7,12 +7,10 @@ import (
 	"multiscalar/internal/snapshot"
 )
 
-// Checkpoint support for the functional machine. A snapshot carries
-// only mutable run state: registers, PC, instruction counts, the
-// memory's private copy-on-write pages and the syscall environment.
-// Restore requires a Machine constructed from the same Program — the
-// program text, decoded µops and the read-only memory image are
-// rebuilt from it, not stored.
+// The state walks of the values the timing machine's snapshots and the
+// sampler's warm captures share with the functional machine: a Value, a
+// register file and the syscall environment. The functional machine
+// itself is never snapshotted; it is run, not resumed.
 
 // State is the one place a Value is serialized; every register file,
 // window entry and forwarded value in a snapshot goes through it.
@@ -53,32 +51,4 @@ func (e *SysEnv) State(c *snapshot.Codec) {
 		// exhausted stream.
 		io.CopyN(io.Discard, e.In, int64(e.inConsumed)) //nolint:errcheck
 	}
-}
-
-// State walks the machine's architectural state as one snapshot
-// section.
-func (m *Machine) State(c *snapshot.Codec) {
-	c.Tag("INTP")
-	RegsState(c, &m.Regs)
-	c.Bool(&m.FCC)
-	c.U32(&m.PC)
-	c.U64(&m.ICount)
-	c.U64(&m.LoadCount)
-	c.U64(&m.StoreCount)
-	c.U64(&m.BranchCount)
-	c.U64(&m.TaskExits)
-	m.Mem.State(c)
-	m.Env.State(c)
-}
-
-// Save serializes the machine into a snapshot.
-func (m *Machine) Save() ([]byte, error) {
-	return snapshot.Save(snapshot.KindInterp, m.ICount, m.State)
-}
-
-// Restore loads a snapshot produced by Save into a machine built from
-// the same Program. On error the machine state is unspecified and the
-// machine must not be run.
-func (m *Machine) Restore(data []byte) error {
-	return snapshot.Load(data, snapshot.KindInterp, m.State)
 }

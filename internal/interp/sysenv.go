@@ -71,9 +71,6 @@ func NewSysEnv() *SysEnv {
 	return &SysEnv{heapEnd: isa.HeapBase}
 }
 
-// HeapEnd returns the current sbrk break.
-func (e *SysEnv) HeapEnd() uint32 { return e.heapEnd }
-
 // Call services one syscall. v0 is the syscall code; a0-a3 are arguments.
 // It returns the new $v0 value and whether $v0 is written.
 func (e *SysEnv) Call(m MemReader, v0, a0, a1, a2, a3 uint32) (ret uint32, writesV0 bool, err error) {

@@ -80,9 +80,9 @@ func TestUopHandlersMatchExec(t *testing.T) {
 						t.Fatalf("%v: Exec: %v", &in, err)
 					}
 					switch {
-					case op.IsLoad():
+					case op.IsMem() && op.WritesRd(): // a load
 						res.Val = LoadValue(op, m.Mem.ReadN(EffAddr(rs, imm), op.MemSize()))
-					case op.IsStore():
+					case op.IsMem(): // a store
 						keep := 64 - 8*uint(op.MemSize()) // big-endian: the store takes the window's top bytes
 						wantMem = StoreValue(op, rt)<<keep | wantMem&(1<<keep-1)
 					case op.IsJump():
@@ -101,7 +101,7 @@ func TestUopHandlersMatchExec(t *testing.T) {
 						wantFCC = res.FCC
 					}
 
-					if err := m.Step(); err != nil {
+					if err := m.RunTo(m.ICount + 1); err != nil {
 						t.Fatalf("%v: %v", &in, err)
 					}
 					for k := range want {

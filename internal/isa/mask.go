@@ -43,23 +43,8 @@ func (m RegMask) Intersect(o RegMask) RegMask { return m & o }
 // Minus returns the registers in m that are not in o.
 func (m RegMask) Minus(o RegMask) RegMask { return m &^ o }
 
-// Count returns the number of registers in the mask.
-func (m RegMask) Count() int { return bits.OnesCount64(uint64(m)) }
-
 // Empty reports whether the mask contains no registers.
 func (m RegMask) Empty() bool { return m == 0 }
-
-// Regs returns the registers in the mask in ascending order.
-func (m RegMask) Regs() []Reg {
-	if m == 0 {
-		return nil
-	}
-	out := make([]Reg, 0, m.Count())
-	for v := uint64(m); v != 0; v &= v - 1 {
-		out = append(out, Reg(bits.TrailingZeros64(v)))
-	}
-	return out
-}
 
 // ForEach calls f for each register in the mask in ascending order.
 func (m RegMask) ForEach(f func(Reg)) {

@@ -1,14 +1,15 @@
 package isa
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
 
 func TestMaskBasics(t *testing.T) {
 	m := MaskOf(RegA0, RegT0, F(2))
-	if m.Count() != 3 {
-		t.Fatalf("Count = %d, want 3", m.Count())
+	if n := len(regsOf(m)); n != 3 {
+		t.Fatalf("%d registers, want 3", n)
 	}
 	for _, r := range []Reg{RegA0, RegT0, F(2)} {
 		if !m.Has(r) {
@@ -19,7 +20,7 @@ func TestMaskBasics(t *testing.T) {
 		t.Error("mask unexpectedly has $a1")
 	}
 	m = m.Clear(RegT0)
-	if m.Has(RegT0) || m.Count() != 2 {
+	if m.Has(RegT0) || len(regsOf(m)) != 2 {
 		t.Errorf("Clear failed: %v", m)
 	}
 }
@@ -42,8 +43,8 @@ func TestMaskSetOperations(t *testing.T) {
 	a := MaskOf(RegA0, RegA1, RegT0)
 	b := MaskOf(RegA1, RegT0+1, F(0))
 	u := a.Union(b)
-	if u.Count() != 5 {
-		t.Errorf("union count = %d, want 5: %v", u.Count(), u)
+	if n := len(regsOf(u)); n != 5 {
+		t.Errorf("union count = %d, want 5: %v", n, u)
 	}
 	i := a.Intersect(b)
 	if i != MaskOf(RegA1) {
@@ -55,16 +56,23 @@ func TestMaskSetOperations(t *testing.T) {
 	}
 }
 
+// regsOf collects the registers ForEach visits, in its order.
+func regsOf(m RegMask) []Reg {
+	var regs []Reg
+	m.ForEach(func(r Reg) { regs = append(regs, r) })
+	return regs
+}
+
 func TestMaskRegsOrdering(t *testing.T) {
 	m := MaskOf(F(31), RegA0, RegRA, Reg(1))
-	regs := m.Regs()
+	regs := regsOf(m)
 	for i := 1; i < len(regs); i++ {
 		if regs[i-1] >= regs[i] {
-			t.Fatalf("Regs not ascending: %v", regs)
+			t.Fatalf("ForEach not ascending: %v", regs)
 		}
 	}
 	if len(regs) != 4 {
-		t.Fatalf("len(Regs) = %d, want 4", len(regs))
+		t.Fatalf("ForEach visited %d registers, want 4", len(regs))
 	}
 }
 
@@ -77,12 +85,13 @@ func TestMaskString(t *testing.T) {
 	}
 }
 
-// Property: Regs() and Has() agree, and Count matches len(Regs).
+// Property: ForEach and Has agree, and ForEach visits one register per
+// set bit.
 func TestMaskRegsHasAgreeProperty(t *testing.T) {
 	f := func(v uint64) bool {
 		m := RegMask(v &^ 1) // bit 0 ($zero) can never be set via the API
-		regs := m.Regs()
-		if len(regs) != m.Count() {
+		regs := regsOf(m)
+		if len(regs) != bits.OnesCount64(uint64(m)) {
 			return false
 		}
 		seen := map[Reg]bool{}

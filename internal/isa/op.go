@@ -365,12 +365,6 @@ func (op Op) Class() FUClass { return opInfos[op].class }
 
 func (op Op) has(bits uint16) bool { return opFacts[op].flags&bits != 0 }
 
-// IsLoad reports whether op reads memory.
-func (op Op) IsLoad() bool { return op.has(flagLoad) }
-
-// IsStore reports whether op writes memory.
-func (op Op) IsStore() bool { return op.has(flagStore) }
-
 // IsMem reports whether op accesses memory.
 func (op Op) IsMem() bool { return op.has(flagLoad | flagStore) }
 
@@ -382,9 +376,6 @@ func (op Op) IsJump() bool { return op.has(flagJump) }
 
 // IsControl reports whether op can redirect the program counter.
 func (op Op) IsControl() bool { return op.has(flagControl) }
-
-// HasImm reports whether op uses the immediate field.
-func (op Op) HasImm() bool { return op.has(flagImm) }
 
 // HasTarget reports whether op uses the target field: the control
 // transfers that name their destination in the instruction.

@@ -29,9 +29,9 @@ func opFactsText() string {
 			on   bool
 			name string
 		}{
-			{op.IsLoad(), "load"}, {op.IsStore(), "store"}, {op.IsMem(), "mem"},
+			{op.has(flagLoad), "load"}, {op.has(flagStore), "store"}, {op.IsMem(), "mem"},
 			{op.IsBranch(), "branch"}, {op.IsJump(), "jump"}, {op.IsControl(), "control"},
-			{op.HasImm(), "imm"}, {op.SetsFCC(), "setsfcc"},
+			{op.has(flagImm), "imm"}, {op.SetsFCC(), "setsfcc"},
 		} {
 			if f.on {
 				flags += " " + f.name
@@ -161,8 +161,8 @@ func TestOpTableComplete(t *testing.T) {
 		if (in.load || in.store) != (in.memSize != 0) || (in.load || in.store) != (in.class == FUMemory) {
 			t.Errorf("%s: load/store bits, width %d and class %s disagree", op, in.memSize, in.class)
 		}
-		if op.HasImm() != (has(form, SlotImm) || has(form, SlotMem)) {
-			t.Errorf("%s: HasImm %v", op, op.HasImm())
+		if op.has(flagImm) != (has(form, SlotImm) || has(form, SlotMem)) {
+			t.Errorf("%s: imm flag %v", op, op.has(flagImm))
 		}
 		if op.HasTarget() != has(form, SlotTarget) || op.HasTarget() && !op.IsControl() {
 			t.Errorf("%s: HasTarget %v", op, op.HasTarget())

@@ -50,9 +50,6 @@ const (
 	RegRA   Reg = 31 // return address
 )
 
-// IsFP reports whether r is a floating-point register.
-func (r Reg) IsFP() bool { return r >= NumIntRegs }
-
 // Valid reports whether r names an architectural register.
 func (r Reg) Valid() bool { return r < NumRegs }
 

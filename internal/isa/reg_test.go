@@ -46,8 +46,8 @@ func TestParseRegFP(t *testing.T) {
 		if got != F(n) {
 			t.Errorf("ParseReg(%q) = %v, want $f%d", name, got, n)
 		}
-		if !got.IsFP() {
-			t.Errorf("%v.IsFP() = false", got)
+		if got < NumIntRegs {
+			t.Errorf("%v numbered among the integer registers", got)
 		}
 	}
 }

@@ -120,6 +120,8 @@ func TestHostileConfigsRefused(t *testing.T) {
 		"fetchq_size = 0":       func(c *core.Config) { c.FetchQSize = 0 },
 		"branch_entries = 0":    func(c *core.Config) { c.BranchEntries = 0 },
 		"branch_entries = 1000": func(c *core.Config) { c.BranchEntries = 1000 },
+		"latencies.IntMul":      func(c *core.Config) { c.Latencies.IntMul = -1 },
+		"latencies.DPDiv = 0":   func(c *core.Config) { c.Latencies.DPDiv = 0 },
 	} {
 		t.Run(name, func(t *testing.T) {
 			s := baseSpec()

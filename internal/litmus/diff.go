@@ -97,12 +97,13 @@ func (m *Mismatch) String() string {
 }
 
 // runCell runs one (program, entry) cell on a directly built machine,
-// sink attached, and checks the result against the program's
-// generation-time oracle itself, so a divergent output is captured for
-// classification instead of surfacing as an opaque error. It returns the
-// machine (nil when none could be built) for the caller's statistics and
-// the mismatch (nil on a pass). Only a mismatch pays for a snapshot: the
-// machine as the run left it goes into the artifact.
+// sink attached, and checks the result (output, committed count, exit
+// code) against the program's generation-time oracle itself, so a
+// divergent run is captured for classification instead of surfacing as
+// an opaque error. It returns the machine (nil when none could be built)
+// for the caller's statistics and the mismatch (nil on a pass). Only a
+// mismatch pays for a snapshot: the machine as the run left it goes into
+// the artifact.
 func runCell(p *Program, e MatrixEntry, seed int64, sink trace.Sink) (*core.Multiscalar, *Mismatch) {
 	cfg := e.Config()
 	cfg.Sink = sink
@@ -115,12 +116,15 @@ func runCell(p *Program, e MatrixEntry, seed int64, sink trace.Sink) (*core.Mult
 	switch {
 	case err != nil:
 		mm.Err = err.Error()
-	case res.Out == p.Oracle.Out && res.Committed == p.Oracle.ICount:
+	case res.Out == p.Oracle.Out && res.Committed == p.Oracle.ICount && res.ExitCode == p.Oracle.ExitCode:
 		return m, nil
 	default:
 		mm.Got = res.Out
 		mm.Committed = res.Committed
 		mm.Diagnosis = p.Classify(res.Out)
+		if res.Out == p.Oracle.Out && res.ExitCode != p.Oracle.ExitCode {
+			mm.Diagnosis = fmt.Sprintf("exit code %d, oracle exited %d", res.ExitCode, p.Oracle.ExitCode)
+		}
 	}
 	var snap []byte
 	if m != nil {

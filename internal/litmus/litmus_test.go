@@ -1,6 +1,7 @@
 package litmus
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -80,6 +81,31 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 	if a.Source == c.Source {
 		t.Error("different seeds produced identical programs")
+	}
+}
+
+// TestExitCodeMismatch: a run is oracle-equal only if it exits as the
+// oracle did. With the oracle's exit code planted wrong, every cell is a
+// mismatch whose output and committed count agree with the oracle and
+// whose diagnosis names the two exit codes.
+func TestExitCodeMismatch(t *testing.T) {
+	p, err := Generate(Params{Shape: "xviol"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrong := *p.Oracle
+	wrong.ExitCode += 3
+	p.Oracle = &wrong
+	matrix := Matrix(true)
+	mms := RunDiff([]*Program{p}, matrix, 0)
+	if len(mms) != len(matrix) {
+		t.Fatalf("%d mismatches over %d cells, want one per cell", len(mms), len(matrix))
+	}
+	want := fmt.Sprintf("exit code %d, oracle exited %d", wrong.ExitCode-3, wrong.ExitCode)
+	for _, mm := range mms {
+		if mm.Err != "" || mm.Got != p.Oracle.Out || mm.Committed != p.Oracle.ICount || mm.Diagnosis != want {
+			t.Errorf("%s: err %q, committed %d, diagnosis %q; want %q", mm, mm.Err, mm.Committed, mm.Diagnosis, want)
+		}
 	}
 }
 

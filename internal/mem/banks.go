@@ -68,26 +68,6 @@ func (d *BankedDCache) Touch(addr uint32) {
 	d.Banks[d.BankOf(addr)].Touch(addr)
 }
 
-// Reset clears bank occupancy and per-bank cache state.
-func (d *BankedDCache) Reset() {
-	for i := range d.nextFree {
-		d.nextFree[i] = 0
-	}
-	for _, b := range d.Banks {
-		b.Reset()
-	}
-	d.Conflicts, d.Accesses = 0, 0
-}
-
-// Hits and Misses aggregate across banks.
-func (d *BankedDCache) Hits() uint64 {
-	var n uint64
-	for _, b := range d.Banks {
-		n += b.Hits
-	}
-	return n
-}
-
 // Misses aggregates across banks.
 func (d *BankedDCache) Misses() uint64 {
 	var n uint64

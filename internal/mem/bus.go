@@ -49,10 +49,3 @@ func (b *Bus) Access(now uint64, words int) (done uint64) {
 	}
 	return done
 }
-
-// Reset clears bus state between runs.
-func (b *Bus) Reset() {
-	b.busyUntil = 0
-	b.Requests = 0
-	b.BusyCycles = 0
-}

@@ -122,12 +122,6 @@ func (c *Cache) block(addr uint32) uint32 {
 	return addr / uint32(c.BlockBytes)
 }
 
-// Lookup reports whether addr currently hits, without touching state.
-func (c *Cache) Lookup(addr uint32) bool {
-	set, tag := c.index(addr)
-	return c.vld[set] && c.tags[set] == tag
-}
-
 // Access performs a load or store at cycle now and returns the cycle the
 // access completes. Stores allocate on miss (write-allocate, write-back;
 // eviction write-back cost is absorbed by a write buffer and not modeled,
@@ -262,22 +256,4 @@ func (c *Cache) AdoptTags(src *Cache) bool {
 	copy(c.tags, src.tags)
 	copy(c.vld, src.vld)
 	return true
-}
-
-// Reset invalidates the cache and clears statistics.
-func (c *Cache) Reset() {
-	for i := range c.vld {
-		c.vld[i] = false
-	}
-	c.mshrs = nil
-	c.Hits, c.Misses, c.Merges = 0, 0, 0
-}
-
-// MissRate returns the fraction of accesses that missed.
-func (c *Cache) MissRate() float64 {
-	total := c.Hits + c.Misses + c.Merges
-	if total == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(total)
 }

@@ -4,8 +4,6 @@
 // interleaved data banks behind a crossbar.
 package mem
 
-import "bytes"
-
 const pageBits = 12
 const pageSize = 1 << pageBits
 
@@ -169,93 +167,4 @@ func (m *Memory) WriteBytes(addr uint32, buf []byte) {
 		buf = buf[n:]
 		addr += uint32(n)
 	}
-}
-
-// Bytes copies n bytes starting at addr into a new slice.
-func (m *Memory) Bytes(addr uint32, n int) []byte {
-	out := make([]byte, n)
-	for dst := out; len(dst) > 0; {
-		off := int(addr & (pageSize - 1))
-		chunk := pageSize - off
-		if chunk > len(dst) {
-			chunk = len(dst)
-		}
-		if p := m.page(addr, false); p != nil {
-			copy(dst[:chunk], p[off:off+chunk])
-		} // missing pages read as zeros, which out already holds
-		dst = dst[chunk:]
-		addr += uint32(chunk)
-	}
-	return out
-}
-
-// ReadCString reads a NUL-terminated string starting at addr, up to max
-// bytes.
-func (m *Memory) ReadCString(addr uint32, max int) string {
-	var out []byte
-	for max > 0 {
-		p := m.page(addr, false)
-		if p == nil {
-			return string(out) // an absent page is all NULs
-		}
-		off := int(addr & (pageSize - 1))
-		chunk := pageSize - off
-		if chunk > max {
-			chunk = max
-		}
-		seg := p[off : off+chunk]
-		if i := bytes.IndexByte(seg, 0); i >= 0 {
-			return string(append(out, seg[:i]...))
-		}
-		out = append(out, seg...)
-		addr += uint32(chunk)
-		max -= chunk
-	}
-	return string(out)
-}
-
-// Equal reports whether two memories hold identical contents.
-func (m *Memory) Equal(o *Memory) bool {
-	return m.subsetOf(o) && o.subsetOf(m)
-}
-
-// peekPage returns the page holding addr's page key without creating or
-// promoting anything: the private page if one exists, else the image
-// page, else nil.
-func (m *Memory) peekPage(key uint32) *[pageSize]byte {
-	if p := m.pages[key]; p != nil {
-		return p
-	}
-	if m.ro != nil {
-		return m.ro.pages[key]
-	}
-	return nil
-}
-
-func (m *Memory) subsetOf(o *Memory) bool {
-	check := func(key uint32, p *[pageSize]byte) bool {
-		q := o.peekPage(key)
-		if q == nil {
-			for _, b := range p {
-				if b != 0 {
-					return false
-				}
-			}
-			return true
-		}
-		return *p == *q
-	}
-	for key, p := range m.pages {
-		if !check(key, p) {
-			return false
-		}
-	}
-	if m.ro != nil {
-		for key, p := range m.ro.pages {
-			if m.pages[key] == nil && !check(key, p) {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -52,16 +52,19 @@ func TestBytesCrossPageAndHoles(t *testing.T) {
 	// Write into pages 1 and 3, leaving page 2 a hole.
 	m.WriteBytes(pageSize-4, []byte{1, 2, 3, 4, 5, 6})
 	m.WriteBytes(3*pageSize, []byte{7, 8})
-	got := m.Bytes(pageSize-4, 2*pageSize+8)
-	want := make([]byte, 2*pageSize+8)
-	for i := range want {
-		want[i] = m.Byte(pageSize - 4 + uint32(i))
+	// Every read of every width straddling a page boundary, into or out
+	// of the hole, agrees with per-byte reads.
+	for _, edge := range []uint32{pageSize, 2 * pageSize, 3 * pageSize} {
+		for addr := edge - 8; addr < edge+8; addr++ {
+			for _, size := range []int{1, 2, 4, 8} {
+				if got, want := m.ReadN(addr, size), readNSlow(m, addr, size); got != want {
+					t.Errorf("ReadN(%#x, %d) = %#x, per-byte %#x", addr, size, got, want)
+				}
+			}
+		}
 	}
-	if !bytes.Equal(got, want) {
-		t.Error("Bytes disagrees with per-byte reads across pages and holes")
-	}
-	if got[0] != 1 || got[5] != 6 {
-		t.Errorf("mapped prefix = %v", got[:6])
+	if got := m.ReadN(pageSize-4, 8); got != 0x0102030405060000 {
+		t.Errorf("mapped prefix = %#x", got)
 	}
 }
 
@@ -70,23 +73,23 @@ func TestReadCStringCrossPage(t *testing.T) {
 	long := bytes.Repeat([]byte("x"), pageSize+10)
 	addr := uint32(2*pageSize - 5)
 	m.WriteBytes(addr, append(long, 0))
-	if got := m.ReadCString(addr, 1<<20); got != string(long) {
+	if got := cString(m, addr, 1<<20); got != string(long) {
 		t.Errorf("cross-page cstring: len %d, want %d", len(got), len(long))
 	}
 	// max truncates before the terminator.
-	if got := m.ReadCString(addr, 7); got != "xxxxxxx" {
+	if got := cString(m, addr, 7); got != "xxxxxxx" {
 		t.Errorf("truncated cstring = %q", got)
 	}
 	// Terminator exactly at a page boundary.
 	m2 := NewMemory()
 	m2.WriteBytes(pageSize-3, []byte("abc"))
-	if got := m2.ReadCString(pageSize-3, 100); got != "abc" {
+	if got := cString(m2, pageSize-3, 100); got != "abc" {
 		t.Errorf("boundary cstring = %q", got)
 	}
 	// String running into an absent page terminates (absent = NULs).
 	m3 := NewMemory()
 	m3.WriteBytes(pageSize-2, []byte("hi"))
-	if got := m3.ReadCString(pageSize-2, 100); got != "hi" {
+	if got := cString(m3, pageSize-2, 100); got != "hi" {
 		t.Errorf("hole-terminated cstring = %q", got)
 	}
 }
@@ -119,15 +122,5 @@ func BenchmarkWriteWord(b *testing.B) {
 	m := NewMemory()
 	for i := 0; i < b.N; i++ {
 		m.WriteWord(uint32(i*4)%(4*pageSize), uint32(i))
-	}
-}
-
-func BenchmarkBytes4K(b *testing.B) {
-	m := NewMemory()
-	m.WriteBytes(100, make([]byte, 8192))
-	b.SetBytes(4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.Bytes(100, 4096)
 	}
 }

@@ -720,7 +720,8 @@ func TestDiagnosticOrder(t *testing.T) {
 // Every other workload carries none.
 func TestWorkloadsLintClean(t *testing.T) {
 	var extra []string
-	for _, w := range workloads.AllWithExtras() {
+	for _, name := range workloads.Names() {
+		w := workloads.Get(name)
 		t.Run(w.Name, func(t *testing.T) {
 			res, err := asm.AssembleOpts(w.Source(w.TestScale),
 				asm.Options{Mode: asm.ModeMultiscalar, NoLint: true})

@@ -120,15 +120,3 @@ func (b *BranchPredictor) AdoptTables(src *BranchPredictor) bool {
 
 // ClearRAS empties the per-unit return stack (on task squash/assign).
 func (b *BranchPredictor) ClearRAS() { b.rasTop, b.rasDepth = 0, 0 }
-
-// Reset clears everything including statistics.
-func (b *BranchPredictor) Reset() {
-	for i := range b.counters {
-		b.counters[i] = 0
-	}
-	for i := range b.targets {
-		b.targets[i] = 0
-	}
-	b.ClearRAS()
-	b.Lookups, b.Hits = 0, 0
-}

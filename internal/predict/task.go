@@ -104,21 +104,6 @@ func (p *TaskPredictor) Snapshot() [64]uint16 { return p.histories }
 // Restore reinstates a snapshot taken before mis-speculated predictions.
 func (p *TaskPredictor) Restore(s [64]uint16) { p.histories = s }
 
-// Accuracy returns the fraction of validated predictions that were
-// correct.
-func (p *TaskPredictor) Accuracy() float64 {
-	if p.Predictions == 0 {
-		return 0
-	}
-	return float64(p.Correct) / float64(p.Predictions)
-}
-
-// Reset clears all predictor state and statistics (the trace wiring
-// survives: it belongs to the machine, not the tables).
-func (p *TaskPredictor) Reset() {
-	*p = TaskPredictor{Sink: p.Sink, Now: p.Now}
-}
-
 // RAS is the sequencer's 64-entry return address stack. It is a circular
 // stack: pushes beyond the capacity overwrite the oldest entries.
 type RAS struct {
@@ -159,9 +144,6 @@ func (r *RAS) Follow(desc *isa.TaskDescriptor, idx int) uint32 {
 	}
 	return entry
 }
-
-// Depth returns the number of live entries.
-func (r *RAS) Depth() int { return r.depth }
 
 // Snapshot captures the full stack state.
 func (r *RAS) Snapshot() RAS { return *r }

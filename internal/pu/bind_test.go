@@ -139,7 +139,7 @@ func walkWindow(t *testing.T, ops []isa.Op, robSize int, ooo bool, width int, se
 		prog.Text[i] = in
 	}
 
-	cfg := DefaultConfig(width, ooo)
+	cfg := unitConfig(width, ooo)
 	cfg.ROBSize = robSize
 	ext := newTestExt(5)
 	u := New(0, cfg, prog, ext.Ext)
@@ -274,7 +274,7 @@ skip:
 	syscall
 ` + exitSeq
 	p := assembleMS(t, src)
-	cfg := DefaultConfig(2, true)
+	cfg := unitConfig(2, true)
 	newExt := func() *testExt {
 		ext := newTestExt(9)
 		ext.Mem.WriteBytes(isa.DataBase, p.Data)

@@ -45,19 +45,6 @@ type Config struct {
 	Sink trace.Sink
 }
 
-// DefaultConfig returns the paper's processing unit: selectable issue
-// width and ordering, 16-entry window, Table 1 latencies.
-func DefaultConfig(width int, outOfOrder bool) Config {
-	return Config{
-		IssueWidth:    width,
-		OutOfOrder:    outOfOrder,
-		ROBSize:       16,
-		FetchQSize:    8,
-		Latencies:     isa.Table1(),
-		BranchEntries: 2048,
-	}
-}
-
 type robState uint8
 
 const (

@@ -90,13 +90,44 @@ func runWholeProgram(t *testing.T, src string, cfg Config) (*testExt, uint64, *U
 
 const exitSeq = "\n\tli $v0, 10\n\tli $a0, 0\n\tsyscall\n"
 
+// unitConfig is the paper's processing unit as core.DefaultConfig builds
+// it (this package cannot import core): selectable issue width and
+// ordering, 16-entry window, Table 1 latencies.
+func unitConfig(width int, outOfOrder bool) Config {
+	return Config{
+		IssueWidth:    width,
+		OutOfOrder:    outOfOrder,
+		ROBSize:       16,
+		FetchQSize:    8,
+		Latencies:     isa.Table1(),
+		BranchEntries: 2048,
+	}
+}
+
 func configs() map[string]Config {
 	return map[string]Config{
-		"1way-inorder": DefaultConfig(1, false),
-		"2way-inorder": DefaultConfig(2, false),
-		"1way-ooo":     DefaultConfig(1, true),
-		"2way-ooo":     DefaultConfig(2, true),
+		"1way-inorder": unitConfig(1, false),
+		"2way-inorder": unitConfig(2, false),
+		"1way-ooo":     unitConfig(1, true),
+		"2way-ooo":     unitConfig(2, true),
 	}
+}
+
+// sameDataAndStack compares two memories over the program's data segment
+// and the top 64 KB of stack, every byte these test programs write, and
+// returns the first address where they differ.
+func sameDataAndStack(a, b *mem.Memory, p *isa.Program) (uint32, bool) {
+	for _, r := range [][2]uint32{
+		{isa.DataBase, isa.DataBase + uint32(len(p.Data))},
+		{isa.StackTop - 64<<10, isa.StackTop + 16},
+	} {
+		for addr := r[0]; addr < r[1]; addr++ {
+			if a.Byte(addr) != b.Byte(addr) {
+				return addr, false
+			}
+		}
+	}
+	return 0, true
 }
 
 func TestWholeProgramMatchesInterp(t *testing.T) {
@@ -195,8 +226,8 @@ floop:
 						t.Errorf("reg %v = %v, want %v", r, ext.Regs.Vals[r], om.Regs[r])
 					}
 				}
-				if !ext.Mem.Equal(om.Mem) {
-					t.Error("memory diverged")
+				if addr, ok := sameDataAndStack(ext.Mem, om.Mem, p); !ok {
+					t.Errorf("memory diverged at %#x", addr)
 				}
 			})
 		}
@@ -212,7 +243,7 @@ main:
 ` + exitSeq
 	p := assembleMS(t, src)
 	ext := newTestExt(2)
-	u := New(0, DefaultConfig(1, false), p, ext.Ext)
+	u := New(0, unitConfig(1, false), p, ext.Ext)
 	u.Start(p.Entry, 0)
 	var now uint64
 	for !u.Done() {
@@ -255,7 +286,7 @@ loop:
 	loopAddr, _ := p.Symbol("loop")
 
 	ext := newTestExt(2)
-	u := New(0, DefaultConfig(1, false), p, ext.Ext)
+	u := New(0, unitConfig(1, false), p, ext.Ext)
 	ext.Regs.Vals[isa.RegS0] = interp.IntVal(3)
 	u.Start(loopAddr, 0)
 	var now uint64
@@ -294,7 +325,7 @@ done:
 	doneAddr, _ := p.Symbol("done")
 
 	ext := newTestExt(2)
-	u := New(0, DefaultConfig(2, true), p, ext.Ext)
+	u := New(0, unitConfig(2, true), p, ext.Ext)
 	ext.Regs.Vals[isa.RegS0] = interp.IntVal(1)
 	u.Start(loopAddr, 0)
 	var now uint64
@@ -325,7 +356,7 @@ main:
 ` + exitSeq
 	p := assembleMS(t, src)
 	ext := newTestExt(2)
-	u := New(0, DefaultConfig(1, false), p, ext.Ext)
+	u := New(0, unitConfig(1, false), p, ext.Ext)
 	u.Start(p.Entry, 0)
 	for now := uint64(0); !u.Done() && now < 1000; now++ {
 		if err := u.Tick(now); err != nil {
@@ -345,7 +376,7 @@ main:
 	p := assembleMS(t, src)
 	ext := newTestExt(2)
 	ext.Regs.Vals[isa.RegRA] = interp.IntVal(0x1040)
-	u := New(0, DefaultConfig(1, false), p, ext.Ext)
+	u := New(0, unitConfig(1, false), p, ext.Ext)
 	u.Start(p.Entry, 0)
 	for now := uint64(0); !u.Done() && now < 100; now++ {
 		if err := u.Tick(now); err != nil {
@@ -367,7 +398,7 @@ main:
 	p := assembleMS(t, src)
 	ext := newTestExt(2)
 	ext.Head = 1 // another unit's: syscalls wait for the head
-	u := New(0, DefaultConfig(2, true), p, ext.Ext)
+	u := New(0, unitConfig(2, true), p, ext.Ext)
 	u.Start(p.Entry, 0)
 	var now uint64
 	for !ext.Env.Exited && now < 1000 {
@@ -397,8 +428,8 @@ func TestTwoWayFasterOnIndependentWork(t *testing.T) {
 		src += "\tadd $t0, $zero, 1\n\tadd $t1, $zero, 2\n\tadd $t2, $zero, 3\n\tadd $t3, $zero, 4\n"
 	}
 	src += exitSeq
-	_, c1, _ := runWholeProgram(t, src, DefaultConfig(1, false))
-	_, c2, _ := runWholeProgram(t, src, DefaultConfig(2, false))
+	_, c1, _ := runWholeProgram(t, src, unitConfig(1, false))
+	_, c2, _ := runWholeProgram(t, src, unitConfig(2, false))
 	if c2 >= c1 {
 		t.Errorf("2-way (%d cycles) not faster than 1-way (%d)", c2, c1)
 	}
@@ -438,8 +469,8 @@ main:
 		}
 		return now
 	}
-	cInO := run(DefaultConfig(1, false))
-	cOOO := run(DefaultConfig(1, true))
+	cInO := run(unitConfig(1, false))
+	cOOO := run(unitConfig(1, true))
 	if cOOO >= cInO {
 		t.Errorf("OOO (%d) not faster than in-order (%d) under load miss", cOOO, cInO)
 	}
@@ -456,7 +487,7 @@ main:
 	mul $t0, $t0, $t0
 	mul $t0, $t0, $t0
 ` + exitSeq
-	_, cycles, _ := runWholeProgram(t, src, DefaultConfig(2, true))
+	_, cycles, _ := runWholeProgram(t, src, unitConfig(2, true))
 	if cycles < 20 {
 		t.Errorf("chain of 5 muls finished in %d cycles", cycles)
 	}
@@ -503,7 +534,7 @@ main:
 ` + exitSeq
 	p := assembleMS(t, src)
 	ext := newTestExt(2)
-	u := New(0, DefaultConfig(1, false), p, ext.Ext)
+	u := New(0, unitConfig(1, false), p, ext.Ext)
 	u.Start(p.Entry, 0)
 	u.Tick(0)
 	u.Tick(1)
@@ -530,7 +561,7 @@ main:
 ` + exitSeq
 	p := assembleMS(t, src)
 	ext := newTestExt(2)
-	u := New(0, DefaultConfig(1, false), p, ext.Ext)
+	u := New(0, unitConfig(1, false), p, ext.Ext)
 	// Inactive: idle.
 	u.Tick(0)
 	if u.ActCounts[ActIdle] != 1 {
@@ -566,7 +597,7 @@ main:
 `+exitSeq)
 	ext := newTestExt(2)
 	ext.Regs.Pending = isa.MaskOf((isa.RegS0 + 1), (isa.RegS0 + 2))
-	u := New(0, DefaultConfig(2, true), p, ext.Ext)
+	u := New(0, unitConfig(2, true), p, ext.Ext)
 	u.Start(p.Entry, 0)
 	var now uint64
 	for ; now < 20; now++ {

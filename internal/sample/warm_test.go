@@ -24,7 +24,7 @@ func (r perInstr) Retire(pc, next uint32)      {}
 func (r perInstr) step(m *interp.Machine) error {
 	pc := m.PC
 	in := m.Prog.InstrAt(pc)
-	if err := m.Step(); err != nil {
+	if err := m.RunTo(m.ICount + 1); err != nil {
 		return err
 	}
 	r.ws.ICache.Touch(pc)

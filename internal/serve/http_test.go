@@ -248,24 +248,29 @@ func TestHostileConfigIsABadRequest(t *testing.T) {
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
 		return rec
 	}
-	cfg := core.DefaultConfig(4, 1, false)
-	cfg.ROBSize = -1
-	enc, err := cfg.MarshalCanonical()
-	if err != nil {
-		t.Fatal(err)
+	encode := func(edit func(*core.Config)) string {
+		cfg := core.DefaultConfig(4, 1, false)
+		edit(&cfg)
+		enc, err := cfg.MarshalCanonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(enc)
 	}
-	rec := post(`{"job":{"workload":"example","scale":-1,"config":` + string(enc) + `}}`)
-	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "config rob_size = -1") {
-		t.Errorf("status %d, body %q; want 400 naming rob_size", rec.Code, rec.Body.String())
-	}
-	cfg = core.DefaultConfig(4, 1, false)
-	cfg.BranchEntries = 1000 // indexed by mask: not a power of two
-	if enc, err = cfg.MarshalCanonical(); err != nil {
-		t.Fatal(err)
-	}
-	rec = post(`{"job":{"workload":"example","scale":-1,"config":` + string(enc) + `}}`)
-	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "config branch_entries = 1000") {
-		t.Errorf("status %d, body %q; want 400 naming branch_entries", rec.Code, rec.Body.String())
+	misspelled := strings.Replace(encode(func(*core.Config) {}), `"arb_entries":`, `"arb_entires":`, 1)
+	for _, c := range []struct{ config, want string }{
+		{encode(func(c *core.Config) { c.ROBSize = -1 }), "config rob_size = -1"},
+		// Indexed by mask: not a power of two.
+		{encode(func(c *core.Config) { c.BranchEntries = 1000 }), "config branch_entries = 1000"},
+		// Faster than Table 1's multiplier: no machine has it.
+		{encode(func(c *core.Config) { c.Latencies.IntMul = -1 }), "config latencies.IntMul = -1"},
+		// Dropped by a lenient decode, leaving a 0-entry ARB.
+		{misspelled, `unknown field \"arb_entires\"`},
+	} {
+		rec := post(`{"job":{"workload":"example","scale":-1,"config":` + c.config + `}}`)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), c.want) {
+			t.Errorf("status %d, body %q; want 400 containing %s", rec.Code, rec.Body.String(), c.want)
+		}
 	}
 	if rec := post(`{"job":{"workload":"example","scale":-1,"preset":{"units":4}}}`); rec.Code != http.StatusOK {
 		t.Errorf("a sound job after the hostile one: status %d, body %q", rec.Code, rec.Body.String())

@@ -5,13 +5,12 @@ import (
 
 	"multiscalar/internal/asm"
 	"multiscalar/internal/core"
-	"multiscalar/internal/interp"
 	"multiscalar/internal/isa"
 )
 
-// restorePath is one of the five ways snapshot bytes enter a machine:
-// Restore on each of the three machine kinds and InjectWarm on the two
-// timing machines. fresh builds a new machine and returns the method
+// restorePath is one of the three ways snapshot bytes enter a machine:
+// Restore on the timing machine, and InjectWarm on it with a scalar
+// binary and with a multiscalar one. fresh builds a new machine and returns the method
 // that loads into it; genuine returns a real mid-run capture for the
 // path and one taken from a machine of another geometry.
 type restorePath struct {
@@ -39,10 +38,6 @@ func restorePaths(tb testing.TB) []restorePath {
 		}
 	}
 	return []restorePath{
-		{"interp.Restore",
-			func(tb testing.TB) func([]byte) error { return interp.NewMachine(sp, interp.NewSysEnv()).Restore },
-			// The functional machine has no geometry to disagree with.
-			func(tb testing.TB) ([]byte, []byte) { return captureInterp(tb, sp, 100)[0], nil }},
 		{"Multiscalar.Restore",
 			func(tb testing.TB) func([]byte) error { return newTiming(tb, mp, mcfg).Restore },
 			timing(mp, mcfg, core.DefaultConfig(8, 1, false))},
@@ -55,15 +50,22 @@ func restorePaths(tb testing.TB) []restorePath {
 	}
 }
 
-// FuzzSnapshot feeds arbitrary bytes to all four restore paths. Any
+// FuzzSnapshot feeds arbitrary bytes to all three restore paths. Any
 // input may be rejected with an error; none may panic or over-allocate
 // (the codec validates every count against the bytes remaining before
-// allocating). The corpus is seeded with a genuine capture per path.
+// allocating). The corpus is seeded with a genuine capture per path,
+// then with each path's capture from a machine of another geometry,
+// which walks the body up to the geometry check.
 func FuzzSnapshot(f *testing.F) {
 	paths := restorePaths(f)
-	for _, p := range paths {
-		snap, _ := p.genuine(f)
+	others := make([][]byte, len(paths))
+	for i, p := range paths {
+		var snap []byte
+		snap, others[i] = p.genuine(f)
 		f.Add(snap)
+	}
+	for _, other := range others {
+		f.Add(other)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, p := range paths {

@@ -77,34 +77,6 @@ func captureTiming(tb testing.TB, p *isa.Program, cfg core.Config, at ...uint64)
 	return snaps
 }
 
-// captureInterp saves the functional machine after each instruction
-// count in at (ascending) and once more after it has exited.
-func captureInterp(tb testing.TB, p *isa.Program, at ...uint64) [][]byte {
-	tb.Helper()
-	m := interp.NewMachine(p, interp.NewSysEnv())
-	var snaps [][]byte
-	save := func() {
-		snap, err := m.Save()
-		if err != nil {
-			tb.Fatal(err)
-		}
-		snaps = append(snaps, snap)
-	}
-	for _, n := range at {
-		for m.ICount < n {
-			if err := m.Step(); err != nil {
-				tb.Fatal(err)
-			}
-		}
-		save()
-	}
-	if err := m.Run(1 << 30); err != nil {
-		tb.Fatal(err)
-	}
-	save()
-	return snaps
-}
-
 // testWarmer drives a WarmState the way the sampler's warming pass does
 // (internal/sample), in its plainest form: every load and store touches
 // the D-cache; every instruction of a run touches the I-cache when the
@@ -258,7 +230,6 @@ func snapshotHashes(t *testing.T) []string {
 		if err := ref.Run(1 << 30); err != nil {
 			t.Fatal(err)
 		}
-		add(name, "interp", "nosink", captureInterp(t, mp, 100, ref.ICount/2))
 		add(name, "warm-scalar", "nosink",
 			captureWarm(t, sp, core.ScalarConfig(1, false), 100, ref.ICount/2))
 		add(name, "warm-multiscalar", "nosink",
@@ -283,7 +254,7 @@ func snapshotHashes(t *testing.T) []string {
 }
 
 // TestSnapshotBytesPinned is the proof that a change to the state walks
-// moved no byte of the format: every Save and WarmState.Encode the
+// moved no byte of the format: every Multiscalar.Save and WarmState.Encode the
 // recording names must hash to what it hashed to when the recording was
 // made. The recording's header says when it may be regenerated; a
 // failing run logs the whole recomputed body for that occasion.

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
-	"strings"
 	"testing"
 
 	"multiscalar/internal/arb"
@@ -15,6 +14,7 @@ import (
 	"multiscalar/internal/core"
 	"multiscalar/internal/interp"
 	"multiscalar/internal/isa"
+	"multiscalar/internal/job"
 	"multiscalar/internal/litmus"
 	"multiscalar/internal/snapshot"
 	"multiscalar/internal/trace"
@@ -195,9 +195,13 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestInterpRoundTrip checkpoints the functional machine mid-run. The
-// multiscalar binary carries stop bits, so the task-exit counter is
-// exercised along with the other class counts.
+// TestInterpRoundTrip carries the functional machine's state across a
+// snapshot the one way the tree does, the sampler's: a warm capture
+// (registers, memory, syscall environment, instruction count) taken
+// mid-run at a task boundary and injected into a fresh timing machine
+// finishes the run with the functional machine's output, exit code and
+// instruction count. The multiscalar binary carries stop bits, so the
+// capture points are the task exits the interpreter counts.
 func TestInterpRoundTrip(t *testing.T) {
 	p := buildTB(t, "compress", asm.ModeMultiscalar)
 	full := interp.NewMachine(p, interp.NewSysEnv())
@@ -208,41 +212,40 @@ func TestInterpRoundTrip(t *testing.T) {
 		t.Fatal("multiscalar compress retired no task exit")
 	}
 
+	cfg := core.DefaultConfig(4, 1, false)
 	rng := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 4; trial++ {
-		stop := 1 + uint64(rng.Int63n(int64(full.ICount-1)))
-		m1 := interp.NewMachine(p, interp.NewSysEnv())
-		for m1.ICount < stop {
-			if err := m1.Step(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		snap, err := m1.Save()
+		stop := 1 + uint64(rng.Int63n(int64(full.ICount*9/10)))
+		snap := captureWarm(t, p, cfg, stop)[0]
+		meta, err := snapshot.Peek(snap)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m2 := interp.NewMachine(p, interp.NewSysEnv())
-		if err := m2.Restore(snap); err != nil {
-			t.Fatalf("Restore: %v", err)
+		m := newTiming(t, p, cfg)
+		if err := m.InjectWarm(snap); err != nil {
+			t.Fatalf("InjectWarm: %v", err)
 		}
-		if err := m2.Run(1 << 30); err != nil {
+		res, err := m.Run()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if m2.ICount != full.ICount || m2.Env.Out.String() != full.Env.Out.String() ||
-			m2.Env.ExitCode != full.Env.ExitCode || m2.LoadCount != full.LoadCount ||
-			m2.StoreCount != full.StoreCount || m2.BranchCount != full.BranchCount ||
-			m2.TaskExits != full.TaskExits {
-			t.Errorf("restored run diverged at stop=%d: icount %d vs %d, task exits %d vs %d",
-				stop, m2.ICount, full.ICount, m2.TaskExits, full.TaskExits)
-		}
-		if !m2.Mem.Equal(full.Mem) {
-			t.Errorf("restored memory differs at stop=%d", stop)
+		if res.Out != full.Env.Out.String() || res.ExitCode != full.Env.ExitCode ||
+			meta.Cycle < stop || meta.Cycle+res.Committed != full.ICount {
+			t.Errorf("run resumed from the capture at %d (asked for %d) diverged: %d+%d instructions, want %d; exit %d, want %d",
+				meta.Cycle, stop, meta.Cycle, res.Committed, full.ICount, res.ExitCode, full.Env.ExitCode)
 		}
 	}
 }
 
-// TestInterpStdinRoundTrip checks that a snapshot taken between reads
-// of the input stream repositions a fresh reader correctly.
+// TestInterpStdinRoundTrip checks that a snapshot taken between reads of
+// the input stream repositions a fresh reader over it: a one-unit scalar
+// run through job.Execute, checkpointed at cycles across the run and
+// resumed with Runtime.Restore and the same Spec.Stdin (the facade's
+// RestoreFrom + WithStdin), echoes the input exactly, verified against
+// the oracle. Resumed over a different input instead, it echoes the
+// bytes the saved run had read, then the new input from the same
+// position, so the snapshot carries the consumed count and not a copy
+// of the stream.
 func TestInterpStdinRoundTrip(t *testing.T) {
 	src := `
 main:
@@ -259,53 +262,61 @@ loop:
 	li   $a0, 0
 	syscall
 `
-	res, err := asm.AssembleOpts(src, asm.Options{Mode: asm.ModeScalar})
+	const input, other = "abcdef", "uvwxyz"
+	spec := func(stdin string, verify bool) *job.Spec {
+		return &job.Spec{Op: job.OpSimulate, Source: src, Mode: asm.ModeScalar,
+			Config: core.ScalarConfig(1, false), Stdin: []byte(stdin), Verify: verify}
+	}
+	full, err := job.Execute(spec(input, true), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := res.Prog
-	const input = "abcdef"
-
-	run := func(m *interp.Machine) string {
-		t.Helper()
-		if err := m.Run(1 << 20); err != nil {
-			t.Fatal(err)
-		}
-		return m.Env.Out.String()
-	}
-	envFull := interp.NewSysEnv()
-	envFull.In = strings.NewReader(input)
-	want := run(interp.NewMachine(p, envFull))
-	if want != input {
-		t.Fatalf("full run echoed %q, want %q", want, input)
+	if full.Result.Out != input {
+		t.Fatalf("full run echoed %q, want %q", full.Result.Out, input)
 	}
 
-	// Stop after three reads, snapshot, restore with a fresh reader.
-	env1 := interp.NewSysEnv()
-	env1.In = strings.NewReader(input)
-	m1 := interp.NewMachine(p, env1)
-	for len(env1.Out.String()) < 3 {
-		if err := m1.Step(); err != nil {
-			t.Fatal(err)
+	between := 0 // checkpoints taken after the first read and before the last
+	for k := uint64(1); k < 8; k++ {
+		at := k * full.Result.Cycles / 8
+		var snap []byte
+		_, err := job.Execute(spec(input, false), &job.Runtime{CheckpointAt: at, CheckpointSave: func(s []byte) error {
+			snap = s
+			return errInterrupted
+		}})
+		if !errors.Is(err, errInterrupted) {
+			t.Fatalf("checkpoint@%d: interrupted run: err = %v", at, err)
+		}
+		same, err := job.Execute(spec(input, true), &job.Runtime{Restore: snap})
+		if err != nil {
+			t.Fatalf("checkpoint@%d: resumed over the same input: %v", at, err)
+		}
+		if same.Result.Out != input || !sameResult(same.Result, full.Result) {
+			t.Errorf("checkpoint@%d: resumed run echoed %q, want %q\ngot  %+v\nwant %+v", at, same.Result.Out, input, same.Result, full.Result)
+		}
+		mixed, err := job.Execute(spec(other, false), &job.Runtime{Restore: snap})
+		if err != nil {
+			t.Fatalf("checkpoint@%d: resumed over another input: %v", at, err)
+		}
+		read := -1
+		for j := 0; j <= len(input); j++ {
+			if mixed.Result.Out == input[:j]+other[j:] {
+				read = j
+			}
+		}
+		if read < 0 {
+			t.Errorf("checkpoint@%d: resumed over %q echoed %q, not a prefix of %q and the rest of %q", at, other, mixed.Result.Out, input, other)
+		}
+		if read > 0 && read < len(input) {
+			between++
 		}
 	}
-	snap, err := m1.Save()
-	if err != nil {
-		t.Fatal(err)
-	}
-	env2 := interp.NewSysEnv()
-	env2.In = strings.NewReader(input) // fresh reader over the same bytes
-	m2 := interp.NewMachine(p, env2)
-	if err := m2.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if got := run(m2); got != want {
-		t.Errorf("restored run echoed %q, want %q", got, want)
+	if between == 0 {
+		t.Error("no checkpoint fell between two reads")
 	}
 }
 
 // TestRestoreErrors feeds truncated, foreign and corrupted snapshots to
-// all five restore paths (restorePaths): every case must return an error
+// all three restore paths (restorePaths): every case must return an error
 // (or load cleanly, for a benign flipped byte) without panicking.
 func TestRestoreErrors(t *testing.T) {
 	paths := restorePaths(t)
@@ -348,7 +359,7 @@ func TestRestoreErrors(t *testing.T) {
 				p.fresh(t)(bad) //nolint:errcheck
 			}
 			// A capture for a different geometry must be rejected.
-			if others[i] != nil && p.fresh(t)(others[i]) == nil {
+			if p.fresh(t)(others[i]) == nil {
 				t.Error("capture from a machine of another geometry accepted")
 			}
 		})
@@ -387,30 +398,32 @@ func TestHostileCountsDoNotAmplify(t *testing.T) {
 }
 
 // TestPeek checks kind dispatch and header metadata on opaque
-// snapshots.
+// snapshots of both surviving kinds: a timing machine's carries its
+// capture cycle, a warm capture its instruction count.
 func TestPeek(t *testing.T) {
-	im := interp.NewMachine(buildTB(t, "wc", asm.ModeScalar), interp.NewSysEnv())
-	for i := 0; i < 100; i++ {
-		if err := im.Step(); err != nil {
+	p := buildTB(t, "wc", asm.ModeScalar)
+	cfg := core.ScalarConfig(1, false)
+	for _, c := range []struct {
+		snap []byte
+		kind uint8
+		ok   func(cycle uint64) bool
+	}{
+		{captureTiming(t, p, cfg, 100)[0], snapshot.KindMultiscalar, func(cycle uint64) bool { return cycle >= 100 }},
+		{captureWarm(t, p, cfg, 100)[0], snapshot.KindWarm, func(cycle uint64) bool { return cycle == 100 }},
+	} {
+		meta, err := snapshot.Peek(c.snap)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	snap, err := im.Save()
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta, err := snapshot.Peek(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.Kind != snapshot.KindInterp {
-		t.Errorf("Peek kind = %d, want %d", meta.Kind, snapshot.KindInterp)
-	}
-	if meta.Version != snapshot.Version {
-		t.Errorf("Peek version = %d, want %d", meta.Version, snapshot.Version)
-	}
-	if meta.Cycle != im.ICount {
-		t.Errorf("Peek cycle = %d, want %d", meta.Cycle, im.ICount)
+		if meta.Kind != c.kind {
+			t.Errorf("Peek kind = %d, want %d", meta.Kind, c.kind)
+		}
+		if meta.Version != snapshot.Version {
+			t.Errorf("Peek version = %d, want %d", meta.Version, snapshot.Version)
+		}
+		if !c.ok(meta.Cycle) {
+			t.Errorf("%s: Peek cycle = %d, not the capture point 100", snapshot.KindName(c.kind), meta.Cycle)
+		}
 	}
 	if _, err := snapshot.Peek([]byte("short")); err == nil {
 		t.Error("Peek(short) = nil error")

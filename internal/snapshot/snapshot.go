@@ -38,18 +38,20 @@ import (
 const magic = "MSSNAP"
 
 // Version is the current snapshot format version. Version 3 added the
-// capture-point cycle (instruction count for the functional machine) to
-// the header, so tools can describe an opaque snapshot without decoding
+// capture-point cycle (instruction count for a warm capture) to the
+// header, so tools can describe an opaque snapshot without decoding
 // its body. Version 4 added the functional machine's task-exit count
-// beside its other class counts.
+// beside its other class counts. Retiring that machine's kind (1) later
+// moved no byte of a surviving kind, so the version stayed 4.
 const Version = 4
 
 // Machine kinds, stored in the header so a snapshot cannot be fed to
-// the wrong Restore. 2 is retired: it was the separate scalar timing
-// machine's, whose runs are now KindMultiscalar runs on one unit; a
-// snapshot carrying it is refused by name like any other wrong kind.
+// the wrong Restore. 1 and 2 are retired, and a snapshot carrying either
+// is refused by name like any other wrong kind. 1 was the functional
+// machine's, which nothing saved or restored outside its own tests. 2
+// was the separate scalar timing machine's, whose runs are now
+// KindMultiscalar runs on one unit.
 const (
-	KindInterp      uint8 = 1
 	KindMultiscalar uint8 = 3
 	// KindWarm is not a machine: it is the architectural-plus-warm state
 	// the sampled-simulation engine captures during functional-warm
@@ -64,8 +66,8 @@ const headerSize = len(magic) + 3 + 8
 // KindName names a machine kind for error messages.
 func KindName(kind uint8) string {
 	switch kind {
-	case KindInterp:
-		return "interp"
+	case 1:
+		return "interp (a kind retired with the functional machine's snapshots)"
 	case 2:
 		return "scalar (a kind retired with the separate scalar machine)"
 	case KindMultiscalar:
@@ -82,8 +84,7 @@ type Meta struct {
 	Version uint16
 	Kind    uint8
 	// Cycle is the capture point: the machine cycle for the timing
-	// machines, the dynamic instruction count for the functional
-	// machine and warm-state captures.
+	// machine, the dynamic instruction count for warm-state captures.
 	Cycle uint64
 }
 

@@ -101,9 +101,6 @@ func (t *Writer) Emit(e Event) {
 	_, t.err = t.bw.Write(b[:n])
 }
 
-// Err returns the first write error.
-func (t *Writer) Err() error { return t.err }
-
 // Close writes the trailer and flushes. The Writer is unusable after.
 func (t *Writer) Close() error {
 	if t.closed {

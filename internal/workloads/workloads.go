@@ -118,15 +118,6 @@ func All() []*Workload {
 	return out
 }
 
-// AllWithExtras returns every registered workload, extras last.
-func AllWithExtras() []*Workload {
-	var out []*Workload
-	for _, n := range Names() {
-		out = append(out, registry[n])
-	}
-	return out
-}
-
 // exitSeq terminates a program with exit code 0.
 const exitSeq = `
 	li $v0, 10

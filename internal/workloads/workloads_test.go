@@ -29,8 +29,8 @@ func runOracle(t *testing.T, p *isa.Program) (*interp.Machine, string) {
 // scalar oracle; the multiscalar machine (4 and 8 units) matches the
 // multiscalar oracle in output and committed instruction count.
 func TestWorkloadsEndToEnd(t *testing.T) {
-	for _, w := range AllWithExtras() {
-		w := w
+	for _, name := range Names() {
+		w := Get(name)
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
 			scalarProg, err := w.Build(asm.ModeScalar, w.TestScale)

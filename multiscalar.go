@@ -318,16 +318,17 @@ func RunSampled(p *Program, cfg Config, opts ...RunOption) (*SampleEstimate, err
 }
 
 // SnapshotMeta is the header of a machine snapshot: format version,
-// snapshot kind, and the cycle (or, for functional and warm snapshots,
-// instruction count) it was taken at.
+// snapshot kind, and the cycle (or, for warm snapshots, instruction
+// count) it was taken at.
 type SnapshotMeta = snapshot.Meta
 
 // PeekSnapshot reads a snapshot's header without decoding its body —
 // what a tool should print before committing to a restore.
 func PeekSnapshot(data []byte) (SnapshotMeta, error) { return snapshot.Peek(data) }
 
-// SnapshotKindName names a snapshot kind ("multiscalar", "interp",
-// "warm").
+// SnapshotKindName names a snapshot kind: "multiscalar" (the timing
+// machine, the one kind RestoreFrom takes), "warm" (a sampler capture),
+// or a retired kind, named with the machine it belonged to.
 func SnapshotKindName(kind uint8) string { return snapshot.KindName(kind) }
 
 // JobResult is a job's outcome: the result payload plus whether this

@@ -247,7 +247,8 @@ func TestFacadeSaveLoadProgram(t *testing.T) {
 // machines still refuse such a binary by name, and a snapshot written by
 // the separate scalar machine of earlier versions (kind 2 in the header)
 // is described and refused by name — what mssim -restore prints and
-// exits with — rather than misread.
+// exits with — rather than misread. So is one of the retired functional
+// machine's (kind 1).
 func TestScalarIsAConfiguration(t *testing.T) {
 	prog := mustAssemble(t, apiDemo, multiscalar.ModeScalar)
 	if _, err := multiscalar.Run(prog, multiscalar.DefaultConfig(4, 1, false)); err == nil || !strings.Contains(err.Error(), "no task descriptors") {
@@ -266,13 +267,15 @@ func TestScalarIsAConfiguration(t *testing.T) {
 		t.Fatalf("restoring the one machine's own snapshot: %+v, %v", res, err)
 	}
 	const kindAt = 6 + 2 // after the magic and the format version
-	snap[kindAt] = 2
-	meta, err := multiscalar.PeekSnapshot(snap)
-	if err != nil || !strings.Contains(multiscalar.SnapshotKindName(meta.Kind), "scalar") {
-		t.Fatalf("peeking a retired-kind snapshot: %+v, %v", meta, err)
-	}
-	if _, err := multiscalar.Run(prog, cfg, multiscalar.RestoreFrom(snap)); err == nil ||
-		!strings.Contains(err.Error(), "scalar") || !strings.Contains(err.Error(), "want multiscalar") {
-		t.Errorf("restoring a retired-kind snapshot: %v", err)
+	for kind, name := range map[uint8]string{1: "interp", 2: "scalar"} {
+		snap[kindAt] = kind
+		meta, err := multiscalar.PeekSnapshot(snap)
+		if err != nil || !strings.Contains(multiscalar.SnapshotKindName(meta.Kind), name) {
+			t.Fatalf("peeking a retired kind-%d snapshot: %+v, %v", kind, meta, err)
+		}
+		if _, err := multiscalar.Run(prog, cfg, multiscalar.RestoreFrom(snap)); err == nil ||
+			!strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "want multiscalar") {
+			t.Errorf("restoring a retired kind-%d snapshot: %v", kind, err)
+		}
 	}
 }
