@@ -175,7 +175,7 @@ func replayArtifact(path string) int {
 		return 2
 	}
 	fmt.Printf("replaying %s @ %s (seed %d)\n", a.Name, a.Entry, a.Seed)
-	fmt.Printf("  recorded: want=%q got=%q err=%q diagnosis=%q\n", a.Want, a.Got, a.Error, a.Diagnosis)
+	fmt.Printf("  recorded: want=%q exit=%d got=%q exit=%d err=%q diagnosis=%q\n", a.Want, a.WantExit, a.Got, a.GotExit, a.Error, a.Diagnosis)
 	r, err := a.Replay()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mslitmus:", err)
@@ -184,7 +184,7 @@ func replayArtifact(path string) int {
 	if r.Err != "" {
 		fmt.Printf("  this run: error %q\n", r.Err)
 	} else {
-		fmt.Printf("  this run: got=%q committed=%d\n", r.Got, r.Committed)
+		fmt.Printf("  this run: got=%q committed=%d exit=%d\n", r.Got, r.Committed, r.ExitCode)
 	}
 	if r.Reproduced {
 		fmt.Println("REPRODUCED")

@@ -194,9 +194,10 @@ func (a *assembler) define(line int, name string) error {
 
 func (a *assembler) pass1(src string) error {
 	a.textPos = isa.TextBase
-	// A data value takes at least two source bytes and usually four or
-	// more, so the segment rarely outgrows this and its growth steps do
-	// not multiply with the source.
+	// A numeric data value takes at least two source bytes and usually
+	// four or more, an .ascii byte about one: the segment outgrows this
+	// in at most a few steps, and their number does not grow with the
+	// source.
 	a.data = make([]byte, 0, len(src)/4)
 	var toks []token
 	for line := 1; len(src) > 0; line++ {

@@ -25,8 +25,9 @@ func benchAssemble(b *testing.B, name string, scale int) {
 	}
 }
 
-// BenchmarkAssembleDataHeavy: wc at 32x table scale, 2.6 MB of source of
-// which all but 4 KB is .byte lines — what a long sampled run builds.
+// BenchmarkAssembleDataHeavy: wc at 32x table scale, 612 KB of source of
+// which all but 2 KB is .ascii lines (512 KB of data) — the kind of
+// source a long sampled run builds.
 func BenchmarkAssembleDataHeavy(b *testing.B) { benchAssemble(b, "wc", 8192) }
 
 // BenchmarkAssembleTextHeavy: xlisp at its test scale, 71 instruction and

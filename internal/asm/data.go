@@ -95,7 +95,7 @@ func (a *assembler) dataValues(line int, d string, toks []token) error {
 			if len(op) != 1 || op[0].kind != tokString {
 				return a.errf(line, "%s wants string literals", d)
 			}
-			a.data = append(a.data, op[0].text...)
+			a.data = appendString(a.data, op[0].text)
 			if d == ".asciiz" {
 				a.data = append(a.data, 0)
 			}

@@ -28,8 +28,10 @@ const (
 	tokDirective
 )
 
-// token is one lexeme. text is a substring of the source for every kind
-// but a string literal (its unescaped value), so only those allocate.
+// token is one lexeme. text is a substring of the source for every kind,
+// so lexing allocates nothing. For a string literal it is the body
+// between the quotes, its escapes checked but not applied: appendString
+// writes the value where it is wanted.
 type token struct {
 	text string
 	num  int64
@@ -94,12 +96,12 @@ func lexLine(toks []token, line string) ([]token, error) {
 			toks = append(toks, token{kind: tokReg, text: line[i:j]})
 			i = j
 		case c == '"':
-			s, next, err := lexString(line, i)
+			j, err := lexString(line, i)
 			if err != nil {
 				return nil, err
 			}
-			toks = append(toks, token{kind: tokString, text: s})
-			i = next
+			toks = append(toks, token{kind: tokString, text: line[i+1 : j]})
+			i = j + 1
 		case c == '\'':
 			if i+2 < n && line[i+1] == '\\' {
 				v, ok := escapeChar(line[i+2])
@@ -190,30 +192,52 @@ func lexNumber(text string) (token, error) {
 	return tk, nil
 }
 
-func lexString(line string, start int) (string, int, error) {
-	var b strings.Builder
-	i := start + 1
-	for i < len(line) {
-		c := line[i]
-		if c == '"' {
-			return b.String(), i + 1, nil
-		}
-		if c == '\\' {
-			if i+1 >= len(line) {
-				return "", 0, fmt.Errorf("unterminated escape")
+// lexString checks the string literal whose opening quote is at
+// line[start] and returns the index of its closing quote. A comment
+// character inside the quotes is part of the string. Both searches are
+// IndexByte scans, so a long literal with few escapes lexes in a few
+// calls rather than one step per byte. The quote is searched for again
+// only once an escape has consumed the one found, so each byte of the
+// line is scanned a bounded number of times however many escapes it has.
+func lexString(line string, start int) (int, error) {
+	i, end := start+1, start
+	for {
+		if i > end {
+			end = len(line)
+			if q := strings.IndexByte(line[i:], '"'); q >= 0 {
+				end = i + q
 			}
-			v, ok := escapeChar(line[i+1])
-			if !ok {
-				return "", 0, fmt.Errorf("bad escape \\%c", line[i+1])
-			}
-			b.WriteByte(v)
-			i += 2
-			continue
 		}
-		b.WriteByte(c)
+		k := strings.IndexByte(line[i:end], '\\')
+		if k < 0 {
+			if end == len(line) {
+				return 0, fmt.Errorf("unterminated string")
+			}
+			return end, nil
+		}
+		i += k + 1 // the escaped character; a quote there does not close
+		if i == len(line) {
+			return 0, fmt.Errorf("unterminated escape")
+		}
+		if _, ok := escapeChar(line[i]); !ok {
+			return 0, fmt.Errorf("bad escape \\%c", line[i])
+		}
 		i++
 	}
-	return "", 0, fmt.Errorf("unterminated string")
+}
+
+// appendString appends the value of a string literal's body, as lexString
+// checked it, to dst.
+func appendString(dst []byte, body string) []byte {
+	for {
+		k := strings.IndexByte(body, '\\')
+		if k < 0 {
+			return append(dst, body...)
+		}
+		c, _ := escapeChar(body[k+1])
+		dst = append(append(dst, body[:k]...), c)
+		body = body[k+2:]
+	}
 }
 
 func escapeChar(c byte) (byte, bool) {

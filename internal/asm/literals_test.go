@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestNumericLiterals: the literal grammar of docs/assembly.md, one
@@ -168,5 +169,74 @@ func TestLineEndings(t *testing.T) {
 		if got := Listing(mustAssemble(t, alt, ModeScalar)); got != want {
 			t.Errorf("%s: listing differs\n%s\nwant\n%s", name, got, want)
 		}
+	}
+}
+
+// TestStringLiterals: a string literal is the bytes between its quotes,
+// escapes applied. Comment characters inside it do not end the line, an
+// escape may be its last character, and .asciiz appends the NUL.
+func TestStringLiterals(t *testing.T) {
+	for src, want := range map[string]string{
+		`.ascii "a;b#c//d!e"`:          "a;b#c//d!e",
+		`.ascii "x" ; "y"`:             "x",
+		`.ascii "tab\tcr\rnul\0"`:      "tab\tcr\rnul\x00",
+		`.ascii "line\n"`:              "line\n",
+		`.ascii "\""`:                  `"`,
+		`.ascii "\\"`:                  `\`,
+		`.ascii "q\'"`:                 "q'",
+		`.ascii ""`:                    "",
+		`.ascii "a", "", "b\n"`:        "ab\n",
+		`.asciiz "hi\n"`:               "hi\n\x00",
+		`.asciiz "a", "b"`:             "a\x00b\x00",
+		".ascii \"raw\ttab \xff\x01\"": "raw\ttab \xff\x01",
+	} {
+		p, err := Assemble(".data\n\t"+src+"\n.text\nmain:\n\tsyscall\n", ModeScalar)
+		if err != nil {
+			t.Errorf("%s: %v", src, err)
+		} else if string(p.Data) != want {
+			t.Errorf("%s = %q, want %q", src, p.Data, want)
+		}
+	}
+	for src, want := range map[string]string{
+		`.ascii "abc`:    "asm: line 2: unterminated string",
+		`.ascii "abc\"`:  "asm: line 2: unterminated string",
+		`.ascii "abc\`:   "asm: line 2: unterminated escape",
+		`.ascii "a\qb"`:  `asm: line 2: bad escape \q`,
+		`.ascii "a\x41"`: `asm: line 2: bad escape \x`,
+	} {
+		if _, err := Assemble(".data\n\t"+src+"\n", ModeScalar); err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %q", src, err, want)
+		}
+	}
+}
+
+// TestStringLiteralLinear: lexing a literal costs time linear in its
+// length however many escapes it holds. Source reaches the assembler
+// from outside (msserve's inline jobs), so one long escape-heavy line
+// must not cost quadratic time. Four times the escapes may take at most
+// ten times as long; a lexer that rescans for the closing quote after
+// each escape takes about sixteen.
+func TestStringLiteralLinear(t *testing.T) {
+	assembleTime := func(n int) time.Duration {
+		src := ".data\n\t.ascii \"" + strings.Repeat(`\n`, n) + "\"\n.text\nmain:\n\tsyscall\n"
+		best := time.Duration(math.MaxInt64)
+		for range 5 {
+			start := time.Now()
+			p, err := Assemble(src, ModeScalar)
+			if d := time.Since(start); d < best {
+				best = d
+			}
+			if err != nil {
+				t.Fatalf("%d escapes: %v", n, err)
+			} else if len(p.Data) != n {
+				t.Fatalf("%d escapes: %d data bytes", n, len(p.Data))
+			}
+		}
+		return best
+	}
+	const n = 1 << 16
+	small, large := assembleTime(n), assembleTime(4*n)
+	if large > 10*small {
+		t.Errorf("%d escapes took %v, %d took %v: more than linear", n, small, 4*n, large)
 	}
 }

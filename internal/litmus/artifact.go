@@ -9,8 +9,9 @@ import (
 	"multiscalar/internal/job"
 )
 
-// ArtifactVersion tags the repro-artifact JSON layout.
-const ArtifactVersion = 1
+// ArtifactVersion tags the repro-artifact JSON layout. Version 2 added
+// the exit codes.
+const ArtifactVersion = 2
 
 // Artifact is a self-contained repro of one differential mismatch:
 // everything needed to rebuild and re-run the failing cell without the
@@ -27,8 +28,10 @@ type Artifact struct {
 	Entry     string          `json:"entry"`  // human-readable matrix cell
 	Want      string          `json:"want"`
 	WantCount uint64          `json:"want_icount"`
+	WantExit  int32           `json:"want_exit"`
 	Got       string          `json:"got,omitempty"`
 	Committed uint64          `json:"got_committed,omitempty"`
+	GotExit   int32           `json:"got_exit,omitempty"`
 	Error     string          `json:"error,omitempty"`
 	Diagnosis string          `json:"diagnosis,omitempty"`
 	Snapshot  []byte          `json:"snapshot,omitempty"`
@@ -53,8 +56,10 @@ func NewArtifact(p *Program, e MatrixEntry, mm *Mismatch, seed int64, snapshot [
 		Entry:     e.String(),
 		Want:      p.Oracle.Out,
 		WantCount: p.Oracle.ICount,
+		WantExit:  p.Oracle.ExitCode,
 		Got:       mm.Got,
 		Committed: mm.Committed,
+		GotExit:   mm.ExitCode,
 		Error:     mm.Err,
 		Diagnosis: mm.Diagnosis,
 		Snapshot:  snapshot,
@@ -83,6 +88,7 @@ type ReplayResult struct {
 	Reproduced bool   // the run still diverges from the recorded oracle
 	Got        string // this run's output
 	Committed  uint64
+	ExitCode   int32
 	Err        string // this run's error, if it failed outright
 }
 
@@ -107,7 +113,7 @@ func (a *Artifact) Replay() (*ReplayResult, error) {
 	if err != nil {
 		return &ReplayResult{Reproduced: true, Err: err.Error()}, nil
 	}
-	r := &ReplayResult{Got: out.Result.Out, Committed: out.Result.Committed}
-	r.Reproduced = r.Got != a.Want || r.Committed != a.WantCount
+	r := &ReplayResult{Got: out.Result.Out, Committed: out.Result.Committed, ExitCode: out.Result.ExitCode}
+	r.Reproduced = r.Got != a.Want || r.Committed != a.WantCount || r.ExitCode != a.WantExit
 	return r, nil
 }

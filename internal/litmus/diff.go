@@ -83,6 +83,7 @@ type Mismatch struct {
 	Entry     MatrixEntry
 	Got       string // the run's committed output ("" on a run error)
 	Committed uint64
+	ExitCode  int32
 	Err       string // run error, if the machine failed to finish
 	Diagnosis string // forbidden-outcome classification
 	Artifact  *Artifact
@@ -121,6 +122,7 @@ func runCell(p *Program, e MatrixEntry, seed int64, sink trace.Sink) (*core.Mult
 	default:
 		mm.Got = res.Out
 		mm.Committed = res.Committed
+		mm.ExitCode = res.ExitCode
 		mm.Diagnosis = p.Classify(res.Out)
 		if res.Out == p.Oracle.Out && res.ExitCode != p.Oracle.ExitCode {
 			mm.Diagnosis = fmt.Sprintf("exit code %d, oracle exited %d", res.ExitCode, p.Oracle.ExitCode)

@@ -87,7 +87,8 @@ func TestGenerateDeterministic(t *testing.T) {
 // TestExitCodeMismatch: a run is oracle-equal only if it exits as the
 // oracle did. With the oracle's exit code planted wrong, every cell is a
 // mismatch whose output and committed count agree with the oracle and
-// whose diagnosis names the two exit codes.
+// whose diagnosis names the two exit codes. Its artifact records both
+// exit codes and, decoded again, replays as reproduced.
 func TestExitCodeMismatch(t *testing.T) {
 	p, err := Generate(Params{Shape: "xviol"})
 	if err != nil {
@@ -105,6 +106,24 @@ func TestExitCodeMismatch(t *testing.T) {
 	for _, mm := range mms {
 		if mm.Err != "" || mm.Got != p.Oracle.Out || mm.Committed != p.Oracle.ICount || mm.Diagnosis != want {
 			t.Errorf("%s: err %q, committed %d, diagnosis %q; want %q", mm, mm.Err, mm.Committed, mm.Diagnosis, want)
+		}
+		data, err := mm.Artifact.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := DecodeArtifact(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.WantExit != wrong.ExitCode || a.GotExit != wrong.ExitCode-3 {
+			t.Errorf("%s: artifact want_exit %d got_exit %d, want %d and %d", mm, a.WantExit, a.GotExit, wrong.ExitCode, wrong.ExitCode-3)
+		}
+		r, err := a.Replay()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.Reproduced || r.Err != "" || r.ExitCode != wrong.ExitCode-3 {
+			t.Errorf("%s: replay reproduced %v, err %q, exit %d", mm, r.Reproduced, r.Err, r.ExitCode)
 		}
 	}
 }

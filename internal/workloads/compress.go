@@ -32,14 +32,14 @@ func init() {
 
 // compressText: skewed byte distribution with repeats, so the dictionary
 // actually extends matches (as English-like text does).
-func compressText(n int) []int {
+func compressText(n int) []byte {
 	r := newRNG(0xc03b)
-	out := make([]int, n)
+	out := make([]byte, n)
 	for i := range out {
 		if i >= 4 && r.intn(3) != 0 {
 			out[i] = out[i-4] // frequent repeated 4-grams
 		} else {
-			out[i] = int('a') + r.intn(8)
+			out[i] = 'a' + byte(r.intn(8))
 		}
 	}
 	return out
@@ -53,7 +53,7 @@ func compressSource(scale int) string {
 	const hashBits = 15
 	var sb strings.Builder
 	sb.WriteString("\t.data\ninput:\n")
-	dataLines(&sb, ".byte", text)
+	asciiLines(&sb, text)
 	sb.WriteString("\t.align 2\n")
 	sb.WriteString("htab:\t.space " + strconv.Itoa(4<<hashBits) + "\n")
 	sb.WriteString("tabpad:\t.space 192\n")                                // keep the two tables off the same cache sets

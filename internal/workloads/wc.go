@@ -30,16 +30,16 @@ func init() {
 
 // wcText generates deterministic prose: words of 2-9 letters, lines of
 // 4-11 words, padded so the total is a multiple of 64 bytes.
-func wcText(chunks int) []int {
+func wcText(chunks int) []byte {
 	n := chunks * 64
 	r := newRNG(0x77c)
-	out := make([]int, 0, n)
+	out := make([]byte, 0, n)
 	wordsInLine := 0
 	lineLen := 4 + r.intn(8)
 	for len(out) < n-1 {
 		wl := 2 + r.intn(8)
 		for i := 0; i < wl && len(out) < n-1; i++ {
-			out = append(out, int('a')+r.intn(26))
+			out = append(out, 'a'+byte(r.intn(26)))
 		}
 		wordsInLine++
 		if wordsInLine >= lineLen {
@@ -60,7 +60,7 @@ func wcSource(scale int) string {
 	text := wcText(scale)
 	var b strings.Builder
 	b.WriteString("\t.data\ntext:\n")
-	dataLines(&b, ".byte", text)
+	asciiLines(&b, text)
 	b.WriteString(`
 	.text
 main:

@@ -9,6 +9,7 @@
 package workloads
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strconv"
@@ -153,6 +154,32 @@ func dataLines(b *strings.Builder, directive string, vals []int) {
 			b.Write(strconv.AppendInt(num[:0], int64(v), 10))
 		}
 		b.WriteByte('\n')
+	}
+}
+
+// asciiLines appends text to b as .ascii lines of 64 bytes each. Only
+// '\n', '"' and '\\' are escaped: any other byte inside a string literal
+// stands for itself, comment characters included. A data byte costs one
+// source byte, not the four or five of a .byte value.
+func asciiLines(b *strings.Builder, text []byte) {
+	b.Grow(len(text) + bytes.Count(text, []byte{'\n'}) + (len(text)+63)/64*len("\t.ascii \"\"\n"))
+	for i := 0; i < len(text); i += 64 {
+		line := text[i:min(i+64, len(text))]
+		b.WriteString("\t.ascii \"")
+		run := 0 // start of the bytes not yet written
+		for k, c := range line {
+			if c == '\n' || c == '"' || c == '\\' {
+				b.Write(line[run:k])
+				b.WriteByte('\\')
+				if c == '\n' {
+					c = 'n'
+				}
+				b.WriteByte(c)
+				run = k + 1
+			}
+		}
+		b.Write(line[run:])
+		b.WriteString("\"\n")
 	}
 }
 

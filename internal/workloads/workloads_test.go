@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"multiscalar/internal/asm"
@@ -91,6 +93,45 @@ func TestWorkloadsEndToEnd(t *testing.T) {
 					100*res.PredAccuracy(), res.CtlSquashes, res.MemSquashes)
 			}
 		})
+	}
+}
+
+// TestASCIISpellingMatchesBytes: a text input written by asciiLines
+// assembles to the same data bytes as the same input written as .byte
+// values — every byte value, escapes at the edges of a 64-byte line, and
+// the generated prose of wc and compress.
+func TestASCIISpellingMatchesBytes(t *testing.T) {
+	every := make([]byte, 256)
+	for i := range every {
+		every[i] = byte(i)
+	}
+	edges := []byte("\"" + strings.Repeat("a", 62) + "\\\n" + strings.Repeat("b;#//!", 10) + "c\"")
+	assemble := func(name string, write func(*strings.Builder)) []byte {
+		var b strings.Builder
+		b.WriteString("\t.data\ninput:\n")
+		write(&b)
+		b.WriteString("\t.text\nmain:\n\tsyscall\n")
+		p, err := asm.Assemble(b.String(), asm.ModeScalar)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return p.Data
+	}
+	for name, text := range map[string][]byte{
+		"every byte value": every,
+		"line edges":       edges,
+		"wc prose":         wcText(40),
+		"compress input":   compressText(1000),
+	} {
+		vals := make([]int, len(text))
+		for i, c := range text {
+			vals[i] = int(c)
+		}
+		ascii := assemble(name, func(b *strings.Builder) { asciiLines(b, text) })
+		byteVals := assemble(name, func(b *strings.Builder) { dataLines(b, ".byte", vals) })
+		if !bytes.Equal(ascii, text) || !bytes.Equal(byteVals, text) {
+			t.Errorf("%s: .ascii gives %q, .byte gives %q, want %q", name, ascii, byteVals, text)
+		}
 	}
 }
 
