@@ -1,6 +1,6 @@
-// mslitmus generates memory-ordering litmus tests, checks the
-// speculative machines against the functional oracle across a config
-// matrix, and stress-fuzzes the ARB's capacity paths. See
+// mslitmus generates memory-ordering litmus tests, judges the
+// speculative machines in lockstep with the functional machine across a
+// config matrix, and stress-fuzzes the ARB's capacity paths. See
 // docs/litmus.md.
 //
 // Usage:
@@ -26,6 +26,7 @@ import (
 	"strings"
 	"time"
 
+	"multiscalar/internal/core"
 	"multiscalar/internal/litmus"
 )
 
@@ -175,23 +176,34 @@ func replayArtifact(path string) int {
 		return 2
 	}
 	fmt.Printf("replaying %s @ %s (seed %d)\n", a.Name, a.Entry, a.Seed)
-	fmt.Printf("  recorded: want=%q exit=%d got=%q exit=%d err=%q diagnosis=%q\n", a.Want, a.WantExit, a.Got, a.GotExit, a.Error, a.Diagnosis)
+	fmt.Printf("  recorded: %s\n", outcome(a.Divergence, a.Error))
+	if a.Diagnosis != "" {
+		fmt.Printf("  diagnosis: %s\n", a.Diagnosis)
+	}
 	r, err := a.Replay()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mslitmus:", err)
 		return 2
 	}
-	if r.Err != "" {
-		fmt.Printf("  this run: error %q\n", r.Err)
-	} else {
-		fmt.Printf("  this run: got=%q committed=%d exit=%d\n", r.Got, r.Committed, r.ExitCode)
-	}
+	fmt.Printf("  this run: %s\n", outcome(r.Divergence, r.Err))
 	if r.Reproduced {
 		fmt.Println("REPRODUCED")
 		return 1
 	}
-	fmt.Println("did not reproduce (run now matches the recorded oracle)")
+	fmt.Println("did not reproduce (this run fails differently, or is judged sequential throughout)")
 	return 0
+}
+
+// outcome renders a judged run's failure: its first divergence, its
+// error, or that neither happened.
+func outcome(d *core.DivergenceError, err string) string {
+	switch {
+	case d != nil:
+		return d.Error()
+	case err != "":
+		return "error " + strconv.Quote(err)
+	}
+	return "sequential at every retire"
 }
 
 func sanitize(name string) string {

@@ -43,19 +43,21 @@ func (p OverflowPolicy) String() string {
 	return "stall"
 }
 
-const chunkBytes = 8
+// ChunkBytes is the width of one ARB entry: the aligned block of memory it
+// tracks byte by byte.
+const ChunkBytes = 8
 
 type entry struct {
 	chunk   uint32             // address >> 3
 	slot    int                // position in its bank's index
 	touched uint32             // bit u set => entry is on unit u's touch list
-	loads   [chunkBytes]uint32 // per byte: bit u set => unit u loaded it from elsewhere
-	stores  [chunkBytes]uint32 // per byte: bit u set => unit u stored it
+	loads   [ChunkBytes]uint32 // per byte: bit u set => unit u loaded it from elsewhere
+	stores  [ChunkBytes]uint32 // per byte: bit u set => unit u stored it
 	data    [MaxUnits][8]byte  // per unit speculative store bytes
 }
 
 func (e *entry) empty() bool {
-	for i := 0; i < chunkBytes; i++ {
+	for i := 0; i < ChunkBytes; i++ {
 		if e.loads[i] != 0 || e.stores[i] != 0 {
 			return false
 		}
@@ -348,7 +350,7 @@ func (a *ARB) alloc(chunk uint32) (*entry, bool) {
 			a.Overflows++
 			a.bankStats[bi].Overflows++
 			if a.Sink != nil {
-				a.Sink.Emit(trace.Event{Cycle: a.Now, Kind: trace.KARBOverflow, Unit: -1, Task: -1, Arg: chunk * chunkBytes})
+				a.Sink.Emit(trace.Event{Cycle: a.Now, Kind: trace.KARBOverflow, Unit: -1, Task: -1, Arg: chunk * ChunkBytes})
 			}
 		}
 		return nil, false
@@ -359,7 +361,7 @@ func (a *ARB) alloc(chunk uint32) (*entry, bool) {
 		a.bankStats[bi].MaxOccupancy = occ
 	}
 	if a.Sink != nil {
-		a.Sink.Emit(trace.Event{Cycle: a.Now, Kind: trace.KARBAlloc, Unit: -1, Task: -1, Arg: chunk * chunkBytes})
+		a.Sink.Emit(trace.Event{Cycle: a.Now, Kind: trace.KARBAlloc, Unit: -1, Task: -1, Arg: chunk * ChunkBytes})
 	}
 	return e, true
 }
@@ -376,8 +378,8 @@ type LoadResult struct {
 // recorded for non-head units so future predecessor stores can detect a
 // violation. Aligned accesses never straddle a chunk.
 func (a *ARB) Load(unit, head, active int, addr uint32, size int, backing *mem.Memory) LoadResult {
-	chunk := addr / chunkBytes
-	off := int(addr % chunkBytes)
+	chunk := addr / ChunkBytes
+	off := int(addr % ChunkBytes)
 	du := a.dist(unit, head)
 
 	e := a.find(chunk)
@@ -432,8 +434,8 @@ type StoreResult struct {
 // Store buffers a speculative store and checks for memory-order
 // violations among the active successor units.
 func (a *ARB) Store(unit, head, active int, addr uint32, size int, value uint64) StoreResult {
-	chunk := addr / chunkBytes
-	off := int(addr % chunkBytes)
+	chunk := addr / ChunkBytes
+	off := int(addr % ChunkBytes)
 	du := a.dist(unit, head)
 
 	e, ok := a.alloc(chunk)
@@ -477,7 +479,7 @@ func (a *ARB) ClearUnit(unit int) {
 	bit := uint32(1) << uint(unit)
 	list := a.touchLists[unit]
 	for _, e := range list {
-		for b := 0; b < chunkBytes; b++ {
+		for b := 0; b < ChunkBytes; b++ {
 			e.loads[b] &^= bit
 			e.stores[b] &^= bit
 		}
@@ -497,9 +499,9 @@ func (a *ARB) Commit(unit int, backing *mem.Memory) int {
 	list := a.touchLists[unit]
 	for _, e := range list {
 		wrote := false
-		for b := 0; b < chunkBytes; b++ {
+		for b := 0; b < ChunkBytes; b++ {
 			if e.stores[b]&bit != 0 {
-				backing.SetByte(e.chunk*chunkBytes+uint32(b), e.data[unit][b])
+				backing.SetByte(e.chunk*ChunkBytes+uint32(b), e.data[unit][b])
 				e.stores[b] &^= bit
 				wrote = true
 			}
@@ -514,6 +516,21 @@ func (a *ARB) Commit(unit int, backing *mem.Memory) int {
 	}
 	a.touchLists[unit] = list[:0]
 	return written
+}
+
+// StoreChunks appends to dst the first address of every chunk unit holds a
+// store in: the chunks Commit is about to drain into memory.
+func (a *ARB) StoreChunks(unit int, dst []uint32) []uint32 {
+	bit := uint32(1) << uint(unit)
+	for _, e := range a.touchLists[unit] {
+		for b := 0; b < ChunkBytes; b++ {
+			if e.stores[b]&bit != 0 {
+				dst = append(dst, e.chunk*ChunkBytes)
+				break
+			}
+		}
+	}
+	return dst
 }
 
 // release frees an entry's bank slot once no unit holds bits in it. The
@@ -539,8 +556,8 @@ type View struct {
 // Byte implements interp.MemReader over the speculative view. It does not
 // record load bits (syscalls execute at the head, non-speculatively).
 func (v *View) Byte(addr uint32) byte {
-	a, b := v.ARB, addr%chunkBytes
-	if e := a.find(addr / chunkBytes); e != nil {
+	a, b := v.ARB, addr%ChunkBytes
+	if e := a.find(addr / ChunkBytes); e != nil {
 		visible, _ := stages(a.dist(v.Unit, v.Head), v.Active)
 		if s := a.supplier(e.stores[b], v.Head, visible); s >= 0 {
 			return e.data[s][b]
@@ -553,5 +570,5 @@ func (v *View) Byte(addr uint32) byte {
 // modulo mapping Load/Store use internally, exported so squash events
 // and litmus repro artifacts can name the conflicting bank.
 func (a *ARB) BankIndex(addr uint32) int {
-	return a.bankOf(addr / chunkBytes)
+	return a.bankOf(addr / ChunkBytes)
 }

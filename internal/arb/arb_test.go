@@ -535,8 +535,8 @@ func (a refARB) alloc(chunk uint32) (*entry, bool) {
 }
 
 func (a refARB) Load(unit, head, active int, addr uint32, size int, backing *mem.Memory) LoadResult {
-	chunk := addr / chunkBytes
-	off := int(addr % chunkBytes)
+	chunk := addr / ChunkBytes
+	off := int(addr % ChunkBytes)
 	du := a.dist(unit, head)
 
 	e := a.find(chunk)
@@ -586,8 +586,8 @@ func (a refARB) Load(unit, head, active int, addr uint32, size int, backing *mem
 }
 
 func (a refARB) Store(unit, head, active int, addr uint32, size int, value uint64) StoreResult {
-	chunk := addr / chunkBytes
-	off := int(addr % chunkBytes)
+	chunk := addr / ChunkBytes
+	off := int(addr % ChunkBytes)
 	du := a.dist(unit, head)
 
 	e, ok := a.alloc(chunk)
@@ -638,8 +638,8 @@ func (a refARB) Store(unit, head, active int, addr uint32, size int, value uint6
 
 // viewByte is View.Byte.
 func (a refARB) viewByte(unit, head, active int, addr uint32, backing *mem.Memory) byte {
-	chunk := addr / chunkBytes
-	b := int(addr % chunkBytes)
+	chunk := addr / ChunkBytes
+	b := int(addr % ChunkBytes)
 	if e := a.find(chunk); e != nil {
 		du := a.dist(unit, head)
 		best, supplier := -1, -1
@@ -738,7 +738,7 @@ func matchReference(t *testing.T, units, entries int, policy OverflowPolicy) {
 					chunks = 40 * banks
 				}
 				size := 1 << r.Intn(4)
-				addr := base + uint32(8*r.Intn(chunks)+r.Intn(chunkBytes-size+1))
+				addr := base + uint32(8*r.Intn(chunks)+r.Intn(ChunkBytes-size+1))
 				what := fmt.Sprintf("op %d (head %d, active %d, unit %d, %d bytes at 0x%x)", n, head, active, unit, size, addr)
 				switch op := r.Intn(100); {
 				case op < 40:

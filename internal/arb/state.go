@@ -19,7 +19,7 @@ import (
 // entries through it by chunk.
 func (a *ARB) State(c *snapshot.Codec) {
 	c.Tag("ARB ")
-	entryBytes := 8 + 2*4*chunkBytes + a.NumUnits*chunkBytes // chunk, touched; load and store bits; a data row per unit
+	entryBytes := 8 + 2*4*ChunkBytes + a.NumUnits*ChunkBytes // chunk, touched; load and store bits; a data row per unit
 	if n := c.Len(a.NumBanks, 1<<10, 4); n != a.NumBanks {
 		c.Failf("arb: %d banks, machine has %d", n, a.NumBanks)
 	}

@@ -53,32 +53,19 @@ func runScalar(t *testing.T, src string, width int, ooo bool) (*Result, *interp.
 	return res, om
 }
 
-// runMS assembles in multiscalar mode and runs the multiscalar machine,
-// checking output and committed-instruction equivalence against the
-// interpreter on the same binary.
+// runMS assembles in multiscalar mode and runs the multiscalar machine
+// judged in lockstep with the interpreter on the same binary.
 func runMS(t *testing.T, src string, units, width int, ooo bool) *Result {
 	t.Helper()
 	p, err := asm.Assemble(src, asm.ModeMultiscalar)
 	if err != nil {
 		t.Fatalf("assemble ms: %v", err)
 	}
-	om, oenv := oracle(t, p)
-	env := interp.NewSysEnv()
 	cfg := DefaultConfig(units, width, ooo)
 	cfg.MaxCycles = 50_000_000
-	m, err := NewMultiscalar(p, env, cfg)
-	if err != nil {
-		t.Fatalf("new multiscalar: %v", err)
-	}
-	res, err := m.Run()
-	if err != nil {
-		t.Fatalf("ms run (%d units): %v", units, err)
-	}
-	if res.Out != oenv.Out.String() {
-		t.Fatalf("ms out = %q, oracle %q", res.Out, oenv.Out.String())
-	}
-	if res.Committed != om.ICount {
-		t.Fatalf("ms committed = %d, oracle %d", res.Committed, om.ICount)
+	res, d := runJudged(t, p, p, cfg)
+	if d != nil {
+		t.Fatalf("ms run (%d units): %v", units, d)
 	}
 	return res
 }

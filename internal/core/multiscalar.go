@@ -105,7 +105,8 @@ type Multiscalar struct {
 	sendBusy []uint64
 
 	// archRegs is the committed register state as of the most recently
-	// retired task; it seeds the register file of newly assigned tasks.
+	// retired task: each retire publishes the registers its task wrote
+	// itself. It seeds the register file of newly assigned tasks.
 	archRegs [isa.NumRegs]interp.Value
 
 	finished bool
@@ -143,6 +144,9 @@ type Multiscalar struct {
 	// Checkpoint hook (ScheduleCheckpoint).
 	chkAt uint64
 	chkFn func() error
+
+	// Lockstep check (Judge); nil when the run is not judged.
+	judge *judge
 
 	// Commit limit (SetCommitLimit): pause the run once this many
 	// instructions have committed.
@@ -346,6 +350,11 @@ func (m *Multiscalar) Run() (*Result, error) {
 	}
 	if m.sink != nil {
 		m.sink.Emit(trace.Event{Cycle: m.now, Kind: trace.KRunEnd, Unit: -1, Task: -1, Arg2: m.now})
+	}
+	if m.judge != nil { // also a machine restored finished: its end is still judged
+		if err := m.judge.end(m); err != nil {
+			return nil, err
+		}
 	}
 	return m.result(), nil
 }

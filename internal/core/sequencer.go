@@ -184,6 +184,7 @@ func (m *Multiscalar) rebuildRegs(unit int, now uint64) {
 	rf.Vals = m.archRegs
 	clear(rf.ReadyAt[:])
 	rf.Pending = 0
+	rf.Written = 0
 	rf.Sent = 0
 	var accum isa.RegMask
 	du := m.Dist(unit)
@@ -345,16 +346,29 @@ func (m *Multiscalar) retire(now uint64) error {
 		}
 	}
 
-	// Commit: drain speculative stores, publish the architectural
-	// register state, free the unit.
+	// Commit: drain speculative stores, publish the registers the task
+	// wrote (its predecessors' are already in archRegs: retire is in
+	// order), free the unit.
+	if m.judge != nil {
+		m.judge.chunks = m.ARB.StoreChunks(m.Head, m.judge.chunks[:0])
+	}
 	m.ARB.Commit(m.Head, m.Backing)
-	m.archRegs = m.rfs[m.Head].Vals
-	if !m.rfs[m.Head].Pending.Empty() {
+	rf := m.rfs[m.Head]
+	for bm := rf.Written; bm != 0; bm &= bm - 1 { // bit loop: see rebuildRegs
+		r := bits.TrailingZeros64(uint64(bm))
+		m.archRegs[r] = rf.Vals[r]
+	}
+	if !rf.Pending.Empty() {
 		return fmt.Errorf("core: retiring task %s with pending registers %v",
-			ts.desc.Name, m.rfs[m.Head].Pending)
+			ts.desc.Name, rf.Pending)
 	}
 	m.committed += u.Retired
 	m.tasksRetired++
+	if m.judge != nil {
+		if err := m.judge.retire(m, ts, actual, now); err != nil {
+			return err
+		}
+	}
 	m.foldActivity(m.Head, true)
 	if m.sink != nil {
 		m.sink.Emit(trace.Event{Cycle: now, Kind: trace.KTaskRetire, Unit: int8(m.Head),

@@ -50,21 +50,10 @@ type Oracle struct {
 	ExitCode                int32
 }
 
-// ExitCodeError is a verified timing run whose exit code is not the
-// functional oracle's.
-type ExitCodeError struct {
-	Timing, Oracle int32
-}
-
-func (e *ExitCodeError) Error() string {
-	return fmt.Sprintf("multiscalar: exit code %d, oracle exited %d", e.Timing, e.Oracle)
-}
-
 // Output is what a job produces.
 type Output struct {
 	Result   *core.Result     // simulate jobs
 	Sampled  *sample.Estimate // sampled jobs
-	Oracle   *Oracle          // set when the job ran the functional oracle
 	Program  []byte           // assemble jobs: the .msb container bytes
 	Trace    []byte           // .mstrc bytes when Spec.WantTrace
 	Snapshot []byte           // finished-machine snapshot when Spec.WantSnapshot
@@ -154,12 +143,6 @@ func Execute(s *Spec, rt *Runtime) (*Output, error) {
 	}
 
 	out := &Output{}
-	if s.Verify {
-		if out.Oracle, err = CachedOracle(p, s.Stdin, s.MaxInstrs); err != nil {
-			return nil, err
-		}
-	}
-
 	var tw *trace.Writer
 	var tbuf bytes.Buffer
 	if s.WantTrace {
@@ -189,27 +172,34 @@ func Execute(s *Spec, rt *Runtime) (*Output, error) {
 			return nil, err
 		}
 	}
+	var co *interp.Machine
+	if s.Verify {
+		cenv := interp.NewSysEnv()
+		cenv.In = bytes.NewReader(s.Stdin)
+		co = interp.NewMachine(p, cenv)
+		m.Judge(co, boundOf(s.MaxInstrs))
+	}
 	res, err := m.Run()
 	if err != nil {
 		return nil, err
+	}
+	if co != nil {
+		if d := m.Divergence(); d != nil {
+			return nil, d
+		}
+		// A co that ran the program to its exit is its oracle: file it, so
+		// a later sampled job or count table does not interpret again.
+		if co.Env.Exited {
+			if _, err := memoOracle(p, s.Stdin, s.MaxInstrs, func() (*Oracle, error) { return oracleOf(co), nil }); err != nil {
+				return nil, err
+			}
+		}
 	}
 	if tw != nil {
 		if err := tw.Close(); err != nil {
 			return nil, err
 		}
 		out.Trace = tbuf.Bytes()
-	}
-	if o := out.Oracle; o != nil {
-		if res.Out != o.Out {
-			return nil, fmt.Errorf("multiscalar: output diverged from oracle: %q vs %q", res.Out, o.Out)
-		}
-		if res.Committed != o.ICount {
-			return nil, fmt.Errorf("multiscalar: committed %d instructions, oracle executed %d",
-				res.Committed, o.ICount)
-		}
-		if res.ExitCode != o.ExitCode {
-			return nil, &ExitCodeError{Timing: res.ExitCode, Oracle: o.ExitCode}
-		}
 	}
 	if s.WantSnapshot {
 		if out.Snapshot, err = m.Save(); err != nil {
@@ -227,10 +217,7 @@ func Execute(s *Spec, rt *Runtime) (*Output, error) {
 // captured — inline, with no goroutine, when the pool is one worker wide.
 // The sampling regime is derived from the run (the zero sample.Params).
 func executeSampled(s *Spec, p *isa.Program) (*Output, error) {
-	maxInstrs := s.MaxInstrs
-	if maxInstrs == 0 {
-		maxInstrs = DefaultMaxInstrs
-	}
+	maxInstrs := boundOf(s.MaxInstrs)
 	o, err := CachedOracle(p, s.Stdin, maxInstrs)
 	if err != nil {
 		return nil, err
@@ -274,60 +261,65 @@ func (s *Spec) label() string {
 // RunOracle executes a program on the functional simulator and returns
 // the reference outcome. maxInstrs of 0 means DefaultMaxInstrs.
 func RunOracle(p *isa.Program, stdin io.Reader, maxInstrs uint64) (*Oracle, error) {
-	if maxInstrs == 0 {
-		maxInstrs = DefaultMaxInstrs
-	}
 	env := interp.NewSysEnv()
 	env.In = stdin
 	m := interp.NewMachine(p, env)
-	if err := m.Run(maxInstrs); err != nil {
+	if err := m.Run(boundOf(maxInstrs)); err != nil {
 		return nil, err
 	}
+	return oracleOf(m), nil
+}
+
+// oracleOf reads the reference outcome off a functional machine that has
+// run the program to its exit.
+func oracleOf(m *interp.Machine) *Oracle {
 	return &Oracle{
 		ICount:    m.ICount,
 		Loads:     m.LoadCount,
 		Stores:    m.StoreCount,
 		Branches:  m.BranchCount,
 		TaskExits: m.TaskExits,
-		Out:       env.Out.String(),
-		ExitCode:  env.ExitCode,
-	}, nil
+		Out:       m.Env.Out.String(),
+		ExitCode:  m.Env.ExitCode,
+	}
+}
+
+// boundOf is an instruction bound with 0 meaning DefaultMaxInstrs.
+func boundOf(maxInstrs uint64) uint64 {
+	if maxInstrs == 0 {
+		return DefaultMaxInstrs
+	}
+	return maxInstrs
 }
 
 // CachedOracle is RunOracle over in-memory input, memoized per (program
-// content, stdin, instruction bound): the functional reference Execute's
-// Verify path and the bench harness's instruction-count tables share. The
+// content, stdin, instruction bound): the functional reference sampled
+// jobs and the bench harness's instruction-count tables share. A verified
+// Execute that agrees files its functional machine's counts here too. The
 // returned Oracle is shared and must not be mutated. nil stdin (no input)
 // and empty stdin are distinct.
 func CachedOracle(p *isa.Program, stdin []byte, maxInstrs uint64) (*Oracle, error) {
-	if maxInstrs == 0 {
-		maxInstrs = DefaultMaxInstrs
-	}
-	key, err := oracleKey(p, stdin, maxInstrs)
-	if err != nil {
-		return nil, err
-	}
-	o, _, err := oracles.Do(context.Background(), key, func() (*Oracle, error) {
+	return memoOracle(p, stdin, maxInstrs, func() (*Oracle, error) {
 		var in io.Reader
 		if stdin != nil {
 			in = bytes.NewReader(stdin)
 		}
 		return RunOracle(p, in, maxInstrs)
 	})
-	return o, err
 }
 
-// oracleKey is the oracle store's key: program content, instruction
-// bound and input digest.
-func oracleKey(p *isa.Program, stdin []byte, maxInstrs uint64) (string, error) {
+// memoOracle answers the oracle store's entry for program content,
+// instruction bound and input digest, running fn on a miss.
+func memoOracle(p *isa.Program, stdin []byte, maxInstrs uint64, fn func() (*Oracle, error)) (*Oracle, error) {
 	h, err := ProgramHash(p)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	key := binary.BigEndian.AppendUint64([]byte(h), maxInstrs)
+	key := binary.BigEndian.AppendUint64([]byte(h), boundOf(maxInstrs))
 	if stdin != nil {
 		sum := sha256.Sum256(stdin)
 		key = append(key, sum[:]...)
 	}
-	return string(key), nil
+	o, _, err := oracles.Do(context.Background(), string(key), fn)
+	return o, err
 }

@@ -5,12 +5,12 @@
 // as source, or as a suite workload), the machine Config, the program
 // input, the run bounds, and the artifacts the caller wants back — and
 // hashes to a stable content-addressed Key. Execute is the one execution
-// path (oracle verification, trace and snapshot artifacts, sampled runs)
+// path (lockstep verification, trace and snapshot artifacts, sampled runs)
 // behind the facade, the bench harness and msserve.
 //
 // "Have I already done this?" has one implementation: Store, a
 // single-flight LRU. Program builds (Spec.Resolve) and functional-oracle
-// runs (CachedOracle, Execute's Verify path) are process-wide instances
+// runs (CachedOracle, filled too by Execute's Verify path) are process-wide instances
 // here; msserve's result cache and the bench harness's per-point results
 // are instances in their own packages, keyed by Spec.Key. Independent jobs
 // at every level fan out through RunJobs, and every call, nested or not,
@@ -96,7 +96,9 @@ type Spec struct {
 	// MaxInstrs bounds functional executions (0 = DefaultMaxInstrs).
 	MaxInstrs uint64
 
-	// Verify checks the timing run against the functional oracle.
+	// Verify judges the timing run in lockstep with a functional machine
+	// (core.Multiscalar.Judge): the first retire that leaves a state the
+	// sequential run does not is the job's error, a *core.DivergenceError.
 	Verify bool
 
 	// Requested artifacts.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -243,58 +244,62 @@ func TestStoreResetAndUnbounded(t *testing.T) {
 	}
 }
 
-// TestVerifySharesOneOracleRun: Execute with Verify over one program ×
-// eight configurations interprets the program once, and once more per
-// distinct input.
+// TestVerifySharesOneOracleRun: verified Execute runs over one program ×
+// eight configurations file one oracle per distinct input — the counts of
+// the functional machine each judged run stepped, equal to a fresh
+// RunOracle — so a later CachedOracle of that program and input is a hit,
+// not another interpretation.
 func TestVerifySharesOneOracleRun(t *testing.T) {
 	ResetBuildMemo()
-	_, before := Stats()
 	configs := []core.Config{
 		core.DefaultConfig(2, 1, false), core.DefaultConfig(4, 1, false),
 		core.DefaultConfig(8, 1, false), core.DefaultConfig(16, 1, false),
 		core.DefaultConfig(2, 2, true), core.DefaultConfig(4, 2, true),
 		core.DefaultConfig(8, 2, true), core.DefaultConfig(1, 1, false),
 	}
-	run := func(stdin []byte) *Oracle {
-		var first *Oracle
-		for _, cfg := range configs {
-			s := baseSpec()
-			s.Scale = 20 // the workload's fast test scale
-			s.Config, s.Stdin, s.Verify = cfg, stdin, true
-			out, err := Execute(s, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if first == nil {
-				first = out.Oracle
-			} else if out.Oracle != first {
-				t.Fatal("verified runs of one program and input did not share one Oracle")
-			}
-		}
-		return first
-	}
-	run(nil)
-	if _, st := Stats(); st.Runs-before.Runs != 1 {
-		t.Fatalf("%d oracle runs for 8 verified configurations of one program, want 1", st.Runs-before.Runs)
-	}
-	run([]byte("a"))
-	run([]byte("b"))
-	run([]byte("a"))
-	if _, st := Stats(); st.Runs-before.Runs != 3 {
-		t.Fatalf("%d oracle runs for one program under {none, a, b}, want 3", st.Runs-before.Runs)
-	}
-	// The instruction bound is part of the identity too.
-	small := baseSpec()
-	small.Scale = 20
-	p, err := small.Resolve()
+	s := baseSpec()
+	s.Scale = 20 // the workload's fast test scale
+	p, err := s.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, stdin := range [][]byte{nil, []byte("a"), []byte("b"), []byte("a")} {
+		for _, cfg := range configs {
+			s.Config, s.Stdin, s.Verify = cfg, stdin, true
+			if _, err := Execute(s, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, before := Stats()
+		o, err := CachedOracle(p, stdin, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, after := Stats(); after.Runs != before.Runs {
+			t.Fatalf("stdin %q: CachedOracle after verified runs interpreted the program again", stdin)
+		}
+		var in io.Reader
+		if stdin != nil {
+			in = bytes.NewReader(stdin)
+		}
+		want, err := RunOracle(p, in, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *o != *want {
+			t.Fatalf("stdin %q: stored oracle %+v, a fresh run gives %+v", stdin, *o, *want)
+		}
+	}
+	if _, st := Stats(); st.Entries != 3 {
+		t.Fatalf("%d oracles stored for one program under {none, a, b}, want 3", st.Entries)
+	}
+	// The instruction bound is part of the identity too.
+	_, before := Stats()
 	if _, err := CachedOracle(p, nil, 1<<30); err != nil {
 		t.Fatal(err)
 	}
-	if _, st := Stats(); st.Runs-before.Runs != 4 {
-		t.Fatalf("a different MaxInstrs must not alias: %d runs, want 4", st.Runs-before.Runs)
+	if _, st := Stats(); st.Runs-before.Runs != 1 {
+		t.Fatalf("a different MaxInstrs must not alias: %d runs, want 1", st.Runs-before.Runs)
 	}
 }
 

@@ -1,50 +1,48 @@
 package job
 
 import (
-	"context"
 	"errors"
 	"strconv"
+	"strings"
 	"testing"
 
+	"multiscalar/internal/core"
 	"multiscalar/internal/interp"
 	"multiscalar/internal/isa"
 )
 
 // TestVerifyComparesExitCode: a verified run whose exit code is not the
-// oracle's fails with ExitCodeError. The oracle store is seeded with the
-// program's true reference but for its exit code.
+// sequential run's fails with the judge's exit-code divergence. The
+// program exits with the byte it reads; the run restores a checkpoint
+// taken late in a run over other input, so the timing machine has read
+// 'a' while the functional machine beside it reads 'b'. Everything else
+// agrees: the read and the exit are in the one task the scalar machine
+// runs, which only the run end judges.
 func TestVerifyComparesExitCode(t *testing.T) {
-	ResetBuildMemo()
-	t.Cleanup(ResetBuildMemo)
 	s := baseSpec()
-	s.Verify = true
-	if _, err := Execute(s, nil); err != nil {
-		t.Fatalf("the true oracle: %v", err)
+	s.Workload, s.Scale = "", 0
+	s.Source = "main:\n\tli $v0, 12\n\tsyscall\n\tmove $a0, $v0\n" +
+		strings.Repeat("\taddi $t0, $t0, 1\n", 40) + "\tli $v0, 10\n\tsyscall\n"
+	s.Config, s.Mode = Machine(1, 1, false)
+	s.Stdin = []byte("a")
+	full, err := Execute(s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Result.ExitCode != 'a' {
+		t.Fatalf("exit code %d, want %d", full.Result.ExitCode, 'a')
+	}
+	var snap []byte
+	rt := &Runtime{CheckpointAt: full.Result.Cycles - 10, CheckpointSave: func(b []byte) error { snap = b; return nil }}
+	if _, err := Execute(s, rt); err != nil || snap == nil {
+		t.Fatalf("checkpoint: %v (snapshot taken: %v)", err, snap != nil)
 	}
 
-	ResetBuildMemo()
-	p, err := s.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	truth, err := RunOracle(p, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, err := oracleKey(p, nil, DefaultMaxInstrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrong := *truth
-	wrong.ExitCode = truth.ExitCode + 7
-	if _, _, err := oracles.Do(context.Background(), key, func() (*Oracle, error) { return &wrong, nil }); err != nil {
-		t.Fatal(err)
-	}
-
-	_, err = Execute(s, nil)
-	var exit *ExitCodeError
-	if !errors.As(err, &exit) || exit.Timing != truth.ExitCode || exit.Oracle != wrong.ExitCode {
-		t.Fatalf("Execute against a wrong exit code: %v; want ExitCodeError{%d, %d}", err, truth.ExitCode, wrong.ExitCode)
+	s.Verify, s.Stdin = true, []byte("b")
+	_, err = Execute(s, &Runtime{Restore: snap})
+	var d *core.DivergenceError
+	if !errors.As(err, &d) || d.What != core.DivExitCode || d.Timing != "97" || d.Functional != "98" {
+		t.Fatalf("Execute over other input: %v; want an exit-code divergence 97 against 98", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package litmus
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"multiscalar/internal/asm"
@@ -10,31 +11,27 @@ import (
 )
 
 // ArtifactVersion tags the repro-artifact JSON layout. Version 2 added
-// the exit codes.
-const ArtifactVersion = 2
+// the exit codes; version 3 records the judge's first divergence in place
+// of the expected and observed outcomes.
+const ArtifactVersion = 3
 
 // Artifact is a self-contained repro of one differential mismatch:
 // everything needed to rebuild and re-run the failing cell without the
 // generator — the program source, the canonical machine config, the
-// generation seed, the expected and observed outcomes, and the final
-// -machine snapshot of the divergent run. encoding/json renders
+// generation seed, the judge's first divergence (or the run's error) and
+// the final-machine snapshot of the divergent run. encoding/json renders
 // Snapshot as base64.
 type Artifact struct {
-	Version   int             `json:"version"`
-	Name      string          `json:"name"`
-	Seed      int64           `json:"seed"`
-	Source    string          `json:"source"`
-	Config    json.RawMessage `json:"config"` // core.Config canonical encoding
-	Entry     string          `json:"entry"`  // human-readable matrix cell
-	Want      string          `json:"want"`
-	WantCount uint64          `json:"want_icount"`
-	WantExit  int32           `json:"want_exit"`
-	Got       string          `json:"got,omitempty"`
-	Committed uint64          `json:"got_committed,omitempty"`
-	GotExit   int32           `json:"got_exit,omitempty"`
-	Error     string          `json:"error,omitempty"`
-	Diagnosis string          `json:"diagnosis,omitempty"`
-	Snapshot  []byte          `json:"snapshot,omitempty"`
+	Version    int                   `json:"version"`
+	Name       string                `json:"name"`
+	Seed       int64                 `json:"seed"`
+	Source     string                `json:"source"`
+	Config     json.RawMessage       `json:"config"` // core.Config canonical encoding
+	Entry      string                `json:"entry"`  // human-readable matrix cell
+	Divergence *core.DivergenceError `json:"divergence,omitempty"`
+	Error      string                `json:"error,omitempty"`
+	Diagnosis  string                `json:"diagnosis,omitempty"`
+	Snapshot   []byte                `json:"snapshot,omitempty"`
 }
 
 // NewArtifact captures a mismatch as a replayable artifact. The config
@@ -48,21 +45,16 @@ func NewArtifact(p *Program, e MatrixEntry, mm *Mismatch, seed int64, snapshot [
 		cfg = []byte(fmt.Sprintf(`{"error":%q}`, err.Error()))
 	}
 	return &Artifact{
-		Version:   ArtifactVersion,
-		Name:      p.Name,
-		Seed:      seed,
-		Source:    p.Source,
-		Config:    cfg,
-		Entry:     e.String(),
-		Want:      p.Oracle.Out,
-		WantCount: p.Oracle.ICount,
-		WantExit:  p.Oracle.ExitCode,
-		Got:       mm.Got,
-		Committed: mm.Committed,
-		GotExit:   mm.ExitCode,
-		Error:     mm.Err,
-		Diagnosis: mm.Diagnosis,
-		Snapshot:  snapshot,
+		Version:    ArtifactVersion,
+		Name:       p.Name,
+		Seed:       seed,
+		Source:     p.Source,
+		Config:     cfg,
+		Entry:      e.String(),
+		Divergence: mm.Divergence,
+		Error:      mm.Err,
+		Diagnosis:  mm.Diagnosis,
+		Snapshot:   snapshot,
 	}
 }
 
@@ -85,16 +77,14 @@ func DecodeArtifact(data []byte) (*Artifact, error) {
 
 // ReplayResult is the outcome of re-running an artifact.
 type ReplayResult struct {
-	Reproduced bool   // the run still diverges from the recorded oracle
-	Got        string // this run's output
-	Committed  uint64
-	ExitCode   int32
-	Err        string // this run's error, if it failed outright
+	Reproduced bool                  // the run fails as recorded
+	Divergence *core.DivergenceError // this run's first divergence
+	Err        string                // this run's error, if it failed outright
 }
 
-// Replay rebuilds the artifact's program from source and re-runs it
-// under the recorded config, reporting whether the mismatch still
-// reproduces.
+// Replay rebuilds the artifact's program from source and re-runs it,
+// judged, under the recorded config. It reproduces when the run reports
+// the same first divergence, or fails with the same error.
 func (a *Artifact) Replay() (*ReplayResult, error) {
 	cfg, err := core.UnmarshalCanonicalConfig(a.Config)
 	if err != nil {
@@ -105,15 +95,20 @@ func (a *Artifact) Replay() (*ReplayResult, error) {
 		return nil, fmt.Errorf("litmus: reassembling artifact source: %w", err)
 	}
 	spec := &job.Spec{
-		Op:      job.OpSimulate,
-		Program: prog,
-		Config:  cfg,
+		Op:        job.OpSimulate,
+		Program:   prog,
+		Config:    cfg,
+		MaxInstrs: genMaxInstrs,
+		Verify:    true,
 	}
-	out, err := job.Execute(spec, nil)
-	if err != nil {
-		return &ReplayResult{Reproduced: true, Err: err.Error()}, nil
+	r := &ReplayResult{}
+	_, err = job.Execute(spec, nil)
+	switch {
+	case errors.As(err, &r.Divergence):
+		r.Reproduced = a.Divergence != nil && *r.Divergence == *a.Divergence
+	case err != nil:
+		r.Err = err.Error()
+		r.Reproduced = r.Err == a.Error
 	}
-	r := &ReplayResult{Got: out.Result.Out, Committed: out.Result.Committed, ExitCode: out.Result.ExitCode}
-	r.Reproduced = r.Got != a.Want || r.Committed != a.WantCount || r.ExitCode != a.WantExit
 	return r, nil
 }

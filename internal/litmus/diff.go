@@ -6,6 +6,7 @@ import (
 	"multiscalar/internal/arb"
 	"multiscalar/internal/core"
 	"multiscalar/internal/interp"
+	"multiscalar/internal/isa"
 	"multiscalar/internal/job"
 	"multiscalar/internal/trace"
 )
@@ -76,57 +77,54 @@ func Matrix(quick bool) []MatrixEntry {
 	return m
 }
 
-// Mismatch is one differential failure: a run that diverged from the
-// oracle (or failed outright) under one matrix entry.
+// Mismatch is one differential failure: a run the judge found leaving
+// the sequential state (or that failed outright) under one matrix entry.
 type Mismatch struct {
-	Program   *Program
-	Entry     MatrixEntry
-	Got       string // the run's committed output ("" on a run error)
-	Committed uint64
-	ExitCode  int32
-	Err       string // run error, if the machine failed to finish
-	Diagnosis string // forbidden-outcome classification
-	Artifact  *Artifact
+	Program    *Program
+	Entry      MatrixEntry
+	Err        string                // run error, if the machine failed to finish
+	Divergence *core.DivergenceError // the judge's first divergence
+	Diagnosis  string                // the catalogued weak outcome the final output is
+	Artifact   *Artifact
 }
 
 func (m *Mismatch) String() string {
 	if m.Err != "" {
 		return fmt.Sprintf("%s @ %s: run error: %s", m.Program.Name, m.Entry, m.Err)
 	}
-	return fmt.Sprintf("%s @ %s: got %q want %q (%s)",
-		m.Program.Name, m.Entry, m.Got, m.Program.Oracle.Out, m.Diagnosis)
+	s := fmt.Sprintf("%s @ %s: %v", m.Program.Name, m.Entry, m.Divergence)
+	if m.Diagnosis != "" {
+		s += " (" + m.Diagnosis + ")"
+	}
+	return s
 }
 
 // runCell runs one (program, entry) cell on a directly built machine,
-// sink attached, and checks the result (output, committed count, exit
-// code) against the program's generation-time oracle itself, so a
-// divergent run is captured for classification instead of surfacing as
-// an opaque error. It returns the machine (nil when none could be built)
-// for the caller's statistics and the mismatch (nil on a pass). Only a
-// mismatch pays for a snapshot: the machine as the run left it goes into
-// the artifact.
-func runCell(p *Program, e MatrixEntry, seed int64, sink trace.Sink) (*core.Multiscalar, *Mismatch) {
+// sink attached, judged in lockstep by a functional machine over co (the
+// program itself, but for a test that plants a divergence). The run goes
+// on past a divergence, so its final output is still classified against
+// the forbidden catalogue. It returns the machine (nil when none could be
+// built) for the caller's statistics and the mismatch (nil on a pass).
+// Only a mismatch pays for a snapshot: the machine as the run left it
+// goes into the artifact.
+func runCell(p *Program, co *isa.Program, e MatrixEntry, seed int64, sink trace.Sink) (*core.Multiscalar, *Mismatch) {
 	cfg := e.Config()
 	cfg.Sink = sink
 	m, err := core.NewMultiscalar(p.Prog, interp.NewSysEnv(), cfg)
 	var res *core.Result
 	if err == nil {
+		m.Judge(interp.NewMachine(co, interp.NewSysEnv()), genMaxInstrs)
 		res, err = m.Run()
 	}
 	mm := &Mismatch{Program: p, Entry: e}
 	switch {
 	case err != nil:
 		mm.Err = err.Error()
-	case res.Out == p.Oracle.Out && res.Committed == p.Oracle.ICount && res.ExitCode == p.Oracle.ExitCode:
+	case m.Divergence() == nil:
 		return m, nil
 	default:
-		mm.Got = res.Out
-		mm.Committed = res.Committed
-		mm.ExitCode = res.ExitCode
+		mm.Divergence = m.Divergence()
 		mm.Diagnosis = p.Classify(res.Out)
-		if res.Out == p.Oracle.Out && res.ExitCode != p.Oracle.ExitCode {
-			mm.Diagnosis = fmt.Sprintf("exit code %d, oracle exited %d", res.ExitCode, p.Oracle.ExitCode)
-		}
 	}
 	var snap []byte
 	if m != nil {
@@ -137,9 +135,9 @@ func runCell(p *Program, e MatrixEntry, seed int64, sink trace.Sink) (*core.Mult
 }
 
 // RunDiff executes every program across every matrix entry in parallel
-// and returns the mismatches (empty means the machines matched the
-// oracle everywhere). seed is recorded in any artifact so CI failures
-// name their replay input.
+// and returns the mismatches (empty means the judge found every run
+// sequential at every retire). seed is recorded in any artifact so CI
+// failures name their replay input.
 func RunDiff(progs []*Program, matrix []MatrixEntry, seed int64) []*Mismatch {
 	type cell struct {
 		p *Program
@@ -153,7 +151,7 @@ func RunDiff(progs []*Program, matrix []MatrixEntry, seed int64) []*Mismatch {
 	}
 	results := make([]*Mismatch, len(cells))
 	_ = job.RunJobs(len(cells), func(i int) error {
-		_, results[i] = runCell(cells[i].p, cells[i].e, seed, nil)
+		_, results[i] = runCell(cells[i].p, cells[i].p.Prog, cells[i].e, seed, nil)
 		return nil
 	})
 	var mms []*Mismatch

@@ -1,6 +1,6 @@
 // Package litmus generates memory-ordering litmus tests for the
-// multiscalar machine and checks the speculative cores against the
-// functional oracle at scale.
+// multiscalar machine and judges the speculative cores in lockstep with
+// the functional machine at scale.
 //
 // A multiscalar processor maintains sequential semantics: however the
 // units interleave speculative loads and stores, the committed outcome
@@ -10,9 +10,10 @@
 // specific to this microarchitecture (cross-task store→speculative-load
 // violations, release-before-store, forward-bit races) as short
 // annotated task chains whose observations are printed by a terminal
-// task. The single legal outcome is the oracle's output; the named
-// forbidden outcomes are the weak behaviors a missed violation would
-// produce, kept as a diagnosis catalogue (see docs/litmus.md).
+// task. Every cell runs judged (core.Multiscalar.Judge): each task retire
+// must leave the functional machine's state. The named forbidden outcomes
+// are the weak behaviors a missed violation would produce, kept as a
+// diagnosis catalogue for the final output (see docs/litmus.md).
 package litmus
 
 import (
@@ -64,8 +65,8 @@ type Program struct {
 	Name   string
 	Source string       // annotated assembly text
 	Prog   *isa.Program // multiscalar build (lint-clean)
-	// Oracle is the functional reference — the one legal outcome a
-	// run must reproduce (output and committed instruction count).
+	// Oracle is the functional reference: the sequential outcome the
+	// shape tests pin and mslitmus prints.
 	Oracle *job.Oracle
 	// Forbidden names the weak outcomes worth a specific diagnosis:
 	// output → what went wrong. Any other divergence is still a
@@ -73,18 +74,14 @@ type Program struct {
 	Forbidden map[string]string
 }
 
-// Classify renders a diagnosis for an observed output.
+// Classify names the weak outcome an observed final output is, from the
+// forbidden catalogue: "" for an output the catalogue does not name (the
+// legal one among them: it is never catalogued).
 func (p *Program) Classify(got string) string {
-	if got == p.Oracle.Out {
-		return "legal"
-	}
-	if d, ok := p.Forbidden[got]; ok {
-		return d
-	}
-	return "diverged (uncatalogued outcome)"
+	return p.Forbidden[got]
 }
 
-// genMaxInstrs bounds the oracle run of a generated program; every
+// genMaxInstrs bounds the functional runs of a generated program; every
 // curated and randomized shape terminates well under it.
 const genMaxInstrs = 1 << 22
 

@@ -1,9 +1,11 @@
 package litmus
 
 import (
-	"fmt"
 	"strings"
 	"testing"
+
+	"multiscalar/internal/asm"
+	"multiscalar/internal/core"
 )
 
 // TestShapeOracles pins every curated shape's legal outcome: the
@@ -52,14 +54,14 @@ func TestClassify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Classify("1 1 "); got != "legal" {
-		t.Errorf("Classify(oracle) = %q", got)
+	if got := p.Classify("1 1 "); got != "" {
+		t.Errorf("Classify(oracle) = %q, want none: the legal outcome is never catalogued", got)
 	}
 	if got := p.Classify("1 0 "); !strings.Contains(got, "message passing") {
 		t.Errorf("Classify(forbidden) = %q", got)
 	}
-	if got := p.Classify("9 9 "); !strings.Contains(got, "uncatalogued") {
-		t.Errorf("Classify(unknown) = %q", got)
+	if got := p.Classify("9 9 "); got != "" {
+		t.Errorf("Classify(unknown) = %q, want none", got)
 	}
 }
 
@@ -84,28 +86,32 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
-// TestExitCodeMismatch: a run is oracle-equal only if it exits as the
-// oracle did. With the oracle's exit code planted wrong, every cell is a
-// mismatch whose output and committed count agree with the oracle and
-// whose diagnosis names the two exit codes. Its artifact records both
-// exit codes and, decoded again, replays as reproduced.
+// TestExitCodeMismatch: a run is sequential only if it exits as the
+// sequential run does. Judged by a functional machine over a sibling
+// program that exits with 3, every cell of the quick matrix is a mismatch
+// whose divergence is the exit code at the run end, 0 against 3: output
+// and committed count agree. Its artifact records that divergence, and
+// the replay, judged by the program itself, does not reproduce it.
 func TestExitCodeMismatch(t *testing.T) {
 	p, err := Generate(Params{Shape: "xviol"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrong := *p.Oracle
-	wrong.ExitCode += 3
-	p.Oracle = &wrong
-	matrix := Matrix(true)
-	mms := RunDiff([]*Program{p}, matrix, 0)
-	if len(mms) != len(matrix) {
-		t.Fatalf("%d mismatches over %d cells, want one per cell", len(mms), len(matrix))
+	exit := "li $a0, 0\n\tsyscall"
+	if strings.Count(p.Source, exit) != 1 {
+		t.Fatalf("the generated source has %d exits with code 0, want 1", strings.Count(p.Source, exit))
 	}
-	want := fmt.Sprintf("exit code %d, oracle exited %d", wrong.ExitCode-3, wrong.ExitCode)
-	for _, mm := range mms {
-		if mm.Err != "" || mm.Got != p.Oracle.Out || mm.Committed != p.Oracle.ICount || mm.Diagnosis != want {
-			t.Errorf("%s: err %q, committed %d, diagnosis %q; want %q", mm, mm.Err, mm.Committed, mm.Diagnosis, want)
+	sibling, err := asm.Assemble(strings.Replace(p.Source, exit, "li $a0, 3\n\tsyscall", 1), asm.ModeMultiscalar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range Matrix(true) {
+		_, mm := runCell(p, sibling, e, 0, nil)
+		if mm == nil {
+			t.Fatalf("%s: no mismatch", e)
+		}
+		if d := mm.Divergence; mm.Err != "" || d == nil || d.What != core.DivExitCode || d.Timing != "0" || d.Functional != "3" {
+			t.Fatalf("%s: %s; want an exit-code divergence 0 against 3", e, mm)
 		}
 		data, err := mm.Artifact.Encode()
 		if err != nil {
@@ -115,15 +121,15 @@ func TestExitCodeMismatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.WantExit != wrong.ExitCode || a.GotExit != wrong.ExitCode-3 {
-			t.Errorf("%s: artifact want_exit %d got_exit %d, want %d and %d", mm, a.WantExit, a.GotExit, wrong.ExitCode, wrong.ExitCode-3)
+		if a.Divergence == nil || *a.Divergence != *mm.Divergence {
+			t.Errorf("%s: artifact records %v, want %v", e, a.Divergence, mm.Divergence)
 		}
 		r, err := a.Replay()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !r.Reproduced || r.Err != "" || r.ExitCode != wrong.ExitCode-3 {
-			t.Errorf("%s: replay reproduced %v, err %q, exit %d", mm, r.Reproduced, r.Err, r.ExitCode)
+		if r.Reproduced || r.Divergence != nil || r.Err != "" {
+			t.Errorf("%s: replay reproduced %v, divergence %v, err %q", e, r.Reproduced, r.Divergence, r.Err)
 		}
 	}
 }
@@ -190,21 +196,58 @@ func TestStressSmoke(t *testing.T) {
 	}
 }
 
+// fccSrc branches on the FP condition flag first thing in the task after
+// the compare (MS016): the machine does not carry the flag across the
+// boundary, so task t exits to no where the sequential run goes to yes —
+// a divergence every replay reproduces.
+const fccSrc = `
+	.data
+x:	.double 1.0, 2.0
+	.text
+main:
+	la     $t0, x
+	l.d    $f0, 0($t0)
+	l.d    $f2, 8($t0)
+	c.lt.d $f0, $f2
+	j      t !s
+t:
+	bc1t   yes !s
+no:
+	li     $a0, 0
+	li     $v0, 1
+	syscall
+	li     $v0, 10
+	li     $a0, 0
+	syscall
+yes:
+	li     $a0, 1
+	li     $v0, 1
+	syscall
+	li     $v0, 10
+	li     $a0, 0
+	syscall
+	.task main targets=t
+	.task t targets=yes,no
+	.task no
+	.task yes
+`
+
 func TestArtifactRoundTripAndReplay(t *testing.T) {
-	p, err := Generate(Params{Shape: "xviol"})
+	prog, err := asm.Assemble(fccSrc, asm.ModeMultiscalar)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := &Program{Name: "fcc", Source: fccSrc, Prog: prog}
 	e := MatrixEntry{Units: 4, Entries: 1}
-	// A fabricated mismatch: claim the oracle wanted something else,
-	// so the (correct) machine output diverges from the record and
-	// the replay must reproduce.
-	mm := &Mismatch{Program: p, Entry: e, Got: p.Oracle.Out, Committed: p.Oracle.ICount}
-	art := NewArtifact(p, e, mm, 99, nil)
-	art.Want = "0 "
-	art.WantCount = 1
+	_, mm := runCell(p, prog, e, 99, nil)
+	if mm == nil || mm.Divergence == nil || mm.Divergence.What != core.DivNextPC || mm.Divergence.Task != "t" {
+		t.Fatalf("cell: %v; want task t's next-PC divergence", mm)
+	}
+	if len(mm.Artifact.Snapshot) == 0 {
+		t.Error("the artifact carries no snapshot of the divergent run")
+	}
 
-	data, err := art.Encode()
+	data, err := mm.Artifact.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,30 +255,25 @@ func TestArtifactRoundTripAndReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Name != art.Name || back.Seed != 99 || back.Source != p.Source {
+	if back.Name != "fcc" || back.Seed != 99 || back.Source != fccSrc || back.Divergence == nil || *back.Divergence != *mm.Divergence {
 		t.Fatalf("artifact round trip lost fields: %+v", back)
 	}
 	r, err := back.Replay()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Reproduced {
-		t.Error("fabricated mismatch did not reproduce")
-	}
-	if r.Got != p.Oracle.Out {
-		t.Errorf("replay output %q, want %q", r.Got, p.Oracle.Out)
+	if !r.Reproduced || r.Divergence == nil || *r.Divergence != *mm.Divergence {
+		t.Errorf("replay reproduced %v with %v, want %v", r.Reproduced, r.Divergence, mm.Divergence)
 	}
 
-	// With the true oracle recorded, the same artifact stops
-	// reproducing — the pass path of `mslitmus -replay`.
-	back.Want = p.Oracle.Out
-	back.WantCount = p.Oracle.ICount
-	r, err = back.Replay()
-	if err != nil {
+	// A recorded divergence the run does not report — another cycle — is
+	// not reproduced: the pass path of `mslitmus -replay`.
+	back.Divergence.Cycle++
+	if r, err = back.Replay(); err != nil {
 		t.Fatal(err)
 	}
 	if r.Reproduced {
-		t.Error("healthy run reported as reproduced mismatch")
+		t.Error("a different first divergence reported as reproduced")
 	}
 }
 

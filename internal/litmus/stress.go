@@ -81,7 +81,7 @@ func (s *squashSink) Emit(e trace.Event) {
 // Stress generates opts.Programs random litmus programs and runs each
 // across the units × entries × policies grid on directly constructed
 // machines (the stats surface needs the machine, not just the Result),
-// checking every run against the generation-time oracle and folding
+// judging every run in lockstep with the functional machine and folding
 // the per-bank ARB counters and squash histograms into the report.
 func Stress(opts StressOpts) (*StressReport, error) {
 	if opts.Programs <= 0 {
@@ -128,7 +128,7 @@ func Stress(opts StressOpts) (*StressReport, error) {
 // squash histograms into the local report.
 func stressOne(p *Program, e MatrixEntry, seed int64, rep *StressReport) {
 	sink := &squashSink{}
-	m, mm := runCell(p, e, seed, sink)
+	m, mm := runCell(p, p.Prog, e, seed, sink)
 	rep.Runs++
 	if mm != nil {
 		rep.Mismatches = append(rep.Mismatches, mm)

@@ -73,11 +73,14 @@ type Ext struct {
 // RegFile is one unit's copy of the logical register file (Section 2.2),
 // which the unit reads as a scoreboard: values, the cycle a ring value
 // arrives, and the accum-mask reservations a predecessor has not produced
-// yet. Sent (forwarded this task) and Accum are the machine's bookkeeping.
+// yet. Written is the registers the task has written itself, the ones its
+// retire publishes. Sent (forwarded this task) and Accum are the machine's
+// bookkeeping.
 type RegFile struct {
 	Vals    [isa.NumRegs]interp.Value
 	ReadyAt [isa.NumRegs]uint64
 	Pending isa.RegMask
+	Written isa.RegMask
 	Sent    isa.RegMask
 	Accum   isa.RegMask
 }
@@ -89,6 +92,7 @@ type RegFile struct {
 func (rf *RegFile) write(r isa.Reg, v interp.Value) {
 	if r != isa.RegZero {
 		rf.Vals[r], rf.ReadyAt[r], rf.Pending = v, 0, rf.Pending.Clear(r)
+		rf.Written |= 1 << r
 	}
 }
 
@@ -106,6 +110,7 @@ func (rf *RegFile) State(c *snapshot.Codec) {
 	interp.RegsState(c, &rf.Vals)
 	c.U64s(rf.ReadyAt[:])
 	c.U64((*uint64)(&rf.Pending))
+	c.U64((*uint64)(&rf.Written))
 	c.U64((*uint64)(&rf.Sent))
 	c.U64((*uint64)(&rf.Accum))
 }

@@ -577,18 +577,20 @@ func (ws *windows) measure(snap []byte) (windowRes, error) {
 }
 
 // runFullDetail is the fallback for runs too short to sample: one
-// exact detailed run, reported as a zero-width interval.
+// exact detailed run, judged in lockstep with the functional machine and
+// reported as a zero-width interval.
 func runFullDetail(p *isa.Program, cfg core.Config, prm Params, stdin []byte, ref Functional) (*Estimate, error) {
 	m, err := core.NewMultiscalar(p, newEnv(stdin), cfg)
 	if err != nil {
 		return nil, err
 	}
+	m.Judge(interp.NewMachine(p, newEnv(stdin)), ref.TotalInstrs)
 	r, err := m.Run()
 	if err != nil {
 		return nil, err
 	}
-	if r.Out != ref.Out || r.ExitCode != ref.ExitCode {
-		return nil, fmt.Errorf("sample: detailed run output diverged from functional oracle")
+	if d := m.Divergence(); d != nil {
+		return nil, fmt.Errorf("sample: detailed run: %w", d)
 	}
 	cpi := 0.0
 	if r.Committed > 0 {

@@ -42,8 +42,10 @@ const magic = "MSSNAP"
 // header, so tools can describe an opaque snapshot without decoding
 // its body. Version 4 added the functional machine's task-exit count
 // beside its other class counts. Retiring that machine's kind (1) later
-// moved no byte of a surviving kind, so the version stayed 4.
-const Version = 4
+// moved no byte of a surviving kind, so the version stayed 4. Version 5
+// added each register file's written mask (the registers its task wrote,
+// which its retire publishes).
+const Version = 5
 
 // Machine kinds, stored in the header so a snapshot cannot be fed to
 // the wrong Restore. 1 and 2 are retired, and a snapshot carrying either

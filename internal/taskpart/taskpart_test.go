@@ -4,7 +4,10 @@ import (
 	"testing"
 
 	"multiscalar/internal/asm"
+	"multiscalar/internal/core"
+	"multiscalar/internal/interp"
 	"multiscalar/internal/isa"
+	"multiscalar/internal/mslint"
 )
 
 // assembleRaw builds a multiscalar-mode binary with no hand annotations.
@@ -379,5 +382,87 @@ join:
 	}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSplitsTaskWithManyTargets: a loop body that dispatches to five
+// inner loops would be one task with six targets (five loop headers and
+// the join). The partitioner splits it (splitRegion): the block after the
+// first dispatch branch becomes a task of its own, every descriptor names
+// at most four targets, the result is lint-clean, and it runs judged in
+// lockstep with the functional machine at 4 and 8 units.
+func TestSplitsTaskWithManyTargets(t *testing.T) {
+	p := assembleRaw(t, `
+main:
+	li $s0, 5
+loop:
+	addi $s0, $s0, -1
+	beqz $s0, c0
+	addi $t0, $s0, -1
+	beqz $t0, c1
+	addi $t0, $s0, -2
+	beqz $t0, c2
+	addi $t0, $s0, -3
+	beqz $t0, c3
+c4:
+	addi $s1, $s1, 5
+	bnez $zero, c4
+	j join
+c0:
+	addi $s1, $s1, 1
+	bnez $zero, c0
+	j join
+c1:
+	addi $s1, $s1, 2
+	bnez $zero, c1
+	j join
+c2:
+	addi $s1, $s1, 3
+	bnez $zero, c2
+	j join
+c3:
+	addi $s1, $s1, 4
+	bnez $zero, c3
+join:
+	bnez $s0, loop
+	move $a0, $s1
+	li $v0, 1
+	syscall
+	li $v0, 10
+	li $a0, 0
+	syscall
+`)
+	part, err := Run(p, Options{})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	loop, _ := p.Symbol("loop")
+	if p.TaskAt(loop+2*isa.InstrSize) == nil {
+		t.Error("the dispatch after loop's first branch is not a task of its own: nothing was split")
+	}
+	for _, ti := range part.Tasks {
+		if len(ti.Desc.Targets) > isa.MaxTaskTargets {
+			t.Errorf("task %s has %d targets", ti.Desc.Name, len(ti.Desc.Targets))
+		}
+	}
+	if r := mslint.Lint(p, nil); len(r.Diags) != 0 {
+		t.Errorf("the partition is not lint-clean:\n%s", r)
+	}
+	for _, units := range []int{4, 8} {
+		m, err := core.NewMultiscalar(p, interp.NewSysEnv(), core.DefaultConfig(units, 1, false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Judge(interp.NewMachine(p, interp.NewSysEnv()), 1<<20)
+		res, err := m.Run()
+		if err != nil {
+			t.Fatalf("%d units: %v", units, err)
+		}
+		if d := m.Divergence(); d != nil {
+			t.Errorf("%d units: %v", units, d)
+		}
+		if res.Out != "15" {
+			t.Errorf("%d units: output %q, want 15", units, res.Out)
+		}
 	}
 }

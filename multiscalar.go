@@ -161,15 +161,17 @@ func WithStdin(r io.Reader) RunOption {
 }
 
 // WithMaxInstrs bounds functional executions — Interpret itself and the
-// oracle run WithVerify performs (default DefaultMaxInstrs).
+// functional machine WithVerify steps beside the run (default
+// DefaultMaxInstrs).
 func WithMaxInstrs(n uint64) RunOption {
 	return func(o *runOptions) { o.spec.MaxInstrs = n }
 }
 
-// WithVerify makes Run check the timing simulation against the
-// functional oracle: the program is first interpreted, then simulated,
-// and Run fails unless both produce identical output and the timing run
-// commits exactly the oracle's dynamic instruction count.
+// WithVerify makes Run judge the timing simulation in lockstep with the
+// functional simulator: at every task retire the committed count, next
+// PC, registers, drained stores and output must be the sequential run's,
+// and at the end so must the exit code. Run fails with the first
+// difference, an error naming the task, what differed and both values.
 func WithVerify() RunOption {
 	return func(o *runOptions) { o.spec.Verify = true }
 }
