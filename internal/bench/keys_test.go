@@ -20,9 +20,10 @@ import (
 // representative key spaces.
 
 // legacyCfgString is the pre-migration run-memo config component:
-// fmt's %#v over the Config with the trace sink nilled.
+// fmt's %#v over the Config with the runtime-only fields (the trace sink
+// and dense ticking) cleared.
 func legacyCfgString(cfg core.Config) string {
-	cfg.Sink = nil
+	cfg.Sink, cfg.NoSkip = nil, false
 	return fmt.Sprintf("%#v", cfg)
 }
 

@@ -11,13 +11,15 @@ import (
 // UnmarshalCanonicalConfig accepts. Bump it whenever a semantic Config
 // field is added, removed, or reinterpreted: cache keys derived from the
 // canonical encoding must never alias across meanings.
-const CanonicalConfigVersion = 2
+const CanonicalConfigVersion = 3
 
 // canonicalConfig is the wire form of a Config: the version, then every
 // semantic field under the stable name and in the order Config's own
-// json tags give it, none omitted. The runtime-only attachment (Sink) is
-// tagged out — two configurations that differ only in observers
-// describe the same machine and must encode identically.
+// json tags give it, none omitted. The runtime-only fields (Sink, NoSkip)
+// are tagged out — two configurations that differ only in how a run is
+// observed or ticked describe the same machine and must encode
+// identically. Version 3 dropped no_skip and the latencies MemLoad and
+// MemStore, none of which moved a Result.
 type canonicalConfig struct {
 	V int `json:"v"`
 	Config
@@ -25,7 +27,7 @@ type canonicalConfig struct {
 
 // MarshalCanonical encodes the configuration as its one canonical,
 // versioned JSON form: fixed field order, every semantic field present,
-// the runtime-only attachment (Sink) excluded. Two Config values
+// the runtime-only fields (Sink, NoSkip) excluded. Two Config values
 // describe the same machine if and only if their canonical encodings are
 // byte-equal, which is what makes the encoding usable as a cache-key
 // component (internal/job, internal/bench, internal/serve).

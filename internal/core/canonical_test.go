@@ -28,9 +28,6 @@ func sampleConfigs() []Config {
 	c.ARBEntries = 2
 	cfgs = append(cfgs, c)
 	c = DefaultConfig(8, 1, false)
-	c.NoSkip = true
-	cfgs = append(cfgs, c)
-	c = DefaultConfig(8, 1, false)
 	c.StaticPredict = true
 	c.SharedFPUnits = 1
 	c.RingLatency = 4
@@ -41,22 +38,21 @@ func sampleConfigs() []Config {
 
 // TestCanonicalBytesPinned: the canonical encoding is a cache-key
 // component and a litmus-artifact field, so its bytes are an interface.
-// The literals were recorded at the commit before the wire struct was
-// folded into Config's own json tags (PR 22); they change only with a
-// CanonicalConfigVersion bump.
+// The literals change only with a CanonicalConfigVersion bump; they were
+// last recorded at version 3, which dropped no_skip, MemLoad and MemStore.
 func TestCanonicalBytesPinned(t *testing.T) {
-	const latencies = `"latencies":{"IntAddSub":1,"ShiftLogic":1,"IntMul":4,"IntDiv":12,"MemStore":1,"MemLoad":2,"Branch":1,"SPAddSub":2,"SPMul":4,"SPDiv":12,"DPAddSub":2,"DPMul":5,"DPDiv":18}`
+	const latencies = `"latencies":{"IntAddSub":1,"ShiftLogic":1,"IntMul":4,"IntDiv":12,"Branch":1,"SPAddSub":2,"SPMul":4,"SPDiv":12,"DPAddSub":2,"DPMul":5,"DPDiv":18}`
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 		want string
 	}{
 		{"DefaultConfig(8,2,true)", DefaultConfig(8, 2, true),
-			`{"v":2,"num_units":8,"issue_width":2,"out_of_order":true,"rob_size":16,"fetchq_size":8,` + latencies +
-				`,"icache_bytes":32768,"icache_block":64,"dbank_bytes":8192,"dblock_bytes":64,"dcache_hit":2,"num_mshrs":4,"arb_entries":256,"arb_policy":0,"ring_latency":1,"desc_cache_entries":1024,"static_predict":false,"shared_fp_units":0,"branch_entries":2048,"max_cycles":2000000000,"no_skip":false}`},
+			`{"v":3,"num_units":8,"issue_width":2,"out_of_order":true,"rob_size":16,"fetchq_size":8,` + latencies +
+				`,"icache_bytes":32768,"icache_block":64,"dbank_bytes":8192,"dblock_bytes":64,"dcache_hit":2,"num_mshrs":4,"arb_entries":256,"arb_policy":0,"ring_latency":1,"desc_cache_entries":1024,"static_predict":false,"shared_fp_units":0,"branch_entries":2048,"max_cycles":2000000000}`},
 		{"ScalarConfig(1,false)", ScalarConfig(1, false),
-			`{"v":2,"num_units":1,"issue_width":1,"out_of_order":false,"rob_size":16,"fetchq_size":8,` + latencies +
-				`,"icache_bytes":32768,"icache_block":64,"dbank_bytes":65536,"dblock_bytes":64,"dcache_hit":1,"num_mshrs":4,"arb_entries":256,"arb_policy":0,"ring_latency":1,"desc_cache_entries":1024,"static_predict":false,"shared_fp_units":0,"branch_entries":2048,"max_cycles":2000000000,"no_skip":false}`},
+			`{"v":3,"num_units":1,"issue_width":1,"out_of_order":false,"rob_size":16,"fetchq_size":8,` + latencies +
+				`,"icache_bytes":32768,"icache_block":64,"dbank_bytes":65536,"dblock_bytes":64,"dcache_hit":1,"num_mshrs":4,"arb_entries":256,"arb_policy":0,"ring_latency":1,"desc_cache_entries":1024,"static_predict":false,"shared_fp_units":0,"branch_entries":2048,"max_cycles":2000000000}`},
 	} {
 		got, err := tc.cfg.MarshalCanonical()
 		if err != nil {
@@ -105,8 +101,8 @@ func TestCanonicalFieldSetEnforced(t *testing.T) {
 			t.Errorf("%s: %v; want an error containing %q", tc.name, err, tc.want)
 		}
 	}
-	moved := edit(good, `"v":2,`, ``)
-	moved = moved[:len(moved)-1] + `,"v":2}`
+	moved := edit(good, `"v":3,`, ``)
+	moved = moved[:len(moved)-1] + `,"v":3}`
 	var spaced bytes.Buffer
 	if err := json.Indent(&spaced, []byte(moved), "", "  "); err != nil {
 		t.Fatal(err)
@@ -136,9 +132,9 @@ func TestMarshalCanonicalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCanonicalExcludesObservers pins that the runtime-only attachment
-// never reaches the encoding: a configuration with an event sink keys
-// identically to the bare machine description.
+// TestCanonicalExcludesObservers pins that the runtime-only fields never
+// reach the encoding: a configuration with an event sink or with dense
+// ticking keys identically to the bare machine description.
 func TestCanonicalExcludesObservers(t *testing.T) {
 	c := DefaultConfig(8, 1, false)
 	bare, err := c.MarshalCanonical()
@@ -146,6 +142,7 @@ func TestCanonicalExcludesObservers(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Sink = nopSink{}
+	c.NoSkip = true
 	observed, err := c.MarshalCanonical()
 	if err != nil {
 		t.Fatal(err)

@@ -69,11 +69,12 @@ type Config struct {
 
 	// NoSkip disables the wakeup scheduler: the timing loop ticks every
 	// unit every cycle, even through stall windows it could prove
-	// unchanging and jump over. Results and event traces are identical
-	// either way — that equivalence is what the skip logic is tested
-	// against (docs/perf.md) — so the flag exists for debugging and for
-	// those tests.
-	NoSkip bool `json:"no_skip"`
+	// unchanging and jump over. Results (but CyclesTicked and UnitTicks)
+	// and event traces are identical either way — that equivalence is
+	// what the skip logic is tested against (docs/perf.md) — so, like
+	// Sink, it is runtime-only: not keyed, and two configurations that
+	// differ only in it describe the same machine.
+	NoSkip bool `json:"-"`
 
 	// Sink, when non-nil, receives the typed cycle-stamped event stream
 	// (task lifecycle, unit occupancy, ring, ARB, memory system) defined
@@ -155,8 +156,6 @@ func (c Config) Validate() error {
 		{"latencies.ShiftLogic", lat.ShiftLogic, 1, maxLatency, "cycles"},
 		{"latencies.IntMul", lat.IntMul, 1, maxLatency, "cycles"},
 		{"latencies.IntDiv", lat.IntDiv, 1, maxLatency, "cycles"},
-		{"latencies.MemStore", lat.MemStore, 1, maxLatency, "cycles"},
-		{"latencies.MemLoad", lat.MemLoad, 1, maxLatency, "cycles"},
 		{"latencies.Branch", lat.Branch, 1, maxLatency, "cycles"},
 		{"latencies.SPAddSub", lat.SPAddSub, 1, maxLatency, "cycles"},
 		{"latencies.SPMul", lat.SPMul, 1, maxLatency, "cycles"},
@@ -173,6 +172,14 @@ func (c Config) Validate() error {
 	// size would silently build a smaller table.
 	if c.BranchEntries&(c.BranchEntries-1) != 0 {
 		return fmt.Errorf("core: config branch_entries = %d: want a power of two (indexed by mask)", c.BranchEntries)
+	}
+	// A cache holds whole blocks: any other size would build the cache of
+	// the next smaller multiple under a key of its own.
+	if c.ICacheBytes%c.ICacheBlock != 0 {
+		return fmt.Errorf("core: config icache_bytes = %d: want a multiple of icache_block (%d)", c.ICacheBytes, c.ICacheBlock)
+	}
+	if c.DBankBytes%c.DBlockBytes != 0 {
+		return fmt.Errorf("core: config dbank_bytes = %d: want a multiple of dblock_bytes (%d)", c.DBankBytes, c.DBlockBytes)
 	}
 	return nil
 }

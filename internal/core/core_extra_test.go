@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -324,6 +325,8 @@ fn:	addi $t0, $t0, 1
 		var nt *NoTaskError
 		if !errors.As(err, &nt) || nt.Entry != cont {
 			t.Errorf("%d units: err = %v, want a NoTaskError at cont (0x%x)", units, err, cont)
+		} else if want := fmt.Sprintf("core: validated next task 0x%x has no descriptor", cont); nt.Error() != want {
+			t.Errorf("%d units: message %q, want %q", units, nt.Error(), want)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"multiscalar/internal/asm"
@@ -183,13 +184,21 @@ func TestJudgePlantedDivergences(t *testing.T) {
 			if d.Cycle == 0 || d.Cycle >= res.Cycles || d.Retire >= res.TasksRetired {
 				t.Errorf("retire %d at cycle %d: outside the run's %d retires and %d cycles", d.Retire, d.Cycle, res.TasksRetired, res.Cycles)
 			}
+			if c.name == "dead register" {
+				want := fmt.Sprintf("core: task loop (entry 0x%x, retire %d, cycle %d): register $t9 is 0x7, the functional machine's is 0x0",
+					loop, d.Retire, d.Cycle)
+				if d.Error() != want {
+					t.Errorf("message %q\nwant    %q", d.Error(), want)
+				}
+			}
 		})
 	}
 }
 
 // fccSrc compares in one task and branches on the flag first thing in
-// the next (MS016): the flag does not cross a task boundary on the
-// machine, so its branch goes the other way from the sequential run's.
+// the next (lint error MS016, so it is built with the gate off): the flag
+// does not cross a task boundary on the machine, so its branch goes the
+// other way from the sequential run's.
 const fccSrc = `
 	.data
 x:	.double 1.0, 2.0
@@ -220,10 +229,14 @@ yes:
 // FP condition flag. The flag's only consumer is a branch, so a flag the
 // machine does not carry into task t shows as t's next PC.
 func TestJudgeNamesFCCAcrossTasks(t *testing.T) {
-	p, err := asm.Assemble(fccSrc, asm.ModeMultiscalar)
+	if _, err := asm.Assemble(fccSrc, asm.ModeMultiscalar); err == nil || !strings.Contains(err.Error(), "MS016") {
+		t.Fatalf("the lint gate passed fccSrc: %v", err)
+	}
+	res, err := asm.AssembleOpts(fccSrc, asm.Options{Mode: asm.ModeMultiscalar, NoLint: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := res.Prog
 	entry, _ := p.Symbol("t")
 	no, _ := p.Symbol("no")
 	yes, _ := p.Symbol("yes")

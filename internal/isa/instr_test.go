@@ -125,7 +125,8 @@ func TestOpByNameRoundTrip(t *testing.T) {
 }
 
 func TestOpClassesCovered(t *testing.T) {
-	// Every valid op must have a class and a positive latency.
+	// Every valid op must have a class and a positive latency, but loads
+	// and stores, which complete at their data cache access and have none.
 	lat := Table1()
 	for op := Op(0); op < numOps; op++ {
 		if !op.Valid() {
@@ -134,8 +135,8 @@ func TestOpClassesCovered(t *testing.T) {
 		if op.Class() >= NumFUClasses {
 			t.Errorf("%v has bad class", op)
 		}
-		if lat.Of(op) <= 0 {
-			t.Errorf("%v has non-positive latency", op)
+		if got := lat.Of(op); op.IsMem() != (got == 0) || got < 0 {
+			t.Errorf("%v (mem %v) has latency %d", op, op.IsMem(), got)
 		}
 	}
 }

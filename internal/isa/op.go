@@ -173,8 +173,7 @@ const (
 	latShiftLogic
 	latIntMul
 	latIntDiv
-	latMemStore
-	latMemLoad
+	latMem // no FU latency: a load or store completes at its data cache access
 	latBranch
 	latSPAddSub
 	latSPMul
@@ -243,18 +242,18 @@ var opInfos = [numOps]opInfo{
 	OpSra:   {name: "sra", class: FUSimpleInt, lat: latShiftLogic, form: fRdRsImm},
 	OpLui:   {name: "lui", class: FUSimpleInt, lat: latIntAddSub, form: fRdImm},
 
-	OpLb:   {name: "lb", class: FUMemory, lat: latMemLoad, form: fRdMem, load: true, memSize: 1},
-	OpLbu:  {name: "lbu", class: FUMemory, lat: latMemLoad, form: fRdMem, load: true, memSize: 1},
-	OpLh:   {name: "lh", class: FUMemory, lat: latMemLoad, form: fRdMem, load: true, memSize: 2},
-	OpLhu:  {name: "lhu", class: FUMemory, lat: latMemLoad, form: fRdMem, load: true, memSize: 2},
-	OpLw:   {name: "lw", class: FUMemory, lat: latMemLoad, form: fRdMem, load: true, memSize: 4},
-	OpSb:   {name: "sb", class: FUMemory, lat: latMemStore, form: fRtMem, store: true, memSize: 1},
-	OpSh:   {name: "sh", class: FUMemory, lat: latMemStore, form: fRtMem, store: true, memSize: 2},
-	OpSw:   {name: "sw", class: FUMemory, lat: latMemStore, form: fRtMem, store: true, memSize: 4},
-	OpLwc1: {name: "l.s", class: FUMemory, lat: latMemLoad, form: fRdMem, load: true, memSize: 4},
-	OpLdc1: {name: "l.d", class: FUMemory, lat: latMemLoad, form: fRdMem, load: true, memSize: 8},
-	OpSwc1: {name: "s.s", class: FUMemory, lat: latMemStore, form: fRtMem, store: true, memSize: 4},
-	OpSdc1: {name: "s.d", class: FUMemory, lat: latMemStore, form: fRtMem, store: true, memSize: 8},
+	OpLb:   {name: "lb", class: FUMemory, lat: latMem, form: fRdMem, load: true, memSize: 1},
+	OpLbu:  {name: "lbu", class: FUMemory, lat: latMem, form: fRdMem, load: true, memSize: 1},
+	OpLh:   {name: "lh", class: FUMemory, lat: latMem, form: fRdMem, load: true, memSize: 2},
+	OpLhu:  {name: "lhu", class: FUMemory, lat: latMem, form: fRdMem, load: true, memSize: 2},
+	OpLw:   {name: "lw", class: FUMemory, lat: latMem, form: fRdMem, load: true, memSize: 4},
+	OpSb:   {name: "sb", class: FUMemory, lat: latMem, form: fRtMem, store: true, memSize: 1},
+	OpSh:   {name: "sh", class: FUMemory, lat: latMem, form: fRtMem, store: true, memSize: 2},
+	OpSw:   {name: "sw", class: FUMemory, lat: latMem, form: fRtMem, store: true, memSize: 4},
+	OpLwc1: {name: "l.s", class: FUMemory, lat: latMem, form: fRdMem, load: true, memSize: 4},
+	OpLdc1: {name: "l.d", class: FUMemory, lat: latMem, form: fRdMem, load: true, memSize: 8},
+	OpSwc1: {name: "s.s", class: FUMemory, lat: latMem, form: fRtMem, store: true, memSize: 4},
+	OpSdc1: {name: "s.d", class: FUMemory, lat: latMem, form: fRtMem, store: true, memSize: 8},
 
 	OpBeq:  {name: "beq", class: FUBranch, lat: latBranch, form: fRsRtTarget, branch: true},
 	OpBne:  {name: "bne", class: FUBranch, lat: latBranch, form: fRsRtTarget, branch: true},

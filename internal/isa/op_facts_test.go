@@ -10,7 +10,7 @@ import (
 // primeLatencies gives every Latencies field a distinct value, so the
 // recording pins which field each opcode reads, not only Table 1's number.
 var primeLatencies = Latencies{
-	IntAddSub: 2, ShiftLogic: 3, IntMul: 5, IntDiv: 7, MemStore: 11, MemLoad: 13,
+	IntAddSub: 2, ShiftLogic: 3, IntMul: 5, IntDiv: 7,
 	Branch: 17, SPAddSub: 19, SPMul: 23, SPDiv: 29, DPAddSub: 31, DPMul: 37, DPDiv: 41,
 }
 

@@ -33,8 +33,9 @@ import (
 // Spec field is added, removed, or reinterpreted, so keys from different
 // layouts can never alias. Version 2 added sampled jobs (OpSampled and
 // the Sample parameter section); version 3 dropped that section and the
-// spec's own cycle bound, which Config.MaxCycles states.
-const SpecVersion = 3
+// spec's own cycle bound, which Config.MaxCycles states; version 4 dropped
+// the machine-selector byte and carries canonical config version 3.
+const SpecVersion = 4
 
 // Op selects what a job does.
 type Op uint8
@@ -84,8 +85,8 @@ type Spec struct {
 	Mode  asm.Mode // build mode for Source/Workload jobs
 
 	// Config describes the simulated machine (OpSimulate and OpSampled;
-	// its runtime-only Sink never reaches the key). Config.MaxCycles is
-	// the run's cycle bound.
+	// its runtime-only Sink and NoSkip never reach the key).
+	// Config.MaxCycles is the run's cycle bound.
 	Config core.Config
 
 	// Stdin is the program's input stream. nil (no input) and empty
@@ -170,9 +171,7 @@ func (s *Spec) MarshalCanonical() ([]byte, error) {
 	// several times the encoding on every Key.
 	buf := make([]byte, 0, 160+len(s.Source)+len(s.Workload)+len(cfg)+len(s.Stdin))
 	buf = append(buf, 'M', 'S', 'J', 'B', SpecVersion)
-	// The zero between op and mode was the machine selector; there is one
-	// machine, and the byte stays so that no key moves.
-	buf = append(buf, byte(s.Op), 0, byte(s.Mode))
+	buf = append(buf, byte(s.Op), byte(s.Mode))
 
 	appendBytes := func(tag byte, b []byte) {
 		buf = append(buf, tag)

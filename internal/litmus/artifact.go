@@ -12,22 +12,24 @@ import (
 
 // ArtifactVersion tags the repro-artifact JSON layout. Version 2 added
 // the exit codes; version 3 records the judge's first divergence in place
-// of the expected and observed outcomes.
-const ArtifactVersion = 3
+// of the expected and observed outcomes; version 4 records dense ticking
+// beside the config, whose canonical encoding no longer carries it.
+const ArtifactVersion = 4
 
 // Artifact is a self-contained repro of one differential mismatch:
 // everything needed to rebuild and re-run the failing cell without the
-// generator — the program source, the canonical machine config, the
-// generation seed, the judge's first divergence (or the run's error) and
-// the final-machine snapshot of the divergent run. encoding/json renders
-// Snapshot as base64.
+// generator — the program source, the canonical machine config and
+// whether the cell ticked densely, the generation seed, the judge's first
+// divergence (or the run's error) and the final-machine snapshot of the
+// divergent run. encoding/json renders Snapshot as base64.
 type Artifact struct {
 	Version    int                   `json:"version"`
 	Name       string                `json:"name"`
 	Seed       int64                 `json:"seed"`
 	Source     string                `json:"source"`
-	Config     json.RawMessage       `json:"config"` // core.Config canonical encoding
-	Entry      string                `json:"entry"`  // human-readable matrix cell
+	Config     json.RawMessage       `json:"config"`  // core.Config canonical encoding
+	NoSkip     bool                  `json:"no_skip"` // the run ticked densely (core.Config.NoSkip)
+	Entry      string                `json:"entry"`   // human-readable matrix cell
 	Divergence *core.DivergenceError `json:"divergence,omitempty"`
 	Error      string                `json:"error,omitempty"`
 	Diagnosis  string                `json:"diagnosis,omitempty"`
@@ -50,6 +52,7 @@ func NewArtifact(p *Program, e MatrixEntry, mm *Mismatch, seed int64, snapshot [
 		Seed:       seed,
 		Source:     p.Source,
 		Config:     cfg,
+		NoSkip:     e.NoSkip,
 		Entry:      e.String(),
 		Divergence: mm.Divergence,
 		Error:      mm.Err,
@@ -83,20 +86,23 @@ type ReplayResult struct {
 }
 
 // Replay rebuilds the artifact's program from source and re-runs it,
-// judged, under the recorded config. It reproduces when the run reports
-// the same first divergence, or fails with the same error.
+// judged, under the recorded config and ticking. It reproduces when the
+// run reports the same first divergence, or fails with the same error.
+// The rebuild skips the lint gate: a repro re-runs the binary it
+// recorded, whatever the annotation contract says of it.
 func (a *Artifact) Replay() (*ReplayResult, error) {
 	cfg, err := core.UnmarshalCanonicalConfig(a.Config)
 	if err != nil {
 		return nil, err
 	}
-	prog, err := asm.Assemble(a.Source, asm.ModeMultiscalar)
+	cfg.NoSkip = a.NoSkip
+	res, err := asm.AssembleOpts(a.Source, asm.Options{Mode: asm.ModeMultiscalar, NoLint: true})
 	if err != nil {
 		return nil, fmt.Errorf("litmus: reassembling artifact source: %w", err)
 	}
 	spec := &job.Spec{
 		Op:        job.OpSimulate,
-		Program:   prog,
+		Program:   res.Prog,
 		Config:    cfg,
 		MaxInstrs: genMaxInstrs,
 		Verify:    true,

@@ -197,7 +197,8 @@ func TestStressSmoke(t *testing.T) {
 }
 
 // fccSrc branches on the FP condition flag first thing in the task after
-// the compare (MS016): the machine does not carry the flag across the
+// the compare (lint error MS016, so it is built with the gate off, as
+// Replay rebuilds it): the machine does not carry the flag across the
 // boundary, so task t exits to no where the sequential run goes to yes —
 // a divergence every replay reproduces.
 const fccSrc = `
@@ -233,12 +234,13 @@ yes:
 `
 
 func TestArtifactRoundTripAndReplay(t *testing.T) {
-	prog, err := asm.Assemble(fccSrc, asm.ModeMultiscalar)
+	res, err := asm.AssembleOpts(fccSrc, asm.Options{Mode: asm.ModeMultiscalar, NoLint: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	prog := res.Prog
 	p := &Program{Name: "fcc", Source: fccSrc, Prog: prog}
-	e := MatrixEntry{Units: 4, Entries: 1}
+	e := MatrixEntry{Units: 4, Entries: 1, NoSkip: true}
 	_, mm := runCell(p, prog, e, 99, nil)
 	if mm == nil || mm.Divergence == nil || mm.Divergence.What != core.DivNextPC || mm.Divergence.Task != "t" {
 		t.Fatalf("cell: %v; want task t's next-PC divergence", mm)
@@ -255,7 +257,7 @@ func TestArtifactRoundTripAndReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Name != "fcc" || back.Seed != 99 || back.Source != fccSrc || back.Divergence == nil || *back.Divergence != *mm.Divergence {
+	if back.Name != "fcc" || back.Seed != 99 || back.Source != fccSrc || !back.NoSkip || back.Divergence == nil || *back.Divergence != *mm.Divergence {
 		t.Fatalf("artifact round trip lost fields: %+v", back)
 	}
 	r, err := back.Replay()

@@ -275,7 +275,7 @@ func (l *linter) checkFCC(r *cfg.TaskRegion) {
 		for a := b.Start; a < b.End; a += isa.InstrSize {
 			in := l.prog.InstrAt(a)
 			if in.ReadsFCC() {
-				l.diag(SevWarning, CodeFCCBoundary, r.TD.Name, isa.RegZero, a,
+				l.diag(SevError, CodeFCCBoundary, r.TD.Name, isa.RegZero, a,
 					"%s executes before any FP compare in this task; the FP condition flag does not cross task boundaries", in.Op)
 				return
 			}

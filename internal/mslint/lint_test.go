@@ -494,7 +494,7 @@ done:
 .task done
 `,
 			wants: []want{
-				{mslint.CodeFCCBoundary, mslint.SevWarning, 6, ""},
+				{mslint.CodeFCCBoundary, mslint.SevError, 6, ""},
 			},
 		},
 		{

@@ -101,9 +101,10 @@ const (
 	// none at the program entry, so the sequencer cannot dispatch the
 	// first task.
 	CodeEntryNotTask = "MS015"
-	// CodeFCCBoundary (warn): a bc1t/bc1f can execute before any FP
+	// CodeFCCBoundary (error): a bc1t/bc1f can execute before any FP
 	// compare within its task, so the FP condition flag crosses a task
-	// boundary (the flag is task-local; see docs/assembly.md).
+	// boundary (the flag is task-local; see docs/assembly.md) and the
+	// branch goes the other way from the sequential run's.
 	CodeFCCBoundary = "MS016"
 	// CodeOverBroadCreate (warn, advisory): a create-mask register is
 	// never written by the task; successors reserve and wait for a value

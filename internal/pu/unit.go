@@ -149,7 +149,7 @@ type Unit struct {
 	robBuf []robEntry
 	win    []winWord
 	fuCap  [isa.NumFUClasses]uint8
-	lat    [isa.NumOps]uint64 // cfg.Latencies.Of by opcode
+	lat    [isa.NumOps]uint64 // cfg.Latencies.Of by opcode (0 for loads and stores: the dcache times them)
 	// nextDone is a lower bound on the earliest doneAt of any issued
 	// entry (^0 when none), so Tick enters complete only on cycles where
 	// something can finish. Entry removal (retire, flush, squash) may

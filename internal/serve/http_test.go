@@ -225,16 +225,26 @@ func TestOversizedBodyRefused(t *testing.T) {
 }
 
 // TestRemovedMachineFieldRejected: the wire "machine" selector went with
-// the second machine. A request that still sends one is told so, not run
-// as if it had not.
+// the second machine, and the config fields no_skip and latencies.MemLoad
+// with canonical config version 3 (neither moved a result). A request
+// that still sends one is told so, not run as if it had not.
 func TestRemovedMachineFieldRejected(t *testing.T) {
 	h := NewHandler(NewLocal(Options{CacheEntries: 8}))
-	req := httptest.NewRequest(http.MethodPost, "/v1/jobs",
-		strings.NewReader(`{"job":{"workload":"example","machine":"scalar","preset":{"units":1}}}`))
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `unknown field \"machine\"`) {
-		t.Errorf("status %d, body %q; want 400 naming the field", rec.Code, rec.Body.String())
+	enc, err := core.DefaultConfig(4, 1, false).MarshalCanonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := string(enc)
+	for field, job := range map[string]string{
+		"machine": `{"workload":"example","machine":"scalar","preset":{"units":1}}`,
+		"no_skip": `{"workload":"example","config":` + strings.Replace(cfg, `"max_cycles"`, `"no_skip":true,"max_cycles"`, 1) + `}`,
+		"MemLoad": `{"workload":"example","config":` + strings.Replace(cfg, `"IntDiv":12,`, `"IntDiv":12,"MemLoad":2,`, 1) + `}`,
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(`{"job":`+job+`}`)))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `unknown field \"`+field+`\"`) {
+			t.Errorf("%s: status %d, body %q; want 400 naming the field", field, rec.Code, rec.Body.String())
+		}
 	}
 }
 
