@@ -2,19 +2,30 @@ package multiscalar_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io"
+	"io/fs"
+	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"multiscalar/internal/litmus"
+	"multiscalar/internal/serve"
 )
 
 // TestCommandLine runs the binaries whose flags depend on each other and
@@ -22,16 +33,8 @@ import (
 // mode would ignore is a usage error naming the flag, a deleted flag is
 // undefined, and every other flag of these binaries does its job once.
 func TestCommandLine(t *testing.T) {
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("no go toolchain to build the commands with")
-	}
-	bin := t.TempDir()
-	build := exec.Command("go", "build", "-o", bin+string(filepath.Separator),
-		"./cmd/msbench", "./cmd/msas", "./cmd/mssim", "./cmd/mslitmus")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-
+	t.Parallel()
+	bin := commands(t)
 	tmp := t.TempDir()
 	at := func(name string) string { return filepath.Join(tmp, name) }
 	const hist = "testdata/histogram.s"
@@ -55,12 +58,13 @@ func TestCommandLine(t *testing.T) {
 	// stdout and stderr are substrings the stream must contain; an empty
 	// stderr means nothing may be printed there. Cases run in order: a
 	// later one may read what an earlier one wrote.
-	cases := []struct {
+	type cliCase struct {
 		bin            string
 		args           []string
 		code           int
 		stdout, stderr string
-	}{
+	}
+	cases := []cliCase{
 		// A flag the chosen mode would ignore.
 		{"msbench", []string{"-sections", "table1", "-sample-gate", "10"}, 2, "", "-sample-gate applies only to the sampled section"},
 		{"msas", []string{"-encode", "-o", at("x.msb"), hist}, 2, "", "-encode cannot be combined with -o"},
@@ -92,7 +96,7 @@ func TestCommandLine(t *testing.T) {
 		{"mssim", []string{"-w", "example", "-units", "0"}, 0, "instructions:", ""},
 		{"mssim", []string{"-f", at("h.msb"), "-units", "4", "-width", "2", "-ooo", "-stats", "-out"}, 0, "output: 32", ""},
 		{"mssim", []string{"-w", "example", "-scale", "2", "-units", "1", "-stdin"}, 0, "cycles:", ""},
-		{"mssim", []string{"-w", "example", "-units", "4", "-noskip", "-mstrc", at("run.mstrc")}, 0, "cycles:", ""},
+		{"mssim", []string{"-w", "example", "-scale", "2", "-units", "4", "-noskip", "-mstrc", at("run.mstrc")}, 0, "cycles:", ""},
 		{"mssim", []string{"-w", "example", "-units", "4", "-checkpoint", at("snap"), "-checkpoint-at", "500"}, 0, "cycles:", ""},
 		{"mssim", []string{"-w", "example", "-units", "4", "-restore", at("snap")}, 0, "taken at cycle 500", ""},
 		{"mssim", []string{"-w", "example", "-sample"}, 0, "sampled:", ""},
@@ -101,6 +105,25 @@ func TestCommandLine(t *testing.T) {
 		{"mslitmus", []string{"-corpus", "-quick"}, 0, "0 mismatches", ""},
 		{"mslitmus", []string{"-stress", "2", "-seed", "1", "-artifacts", at("artifacts")}, 0, "stress: seed=1 programs=2", ""},
 		{"mslitmus", []string{"-replay", at("artifact.json")}, 0, "did not reproduce", ""},
+		{"mstasks", []string{"-suppress", "init", "testdata/unannotated.s"}, 0, "tasks:", ""},
+		{"mstasks", []string{"-suppress-all", "testdata/unannotated.s"}, 0, "tasks:", ""},
+
+		// The views of the trace the mssim -mstrc row recorded.
+		{"mstrace", []string{"-i", at("run.mstrc"), "-cycles"}, 0, "head=0 active=0 [....]", ""},
+		{"mstrace", []string{"-i", at("run.mstrc"), "-metrics"}, 0, "example: 4 units", ""},
+		{"mstrace", []string{"-i", at("run.mstrc"), "-events"}, 0, "desc-miss", ""},
+		{"mstrace", []string{"-i", at("run.mstrc"), "-perfetto", at("trace.json")}, 0, "", "wrote " + at("trace.json")},
+	}
+	// Every example program is clean in each of mslint's three views.
+	srcs, err := filepath.Glob("testdata/*.s")
+	if err != nil || len(srcs) == 0 {
+		t.Fatalf("no testdata/*.s: %v", err)
+	}
+	for _, src := range srcs {
+		cases = append(cases,
+			cliCase{"mslint", []string{src}, 0, "", ""},
+			cliCase{"mslint", []string{"-q", src}, 0, "", ""},
+			cliCase{"mslint", []string{"-json", src}, 0, `"diags": null`, ""})
 	}
 	for _, c := range cases {
 		name := c.bin + " " + strings.Join(c.args, " ")
@@ -127,9 +150,150 @@ func TestCommandLine(t *testing.T) {
 	}
 }
 
+var (
+	commandsOnce sync.Once
+	commandsDir  string
+	commandsErr  error
+)
+
+// commands builds every binary under cmd/ in one go build, once per test
+// binary, and returns the directory holding them (TestMain removes it).
+func commands(t *testing.T) string {
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("no go toolchain to build the commands with")
+	}
+	commandsOnce.Do(func() {
+		if commandsDir, commandsErr = os.MkdirTemp("", "multiscalar-cmd"); commandsErr != nil {
+			return
+		}
+		out, err := exec.Command("go", "build", "-o", commandsDir+string(filepath.Separator), "./cmd/...").CombinedOutput()
+		if err != nil {
+			commandsErr = fmt.Errorf("go build: %v\n%s", err, out)
+		}
+	})
+	if commandsErr != nil {
+		t.Fatal(commandsErr)
+	}
+	return commandsDir
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if commandsDir != "" {
+		os.RemoveAll(commandsDir)
+	}
+	os.Exit(code)
+}
+
+// TestServeAnswersFromSpillAfterRestart runs the built msserve with all
+// five of its flags. A preset job submitted twice executes once and is
+// answered the second time from memory, with the first answer's bytes
+// but for the cached flag; a second daemon over the same -spill
+// directory answers it from disk with those bytes again.
+func TestServeAnswersFromSpillAfterRestart(t *testing.T) {
+	t.Parallel()
+	bin := commands(t)
+	spill := t.TempDir()
+	client := &http.Client{Timeout: time.Minute}
+	get := func(url string) []byte {
+		resp, err := client.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d %v\n%s", url, resp.StatusCode, err, data)
+		}
+		return data
+	}
+	// start runs a daemon on a free port and returns its base URL once it
+	// answers /healthz, and a stop that kills it and waits for its exit
+	// (run again at cleanup, where it finds nothing left to stop).
+	start := func() (string, func()) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := ln.Addr().String()
+		ln.Close()
+		cmd := exec.Command(filepath.Join(bin, "msserve"), "-addr", addr, "-spill", spill,
+			"-cache", "64", "-workers", "2", "-per-client", "1")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		stop := func() {
+			cmd.Process.Kill()
+			cmd.Wait()
+		}
+		t.Cleanup(stop)
+		base := "http://" + addr
+		for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+			if resp, err := client.Get(base + "/healthz"); err == nil {
+				resp.Body.Close()
+				return base, stop
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("msserve -addr %s never answered /healthz\n%s", addr, stderr.String())
+			}
+		}
+	}
+	submit := func(base string) []byte {
+		const job = `{"client": "test", "job": {"workload": "example", "scale": -1, "preset": {"units": 2}}}`
+		resp, err := client.Post(base+"/v1/jobs", "application/json", strings.NewReader(job))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST /v1/jobs: %d %v\n%s", resp.StatusCode, err, data)
+		}
+		return data
+	}
+	metrics := func(base string) serve.Metrics {
+		var m serve.Metrics
+		if err := json.Unmarshal(get(base+"/v1/metrics"), &m); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	// sameAnswer holds a cached answer to the executed one's bytes.
+	sameAnswer := func(what string, cached, executed []byte) {
+		t.Helper()
+		if !bytes.Contains(executed, []byte(`"cached":false,`)) {
+			t.Fatalf("first answer is not an execution:\n%s", executed)
+		}
+		if !bytes.Contains(cached, []byte(`"cached":true,`)) {
+			t.Errorf("%s answer is not from the cache:\n%s", what, cached)
+		}
+		if !bytes.Equal(bytes.Replace(cached, []byte(`"cached":true,`), []byte(`"cached":false,`), 1), executed) {
+			t.Errorf("%s answer differs from the executed one but for the cached flag:\n%s\n%s", what, cached, executed)
+		}
+	}
+
+	base, stop := start()
+	first, second := submit(base), submit(base)
+	sameAnswer("repeated", second, first)
+	if m := metrics(base); m.Executed != 1 || m.CacheHits != 1 || m.Spilled != 1 {
+		t.Errorf("after a repeat: executed %d, cache hits %d, spilled %d; want 1, 1, 1", m.Executed, m.CacheHits, m.Spilled)
+	}
+
+	stop()
+	base, _ = start()
+	sameAnswer("restarted", submit(base), first)
+	if m := metrics(base); m.Executed != 0 || m.DiskHits != 1 {
+		t.Errorf("after a restart: executed %d, disk hits %d; want 0, 1", m.Executed, m.DiskHits)
+	}
+}
+
 // TestCommandFlagsMatchREADME holds README.md's "Command-line surface"
 // table to the flags the binaries define: one row per binary and flag,
 // each naming what exercises it, and no row for a flag that is gone.
+// What a row names must exist: a backquoted Test function in the tree, a
+// CI job › step in ci.yml, a ledger workload in BENCHMARK.json.
 func TestCommandFlagsMatchREADME(t *testing.T) {
 	mains, err := filepath.Glob("cmd/*/main.go")
 	if err != nil || len(mains) == 0 {
@@ -174,6 +338,7 @@ func TestCommandFlagsMatchREADME(t *testing.T) {
 		t.Fatal("README.md has no Command-line surface section")
 	}
 	doc, _, _ = strings.Cut(doc, "\n## ")
+	exercisers := loadExercisers(t)
 	rows := map[string]bool{}
 	for _, line := range strings.Split(doc, "\n") {
 		cols := strings.Split(line, "|")
@@ -189,6 +354,11 @@ func TestCommandFlagsMatchREADME(t *testing.T) {
 		case strings.TrimSpace(cols[3]) == "":
 			t.Errorf("README.md names nothing that exercises %s", key)
 		}
+		for _, item := range strings.Split(cols[3], ";") {
+			if err := exercisers.resolve(strings.TrimSpace(item)); err != nil {
+				t.Errorf("README.md's row for %s: %v", key, err)
+			}
+		}
 		rows[key] = true
 	}
 	var missing []string
@@ -201,4 +371,116 @@ func TestCommandFlagsMatchREADME(t *testing.T) {
 	for _, key := range missing {
 		t.Errorf("README.md's Command-line surface has no row for %s", key)
 	}
+}
+
+// exercisers is what a README flag row may name: the tree's test
+// functions, ci.yml's steps by job, and the ledger's workloads.
+type exercisers struct {
+	tests     map[string]bool
+	steps     map[string][]string // job -> step names
+	workloads map[string]bool
+}
+
+func loadExercisers(t *testing.T) *exercisers {
+	ex := &exercisers{tests: map[string]bool{}, steps: map[string][]string{}, workloads: map[string]bool{}}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Test") {
+				ex.tests[fn.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := ""
+	for _, line := range strings.Split(string(ci), "\n") {
+		if m := ciJob.FindStringSubmatch(line); m != nil {
+			job = m[1]
+			ex.steps[job] = nil
+		} else if m := ciStep.FindStringSubmatch(line); m != nil && job != "" {
+			ex.steps[job] = append(ex.steps[job], m[1])
+		}
+	}
+
+	raw, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bench struct{ Workloads []struct{ Name string } }
+	if err := json.Unmarshal(raw, &bench); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range bench.Workloads {
+		ex.workloads[w.Name] = true
+	}
+	return ex
+}
+
+var (
+	// ciJob and ciStep capture a job id under ci.yml's jobs: and a step's
+	// name.
+	ciJob  = regexp.MustCompile(`^  ([A-Za-z0-9_-]+):\s*$`)
+	ciStep = regexp.MustCompile(`^      - name: (.+?)\s*$`)
+	// backquoted captures a code span's text.
+	backquoted = regexp.MustCompile("`([^`]+)`")
+)
+
+// resolve checks one ;-separated item of an "exercised by" cell: a
+// CI job › step (a leading part of the step's name), a ledger `workload`,
+// or an item naming at least one `TestX`, every backquoted Test name
+// being a test function of the tree.
+func (ex *exercisers) resolve(item string) error {
+	switch {
+	case strings.HasPrefix(item, "CI "):
+		jobPart, step, hasStep := strings.Cut(strings.TrimPrefix(item, "CI "), " › ")
+		job := strings.Fields(jobPart)[0]
+		steps, ok := ex.steps[job]
+		if !ok {
+			return fmt.Errorf("CI job %q is not in ci.yml", job)
+		}
+		if hasStep && !slices.ContainsFunc(steps, func(s string) bool { return strings.HasPrefix(s, step) }) {
+			return fmt.Errorf("CI job %s has no step %q", job, step)
+		}
+		return nil
+	case strings.HasPrefix(item, "ledger "):
+		m := backquoted.FindStringSubmatch(item)
+		if m == nil || !ex.workloads[m[1]] {
+			return fmt.Errorf("%q names no workload of BENCHMARK.json", item)
+		}
+		return nil
+	}
+	named := false
+	for _, m := range backquoted.FindAllStringSubmatch(item, -1) {
+		if !strings.HasPrefix(m[1], "Test") {
+			continue
+		}
+		if !ex.tests[m[1]] {
+			return fmt.Errorf("%s is not a test function in the tree", m[1])
+		}
+		named = true
+	}
+	if !named {
+		return fmt.Errorf("%q names no test, CI step or ledger workload", item)
+	}
+	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -24,7 +25,8 @@ import (
 // own, error, fmt.Stringer or encoding.TextMarshaler), a member of a
 // const block (the block is one table), and struct fields.
 func TestNothingExportedWithoutCaller(t *testing.T) {
-	unused, err := unreferencedExports(".")
+	t.Parallel()
+	unused, err := unreferencedExports(repoTree(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,8 +40,7 @@ func TestNothingExportedWithoutCaller(t *testing.T) {
 // names that are used, satisfy an interface or sit in a const block,
 // and holds the scan to naming exactly the two planted names.
 func TestUnreferencedExportsNamesThem(t *testing.T) {
-	root := t.TempDir()
-	files := map[string]string{
+	root := plant(t, map[string]string{
 		"go.mod": "module planted\n\ngo 1.22\n",
 		"main.go": `package main
 
@@ -64,17 +65,12 @@ const (
 	B
 )
 `,
+	})
+	tr, err := loadTree(root)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, src := range files {
-		path := filepath.Join(root, name)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	unused, err := unreferencedExports(root)
+	unused, err := unreferencedExports(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,14 +81,55 @@ const (
 	}
 }
 
-// unreferencedExports loads every non-test package under root (each
-// directory holding a go.mod starts a module), type-checks them against
-// the standard library's export data, and returns "file:line: pkg.Name"
-// for each exported name under an internal/ directory that nothing
-// references outside its own declaration, in file order.
-func unreferencedExports(root string) ([]string, error) {
+// plant writes files (slash-separated path -> contents) into a fresh
+// temporary directory and returns it.
+func plant(t *testing.T, files map[string]string) string {
+	root := t.TempDir()
+	for name, src := range files {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return root
+}
+
+// tree is every non-test package under a root (each directory holding a
+// go.mod starts a module), parsed and type-checked against the standard
+// library's export data, with every definition, use and expression type
+// recorded in one shared Info.
+type tree struct {
+	root  string
+	fset  *token.FileSet
+	files map[string][]*ast.File // import path -> non-test files
+	paths []string               // import paths, sorted
+	pkgs  map[string]*types.Package
+	info  *types.Info
+	imp   *treeImporter
+}
+
+var (
+	repoOnce sync.Once
+	repo     *tree
+	repoErr  error
+)
+
+// repoTree is the repository's tree, loaded once per test binary: the
+// export scan and the design rules read the same type-checked packages.
+func repoTree(t *testing.T) *tree {
+	repoOnce.Do(func() { repo, repoErr = loadTree(".") })
+	if repoErr != nil {
+		t.Fatal(repoErr)
+	}
+	return repo
+}
+
+func loadTree(root string) (*tree, error) {
 	fset := token.NewFileSet()
-	files := map[string][]*ast.File{} // import path -> non-test files
+	files := map[string][]*ast.File{}
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -121,20 +158,30 @@ func unreferencedExports(root string) ([]string, error) {
 		return nil, err
 	}
 
-	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
-	imp := &treeImporter{std: importer.ForCompiler(fset, "gc", nil), files: files, fset: fset, info: info, done: map[string]*types.Package{}}
-	paths := make([]string, 0, len(files))
-	for p := range files {
-		paths = append(paths, p)
+	info := &types.Info{
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{},
 	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		if _, err := imp.Import(p); err != nil {
+	tr := &tree{root: root, fset: fset, files: files, pkgs: map[string]*types.Package{}, info: info}
+	tr.imp = &treeImporter{std: importer.ForCompiler(fset, "gc", nil), files: files, fset: fset, info: info, done: tr.pkgs}
+	for p := range files {
+		tr.paths = append(tr.paths, p)
+	}
+	sort.Strings(tr.paths)
+	for _, p := range tr.paths {
+		if _, err := tr.imp.Import(p); err != nil {
 			return nil, err
 		}
 	}
+	return tr, nil
+}
 
-	ifaces, err := imp.interfaces()
+// unreferencedExports returns "file:line: pkg.Name" for each exported
+// name of tr under an internal/ directory that nothing references
+// outside its own declaration, in file order.
+func unreferencedExports(tr *tree) ([]string, error) {
+	ifaces, err := tr.imp.interfaces()
 	if err != nil {
 		return nil, err
 	}
@@ -143,15 +190,15 @@ func unreferencedExports(root string) ([]string, error) {
 	// receiver type in a composite literal) is not a caller.
 	type extent struct{ pos, end token.Pos }
 	declared := map[types.Object]extent{}
-	for _, p := range paths {
+	for _, p := range tr.paths {
 		if !strings.Contains("/"+p+"/", "/internal/") {
 			continue
 		}
-		for _, f := range files[p] {
+		for _, f := range tr.files[p] {
 			for _, decl := range f.Decls {
 				switch d := decl.(type) {
 				case *ast.FuncDecl:
-					fn, _ := info.Defs[d.Name].(*types.Func)
+					fn, _ := tr.info.Defs[d.Name].(*types.Func)
 					if fn == nil || !fn.Exported() || satisfiesInterface(fn, ifaces) {
 						continue
 					}
@@ -169,7 +216,7 @@ func unreferencedExports(root string) ([]string, error) {
 							names = s.Names
 						}
 						for _, n := range names {
-							if obj := info.Defs[n]; obj != nil && obj.Exported() {
+							if obj := tr.info.Defs[n]; obj != nil && obj.Exported() {
 								declared[obj] = extent{spec.Pos(), spec.End()}
 							}
 						}
@@ -178,7 +225,7 @@ func unreferencedExports(root string) ([]string, error) {
 			}
 		}
 	}
-	for id, obj := range info.Uses {
+	for id, obj := range tr.info.Uses {
 		if fn, ok := obj.(*types.Func); ok {
 			obj = fn.Origin()
 		}
@@ -199,7 +246,7 @@ func unreferencedExports(root string) ([]string, error) {
 				name = receiverName(recv.Type()) + "." + name
 			}
 		}
-		found = append(found, finding{fset.Position(obj.Pos()), obj.Pkg().Name() + "." + name})
+		found = append(found, finding{tr.fset.Position(obj.Pos()), obj.Pkg().Name() + "." + name})
 	}
 	sort.Slice(found, func(i, j int) bool {
 		a, b := found[i].pos, found[j].pos

@@ -135,25 +135,20 @@ func (m *Multiscalar) InjectWarm(data []byte) error {
 		return fmt.Errorf("core: warm-state PC 0x%x is not a task boundary", w.PC)
 	}
 	m.archRegs = w.Regs
+	// w was built by the constructors that built m, from m's Config, and
+	// the walk refuses a capture of another size, so every table below
+	// has its target's geometry.
 	for _, ic := range m.icaches {
-		if !ic.AdoptTags(w.ICache) {
-			return fmt.Errorf("core: warm icache geometry mismatch")
-		}
+		ic.AdoptTags(w.ICache)
 	}
 	for i, b := range m.DCache.Banks {
-		if !b.AdoptTags(w.DCache.Banks[i]) {
-			return fmt.Errorf("core: warm dcache geometry mismatch")
-		}
+		b.AdoptTags(w.DCache.Banks[i])
 	}
 	for _, u := range m.units {
-		if !u.BranchPredictor().AdoptTables(w.Branch) {
-			return fmt.Errorf("core: warm branch-predictor geometry mismatch")
-		}
+		u.BranchPredictor().AdoptTables(w.Branch)
 	}
 	if w.Multi {
-		if !m.descCache.AdoptTags(w.DescCache) {
-			return fmt.Errorf("core: warm descriptor-cache geometry mismatch")
-		}
+		m.descCache.AdoptTags(w.DescCache)
 		m.predictor = w.TaskPred
 		m.predictor.Predictions, m.predictor.Correct = 0, 0
 		m.ras = w.RAS

@@ -32,14 +32,6 @@ const maxHistBanks = 16
 // < NumUnits ≤ 8).
 const maxHistDist = 16
 
-// BankAgg aggregates one bank index's counters across every run.
-type BankAgg struct {
-	Allocs       uint64
-	Overflows    uint64
-	Violations   uint64
-	MaxOccupancy int
-}
-
 // StressReport is the stressor's aggregate outcome.
 type StressReport struct {
 	Seed     int64
@@ -48,11 +40,11 @@ type StressReport struct {
 
 	Mismatches []*Mismatch
 
-	// Aggregate ARB counters (summed over runs; MaxOccupancy is the
-	// peak over runs).
+	// Aggregate ARB counters, overall and per bank index (summed over
+	// runs; MaxOccupancy is the peak over runs).
 	Allocs, Overflows, Violations, StoreForwards uint64
 	MaxOccupancy                                 int
-	Banks                                        [maxHistBanks]BankAgg
+	Banks                                        [maxHistBanks]arb.BankStats
 
 	// Squash-event histograms from the trace stream.
 	SquashDist  [maxHistDist]uint64
@@ -101,18 +93,14 @@ func Stress(opts StressOpts) (*StressReport, error) {
 			mu.Unlock()
 			return err
 		}
-		local := &StressReport{}
 		for _, units := range stressUnits {
 			for _, entries := range stressEntries {
 				for _, pol := range stressPolicies {
 					e := MatrixEntry{Units: units, Policy: pol, Entries: entries}
-					stressOne(p, e, opts.Seed, local)
+					stressOne(p, e, opts.Seed, rep, &mu)
 				}
 			}
 		}
-		mu.Lock()
-		rep.merge(local)
-		mu.Unlock()
 		return nil
 	})
 	if genErr != nil {
@@ -125,10 +113,12 @@ func Stress(opts StressOpts) (*StressReport, error) {
 }
 
 // stressOne runs one cell and folds its mismatch, ARB counters and
-// squash histograms into the local report.
-func stressOne(p *Program, e MatrixEntry, seed int64, rep *StressReport) {
+// squash histograms into rep under mu.
+func stressOne(p *Program, e MatrixEntry, seed int64, rep *StressReport, mu *sync.Mutex) {
 	sink := &squashSink{}
 	m, mm := runCell(p, p.Prog, e, seed, sink)
+	mu.Lock()
+	defer mu.Unlock()
 	rep.Runs++
 	if mm != nil {
 		rep.Mismatches = append(rep.Mismatches, mm)
@@ -142,51 +132,19 @@ func stressOne(p *Program, e MatrixEntry, seed int64, rep *StressReport) {
 	rep.Overflows += st.Overflows
 	rep.Violations += st.Violations
 	rep.StoreForwards += st.StoreForwards
-	if st.MaxOccupancy > rep.MaxOccupancy {
-		rep.MaxOccupancy = st.MaxOccupancy
-	}
-	for i, b := range st.Banks {
-		if i >= maxHistBanks {
-			break
-		}
-		rep.Banks[i].Allocs += b.Allocs
-		rep.Banks[i].Overflows += b.Overflows
-		rep.Banks[i].Violations += b.Violations
-		if b.MaxOccupancy > rep.Banks[i].MaxOccupancy {
-			rep.Banks[i].MaxOccupancy = b.MaxOccupancy
-		}
+	rep.MaxOccupancy = max(rep.MaxOccupancy, st.MaxOccupancy)
+	for i, b := range st.Banks[:min(len(st.Banks), maxHistBanks)] {
+		r := &rep.Banks[i]
+		r.Allocs += b.Allocs
+		r.Overflows += b.Overflows
+		r.Violations += b.Violations
+		r.MaxOccupancy = max(r.MaxOccupancy, b.MaxOccupancy)
 	}
 	for i, n := range sink.dist {
 		rep.SquashDist[i] += n
 	}
 	for i, n := range sink.cause {
 		rep.CauseCounts[i] += n
-	}
-}
-
-func (r *StressReport) merge(o *StressReport) {
-	r.Runs += o.Runs
-	r.Mismatches = append(r.Mismatches, o.Mismatches...)
-	r.Allocs += o.Allocs
-	r.Overflows += o.Overflows
-	r.Violations += o.Violations
-	r.StoreForwards += o.StoreForwards
-	if o.MaxOccupancy > r.MaxOccupancy {
-		r.MaxOccupancy = o.MaxOccupancy
-	}
-	for i := range r.Banks {
-		r.Banks[i].Allocs += o.Banks[i].Allocs
-		r.Banks[i].Overflows += o.Banks[i].Overflows
-		r.Banks[i].Violations += o.Banks[i].Violations
-		if o.Banks[i].MaxOccupancy > r.Banks[i].MaxOccupancy {
-			r.Banks[i].MaxOccupancy = o.Banks[i].MaxOccupancy
-		}
-	}
-	for i := range r.SquashDist {
-		r.SquashDist[i] += o.SquashDist[i]
-	}
-	for i := range r.CauseCounts {
-		r.CauseCounts[i] += o.CauseCounts[i]
 	}
 }
 

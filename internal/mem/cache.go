@@ -244,16 +244,13 @@ func (b *LastBlock) enter(first, last uint32, touch func(addr uint32)) {
 	b.base, b.span = base, b.BlockBytes
 }
 
-// AdoptTags copies another cache's tag array into this one (same-
-// geometry caches only). The multiscalar machine's per-unit icaches
-// all see the same fetch stream during functional warming, so one
-// warmed tag array is captured and adopted by every unit on warm-state
-// injection.
-func (c *Cache) AdoptTags(src *Cache) bool {
-	if src.sets != c.sets || src.BlockBytes != c.BlockBytes || src.stride != c.stride {
-		return false
-	}
+// AdoptTags copies another cache's tag array into this one. Both must
+// come from NewCache with the same geometry, as a machine's caches and
+// the warm state built for it from one Config do. The multiscalar
+// machine's per-unit icaches all see the same fetch stream during
+// functional warming, so one warmed tag array is captured and adopted by
+// every unit on warm-state injection.
+func (c *Cache) AdoptTags(src *Cache) {
 	copy(c.tags, src.tags)
 	copy(c.vld, src.vld)
-	return true
 }

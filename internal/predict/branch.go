@@ -108,14 +108,11 @@ func (b *BranchPredictor) UpdateIndirect(pc uint32, target uint32) {
 // statistics alone. Warm-state injection uses it to seed every unit's
 // predictor from the one predictor trained during functional
 // fast-forward; the RAS is excluded because units clear it at every
-// task start anyway.
-func (b *BranchPredictor) AdoptTables(src *BranchPredictor) bool {
-	if len(src.counters) != len(b.counters) || len(src.targets) != len(b.targets) {
-		return false
-	}
+// task start anyway. Both predictors must have the same table sizes, as
+// two built by NewBranchPredictor from one Config do.
+func (b *BranchPredictor) AdoptTables(src *BranchPredictor) {
 	copy(b.counters, src.counters)
 	copy(b.targets, src.targets)
-	return true
 }
 
 // ClearRAS empties the per-unit return stack (on task squash/assign).
