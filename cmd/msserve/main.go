@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"runtime/debug"
@@ -44,12 +45,17 @@ func main() {
 		PerClientInFlight: *perClient,
 	})
 	srv := &http.Server{
-		Addr:              *addr,
 		Handler:           serve.NewHandler(eng),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
-	fmt.Fprintf(os.Stderr, "msserve: listening on %s (cache=%d entries, spill=%q)\n", *addr, *cacheN, *spill)
-	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+	// Print the address bound, not the flag: -addr 127.0.0.1:0 names its port here.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "msserve:", err)
+		os.Exit(1)
+	}
+	fmt.Fprintf(os.Stderr, "msserve: listening on %s (cache=%d entries, spill=%q)\n", ln.Addr(), *cacheN, *spill)
+	if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
 		fmt.Fprintln(os.Stderr, "msserve:", err)
 		os.Exit(1)
 	}

@@ -1,6 +1,7 @@
 package multiscalar_test
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -10,7 +11,6 @@ import (
 	"go/token"
 	"io"
 	"io/fs"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -207,20 +207,17 @@ func TestServeAnswersFromSpillAfterRestart(t *testing.T) {
 		}
 		return data
 	}
-	// start runs a daemon on a free port and returns its base URL once it
-	// answers /healthz, and a stop that kills it and waits for its exit
-	// (run again at cleanup, where it finds nothing left to stop).
+	// start runs a daemon on a port of its own choosing and returns its
+	// base URL, read from the line it prints once bound, and a stop that
+	// kills it and waits for its exit (run again at cleanup, where it
+	// finds nothing left to stop).
 	start := func() (string, func()) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		cmd := exec.Command(filepath.Join(bin, "msserve"), "-addr", "127.0.0.1:0", "-spill", spill,
+			"-cache", "64", "-workers", "2", "-per-client", "1")
+		stderr, err := cmd.StderrPipe()
 		if err != nil {
 			t.Fatal(err)
 		}
-		addr := ln.Addr().String()
-		ln.Close()
-		cmd := exec.Command(filepath.Join(bin, "msserve"), "-addr", addr, "-spill", spill,
-			"-cache", "64", "-workers", "2", "-per-client", "1")
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
 		if err := cmd.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -229,16 +226,13 @@ func TestServeAnswersFromSpillAfterRestart(t *testing.T) {
 			cmd.Wait()
 		}
 		t.Cleanup(stop)
-		base := "http://" + addr
-		for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(20 * time.Millisecond) {
-			if resp, err := client.Get(base + "/healthz"); err == nil {
-				resp.Body.Close()
-				return base, stop
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("msserve -addr %s never answered /healthz\n%s", addr, stderr.String())
-			}
+		line, _ := bufio.NewReader(stderr).ReadString('\n')
+		addr, ok := strings.CutPrefix(line, "msserve: listening on ")
+		if !ok {
+			t.Fatalf("msserve -addr 127.0.0.1:0 did not say where it listens: %q", line)
 		}
+		addr, _, _ = strings.Cut(addr, " ")
+		return "http://" + addr, stop
 	}
 	submit := func(base string) []byte {
 		const job = `{"client": "test", "job": {"workload": "example", "scale": -1, "preset": {"units": 2}}}`

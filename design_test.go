@@ -48,18 +48,18 @@ var designRules = []designRule{
 	{"pu.Ext is a struct", unitData, extRule},
 	{"no msbench flag per section", inventory, sectionFlagRule},
 
-	// The name rules: a declaration under one of these names restates
-	// what the section says once.
+	// The name rules: a declaration under one of these names, or a use
+	// of cfg's return liveness outside cfg, restates what the section
+	// says once.
 	{"one state walk", holds, forbid(
 		names{list: []string{"SaveState", "LoadState"}},
 		names{list: []string{"Encoder", "Decoder"}, in: "multiscalar/internal/snapshot"})},
 	{"one machine", baseline, forbid(
 		names{list: []string{"NewScalar", "scalarExt", "WantsMultiscalar", "KindScalar", "MachineSel", "ForgetPrograms"}},
 		names{list: []string{"NewMachine"}, except: "multiscalar/internal/interp"})},
-	{"one watcher", eventsOnly, forbid(
-		names{list: []string{"Config.Trace", "traceCycle", "actGlyphs", "TraceMetaFor"}})},
+	{"one watcher", eventsOnly, watcherRule},
 	{"one return liveness", taskIs, forbid(
-		names{list: []string{"LiveAtReturn", "ReturnLiveOut", "retMin"}, except: "multiscalar/internal/cfg"})},
+		names{list: []string{"LiveAtReturn", "ReturnLiveOut", "retMin"}, except: "multiscalar/internal/cfg", private: true})},
 	{"no adapter between unit and machine", unitData, forbid(
 		names{list: []string{"msExt"}})},
 	{"no deleted facade entry point", inventory, forbid(
@@ -81,9 +81,9 @@ func TestDesignRules(t *testing.T) {
 // holds each rule to naming exactly the lines marked `// want "rule"`,
 // among them three a text search misses: an op switch under an aliased
 // isa import, a map keyed by isa.Op, and a named `go worker()`. Beside
-// them sit the statements each rule allows (the op table's own package,
-// the semantics file, cfg's jal/jalr switch, interp.NewMachine, cfg's
-// own return liveness), which must pass.
+// them sit the statements each rule allows (the op table and the µop
+// kinds keyed by op, the semantics' switch, cfg's jal/jalr switch,
+// interp.NewMachine, cfg's own return liveness), which must pass.
 func TestDesignRulesCatchPlants(t *testing.T) {
 	tr, err := loadTree(plant(t, designPlants))
 	if err != nil {
@@ -158,21 +158,22 @@ func (tr *tree) reaches(from, to string) bool {
 	return walk(tr.pkgs[from])
 }
 
-// Where an isa.Op may select behaviour: the op table's own package, the
-// files that hold the semantics, and, for jal and jalr alone, cfg's call
-// summaries, which are analysis policy rather than opcode facts.
+// Where an isa.Op may select behaviour: the op table and interp's table
+// of µop kinds may key a literal by one, the semantics may switch on one,
+// and cfg's call summaries may switch on jal and jalr alone, which are
+// analysis policy rather than opcode facts.
 var (
-	opTablePkg    = "multiscalar/internal/isa"
-	opSemantics   = []string{"internal/interp/value.go", "internal/interp/uop.go"}
+	opTables      = []string{"internal/isa/op.go", "internal/interp/uop.go"}
+	opSemantics   = "internal/interp/value.go"
 	callSummaries = []string{"internal/cfg/live.go", "internal/cfg/region.go"}
 )
 
 // opRule fails a switch on an isa.Op, a map type keyed by one and a
 // composite literal keyed by one, outside the places allowed above.
 func opRule(tr *tree) []string {
-	isa := tr.pkgs[opTablePkg]
+	isa := tr.pkgs["multiscalar/internal/isa"]
 	if isa == nil {
-		return nil
+		return []string{"internal/isa:0: no op table"}
 	}
 	op := isa.Scope().Lookup("Op").Type()
 	isOp := func(e ast.Expr) bool { return types.Identical(tr.info.TypeOf(e), op) }
@@ -194,12 +195,9 @@ func opRule(tr *tree) []string {
 	}
 	var out []string
 	for _, p := range tr.paths {
-		if p == opTablePkg {
-			continue
-		}
 		for _, f := range tr.files[p] {
 			file := tr.rel(f.Pos())
-			if slices.Contains(opSemantics, file) {
+			if file == opSemantics {
 				continue
 			}
 			ast.Inspect(f, func(n ast.Node) bool {
@@ -213,8 +211,8 @@ func opRule(tr *tree) []string {
 						out = append(out, tr.at(n.Pos(), "a map keyed by isa.Op"))
 					}
 				case *ast.CompositeLit:
-					if _, ok := tr.info.TypeOf(n).Underlying().(*types.Struct); ok {
-						return true // a field name is no key
+					if _, ok := tr.info.TypeOf(n).Underlying().(*types.Struct); ok || slices.Contains(opTables, file) {
+						return true // a field name is no key; the tables are the allowed ones
 					}
 					for _, e := range n.Elts {
 						if kv, ok := e.(*ast.KeyValueExpr); ok && isOp(kv.Key) {
@@ -273,12 +271,30 @@ func extRule(tr *tree) []string {
 	return nil
 }
 
+// watcherRule fails a core.Config field or method Trace, or a
+// declaration of the per-cycle writer's or a second recorder's names:
+// a run is watched through its event stream alone.
+func watcherRule(tr *tree) []string {
+	out := forbid(names{list: []string{"traceCycle", "actGlyphs", "TraceMetaFor"}})(tr)
+	if core := tr.pkgs["multiscalar/internal/core"]; core != nil {
+		if cfg, ok := core.Scope().Lookup("Config").(*types.TypeName); ok {
+			if obj, _, _ := types.LookupFieldOrMethod(cfg.Type(), true, core, "Trace"); obj != nil {
+				out = append(out, tr.at(obj.Pos(), "core.Config has Trace"))
+			}
+		}
+	}
+	return sorted(out)
+}
+
 // sectionFlagRule fails an msbench flag named after a section of bench's
 // registry, or after its name less the trailing digits (table for
 // table3): a section is picked by -sections or -all alone.
 func sectionFlagRule(tr *tree) []string {
 	reg := map[string]bool{}
 	bench := tr.pkgs["multiscalar/internal/bench"]
+	if bench == nil {
+		return []string{"internal/bench:0: no section registry"}
+	}
 	for _, f := range tr.files["multiscalar/internal/bench"] {
 		ast.Inspect(f, func(n ast.Node) bool {
 			spec, ok := n.(*ast.ValueSpec)
@@ -295,6 +311,10 @@ func sectionFlagRule(tr *tree) []string {
 			}
 			return false
 		})
+	}
+	if len(reg) == 0 {
+		// The registry changed shape: read it anew, or this rule checks nothing.
+		return []string{"internal/bench:0: no section names read from the sections registry"}
 	}
 	var out []string
 	for _, f := range tr.files["multiscalar/cmd/msbench"] {
@@ -318,49 +338,38 @@ func sectionFlagRule(tr *tree) []string {
 
 // names is one row of a name rule: declarations named in list, counted
 // in package in only when in is set, and in every package but except.
-// A name Type.Name is the field or method Name of type Type.
+// With private set, except's own objects of those names are not to be
+// used outside it either.
 type names struct {
 	list       []string
 	in, except string
+	private    bool
 }
 
-// forbid fails every declaration the rows name.
+// forbid fails every declaration, and every use outside a private
+// package, that the rows name.
 func forbid(rows ...names) func(*tree) []string {
 	return func(tr *tree) []string {
-		owner := map[*types.Var]string{} // field -> its struct type's name
-		for _, obj := range tr.info.Defs {
-			if tn, ok := obj.(*types.TypeName); ok {
-				if s, ok := tn.Type().Underlying().(*types.Struct); ok {
-					for i := 0; i < s.NumFields(); i++ {
-						owner[s.Field(i)] = tn.Name()
-					}
-				}
-			}
-		}
 		var out []string
-		for id, obj := range tr.info.Defs {
-			if obj == nil || obj.Pkg() == nil {
-				continue
-			}
-			qual := obj.Name()
-			switch obj := obj.(type) {
-			case *types.Var:
-				if o, ok := owner[obj]; ok {
-					qual = o + "." + qual
-				}
-			case *types.Func:
-				if recv := obj.Type().(*types.Signature).Recv(); recv != nil {
-					qual = receiverName(recv.Type()) + "." + qual
-				}
-			}
-			for _, r := range rows {
-				pkg := obj.Pkg().Path()
-				if r.in != "" && pkg != r.in || pkg == r.except {
-					continue
-				}
-				if slices.Contains(r.list, obj.Name()) || slices.Contains(r.list, qual) {
-					out = append(out, tr.at(id.Pos(), "declares %s", qual))
-				}
+		for _, p := range tr.paths {
+			for _, f := range tr.files[p] {
+				ast.Inspect(f, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					for _, r := range rows {
+						if !slices.Contains(r.list, id.Name) || r.in != "" && p != r.in || p == r.except {
+							continue
+						}
+						if tr.info.Defs[id] != nil {
+							out = append(out, tr.at(id.Pos(), "declares %s", id.Name))
+						} else if obj := tr.info.Uses[id]; r.private && obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == r.except {
+							out = append(out, tr.at(id.Pos(), "uses %s.%s", obj.Pkg().Name(), id.Name))
+						}
+					}
+					return true
+				})
 			}
 		}
 		return sorted(out)
@@ -426,7 +435,7 @@ func Workloads() []string { return nil } // want "no deleted facade entry point"
 
 func WithoutLint() {}
 `,
-	"internal/isa/isa.go": `package isa
+	"internal/isa/op.go": `package isa
 
 type Op uint8
 
@@ -438,12 +447,16 @@ const (
 
 var names = [...]string{OpAdd: "add", OpJal: "jal", OpJalr: "jalr"}
 
-func (o Op) String() string {
-	switch o {
-	case OpAdd:
-		return "add!"
+func (o Op) String() string { return names[o] }
+`,
+	"internal/isa/instr.go": `package isa
+
+func (o Op) Calls() bool {
+	switch o { // want "one op table"
+	case OpJal, OpJalr:
+		return true
 	}
-	return names[o]
+	return false
 }
 `,
 	"internal/interp/value.go": `package interp
@@ -459,6 +472,20 @@ func Exec(op isa.Op) int {
 }
 
 func NewMachine() {}
+`,
+	"internal/interp/uop.go": `package interp
+
+import "multiscalar/internal/isa"
+
+var opKinds = [...]int{isa.OpAdd: 1}
+
+func kind(op isa.Op) int {
+	switch op { // want "one op table"
+	case isa.OpAdd:
+		return opKinds[op]
+	}
+	return 0
+}
 `,
 	"internal/cfg/live.go": `package cfg
 
@@ -476,7 +503,9 @@ func calls(op isa.Op) bool {
 	return false
 }
 
-func retMin() {}
+var LiveAtReturn = 1
+
+func retMin() int { return LiveAtReturn }
 `,
 	"internal/pu/pu.go": `package pu
 
@@ -512,6 +541,8 @@ type Config struct {
 	Trace bool // want "one watcher"
 }
 
+func traceCycle() {} // want "one watcher"
+
 type msExt struct{} // want "no adapter between unit and machine"
 
 var _ msExt
@@ -528,7 +559,11 @@ type Encoder struct{} // want "one state walk"
 `,
 	"internal/sample/sample.go": `package sample
 
+import c "multiscalar/internal/cfg"
+
 var LiveAtReturn = 1 // want "one return liveness"
+
+var abi = c.LiveAtReturn // want "one return liveness"
 `,
 	"internal/bench/bench.go": `package bench
 
