@@ -9,8 +9,6 @@
 //	mssim -f prog.s -units 1            (scalar baseline)
 //	mssim -w compress -sample           (sampled estimate with a 95% CI
 //	                                    instead of an exact run; docs/perf.md)
-//	mssim -w example -checkpoint s.snap -checkpoint-at 500
-//	mssim -w example -restore s.snap    (resume the same run from the snapshot)
 //
 // A flag the chosen mode would ignore is a usage error (exit 2).
 package main
@@ -40,16 +38,12 @@ func main() {
 		showOut  = flag.Bool("out", false, "print the program's output")
 		stats    = flag.Bool("stats", false, "print simulator statistics (cycles simulated vs ticked, unit ticks, skip and sleep ratios)")
 		noskip   = flag.Bool("noskip", false, "disable the wakeup scheduler (dense per-cycle ticking; results are identical)")
-		chkFile  = flag.String("checkpoint", "", "write a machine snapshot to this file, then continue (see -checkpoint-at)")
-		chkAt    = flag.Uint64("checkpoint-at", 0, "cycle to take the -checkpoint snapshot at")
-		restore  = flag.String("restore", "", "resume from a snapshot file (same program, scale and machine flags as the saving run)")
 		sampled  = flag.Bool("sample", false, "estimate cycles by sampled simulation instead of simulating every cycle (docs/perf.md)")
 	)
 	flag.Parse()
 
 	// A flag the chosen mode would silently ignore is a usage error.
-	given := map[string]bool{"mstrc": *mstrc != "", "checkpoint": *chkFile != "", "restore": *restore != "",
-		"sample": *sampled, "noskip": *noskip, "stats": *stats}
+	given := map[string]bool{"mstrc": *mstrc != "", "sample": *sampled, "noskip": *noskip, "stats": *stats}
 	refuse := func(mode string, names ...string) {
 		for _, n := range names {
 			if given[n] {
@@ -59,14 +53,10 @@ func main() {
 		}
 	}
 	if *units <= 0 {
-		refuse(fmt.Sprintf("-units %d", *units), "mstrc", "checkpoint", "restore", "sample", "noskip", "stats")
+		refuse(fmt.Sprintf("-units %d", *units), "mstrc", "sample", "noskip", "stats")
 	}
 	if *sampled {
-		refuse("-sample", "mstrc", "checkpoint", "restore", "stats")
-	}
-	if *chkAt != 0 && *chkFile == "" {
-		fmt.Fprintln(os.Stderr, "mssim: -checkpoint-at applies only with -checkpoint")
-		os.Exit(2)
+		refuse("-sample", "mstrc", "stats")
 	}
 
 	if *list {
@@ -101,25 +91,6 @@ func main() {
 	}
 
 	cfg.NoSkip = *noskip
-	opts := append(runOpts, multiscalar.WithVerify())
-	if *chkFile != "" {
-		opts = append(opts, multiscalar.WithCheckpoint(*chkAt, func(snap []byte) error {
-			return os.WriteFile(*chkFile, snap, 0o644)
-		}))
-	}
-	if *restore != "" {
-		snap, err := os.ReadFile(*restore)
-		if err != nil {
-			fatal(err)
-		}
-		meta, err := multiscalar.PeekSnapshot(snap)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("snapshot:     %s (format v%d), taken at cycle %d\n",
-			multiscalar.SnapshotKindName(meta.Kind), meta.Version, meta.Cycle)
-		opts = append(opts, multiscalar.RestoreFrom(snap))
-	}
 	if *sampled {
 		est, err := multiscalar.RunSampled(prog, cfg, runOpts...)
 		if err != nil {
@@ -148,9 +119,9 @@ func main() {
 				fatal(err)
 			}
 		}()
-		opts = append(opts, multiscalar.WithTrace(tw))
+		runOpts = append(runOpts, multiscalar.WithTrace(tw))
 	}
-	res, err := multiscalar.Run(prog, cfg, opts...)
+	res, err := multiscalar.Run(prog, cfg, runOpts...)
 	if err != nil {
 		fatal(err)
 	}

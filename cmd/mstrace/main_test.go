@@ -13,6 +13,8 @@ import (
 
 	"multiscalar"
 	"multiscalar/internal/arb"
+	"multiscalar/internal/core"
+	"multiscalar/internal/interp"
 	"multiscalar/internal/job"
 	"multiscalar/internal/trace"
 )
@@ -106,7 +108,7 @@ func TestCyclesMatchRecordedTracer(t *testing.T) {
 			c := cfg
 			c.NoSkip = noskip
 			col := &multiscalar.TraceCollector{}
-			res, err := multiscalar.Run(prog, c, multiscalar.WithTrace(col), multiscalar.WithVerify())
+			res, err := multiscalar.Run(prog, c, multiscalar.WithTrace(col))
 			if err != nil {
 				t.Fatalf("%s %s: %v", r.workload, r.config, err)
 			}
@@ -155,15 +157,21 @@ func TestCyclesRefusesResumedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := multiscalar.DefaultConfig(4, 1, false)
-	var snap []byte
-	if _, err := multiscalar.Run(prog, cfg, multiscalar.WithCheckpoint(500, func(b []byte) error {
-		snap = b
-		return nil
-	})); err != nil {
+	m, err := core.NewMultiscalar(prog, interp.NewSysEnv(), cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
+	var snap []byte
+	m.ScheduleCheckpoint(500, func() (err error) {
+		snap, err = m.Save()
+		return err
+	})
+	if _, err := m.Run(); err != nil || snap == nil {
+		t.Fatalf("checkpointed run: %v (snapshot %d bytes)", err, len(snap))
+	}
 	col := &multiscalar.TraceCollector{}
-	if _, err := multiscalar.Run(prog, cfg, multiscalar.RestoreFrom(snap), multiscalar.WithTrace(col)); err != nil {
+	spec := &job.Spec{Op: job.OpSimulate, Program: prog, Config: cfg}
+	if _, err := job.Execute(spec, &job.Runtime{Restore: snap, Sink: col}); err != nil {
 		t.Fatal(err)
 	}
 	err = renderCycles(&bytes.Buffer{}, &trace.Trace{Meta: trace.Meta{NumUnits: 4}, Events: col.Events})

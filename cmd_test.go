@@ -32,6 +32,7 @@ import (
 // holds each invocation to its exit code and output: a flag the chosen
 // mode would ignore is a usage error naming the flag, a deleted flag is
 // undefined, and every other flag of these binaries does its job once.
+// Each example program runs to its speedup report.
 func TestCommandLine(t *testing.T) {
 	t.Parallel()
 	bin := commands(t)
@@ -45,7 +46,7 @@ func TestCommandLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := litmus.MatrixEntry{Units: 4, Entries: 1}
-	art := litmus.NewArtifact(p, e, &litmus.Mismatch{Program: p, Entry: e, Err: "a recorded failure"}, 1, nil)
+	art := litmus.NewArtifact(p, e, &litmus.Mismatch{Program: p, Entry: e, Err: "a recorded failure"}, 1)
 	data, err := art.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +69,6 @@ func TestCommandLine(t *testing.T) {
 		// A flag the chosen mode would ignore.
 		{"msbench", []string{"-sections", "table1", "-sample-gate", "10"}, 2, "", "-sample-gate applies only to the sampled section"},
 		{"msas", []string{"-encode", "-o", at("x.msb"), hist}, 2, "", "-encode cannot be combined with -o"},
-		{"mssim", []string{"-w", "example", "-checkpoint-at", "500"}, 2, "", "-checkpoint-at applies only with -checkpoint"},
 		{"mslitmus", []string{"-quick", "-stress", "2"}, 2, "", "-quick applies only with -corpus"},
 
 		// Deleted: each was another flag's special case or unused.
@@ -79,6 +79,9 @@ func TestCommandLine(t *testing.T) {
 		{"msbench", []string{"-sampled"}, 2, "", undefined("sampled")},
 		{"msbench", []string{"-sweep"}, 2, "", undefined("sweep")},
 		{"msbench", []string{"-mix"}, 2, "", undefined("mix")},
+		{"mssim", []string{"-w", "example", "-checkpoint", at("snap")}, 2, "", undefined("checkpoint")},
+		{"mssim", []string{"-w", "example", "-checkpoint-at", "500"}, 2, "", undefined("checkpoint-at")},
+		{"mssim", []string{"-w", "example", "-restore", at("snap")}, 2, "", undefined("restore")},
 		{"msbench", []string{"-sections", "annotate"}, 2, "", "unknown section \"annotate\""},
 		{"msbench", []string{"-units", "8", "-sections", "breakdown"}, 2, "", undefined("units")},
 		{"msas", []string{"-O", hist}, 2, "", undefined("O")},
@@ -97,15 +100,13 @@ func TestCommandLine(t *testing.T) {
 		{"mssim", []string{"-f", at("h.msb"), "-units", "4", "-width", "2", "-ooo", "-stats", "-out"}, 0, "output: 32", ""},
 		{"mssim", []string{"-w", "example", "-scale", "2", "-units", "1", "-stdin"}, 0, "cycles:", ""},
 		{"mssim", []string{"-w", "example", "-scale", "2", "-units", "4", "-noskip", "-mstrc", at("run.mstrc")}, 0, "cycles:", ""},
-		{"mssim", []string{"-w", "example", "-units", "4", "-checkpoint", at("snap"), "-checkpoint-at", "500"}, 0, "cycles:", ""},
-		{"mssim", []string{"-w", "example", "-units", "4", "-restore", at("snap")}, 0, "taken at cycle 500", ""},
 		{"mssim", []string{"-w", "example", "-sample"}, 0, "sampled:", ""},
 		{"mslitmus", []string{"-list"}, 0, "shape families", ""},
 		{"mslitmus", []string{"-dump", "mp/pad8/fill4"}, 0, "oracle output", ""},
 		{"mslitmus", []string{"-corpus", "-quick"}, 0, "0 mismatches", ""},
 		{"mslitmus", []string{"-stress", "2", "-seed", "1", "-artifacts", at("artifacts")}, 0, "stress: seed=1 programs=2", ""},
 		{"mslitmus", []string{"-replay", at("artifact.json")}, 0, "did not reproduce", ""},
-		{"mstasks", []string{"-suppress", "init", "testdata/unannotated.s"}, 0, "tasks:", ""},
+		{"mstasks", []string{"-suppress", "init", "testdata/unannotated.s"}, 1, "", `suppressed function "init" is not the target of any jal`},
 		{"mstasks", []string{"-suppress-all", "testdata/unannotated.s"}, 0, "tasks:", ""},
 
 		// The views of the trace the mssim -mstrc row recorded.
@@ -113,6 +114,12 @@ func TestCommandLine(t *testing.T) {
 		{"mstrace", []string{"-i", at("run.mstrc"), "-metrics"}, 0, "example: 4 units", ""},
 		{"mstrace", []string{"-i", at("run.mstrc"), "-events"}, 0, "desc-miss", ""},
 		{"mstrace", []string{"-i", at("run.mstrc"), "-perfetto", at("trace.json")}, 0, "", "wrote " + at("trace.json")},
+
+		// The examples drive the facade end to end.
+		{"quickstart", nil, 0, "speedup", ""},
+		{"linkedlist", nil, 0, "speedup", ""},
+		{"stencil", nil, 0, "speedup", ""},
+		{"customtask", nil, 0, "speedup", ""},
 	}
 	// Every example program is clean in each of mslint's three views.
 	srcs, err := filepath.Glob("testdata/*.s")
@@ -156,8 +163,9 @@ var (
 	commandsErr  error
 )
 
-// commands builds every binary under cmd/ in one go build, once per test
-// binary, and returns the directory holding them (TestMain removes it).
+// commands builds every binary under cmd/ and examples/ in one go build,
+// once per test binary, and returns the directory holding them (TestMain
+// removes it).
 func commands(t *testing.T) string {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("no go toolchain to build the commands with")
@@ -166,7 +174,7 @@ func commands(t *testing.T) string {
 		if commandsDir, commandsErr = os.MkdirTemp("", "multiscalar-cmd"); commandsErr != nil {
 			return
 		}
-		out, err := exec.Command("go", "build", "-o", commandsDir+string(filepath.Separator), "./cmd/...").CombinedOutput()
+		out, err := exec.Command("go", "build", "-o", commandsDir+string(filepath.Separator), "./cmd/...", "./examples/...").CombinedOutput()
 		if err != nil {
 			commandsErr = fmt.Errorf("go build: %v\n%s", err, out)
 		}

@@ -84,11 +84,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sres, err := multiscalar.Run(sc.Prog, multiscalar.ScalarConfig(1, false), multiscalar.WithVerify())
+	sres, err := multiscalar.Run(sc.Prog, multiscalar.ScalarConfig(1, false))
 	if err != nil {
 		log.Fatal(err)
 	}
-	mres, err := multiscalar.Run(prog, multiscalar.DefaultConfig(8, 1, false), multiscalar.WithVerify())
+	mres, err := multiscalar.Run(prog, multiscalar.DefaultConfig(8, 1, false))
 	if err != nil {
 		log.Fatal(err)
 	}

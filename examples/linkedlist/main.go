@@ -46,13 +46,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sres, err := multiscalar.Run(scProg, multiscalar.ScalarConfig(1, false), multiscalar.WithVerify())
+	sres, err := multiscalar.Run(scProg, multiscalar.ScalarConfig(1, false))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nscalar baseline: %d cycles (IPC %.2f)\n", sres.Cycles, sres.IPC())
 	for _, units := range []int{4, 8} {
-		res, err := multiscalar.Run(prog, multiscalar.DefaultConfig(units, 1, false), multiscalar.WithVerify())
+		res, err := multiscalar.Run(prog, multiscalar.DefaultConfig(units, 1, false))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -62,9 +62,9 @@ func main() {
 	}
 	fmt.Printf("oracle:      output=%q, %d instructions\n", oracle.Out, oracle.Instructions)
 
-	// Scalar baseline (1-way in-order, 1-cycle dcache); WithVerify checks
-	// every timing run against the oracle.
-	sres, err := multiscalar.Run(scProg, multiscalar.ScalarConfig(1, false), multiscalar.WithVerify())
+	// Scalar baseline (1-way in-order, 1-cycle dcache); Run judges every
+	// timing run against the oracle.
+	sres, err := multiscalar.Run(scProg, multiscalar.ScalarConfig(1, false))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func main() {
 
 	// Multiscalar with 2, 4, 8 units.
 	for _, units := range []int{2, 4, 8} {
-		res, err := multiscalar.Run(msProg, multiscalar.DefaultConfig(units, 1, false), multiscalar.WithVerify())
+		res, err := multiscalar.Run(msProg, multiscalar.DefaultConfig(units, 1, false))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -27,13 +27,13 @@ func main() {
 
 	fmt.Println("config           cycles   speedup   bus requests   bank conflicts")
 	for _, width := range []int{1, 2} {
-		base, err := multiscalar.Run(scProg, multiscalar.ScalarConfig(width, false), multiscalar.WithVerify())
+		base, err := multiscalar.Run(scProg, multiscalar.ScalarConfig(width, false))
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("scalar %d-way   %8d     1.00x   %12d %16s\n", width, base.Cycles, base.BusRequests, "-")
 		for _, units := range []int{2, 4, 8, 16} {
-			res, err := multiscalar.Run(msProg, multiscalar.DefaultConfig(units, width, false), multiscalar.WithVerify())
+			res, err := multiscalar.Run(msProg, multiscalar.DefaultConfig(units, width, false))
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -23,18 +23,13 @@ import (
 const DefaultMaxInstrs uint64 = 1 << 40
 
 // Runtime carries the per-call attachments that never participate in a
-// spec's identity: live observers and resumption state. A nil Runtime is
+// spec's identity: a live observer and resumption state. A nil Runtime is
 // a plain run.
 type Runtime struct {
 	// Sink receives the typed event stream during the run (the facade's
 	// WithTrace). Ignored when the spec itself requests a trace artifact
 	// — an artifact run owns its writer.
 	Sink trace.Sink
-
-	// Checkpoint: at the first executed cycle at or after CheckpointAt,
-	// serialize the machine and pass the bytes to CheckpointSave.
-	CheckpointAt   uint64
-	CheckpointSave func(snapshot []byte) error
 
 	// Restore resumes the run from a snapshot instead of the entry point.
 	Restore []byte
@@ -157,15 +152,6 @@ func Execute(s *Spec, rt *Runtime) (*Output, error) {
 	m, err := core.NewMultiscalar(p, env, cfg)
 	if err != nil {
 		return nil, err
-	}
-	if rt.CheckpointSave != nil {
-		m.ScheduleCheckpoint(rt.CheckpointAt, func() error {
-			snap, err := m.Save()
-			if err != nil {
-				return err
-			}
-			return rt.CheckpointSave(snap)
-		})
 	}
 	if rt.Restore != nil {
 		if err := m.Restore(rt.Restore); err != nil {

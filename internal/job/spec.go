@@ -71,7 +71,7 @@ func (o Op) String() string {
 //
 // Spec is a value type: the fields fully determine the result, and Key
 // hashes a canonical encoding of them. Runtime attachments that do not
-// affect the result bytes — live trace sinks, checkpoint callbacks — ride
+// affect the result bytes — a live trace sink, a snapshot to resume from — ride
 // in a Runtime instead and never enter the key.
 type Spec struct {
 	Op Op

@@ -1,6 +1,7 @@
 package job
 
 import (
+	"bytes"
 	"errors"
 	"strconv"
 	"strings"
@@ -32,17 +33,59 @@ func TestVerifyComparesExitCode(t *testing.T) {
 	if full.Result.ExitCode != 'a' {
 		t.Fatalf("exit code %d, want %d", full.Result.ExitCode, 'a')
 	}
-	var snap []byte
-	rt := &Runtime{CheckpointAt: full.Result.Cycles - 10, CheckpointSave: func(b []byte) error { snap = b; return nil }}
-	if _, err := Execute(s, rt); err != nil || snap == nil {
-		t.Fatalf("checkpoint: %v (snapshot taken: %v)", err, snap != nil)
-	}
+	snap := checkpoint(t, s, full.Result.Cycles-10)
 
 	s.Verify, s.Stdin = true, []byte("b")
 	_, err = Execute(s, &Runtime{Restore: snap})
 	var d *core.DivergenceError
 	if !errors.As(err, &d) || d.What != core.DivExitCode || d.Timing != "97" || d.Functional != "98" {
 		t.Fatalf("Execute over other input: %v; want an exit-code divergence 97 against 98", err)
+	}
+}
+
+// checkpoint runs s's machine from the program entry and returns its
+// snapshot taken at the first executed cycle at or after at.
+func checkpoint(t *testing.T, s *Spec, at uint64) []byte {
+	t.Helper()
+	p, err := s.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := interp.NewSysEnv()
+	env.In = bytes.NewReader(s.Stdin)
+	m, err := core.NewMultiscalar(p, env, s.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap []byte
+	m.ScheduleCheckpoint(at, func() (err error) {
+		snap, err = m.Save()
+		return err
+	})
+	if _, err := m.Run(); err != nil || snap == nil {
+		t.Fatalf("checkpoint: %v (snapshot taken: %v)", err, snap != nil)
+	}
+	return snap
+}
+
+// TestRestoreRefusesRetiredKinds: a snapshot written by the separate
+// scalar machine of earlier versions (kind 2 in the header), or by the
+// retired functional machine (kind 1), is refused by name rather than
+// misread, while the one machine's own snapshot resumes.
+func TestRestoreRefusesRetiredKinds(t *testing.T) {
+	s := baseSpec()
+	s.Config, s.Mode = Machine(1, 1, false)
+	snap := checkpoint(t, s, 10)
+	if _, err := Execute(s, &Runtime{Restore: snap}); err != nil {
+		t.Fatalf("restoring the one machine's own snapshot: %v", err)
+	}
+	const kindAt = 6 + 2 // after the magic and the format version
+	for kind, name := range map[uint8]string{1: "interp", 2: "scalar"} {
+		snap[kindAt] = kind
+		if _, err := Execute(s, &Runtime{Restore: snap}); err == nil ||
+			!strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "want multiscalar") {
+			t.Errorf("restoring a retired kind-%d snapshot: %v", kind, err)
+		}
 	}
 }
 

@@ -13,15 +13,15 @@ import (
 // ArtifactVersion tags the repro-artifact JSON layout. Version 2 added
 // the exit codes; version 3 records the judge's first divergence in place
 // of the expected and observed outcomes; version 4 records dense ticking
-// beside the config, whose canonical encoding no longer carries it.
-const ArtifactVersion = 4
+// beside the config, whose canonical encoding no longer carries it;
+// version 5 drops the final-machine snapshot, which no replay read.
+const ArtifactVersion = 5
 
 // Artifact is a self-contained repro of one differential mismatch:
 // everything needed to rebuild and re-run the failing cell without the
 // generator — the program source, the canonical machine config and
-// whether the cell ticked densely, the generation seed, the judge's first
-// divergence (or the run's error) and the final-machine snapshot of the
-// divergent run. encoding/json renders Snapshot as base64.
+// whether the cell ticked densely, the generation seed, and the judge's
+// first divergence (or the run's error).
 type Artifact struct {
 	Version    int                   `json:"version"`
 	Name       string                `json:"name"`
@@ -33,13 +33,12 @@ type Artifact struct {
 	Divergence *core.DivergenceError `json:"divergence,omitempty"`
 	Error      string                `json:"error,omitempty"`
 	Diagnosis  string                `json:"diagnosis,omitempty"`
-	Snapshot   []byte                `json:"snapshot,omitempty"`
 }
 
 // NewArtifact captures a mismatch as a replayable artifact. The config
 // is stored in its canonical encoding so the replay runs byte-for-byte
 // the same machine.
-func NewArtifact(p *Program, e MatrixEntry, mm *Mismatch, seed int64, snapshot []byte) *Artifact {
+func NewArtifact(p *Program, e MatrixEntry, mm *Mismatch, seed int64) *Artifact {
 	cfg, err := e.Config().MarshalCanonical()
 	if err != nil {
 		// Matrix configs always encode; a failure here is a bug worth
@@ -57,7 +56,6 @@ func NewArtifact(p *Program, e MatrixEntry, mm *Mismatch, seed int64, snapshot [
 		Divergence: mm.Divergence,
 		Error:      mm.Err,
 		Diagnosis:  mm.Diagnosis,
-		Snapshot:   snapshot,
 	}
 }
 

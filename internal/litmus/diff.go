@@ -105,8 +105,6 @@ func (m *Mismatch) String() string {
 // on past a divergence, so its final output is still classified against
 // the forbidden catalogue. It returns the machine (nil when none could be
 // built) for the caller's statistics and the mismatch (nil on a pass).
-// Only a mismatch pays for a snapshot: the machine as the run left it
-// goes into the artifact.
 func runCell(p *Program, co *isa.Program, e MatrixEntry, seed int64, sink trace.Sink) (*core.Multiscalar, *Mismatch) {
 	cfg := e.Config()
 	cfg.Sink = sink
@@ -126,11 +124,7 @@ func runCell(p *Program, co *isa.Program, e MatrixEntry, seed int64, sink trace.
 		mm.Divergence = m.Divergence()
 		mm.Diagnosis = p.Classify(res.Out)
 	}
-	var snap []byte
-	if m != nil {
-		snap, _ = m.Save()
-	}
-	mm.Artifact = NewArtifact(p, e, mm, seed, snap)
+	mm.Artifact = NewArtifact(p, e, mm, seed)
 	return m, mm
 }
 

@@ -245,9 +245,6 @@ func TestArtifactRoundTripAndReplay(t *testing.T) {
 	if mm == nil || mm.Divergence == nil || mm.Divergence.What != core.DivNextPC || mm.Divergence.Task != "t" {
 		t.Fatalf("cell: %v; want task t's next-PC divergence", mm)
 	}
-	if len(mm.Artifact.Snapshot) == 0 {
-		t.Error("the artifact carries no snapshot of the divergent run")
-	}
 
 	data, err := mm.Artifact.Encode()
 	if err != nil {

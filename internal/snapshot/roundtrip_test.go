@@ -217,7 +217,7 @@ func TestInterpRoundTrip(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		stop := 1 + uint64(rng.Int63n(int64(full.ICount*9/10)))
 		snap := captureWarm(t, p, cfg, stop)[0]
-		meta, err := snapshot.Peek(snap)
+		meta, err := snapshot.ReadHeader(snap)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,13 +239,12 @@ func TestInterpRoundTrip(t *testing.T) {
 
 // TestInterpStdinRoundTrip checks that a snapshot taken between reads of
 // the input stream repositions a fresh reader over it: a one-unit scalar
-// run through job.Execute, checkpointed at cycles across the run and
-// resumed with Runtime.Restore and the same Spec.Stdin (the facade's
-// RestoreFrom + WithStdin), echoes the input exactly, verified against
-// the oracle. Resumed over a different input instead, it echoes the
-// bytes the saved run had read, then the new input from the same
-// position, so the snapshot carries the consumed count and not a copy
-// of the stream.
+// run, checkpointed at cycles across the run and resumed through
+// job.Execute with Runtime.Restore and the same Spec.Stdin, echoes the
+// input exactly, verified against the oracle. Resumed over a different
+// input instead, it echoes the bytes the saved run had read, then the
+// new input from the same position, so the snapshot carries the
+// consumed count and not a copy of the stream.
 func TestInterpStdinRoundTrip(t *testing.T) {
 	src := `
 main:
@@ -271,6 +270,10 @@ loop:
 	if err != nil {
 		t.Fatal(err)
 	}
+	p, err := spec(input, false).Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if full.Result.Out != input {
 		t.Fatalf("full run echoed %q, want %q", full.Result.Out, input)
 	}
@@ -278,12 +281,20 @@ loop:
 	between := 0 // checkpoints taken after the first read and before the last
 	for k := uint64(1); k < 8; k++ {
 		at := k * full.Result.Cycles / 8
+		env := interp.NewSysEnv()
+		env.In = bytes.NewReader([]byte(input))
+		m, err := core.NewMultiscalar(p, env, core.ScalarConfig(1, false))
+		if err != nil {
+			t.Fatal(err)
+		}
 		var snap []byte
-		_, err := job.Execute(spec(input, false), &job.Runtime{CheckpointAt: at, CheckpointSave: func(s []byte) error {
-			snap = s
-			return errInterrupted
-		}})
-		if !errors.Is(err, errInterrupted) {
+		m.ScheduleCheckpoint(at, func() (err error) {
+			if snap, err = m.Save(); err == nil {
+				err = errInterrupted
+			}
+			return err
+		})
+		if _, err := m.Run(); !errors.Is(err, errInterrupted) {
 			t.Fatalf("checkpoint@%d: interrupted run: err = %v", at, err)
 		}
 		same, err := job.Execute(spec(input, true), &job.Runtime{Restore: snap})
@@ -397,10 +408,10 @@ func TestHostileCountsDoNotAmplify(t *testing.T) {
 	}
 }
 
-// TestPeek checks kind dispatch and header metadata on opaque
-// snapshots of both surviving kinds: a timing machine's carries its
-// capture cycle, a warm capture its instruction count.
-func TestPeek(t *testing.T) {
+// TestHeader checks the header metadata of both surviving kinds: a
+// timing machine's snapshot carries its capture cycle, a warm capture
+// its instruction count.
+func TestHeader(t *testing.T) {
 	p := buildTB(t, "wc", asm.ModeScalar)
 	cfg := core.ScalarConfig(1, false)
 	for _, c := range []struct {
@@ -411,22 +422,22 @@ func TestPeek(t *testing.T) {
 		{captureTiming(t, p, cfg, 100)[0], snapshot.KindMultiscalar, func(cycle uint64) bool { return cycle >= 100 }},
 		{captureWarm(t, p, cfg, 100)[0], snapshot.KindWarm, func(cycle uint64) bool { return cycle == 100 }},
 	} {
-		meta, err := snapshot.Peek(c.snap)
+		meta, err := snapshot.ReadHeader(c.snap)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if meta.Kind != c.kind {
-			t.Errorf("Peek kind = %d, want %d", meta.Kind, c.kind)
+			t.Errorf("header kind = %d, want %d", meta.Kind, c.kind)
 		}
 		if meta.Version != snapshot.Version {
-			t.Errorf("Peek version = %d, want %d", meta.Version, snapshot.Version)
+			t.Errorf("header version = %d, want %d", meta.Version, snapshot.Version)
 		}
 		if !c.ok(meta.Cycle) {
-			t.Errorf("%s: Peek cycle = %d, not the capture point 100", snapshot.KindName(c.kind), meta.Cycle)
+			t.Errorf("%s: header cycle = %d, not the capture point 100", snapshot.KindName(c.kind), meta.Cycle)
 		}
 	}
-	if _, err := snapshot.Peek([]byte("short")); err == nil {
-		t.Error("Peek(short) = nil error")
+	if _, err := snapshot.ReadHeader([]byte("short")); err == nil {
+		t.Error("ReadHeader(short) = nil error")
 	}
 }
 

@@ -90,14 +90,6 @@ type Meta struct {
 	Cycle uint64
 }
 
-// Peek reads a snapshot's header without decoding the body, so a
-// caller holding an opaque file can dispatch to the right machine
-// constructor or describe the snapshot to a user.
-func Peek(data []byte) (Meta, error) {
-	_, meta, err := newLoader(data)
-	return meta, err
-}
-
 // Codec moves one snapshot stream in one direction: a saving Codec
 // appends the values its primitives are pointed at, a loading Codec
 // overwrites them from the stream. All integers are big-endian.

@@ -36,7 +36,8 @@ import (
 type Options struct {
 	// SuppressFuncs lists function entry symbols whose calls should be
 	// absorbed into the calling task (the paper's "suppressed functions",
-	// Section 3.2.3) instead of becoming tasks of their own.
+	// Section 3.2.3) instead of becoming tasks of their own. Each must be
+	// the target of a jal in the program.
 	SuppressFuncs []string
 	// SuppressAllCalls absorbs every call.
 	SuppressAllCalls bool
@@ -65,11 +66,20 @@ func Run(prog *isa.Program, opt Options) (*Partition, error) {
 	g := cfg.Build(prog)
 	g.Analyze()
 
+	called := map[uint32]bool{}
+	for _, b := range g.Blocks {
+		if b.CallTarget != 0 {
+			called[b.CallTarget] = true
+		}
+	}
 	suppressed := map[uint32]bool{}
 	for _, name := range opt.SuppressFuncs {
 		addr, ok := prog.Symbol(name)
 		if !ok {
 			return nil, fmt.Errorf("taskpart: suppressed function %q undefined", name)
+		}
+		if !called[addr] {
+			return nil, fmt.Errorf("taskpart: suppressed function %q is not the target of any jal", name)
 		}
 		suppressed[addr] = true
 	}

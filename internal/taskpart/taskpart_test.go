@@ -1,6 +1,7 @@
 package taskpart
 
 import (
+	"strings"
 	"testing"
 
 	"multiscalar/internal/asm"
@@ -226,6 +227,17 @@ work:
 		if in.Op == isa.OpJr && in.Stop != isa.StopNone {
 			t.Error("suppressed jr has stop bit")
 		}
+	}
+
+	// A loop label is no function: suppressing it is refused by name
+	// rather than absorbing the loop into the task before it.
+	loop := assembleRaw(t, simpleLoop)
+	if _, err := Run(loop, Options{SuppressFuncs: []string{"loop"}}); err == nil ||
+		!strings.Contains(err.Error(), `"loop"`) || !strings.Contains(err.Error(), "jal") {
+		t.Errorf("suppressing a loop label: %v", err)
+	}
+	if len(loop.Tasks) != 0 {
+		t.Errorf("a refused partition left %d tasks", len(loop.Tasks))
 	}
 }
 

@@ -19,9 +19,8 @@
 //     data caches, shared memory bus; the scalar baseline is its
 //     one-unit configuration (Config.MaxCycles bounds it). RunOption
 //     values attach an event trace (WithTrace), program input
-//     (WithStdin), an instruction bound (WithMaxInstrs), oracle
-//     verification (WithVerify) or checkpoint and resume
-//     (WithCheckpoint, RestoreFrom).
+//     (WithStdin) or an instruction bound (WithMaxInstrs). Every run
+//     is judged against the functional machine at each task retire.
 //   - WorkloadNames/GetWorkload expose the paper's benchmark suite
 //     (Section 5.2 rewritten for this ISA).
 //
@@ -43,7 +42,6 @@ import (
 	"multiscalar/internal/job"
 	"multiscalar/internal/sample"
 	"multiscalar/internal/serve"
-	"multiscalar/internal/snapshot"
 	"multiscalar/internal/taskpart"
 	"multiscalar/internal/trace"
 	"multiscalar/internal/workloads"
@@ -131,10 +129,10 @@ const DefaultMaxInstrs uint64 = job.DefaultMaxInstrs
 
 // runOptions is the job the options describe: every RunOption folds into
 // either the JobSpec (the canonical, hashable request shape shared with
-// the bench harness and the msserve service) or the job Runtime (live
-// attachments — sinks, checkpoint callbacks — that never participate in a
-// job's identity). The WithStdin reader waits in stdin until gather reads
-// it into the spec's input bytes.
+// the bench harness and the msserve service) or the job Runtime (the
+// trace sink, which never participates in a job's identity). The
+// WithStdin reader waits in stdin until gather reads it into the spec's
+// input bytes.
 type runOptions struct {
 	spec  job.Spec
 	rt    job.Runtime
@@ -161,43 +159,10 @@ func WithStdin(r io.Reader) RunOption {
 }
 
 // WithMaxInstrs bounds functional executions — Interpret itself and the
-// functional machine WithVerify steps beside the run (default
+// functional machine Run steps beside the timing run (default
 // DefaultMaxInstrs).
 func WithMaxInstrs(n uint64) RunOption {
 	return func(o *runOptions) { o.spec.MaxInstrs = n }
-}
-
-// WithVerify makes Run judge the timing simulation in lockstep with the
-// functional simulator: at every task retire the committed count, next
-// PC, registers, drained stores and output must be the sequential run's,
-// and at the end so must the exit code. Run fails with the first
-// difference, an error naming the task, what differed and both values.
-func WithVerify() RunOption {
-	return func(o *runOptions) { o.spec.Verify = true }
-}
-
-// WithCheckpoint schedules a one-time snapshot of the timing run: at
-// the first executed cycle at or after cycle, the machine serializes
-// its complete state (docs/simulator.md, "Snapshot format") and passes
-// the bytes to save. A nil return continues the run to completion; a
-// non-nil error aborts Run with that error — the way to stop a run at
-// the checkpoint. A later Run over the same Program and Config with
-// RestoreFrom resumes exactly where the snapshot was taken. Interpret
-// ignores this option.
-func WithCheckpoint(cycle uint64, save func(snapshot []byte) error) RunOption {
-	return func(o *runOptions) { o.rt.CheckpointAt, o.rt.CheckpointSave = cycle, save }
-}
-
-// RestoreFrom makes Run resume from a snapshot instead of starting at
-// the program entry. The machine is built from the same Program and
-// Config that produced the snapshot (geometry mismatches are rejected),
-// its state is restored, and the run finishes from there; results,
-// statistics and trace events come out identical to the uninterrupted
-// run. Input supplied with WithStdin must be a fresh reader over the
-// same bytes — the restored run skips what the saved run had consumed.
-// Interpret ignores this option.
-func RestoreFrom(snapshot []byte) RunOption {
-	return func(o *runOptions) { o.rt.Restore = snapshot }
 }
 
 // gather folds the options into the shared job request shape, reading
@@ -257,13 +222,19 @@ func ScalarConfig(width int, outOfOrder bool) Config {
 // runs on a one-unit configuration — ScalarConfig is the paper's scalar
 // baseline — and a wider one refuses it. A binary with descriptors runs
 // on any unit count, one included (the single-unit ablation point).
-// Options attach a trace sink, program input, an instruction bound, and
-// oracle verification; cfg.MaxCycles bounds the run.
+// The run starts at the program entry and is judged in lockstep with the
+// functional machine: at every task retire the committed count, next PC,
+// registers, drained stores and output must be the sequential run's, and
+// at the end so must the exit code. Run fails with the first difference, a
+// *core.DivergenceError naming the task, what differed and both values.
+// Options attach a trace sink, program input and an instruction bound;
+// cfg.MaxCycles bounds the run.
 func Run(p *Program, cfg Config, opts ...RunOption) (*Result, error) {
 	o, err := gather(p, cfg, opts)
 	if err != nil {
 		return nil, err
 	}
+	o.spec.Verify = true
 	out, err := job.Execute(&o.spec, &o.rt)
 	if err != nil {
 		return nil, err
@@ -302,36 +273,21 @@ type SampleEstimate = sample.Estimate
 // RunSampled estimates a program's cycle count by sampled simulation
 // instead of simulating every cycle. The sampling regime (window,
 // warm-up, period) is derived from the run, and the estimate reports it.
-// It honors cfg.MaxCycles, WithStdin and WithMaxInstrs; trace, checkpoint
-// and verification options do not apply (the functional pass is the
-// run's oracle by construction).
+// It honors cfg.MaxCycles, WithStdin and WithMaxInstrs; WithTrace does
+// not apply, and the run is not judged (the functional pass is the run's
+// oracle by construction).
 func RunSampled(p *Program, cfg Config, opts ...RunOption) (*SampleEstimate, error) {
 	o, err := gather(p, cfg, opts)
 	if err != nil {
 		return nil, err
 	}
 	o.spec.Op = job.OpSampled
-	o.spec.Verify = false
 	out, err := job.Execute(&o.spec, &o.rt)
 	if err != nil {
 		return nil, err
 	}
 	return out.Sampled, nil
 }
-
-// SnapshotMeta is the header of a machine snapshot: format version,
-// snapshot kind, and the cycle (or, for warm snapshots, instruction
-// count) it was taken at.
-type SnapshotMeta = snapshot.Meta
-
-// PeekSnapshot reads a snapshot's header without decoding its body —
-// what a tool should print before committing to a restore.
-func PeekSnapshot(data []byte) (SnapshotMeta, error) { return snapshot.Peek(data) }
-
-// SnapshotKindName names a snapshot kind: "multiscalar" (the timing
-// machine, the one kind RestoreFrom takes), "warm" (a sampler capture),
-// or a retired kind, named with the machine it belonged to.
-func SnapshotKindName(kind uint8) string { return snapshot.KindName(kind) }
 
 // JobResult is a job's outcome: the result payload plus whether this
 // submission was answered from the content-addressed cache.

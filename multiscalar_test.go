@@ -3,10 +3,12 @@ package multiscalar_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"multiscalar"
+	"multiscalar/internal/core"
 )
 
 const apiDemo = `
@@ -57,7 +59,7 @@ func TestFacadeAssembleAndInterpret(t *testing.T) {
 func TestFacadeVerifyScalar(t *testing.T) {
 	prog := mustAssemble(t, apiDemo, multiscalar.ModeScalar)
 	for _, width := range []int{1, 2} {
-		res, err := multiscalar.Run(prog, multiscalar.ScalarConfig(width, true), multiscalar.WithVerify())
+		res, err := multiscalar.Run(prog, multiscalar.ScalarConfig(width, true))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +72,7 @@ func TestFacadeVerifyScalar(t *testing.T) {
 func TestFacadeVerifyMultiscalar(t *testing.T) {
 	prog := mustAssemble(t, apiDemo, multiscalar.ModeMultiscalar)
 	for _, units := range []int{2, 4, 8, 16} {
-		res, err := multiscalar.Run(prog, multiscalar.DefaultConfig(units, 1, false), multiscalar.WithVerify())
+		res, err := multiscalar.Run(prog, multiscalar.DefaultConfig(units, 1, false))
 		if err != nil {
 			t.Fatalf("units=%d: %v", units, err)
 		}
@@ -90,15 +92,15 @@ func TestFacadeRejectsUnannotated(t *testing.T) {
 // TestFacadeOptionsReplaceWrappers pins that the options facade covers
 // every entry point the removed pre-options wrappers offered: a mode-
 // selected build with its line table, a multiscalar run, a scalar run
-// (the one-unit configuration on a binary without descriptors), and an
-// oracle-verified run.
+// (the one-unit configuration on a binary without descriptors), each
+// judged against the oracle.
 func TestFacadeOptionsReplaceWrappers(t *testing.T) {
 	full, err := multiscalar.Assemble(apiDemo, multiscalar.WithMode(multiscalar.ModeMultiscalar))
 	if err != nil || full.Prog == nil || len(full.Lines) == 0 {
 		t.Fatalf("Assemble(WithMode) = %+v, %v", full, err)
 	}
 	prog := full.Prog
-	if res, err := multiscalar.Run(prog, multiscalar.DefaultConfig(4, 1, false)); err != nil || res.TasksRetired == 0 {
+	if res, err := multiscalar.Run(prog, multiscalar.DefaultConfig(4, 1, false)); err != nil || res.TasksRetired == 0 || res.Out != "1275" {
 		t.Fatalf("multiscalar Run = %+v, %v", res, err)
 	}
 	sc, err := multiscalar.Assemble(apiDemo)
@@ -109,9 +111,6 @@ func TestFacadeOptionsReplaceWrappers(t *testing.T) {
 	// task statistics.
 	if res, err := multiscalar.Run(sc.Prog, multiscalar.ScalarConfig(1, false)); err != nil || res.TasksRetired != 1 || strings.Contains(res.String(), "tasks=") {
 		t.Fatalf("scalar Run = %+v, %v", res, err)
-	}
-	if res, err := multiscalar.Run(prog, multiscalar.DefaultConfig(4, 1, false), multiscalar.WithVerify()); err != nil || res.Out != "1275" {
-		t.Fatalf("Run(WithVerify) = %+v, %v", res, err)
 	}
 }
 
@@ -143,8 +142,7 @@ func TestFacadeSubmitJob(t *testing.T) {
 		t.Fatalf("resubmission not cached: %+v vs %+v", again, first)
 	}
 
-	direct, err := multiscalar.Run(mustAssemble(t, apiDemo, multiscalar.ModeMultiscalar), cfg,
-		multiscalar.WithVerify())
+	direct, err := multiscalar.Run(mustAssemble(t, apiDemo, multiscalar.ModeMultiscalar), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +175,7 @@ loop:
 	if len(prog.Tasks) < 2 {
 		t.Fatalf("tasks = %d", len(prog.Tasks))
 	}
-	res, err := multiscalar.Run(prog, multiscalar.DefaultConfig(4, 1, false), multiscalar.WithVerify())
+	res, err := multiscalar.Run(prog, multiscalar.DefaultConfig(4, 1, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +231,7 @@ func TestFacadeSaveLoadProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := multiscalar.Run(back, multiscalar.DefaultConfig(4, 1, false), multiscalar.WithVerify())
+	res, err := multiscalar.Run(back, multiscalar.DefaultConfig(4, 1, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,40 +240,62 @@ func TestFacadeSaveLoadProgram(t *testing.T) {
 	}
 }
 
-// TestScalarIsAConfiguration pins the two edges of "the scalar baseline
-// is the one-unit machine on a binary without descriptors": wider
-// machines still refuse such a binary by name, and a snapshot written by
-// the separate scalar machine of earlier versions (kind 2 in the header)
-// is described and refused by name — what mssim -restore prints and
-// exits with — rather than misread. So is one of the retired functional
-// machine's (kind 1).
+// TestScalarIsAConfiguration pins the edge of "the scalar baseline is
+// the one-unit machine on a binary without descriptors": wider machines
+// refuse such a binary by name.
 func TestScalarIsAConfiguration(t *testing.T) {
 	prog := mustAssemble(t, apiDemo, multiscalar.ModeScalar)
 	if _, err := multiscalar.Run(prog, multiscalar.DefaultConfig(4, 1, false)); err == nil || !strings.Contains(err.Error(), "no task descriptors") {
 		t.Errorf("4 units on a binary without descriptors: %v", err)
 	}
+}
 
-	cfg := multiscalar.ScalarConfig(1, false)
-	var snap []byte
-	if _, err := multiscalar.Run(prog, cfg, multiscalar.WithCheckpoint(10, func(s []byte) error {
-		snap = append([]byte(nil), s...)
-		return nil
-	})); err != nil || snap == nil {
-		t.Fatalf("checkpointed scalar run: %v (snapshot %d bytes)", err, len(snap))
+// fccSrc compares in one task and branches on the flag first thing in
+// the next (lint error MS016): the flag does not cross a task boundary on
+// the machine, so its branch goes the other way from the sequential run's.
+const fccSrc = `
+	.data
+x:	.double 1.0, 2.0
+	.text
+main:
+	la     $t0, x
+	l.d    $f0, 0($t0)
+	l.d    $f2, 8($t0)
+	c.lt.d $f0, $f2
+	j      t !s
+t:
+	bc1t   yes !s
+no:
+	li     $a0, 0
+	li     $v0, 1
+	syscall
+	li     $v0, 10
+	li     $a0, 0
+	syscall
+yes:
+	li     $a0, 1
+	li     $v0, 1
+	syscall
+	li     $v0, 10
+	li     $a0, 0
+	syscall
+	.task main targets=t
+	.task t targets=yes,no
+	.task no
+	.task yes
+`
+
+// TestRunIsJudged: Run has no unjudged mode. A program built past the
+// lint gate that leaves the sequential state is refused at the retire
+// that left it, not answered with the machine's output.
+func TestRunIsJudged(t *testing.T) {
+	res, err := multiscalar.Assemble(fccSrc, multiscalar.WithMode(multiscalar.ModeMultiscalar), multiscalar.WithoutLint())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res, err := multiscalar.Run(prog, cfg, multiscalar.RestoreFrom(snap)); err != nil || res.Out != "1275" {
-		t.Fatalf("restoring the one machine's own snapshot: %+v, %v", res, err)
-	}
-	const kindAt = 6 + 2 // after the magic and the format version
-	for kind, name := range map[uint8]string{1: "interp", 2: "scalar"} {
-		snap[kindAt] = kind
-		meta, err := multiscalar.PeekSnapshot(snap)
-		if err != nil || !strings.Contains(multiscalar.SnapshotKindName(meta.Kind), name) {
-			t.Fatalf("peeking a retired kind-%d snapshot: %+v, %v", kind, meta, err)
-		}
-		if _, err := multiscalar.Run(prog, cfg, multiscalar.RestoreFrom(snap)); err == nil ||
-			!strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "want multiscalar") {
-			t.Errorf("restoring a retired kind-%d snapshot: %v", kind, err)
-		}
+	out, err := multiscalar.Run(res.Prog, multiscalar.DefaultConfig(4, 1, false))
+	var d *core.DivergenceError
+	if !errors.As(err, &d) || d.Task != "t" || d.What != core.DivNextPC {
+		t.Fatalf("Run = %+v, %v; want the next-PC divergence of task t", out, err)
 	}
 }

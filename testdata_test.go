@@ -46,7 +46,7 @@ func TestTestdataPrograms(t *testing.T) {
 					t.Fatalf("partition: %v", err)
 				}
 			}
-			res, err := multiscalar.Run(msProg, multiscalar.DefaultConfig(8, 1, false), multiscalar.WithVerify())
+			res, err := multiscalar.Run(msProg, multiscalar.DefaultConfig(8, 1, false))
 			if err != nil {
 				t.Fatalf("verify: %v", err)
 			}
