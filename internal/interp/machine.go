@@ -114,9 +114,12 @@ func (m *Machine) steps(limit uint64) error {
 			if addr&3 != 0 {
 				return fmt.Errorf("interp: unaligned %s of 0x%x at PC 0x%x", u.op, addr, m.PC)
 			}
-			v := Value{I: uint32(m.Mem.ReadN(addr, 4))}
+			v, ok := m.Mem.ReadWordHit(addr)
+			if !ok {
+				v = uint32(m.Mem.ReadN(addr, 4))
+			}
 			if u.rd != isa.RegZero {
-				m.Regs[u.rd] = v
+				m.Regs[u.rd] = Value{I: v}
 			}
 			if m.Warm != nil {
 				m.Warm.Mem(addr, false)
@@ -127,7 +130,12 @@ func (m *Machine) steps(limit uint64) error {
 			if addr%uint32(u.size) != 0 {
 				return fmt.Errorf("interp: unaligned %s of 0x%x at PC 0x%x", u.op, addr, m.PC)
 			}
-			raw := m.Mem.ReadN(addr, int(u.size))
+			var raw uint64
+			if b, ok := m.Mem.ByteHit(addr); ok && u.size == 1 {
+				raw = uint64(b)
+			} else {
+				raw = m.Mem.ReadN(addr, int(u.size))
+			}
 			if u.rd != isa.RegZero {
 				m.Regs[u.rd] = LoadValue(u.op, raw)
 			}
@@ -140,7 +148,9 @@ func (m *Machine) steps(limit uint64) error {
 			if addr&3 != 0 {
 				return fmt.Errorf("interp: unaligned %s of 0x%x at PC 0x%x", u.op, addr, m.PC)
 			}
-			m.Mem.WriteN(addr, 4, uint64(m.Regs[u.rt].I))
+			if v := m.Regs[u.rt].I; !m.Mem.WriteWordHit(addr, v) {
+				m.Mem.WriteN(addr, 4, uint64(v))
+			}
 			if m.Warm != nil {
 				m.Warm.Mem(addr, true)
 			}

@@ -2,7 +2,11 @@ package mem
 
 import (
 	"bytes"
+	"fmt"
+	"sync"
 	"testing"
+
+	"multiscalar/internal/snapshot"
 )
 
 // readNSlow is the reference per-byte implementation ReadN must match.
@@ -94,16 +98,180 @@ func TestReadCStringCrossPage(t *testing.T) {
 	}
 }
 
-func TestLastPageCacheCoherent(t *testing.T) {
+// TestTLBSlotConflict: two pages that share a TLB slot evict each other
+// on every access and still keep their own contents, through the
+// general methods and the fast paths alike.
+func TestTLBSlotConflict(t *testing.T) {
 	m := NewMemory()
-	m.WriteWord(0x1000, 0x01020304)
-	_ = m.ReadWord(0x1000) // warm the last-page cache
-	m.WriteWord(0x1000+pageSize, 0x0a0b0c0d)
-	if got := m.ReadWord(0x1000); got != 0x01020304 {
-		t.Errorf("first page = %#x", got)
+	a, b := uint32(0x1000), uint32(0x1000+tlbSize*pageSize)
+	if a>>pageBits%tlbSize != b>>pageBits%tlbSize {
+		t.Fatal("the two pages do not share a slot")
 	}
-	if got := m.ReadWord(0x1000 + pageSize); got != 0x0a0b0c0d {
-		t.Errorf("second page = %#x", got)
+	for i := uint32(0); i < 8; i++ {
+		m.WriteWord(a+4*i, 0xa0+i)
+		if !m.WriteWordHit(b+4*i, 0xb0+i) {
+			m.WriteWord(b+4*i, 0xb0+i)
+		}
+	}
+	for i := uint32(0); i < 8; i++ {
+		if got := m.ReadWord(a + 4*i); got != 0xa0+i {
+			t.Errorf("page a word %d = %#x", i, got)
+		}
+		if got, ok := m.ReadWordHit(b + 4*i); ok {
+			t.Errorf("page b word %d hit the slot page a holds (%#x)", i, got)
+		}
+		if got := m.ReadWord(b + 4*i); got != 0xb0+i {
+			t.Errorf("page b word %d = %#x", i, got)
+		}
+		if got, ok := m.ByteHit(b + 4*i + 3); !ok || got != byte(0xb0+i) {
+			t.Errorf("page b byte %d = %#x, %v", i, got, ok)
+		}
+		if got := m.Byte(a + 4*i + 3); got != byte(0xa0+i) {
+			t.Errorf("page a byte %d = %#x", i, got)
+		}
+	}
+}
+
+// imageOf returns an image whose page 0x10000 holds 0x11111111 at
+// 0x10000000 and 0x22222222 at 0x10000004.
+func imageOf() *Image {
+	base := NewMemory()
+	base.WriteWord(0x10000000, 0x11111111)
+	base.WriteWord(0x10000004, 0x22222222)
+	return base.Image()
+}
+
+// TestTLBPromotesImagePage: reading an image page maps it read-only, so
+// the write fast path declines it, and the write that follows copies the
+// page: the writer sees its value, the image and every other Memory over
+// it the old one.
+func TestTLBPromotesImagePage(t *testing.T) {
+	img := imageOf()
+	m := NewMemoryFromImage(img)
+	if got := m.ReadWord(0x10000000); got != 0x11111111 {
+		t.Fatalf("image word = %#x", got)
+	}
+	if got, ok := m.ReadWordHit(0x10000004); !ok || got != 0x22222222 {
+		t.Errorf("read of a mapped image page = %#x, %v", got, ok)
+	}
+	if m.WriteWordHit(0x10000000, 0x33333333) {
+		t.Fatal("the fast path wrote an image page")
+	}
+	m.WriteWord(0x10000000, 0x33333333)
+	if got, ok := m.ReadWordHit(0x10000000); !ok || got != 0x33333333 {
+		t.Errorf("writer reads %#x, %v after its write", got, ok)
+	}
+	if got := m.ReadWord(0x10000004); got != 0x22222222 {
+		t.Errorf("the promoted copy lost the image's other word: %#x", got)
+	}
+	if !m.WriteWordHit(0x10000004, 0x44444444) {
+		t.Error("the write fast path declined a private page")
+	}
+	other := NewMemoryFromImage(img)
+	if got := other.ReadWord(0x10000000); got != 0x11111111 {
+		t.Errorf("second memory over the image reads %#x", got)
+	}
+	if got := NewMemoryFromImage(m.Image()).ReadWord(0x10000004); got != 0x44444444 {
+		t.Errorf("image of the writer reads %#x", got)
+	}
+	if got := NewMemoryFromImage(img).ReadWord(0x10000004); got != 0x22222222 {
+		t.Errorf("the image changed: %#x", got)
+	}
+}
+
+// TestTLBStateLoad: loading a snapshot replaces the page map, so reads
+// after it return the restored contents, not pages the TLB still maps.
+func TestTLBStateLoad(t *testing.T) {
+	m := NewMemoryFromImage(imageOf())
+	m.WriteWord(0x2000, 1)
+	m.WriteWord(0x10000000, 2)
+	saved := stateBytes(t, m)
+	m.WriteWord(0x2000, 3)
+	m.WriteWord(0x10000000, 4)
+	m.WriteWord(0x5000, 5)
+	_, _ = m.ReadWordHit(0x2000) // every page mapped
+	_, _ = m.ReadWordHit(0x10000000)
+	if err := snapshot.Load(saved, snapshot.KindMultiscalar, m.State); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ addr, want uint32 }{{0x2000, 1}, {0x10000000, 2}, {0x10000004, 0x22222222}, {0x5000, 0}} {
+		if got := m.ReadWord(c.addr); got != c.want {
+			t.Errorf("after load, word at %#x = %#x, want %#x", c.addr, got, c.want)
+		}
+		if got, ok := m.ReadWordHit(c.addr); ok && got != c.want {
+			t.Errorf("after load, fast word at %#x = %#x, want %#x", c.addr, got, c.want)
+		}
+	}
+	m.WriteWord(0x2000, 6)
+	if got := stateBytes(t, m); bytes.Equal(got, saved) {
+		t.Error("a write after the load did not reach the restored page")
+	}
+}
+
+// TestZeroValueMemory: the zero Memory reads zeros, its fast paths miss,
+// and page-crossing accesses allocate what they write.
+func TestZeroValueMemory(t *testing.T) {
+	var m Memory
+	if _, ok := m.ReadWordHit(0); ok {
+		t.Error("fast read hit an empty memory")
+	}
+	if m.WriteWordHit(0, 1) {
+		t.Error("fast write hit an empty memory")
+	}
+	if got := m.ReadN(pageSize-2, 4) | uint64(m.Byte(0)); got != 0 {
+		t.Errorf("empty memory reads %#x", got)
+	}
+	m.WriteN(pageSize-2, 4, 0xdeadbeef)
+	if got := m.ReadN(pageSize-2, 4); got != 0xdeadbeef {
+		t.Errorf("page-crossing word = %#x", got)
+	}
+	if got, ok := m.ByteHit(pageSize); !ok || got != 0xbe {
+		t.Errorf("byte after the boundary = %#x, %v", got, ok)
+	}
+}
+
+// TestImageSharedAcrossGoroutines: Memories over one image, each driven
+// by its own goroutine, read the shared pages through their own TLBs and
+// write their own copies; under -race this shows the image is only read.
+func TestImageSharedAcrossGoroutines(t *testing.T) {
+	base := NewMemory()
+	const pages = 3 * tlbSize // more pages than slots: entries are evicted
+	for i := uint32(0); i < pages; i++ {
+		base.WriteWord(0x10000000+i*pageSize, i)
+	}
+	img := base.Image()
+	errs := make(chan string, 2)
+	var wg sync.WaitGroup
+	for g := uint32(1); g <= 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m := NewMemoryFromImage(img)
+			for round := 0; round < 4; round++ {
+				for i := uint32(0); i < pages; i++ {
+					addr := 0x10000000 + i*pageSize
+					want := i
+					if i%2 == 0 && round > 0 {
+						want = g<<16 | i
+					}
+					if got := m.ReadWord(addr); got != want {
+						errs <- fmt.Sprintf("memory %d round %d: page %d reads %#x, want %#x", g, round, i, got, want)
+						return
+					}
+					if i%2 == 0 {
+						m.WriteWord(addr, g<<16|i)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	if got := NewMemoryFromImage(img).ReadWord(0x10000000 + 2*pageSize); got != 2 {
+		t.Errorf("the image changed: %#x", got)
 	}
 }
 
@@ -117,6 +285,28 @@ func BenchmarkReadWord(b *testing.B) {
 	}
 	_ = sink
 }
+
+// BenchmarkReadWordRegions reads the way the suite's programs do: a
+// word from the stack, one from the data segment's globals (image pages)
+// and one from an array further into it (written, so private), in turn,
+// each region walking four pages of its own. One op is one read. The
+// regions sit where the programs put them (isa.DataBase, isa.StackTop);
+// regions a multiple of 256 KB apart would share TLB slots.
+func BenchmarkReadWordRegions(b *testing.B) {
+	const data, heap, stack = 0x10000000, 0x10010000, 0x7fffc000
+	base := NewMemory()
+	base.WriteBytes(data, make([]byte, 4*pageSize))
+	m := NewMemoryFromImage(base.Image())
+	m.WriteBytes(heap, make([]byte, 4*pageSize))
+	m.WriteBytes(stack, make([]byte, 4*pageSize))
+	b.ResetTimer()
+	for i := 0; i < b.N; i += 3 {
+		off := uint32(i/3*4) % (4 * pageSize)
+		wordSink += m.ReadWord(stack+off) + m.ReadWord(data+off) + m.ReadWord(heap+off)
+	}
+}
+
+var wordSink uint32
 
 func BenchmarkWriteWord(b *testing.B) {
 	m := NewMemory()

@@ -35,7 +35,7 @@ func (m *Memory) State(c *snapshot.Codec) {
 	n := c.Len(len(keys), maxPages, 4+pageSize)
 	if c.Loading() {
 		m.pages = make(map[uint32]*[pageSize]byte, n)
-		m.lastKey, m.lastPage, m.lastRO = 0, nil, false
+		m.tlb = [tlbSize]tlbEntry{}
 		keys = make([]uint32, n)
 	}
 	for i := range keys {

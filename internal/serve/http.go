@@ -40,7 +40,7 @@ type WireJob struct {
 	Stdin     []byte `json:"stdin,omitempty"`      // program input (base64)
 	MaxCycles uint64 `json:"max_cycles,omitempty"` // sets the config's max_cycles
 	MaxInstrs uint64 `json:"max_instrs,omitempty"`
-	Verify    bool   `json:"verify,omitempty"`
+	Verify    bool   `json:"verify,omitempty"`   // accepted and ignored: every simulate job is judged
 	Snapshot  bool   `json:"snapshot,omitempty"` // request the finished-machine snapshot
 }
 
@@ -60,7 +60,6 @@ func (w *WireJob) Decode() (*job.Spec, error) {
 		Scale:        w.Scale,
 		Stdin:        w.Stdin,
 		MaxInstrs:    w.MaxInstrs,
-		Verify:       w.Verify,
 		WantSnapshot: w.Snapshot,
 	}
 	switch w.Op {
@@ -74,6 +73,7 @@ func (w *WireJob) Decode() (*job.Spec, error) {
 	default:
 		return nil, fmt.Errorf("unknown op %q (valid: simulate, assemble, trace)", w.Op)
 	}
+	s.Verify = s.Op == job.OpSimulate
 	if len(w.Program) > 0 {
 		p, err := isa.ReadProgram(bytes.NewReader(w.Program))
 		if err != nil {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -9,7 +10,9 @@ import (
 	"strings"
 	"testing"
 
+	"multiscalar/internal/asm"
 	"multiscalar/internal/core"
+	"multiscalar/internal/isa"
 )
 
 func postJSON(t *testing.T, srv *httptest.Server, path string, body any) *http.Response {
@@ -330,5 +333,90 @@ func TestOneSpellingPerInput(t *testing.T) {
 		strings.NewReader(`{"job":{"workload":"example","scale":-1,"preset":{"units":4},"trace":true}}`)))
 	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `unknown field \"trace\"`) {
 		t.Errorf("status %d, body %q; want 400 naming the field", rec.Code, rec.Body.String())
+	}
+}
+
+// fccSrc branches on the FP condition flag first thing in the task after
+// the compare that sets it (lint error MS016, so it is built with the
+// gate off): the flag does not cross the task boundary on the machine,
+// so the machine prints "0" where the sequential run prints "1".
+const fccSrc = `
+	.data
+x:	.double 1.0, 2.0
+	.text
+main:
+	la     $t0, x
+	l.d    $f0, 0($t0)
+	l.d    $f2, 8($t0)
+	c.lt.d $f0, $f2
+	j      t !s
+t:
+	bc1t   yes !s
+no:
+	li     $a0, 0
+	li     $v0, 1
+	syscall
+	li     $v0, 10
+	li     $a0, 0
+	syscall
+yes:
+	li     $a0, 1
+	li     $v0, 1
+	syscall
+	li     $v0, 10
+	li     $a0, 0
+	syscall
+	.task main targets=t
+	.task t targets=yes,no
+	.task no
+	.task yes
+`
+
+// TestUnverifiedJobIsJudged: a simulate job is judged whether or not it
+// asks to be, so a served run of a program the machine gets wrong is an
+// error naming the first divergence, never a wrong answer; "verify" is
+// accepted and ignored, and both spellings are one job.
+func TestUnverifiedJobIsJudged(t *testing.T) {
+	res, err := asm.AssembleOpts(fccSrc, asm.Options{Mode: asm.ModeMultiscalar, NoLint: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var msb bytes.Buffer
+	if err := isa.WriteProgram(&msb, res.Prog); err != nil {
+		t.Fatal(err)
+	}
+	eng := NewLocal(Options{})
+	srv := httptest.NewServer(NewHandler(eng))
+	defer srv.Close()
+	for _, verify := range []bool{false, true} {
+		resp := postJSON(t, srv, "/v1/jobs", SubmitRequest{Job: WireJob{
+			Program: msb.Bytes(), Preset: &WirePreset{Units: 4}, Verify: verify}})
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnprocessableEntity ||
+			!strings.Contains(string(body), "core: task t (") || !strings.Contains(string(body), string(core.DivNextPC)+" is") {
+			t.Errorf("verify %v: status %d: %s", verify, resp.StatusCode, body)
+		}
+	}
+	spec, err := (&WireJob{Program: msb.Bytes(), Preset: &WirePreset{Units: 4}}).Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !spec.Verify {
+		t.Error("a decoded simulate job is not judged")
+	}
+
+	// In process too: a spec that does not ask is judged, and keyed as
+	// the one that does.
+	spec, err = (&WireJob{Workload: "example", Scale: -1, Preset: &WirePreset{Units: 2}}).Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, verify := range []bool{false, true} {
+		spec.Verify = verify
+		res, err := eng.Submit(context.Background(), "c", spec)
+		if err != nil || res.Cached != (i == 1) {
+			t.Fatalf("verify %v: cached %v, err %v", verify, res != nil && res.Cached, err)
+		}
 	}
 }
