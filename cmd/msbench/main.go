@@ -18,7 +18,6 @@
 //	msbench -sections breakdown,ablate
 //	msbench -all -par 1           force the sequential path
 //	msbench -all -json out.json   also write a timing/throughput report
-//	msbench -all -noskip          force the dense per-cycle simulation loop
 //	msbench -sections sampled -sample-gate 10
 //	                              sampled-simulation estimates vs exact long
 //	                              runs (not part of -all; docs/perf.md)
@@ -50,7 +49,6 @@ func main() {
 		par        = flag.Int("par", 0, "cap concurrent simulation jobs (default GOMAXPROCS; 1 forces the sequential path)")
 		jsonOut    = flag.String("json", "", "write a machine-readable timing/throughput report to this file (- for stdout)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		noskip     = flag.Bool("noskip", false, "disable the simulator's wakeup scheduler (dense per-cycle ticking; tables are byte-identical either way)")
 	)
 	flag.Parse()
 
@@ -76,7 +74,6 @@ func main() {
 	if *par > 0 {
 		job.SetWorkers(*par)
 	}
-	bench.SetNoSkip(*noskip)
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		check(err)

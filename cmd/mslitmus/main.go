@@ -35,7 +35,7 @@ func main() {
 		list      = flag.Bool("list", false, "list the shape catalogue and curated corpus")
 		dump      = flag.String("dump", "", "print the generated source and outcomes for a corpus program `name`")
 		corpus    = flag.Bool("corpus", false, "run the curated corpus across the differential config matrix")
-		quick     = flag.Bool("quick", false, "with -corpus: the reduced matrix (units x policies x noskip, capacity-1 banks)")
+		quick     = flag.Bool("quick", false, "with -corpus: the reduced matrix (units x policies, capacity-1 banks)")
 		stressN   = flag.Int("stress", 0, "run `n` seeded random stress programs across tiny-bank configs (4,8 units x 1,2 ARB entries per bank x both overflow policies)")
 		seed      = flag.Int64("seed", 0, "generation seed for -stress (and recorded in artifacts)")
 		replay    = flag.String("replay", "", "replay a mismatch artifact `file`")

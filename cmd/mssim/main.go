@@ -37,13 +37,12 @@ func main() {
 		stdin    = flag.Bool("stdin", false, "feed standard input to the program (read-char syscall)")
 		showOut  = flag.Bool("out", false, "print the program's output")
 		stats    = flag.Bool("stats", false, "print simulator statistics (cycles simulated vs ticked, unit ticks, skip and sleep ratios)")
-		noskip   = flag.Bool("noskip", false, "disable the wakeup scheduler (dense per-cycle ticking; results are identical)")
 		sampled  = flag.Bool("sample", false, "estimate cycles by sampled simulation instead of simulating every cycle (docs/perf.md)")
 	)
 	flag.Parse()
 
 	// A flag the chosen mode would silently ignore is a usage error.
-	given := map[string]bool{"mstrc": *mstrc != "", "sample": *sampled, "noskip": *noskip, "stats": *stats}
+	given := map[string]bool{"mstrc": *mstrc != "", "sample": *sampled, "stats": *stats}
 	refuse := func(mode string, names ...string) {
 		for _, n := range names {
 			if given[n] {
@@ -53,7 +52,7 @@ func main() {
 		}
 	}
 	if *units <= 0 {
-		refuse(fmt.Sprintf("-units %d", *units), "mstrc", "sample", "noskip", "stats")
+		refuse(fmt.Sprintf("-units %d", *units), "mstrc", "sample", "stats")
 	}
 	if *sampled {
 		refuse("-sample", "mstrc", "stats")
@@ -90,7 +89,6 @@ func main() {
 		return
 	}
 
-	cfg.NoSkip = *noskip
 	if *sampled {
 		est, err := multiscalar.RunSampled(prog, cfg, runOpts...)
 		if err != nil {

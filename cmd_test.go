@@ -82,6 +82,8 @@ func TestCommandLine(t *testing.T) {
 		{"mssim", []string{"-w", "example", "-checkpoint", at("snap")}, 2, "", undefined("checkpoint")},
 		{"mssim", []string{"-w", "example", "-checkpoint-at", "500"}, 2, "", undefined("checkpoint-at")},
 		{"mssim", []string{"-w", "example", "-restore", at("snap")}, 2, "", undefined("restore")},
+		{"mssim", []string{"-w", "example", "-noskip"}, 2, "", undefined("noskip")},
+		{"msbench", []string{"-all", "-noskip"}, 2, "", undefined("noskip")},
 		{"msbench", []string{"-sections", "annotate"}, 2, "", "unknown section \"annotate\""},
 		{"msbench", []string{"-units", "8", "-sections", "breakdown"}, 2, "", undefined("units")},
 		{"msas", []string{"-O", hist}, 2, "", undefined("O")},
@@ -91,6 +93,7 @@ func TestCommandLine(t *testing.T) {
 
 		// What the remaining flags do.
 		{"msbench", []string{"-sections", "table1"}, 0, "Table 1: functional unit latencies", ""},
+		{"msbench", []string{"-sections", "table3", "-quick", "-par", "1"}, 0, "Table 3: in-order 1-way issue units", ""},
 		{"msas", []string{"-mode", "scalar", hist}, 0, "0 tasks", ""},
 		{"msas", []string{"-encode", hist}, 0, "binary encoding", ""},
 		{"msas", []string{"-lint", "off", hist}, 0, "3 tasks", ""},
@@ -99,7 +102,7 @@ func TestCommandLine(t *testing.T) {
 		{"mssim", []string{"-w", "example", "-units", "0"}, 0, "instructions:", ""},
 		{"mssim", []string{"-f", at("h.msb"), "-units", "4", "-width", "2", "-ooo", "-stats", "-out"}, 0, "output: 32", ""},
 		{"mssim", []string{"-w", "example", "-scale", "2", "-units", "1", "-stdin"}, 0, "cycles:", ""},
-		{"mssim", []string{"-w", "example", "-scale", "2", "-units", "4", "-noskip", "-mstrc", at("run.mstrc")}, 0, "cycles:", ""},
+		{"mssim", []string{"-w", "example", "-scale", "2", "-units", "4", "-mstrc", at("run.mstrc")}, 0, "cycles:", ""},
 		{"mssim", []string{"-w", "example", "-sample"}, 0, "sampled:", ""},
 		{"mslitmus", []string{"-list"}, 0, "shape families", ""},
 		{"mslitmus", []string{"-dump", "mp/pad8/fill4"}, 0, "oracle output", ""},

@@ -70,7 +70,6 @@ func RunsRestored() uint64 { return results.Stats().Hits }
 // described above. The returned Result is shared: read-only. what labels
 // errors.
 func runPoint(spec job.Spec, cfg core.Config, what string) (*core.Result, error) {
-	applyRunFlags(&cfg)
 	spec.Config = cfg
 	key, err := spec.Key()
 	if err != nil {
@@ -95,23 +94,6 @@ func runPoint(spec job.Spec, cfg core.Config, what string) (*core.Result, error)
 func BuildsPerformed() uint64 {
 	builds, _ := job.Stats()
 	return builds.Runs
-}
-
-// noSkip, when set, disables the simulator's wakeup scheduler for every
-// harness run (core.Config.NoSkip): the msbench -noskip flag, used to
-// demonstrate that tables are byte-identical with and without cycle
-// skipping and to measure the skip's wall-clock effect.
-var noSkip atomic.Bool
-
-// SetNoSkip forces dense ticking (no cycle skipping) in all subsequent
-// harness simulations.
-func SetNoSkip(v bool) { noSkip.Store(v) }
-
-// applyRunFlags applies process-wide harness toggles to one run's config.
-func applyRunFlags(cfg *core.Config) {
-	if noSkip.Load() {
-		cfg.NoSkip = true
-	}
 }
 
 // Aggregate simulated-work counters behind the JSON report's throughput

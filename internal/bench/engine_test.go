@@ -258,9 +258,8 @@ func TestRunSharingMatchesIsolated(t *testing.T) {
 	}
 
 	// Isolated reference: the same point through job.Execute, outside the
-	// store. applyRunFlags mirrors what runPoint applied.
+	// store.
 	spec.Config = cfg
-	applyRunFlags(&spec.Config)
 	out, err := job.Execute(&spec, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -84,7 +84,6 @@ func RunSampled(scale Scale) ([]SampledRow, error) {
 		}
 		// The same job, sampled: the functional pass is its own oracle.
 		spec.Op, spec.Verify = job.OpSampled, false
-		applyRunFlags(&spec.Config)
 		out, err := job.Execute(&spec, nil)
 		if err != nil {
 			return fmt.Errorf("%s: %w", spec.Workload, err)

@@ -13,6 +13,7 @@ import (
 	"multiscalar/internal/isa"
 	"multiscalar/internal/taskpart"
 	"multiscalar/internal/trace"
+	"multiscalar/internal/workloads"
 )
 
 // runSleepAndDense runs prog under cfg twice, with the wakeup scheduler
@@ -120,6 +121,90 @@ func TestSkipMatchesDense(t *testing.T) {
 	}
 	if !sawSleep {
 		t.Error("no unit ever slept through an executed cycle: per-unit wakeups never engaged")
+	}
+}
+
+// TestWorkloadsSkipMatchesDense holds the skip contract on the suite's
+// real programs, with their head syscalls: every workload at test scale
+// runs to the same Result and the same .mstrc bytes sleeping and dense,
+// on the machines of Tables 3 and 4 (the scalar baseline and 4 and 8
+// units, each 1- and 2-way, in-order and out-of-order), on 16 units, on
+// capacity-1 ARB banks under both overflow policies, and on the machines
+// of msbench's ablate section with the workload each ablates: zero- and
+// 8-cycle ring hops (compress), one shared FP/complex unit (tomcatv),
+// static task prediction (gcc), forward bits and releases stripped so
+// only the completion flush communicates (wc), and 1 and 2 units
+// (example).
+func TestWorkloadsSkipMatchesDense(t *testing.T) {
+	type machine struct {
+		name  string
+		mode  asm.Mode
+		strip bool   // forward bits cleared, releases made nops
+		only  string // the one workload to run, or "" for all
+		cfg   Config
+	}
+	var machines []machine
+	for _, width := range []int{1, 2} {
+		for _, ooo := range []bool{false, true} {
+			machines = append(machines, machine{fmt.Sprintf("scalar %dw ooo=%v", width, ooo), asm.ModeScalar, false, "", ScalarConfig(width, ooo)})
+			for _, units := range []int{4, 8} {
+				machines = append(machines, machine{fmt.Sprintf("%du %dw ooo=%v", units, width, ooo), asm.ModeMultiscalar, false, "", DefaultConfig(units, width, ooo)})
+			}
+		}
+	}
+	machines = append(machines, machine{"16u 2w ooo=true", asm.ModeMultiscalar, false, "", DefaultConfig(16, 2, true)})
+	for _, pol := range []arb.OverflowPolicy{arb.PolicyStall, arb.PolicySquash} {
+		c := DefaultConfig(8, 2, true)
+		c.ARBEntries, c.ARBPolicy = 1, pol
+		machines = append(machines, machine{fmt.Sprintf("8u 2w ooo=true arb=1/%v", pol), asm.ModeMultiscalar, false, "", c})
+	}
+	ablation := func(only, name string, strip bool, set func(*Config)) {
+		c := DefaultConfig(8, 1, false)
+		set(&c)
+		machines = append(machines, machine{"8u 1w " + name, asm.ModeMultiscalar, strip, only, c})
+	}
+	ablation("compress", "ring=0", false, func(c *Config) { c.RingLatency = 0 })
+	ablation("compress", "ring=8", false, func(c *Config) { c.RingLatency = 8 })
+	ablation("tomcatv", "shared-fp=1", false, func(c *Config) { c.SharedFPUnits = 1 })
+	ablation("gcc", "static-predict", false, func(c *Config) { c.StaticPredict = true })
+	ablation("wc", "no-forwarding", true, func(*Config) {})
+	for _, units := range []int{1, 2} {
+		machines = append(machines, machine{fmt.Sprintf("%du 1w ooo=false", units), asm.ModeMultiscalar, false, "example", DefaultConfig(units, 1, false)})
+	}
+	for _, name := range workloads.Names() {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			w := workloads.Get(name)
+			type build struct {
+				mode  asm.Mode
+				strip bool
+			}
+			progs := map[build]*isa.Program{}
+			for _, mc := range machines {
+				if mc.only != "" && mc.only != name {
+					continue
+				}
+				b := build{mc.mode, mc.strip}
+				p := progs[b]
+				if p == nil {
+					var err error
+					if p, err = w.Build(mc.mode, w.TestScale); err != nil {
+						t.Fatal(err)
+					}
+					if mc.strip {
+						p = p.Clone()
+						for i := range p.Text {
+							p.Text[i].Fwd = false
+							if p.Text[i].Op == isa.OpRelease {
+								p.Text[i].Op = isa.OpNop
+							}
+						}
+					}
+					progs[b] = p
+				}
+				runSleepAndDense(t, name+" "+mc.name, "", p, mc.cfg)
+			}
+		})
 	}
 }
 

@@ -201,7 +201,6 @@ func Execute(s *Spec, rt *Runtime) (*Output, error) {
 // not interpreted again for its totals), then sample.Run warms once and
 // starts each detailed window on the worker pool as its snapshot is
 // captured — inline, with no goroutine, when the pool is one worker wide.
-// The sampling regime is derived from the run (the zero sample.Params).
 func executeSampled(s *Spec, p *isa.Program) (*Output, error) {
 	maxInstrs := boundOf(s.MaxInstrs)
 	o, err := CachedOracle(p, s.Stdin, maxInstrs)
@@ -213,7 +212,7 @@ func executeSampled(s *Spec, p *isa.Program) (*Output, error) {
 	if Workers() > 1 {
 		pool = RunJobs
 	}
-	est, err := sample.Run(p, s.Config, sample.Params{}, s.Stdin, maxInstrs, ref, pool)
+	est, err := sample.Run(p, s.Config, s.Stdin, maxInstrs, ref, pool)
 	if err != nil {
 		return nil, err
 	}

@@ -14,22 +14,22 @@ import (
 // the exit codes; version 3 records the judge's first divergence in place
 // of the expected and observed outcomes; version 4 records dense ticking
 // beside the config, whose canonical encoding no longer carries it;
-// version 5 drops the final-machine snapshot, which no replay read.
-const ArtifactVersion = 5
+// version 5 drops the final-machine snapshot, which no replay read;
+// version 6 drops dense ticking again, since no matrix cell ticks densely.
+const ArtifactVersion = 6
 
 // Artifact is a self-contained repro of one differential mismatch:
 // everything needed to rebuild and re-run the failing cell without the
-// generator — the program source, the canonical machine config and
-// whether the cell ticked densely, the generation seed, and the judge's
-// first divergence (or the run's error).
+// generator — the program source, the canonical machine config, the
+// generation seed, and the judge's first divergence (or the run's
+// error).
 type Artifact struct {
 	Version    int                   `json:"version"`
 	Name       string                `json:"name"`
 	Seed       int64                 `json:"seed"`
 	Source     string                `json:"source"`
-	Config     json.RawMessage       `json:"config"`  // core.Config canonical encoding
-	NoSkip     bool                  `json:"no_skip"` // the run ticked densely (core.Config.NoSkip)
-	Entry      string                `json:"entry"`   // human-readable matrix cell
+	Config     json.RawMessage       `json:"config"` // core.Config canonical encoding
+	Entry      string                `json:"entry"`  // human-readable matrix cell
 	Divergence *core.DivergenceError `json:"divergence,omitempty"`
 	Error      string                `json:"error,omitempty"`
 	Diagnosis  string                `json:"diagnosis,omitempty"`
@@ -51,7 +51,6 @@ func NewArtifact(p *Program, e MatrixEntry, mm *Mismatch, seed int64) *Artifact 
 		Seed:       seed,
 		Source:     p.Source,
 		Config:     cfg,
-		NoSkip:     e.NoSkip,
 		Entry:      e.String(),
 		Divergence: mm.Divergence,
 		Error:      mm.Err,
@@ -84,7 +83,7 @@ type ReplayResult struct {
 }
 
 // Replay rebuilds the artifact's program from source and re-runs it,
-// judged, under the recorded config and ticking. It reproduces when the
+// judged, under the recorded config. It reproduces when the
 // run reports the same first divergence, or fails with the same error.
 // The rebuild skips the lint gate: a repro re-runs the binary it
 // recorded, whatever the annotation contract says of it.
@@ -93,7 +92,6 @@ func (a *Artifact) Replay() (*ReplayResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg.NoSkip = a.NoSkip
 	res, err := asm.AssembleOpts(a.Source, asm.Options{Mode: asm.ModeMultiscalar, NoLint: true})
 	if err != nil {
 		return nil, fmt.Errorf("litmus: reassembling artifact source: %w", err)

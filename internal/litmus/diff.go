@@ -8,7 +8,6 @@ import (
 	"multiscalar/internal/interp"
 	"multiscalar/internal/isa"
 	"multiscalar/internal/job"
-	"multiscalar/internal/trace"
 )
 
 // MatrixEntry is one machine configuration of the differential matrix.
@@ -17,7 +16,6 @@ type MatrixEntry struct {
 	Policy  arb.OverflowPolicy
 	Entries int  // ARB entries per bank
 	Static  bool // StaticPredict ablation instead of the PAs predictor
-	NoSkip  bool // dense ticking instead of the wakeup scheduler
 }
 
 func (e MatrixEntry) String() string {
@@ -28,9 +26,6 @@ func (e MatrixEntry) String() string {
 	s := fmt.Sprintf("u%d/%s/e%d", e.Units, pol, e.Entries)
 	if e.Static {
 		s += "/static"
-	}
-	if e.NoSkip {
-		s += "/noskip"
 	}
 	return s
 }
@@ -43,7 +38,6 @@ func (e MatrixEntry) Config() core.Config {
 		cfg.ARBEntries = e.Entries
 	}
 	cfg.StaticPredict = e.Static
-	cfg.NoSkip = e.NoSkip
 	// Litmus programs finish in thousands of cycles; a run that does
 	// not is itself a failure worth a bounded wait.
 	cfg.MaxCycles = 50_000_000
@@ -51,25 +45,20 @@ func (e MatrixEntry) Config() core.Config {
 }
 
 // Matrix builds the differential configuration matrix. quick keeps the
-// CI floor — unit counts × overflow policies × {event-driven, -noskip}
-// with capacity-1 banks under PolicySquash pressure — while the full
-// matrix adds entries-per-bank and predictor-mode axes (64 configs).
+// CI floor — unit counts × overflow policies with capacity-1 banks under
+// PolicySquash pressure (8 configs) — while the full matrix adds
+// entries-per-bank and predictor-mode axes (32 configs).
 func Matrix(quick bool) []MatrixEntry {
 	var m []MatrixEntry
 	for _, units := range []int{1, 2, 4, 8} {
 		for _, pol := range []arb.OverflowPolicy{arb.PolicyStall, arb.PolicySquash} {
-			for _, noskip := range []bool{false, true} {
-				if quick {
-					m = append(m, MatrixEntry{Units: units, Policy: pol, Entries: 1, NoSkip: noskip})
-					continue
-				}
-				for _, entries := range []int{256, 1} {
-					for _, static := range []bool{false, true} {
-						m = append(m, MatrixEntry{
-							Units: units, Policy: pol, Entries: entries,
-							Static: static, NoSkip: noskip,
-						})
-					}
+			if quick {
+				m = append(m, MatrixEntry{Units: units, Policy: pol, Entries: 1})
+				continue
+			}
+			for _, entries := range []int{256, 1} {
+				for _, static := range []bool{false, true} {
+					m = append(m, MatrixEntry{Units: units, Policy: pol, Entries: entries, Static: static})
 				}
 			}
 		}
@@ -99,15 +88,17 @@ func (m *Mismatch) String() string {
 	return s
 }
 
-// runCell runs one (program, entry) cell on a directly built machine,
-// sink attached, judged in lockstep by a functional machine over co (the
-// program itself, but for a test that plants a divergence). The run goes
-// on past a divergence, so its final output is still classified against
-// the forbidden catalogue. It returns the machine (nil when none could be
-// built) for the caller's statistics and the mismatch (nil on a pass).
-func runCell(p *Program, co *isa.Program, e MatrixEntry, seed int64, sink trace.Sink) (*core.Multiscalar, *Mismatch) {
-	cfg := e.Config()
-	cfg.Sink = sink
+// runCell runs one (program, entry) cell on a directly built machine
+// under cfg (e.Config(), but for its runtime-only fields), judged in
+// lockstep by a functional machine over co (the program itself, but for
+// a test that plants a divergence). The run goes on past a divergence,
+// so its final output is still classified against the forbidden
+// catalogue. It returns the machine (nil when none could be built) for
+// the caller's statistics, the run's Result (nil when it failed) and the
+// mismatch (nil on a pass). The mismatch's artifact records e, not cfg:
+// it replays under e.Config(), so a cell run with cfg.NoSkip replays
+// with the wakeup scheduler on.
+func runCell(p *Program, co *isa.Program, e MatrixEntry, cfg core.Config, seed int64) (*core.Multiscalar, *core.Result, *Mismatch) {
 	m, err := core.NewMultiscalar(p.Prog, interp.NewSysEnv(), cfg)
 	var res *core.Result
 	if err == nil {
@@ -119,13 +110,13 @@ func runCell(p *Program, co *isa.Program, e MatrixEntry, seed int64, sink trace.
 	case err != nil:
 		mm.Err = err.Error()
 	case m.Divergence() == nil:
-		return m, nil
+		return m, res, nil
 	default:
 		mm.Divergence = m.Divergence()
 		mm.Diagnosis = p.Classify(res.Out)
 	}
 	mm.Artifact = NewArtifact(p, e, mm, seed)
-	return m, mm
+	return m, res, mm
 }
 
 // RunDiff executes every program across every matrix entry in parallel
@@ -145,7 +136,8 @@ func RunDiff(progs []*Program, matrix []MatrixEntry, seed int64) []*Mismatch {
 	}
 	results := make([]*Mismatch, len(cells))
 	_ = job.RunJobs(len(cells), func(i int) error {
-		_, results[i] = runCell(cells[i].p, cells[i].p.Prog, cells[i].e, seed, nil)
+		c := cells[i]
+		_, _, results[i] = runCell(c.p, c.p.Prog, c.e, c.e.Config(), seed)
 		return nil
 	})
 	var mms []*Mismatch

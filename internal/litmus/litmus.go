@@ -35,28 +35,9 @@ type Params struct {
 	// 128 sixteen chunks apart — the same bank again for every bank
 	// count the corpus runs (2·units with units ≤ 8 ⇒ 1..16 banks).
 	Pad int
-	// Filler is the depth of the dependent filler chain shapes insert
-	// to skew timing between the racing accesses.
-	Filler int
-	// Tasks scales the shapes with a variable task chain or trip
-	// count (chain, loop); other shapes ignore it.
-	Tasks int
 	// Seed drives the randomized shape ("rand"); curated shapes are
 	// deterministic and ignore it.
 	Seed int64
-}
-
-// Name is the program's stable identity: shape plus the parameters
-// that matter for it.
-func (p Params) Name() string {
-	s := fmt.Sprintf("%s/pad%d/fill%d", p.Shape, p.Pad, p.Filler)
-	if p.Tasks > 0 {
-		s += fmt.Sprintf("/n%d", p.Tasks)
-	}
-	if p.Shape == "rand" {
-		s += fmt.Sprintf("/seed%d", p.Seed)
-	}
-	return s
 }
 
 // Program is one generated litmus test with its reference outcomes.
@@ -97,30 +78,24 @@ func Generate(p Params) (*Program, error) {
 	if sh == nil {
 		return nil, fmt.Errorf("litmus: unknown shape %q", p.Shape)
 	}
-	if p.Filler <= 0 {
-		p.Filler = sh.defaultFiller
-	}
-	if p.Tasks <= 0 {
-		p.Tasks = sh.defaultTasks
-	}
-	g := newEmitter(p)
-	sh.emit(g, p)
-	src := g.finish()
+	g := newEmitter(p, sh)
+	sh.emit(g)
+	src, name := g.finish(), g.name()
 
 	prog, err := asm.Assemble(src, asm.ModeMultiscalar)
 	if err != nil {
-		return nil, fmt.Errorf("litmus: %s: %w\n%s", p.Name(), err, src)
+		return nil, fmt.Errorf("litmus: %s: %w\n%s", name, err, src)
 	}
 	oracle, err := job.RunOracle(prog, nil, genMaxInstrs)
 	if err != nil {
-		return nil, fmt.Errorf("litmus: %s: oracle: %w", p.Name(), err)
+		return nil, fmt.Errorf("litmus: %s: oracle: %w", name, err)
 	}
 	if oracle.ExitCode != 0 {
-		return nil, fmt.Errorf("litmus: %s: oracle exit code %d", p.Name(), oracle.ExitCode)
+		return nil, fmt.Errorf("litmus: %s: oracle exit code %d", name, oracle.ExitCode)
 	}
 	return &Program{
 		Params:    p,
-		Name:      p.Name(),
+		Name:      name,
 		Source:    src,
 		Prog:      prog,
 		Oracle:    oracle,

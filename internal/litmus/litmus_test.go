@@ -6,6 +6,7 @@ import (
 
 	"multiscalar/internal/asm"
 	"multiscalar/internal/core"
+	"multiscalar/internal/job"
 )
 
 // TestShapeOracles pins every curated shape's legal outcome: the
@@ -106,7 +107,7 @@ func TestExitCodeMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range Matrix(true) {
-		_, mm := runCell(p, sibling, e, 0, nil)
+		_, _, mm := runCell(p, sibling, e, e.Config(), 0)
 		if mm == nil {
 			t.Fatalf("%s: no mismatch", e)
 		}
@@ -135,9 +136,12 @@ func TestExitCodeMismatch(t *testing.T) {
 }
 
 // TestCorpusQuickMatrix is the in-tree slice of the CI gate: the full
-// curated corpus across the reduced matrix (units × policies ×
-// {event-driven, -noskip} with capacity-1 banks) with zero oracle
-// mismatches. CI's litmus-smoke job runs the full 64-config matrix.
+// curated corpus across the reduced matrix (units × policies with
+// capacity-1 banks) with zero oracle mismatches, each cell run twice:
+// with the wakeup scheduler and with dense ticking (Config.NoSkip), both
+// judged, and the two Results equal apart from CyclesTicked and
+// UnitTicks, the two fields defined to differ. CI's litmus-smoke job
+// runs the full 32-config matrix.
 func TestCorpusQuickMatrix(t *testing.T) {
 	progs, err := Corpus()
 	if err != nil {
@@ -146,18 +150,39 @@ func TestCorpusQuickMatrix(t *testing.T) {
 	if len(progs) < 8*3 {
 		t.Fatalf("corpus has %d programs, want >= 24 (8 families x 3 paddings)", len(progs))
 	}
-	for _, mm := range RunDiff(progs, Matrix(true), 0) {
-		t.Errorf("%s", mm)
-	}
+	matrix := Matrix(true)
+	_ = job.RunJobs(len(progs)*len(matrix), func(i int) error {
+		p, e := progs[i/len(matrix)], matrix[i%len(matrix)]
+		dense := e.Config()
+		dense.NoSkip = true
+		_, s, mm := runCell(p, p.Prog, e, e.Config(), 0)
+		_, d, dmm := runCell(p, p.Prog, e, dense, 0)
+		if mm != nil {
+			t.Errorf("%s", mm)
+		}
+		if dmm != nil {
+			t.Errorf("dense run (its artifact replays sleeping): %s", dmm)
+		}
+		if mm != nil || dmm != nil {
+			return nil
+		}
+		sr, dr := *s, *d
+		sr.CyclesTicked, dr.CyclesTicked = 0, 0
+		sr.UnitTicks, dr.UnitTicks = 0, 0
+		if sr != dr {
+			t.Errorf("%s @ %s: sleeping result differs from dense:\nsleep: %+v\ndense: %+v", p.Name, e, &sr, &dr)
+		}
+		return nil
+	})
 }
 
 func TestMatrixShape(t *testing.T) {
 	full, quick := Matrix(false), Matrix(true)
-	if len(full) != 64 {
-		t.Errorf("full matrix has %d entries, want 64", len(full))
+	if len(full) != 32 {
+		t.Errorf("full matrix has %d entries, want 32", len(full))
 	}
-	if len(quick) != 16 {
-		t.Errorf("quick matrix has %d entries, want 16", len(quick))
+	if len(quick) != 8 {
+		t.Errorf("quick matrix has %d entries, want 8", len(quick))
 	}
 	seen := map[string]bool{}
 	for _, e := range full {
@@ -240,8 +265,8 @@ func TestArtifactRoundTripAndReplay(t *testing.T) {
 	}
 	prog := res.Prog
 	p := &Program{Name: "fcc", Source: fccSrc, Prog: prog}
-	e := MatrixEntry{Units: 4, Entries: 1, NoSkip: true}
-	_, mm := runCell(p, prog, e, 99, nil)
+	e := MatrixEntry{Units: 4, Entries: 1}
+	_, _, mm := runCell(p, prog, e, e.Config(), 99)
 	if mm == nil || mm.Divergence == nil || mm.Divergence.What != core.DivNextPC || mm.Divergence.Task != "t" {
 		t.Fatalf("cell: %v; want task t's next-PC divergence", mm)
 	}
@@ -250,11 +275,14 @@ func TestArtifactRoundTripAndReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if strings.Contains(string(data), "no_skip") {
+		t.Errorf("a version 6 artifact records dense ticking:\n%s", data)
+	}
 	back, err := DecodeArtifact(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Name != "fcc" || back.Seed != 99 || back.Source != fccSrc || !back.NoSkip || back.Divergence == nil || *back.Divergence != *mm.Divergence {
+	if back.Name != "fcc" || back.Seed != 99 || back.Source != fccSrc || back.Version != 6 || back.Divergence == nil || *back.Divergence != *mm.Divergence {
 		t.Fatalf("artifact round trip lost fields: %+v", back)
 	}
 	r, err := back.Replay()

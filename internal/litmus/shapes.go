@@ -11,12 +11,17 @@ import (
 // slots, and ends in a terminal "obs" task that prints the
 // observations — so the program's output is the final state the
 // machine committed, directly comparable against the oracle's.
+//
+// filler is the depth of the dependent filler chain the shape inserts to
+// skew timing between its racing accesses; tasks scales the shapes with
+// a variable task chain or trip count (chain, loop, rand) and is 0 for
+// the others.
 type shape struct {
-	name          string
-	doc           string
-	defaultFiller int
-	defaultTasks  int
-	emit          func(g *emitter, p Params)
+	name   string
+	doc    string
+	filler int
+	tasks  int
+	emit   func(g *emitter)
 }
 
 var shapes = []shape{
@@ -58,6 +63,7 @@ func outcome(vals ...int) string {
 // task prints.
 type emitter struct {
 	p         Params
+	sh        *shape
 	body      strings.Builder
 	decls     []string
 	slots     int
@@ -72,9 +78,10 @@ type obsItem struct {
 	reg string // or a register observation
 }
 
-func newEmitter(p Params) *emitter {
+func newEmitter(p Params, sh *shape) *emitter {
 	return &emitter{
 		p:         p,
+		sh:        sh,
 		forbidden: map[string]string{},
 		rng:       rand.New(rand.NewSource(p.Seed)),
 	}
@@ -111,6 +118,19 @@ func (g *emitter) filler(n int) {
 	for i := 0; i < n; i++ {
 		g.ins("addi $t8, $t8, 1")
 	}
+}
+
+// name is the program's stable identity: shape plus the parameters
+// that matter for it.
+func (g *emitter) name() string {
+	s := fmt.Sprintf("%s/pad%d/fill%d", g.sh.name, g.p.Pad, g.sh.filler)
+	if g.sh.tasks > 0 {
+		s += fmt.Sprintf("/n%d", g.sh.tasks)
+	}
+	if g.sh.name == "rand" {
+		s += fmt.Sprintf("/seed%d", g.p.Seed)
+	}
+	return s
 }
 
 // slot allocates a result slot (its own ARB chunk: slots are 8 bytes
@@ -169,7 +189,7 @@ func (g *emitter) forbid(out, why string) { g.forbidden[out] = why }
 // address pool), the task bodies, and the descriptors.
 func (g *emitter) finish() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "; litmus %s (generated)\n", g.p.Name())
+	fmt.Fprintf(&b, "; litmus %s (generated)\n", g.name())
 	b.WriteString("\t.data\n")
 	b.WriteString("X:\t.space 4\n")
 	if g.p.Pad > 4 {
@@ -196,12 +216,12 @@ func (g *emitter) finish() string {
 
 // --- Classic shapes -------------------------------------------------
 
-func emitMP(g *emitter, p Params) {
+func emitMP(g *emitter) {
 	r0, r1 := g.slot(), g.slot()
 	g.task("main", "t0", "")
 	g.ins("j t0 !s")
 	g.task("t0", "t1", "")
-	g.filler(p.Filler)
+	g.filler(g.sh.filler)
 	g.ins("li $t0, 1")
 	g.ins("sw $t0, X") // data
 	g.ins("sw $t0, Y") // flag
@@ -218,14 +238,14 @@ func emitMP(g *emitter, p Params) {
 	g.forbid(outcome(1, 0), "message passing: flag observed before data (missed cross-task violation)")
 }
 
-func emitSB(g *emitter, p Params) {
+func emitSB(g *emitter) {
 	r0, r1 := g.slot(), g.slot()
 	g.task("main", "t0", "")
 	g.ins("j t0 !s")
 	g.task("t0", "t1", "")
 	g.ins("li $t0, 1")
 	g.ins("sw $t0, X")
-	g.filler(p.Filler)
+	g.filler(g.sh.filler)
 	g.ins("lw $t1, Y")
 	g.storeSlot("$t1", r0)
 	g.ins("j t1 !s")
@@ -242,21 +262,21 @@ func emitSB(g *emitter, p Params) {
 	g.forbid(outcome(1, 1), "store buffering: program-order-earlier load observed a later task's store")
 }
 
-func emitLB(g *emitter, p Params) {
+func emitLB(g *emitter) {
 	r0, r1 := g.slot(), g.slot()
 	g.task("main", "t0", "")
 	g.ins("j t0 !s")
 	g.task("t0", "t1", "")
 	g.ins("lw $t0, Y")
 	g.storeSlot("$t0", r0)
-	g.filler(p.Filler)
+	g.filler(g.sh.filler)
 	g.ins("li $t1, 1")
 	g.ins("sw $t1, X")
 	g.ins("j t1 !s")
 	g.task("t1", "obs", "")
 	g.ins("lw $t0, X")
 	g.storeSlot("$t0", r1)
-	g.filler(p.Filler)
+	g.filler(g.sh.filler)
 	g.ins("li $t1, 1")
 	g.ins("sw $t1, Y")
 	g.ins("j obs !s")
@@ -267,19 +287,19 @@ func emitLB(g *emitter, p Params) {
 	g.forbid(outcome(0, 0), "load buffering: successor load committed a stale value")
 }
 
-func emitCoRR(g *emitter, p Params) {
+func emitCoRR(g *emitter) {
 	r0, r1 := g.slot(), g.slot()
 	g.task("main", "t0", "")
 	g.ins("j t0 !s")
 	g.task("t0", "t1", "")
-	g.filler(p.Filler)
+	g.filler(g.sh.filler)
 	g.ins("li $t0, 1")
 	g.ins("sw $t0, X")
 	g.ins("j t1 !s")
 	g.task("t1", "obs", "")
 	g.ins("lw $t0, X")
 	g.storeSlot("$t0", r0)
-	g.filler(p.Filler)
+	g.filler(g.sh.filler)
 	g.ins("lw $t1, X")
 	g.storeSlot("$t1", r1)
 	g.ins("j obs !s")
@@ -291,14 +311,14 @@ func emitCoRR(g *emitter, p Params) {
 	g.forbid(outcome(0, 0), "coherence: predecessor store never became visible")
 }
 
-func emitCoWW(g *emitter, p Params) {
+func emitCoWW(g *emitter) {
 	r0, r1 := g.slot(), g.slot()
 	g.task("main", "t0", "")
 	g.ins("j t0 !s")
 	g.task("t0", "t1", "")
 	g.ins("li $t0, 1")
 	g.ins("sw $t0, X")
-	g.filler(p.Filler)
+	g.filler(g.sh.filler)
 	g.ins("li $t0, 2")
 	g.ins("sw $t0, X")
 	g.ins("j t1 !s")
@@ -318,12 +338,12 @@ func emitCoWW(g *emitter, p Params) {
 
 // --- Multiscalar-specific shapes ------------------------------------
 
-func emitXViol(g *emitter, p Params) {
+func emitXViol(g *emitter) {
 	r0 := g.slot()
 	g.task("main", "t0", "")
 	g.ins("j t0 !s")
 	g.task("t0", "t1", "")
-	g.filler(p.Filler) // the delay guarantees t1's load issues first
+	g.filler(g.sh.filler) // the delay guarantees t1's load issues first
 	g.ins("li $t0, 1")
 	g.ins("sw $t0, X")
 	g.ins("j t1 !s")
@@ -336,8 +356,8 @@ func emitXViol(g *emitter, p Params) {
 	g.forbid(outcome(0), "speculative load committed a stale value (violation missed)")
 }
 
-func emitChain(g *emitter, p Params) {
-	n := p.Tasks
+func emitChain(g *emitter) {
+	n := g.sh.tasks
 	g.task("main", "t0", "")
 	g.ins("j t0 !s")
 	for i := 0; i < n; i++ {
@@ -346,7 +366,7 @@ func emitChain(g *emitter, p Params) {
 			next = "obs"
 		}
 		g.task(fmt.Sprintf("t%d", i), next, "")
-		g.filler(p.Filler)
+		g.filler(g.sh.filler)
 		g.ins("lw $t0, X")
 		g.ins("addi $t0, $t0, 1")
 		g.ins("sw $t0, X")
@@ -359,8 +379,8 @@ func emitChain(g *emitter, p Params) {
 	}
 }
 
-func emitLoop(g *emitter, p Params) {
-	k := p.Tasks // trip count
+func emitLoop(g *emitter) {
+	k := g.sh.tasks // trip count
 	g.task("main", "loop", "$s0")
 	g.ins("li $s0, 0 !f")
 	g.ins("j loop !s")
@@ -377,7 +397,7 @@ func emitLoop(g *emitter, p Params) {
 	g.forbid(outcome(k-1, k), fmt.Sprintf("lost update: %d of %d loop increments committed", k-1, k))
 }
 
-func emitRelStore(g *emitter, p Params) {
+func emitRelStore(g *emitter) {
 	r0 := g.slot()
 	g.task("main", "t0", "$s1")
 	g.ins("li $s1, 42 !f")
@@ -386,7 +406,7 @@ func emitRelStore(g *emitter, p Params) {
 	g.ins("lw $t0, Y") // 0: the non-writing path is always taken
 	g.ins("bnez $t0, t0w")
 	g.ins("release $s1") // resolve $s1 early, stores still pending
-	g.filler(p.Filler)
+	g.filler(g.sh.filler)
 	g.ins("li $t1, 1")
 	g.ins("sw $t1, X")
 	g.ins("j t1 !s")
@@ -405,13 +425,13 @@ func emitRelStore(g *emitter, p Params) {
 	g.forbid(outcome(1, 7), "release-before-store: wrong-path register value forwarded")
 }
 
-func emitFwdRace(g *emitter, p Params) {
+func emitFwdRace(g *emitter) {
 	r0 := g.slot()
 	g.task("main", "t0", "")
 	g.ins("j t0 !s")
 	g.task("t0", "t1", "$s0")
 	g.ins("li $s0, 5 !f") // early forward unblocks t1 immediately
-	g.filler(p.Filler)
+	g.filler(g.sh.filler)
 	g.ins("li $t0, 1")
 	g.ins("sw $t0, X") // the store the forward raced ahead of
 	g.ins("j t1 !s")
@@ -445,8 +465,8 @@ func (g *emitter) randAddr() string {
 	}
 }
 
-func emitRand(g *emitter, p Params) {
-	n := 2 + g.rng.Intn(p.Tasks)
+func emitRand(g *emitter) {
+	n := 2 + g.rng.Intn(g.sh.tasks)
 	g.task("main", "t0", "")
 	g.ins("j t0 !s")
 	for i := 0; i < n; i++ {

@@ -116,7 +116,9 @@ func Stress(opts StressOpts) (*StressReport, error) {
 // squash histograms into rep under mu.
 func stressOne(p *Program, e MatrixEntry, seed int64, rep *StressReport, mu *sync.Mutex) {
 	sink := &squashSink{}
-	m, mm := runCell(p, p.Prog, e, seed, sink)
+	cfg := e.Config()
+	cfg.Sink = sink
+	m, _, mm := runCell(p, p.Prog, e, cfg, seed)
 	mu.Lock()
 	defer mu.Unlock()
 	rep.Runs++

@@ -72,8 +72,8 @@ func TestConfidenceIntervalGolden(t *testing.T) {
 	}
 }
 
-func TestWithDefaultsDerivation(t *testing.T) {
-	p := Params{}.withDefaults(1_000_000, 2_000, 8) // avg task 500 instrs
+func TestRegimeDerivation(t *testing.T) {
+	p := regime(1_000_000, 2_000, 8) // avg task 500 instrs
 	if p.WarmupInstrs != 2*8*500 {
 		t.Errorf("warm-up %d, want %d (two pipeline-fills of tasks)", p.WarmupInstrs, 2*8*500)
 	}
@@ -81,16 +81,10 @@ func TestWithDefaultsDerivation(t *testing.T) {
 		t.Errorf("window %d, want twice the warm-up %d", p.WindowInstrs, p.WarmupInstrs)
 	}
 	if p.PeriodInstrs == 0 || p.OffsetInstrs != p.PeriodInstrs/4 {
-		t.Errorf("period %d / offset %d: offset should default to period/4", p.PeriodInstrs, p.OffsetInstrs)
+		t.Errorf("period %d / offset %d: offset should be period/4", p.PeriodInstrs, p.OffsetInstrs)
 	}
 	if p.BiasFrac != 0.02 {
-		t.Errorf("bias allowance %g, want default 0.02", p.BiasFrac)
-	}
-	// Explicit values pass through; negative BiasFrac disables.
-	q := Params{WindowInstrs: 100, WarmupInstrs: 50, PeriodInstrs: 1000, OffsetInstrs: 3, BiasFrac: -1}.
-		withDefaults(10_000, 10, 4)
-	if q.WindowInstrs != 100 || q.WarmupInstrs != 50 || q.PeriodInstrs != 1000 || q.OffsetInstrs != 3 || q.BiasFrac != 0 {
-		t.Errorf("explicit params rewritten: %+v", q)
+		t.Errorf("bias allowance %g, want 0.02", p.BiasFrac)
 	}
 }
 

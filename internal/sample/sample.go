@@ -37,9 +37,9 @@ import (
 	"multiscalar/internal/mem"
 )
 
-// Params configures the sampling regime. Zero fields are derived from
-// the functional reference run (instruction total, task count) and the
-// unit count: the warm-up absorbs a couple of pipeline-fills worth of
+// Params is a sampling regime. Run derives it from the functional
+// reference run (instruction total, task count) and the unit count
+// (regime): the warm-up absorbs a couple of pipeline-fills worth of
 // tasks, the window is twice the warm-up, and the period targets ~8% of
 // the run in detail across 4–64 windows. All instruction quantities are
 // in dynamic (multiscalar-mode) instructions.
@@ -51,19 +51,18 @@ type Params struct {
 	WarmupInstrs uint64 `json:"warmup_instrs,omitempty"`
 	// PeriodInstrs is the sampling period between window start points.
 	PeriodInstrs uint64 `json:"period_instrs,omitempty"`
-	// OffsetInstrs positions the first window start (0 = period/4).
+	// OffsetInstrs positions the first window start.
 	OffsetInstrs uint64 `json:"offset_instrs,omitempty"`
 	// BiasFrac is the non-sampling-bias allowance: the statistical CI
 	// half-width is widened by BiasFrac×mean to cover systematic error
 	// the standard error cannot see (residual window cold-start
-	// transient after warm-up; cf. SMARTS' non-sampling bias). 0 means
-	// the default 2%; negative disables the allowance.
+	// transient after warm-up; cf. SMARTS' non-sampling bias).
 	BiasFrac float64 `json:"bias_frac,omitempty"`
 }
 
 // Estimate is the outcome of a sampled run.
 type Estimate struct {
-	// Params echoes the effective (post-derivation) sampling regime.
+	// Params echoes the derived sampling regime.
 	Params Params `json:"params"`
 
 	// TotalInstrs is the run's dynamic instruction count (functional).
@@ -328,38 +327,28 @@ func (w *warmer) capture(pc uint32, icount uint64) {
 	w.k++
 }
 
-// withDefaults derives unset parameters from the functional reference
-// run.
-func (prm Params) withDefaults(total, boundaries uint64, units int) Params {
+// regime derives the sampling regime from the functional reference
+// run's instruction total and task-exit count and the unit count.
+func regime(total, taskExits uint64, units int) Params {
 	avgTask := total
-	if boundaries > 0 {
-		avgTask = (total + boundaries - 1) / boundaries
+	if taskExits > 0 {
+		avgTask = (total + taskExits - 1) / taskExits
 	}
-	if prm.WarmupInstrs == 0 {
-		// Two pipeline-fills worth of tasks: enough for the window's
-		// cold structures (units, ARB, ring) to reach steady-state
-		// overlap. This must scale with task size — a fixed instruction
-		// budget under-warms workloads with large tasks and biases every
-		// window slow.
-		prm.WarmupInstrs = min(max(2*uint64(units)*avgTask, 64), 65536)
+	// Two pipeline-fills worth of tasks: enough for the window's cold
+	// structures (units, ARB, ring) to reach steady-state overlap. This
+	// must scale with task size — a fixed instruction budget under-warms
+	// workloads with large tasks and biases every window slow.
+	warmup := min(max(2*uint64(units)*avgTask, 64), 65536)
+	window := max(2*warmup, 256)
+	n := total * 8 / 100 / (warmup + window) // ~8% of the run in detail
+	period := total / min(max(n, 4), 64)
+	return Params{
+		WindowInstrs: window,
+		WarmupInstrs: warmup,
+		PeriodInstrs: period,
+		OffsetInstrs: period / 4,
+		BiasFrac:     0.02,
 	}
-	if prm.WindowInstrs == 0 {
-		prm.WindowInstrs = max(2*prm.WarmupInstrs, 256)
-	}
-	if prm.PeriodInstrs == 0 {
-		span := prm.WarmupInstrs + prm.WindowInstrs
-		n := total * 8 / 100 / span // ~8% of the run in detail
-		prm.PeriodInstrs = total / min(max(n, 4), 64)
-	}
-	if prm.OffsetInstrs == 0 {
-		prm.OffsetInstrs = prm.PeriodInstrs / 4
-	}
-	if prm.BiasFrac == 0 {
-		prm.BiasFrac = 0.02
-	} else if prm.BiasFrac < 0 {
-		prm.BiasFrac = 0
-	}
-	return prm
 }
 
 // schedule lists the window start points that leave room for a full
@@ -385,18 +374,22 @@ func newEnv(stdin []byte) *interp.SysEnv {
 }
 
 // Run performs a sampled simulation of program p under cfg. ref is the
-// program's functional reference run on stdin; it fixes the window
-// schedule. One functional-warm pass then captures a warm-state
-// snapshot per window and hands each to pool as it is made, so windows
-// run while warming continues; with a nil pool each window runs inline
-// at its capture point. maxInstrs bounds the warming pass, which must
-// end where ref says the program ends.
-func Run(p *isa.Program, cfg core.Config, prm Params, stdin []byte, maxInstrs uint64, ref Functional, pool Runner) (*Estimate, error) {
+// program's functional reference run on stdin; it fixes the sampling
+// regime and the window schedule. One functional-warm pass then captures
+// a warm-state snapshot per window and hands each to pool as it is made,
+// so windows run while warming continues; with a nil pool each window
+// runs inline at its capture point. maxInstrs bounds the warming pass,
+// which must end where ref says the program ends.
+func Run(p *isa.Program, cfg core.Config, stdin []byte, maxInstrs uint64, ref Functional, pool Runner) (*Estimate, error) {
+	return run(p, cfg, regime(ref.TotalInstrs, ref.TaskExits, cfg.NumUnits), stdin, maxInstrs, ref, pool)
+}
+
+// run is Run under the regime prm.
+func run(p *isa.Program, cfg core.Config, prm Params, stdin []byte, maxInstrs uint64, ref Functional, pool Runner) (*Estimate, error) {
 	// Window machines must not trace: tracing is defined for full runs.
 	cfg.Sink = nil
 
 	total := ref.TotalInstrs
-	prm = prm.withDefaults(total, ref.TaskExits, cfg.NumUnits)
 	sched := prm.schedule(total)
 	if len(sched) < 2 || prm.PeriodInstrs < prm.WarmupInstrs+prm.WindowInstrs {
 		return runFullDetail(p, cfg, prm, stdin, ref)

@@ -67,7 +67,7 @@ func fullCycles(t *testing.T, p *isa.Program, cfg core.Config) uint64 {
 func TestFullDetailFallback(t *testing.T) {
 	p := buildMulti(t, "xlisp", workloads.Get("xlisp").TestScale)
 	cfg := core.DefaultConfig(4, 1, false)
-	est, err := sample.Run(p, cfg, sample.Params{}, nil, 1<<40, reference(t, p), nil)
+	est, err := sample.Run(p, cfg, nil, 1<<40, reference(t, p), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestSampledAccuracy(t *testing.T) {
 		{"wc", 16},
 	} {
 		p := buildMulti(t, tc.name, workloads.Get(tc.name).DefaultScale*tc.scaleMul)
-		est, err := sample.Run(p, cfg, sample.Params{}, nil, 1<<40, reference(t, p), nil)
+		est, err := sample.Run(p, cfg, nil, 1<<40, reference(t, p), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -134,17 +134,18 @@ func TestCICoverageProperty(t *testing.T) {
 	for _, name := range []string{"compress", "eqntott", "gcc", "wc"} {
 		p := buildMulti(t, name, workloads.Get(name).DefaultScale*8)
 		full := fullCycles(t, p, cfg)
-		// Derive the default regime once so seeded offsets stay inside the
-		// first period (every offset shifts all windows together).
+		// Derive the regime once so seeded offsets stay inside the first
+		// period (every offset shifts all windows together).
 		ref := reference(t, p)
-		base, err := sample.Run(p, cfg, sample.Params{}, nil, 1<<40, ref, nil)
+		base, err := sample.Run(p, cfg, nil, 1<<40, ref, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		period := base.Params.PeriodInstrs
+		prm := base.Params
 		for i := 0; i < trialsPer; i++ {
-			off := 1 + rng.Uint64()%period
-			est, err := sample.Run(p, cfg, sample.Params{OffsetInstrs: off}, nil, 1<<40, ref, nil)
+			off := 1 + rng.Uint64()%prm.PeriodInstrs
+			prm.OffsetInstrs = off
+			est, err := sample.RunRegime(p, cfg, prm, nil, 1<<40, ref, nil)
 			if err != nil {
 				t.Fatalf("%s offset %d: %v", name, off, err)
 			}
@@ -169,7 +170,7 @@ func TestCICoverageProperty(t *testing.T) {
 func TestSampledOracleOutput(t *testing.T) {
 	p := buildMulti(t, "wc", workloads.Get("wc").DefaultScale)
 	cfg := core.DefaultConfig(8, 2, true)
-	est, err := sample.Run(p, cfg, sample.Params{}, nil, 1<<40, reference(t, p), nil)
+	est, err := sample.Run(p, cfg, nil, 1<<40, reference(t, p), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,8 +211,8 @@ func (pc poolCase) runner() sample.Runner {
 }
 
 // pipelineCase is a small program sampled densely enough (an explicit
-// regime) that a dozen or more windows are in flight while warming
-// continues.
+// regime, through RunRegime) that a dozen or more windows are in flight
+// while warming continues.
 type pipelineCase struct {
 	name string
 	p    *isa.Program
@@ -222,9 +223,9 @@ type pipelineCase struct {
 func pipelineCases(t *testing.T) []pipelineCase {
 	return []pipelineCase{
 		{"example/8u", buildMulti(t, "example", 450), core.DefaultConfig(8, 2, true),
-			sample.Params{WarmupInstrs: 300, WindowInstrs: 600, PeriodInstrs: 16000, OffsetInstrs: 12000}},
+			sample.Params{WarmupInstrs: 300, WindowInstrs: 600, PeriodInstrs: 16000, OffsetInstrs: 12000, BiasFrac: 0.02}},
 		{"wc/scalar", build(t, "wc", asm.ModeScalar, 1024), core.DefaultConfig(1, 2, false),
-			sample.Params{WarmupInstrs: 500, WindowInstrs: 1000, PeriodInstrs: 24000}},
+			sample.Params{WarmupInstrs: 500, WindowInstrs: 1000, PeriodInstrs: 24000, OffsetInstrs: 6000, BiasFrac: 0.02}},
 	}
 }
 
@@ -237,7 +238,7 @@ func TestPipelineMatchesSerial(t *testing.T) {
 		ref := reference(t, tc.p)
 		var serial *sample.Estimate
 		for _, pc := range poolCases {
-			est, err := sample.Run(tc.p, tc.cfg, tc.prm, nil, 1<<40, ref, pc.runner())
+			est, err := sample.RunRegime(tc.p, tc.cfg, tc.prm, nil, 1<<40, ref, pc.runner())
 			if err != nil {
 				t.Fatalf("%s, %s: %v", tc.name, pc.name, err)
 			}
@@ -286,7 +287,7 @@ func TestSampledEstimatesPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := build(t, tc.name, tc.mode, tc.scale)
-		est, err := sample.Run(p, tc.cfg, sample.Params{}, nil, 1<<40, reference(t, p), job.RunJobs)
+		est, err := sample.Run(p, tc.cfg, nil, 1<<40, reference(t, p), job.RunJobs)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.file, err)
 		}
@@ -320,7 +321,7 @@ func TestSampleRunErrorPaths(t *testing.T) {
 	}
 	for _, tc := range pipelineCases(t) {
 		ref := reference(t, tc.p)
-		clean, err := sample.Run(tc.p, tc.cfg, tc.prm, nil, 1<<40, ref, nil)
+		clean, err := sample.RunRegime(tc.p, tc.cfg, tc.prm, nil, 1<<40, ref, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,7 +331,7 @@ func TestSampleRunErrorPaths(t *testing.T) {
 		tight := tc.cfg
 		mean := clean.DetailedCycles / uint64(clean.Windows)
 		for tight.MaxCycles = mean; ; tight.MaxCycles += mean / 50 {
-			_, err := sample.Run(tc.p, tight, tc.prm, nil, 1<<40, ref, nil)
+			_, err := sample.RunRegime(tc.p, tight, tc.prm, nil, 1<<40, ref, nil)
 			if err == nil {
 				t.Fatalf("%s: no cycle bound fails a window other than the first", tc.name)
 			}
@@ -354,7 +355,7 @@ func TestSampleRunErrorPaths(t *testing.T) {
 			for i, pc := range poolCases {
 				pool := pc.runner()
 				baseline := runtime.NumGoroutine()
-				est, err := sample.Run(tc.p, fail.cfg, tc.prm, nil, fail.maxInstrs, ref, pool)
+				est, err := sample.RunRegime(tc.p, fail.cfg, tc.prm, nil, fail.maxInstrs, ref, pool)
 				if err == nil {
 					t.Fatalf("%s, %s, %s: no error (estimate %+v)", tc.name, fail.what, pc.name, est)
 				}
