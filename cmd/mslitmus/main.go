@@ -89,11 +89,18 @@ func dumpProgram(name string) int {
 	}
 	p := litmus.Find(progs, name)
 	if p == nil && strings.HasPrefix(name, "rand/") {
-		// rand programs are addressed by seed: rand/seed<N>.
-		if s, err := strconv.ParseInt(strings.TrimPrefix(name, "rand/seed"), 10, 64); err == nil {
-			if p, err = litmus.Random(s); err != nil {
+		// rand programs are addressed by seed: rand/seed<N>, or the full
+		// name the program reports, which ends in /seed<N>.
+		last := name[strings.LastIndexByte(name, '/')+1:]
+		digits, ok := strings.CutPrefix(last, "seed")
+		if s, err := strconv.ParseInt(digits, 10, 64); ok && err == nil {
+			r, err := litmus.Random(s)
+			if err != nil {
 				fmt.Fprintln(os.Stderr, "mslitmus:", err)
 				return 2
+			}
+			if name == "rand/"+last || name == r.Name {
+				p = r
 			}
 		}
 	}

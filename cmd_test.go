@@ -106,6 +106,8 @@ func TestCommandLine(t *testing.T) {
 		{"mssim", []string{"-w", "example", "-sample"}, 0, "sampled:", ""},
 		{"mslitmus", []string{"-list"}, 0, "shape families", ""},
 		{"mslitmus", []string{"-dump", "mp/pad8/fill4"}, 0, "oracle output", ""},
+		{"mslitmus", []string{"-dump", "rand/pad4/fill0/n4/seed5"}, 0, "oracle output", ""},
+		{"mslitmus", []string{"-dump", "rand/pad8/fill0/n4/seed5"}, 2, "", `no corpus program "rand/pad8/fill0/n4/seed5"`},
 		{"mslitmus", []string{"-corpus", "-quick"}, 0, "0 mismatches", ""},
 		{"mslitmus", []string{"-stress", "2", "-seed", "1", "-artifacts", at("artifacts")}, 0, "stress: seed=1 programs=2", ""},
 		{"mslitmus", []string{"-replay", at("artifact.json")}, 0, "did not reproduce", ""},

@@ -283,7 +283,9 @@ func TestOverflowCountsEachAttempt(t *testing.T) {
 
 func TestView(t *testing.T) {
 	a, m := newTestARB(4, PolicyStall)
-	m.WriteBytes(0x100, []byte("abcdef"))
+	for i, b := range []byte("abcdef") {
+		m.SetByte(0x100+uint32(i), b)
+	}
 	a.Store(0, 0, 4, 0x102, 1, 'X')
 	v := &View{ARB: a, Unit: 1, Head: 0, Active: 4, Backing: m}
 	if v.Byte(0x101) != 'b' || v.Byte(0x102) != 'X' {

@@ -360,7 +360,10 @@ func (a *assembler) splitOperands(toks []token) ([][]token, error) {
 }
 
 func (a *assembler) pass2() error {
-	a.prog.Data = a.data
+	// The segment at its real size: a.data still carries its append
+	// slack, and the program keeps Data for as long as it lives.
+	a.prog.Data = make([]byte, len(a.data))
+	copy(a.prog.Data, a.data)
 	// Resolve entry.
 	entryName := a.entry
 	if entryName == "" {

@@ -192,6 +192,10 @@ func lexNumber(text string) (token, error) {
 	return tk, nil
 }
 
+// indexByte is lexString's search: strings.IndexByte, which a test
+// replaces to count the bytes the searches cover.
+var indexByte = strings.IndexByte
+
 // lexString checks the string literal whose opening quote is at
 // line[start] and returns the index of its closing quote. A comment
 // character inside the quotes is part of the string. Both searches are
@@ -204,11 +208,11 @@ func lexString(line string, start int) (int, error) {
 	for {
 		if i > end {
 			end = len(line)
-			if q := strings.IndexByte(line[i:], '"'); q >= 0 {
+			if q := indexByte(line[i:], '"'); q >= 0 {
 				end = i + q
 			}
 		}
-		k := strings.IndexByte(line[i:end], '\\')
+		k := indexByte(line[i:end], '\\')
 		if k < 0 {
 			if end == len(line) {
 				return 0, fmt.Errorf("unterminated string")

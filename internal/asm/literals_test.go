@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestNumericLiterals: the literal grammar of docs/assembly.md, one
@@ -210,33 +209,27 @@ func TestStringLiterals(t *testing.T) {
 	}
 }
 
-// TestStringLiteralLinear: lexing a literal costs time linear in its
-// length however many escapes it holds. Source reaches the assembler
-// from outside (msserve's inline jobs), so one long escape-heavy line
-// must not cost quadratic time. Four times the escapes may take at most
-// ten times as long; a lexer that rescans for the closing quote after
-// each escape takes about sixteen.
+// TestStringLiteralLinear: lexing a literal scans a number of bytes
+// linear in its length however many escapes it holds. Source reaches
+// the assembler from outside (msserve's inline jobs), so one long
+// escape-heavy line must not cost quadratic work. At 65,536 and at
+// 262,144 escapes (two source bytes each) lexString's searches cover at
+// most 4 bytes per escape; a lexer that searches for the closing quote
+// again after each escape covers about n² bytes.
 func TestStringLiteralLinear(t *testing.T) {
-	assembleTime := func(n int) time.Duration {
+	for _, n := range []int{1 << 16, 1 << 18} {
 		src := ".data\n\t.ascii \"" + strings.Repeat(`\n`, n) + "\"\n.text\nmain:\n\tsyscall\n"
-		best := time.Duration(math.MaxInt64)
-		for range 5 {
-			start := time.Now()
-			p, err := Assemble(src, ModeScalar)
-			if d := time.Since(start); d < best {
-				best = d
-			}
-			if err != nil {
-				t.Fatalf("%d escapes: %v", n, err)
-			} else if len(p.Data) != n {
-				t.Fatalf("%d escapes: %d data bytes", n, len(p.Data))
-			}
+		var scanned int
+		restore := countScans(&scanned)
+		p, err := Assemble(src, ModeScalar)
+		restore()
+		if err != nil {
+			t.Fatalf("%d escapes: %v", n, err)
+		} else if len(p.Data) != n {
+			t.Fatalf("%d escapes: %d data bytes", n, len(p.Data))
 		}
-		return best
-	}
-	const n = 1 << 16
-	small, large := assembleTime(n), assembleTime(4*n)
-	if large > 10*small {
-		t.Errorf("%d escapes took %v, %d took %v: more than linear", n, small, 4*n, large)
+		if scanned > 4*n {
+			t.Errorf("%d escapes: lexString scanned %d bytes, more than 4 per escape", n, scanned)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"multiscalar/internal/asm"
@@ -483,6 +484,58 @@ func TestUnitSweepInvariance(t *testing.T) {
 			base = res.Committed
 		} else if res.Committed != base {
 			t.Errorf("units=%d committed=%d, want %d", units, res.Committed, base)
+		}
+	}
+}
+
+// runaway never exits: each iteration of its loop is one task.
+const runaway = `
+main:
+	li   $t0, 0
+	j    loop !s
+loop:
+	addi $t0, $t0, 1 !f
+	j    loop !s
+	.task main targets=loop create=$t0
+	.task loop targets=loop create=$t0
+`
+
+// TestCycleBoundSaysWhatRan: a run that reaches MaxCycles says what the
+// machine did — the instructions committed and the cycle after which
+// nothing retired — so a runaway guest, which retires up to the bound,
+// reads differently from a stalled machine. On 1 unit the implicit task
+// retires instruction by instruction; on 4 units tasks retire.
+func TestCycleBoundSaysWhatRan(t *testing.T) {
+	const bound = 20_000
+	for _, c := range []struct {
+		mode asm.Mode
+		cfg  Config
+		what string
+	}{
+		{asm.ModeScalar, ScalarConfig(1, false), "instruction"},
+		{asm.ModeMultiscalar, DefaultConfig(4, 1, false), "task"},
+	} {
+		p, err := asm.Assemble(runaway, c.mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.cfg.MaxCycles = bound
+		m, err := NewMultiscalar(p, interp.NewSysEnv(), c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = m.Run()
+		if err == nil {
+			t.Fatalf("%d units: the runaway loop finished", c.cfg.NumUnits)
+		}
+		var committed, last uint64
+		var what string
+		if _, serr := fmt.Sscanf(err.Error(), "core: multiscalar run exceeded 20000 cycles: %d instructions committed, no %s retired after cycle %d",
+			&committed, &what, &last); serr != nil || what != c.what {
+			t.Fatalf("%d units: %v", c.cfg.NumUnits, err)
+		}
+		if committed < bound/10 || last < bound-100 || last >= bound {
+			t.Errorf("%d units: %v", c.cfg.NumUnits, err)
 		}
 	}
 }

@@ -152,6 +152,11 @@ type Multiscalar struct {
 	// instructions have committed.
 	limit uint64
 
+	// lastRetire is the cycle of the last task retire, or of the
+	// restore that resumed the run (not in snapshots): what a run that
+	// reaches MaxCycles reports.
+	lastRetire uint64
+
 	// Statistics.
 	committed      uint64
 	tasksRetired   uint64
@@ -304,7 +309,7 @@ func (m *Multiscalar) Run() (*Result, error) {
 			return m.result(), nil
 		}
 		if m.now >= m.cfg.MaxCycles {
-			return nil, fmt.Errorf("core: multiscalar run exceeded %d cycles (deadlock?)", m.cfg.MaxCycles)
+			return nil, m.boundError()
 		}
 		m.ticked++
 		m.progress = false
@@ -393,6 +398,20 @@ func (m *Multiscalar) sweep(sleep bool, all uint32) error {
 func (m *Multiscalar) awake(all uint32) uint32 {
 	a, h := ^m.asleep&all, uint(m.Head)
 	return (a>>h | a<<((uint(m.cfg.NumUnits)-h)&31)) & all
+}
+
+// boundError reports a run that reached Config.MaxCycles by what the
+// machine did, not by a guess at why: the instructions committed and the
+// cycle after which nothing retired — no task, or for the implicit task
+// no instruction. A runaway guest retires up to the bound; a stalled
+// machine stopped retiring long before it.
+func (m *Multiscalar) boundError() error {
+	what, last := "task", m.lastRetire
+	if m.implicit != nil {
+		what, last = "instruction", max(last, m.units[0].LastRetire)
+	}
+	return fmt.Errorf("core: multiscalar run exceeded %d cycles: %d instructions committed, no %s retired after cycle %d",
+		m.cfg.MaxCycles, m.committedNow(), what, last)
 }
 
 // wakeDue wakes the sleepers whose wake has come and bounds the rest.

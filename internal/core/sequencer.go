@@ -364,6 +364,7 @@ func (m *Multiscalar) retire(now uint64) error {
 	}
 	m.committed += u.Retired
 	m.tasksRetired++
+	m.lastRetire = now
 	if m.judge != nil {
 		if err := m.judge.retire(m, ts, actual, now); err != nil {
 			return err

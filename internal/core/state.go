@@ -74,10 +74,12 @@ func (m *Multiscalar) State(c *snapshot.Codec) {
 	}
 	if c.Loading() {
 		// Not in the snapshot: every unit resumes awake (waking early is always
-		// safe) and UnitTicks restarts from the executed cycles' dense count.
+		// safe), UnitTicks restarts from the executed cycles' dense count,
+		// and the last retire a bound error reports is the restore.
 		m.unitTicks = m.ticked * uint64(m.cfg.NumUnits)
 		clear(m.wake)
 		m.asleep = 0
+		m.lastRetire = m.now
 	}
 	c.Bool(&m.finished)
 	c.Bool(&m.progress)

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"runtime"
 	"testing"
 
 	"multiscalar/internal/asm"
@@ -452,5 +453,32 @@ func TestHeapEnd(t *testing.T) {
 func TestValueString(t *testing.T) {
 	if IntVal(5).String() != "5" || FPVal(1.5).String() != "1.5" {
 		t.Errorf("value strings: %q %q", IntVal(5).String(), FPVal(1.5).String())
+	}
+}
+
+// TestProgramImageSharesData: a program's image points into its Data
+// instead of copying it. The image of a 64-page data segment (built for
+// a fresh Clone, which derives its own) allocates less than two pages —
+// the final partial page and the page map — where a copy would take 65,
+// and a machine over it reads the data and zeros past its end.
+func TestProgramImageSharesData(t *testing.T) {
+	p, err := asm.Assemble(".data\nbuf:\t.space 262150\n\t.byte 7\n.text\nmain:\n\tsyscall\n", asm.ModeScalar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := p.Clone()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	img := ProgramImage(q)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2*4096 {
+		t.Errorf("the image of %d data bytes allocated %d bytes", len(q.Data), got)
+	}
+	m := NewMachine(q, NewSysEnv())
+	if m.Mem.Byte(isa.DataBase+262150) != 7 || m.Mem.Byte(isa.DataBase+262151) != 0 {
+		t.Error("the machine does not read the data and zeros past it")
+	}
+	if ProgramImage(q) != img || ProgramImage(p) == img {
+		t.Error("the image is not the clone's own, built once")
 	}
 }

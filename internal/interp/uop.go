@@ -157,17 +157,13 @@ func decodeInstr(in *isa.Instr) uop {
 }
 
 // ProgramImage returns the initial memory image for p — the data
-// segment at isa.DataBase as an immutable copy-on-write image, so
-// constructing a machine shares it instead of re-copying the segment
-// (mem.NewMemoryFromImage). It is built on first use and lives on the
-// program. The timing simulator seeds its backing store from the same
-// image.
+// segment at isa.DataBase as an immutable copy-on-write image over
+// p.Data itself (mem.ImageOf), so neither the image nor a machine
+// constructed over it (mem.NewMemoryFromImage) copies the segment. It
+// is built on first use and lives on the program. The timing simulator
+// seeds its backing store from the same image.
 func ProgramImage(p *isa.Program) *mem.Image {
-	return p.Image.Get(func() any {
-		m := mem.NewMemory()
-		m.WriteBytes(isa.DataBase, p.Data)
-		return m.Image()
-	}).(*mem.Image)
+	return p.Image.Get(func() any { return mem.ImageOf(isa.DataBase, p.Data) }).(*mem.Image)
 }
 
 // decodedUops returns the µop stream for p, decoded on first use and

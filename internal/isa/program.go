@@ -89,7 +89,7 @@ func (t *TaskDescriptor) String() string {
 type Program struct {
 	Entry   uint32
 	Text    []Instr // instruction i lives at TextBase + 4*i
-	Data    []byte  // bytes at DataBase
+	Data    []byte  // bytes at DataBase; never written after assembly
 	Tasks   map[uint32]*TaskDescriptor
 	Symbols map[string]uint32
 
@@ -99,7 +99,9 @@ type Program struct {
 	// (internal/interp). They are built on first use, shared by every
 	// machine constructed over the program, and collected with it. A
 	// program is immutable once something has run it; a copy that will be
-	// rewritten must not carry them (Clone).
+	// rewritten must not carry them (Clone). Image points into Data
+	// instead of copying it (mem.ImageOf), and a Clone shares Data, so
+	// writing Data would change every machine built over the program.
 	Uops, Image Derived
 }
 
@@ -118,7 +120,7 @@ func (d *Derived) Get(build func() any) any {
 
 // Clone returns a copy of p whose text and task descriptors may be
 // mutated freely and which derives its own Uops and Image. Data and
-// symbols stay shared: nothing in the repository writes to them.
+// symbols stay shared: neither is written after assembly.
 func (p *Program) Clone() *Program {
 	q := &Program{
 		Entry:   p.Entry,

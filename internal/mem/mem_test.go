@@ -30,7 +30,7 @@ func TestMemoryCrossPageWrite(t *testing.T) {
 		buf[i] = byte(i)
 	}
 	addr := uint32(pageSize - 50)
-	m.WriteBytes(addr, buf)
+	writeBytes(m, addr, buf)
 	for i := range buf {
 		if got := m.Byte(addr + uint32(i)); got != buf[i] {
 			t.Fatalf("byte %d = %d, want %d", i, got, buf[i])
@@ -108,7 +108,7 @@ func cString(m *Memory, addr uint32, max int) string {
 
 func TestReadCString(t *testing.T) {
 	m := NewMemory()
-	m.WriteBytes(0x2000, []byte("hello\x00world"))
+	writeBytes(m, 0x2000, []byte("hello\x00world"))
 	if got := cString(m, 0x2000, 100); got != "hello" {
 		t.Errorf("cstring = %q", got)
 	}

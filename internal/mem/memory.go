@@ -16,8 +16,9 @@ const pageSize = 1 << pageBits
 // image pages are shared read-only between every Memory built from the
 // image and copied into private pages on first write, so constructing a
 // machine over a large data segment costs O(1) instead of one copy of
-// the segment. Sharing the image across concurrently running Memories
-// is safe — image pages are never written.
+// the segment, and the image itself points into the bytes it was built
+// from (ImageOf). Sharing the image across concurrently running
+// Memories is safe — image pages are never written.
 //
 // Memory is not safe for concurrent use: even reads fill its page TLB.
 // Every simulation run owns its Memory, so this only matters if one
@@ -63,9 +64,31 @@ func (m *Memory) tlbHit(addr uint32) *tlbEntry {
 }
 
 // Image is an immutable page set used to seed Memories copy-on-write.
-// Build one with Memory.Image.
+// Build one with ImageOf. Its full pages are the bytes it was built
+// from, not a copy: nothing may write those bytes while the image
+// lives, and no Memory does — page promotes an image page to a private
+// copy before a write, WriteWordHit declines an image page, and State
+// loads into fresh pages.
 type Image struct {
 	pages map[uint32]*[pageSize]byte
+}
+
+// ImageOf returns the image of data placed at base, which must be
+// page-aligned. Each full page of data is aliased, not copied; only a
+// final partial page is copied, into a zero-padded page.
+func ImageOf(base uint32, data []byte) *Image {
+	if base%pageSize != 0 {
+		panic("mem: ImageOf base is not page-aligned")
+	}
+	img := &Image{pages: make(map[uint32]*[pageSize]byte, (len(data)+pageSize-1)/pageSize)}
+	for off := 0; off < len(data); off += pageSize {
+		page := data[off:]
+		if len(page) < pageSize {
+			page = append(make([]byte, 0, pageSize), page...)[:pageSize]
+		}
+		img.pages[(base+uint32(off))>>pageBits] = (*[pageSize]byte)(page)
+	}
+	return img
 }
 
 // NewMemory returns an empty memory.
@@ -77,23 +100,6 @@ func NewMemory() *Memory {
 // image. The image is shared, not copied; writes go to private pages.
 func NewMemoryFromImage(img *Image) *Memory {
 	return &Memory{pages: make(map[uint32]*[pageSize]byte), ro: img}
-}
-
-// Image deep-copies the memory's current contents into an immutable
-// image suitable for seeding further Memories.
-func (m *Memory) Image() *Image {
-	img := &Image{pages: make(map[uint32]*[pageSize]byte, len(m.pages))}
-	if m.ro != nil {
-		for key, p := range m.ro.pages {
-			img.pages[key] = p // immutable, safe to alias
-		}
-	}
-	for key, p := range m.pages {
-		q := new([pageSize]byte)
-		*q = *p
-		img.pages[key] = q
-	}
-	return img
 }
 
 func (m *Memory) page(addr uint32, create bool) *[pageSize]byte {
@@ -231,15 +237,4 @@ func (m *Memory) ByteHit(addr uint32) (byte, bool) {
 		return e.page[addr%pageSize], true
 	}
 	return 0, false
-}
-
-// WriteBytes copies buf into memory starting at addr.
-func (m *Memory) WriteBytes(addr uint32, buf []byte) {
-	for len(buf) > 0 {
-		p := m.page(addr, true)
-		off := int(addr & (pageSize - 1))
-		n := copy(p[off:], buf)
-		buf = buf[n:]
-		addr += uint32(n)
-	}
 }

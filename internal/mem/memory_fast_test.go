@@ -2,7 +2,9 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -54,8 +56,8 @@ func TestReadNUnmappedPage(t *testing.T) {
 func TestBytesCrossPageAndHoles(t *testing.T) {
 	m := NewMemory()
 	// Write into pages 1 and 3, leaving page 2 a hole.
-	m.WriteBytes(pageSize-4, []byte{1, 2, 3, 4, 5, 6})
-	m.WriteBytes(3*pageSize, []byte{7, 8})
+	writeBytes(m, pageSize-4, []byte{1, 2, 3, 4, 5, 6})
+	writeBytes(m, 3*pageSize, []byte{7, 8})
 	// Every read of every width straddling a page boundary, into or out
 	// of the hole, agrees with per-byte reads.
 	for _, edge := range []uint32{pageSize, 2 * pageSize, 3 * pageSize} {
@@ -76,7 +78,7 @@ func TestReadCStringCrossPage(t *testing.T) {
 	m := NewMemory()
 	long := bytes.Repeat([]byte("x"), pageSize+10)
 	addr := uint32(2*pageSize - 5)
-	m.WriteBytes(addr, append(long, 0))
+	writeBytes(m, addr, append(long, 0))
 	if got := cString(m, addr, 1<<20); got != string(long) {
 		t.Errorf("cross-page cstring: len %d, want %d", len(got), len(long))
 	}
@@ -86,13 +88,13 @@ func TestReadCStringCrossPage(t *testing.T) {
 	}
 	// Terminator exactly at a page boundary.
 	m2 := NewMemory()
-	m2.WriteBytes(pageSize-3, []byte("abc"))
+	writeBytes(m2, pageSize-3, []byte("abc"))
 	if got := cString(m2, pageSize-3, 100); got != "abc" {
 		t.Errorf("boundary cstring = %q", got)
 	}
 	// String running into an absent page terminates (absent = NULs).
 	m3 := NewMemory()
-	m3.WriteBytes(pageSize-2, []byte("hi"))
+	writeBytes(m3, pageSize-2, []byte("hi"))
 	if got := cString(m3, pageSize-2, 100); got != "hi" {
 		t.Errorf("hole-terminated cstring = %q", got)
 	}
@@ -132,13 +134,73 @@ func TestTLBSlotConflict(t *testing.T) {
 	}
 }
 
+// writeBytes copies buf into m starting at addr.
+func writeBytes(m *Memory, addr uint32, buf []byte) {
+	for i, b := range buf {
+		m.SetByte(addr+uint32(i), b)
+	}
+}
+
 // imageOf returns an image whose page 0x10000 holds 0x11111111 at
 // 0x10000000 and 0x22222222 at 0x10000004.
 func imageOf() *Image {
-	base := NewMemory()
-	base.WriteWord(0x10000000, 0x11111111)
-	base.WriteWord(0x10000004, 0x22222222)
-	return base.Image()
+	return ImageOf(0x10000000, []byte{0x11, 0x11, 0x11, 0x11, 0x22, 0x22, 0x22, 0x22})
+}
+
+// TestImageOfAliasesFullPages: an image points into the bytes it is
+// built from, a page at a time, and copies only a final partial page,
+// which reads zero past the end of the data. Building the image of 64
+// pages and a part allocates that one page, the page map and the Image.
+func TestImageOfAliasesFullPages(t *testing.T) {
+	const pages = 64
+	data := make([]byte, pages*pageSize+100)
+	for i := range data {
+		data[i] = byte(i*7 + 1)
+	}
+	img := ImageOf(0x10000000, data)
+	for i := uint32(0); i < pages; i++ {
+		if p := img.pages[0x10000+i]; &p[0] != &data[i*pageSize] {
+			t.Fatalf("page %d is a copy, not the data", i)
+		}
+	}
+	last := img.pages[0x10000+pages]
+	if &last[0] == &data[pages*pageSize] {
+		t.Fatal("the partial last page aliases the data")
+	}
+	m := NewMemoryFromImage(img)
+	for i, b := range data {
+		if got := m.Byte(0x10000000 + uint32(i)); got != b {
+			t.Fatalf("byte %d = %#x, want %#x", i, got, b)
+		}
+	}
+	for a := uint32(len(data)); a < (pages+1)*pageSize; a++ {
+		if got := m.Byte(0x10000000 + a); got != 0 {
+			t.Fatalf("byte %d past the data = %#x", a, got)
+		}
+	}
+	m.WriteWord(0x10000000, 0)
+	if data[0] != 1 {
+		t.Error("a write through the memory reached the data")
+	}
+
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	pageMap := allocated(func() {
+		m := make(map[uint32]*[pageSize]byte, pages+1)
+		for i := uint32(0); i <= pages; i++ {
+			m[i] = nil
+		}
+		runtime.KeepAlive(m)
+	})
+	if got := allocated(func() { img = ImageOf(0x10000000, data) }); got > pageSize+pageMap+16 {
+		t.Errorf("the image of %d pages allocated %d bytes; a page and the page map are %d", pages, got, pageSize+pageMap)
+	}
+	runtime.KeepAlive(img)
 }
 
 // TestTLBPromotesImagePage: reading an image page maps it read-only, so
@@ -171,8 +233,8 @@ func TestTLBPromotesImagePage(t *testing.T) {
 	if got := other.ReadWord(0x10000000); got != 0x11111111 {
 		t.Errorf("second memory over the image reads %#x", got)
 	}
-	if got := NewMemoryFromImage(m.Image()).ReadWord(0x10000004); got != 0x44444444 {
-		t.Errorf("image of the writer reads %#x", got)
+	if got := m.ReadWord(0x10000004); got != 0x44444444 {
+		t.Errorf("the writer reads %#x after a fast write", got)
 	}
 	if got := NewMemoryFromImage(img).ReadWord(0x10000004); got != 0x22222222 {
 		t.Errorf("the image changed: %#x", got)
@@ -232,14 +294,15 @@ func TestZeroValueMemory(t *testing.T) {
 
 // TestImageSharedAcrossGoroutines: Memories over one image, each driven
 // by its own goroutine, read the shared pages through their own TLBs and
-// write their own copies; under -race this shows the image is only read.
+// write their own copies; under -race this shows the image, and the
+// data its pages point into, are only read.
 func TestImageSharedAcrossGoroutines(t *testing.T) {
-	base := NewMemory()
 	const pages = 3 * tlbSize // more pages than slots: entries are evicted
+	data := make([]byte, pages*pageSize)
 	for i := uint32(0); i < pages; i++ {
-		base.WriteWord(0x10000000+i*pageSize, i)
+		binary.BigEndian.PutUint32(data[i*pageSize:], i)
 	}
-	img := base.Image()
+	img := ImageOf(0x10000000, data)
 	errs := make(chan string, 2)
 	var wg sync.WaitGroup
 	for g := uint32(1); g <= 2; g++ {
@@ -273,11 +336,14 @@ func TestImageSharedAcrossGoroutines(t *testing.T) {
 	if got := NewMemoryFromImage(img).ReadWord(0x10000000 + 2*pageSize); got != 2 {
 		t.Errorf("the image changed: %#x", got)
 	}
+	if got := binary.BigEndian.Uint32(data[2*pageSize:]); got != 2 {
+		t.Errorf("the data changed: %#x", got)
+	}
 }
 
 func BenchmarkReadWord(b *testing.B) {
 	m := NewMemory()
-	m.WriteBytes(0, make([]byte, 4*pageSize))
+	writeBytes(m, 0, make([]byte, 4*pageSize))
 	b.ResetTimer()
 	var sink uint32
 	for i := 0; i < b.N; i++ {
@@ -294,11 +360,9 @@ func BenchmarkReadWord(b *testing.B) {
 // regions a multiple of 256 KB apart would share TLB slots.
 func BenchmarkReadWordRegions(b *testing.B) {
 	const data, heap, stack = 0x10000000, 0x10010000, 0x7fffc000
-	base := NewMemory()
-	base.WriteBytes(data, make([]byte, 4*pageSize))
-	m := NewMemoryFromImage(base.Image())
-	m.WriteBytes(heap, make([]byte, 4*pageSize))
-	m.WriteBytes(stack, make([]byte, 4*pageSize))
+	m := NewMemoryFromImage(ImageOf(data, make([]byte, 4*pageSize)))
+	writeBytes(m, heap, make([]byte, 4*pageSize))
+	writeBytes(m, stack, make([]byte, 4*pageSize))
 	b.ResetTimer()
 	for i := 0; i < b.N; i += 3 {
 		off := uint32(i/3*4) % (4 * pageSize)

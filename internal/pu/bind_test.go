@@ -277,7 +277,7 @@ skip:
 	cfg := unitConfig(2, true)
 	newExt := func() *testExt {
 		ext := newTestExt(9)
-		ext.Mem.WriteBytes(isa.DataBase, p.Data)
+		ext.seed(p)
 		return ext
 	}
 	// The unit and what its timing depends on outside it.

@@ -174,6 +174,7 @@ type Unit struct {
 	// Per-activation stats (folded into global stats by the owner at
 	// retire or squash).
 	Retired    uint64 // locally retired instructions this activation
+	LastRetire uint64 // cycle of the unit's last retired instruction, in any activation
 	ActCounts  [NumActivities]uint64
 	extWait    isa.RegMask // registers an issue found unready in the register file this cycle
 	issuedNow  int
@@ -555,6 +556,7 @@ func (u *Unit) retire(now uint64) error {
 
 		u.Retired++
 		u.retiredNow++
+		u.LastRetire = now
 		u.rob = u.rob[1:] // head pop: the window slides, nothing moves
 		u.headSeq++
 		w[mSys], w[mFwd], w[mBar] = w[mSys]&^b, w[mFwd]&^b, w[mBar]&^b // all a done entry can hold

@@ -48,6 +48,12 @@ func newTestExt(loadLatency int) *testExt {
 	return x
 }
 
+// seed starts the memory from p's data segment, as a machine over p does.
+func (x *testExt) seed(p *isa.Program) {
+	x.Mem = mem.NewMemoryFromImage(interp.ProgramImage(p))
+	x.Backing = x.Mem
+}
+
 // State walks what the unit's timing depends on outside it: the caches
 // and the bus.
 func (x *testExt) State(c *snapshot.Codec) {
@@ -72,7 +78,7 @@ func runWholeProgram(t *testing.T, src string, cfg Config) (*testExt, uint64, *U
 	t.Helper()
 	p := assembleMS(t, src)
 	ext := newTestExt(2)
-	ext.Mem.WriteBytes(isa.DataBase, p.Data)
+	ext.seed(p)
 	u := New(0, cfg, p, ext.Ext)
 	u.Start(p.Entry, 0)
 	var now uint64
@@ -454,7 +460,7 @@ main:
 
 	run := func(cfg Config) uint64 {
 		ext := newTestExt(30)
-		ext.Mem.WriteBytes(isa.DataBase, p.Data)
+		ext.seed(p)
 		u := New(0, cfg, p, ext.Ext)
 		u.Start(p.Entry, 0)
 		var now uint64

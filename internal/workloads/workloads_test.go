@@ -28,7 +28,10 @@ func runOracle(t *testing.T, p *isa.Program) (*interp.Machine, string) {
 // TestWorkloadsEndToEnd: for every workload, the scalar binary and the
 // multiscalar binary produce identical program output under the
 // interpreter, and the scalar timing machine matches the scalar oracle.
-// The multiscalar machines are judged at every retire by
+// Each binary holds its data at its real size: Program.Data lives as
+// long as the program and carries none of the assembler's append slack
+// (compress's test build used to keep 15.5 KB of it). The multiscalar
+// machines are judged at every retire by
 // core.TestLockstepSweep.
 func TestWorkloadsEndToEnd(t *testing.T) {
 	for _, name := range Names() {
@@ -42,6 +45,11 @@ func TestWorkloadsEndToEnd(t *testing.T) {
 			msProg, err := w.Build(asm.ModeMultiscalar, w.TestScale)
 			if err != nil {
 				t.Fatal(err)
+			}
+			for _, p := range []*isa.Program{scalarProg, msProg} {
+				if slack := cap(p.Data) - len(p.Data); slack >= 8<<10 {
+					t.Errorf("%d data bytes in a %d-byte buffer", len(p.Data), cap(p.Data))
+				}
 			}
 			som, sout := runOracle(t, scalarProg)
 			mom, mout := runOracle(t, msProg)
