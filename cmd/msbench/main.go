@@ -27,7 +27,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime/debug"
 	"runtime/pprof"
 	"strings"
 
@@ -36,11 +35,6 @@ import (
 )
 
 func main() {
-	// Batch tool: trade heap headroom for throughput. The timing cores
-	// allocate steadily (ARB entries, cache fills, result assembly) and
-	// the default GOGC=100 spends a double-digit share of a full run in
-	// collection and write-barrier work on the 1-core CI runner.
-	debug.SetGCPercent(400)
 	var (
 		all        = flag.Bool("all", false, "run every section of the paper's evaluation")
 		sections   = flag.String("sections", "", "comma-separated sections to run ("+strings.Join(bench.SectionNames(), ",")+")")

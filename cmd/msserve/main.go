@@ -16,7 +16,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"runtime/debug"
 	"time"
 
 	"multiscalar/internal/job"
@@ -24,9 +23,6 @@ import (
 )
 
 func main() {
-	// Serving is batch-shaped work, same as msbench: trade heap headroom
-	// for simulator throughput.
-	debug.SetGCPercent(400)
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
 		spill     = flag.String("spill", "", "spill finished results to this directory (content-addressed; survives restarts)")

@@ -36,6 +36,7 @@ const (
 	taskIs     = `§4 "What a task is"`
 	holds      = `§4 "What a component holds"`
 	eventsOnly = `§4 "a per-cycle pipeline view rendered from the event stream"`
+	collector  = `§4 "The runtime's own collector pace"`
 )
 
 var designRules = []designRule{
@@ -47,6 +48,7 @@ var designRules = []designRule{
 	{"one pool", onePool, fanOutRule},
 	{"pu.Ext is a struct", unitData, extRule},
 	{"no msbench flag per section", inventory, sectionFlagRule},
+	{"the runtime's own collector pace", collector, collectorRule},
 
 	// The name rules: a declaration under one of these names, or a use
 	// of cfg's return liveness outside cfg, restates what the section
@@ -336,6 +338,27 @@ func sectionFlagRule(tr *tree) []string {
 	return sorted(out)
 }
 
+// collectorRule fails every use, anywhere in the tree, of
+// runtime/debug's SetGCPercent or SetMemoryLimit: processes collect at
+// the runtime's default pace.
+func collectorRule(tr *tree) []string {
+	var out []string
+	for _, p := range tr.paths {
+		for _, f := range tr.files[p] {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					if fn, ok := tr.info.Uses[id].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "runtime/debug" &&
+						(fn.Name() == "SetGCPercent" || fn.Name() == "SetMemoryLimit") {
+						out = append(out, tr.at(id.Pos(), "uses debug.%s", fn.Name()))
+					}
+				}
+				return true
+			})
+		}
+	}
+	return sorted(out)
+}
+
 // names is one row of a name rule: declarations named in list, counted
 // in package in only when in is set, and in every package but except.
 // With private set, except's own objects of those names are not to be
@@ -587,7 +610,15 @@ func Run() int {
 `,
 	"internal/job/job.go": `package job
 
-import _ "multiscalar/internal/bench"
+import (
+	d "runtime/debug"
+
+	_ "multiscalar/internal/bench"
+)
+
+var limit = d.SetMemoryLimit // want "the runtime's own collector pace"
+
+func Stack() []byte { return d.Stack() }
 `,
 	"internal/serve/serve.go": `package serve
 
@@ -601,11 +632,13 @@ import _ "multiscalar/internal/job" // want "serve and litmus do not reach bench
 
 import (
 	f "flag"
+	"runtime/debug"
 
 	"multiscalar/internal/bench"
 )
 
 func main() {
+	debug.SetGCPercent(400) // want "the runtime's own collector pace"
 	f.Bool("table", false, "") // want "no msbench flag per section"
 	f.Bool("quick", false, "")
 	done := make(chan struct{}) // want "one pool"

@@ -93,25 +93,37 @@ func TestSectionsMatchSequential(t *testing.T) {
 // TestSectionSecondsSumToWall pins the -json report's meaning when
 // sections overlap: a section's seconds run from the previous section's
 // output being ready to its own, so a section that finished before its
-// predecessor costs (almost) nothing, none is negative, output keeps
-// registry order, and the sections sum to the fan-out's wall time.
+// predecessor costs nothing, none is negative, output keeps registry
+// order, and the sections sum to the fan-out's wall time, which is at
+// least the slowest block's own span. Channels, not sleeps, order the
+// blocks. On two runners the caller runs the slow section's block, which
+// waits until the other runner has started the mid section's block; that
+// runner ran both fast blocks first, and a block's completion is
+// stamped before its runner claims the next one.
 func TestSectionSecondsSumToWall(t *testing.T) {
-	sleepy := func(d time.Duration, text string) block {
-		return func(Options) (string, error) {
-			time.Sleep(d)
-			return text, nil
-		}
+	release := make(chan struct{})
+	var begin, end time.Time
+	slow := func(Options) (string, error) {
+		begin = time.Now()
+		<-release
+		end = time.Now()
+		return "a0", nil
+	}
+	fast := func(text string) block { return func(Options) (string, error) { return text, nil } }
+	mid := func(Options) (string, error) {
+		close(release)
+		return "c0", nil
 	}
 	rows := []section{
-		{"slow", true, []block{sleepy(80*time.Millisecond, "a0")}},
-		{"fast", true, []block{sleepy(time.Millisecond, "b0"), sleepy(time.Millisecond, "b1")}},
-		{"mid", true, []block{sleepy(20*time.Millisecond, "c0")}},
+		{"slow", true, []block{slow}},
+		{"fast", true, []block{fast("b0"), fast("b1")}},
+		{"mid", true, []block{mid}},
 	}
 	var out strings.Builder
 	var secs []Section
 	var err error
 	start := time.Now()
-	withWorkers(t, 4, func() { secs, err = runSections(rows, Options{}, &out) })
+	withWorkers(t, 2, func() { secs, err = runSections(rows, Options{}, &out) })
 	wall := time.Since(start).Seconds()
 	if err != nil {
 		t.Fatal(err)
@@ -128,11 +140,11 @@ func TestSectionSecondsSumToWall(t *testing.T) {
 			t.Errorf("section %d: %+v", i, s)
 		}
 	}
-	if secs[1].Seconds > 0.02 {
-		t.Errorf("fast section, done before slow, charged %.3fs", secs[1].Seconds)
+	if secs[1].Seconds != 0 {
+		t.Errorf("fast section, done before slow, charged %gs", secs[1].Seconds)
 	}
-	if r.TotalSeconds < 0.08 || r.TotalSeconds > wall {
-		t.Errorf("total_seconds %.3f, want between the slowest section (0.08) and the wall time %.3f", r.TotalSeconds, wall)
+	if span := end.Sub(begin).Seconds(); r.TotalSeconds < span || r.TotalSeconds > wall {
+		t.Errorf("total_seconds %g, want between the slow block's span %g and the wall time %g", r.TotalSeconds, span, wall)
 	}
 }
 

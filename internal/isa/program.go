@@ -100,8 +100,10 @@ type Program struct {
 	// machine constructed over the program, and collected with it. A
 	// program is immutable once something has run it; a copy that will be
 	// rewritten must not carry them (Clone). Image points into Data
-	// instead of copying it (mem.ImageOf), and a Clone shares Data, so
-	// writing Data would change every machine built over the program.
+	// instead of copying it (mem.ImageOf), a Clone shares Data, and the
+	// build store gives a source's scalar and multiscalar builds one Data
+	// when their bytes are equal (job.Spec.Resolve), so writing Data would
+	// change every machine built over any program that holds it.
 	Uops, Image Derived
 }
 

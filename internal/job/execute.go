@@ -84,6 +84,13 @@ func Stats() (builds, oracleRuns StoreStats) { return programs.Stats(), oracles.
 // Resolve returns the spec's program, building it if the spec names a
 // source text or workload (memoized, single-flight). The returned
 // program is shared: clone before mutating.
+//
+// A source or workload built in one mode shares its data segment with
+// the other mode's build when that build is resident and its bytes are
+// equal, as the suite's always are: both modes' memory images then
+// point into one copy. A peer still being built is not waited for; that
+// costs memory only, because keys, program hashes and results depend on
+// content alone.
 func (s *Spec) Resolve() (*isa.Program, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -96,8 +103,32 @@ func (s *Spec) Resolve() (*isa.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, _, err := programs.Do(context.Background(), key, func() (*isa.Program, error) { return build(s) })
+	p, _, err := programs.Do(context.Background(), key, func() (*isa.Program, error) {
+		p, err := build(s)
+		if err == nil {
+			shareData(p, bs)
+		}
+		return p, err
+	})
 	return p, err
+}
+
+// shareData points a fresh build's Data at the bytes of the other mode's
+// build of the same source or workload (bs names this build), when that
+// build is resident and its data is equal.
+func shareData(p *isa.Program, bs Spec) {
+	if bs.Mode == asm.ModeScalar {
+		bs.Mode = asm.ModeMultiscalar
+	} else {
+		bs.Mode = asm.ModeScalar
+	}
+	key, err := bs.Key()
+	if err != nil {
+		return
+	}
+	if peer, ok := programs.peek(key); ok && bytes.Equal(peer.Data, p.Data) {
+		p.Data = peer.Data
+	}
 }
 
 func build(s *Spec) (*isa.Program, error) {

@@ -97,6 +97,18 @@ func (s *Store[V]) Do(ctx context.Context, key string, fn func() (V, error)) (v 
 	return v, true, err
 }
 
+// peek returns the finished value stored under key, if one is resident.
+// It neither waits for a flight nor counts a hit, and it leaves the
+// entry's place in the LRU order alone.
+func (s *Store[V]) peek(key string) (v V, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e := s.entries[key]; e != nil && e.done {
+		return e.val, true
+	}
+	return v, false
+}
+
 // release drops the caller's reference — first completing the flight with
 // (v, err) when the caller ran it — and trims the store to capacity.
 func (s *Store[V]) release(e *storeEntry[V], flight bool, v V, err error) {
