@@ -276,10 +276,9 @@ func TestScalarWarmStartSeedsFCC(t *testing.T) {
 	if !co.FCC {
 		t.Fatal("the compare left the flag clear: nothing to seed")
 	}
-	ws := NewWarmState(p, cfg)
-	ws.PC, ws.FCC, ws.ICount, ws.Regs, ws.Env, ws.Mem = co.PC, co.FCC, co.ICount, co.Regs, co.Env, co.Mem
+	ws := NewWarmState(p, cfg).Capture(co, co.PC, co.ICount, nil)
 	m := newScalarMachine(t, p, cfg)
-	if err := m.InjectWarm(ws.Encode()); err != nil {
+	if err := m.InjectWarm(ws); err != nil {
 		t.Fatal(err)
 	}
 	res, err := m.Run()
@@ -295,8 +294,10 @@ func TestScalarWarmStartSeedsFCC(t *testing.T) {
 // TestJudgeAfterRestore: a machine restored mid-run is judged from its
 // first retire on, the functional machine catching up to the restored
 // committed count first, and one restored finished still has its end
-// judged; the divergence a sibling plants after the mid-run capture comes
-// back either way.
+// judged. A machine warm-started from a capture at a mid-run task
+// boundary is judged by a functional machine started from the same
+// capture. The divergence a sibling plants after the capture comes back
+// every way.
 func TestJudgeAfterRestore(t *testing.T) {
 	p := plant(t, "", "", "", "", "")
 	cfg := DefaultConfig(4, 1, false)
@@ -341,6 +342,40 @@ func TestJudgeAfterRestore(t *testing.T) {
 		}
 		if what != c.want || got.Cycles != res.Cycles {
 			t.Errorf("restored run: divergence %q after %d cycles, want %q after %d", what, got.Cycles, c.want, res.Cycles)
+		}
+	}
+
+	f := interp.NewMachine(p, interp.NewSysEnv())
+	for f.TaskExits < 3 {
+		if err := f.RunTo(f.ICount + 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		co   *isa.Program
+		want Divergence
+	}{{p, ""}, {sibling, DivOutput}} {
+		ws := NewWarmState(p, cfg).Capture(f, f.PC, f.ICount, nil)
+		co := interp.NewMachine(c.co, ws.Env.Clone(nil))
+		co.PC, co.Regs, co.FCC, co.Mem = ws.PC, ws.Regs, ws.FCC, ws.Mem.Clone()
+		r, err := NewMultiscalar(p, ws.Env, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.InjectWarm(ws); err != nil {
+			t.Fatal(err)
+		}
+		r.Judge(co, judgeBound)
+		got, err := r.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var what Divergence
+		if d := r.Divergence(); d != nil {
+			what = d.What
+		}
+		if what != c.want || got.TasksRetired < 2 {
+			t.Errorf("warm-started run: divergence %q after %d task retires, want %q after at least 2", what, got.TasksRetired, c.want)
 		}
 	}
 }

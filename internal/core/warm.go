@@ -7,7 +7,6 @@ import (
 	"multiscalar/internal/isa"
 	"multiscalar/internal/mem"
 	"multiscalar/internal/predict"
-	"multiscalar/internal/snapshot"
 )
 
 // Warm-state capture and injection for sampled simulation
@@ -23,17 +22,19 @@ import (
 // ARB, register-forwarding state) is short-lived and is left cold; the
 // detailed window's warm-up prefix absorbs that transient.
 //
-// Injection loads a WarmState into a freshly constructed machine and
-// points it at the capture PC, so a detailed measurement window starts
-// from state a full detailed run would plausibly have at that point.
-// For a program with task descriptors the capture PC must be a task
-// boundary (the sequencer can only start tasks); a program without them
-// is one task that can start at any instruction.
+// A capture shares nothing with the warming pass but the memory's
+// read-only image, so the pass goes on while a window runs from it.
+// Injection hands a capture to a freshly constructed machine and points
+// it at the capture PC, so a detailed measurement window starts from
+// state a full detailed run would plausibly have at that point. For a
+// program with task descriptors the capture PC must be a task boundary
+// (the sequencer can only start tasks); a program without them is one
+// task that can start at any instruction.
 
-// WarmState accumulates warm structures during functional fast-forward
-// and serializes them at capture points. The warm caches are built by
-// NewWarmState with the target Config's geometry; the architectural
-// fields are set by the engine before each Encode.
+// WarmState is warm state at an instruction boundary. The warming pass
+// keeps one whose tables it trains and whose architectural fields it
+// leaves unset; Capture copies it, with the functional machine's state,
+// into the WarmState a window is started from.
 type WarmState struct {
 	// Architectural state at the capture point.
 	PC     uint32
@@ -56,13 +57,14 @@ type WarmState struct {
 	TaskPred  predict.TaskPredictor
 	RAS       predict.RAS
 	DescCache *mem.Cache
+
+	prog *isa.Program
+	cfg  Config
 }
 
-// NewWarmState allocates warm structures matching the machine
+// NewWarmState allocates cold warm structures matching the machine
 // NewMultiscalar would build for p under cfg (the backing bus is a
 // throwaway — warm structures are only ever Touched, never Accessed).
-// The caller sets Env and Mem to the functional machine's and the
-// per-capture fields before Encode.
 func NewWarmState(p *isa.Program, cfg Config) *WarmState {
 	bus := mem.NewBus()
 	w := &WarmState{
@@ -70,6 +72,8 @@ func NewWarmState(p *isa.Program, cfg Config) *WarmState {
 		ICache: mem.NewCache("icache", cfg.ICacheBytes, cfg.ICacheBlock, 0, cfg.NumMSHRs, bus),
 		DCache: mem.NewBankedDCache(cfg.NumBanks(), cfg.DBankBytes, cfg.DBlockBytes, cfg.DCacheHit, cfg.NumMSHRs, bus),
 		Branch: predict.NewBranchPredictor(cfg.BranchEntries),
+		prog:   p,
+		cfg:    cfg,
 	}
 	if w.Multi {
 		w.DescCache = mem.NewCache("desccache", cfg.DescCacheEntries*16, 16, 0, 1, bus)
@@ -77,67 +81,47 @@ func NewWarmState(p *isa.Program, cfg Config) *WarmState {
 	return w
 }
 
-// State walks the warm state: the architectural fields, then the warm
-// structures in the order Encode has always written them. The shape flag
-// decides which sections follow, so a capture for the other kind of
-// program is refused before anything after it is read.
-func (w *WarmState) State(c *snapshot.Codec) {
-	c.Tag("WARM")
-	multi := w.Multi
-	if c.Bool(&multi); multi != w.Multi {
-		c.Failf("core: warm state captured with sequencer state: %v, the program has task descriptors: %v", multi, w.Multi)
-		return
+// Capture returns a copy of w's tables with the state of the functional
+// machine m at the instruction boundary (pc, icount): its registers and
+// FCC, and clones of its memory and of its environment over stdin, m's
+// whole input. A task exit is captured from inside its retire, before
+// m's PC and count advance, which is why the boundary is passed in.
+func (w *WarmState) Capture(m *interp.Machine, pc uint32, icount uint64, stdin []byte) *WarmState {
+	c := NewWarmState(w.prog, w.cfg)
+	c.PC, c.FCC, c.ICount, c.Regs = pc, m.FCC, icount, m.Regs
+	c.Env, c.Mem = m.Env.Clone(stdin), m.Mem.Clone()
+	c.ICache.AdoptTags(w.ICache)
+	for i, b := range c.DCache.Banks {
+		b.AdoptTags(w.DCache.Banks[i])
 	}
-	c.U32(&w.PC)
-	c.Bool(&w.FCC)
-	interp.RegsState(c, &w.Regs)
-	w.Env.State(c)
-	w.Mem.State(c)
-	w.ICache.State(c)
-	w.DCache.State(c)
-	w.Branch.State(c)
+	c.Branch.AdoptTables(w.Branch)
 	if w.Multi {
-		w.TaskPred.State(c)
-		w.RAS.State(c)
-		w.DescCache.State(c)
+		c.TaskPred, c.RAS = w.TaskPred, w.RAS
+		c.DescCache.AdoptTags(w.DescCache)
 	}
+	return c
 }
 
-// Encode serializes the warm state as a KindWarm snapshot (header
-// cycle = ICount).
-func (w *WarmState) Encode() []byte {
-	// Encode has no error to return: a capture that fails one of the walk's
-	// own checks fails it again in InjectWarm, which rejects it.
-	data, _ := snapshot.Save(snapshot.KindWarm, w.ICount, w.State)
-	return data
-}
-
-// InjectWarm loads a warm-state snapshot into a freshly constructed
-// machine: execution will start at the capture PC (a task boundary, or
-// any instruction of a program that is one implicit task) with the
-// captured architectural state, and caches, predictors and the
-// sequencer's history arrive pre-warmed. Timing state starts cold at
-// cycle 0. On error the machine must not be run.
-func (m *Multiscalar) InjectWarm(data []byte) error {
+// InjectWarm starts a freshly constructed machine from a capture made
+// by NewWarmState for its program and Config: execution will start at
+// the capture PC (a task boundary, or any instruction of a program that
+// is one implicit task) with the captured architectural state, and
+// caches, predictors and the sequencer's history arrive pre-warmed.
+// Timing state starts cold at cycle 0. The machine takes the capture's
+// memory and environment over, so the capture must not be used again.
+// On error the machine must not be run.
+func (m *Multiscalar) InjectWarm(w *WarmState) error {
 	if m.now != 0 || m.Active != 0 || m.finished {
 		return fmt.Errorf("core: InjectWarm on a machine that has run")
 	}
-	// The architectural state goes straight into the machine's env and
-	// backing memory; the warm tables are decoded into throwaway
-	// structures for the machine to adopt, so its own statistics and
-	// in-flight state stay pristine.
-	w := NewWarmState(m.prog, m.cfg)
-	w.Env, w.Mem = m.env, m.Backing
-	if err := snapshot.Load(data, snapshot.KindWarm, w.State); err != nil {
-		return err
+	if multi := m.implicit == nil; w.Multi != multi {
+		return fmt.Errorf("core: warm state captured with sequencer state: %v, the program has task descriptors: %v", w.Multi, multi)
 	}
 	if m.taskAt(w.PC) == nil {
 		return fmt.Errorf("core: warm-state PC 0x%x is not a task boundary", w.PC)
 	}
+	m.env, m.Backing = w.Env, w.Mem
 	m.archRegs = w.Regs
-	// w was built by the constructors that built m, from m's Config, and
-	// the walk refuses a capture of another size, so every table below
-	// has its target's geometry.
 	for _, ic := range m.icaches {
 		ic.AdoptTags(w.ICache)
 	}

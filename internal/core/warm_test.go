@@ -6,7 +6,6 @@ import (
 	"multiscalar/internal/asm"
 	"multiscalar/internal/interp"
 	"multiscalar/internal/isa"
-	"multiscalar/internal/mem"
 	"multiscalar/internal/workloads"
 )
 
@@ -23,21 +22,16 @@ func buildWarmTest(t *testing.T, name string, mode asm.Mode) *isa.Program {
 	return p
 }
 
-// entryWarmState builds the warm state a capture at the program entry
-// would produce: initial architectural state, cold tables.
+// entryWarmState is the capture of a functional machine at the program
+// entry: initial architectural state, cold tables.
 func entryWarmState(p *isa.Program, cfg Config) *WarmState {
-	ws := NewWarmState(p, cfg)
-	ws.PC = p.Entry
-	ws.Regs[isa.RegSP] = interp.IntVal(isa.StackTop)
-	ws.Regs[isa.RegGP] = interp.IntVal(isa.DataBase)
-	ws.Env = interp.NewSysEnv()
-	ws.Mem = mem.NewMemoryFromImage(interp.ProgramImage(p))
-	return ws
+	m := interp.NewMachine(p, interp.NewSysEnv())
+	return NewWarmState(p, cfg).Capture(m, m.PC, 0, nil)
 }
 
-// TestInjectWarmAtEntryMultiscalar: injecting a warm snapshot captured
-// at the entry point with cold tables must reproduce a fresh run
-// exactly — injection adds state, never perturbs timing.
+// TestInjectWarmAtEntryMultiscalar: injecting a warm state captured at
+// the entry point with cold tables must reproduce a fresh run exactly —
+// injection adds state, never perturbs timing.
 func TestInjectWarmAtEntryMultiscalar(t *testing.T) {
 	p := buildWarmTest(t, "example", asm.ModeMultiscalar)
 	cfg := DefaultConfig(4, 1, false)
@@ -56,7 +50,7 @@ func TestInjectWarmAtEntryMultiscalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.InjectWarm(ws.Encode()); err != nil {
+	if err := m.InjectWarm(ws); err != nil {
 		t.Fatal(err)
 	}
 	got, err := m.Run()
@@ -81,7 +75,7 @@ func TestInjectWarmAtEntryScalar(t *testing.T) {
 
 	ws := entryWarmState(p, cfg)
 	s := newScalarMachine(t, p, cfg)
-	if err := s.InjectWarm(ws.Encode()); err != nil {
+	if err := s.InjectWarm(ws); err != nil {
 		t.Fatal(err)
 	}
 	got, err := s.Run()
@@ -99,9 +93,6 @@ func TestInjectWarmAtEntryScalar(t *testing.T) {
 func TestInjectWarmRejections(t *testing.T) {
 	p := buildWarmTest(t, "example", asm.ModeMultiscalar)
 	cfg := DefaultConfig(4, 1, false)
-	ws := entryWarmState(p, cfg)
-	data := ws.Encode()
-
 	m, err := NewMultiscalar(p, interp.NewSysEnv(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +100,7 @@ func TestInjectWarmRejections(t *testing.T) {
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.InjectWarm(data); err == nil {
+	if err := m.InjectWarm(entryWarmState(p, cfg)); err == nil {
 		t.Error("InjectWarm accepted a machine that has already run")
 	}
 
@@ -120,15 +111,16 @@ func TestInjectWarmRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m2.InjectWarm(entryWarmState(sp, cfg).Encode()); err == nil {
+	if err := m2.InjectWarm(entryWarmState(sp, cfg)); err == nil {
 		t.Error("InjectWarm accepted a capture without sequencer state for a program with descriptors")
 	}
 	scfg := ScalarConfig(1, false)
-	if err := newScalarMachine(t, sp, scfg).InjectWarm(entryWarmState(p, scfg).Encode()); err == nil {
+	if err := newScalarMachine(t, sp, scfg).InjectWarm(entryWarmState(p, scfg)); err == nil {
 		t.Error("InjectWarm accepted a capture with sequencer state for a program without descriptors")
 	}
 
 	// A PC that is not a task boundary.
+	ws := entryWarmState(p, cfg)
 	ws.PC = p.Entry + isa.InstrSize
 	if p.TaskAt(ws.PC) != nil {
 		t.Skip("entry+4 happens to be a task boundary in this build")
@@ -137,7 +129,7 @@ func TestInjectWarmRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m3.InjectWarm(ws.Encode()); err == nil {
+	if err := m3.InjectWarm(ws); err == nil {
 		t.Error("InjectWarm accepted a non-boundary PC")
 	}
 }

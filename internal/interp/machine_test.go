@@ -1,11 +1,13 @@
 package interp
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
 	"multiscalar/internal/asm"
 	"multiscalar/internal/isa"
+	"multiscalar/internal/mem"
 )
 
 func runProgram(t *testing.T, src string, maxInstrs uint64) *Machine {
@@ -461,17 +463,28 @@ func TestValueString(t *testing.T) {
 // a fresh Clone, which derives its own) allocates less than two pages —
 // the final partial page and the page map — where a copy would take 65,
 // and a machine over it reads the data and zeros past its end.
+// TotalAlloc counts the whole process, so anything the runtime or another
+// goroutine allocates during a measurement adds to it: the figure held to
+// the bound is the least of a few, each over a fresh clone.
 func TestProgramImageSharesData(t *testing.T) {
 	p, err := asm.Assemble(".data\nbuf:\t.space 262150\n\t.byte 7\n.text\nmain:\n\tsyscall\n", asm.ModeScalar)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := p.Clone()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	img := ProgramImage(q)
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 2*4096 {
+	var (
+		q             *isa.Program
+		img           *mem.Image
+		before, after runtime.MemStats
+		got           uint64 = math.MaxUint64
+	)
+	for range 5 {
+		q = p.Clone()
+		runtime.ReadMemStats(&before)
+		img = ProgramImage(q)
+		runtime.ReadMemStats(&after)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+	}
+	if got >= 2*4096 {
 		t.Errorf("the image of %d data bytes allocated %d bytes", len(q.Data), got)
 	}
 	m := NewMachine(q, NewSysEnv())

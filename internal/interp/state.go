@@ -7,10 +7,10 @@ import (
 	"multiscalar/internal/snapshot"
 )
 
-// The state walks of the values the timing machine's snapshots and the
-// sampler's warm captures share with the functional machine: a Value, a
-// register file and the syscall environment. The functional machine
-// itself is never snapshotted; it is run, not resumed.
+// The state walks of the values the timing machine's snapshots share
+// with the functional machine: a Value, a register file and the syscall
+// environment. The functional machine itself is never snapshotted; it
+// is run, not resumed.
 
 // State is the one place a Value is serialized; every register file,
 // window entry and forwarded value in a snapshot goes through it.

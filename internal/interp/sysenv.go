@@ -71,6 +71,18 @@ func NewSysEnv() *SysEnv {
 	return &SysEnv{heapEnd: isa.HeapBase}
 }
 
+// Clone returns a copy of the environment — output so far, exit state,
+// heap break and input position — for a machine that continues the run.
+// stdin is the whole input the run reads (nil when there is none).
+func (e *SysEnv) Clone(stdin []byte) *SysEnv {
+	c := &SysEnv{ExitCode: e.ExitCode, Exited: e.Exited, heapEnd: e.heapEnd, inConsumed: e.inConsumed}
+	c.Out.Write(e.Out.Bytes())
+	if stdin != nil {
+		c.In = bytes.NewReader(stdin[min(e.inConsumed, uint64(len(stdin))):])
+	}
+	return c
+}
+
 // Call services one syscall. v0 is the syscall code; a0-a3 are arguments.
 // It returns the new $v0 value and whether $v0 is written.
 func (e *SysEnv) Call(m MemReader, v0, a0, a1, a2, a3 uint32) (ret uint32, writesV0 bool, err error) {

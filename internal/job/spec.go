@@ -128,7 +128,7 @@ func (s *Spec) Validate() error {
 			return errors.New("job: sampled jobs produce no trace or snapshot artifacts")
 		}
 		if s.Verify {
-			return errors.New("job: sampled jobs are inherently oracle-checked (the functional pass is the oracle)")
+			return errors.New("job: sampled jobs take no verify flag: every detailed window is judged, and the functional pass is the estimate's oracle")
 		}
 	}
 	n := 0

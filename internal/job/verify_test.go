@@ -69,9 +69,10 @@ func checkpoint(t *testing.T, s *Spec, at uint64) []byte {
 }
 
 // TestRestoreRefusesRetiredKinds: a snapshot written by the separate
-// scalar machine of earlier versions (kind 2 in the header), or by the
-// retired functional machine (kind 1), is refused by name rather than
-// misread, while the one machine's own snapshot resumes.
+// scalar machine of earlier versions (kind 2 in the header), by the
+// retired functional machine (kind 1) or as the sampler's retired warm
+// capture (kind 4), is refused by name rather than misread, while the
+// one machine's own snapshot resumes.
 func TestRestoreRefusesRetiredKinds(t *testing.T) {
 	s := baseSpec()
 	s.Config, s.Mode = Machine(1, 1, false)
@@ -80,7 +81,7 @@ func TestRestoreRefusesRetiredKinds(t *testing.T) {
 		t.Fatalf("restoring the one machine's own snapshot: %v", err)
 	}
 	const kindAt = 6 + 2 // after the magic and the format version
-	for kind, name := range map[uint8]string{1: "interp", 2: "scalar"} {
+	for kind, name := range map[uint8]string{1: "interp", 2: "scalar", 4: "warm"} {
 		snap[kindAt] = kind
 		if _, err := Execute(s, &Runtime{Restore: snap}); err == nil ||
 			!strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "want multiscalar") {

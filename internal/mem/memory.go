@@ -102,6 +102,17 @@ func NewMemoryFromImage(img *Image) *Memory {
 	return &Memory{pages: make(map[uint32]*[pageSize]byte), ro: img}
 }
 
+// Clone returns a copy of m that shares its read-only image and copies
+// its private pages, so neither copy sees the other's writes.
+func (m *Memory) Clone() *Memory {
+	c := &Memory{pages: make(map[uint32]*[pageSize]byte, len(m.pages)), ro: m.ro}
+	for key, p := range m.pages {
+		page := *p
+		c.pages[key] = &page
+	}
+	return c
+}
+
 func (m *Memory) page(addr uint32, create bool) *[pageSize]byte {
 	if e := m.tlbHit(addr); e != nil && !(create && e.ro) {
 		return e.page

@@ -68,7 +68,7 @@ func TestWarmTouchFilterEquivalent(t *testing.T) {
 		State(*snapshot.Codec)
 	}
 	tags := func(c toucher) []byte {
-		data, err := snapshot.Save(snapshot.KindWarm, 0, c.State)
+		data, err := snapshot.Save(snapshot.KindMultiscalar, 0, c.State)
 		if err != nil {
 			t.Fatal(err)
 		}

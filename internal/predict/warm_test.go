@@ -35,7 +35,7 @@ func TestTrainMatchesPredictUpdate(t *testing.T) {
 		t.Errorf("%d hits of %d lookups: the stream does not exercise both outcomes", pair.Hits, pair.Lookups)
 	}
 	state := func(b *BranchPredictor) []byte {
-		data, err := snapshot.Save(snapshot.KindWarm, 0, b.State)
+		data, err := snapshot.Save(snapshot.KindMultiscalar, 0, b.State)
 		if err != nil {
 			t.Fatal(err)
 		}

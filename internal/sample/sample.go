@@ -4,12 +4,12 @@
 // microarchitectural structures (cache tags, branch-predictor tables,
 // the sequencer's task predictor / return stack / descriptor cache),
 // punctuated by short detailed measurement windows executed on the
-// real timing machine from injected warm-state snapshots. Whole-run
+// real timing machine from injected warm-state captures. Whole-run
 // cycles and CPI are extrapolated from the window measurements with a
 // systematic-sampling estimator and standard-error-based 95%
 // confidence intervals.
 //
-// The short-lived structures a warm snapshot cannot carry — pipelines,
+// The short-lived structures a warm capture does not carry — pipelines,
 // MSHRs, the ARB, in-flight register forwards — start cold in every
 // window; a detailed warm-up prefix (measurement excluded) absorbs
 // that transient.
@@ -17,17 +17,19 @@
 // A run is a two-stage pipeline. The producer is the one functional
 // warming pass; the consumers are the detailed windows, each started on
 // a caller-supplied worker pool (job.RunJobs for every sampled job) the
-// moment the warming pass has captured its snapshot, so detailed
-// measurement overlaps warming and a snapshot lives only as long as its
-// window. What the pipeline never does is decide anything: the window
-// schedule is fixed before it starts, from the instruction total and
-// task-exit count of the program's functional reference run (Functional,
-// which the caller already has — job.CachedOracle), so the estimate does
-// not depend on the pool or on timing.
+// moment the warming pass has captured its warm state, so detailed
+// measurement overlaps warming and a capture lives only as long as its
+// window. Every window is judged: a functional machine started from the
+// same capture steps beside the timing machine (core.Multiscalar.Judge),
+// so a window that leaves the sequential state fails the run. What the
+// pipeline never does is decide anything: the window schedule is fixed
+// before it starts, from the instruction total and task-exit count of
+// the program's functional reference run (Functional, which the caller
+// already has — job.CachedOracle), so the estimate does not depend on
+// the pool or on timing.
 package sample
 
 import (
-	"bytes"
 	"fmt"
 	"sync/atomic"
 
@@ -70,7 +72,8 @@ type Estimate struct {
 	// Windows is the number of measured (non-empty) windows.
 	Windows int `json:"windows"`
 	// FullDetail marks the fallback for runs too short to sample: one
-	// exact detailed run, zero-width confidence interval.
+	// window over the whole run, exact, with a zero-width confidence
+	// interval.
 	FullDetail bool `json:"full_detail,omitempty"`
 
 	// Per-window CPI estimator. The CI bounds include the
@@ -153,7 +156,7 @@ func buildSide(p *isa.Program) []instrInfo {
 
 // warmer is the pipeline's producer: it maintains the warm structures,
 // replays the sequencer's committed-path prediction training, and hands
-// a warm-state snapshot to the windows at each scheduled point.
+// a warm-state capture to the windows at each scheduled point.
 type warmer struct {
 	m      *interp.Machine
 	ws     *core.WarmState
@@ -179,7 +182,7 @@ type warmer struct {
 // newWarmer builds the warming pass over a fresh functional machine for
 // p, capturing at the points of sched for win.
 func newWarmer(p *isa.Program, cfg core.Config, stdin []byte, sched []uint64, win *windows) *warmer {
-	wm := interp.NewMachine(p, newEnv(stdin))
+	wm := interp.NewMachine(p, interp.NewSysEnv().Clone(stdin)) // a fresh environment over stdin
 	w := &warmer{
 		m:        wm,
 		ws:       core.NewWarmState(p, cfg),
@@ -194,8 +197,6 @@ func newWarmer(p *isa.Program, cfg core.Config, stdin []byte, sched []uint64, wi
 	w.iLine.BlockBytes = uint32(w.ws.ICache.BlockBytes)
 	w.dLine.BlockBytes = uint32(w.ws.DCache.Banks[0].BlockBytes)
 	w.iTouch = w.ws.ICache.Touch
-	w.ws.Env = wm.Env
-	w.ws.Mem = wm.Mem
 	wm.Warm = w
 	return w
 }
@@ -302,7 +303,7 @@ func (w *warmer) boundary(next uint32, byRet bool) {
 // maybeCapture captures at a task boundary if the next scheduled window
 // start has been reached (at most one capture per call, so overlapping
 // schedule points yield distinct capture sites). Once a window has
-// failed the estimate is lost, so no further snapshot is made; the pass
+// failed the estimate is lost, so no further capture is made; the pass
 // itself runs on, because its own errors take precedence over a
 // window's.
 func (w *warmer) maybeCapture(nextPC uint32) {
@@ -316,14 +317,10 @@ func (w *warmer) maybeCapture(nextPC uint32) {
 	w.capture(nextPC, done)
 }
 
-// capture snapshots the warm state at the instruction boundary (pc,
-// icount) and hands the snapshot to the next window.
+// capture copies the warm state at the instruction boundary (pc,
+// icount) and hands the copy to the next window.
 func (w *warmer) capture(pc uint32, icount uint64) {
-	w.ws.PC = pc
-	w.ws.FCC = w.m.FCC
-	w.ws.ICount = icount
-	w.ws.Regs = w.m.Regs
-	w.win.hand(w.k, w.ws.Encode())
+	w.win.hand(w.k, w.ws.Capture(w.m, pc, icount, w.win.stdin))
 	w.k++
 }
 
@@ -365,18 +362,10 @@ func (prm Params) schedule(total uint64) []uint64 {
 	return pts
 }
 
-func newEnv(stdin []byte) *interp.SysEnv {
-	env := interp.NewSysEnv()
-	if stdin != nil {
-		env.In = bytes.NewReader(stdin)
-	}
-	return env
-}
-
 // Run performs a sampled simulation of program p under cfg. ref is the
 // program's functional reference run on stdin; it fixes the sampling
 // regime and the window schedule. One functional-warm pass then captures
-// a warm-state snapshot per window and hands each to pool as it is made,
+// the warm state per window and hands each capture to pool as it is made,
 // so windows run while warming continues; with a nil pool each window
 // runs inline at its capture point. maxInstrs bounds the warming pass,
 // which must end where ref says the program ends.
@@ -392,10 +381,10 @@ func run(p *isa.Program, cfg core.Config, prm Params, stdin []byte, maxInstrs ui
 	total := ref.TotalInstrs
 	sched := prm.schedule(total)
 	if len(sched) < 2 || prm.PeriodInstrs < prm.WarmupInstrs+prm.WindowInstrs {
-		return runFullDetail(p, cfg, prm, stdin, ref)
+		return fullDetail(p, cfg, prm, stdin, ref)
 	}
 
-	win := &windows{p: p, cfg: cfg, prm: prm, stdin: stdin,
+	win := &windows{p: p, cfg: cfg, prm: prm, stdin: stdin, total: total,
 		results: make([]windowRes, len(sched)), errs: make([]error, len(sched))}
 	win.start(pool)
 
@@ -433,7 +422,7 @@ func run(p *isa.Program, cfg core.Config, prm Params, stdin []byte, maxInstrs ui
 		est.WindowInstrs = append(est.WindowInstrs, r.instrs)
 	}
 	if len(cpis) < 2 {
-		return runFullDetail(p, cfg, prm, stdin, ref)
+		return fullDetail(p, cfg, prm, stdin, ref)
 	}
 	est.Windows = len(cpis)
 	est.MeanCPI, est.VarCPI, est.StdErrCPI = meanStdErr(cpis)
@@ -459,14 +448,16 @@ type windowRes struct {
 	detCycles, detInstrs uint64 // total detailed cost
 }
 
-// windows is the pipeline's consuming end: window k restores snapshot
-// k into a fresh timing machine, warms up and measures, writing slot k
-// of results (so the estimate is independent of completion order).
+// windows is the pipeline's consuming end: window k injects capture k
+// into a fresh timing machine, judged by a functional machine started
+// from the same capture, warms up and measures, writing slot k of
+// results (so the estimate is independent of completion order).
 type windows struct {
 	p     *isa.Program
 	cfg   core.Config
 	prm   Params
 	stdin []byte
+	total uint64 // the run's instruction count: what bounds each judge
 
 	results []windowRes
 	errs    []error
@@ -477,13 +468,13 @@ type windows struct {
 }
 
 type capture struct {
-	k    int
-	snap []byte
+	k  int
+	ws *core.WarmState
 }
 
 // start puts one job per scheduled window on the pool; each takes the
 // next capture off feed, or ends unused when feed closes first. feed is
-// unbuffered, so the snapshots alive at any moment are the one the
+// unbuffered, so the captures alive at any moment are the one the
 // producer is offering and one per busy worker.
 func (ws *windows) start(pool Runner) {
 	if pool == nil {
@@ -494,25 +485,25 @@ func (ws *windows) start(pool Runner) {
 	go func() {
 		ws.drained <- pool(len(ws.results), func(int) error {
 			if c, ok := <-ws.feed; ok {
-				ws.run(c.k, c.snap)
+				ws.run(c.k, c.ws)
 			}
 			return nil // a failed window must not stop the pool draining feed
 		})
 	}()
 }
 
-// hand passes snapshot k to its window: to a pool worker when there is
+// hand passes capture k to its window: to a pool worker when there is
 // one (blocking while all are busy), else by running it here.
-func (ws *windows) hand(k int, snap []byte) {
+func (ws *windows) hand(k int, c *core.WarmState) {
 	if ws.feed == nil {
-		ws.run(k, snap)
+		ws.run(k, c)
 		return
 	}
-	ws.feed <- capture{k, snap}
+	ws.feed <- capture{k, c}
 }
 
 // finish ends the hand-off, waits for the windows in flight and returns
-// the lowest-index window error. Snapshots go out in index order and a
+// the lowest-index window error. Captures go out in index order and a
 // window handed out always runs to its end, so that error is the same
 // whatever the pool's width.
 func (ws *windows) finish() error {
@@ -529,8 +520,8 @@ func (ws *windows) finish() error {
 	return poolErr
 }
 
-func (ws *windows) run(k int, snap []byte) {
-	res, err := ws.measure(snap)
+func (ws *windows) run(k int, c *core.WarmState) {
+	res, err := ws.measure(c)
 	if err != nil {
 		ws.errs[k] = fmt.Errorf("sample: window %d: %w", k, err)
 		ws.failed.Store(true)
@@ -539,14 +530,22 @@ func (ws *windows) run(k int, snap []byte) {
 	ws.results[k] = res
 }
 
-func (ws *windows) measure(snap []byte) (windowRes, error) {
-	m, err := core.NewMultiscalar(ws.p, newEnv(ws.stdin), ws.cfg)
+// measure runs the window from capture c: the warm-up, then the measured
+// region, each ended by a commit limit (none in a regime of zero lengths:
+// the window runs to the program's end). A functional machine started
+// from the same capture judges every task retire and the program's end,
+// if the window gets there.
+func (ws *windows) measure(c *core.WarmState) (windowRes, error) {
+	co := interp.NewMachine(ws.p, c.Env.Clone(ws.stdin))
+	co.PC, co.Regs, co.FCC, co.Mem = c.PC, c.Regs, c.FCC, c.Mem.Clone()
+	m, err := core.NewMultiscalar(ws.p, c.Env, ws.cfg)
 	if err != nil {
 		return windowRes{}, err
 	}
-	if err := m.InjectWarm(snap); err != nil {
+	if err := m.InjectWarm(c); err != nil {
 		return windowRes{}, err
 	}
+	m.Judge(co, ws.total-c.ICount)
 	var warmCycles, warmInstrs uint64
 	if ws.prm.WarmupInstrs > 0 {
 		m.SetCommitLimit(ws.prm.WarmupInstrs)
@@ -561,6 +560,9 @@ func (ws *windows) measure(snap []byte) (windowRes, error) {
 	if err != nil {
 		return windowRes{}, err
 	}
+	if d := m.Divergence(); d != nil {
+		return windowRes{}, d
+	}
 	return windowRes{
 		cycles:    r2.Cycles - warmCycles,
 		instrs:    r2.Committed - warmInstrs,
@@ -569,25 +571,21 @@ func (ws *windows) measure(snap []byte) (windowRes, error) {
 	}, nil
 }
 
-// runFullDetail is the fallback for runs too short to sample: one
-// exact detailed run, judged in lockstep with the functional machine and
-// reported as a zero-width interval.
-func runFullDetail(p *isa.Program, cfg core.Config, prm Params, stdin []byte, ref Functional) (*Estimate, error) {
-	m, err := core.NewMultiscalar(p, newEnv(stdin), cfg)
-	if err != nil {
+// fullDetail is the estimate of a run too short to sample: one window
+// from a cold capture at the entry, with no warm-up and no commit limit,
+// is an exact detailed run, reported as a zero-width interval.
+func fullDetail(p *isa.Program, cfg core.Config, prm Params, stdin []byte, ref Functional) (*Estimate, error) {
+	win := &windows{p: p, cfg: cfg, stdin: stdin, total: ref.TotalInstrs,
+		results: make([]windowRes, 1), errs: make([]error, 1)}
+	w := newWarmer(p, cfg, stdin, nil, win)
+	w.capture(w.m.PC, 0)
+	if err := win.finish(); err != nil {
 		return nil, err
 	}
-	m.Judge(interp.NewMachine(p, newEnv(stdin)), ref.TotalInstrs)
-	r, err := m.Run()
-	if err != nil {
-		return nil, err
-	}
-	if d := m.Divergence(); d != nil {
-		return nil, fmt.Errorf("sample: detailed run: %w", d)
-	}
+	r := win.results[0]
 	cpi := 0.0
-	if r.Committed > 0 {
-		cpi = float64(r.Cycles) / float64(r.Committed)
+	if r.instrs > 0 {
+		cpi = float64(r.cycles) / float64(r.instrs)
 	}
 	return &Estimate{
 		Params:         prm,
@@ -597,11 +595,11 @@ func runFullDetail(p *isa.Program, cfg core.Config, prm Params, stdin []byte, re
 		MeanCPI:        cpi,
 		CPILow:         cpi,
 		CPIHigh:        cpi,
-		EstCycles:      r.Cycles,
-		CyclesLow:      r.Cycles,
-		CyclesHi:       r.Cycles,
-		DetailedCycles: r.Cycles,
-		DetailedInstrs: r.Committed,
+		EstCycles:      r.cycles,
+		CyclesLow:      r.cycles,
+		CyclesHi:       r.cycles,
+		DetailedCycles: r.cycles,
+		DetailedInstrs: r.instrs,
 		Out:            ref.Out,
 		ExitCode:       ref.ExitCode,
 	}, nil

@@ -77,115 +77,6 @@ func captureTiming(tb testing.TB, p *isa.Program, cfg core.Config, at ...uint64)
 	return snaps
 }
 
-// testWarmer drives a WarmState the way the sampler's warming pass does
-// (internal/sample), in its plainest form: every load and store touches
-// the D-cache; every instruction of a run touches the I-cache when the
-// run ends (interp.Warmer), or when a capture flushes the open run; the
-// run's last instruction trains the branch predictor; every task exit
-// trains the sequencer's predictor and return stack; and a capture is
-// encoded at the first permitted point — the exact count in a program
-// without descriptors, a task boundary in one with — at or after each
-// scheduled count.
-type testWarmer struct {
-	m        *interp.Machine
-	ws       *core.WarmState
-	prog     *isa.Program
-	cur      *isa.TaskDescriptor
-	runStart uint32 // first instruction of the open run
-	at       []uint64
-	snaps    [][]byte
-}
-
-func (w *testWarmer) Mem(addr uint32, store bool) { w.ws.DCache.Touch(addr) }
-
-func (w *testWarmer) Retire(pc, next uint32) {
-	w.fetch(pc)
-	w.runStart = next
-	in := w.prog.InstrAt(pc)
-	taken := next != pc+isa.InstrSize
-	switch {
-	case in.Op.IsBranch():
-		w.ws.Branch.UpdateTaken(pc, taken, w.ws.Branch.PredictTaken(pc))
-	case in.Op == isa.OpJalr:
-		w.ws.Branch.UpdateIndirect(pc, next)
-	}
-	if w.ws.Multi && in.Stop.Holds(taken) {
-		w.boundary(next, in.Op == isa.OpJr)
-		if len(w.snaps) < len(w.at) && w.m.ICount+1 >= w.at[len(w.snaps)] {
-			w.capture(next, w.m.ICount+1)
-		}
-	}
-}
-
-// fetch touches the I-cache at every instruction of the open run up to
-// last.
-func (w *testWarmer) fetch(last uint32) {
-	for a := w.runStart; a <= last; a += isa.InstrSize {
-		w.ws.ICache.Touch(a)
-	}
-}
-
-// flush fetches the whole open run before a capture.
-func (w *testWarmer) flush() {
-	w.fetch(w.m.PC - isa.InstrSize)
-	w.runStart = w.m.PC
-}
-
-func (w *testWarmer) boundary(next uint32, byRet bool) {
-	if desc := w.cur; desc != nil && len(desc.Targets) > 0 {
-		idx := desc.TargetIndex(next)
-		if byRet {
-			idx = desc.TargetIndex(isa.TargetReturn)
-		}
-		if idx >= 0 {
-			if len(desc.Targets) > 1 {
-				hist := w.ws.TaskPred.History(desc.Entry)
-				pred := w.ws.TaskPred.Predict(desc.Entry) % len(desc.Targets)
-				w.ws.TaskPred.UpdateWith(hist, desc.Entry, idx, pred)
-			}
-			if desc.Targets[idx] == isa.TargetReturn {
-				w.ws.RAS.Pop()
-			}
-			if desc.PushRA != 0 && desc.Targets[idx] == desc.CallTarget {
-				w.ws.RAS.Push(desc.PushRA)
-			}
-		}
-	}
-	w.ws.DescCache.Touch(next)
-	w.cur = w.prog.TaskAt(next)
-}
-
-func (w *testWarmer) capture(pc uint32, icount uint64) {
-	w.ws.PC, w.ws.FCC, w.ws.ICount, w.ws.Regs = pc, w.m.FCC, icount, w.m.Regs
-	w.snaps = append(w.snaps, w.ws.Encode())
-}
-
-// captureWarm runs the functional machine under a testWarmer and returns
-// a warm capture per scheduled count plus one of the exited machine.
-func captureWarm(tb testing.TB, p *isa.Program, cfg core.Config, at ...uint64) [][]byte {
-	tb.Helper()
-	m := interp.NewMachine(p, interp.NewSysEnv())
-	w := &testWarmer{m: m, ws: core.NewWarmState(p, cfg), prog: p, cur: p.TaskAt(p.Entry), runStart: m.PC, at: at}
-	w.ws.Env, w.ws.Mem = m.Env, m.Mem
-	m.Warm = w
-	for i := 0; !w.ws.Multi && i < len(at); i++ {
-		if err := m.RunTo(at[i]); err != nil || m.ICount != at[i] {
-			tb.Fatalf("warming stopped at %d instructions, not %d: %v", m.ICount, at[i], err)
-		}
-		w.flush()
-		w.capture(m.PC, at[i])
-	}
-	if err := m.Run(1 << 30); err != nil {
-		tb.Fatal(err)
-	}
-	if len(w.snaps) != len(at) {
-		tb.Fatalf("warming ended after %d of %d captures", len(w.snaps), len(at))
-	}
-	w.flush()
-	w.capture(m.PC, m.ICount)
-	return w.snaps
-}
-
 // pinnedMachine is one timing configuration TestSnapshotBytesPinned
 // records: the workload's multiscalar build, or its scalar one.
 type pinnedMachine struct {
@@ -225,16 +116,6 @@ func snapshotHashes(t *testing.T) []string {
 	for _, name := range []string{"wc", "compress", "example"} {
 		sp := buildTB(t, name, asm.ModeScalar)
 		mp := buildTB(t, name, asm.ModeMultiscalar)
-
-		ref := interp.NewMachine(mp, interp.NewSysEnv())
-		if err := ref.Run(1 << 30); err != nil {
-			t.Fatal(err)
-		}
-		add(name, "warm-scalar", "nosink",
-			captureWarm(t, sp, core.ScalarConfig(1, false), 100, ref.ICount/2))
-		add(name, "warm-multiscalar", "nosink",
-			captureWarm(t, mp, core.DefaultConfig(4, 1, false), 100, ref.ICount/2))
-
 		for _, pm := range pinnedMachines() {
 			p := mp
 			if pm.scalar {
@@ -254,8 +135,8 @@ func snapshotHashes(t *testing.T) []string {
 }
 
 // TestSnapshotBytesPinned is the proof that a change to the state walks
-// moved no byte of the format: every Multiscalar.Save and WarmState.Encode the
-// recording names must hash to what it hashed to when the recording was
+// moved no byte of the format: every Multiscalar.Save the recording names
+// must hash to what it hashed to when the recording was
 // made. The recording's header says when it may be regenerated; a
 // failing run logs the whole recomputed body for that occasion.
 func TestSnapshotBytesPinned(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"multiscalar/internal/arb"
@@ -195,48 +196,6 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestInterpRoundTrip carries the functional machine's state across a
-// snapshot the one way the tree does, the sampler's: a warm capture
-// (registers, memory, syscall environment, instruction count) taken
-// mid-run at a task boundary and injected into a fresh timing machine
-// finishes the run with the functional machine's output, exit code and
-// instruction count. The multiscalar binary carries stop bits, so the
-// capture points are the task exits the interpreter counts.
-func TestInterpRoundTrip(t *testing.T) {
-	p := buildTB(t, "compress", asm.ModeMultiscalar)
-	full := interp.NewMachine(p, interp.NewSysEnv())
-	if err := full.Run(1 << 30); err != nil {
-		t.Fatal(err)
-	}
-	if full.TaskExits == 0 {
-		t.Fatal("multiscalar compress retired no task exit")
-	}
-
-	cfg := core.DefaultConfig(4, 1, false)
-	rng := rand.New(rand.NewSource(53))
-	for trial := 0; trial < 4; trial++ {
-		stop := 1 + uint64(rng.Int63n(int64(full.ICount*9/10)))
-		snap := captureWarm(t, p, cfg, stop)[0]
-		meta, err := snapshot.ReadHeader(snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := newTiming(t, p, cfg)
-		if err := m.InjectWarm(snap); err != nil {
-			t.Fatalf("InjectWarm: %v", err)
-		}
-		res, err := m.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Out != full.Env.Out.String() || res.ExitCode != full.Env.ExitCode ||
-			meta.Cycle < stop || meta.Cycle+res.Committed != full.ICount {
-			t.Errorf("run resumed from the capture at %d (asked for %d) diverged: %d+%d instructions, want %d; exit %d, want %d",
-				meta.Cycle, stop, meta.Cycle, res.Committed, full.ICount, res.ExitCode, full.Env.ExitCode)
-		}
-	}
-}
-
 // TestInterpStdinRoundTrip checks that a snapshot taken between reads of
 // the input stream repositions a fresh reader over it: a one-unit scalar
 // run, checkpointed at cycles across the run and resumed through
@@ -327,54 +286,46 @@ loop:
 }
 
 // TestRestoreErrors feeds truncated, foreign and corrupted snapshots to
-// all three restore paths (restorePaths): every case must return an error
-// (or load cleanly, for a benign flipped byte) without panicking.
+// Multiscalar.Restore: every case must return an error (or load cleanly,
+// for a benign flipped byte) without panicking, and a retired kind is
+// refused by name. The cases run under the name of the one restore path.
 func TestRestoreErrors(t *testing.T) {
-	paths := restorePaths(t)
-	snaps := make([][]byte, len(paths))
-	others := make([][]byte, len(paths))
-	for i, p := range paths {
-		snaps[i], others[i] = p.genuine(t)
-	}
-	for i, p := range paths {
-		t.Run(p.name, func(t *testing.T) {
-			snap := snaps[i]
-			if err := p.fresh(t)(snap); err != nil {
-				t.Fatalf("genuine capture rejected: %v", err)
+	snap, other := genuine(t)
+	t.Run("Multiscalar.Restore", func(t *testing.T) {
+		if err := restoreInto(t)(snap); err != nil {
+			t.Fatalf("genuine capture rejected: %v", err)
+		}
+		// Truncations at every length up to the header and a sample beyond.
+		for n := 0; n < len(snap); n += 1 + n/3 {
+			if err := restoreInto(t)(snap[:n]); err == nil {
+				t.Errorf("snap[:%d] accepted", n)
 			}
-			// Truncations at every length up to the header and a sample beyond.
-			for n := 0; n < len(snap); n += 1 + n/3 {
-				if err := p.fresh(t)(snap[:n]); err == nil {
-					t.Errorf("snap[:%d] accepted", n)
-				}
+		}
+		for _, kind := range retiredKinds {
+			err := restoreInto(t)(withKind(snap, kind))
+			if name := snapshot.KindName(kind); err == nil || !strings.Contains(err.Error(), name) {
+				t.Errorf("kind %d: error %v, want one naming %q", kind, err, name)
 			}
-			// Wrong kind — and, between the two InjectWarms, the right kind
-			// for the wrong machine: no path accepts another path's capture.
-			for j, q := range paths {
-				if j != i && p.fresh(t)(snaps[j]) == nil {
-					t.Errorf("accepted a capture made for %s", q.name)
-				}
-			}
-			// Bad magic.
+		}
+		// Bad magic.
+		bad := append([]byte{}, snap...)
+		bad[0] ^= 0xff
+		if err := restoreInto(t)(bad); err == nil {
+			t.Error("bad magic accepted")
+		}
+		// Random single-byte corruptions must never panic (they may load as
+		// an error or as a valid-but-different state).
+		rng := rand.New(rand.NewSource(59))
+		for trial := 0; trial < 64; trial++ {
 			bad := append([]byte{}, snap...)
-			bad[0] ^= 0xff
-			if err := p.fresh(t)(bad); err == nil {
-				t.Error("bad magic accepted")
-			}
-			// Random single-byte corruptions must never panic (they may load
-			// as an error or as a valid-but-different state).
-			rng := rand.New(rand.NewSource(59))
-			for trial := 0; trial < 64; trial++ {
-				bad := append([]byte{}, snap...)
-				bad[rng.Intn(len(bad))] ^= byte(1 + rng.Intn(255))
-				p.fresh(t)(bad) //nolint:errcheck
-			}
-			// A capture for a different geometry must be rejected.
-			if p.fresh(t)(others[i]) == nil {
-				t.Error("capture from a machine of another geometry accepted")
-			}
-		})
-	}
+			bad[rng.Intn(len(bad))] ^= byte(1 + rng.Intn(255))
+			restoreInto(t)(bad) //nolint:errcheck
+		}
+		// A capture for a different geometry must be rejected.
+		if restoreInto(t)(other) == nil {
+			t.Error("capture from a machine of another geometry accepted")
+		}
+	})
 }
 
 // TestHostileCountsDoNotAmplify: a count field is checked against the
@@ -384,57 +335,44 @@ func TestRestoreErrors(t *testing.T) {
 // byte per claimed page, which a check that assumed one-byte elements
 // let through to a page map pre-sized for a million entries.
 func TestHostileCountsDoNotAmplify(t *testing.T) {
-	for _, p := range restorePaths(t) {
-		snap, _ := p.genuine(t)
-		at := bytes.Index(snap, []byte("MEMP"))
-		if at < 0 {
-			t.Fatalf("%s: no memory section in a genuine capture", p.name)
-		}
-		hostile := append([]byte{}, snap[:at+4]...)
-		hostile = append(hostile, 0x00, 0x10, 0x00, 0x00) // 1<<20 pages
-		hostile = append(hostile, make([]byte, 1<<20+512)...)
-		load := p.fresh(t)
+	snap, _ := genuine(t)
+	at := bytes.Index(snap, []byte("MEMP"))
+	if at < 0 {
+		t.Fatal("no memory section in a genuine capture")
+	}
+	hostile := append([]byte{}, snap[:at+4]...)
+	hostile = append(hostile, 0x00, 0x10, 0x00, 0x00) // 1<<20 pages
+	hostile = append(hostile, make([]byte, 1<<20+512)...)
+	load := restoreInto(t)
 
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		err := load(hostile)
-		runtime.ReadMemStats(&after)
-		if err == nil {
-			t.Errorf("%s: hostile page count accepted", p.name)
-		}
-		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*len(hostile)); got > limit {
-			t.Errorf("%s: loading %d hostile bytes allocated %d (limit %d)", p.name, len(hostile), got, limit)
-		}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := load(hostile)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Error("hostile page count accepted")
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*len(hostile)); got > limit {
+		t.Errorf("loading %d hostile bytes allocated %d (limit %d)", len(hostile), got, limit)
 	}
 }
 
-// TestHeader checks the header metadata of both surviving kinds: a
-// timing machine's snapshot carries its capture cycle, a warm capture
-// its instruction count.
+// TestHeader checks the header metadata: a timing machine's snapshot
+// carries its kind, the format version and its capture cycle.
 func TestHeader(t *testing.T) {
 	p := buildTB(t, "wc", asm.ModeScalar)
-	cfg := core.ScalarConfig(1, false)
-	for _, c := range []struct {
-		snap []byte
-		kind uint8
-		ok   func(cycle uint64) bool
-	}{
-		{captureTiming(t, p, cfg, 100)[0], snapshot.KindMultiscalar, func(cycle uint64) bool { return cycle >= 100 }},
-		{captureWarm(t, p, cfg, 100)[0], snapshot.KindWarm, func(cycle uint64) bool { return cycle == 100 }},
-	} {
-		meta, err := snapshot.ReadHeader(c.snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if meta.Kind != c.kind {
-			t.Errorf("header kind = %d, want %d", meta.Kind, c.kind)
-		}
-		if meta.Version != snapshot.Version {
-			t.Errorf("header version = %d, want %d", meta.Version, snapshot.Version)
-		}
-		if !c.ok(meta.Cycle) {
-			t.Errorf("%s: header cycle = %d, not the capture point 100", snapshot.KindName(c.kind), meta.Cycle)
-		}
+	meta, err := snapshot.ReadHeader(captureTiming(t, p, core.ScalarConfig(1, false), 100)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.Kind != snapshot.KindMultiscalar {
+		t.Errorf("header kind = %d, want %d", meta.Kind, snapshot.KindMultiscalar)
+	}
+	if meta.Version != snapshot.Version {
+		t.Errorf("header version = %d, want %d", meta.Version, snapshot.Version)
+	}
+	if meta.Cycle < 100 {
+		t.Errorf("header cycle = %d, before the capture point 100", meta.Cycle)
 	}
 	if _, err := snapshot.ReadHeader([]byte("short")); err == nil {
 		t.Error("ReadHeader(short) = nil error")

@@ -38,29 +38,24 @@ import (
 const magic = "MSSNAP"
 
 // Version is the current snapshot format version. Version 3 added the
-// capture-point cycle (instruction count for a warm capture) to the
-// header, so tools can describe an opaque snapshot without decoding
-// its body. Version 4 added the functional machine's task-exit count
-// beside its other class counts. Retiring that machine's kind (1) later
-// moved no byte of a surviving kind, so the version stayed 4. Version 5
-// added each register file's written mask (the registers its task wrote,
-// which its retire publishes).
+// capture-point cycle to the header, so tools can describe an opaque
+// snapshot without decoding its body. Version 4 added the functional
+// machine's task-exit count beside its other class counts. Retiring that
+// machine's kind (1) later moved no byte of a surviving kind, so the
+// version stayed 4. Version 5 added each register file's written mask
+// (the registers its task wrote, which its retire publishes). Retiring
+// the warm kind (4) moved no byte of the surviving kind either.
 const Version = 5
 
-// Machine kinds, stored in the header so a snapshot cannot be fed to
-// the wrong Restore. 1 and 2 are retired, and a snapshot carrying either
-// is refused by name like any other wrong kind. 1 was the functional
-// machine's, which nothing saved or restored outside its own tests. 2
-// was the separate scalar timing machine's, whose runs are now
-// KindMultiscalar runs on one unit.
-const (
-	KindMultiscalar uint8 = 3
-	// KindWarm is not a machine: it is the architectural-plus-warm state
-	// the sampled-simulation engine captures during functional-warm
-	// fast-forward and injects into a fresh timing machine at the start
-	// of a detailed measurement window (internal/sample, docs/perf.md).
-	KindWarm uint8 = 4
-)
+// KindMultiscalar is the one machine kind, stored in the header so a
+// snapshot cannot be fed to the wrong Restore. Kinds 1, 2 and 4 are
+// retired, and a snapshot carrying one is refused by name like any other
+// wrong kind. 1 was the functional machine's, which nothing saved or
+// restored outside its own tests. 2 was the separate scalar timing
+// machine's, whose runs are now KindMultiscalar runs on one unit. 4 was
+// the sampler's warm state, which it now hands to each window as a value
+// (core.WarmState), never as bytes.
+const KindMultiscalar uint8 = 3
 
 // headerSize is len(magic) + version (u16) + kind (u8) + cycle (u64).
 const headerSize = len(magic) + 3 + 8
@@ -74,8 +69,8 @@ func KindName(kind uint8) string {
 		return "scalar (a kind retired with the separate scalar machine)"
 	case KindMultiscalar:
 		return "multiscalar"
-	case KindWarm:
-		return "warm"
+	case 4:
+		return "warm (a kind retired when warm state became a value)"
 	}
 	return fmt.Sprintf("kind(%d)", kind)
 }
@@ -85,8 +80,7 @@ func KindName(kind uint8) string {
 type Meta struct {
 	Version uint16
 	Kind    uint8
-	// Cycle is the capture point: the machine cycle for the timing
-	// machine, the dynamic instruction count for warm-state captures.
+	// Cycle is the capture point: the machine cycle.
 	Cycle uint64
 }
 

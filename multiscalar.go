@@ -274,8 +274,10 @@ type SampleEstimate = sample.Estimate
 // instead of simulating every cycle. The sampling regime (window,
 // warm-up, period) is derived from the run, and the estimate reports it.
 // It honors cfg.MaxCycles, WithStdin and WithMaxInstrs; WithTrace does
-// not apply, and the run is not judged (the functional pass is the run's
-// oracle by construction).
+// not apply. Every detailed window is judged like Run: a functional
+// machine started from the window's warm state steps beside it, and a
+// divergence is the error. The estimate's output and exit code are the
+// functional pass's.
 func RunSampled(p *Program, cfg Config, opts ...RunOption) (*SampleEstimate, error) {
 	o, err := gather(p, cfg, opts)
 	if err != nil {

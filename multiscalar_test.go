@@ -93,15 +93,21 @@ func TestFacadeRejectsUnannotated(t *testing.T) {
 // every entry point the removed pre-options wrappers offered: a mode-
 // selected build with its line table, a multiscalar run, a scalar run
 // (the one-unit configuration on a binary without descriptors), each
-// judged against the oracle.
+// judged against the oracle, and a sampled estimate, whose output and
+// exit code are the run's.
 func TestFacadeOptionsReplaceWrappers(t *testing.T) {
 	full, err := multiscalar.Assemble(apiDemo, multiscalar.WithMode(multiscalar.ModeMultiscalar))
 	if err != nil || full.Prog == nil || len(full.Lines) == 0 {
 		t.Fatalf("Assemble(WithMode) = %+v, %v", full, err)
 	}
 	prog := full.Prog
-	if res, err := multiscalar.Run(prog, multiscalar.DefaultConfig(4, 1, false)); err != nil || res.TasksRetired == 0 || res.Out != "1275" {
+	cfg := multiscalar.DefaultConfig(4, 1, false)
+	res, err := multiscalar.Run(prog, cfg)
+	if err != nil || res.TasksRetired == 0 || res.Out != "1275" {
 		t.Fatalf("multiscalar Run = %+v, %v", res, err)
+	}
+	if est, err := multiscalar.RunSampled(prog, cfg); err != nil || est.Out != res.Out || est.ExitCode != res.ExitCode {
+		t.Fatalf("RunSampled = %+v, %v; Run printed %q and exited %d", est, err, res.Out, res.ExitCode)
 	}
 	sc, err := multiscalar.Assemble(apiDemo)
 	if err != nil || len(sc.Prog.Tasks) != 0 {
