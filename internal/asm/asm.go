@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"strings"
@@ -150,10 +151,12 @@ type assembler struct {
 	entry   string // .global name
 
 	// Pass 1 lexes every line into one token buffer and splits operands
-	// into one operand buffer; only what pass 2 reads again (instruction
+	// into one operand buffer; a data operand that is not a plain literal
+	// is lexed into opToks. Only what pass 2 reads again (instruction
 	// operands, symbolic .word operands, .task lines) is copied out, into
 	// the arenas.
 	ops      [][]token
+	opToks   []token
 	tokArena []token
 	opArena  [][]token
 }
@@ -169,6 +172,16 @@ func retain[T any](arena *[]T, s []T) []T {
 	n := len(*arena)
 	*arena = append(*arena, s...)
 	return (*arena)[n:len(*arena):len(*arena)]
+}
+
+// unread returns err for a line whose data operands, rest, the lexer
+// left unread, unless lexing them fails: a lexing error anywhere in a
+// line outranks every other error in it, as when lines were lexed whole.
+func (a *assembler) unread(line int, rest string, err error) error {
+	if _, _, lerr := lexLine(a.opToks[:0], rest, false); lerr != nil {
+		return a.errf(line, "%v", lerr)
+	}
+	return err
 }
 
 func (a *assembler) errf(line int, format string, args ...interface{}) error {
@@ -194,11 +207,13 @@ func (a *assembler) define(line int, name string) error {
 
 func (a *assembler) pass1(src string) error {
 	a.textPos = isa.TextBase
-	// A numeric data value takes at least two source bytes and usually
-	// four or more, an .ascii byte about one: the segment outgrows this
-	// in at most a few steps, and their number does not grow with the
-	// source.
-	a.data = make([]byte, 0, len(src)/4)
+	// The data segment is reserved once. An .ascii byte costs at least
+	// one source byte and a .byte value two; a .word value costs at least
+	// two for its four bytes, but the suite's word tables spend three or
+	// more, so an eighth on top of the source holds every table the
+	// generators write. Only .space and .align outgrow it, by their own
+	// size. Pass 2 trims the segment to its real size.
+	a.data = make([]byte, 0, len(src)+len(src)/8)
 	var toks []token
 	for line := 1; len(src) > 0; line++ {
 		raw := src
@@ -208,10 +223,11 @@ func (a *assembler) pass1(src string) error {
 			src = ""
 		}
 		var err error
-		if toks, err = lexLine(toks[:0], raw); err != nil {
+		var rest string
+		if toks, rest, err = lexLine(toks[:0], raw, true); err != nil {
 			return a.errf(line, "%v", err)
 		}
-		if err := a.statement(line, toks); err != nil {
+		if err := a.statement(line, toks, rest); err != nil {
 			return err
 		}
 	}
@@ -219,29 +235,25 @@ func (a *assembler) pass1(src string) error {
 }
 
 // statement handles the tokens of one line in pass 1. toks is the lexer's
-// buffer: whatever must outlive the line is copied with retain.
-func (a *assembler) statement(line int, toks []token) error {
+// buffer: whatever must outlive the line is copied with retain. rest is
+// the operand list of a data directive that heads the line, which the
+// lexer left unread.
+func (a *assembler) statement(line int, toks []token, rest string) error {
 	// Leading labels: IDENT ':'.
 	labels := toks
 	for len(toks) >= 2 && toks[0].kind == tokIdent && toks[1].is(':') {
 		toks = toks[2:]
 	}
 	labels = labels[:len(labels)-len(toks)]
+	kind, isData := dataHead(toks)
 	// A label on the same line as an aligning data directive must
 	// name the aligned address, so align before defining it.
-	if a.inData && len(toks) > 0 && toks[0].kind == tokDirective {
-		switch toks[0].text {
-		case ".half":
-			a.alignData(2)
-		case ".word", ".float":
-			a.alignData(4)
-		case ".double":
-			a.alignData(8)
-		}
+	if a.inData && isData {
+		a.alignData(dataAlign[kind])
 	}
 	for i := 0; i < len(labels); i += 2 {
 		if err := a.define(line, labels[i].text); err != nil {
-			return err
+			return a.unread(line, rest, err)
 		}
 	}
 	if len(toks) == 0 {
@@ -254,12 +266,16 @@ func (a *assembler) statement(line int, toks []token) error {
 			want = ModeScalar
 		}
 		if a.mode != want {
-			return nil
+			return a.unread(line, rest, nil)
 		}
 		toks = toks[1:]
 		if len(toks) == 0 {
 			return nil
 		}
+		kind, isData = dataHead(toks)
+	}
+	if isData {
+		return a.dataValues(line, toks[0].text, kind, rest)
 	}
 	if toks[0].kind == tokDirective {
 		return a.directive(line, toks)
@@ -360,10 +376,11 @@ func (a *assembler) splitOperands(toks []token) ([][]token, error) {
 }
 
 func (a *assembler) pass2() error {
-	// The segment at its real size: a.data still carries its append
-	// slack, and the program keeps Data for as long as it lives.
-	a.prog.Data = make([]byte, len(a.data))
-	copy(a.prog.Data, a.data)
+	// The segment at its real size: a.data still carries the rest of its
+	// reservation, and the program keeps Data for as long as it lives.
+	// (A clone is allocated without zeroing first, rounded up only to its
+	// size class.)
+	a.prog.Data = bytes.Clone(a.data)
 	// Resolve entry.
 	entryName := a.entry
 	if entryName == "" {

@@ -1,6 +1,7 @@
 package asm_test
 
 import (
+	"fmt"
 	"testing"
 
 	"multiscalar/internal/asm"
@@ -25,10 +26,18 @@ func benchAssemble(b *testing.B, name string, scale int) {
 	}
 }
 
-// BenchmarkAssembleDataHeavy: wc at 32x table scale, 612 KB of source of
-// which all but 2 KB is .ascii lines (512 KB of data) — the kind of
-// source a long sampled run builds.
-func BenchmarkAssembleDataHeavy(b *testing.B) { benchAssemble(b, "wc", 8192) }
+// BenchmarkAssembleDataHeavy: the ledger's two sampled_long builds —
+// example@14400, 1.4 MB of .word lines, and wc@32768, 2.4 MB of .ascii
+// lines — and gcc@51200, 0.8 MB of .word node table: the kinds of
+// source a long run builds.
+func BenchmarkAssembleDataHeavy(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		scale int
+	}{{"example", 14400}, {"wc", 32768}, {"gcc", 51200}} {
+		b.Run(fmt.Sprintf("%s@%d", c.name, c.scale), func(b *testing.B) { benchAssemble(b, c.name, c.scale) })
+	}
+}
 
 // BenchmarkAssembleTextHeavy: xlisp at its test scale, 71 instruction and
 // directive lines to 13 lines of cell table.
@@ -38,18 +47,25 @@ func BenchmarkAssembleTextHeavy(b *testing.B) {
 
 // TestAllocationsIndependentOfDataValues: pass 1 allocates per
 // instruction line and per buffer doubling, never per data value — four
-// times the .byte values of a source cost under a tenth more allocations.
+// times the data values of a source cost under a tenth more allocations.
+// The sources cover each way a value is spelled: wc's .ascii lines,
+// example's .word table and cmp's .byte buffers.
 func TestAllocationsIndependentOfDataValues(t *testing.T) {
-	allocs := func(scale int) float64 {
-		src := workloads.Get("wc").Source(scale)
-		return testing.AllocsPerRun(5, func() {
-			if _, err := asm.AssembleOpts(src, asm.Options{Mode: asm.ModeMultiscalar}); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	small, large := allocs(512), allocs(2048)
-	if large >= 1.1*small {
-		t.Errorf("allocations follow the data: %.0f at 32768 values, %.0f at 131072", small, large)
+	for _, c := range []struct {
+		name         string
+		small, large int
+	}{{"wc", 512, 2048}, {"example", 450, 1800}, {"cmp", 256, 1024}} {
+		allocs := func(scale int) float64 {
+			src := workloads.Get(c.name).Source(scale)
+			return testing.AllocsPerRun(5, func() {
+				if _, err := asm.AssembleOpts(src, asm.Options{Mode: asm.ModeMultiscalar}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		small, large := allocs(c.small), allocs(c.large)
+		if large >= 1.1*small {
+			t.Errorf("%s: allocations follow the data: %.0f at scale %d, %.0f at %d", c.name, small, c.small, large, c.large)
+		}
 	}
 }

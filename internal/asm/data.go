@@ -17,7 +17,8 @@ const maxData = int(isa.HeapBase - isa.DataBase)
 // a segment that fits cannot make it overflow.
 const maxAlignShift = 28
 
-// directive handles one directive line during pass 1.
+// directive handles one directive line other than a data directive
+// during pass 1.
 func (a *assembler) directive(line int, toks []token) error {
 	d := toks[0].text
 	rest := toks[1:]
@@ -60,70 +61,97 @@ func (a *assembler) directive(line int, toks []token) error {
 		}
 		a.data = append(a.data, make([]byte, rest[0].num)...)
 		return nil
-	case ".byte", ".half", ".word", ".float", ".double", ".ascii", ".asciiz":
-		if !a.inData {
-			return a.errf(line, "%s only valid in .data", d)
-		}
-		if err := a.dataValues(line, d, rest); err != nil {
-			return err
-		}
-		if len(a.data) > maxData {
-			return a.errf(line, "data segment exceeds %d bytes", maxData)
-		}
-		return nil
 	default:
 		return a.errf(line, "unknown directive %q", d)
 	}
 }
 
 // alignData pads the data segment to a multiple of n, a power of two.
+// (Appending a make grows the segment in place, with no temporary.)
 func (a *assembler) alignData(n int) {
 	a.data = append(a.data, make([]byte, -len(a.data)&(n-1))...)
 }
 
-func (a *assembler) dataValues(line int, d string, toks []token) error {
+// dataValues handles a line headed by the data directive d, of the
+// kind, and writes its operands, the text after it, into the data
+// segment. A plain literal — a signed decimal integer, or a string for
+// .ascii and .asciiz — that is the whole operand is read where it
+// stands, without a token. From the first operand that is not one, the
+// rest of the line is lexed and split whole and goes through constExpr,
+// floatConst or a pass-2 patch (tokenValues), so the line's errors keep
+// the text and the rank they had when every line was lexed whole.
+func (a *assembler) dataValues(line int, d string, kind dataKind, text string) error {
+	if !a.inData {
+		return a.unread(line, text, a.errf(line, "%s only valid in .data", d))
+	}
+	a.alignData(dataAlign[kind])
+	data := a.data // the segment stays in registers while the line is read
+	i, some := 0, false
+	for {
+		j, ok := 0, false
+		if i = blanks(text, i); i < len(text) {
+			if kind < dataASCII {
+				data, j, ok = integers(data, kind, text, i)
+			} else {
+				data, j, ok = stringLiteral(data, kind, text, i)
+			}
+		}
+		if !ok {
+			break
+		}
+		if some = true; j == len(text) || text[j] != ',' {
+			a.data = data // the line ends
+			return a.checkSize(line)
+		}
+		i = j + 1
+	}
+	a.data = data
+	if err := a.tokenValues(line, d, kind, text[i:], some); err != nil {
+		return err
+	}
+	return a.checkSize(line)
+}
+
+// tokenValues writes the operands in text, the rest of a data line from
+// its first operand that is not a plain literal, through tokens. some
+// reports whether the line wrote values before text. (Nothing before
+// text can have failed to lex or to split, so text's first error is the
+// line's.)
+func (a *assembler) tokenValues(line int, d string, kind dataKind, text string, some bool) error {
+	toks, _, err := lexLine(a.opToks[:0], text, false)
+	if err != nil {
+		return a.errf(line, "%v", err)
+	}
+	a.opToks = toks
 	ops, err := a.splitOperands(toks)
 	if err != nil {
 		return a.errf(line, "%v", err)
 	}
 	if len(ops) == 0 {
+		if some {
+			return a.errf(line, "trailing comma")
+		}
 		return a.errf(line, "%s wants at least one value", d)
 	}
-	switch d {
-	case ".ascii", ".asciiz":
-		for _, op := range ops {
-			if len(op) != 1 || op[0].kind != tokString {
-				return a.errf(line, "%s wants string literals", d)
-			}
-			a.data = appendString(a.data, op[0].text)
-			if d == ".asciiz" {
-				a.data = append(a.data, 0)
-			}
-		}
-		return nil
-	case ".byte", ".half":
-		size := 1
-		if d == ".half" {
-			size = 2
-			a.alignData(2)
-		}
-		for _, op := range ops {
+	for _, op := range ops {
+		switch kind {
+		case dataASCII, dataASCIIZ:
+			// A string literal that is the whole operand was read in
+			// place, so the first operand here is not one.
+			return a.errf(line, "%s wants string literals", d)
+		case dataByte, dataHalf:
 			v, err := constExpr(op)
 			if err != nil {
 				return a.errf(line, "%s: %v (symbols are only allowed in .word)", d, err)
 			}
-			if size == 1 {
+			if kind == dataByte {
 				a.data = append(a.data, byte(v))
 			} else {
 				a.data = binary.BigEndian.AppendUint16(a.data, uint16(v))
 			}
-		}
-		return nil
-	case ".word":
-		a.alignData(4)
-		for _, op := range ops {
-			// A plain constant is final now; anything else (a symbol, a
-			// sum, a malformed operand) is pass 2's to evaluate or reject.
+		case dataWord:
+			// A constant is final now; anything else (a symbol, a sum, a
+			// malformed operand) is pass 2's to evaluate or reject.
 			v, err := constExpr(op)
 			if err != nil {
 				a.patches = append(a.patches, pendingPatch{
@@ -131,28 +159,168 @@ func (a *assembler) dataValues(line int, d string, toks []token) error {
 				})
 			}
 			a.data = binary.BigEndian.AppendUint32(a.data, uint32(v))
-		}
-		return nil
-	case ".float", ".double":
-		size := 4
-		if d == ".double" {
-			size = 8
-		}
-		a.alignData(size)
-		for _, op := range ops {
+		default: // .float, .double
 			f, err := floatConst(op)
 			if err != nil {
 				return a.errf(line, "%s: %v", d, err)
 			}
-			if size == 4 {
-				a.data = binary.BigEndian.AppendUint32(a.data, math.Float32bits(float32(f)))
-			} else {
-				a.data = binary.BigEndian.AppendUint64(a.data, math.Float64bits(f))
+			a.data = appendFloat(a.data, kind, f)
+		}
+	}
+	return nil
+}
+
+// checkSize reports a data segment grown past its end.
+func (a *assembler) checkSize(line int) error {
+	if len(a.data) > maxData {
+		return a.errf(line, "data segment exceeds %d bytes", maxData)
+	}
+	return nil
+}
+
+// dataKind is what a data directive's values are.
+type dataKind uint8
+
+const (
+	dataByte dataKind = iota
+	dataHalf
+	dataWord
+	dataFloat
+	dataDouble
+	dataASCII
+	dataASCIIZ
+)
+
+// dataAlign is the alignment of each kind's values.
+var dataAlign = [...]int{1, 2, 4, 4, 8, 1, 1}
+
+// dataKindOf returns the kind of the data directive d, or false if d is
+// not one.
+func dataKindOf(d string) (dataKind, bool) {
+	switch d {
+	case ".byte":
+		return dataByte, true
+	case ".half":
+		return dataHalf, true
+	case ".word":
+		return dataWord, true
+	case ".float":
+		return dataFloat, true
+	case ".double":
+		return dataDouble, true
+	case ".ascii":
+		return dataASCII, true
+	case ".asciiz":
+		return dataASCIIZ, true
+	}
+	return 0, false
+}
+
+// dataHead returns the kind of the data directive that toks starts with,
+// or false if they start with something else.
+func dataHead(toks []token) (dataKind, bool) {
+	if len(toks) == 0 || toks[0].kind != tokDirective {
+		return 0, false
+	}
+	return dataKindOf(toks[0].text)
+}
+
+// stringLiteral writes the operand at text[i] to data if it is a plain
+// string literal and the whole operand, and returns the index of the
+// comma or line end after it.
+func stringLiteral(data []byte, kind dataKind, text string, i int) ([]byte, int, bool) {
+	if text[i] != '"' {
+		return data, i, false
+	}
+	n := len(data)
+	q, err := lexString(text, i, &data)
+	if err != nil {
+		return data[:n], i, false
+	}
+	j := blanks(text, q+1)
+	if !end(text, j) && text[j] != ',' {
+		return data[:n], i, false
+	}
+	if kind == dataASCIIZ {
+		data = append(data, 0)
+	}
+	return data, j, true
+}
+
+// integers writes the run of operands from text[i] on that are each a
+// plain signed decimal integer and the whole operand, and returns the
+// index of the comma or line end after the last of them; ok is false if
+// the operand at text[i] is not one. The common spelling, a comma right
+// after each value, is checked first.
+func integers(data []byte, kind dataKind, text string, i int) (_ []byte, j int, ok bool) {
+	for j = i; ; {
+		k := i
+		if text[k] == '-' || text[k] == '+' {
+			k++
+		}
+		if k == len(text) || text[k]-'0' > 9 {
+			return data, j, ok // not an integer, or no operand at all
+		}
+		u, k, plain := decimal(text, k)
+		if !plain {
+			return data, j, ok
+		}
+		if k < len(text) && text[k] != ',' {
+			if k = blanks(text, k); !end(text, k) && text[k] != ',' {
+				return data, j, ok
 			}
 		}
-		return nil
+		v := u
+		if text[i] == '-' {
+			v = -u
+		}
+		switch kind {
+		case dataByte:
+			data = append(data, byte(v))
+		case dataHalf:
+			data = binary.BigEndian.AppendUint16(data, uint16(v))
+		case dataWord:
+			data = binary.BigEndian.AppendUint32(data, uint32(v))
+		default: // a float's sign applies to the converted value
+			f := float64(u)
+			if text[i] == '-' {
+				f = -f
+			}
+			data = appendFloat(data, kind, f)
+		}
+		j, ok = k, true
+		if k == len(text) || text[k] != ',' {
+			return data, j, ok // the line ends
+		}
+		i = blanks(text, k+1)
+		if i == len(text) {
+			return data, j, ok // a trailing comma: dataValues reports it
+		}
 	}
-	return a.errf(line, "unknown data directive %q", d)
+}
+
+// appendFloat appends f as a .float or a .double value.
+func appendFloat(data []byte, kind dataKind, f float64) []byte {
+	if kind == dataFloat {
+		return binary.BigEndian.AppendUint32(data, math.Float32bits(float32(f)))
+	}
+	return binary.BigEndian.AppendUint64(data, math.Float64bits(f))
+}
+
+// blanks returns the index of the first byte at or after i that is not a
+// blank.
+func blanks(text string, i int) int {
+	for i < len(text) && (text[i] == ' ' || text[i] == '\t' || text[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// end reports whether the line ends at text[i]: no more text, or a
+// comment.
+func end(text string, i int) bool {
+	return i == len(text) || text[i] == ';' || text[i] == '#' ||
+		(text[i] == '/' && i+1 < len(text) && text[i+1] == '/')
 }
 
 var (

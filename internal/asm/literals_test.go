@@ -87,7 +87,7 @@ func TestNumericLiterals(t *testing.T) {
 		{in: "x", float: true, err: "expected float constant"},
 	}
 	for _, tc := range cases {
-		toks, err := lexLine(nil, tc.in)
+		toks, _, err := lexLine(nil, tc.in, false)
 		var got int64
 		var gotF float64
 		if err == nil {

@@ -8,6 +8,7 @@ import (
 	"multiscalar/internal/arb"
 	"multiscalar/internal/interp"
 	"multiscalar/internal/isa"
+	"multiscalar/internal/mem"
 )
 
 // Lockstep judgement of a run (DESIGN.md §5). A judged machine steps a
@@ -22,11 +23,14 @@ type Divergence string
 // The comparisons, in the order a retire makes them: the committed count
 // first (when the counts differ the rest compares unlike states), then
 // the next PC, the 64 registers, the drained chunks and the new output.
-// The run end compares the count, the output and the exit code.
+// The run end compares the count, the output and the exit code. A
+// descriptor-less run paused at its commit limit compares the count, the
+// registers, the FCC, the output and memory.
 const (
 	DivCommitted Divergence = "committed count"
 	DivNextPC    Divergence = "next PC"
 	DivRegister  Divergence = "register"
+	DivFCC       Divergence = "FCC"
 	DivMemory    Divergence = "memory"
 	DivOutput    Divergence = "output"
 	DivExitCode  Divergence = "exit code"
@@ -72,7 +76,9 @@ type judge struct {
 // count and compares the committed count, the next PC, all 64 committed
 // registers bit for bit, every chunk the head's drain wrote and the
 // output written since the previous retire; the run end compares the
-// count, the output and the exit code. The first difference is recorded
+// count, the output and the exit code. A program without descriptors
+// retires its one implicit task only at its end, so a run of one paused
+// at its commit limit (SetCommitLimit) is judged at the pause too. The first difference is recorded
 // and the run goes on to its end (Divergence). An error of co itself, the
 // bound included, ends the run with that error. A machine restored from a
 // snapshot is judged too: co catches up to the restored count at the
@@ -116,12 +122,67 @@ func (j *judge) retire(m *Multiscalar, ts *taskState, next uint32, now uint64) e
 	case j.count(m, &d):
 	case j.co.PC != next:
 		d.What, d.Timing, d.Functional = DivNextPC, fmt.Sprintf("0x%x", next), fmt.Sprintf("0x%x", j.co.PC)
-	case j.registers(m, &d), j.memory(m, &d), j.output(m, &d):
+	case j.registers(&m.archRegs, &d), j.memory(m, &d), j.output(m, &d):
 	default:
 		return nil
 	}
 	j.record(m, ts, now, d)
 	return nil
+}
+
+// pause judges a descriptor-less run stopped at its commit limit, in the
+// middle of its implicit task: the instructions the one unit has retired
+// are the committed ones, its register file and FCC the committed state,
+// and memory the ARB's view for it over the backing store. Memory is
+// compared only while no store has reached it ahead of its retire.
+func (j *judge) pause(m *Multiscalar) error {
+	if j.first != nil {
+		return nil
+	}
+	n := m.committedNow()
+	if err := j.catchUp(n); err != nil {
+		return err
+	}
+	u := m.units[0]
+	var d DivergenceError
+	switch {
+	case j.co.ICount != n:
+		d.What, d.Timing, d.Functional = DivCommitted, fmt.Sprint(n), fmt.Sprint(j.co.ICount)
+	case j.registers(&m.rfs[0].Vals, &d):
+	case u.FCC() != j.co.FCC:
+		d.What, d.Timing, d.Functional = DivFCC, fmt.Sprint(u.FCC()), fmt.Sprint(j.co.FCC)
+	case j.output(m, &d):
+	case !u.StoreAhead() && j.pausedMemory(m, &d):
+	default:
+		return nil
+	}
+	d.Task, d.Entry, d.Retire, d.Cycle = m.implicit.Name, m.implicit.Entry, m.tasksRetired, m.now
+	j.first = &d
+	return nil
+}
+
+// pausedMemory compares memory as the paused implicit task sees it —
+// the chunks it holds in the ARB, then every page either memory has
+// written — with the functional machine's.
+func (j *judge) pausedMemory(m *Multiscalar, d *DivergenceError) bool {
+	view := arb.View{ARB: m.ARB, Unit: m.Head, Head: m.Head, Active: m.Active, Backing: m.Backing}
+	differs := func(a uint32) bool {
+		t, f := view.Byte(a), j.co.Mem.Byte(a)
+		if t == f {
+			return false
+		}
+		d.What, d.Where = DivMemory, fmt.Sprintf("0x%x", a)
+		d.Timing, d.Functional = fmt.Sprintf("0x%02x", t), fmt.Sprintf("0x%02x", f)
+		return true
+	}
+	for _, c := range m.ARB.StoreChunks(m.Head, nil) {
+		for a := c; a < c+arb.ChunkBytes; a++ {
+			if differs(a) {
+				return true
+			}
+		}
+	}
+	return mem.Diff(m.Backing, j.co.Mem, differs)
 }
 
 // end judges the run end, after the head executed the exit.
@@ -169,11 +230,11 @@ func (j *judge) count(m *Multiscalar, d *DivergenceError) bool {
 	return true
 }
 
-// registers compares the committed register file with the functional
+// registers compares a committed register file with the functional
 // machine's, bit for bit.
-func (j *judge) registers(m *Multiscalar, d *DivergenceError) bool {
-	for r := range m.archRegs {
-		if t, f := m.archRegs[r], j.co.Regs[r]; !sameBits(t, f) {
+func (j *judge) registers(regs *[isa.NumRegs]interp.Value, d *DivergenceError) bool {
+	for r := range regs {
+		if t, f := regs[r], j.co.Regs[r]; !sameBits(t, f) {
 			d.What, d.Where, d.Timing, d.Functional = DivRegister, isa.Reg(r).String(), regText(t), regText(f)
 			return true
 		}

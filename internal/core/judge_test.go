@@ -195,6 +195,77 @@ func TestJudgePlantedDivergences(t *testing.T) {
 	}
 }
 
+// TestJudgePausedScalarRun: a program without descriptors retires its
+// one implicit task only at its end, so a run of one paused at a commit
+// limit is judged at the pause: the count, the registers, the FCC, the
+// output and — while no store has reached memory ahead of its retire —
+// memory. Each plant comes back at the first pause, at every limit, and
+// the healthy run pauses and resumes without one.
+func TestJudgePausedScalarRun(t *testing.T) {
+	p, err := asm.Assemble(fmt.Sprintf(plantSrc, "8", "bnez", "65", "", "0"), asm.ModeScalar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, _ := p.Symbol("buf")
+	cfg := ScalarConfig(2, true)
+	whole, d := runJudged(t, p, p, cfg)
+	if d != nil {
+		t.Fatalf("the healthy program diverges: %v", d)
+	}
+	memoryFound := false
+	for limit := uint64(1); limit < whole.Committed; limit++ {
+		for _, c := range []struct {
+			name  string
+			plant func(co *interp.Machine)
+			want  DivergenceError // Cycle is not compared
+		}{
+			{"healthy", func(*interp.Machine) {}, DivergenceError{}},
+			{"register", func(co *interp.Machine) { co.Regs[isa.RegT9] = interp.IntVal(7) },
+				DivergenceError{What: DivRegister, Where: "$t9", Timing: "0x0", Functional: "0x7"}},
+			{"FCC", func(co *interp.Machine) { co.FCC = true },
+				DivergenceError{What: DivFCC, Timing: "false", Functional: "true"}},
+			{"memory", func(co *interp.Machine) { co.Mem.SetByte(buf+5, 0x5a) },
+				DivergenceError{What: DivMemory, Where: fmt.Sprintf("0x%x", buf+5), Timing: "0x00", Functional: "0x5a"}},
+		} {
+			m := newScalarMachine(t, p, cfg)
+			co := interp.NewMachine(p, interp.NewSysEnv())
+			c.plant(co)
+			m.Judge(co, judgeBound)
+			m.SetCommitLimit(limit)
+			if _, err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			want := c.want
+			if c.name == "memory" && m.units[0].StoreAhead() {
+				want = DivergenceError{} // not compared at this pause
+			}
+			if want.What != "" {
+				want.Task, want.Entry = "program", p.Entry
+			}
+			got := DivergenceError{}
+			if d := m.Divergence(); d != nil {
+				got = *d
+				got.Cycle = 0
+			}
+			if got != want {
+				t.Fatalf("%s, paused after %d: divergence %+v\nwant %+v", c.name, limit, got, want)
+			}
+			memoryFound = memoryFound || c.name == "memory" && got.What == DivMemory
+			m.SetCommitLimit(0)
+			res, err := m.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.name == "healthy" && (m.Divergence() != nil || res.Cycles != whole.Cycles) {
+				t.Fatalf("paused after %d: resumed run diverges (%v) or takes %d cycles, not %d", limit, m.Divergence(), res.Cycles, whole.Cycles)
+			}
+		}
+	}
+	if !memoryFound {
+		t.Error("no pause compared memory")
+	}
+}
+
 // fccSrc compares in one task and branches on the flag first thing in
 // the next (lint error MS016, so it is built with the gate off): the flag
 // does not cross a task boundary on the machine, so its branch goes the

@@ -306,6 +306,11 @@ func (m *Multiscalar) Run() (*Result, error) {
 			}
 		}
 		if m.limit > 0 && m.committedNow() >= m.limit {
+			if m.judge != nil && m.implicit != nil {
+				if err := m.judge.pause(m); err != nil {
+					return nil, err
+				}
+			}
 			return m.result(), nil
 		}
 		if m.now >= m.cfg.MaxCycles {

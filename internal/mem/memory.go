@@ -4,7 +4,10 @@
 // interleaved data banks behind a crossbar.
 package mem
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"slices"
+)
 
 const pageBits = 12
 const pageSize = 1 << pageBits
@@ -111,6 +114,42 @@ func (m *Memory) Clone() *Memory {
 		c.pages[key] = &page
 	}
 	return c
+}
+
+// Diff calls differ, in ascending order, with each address whose byte
+// differs between a and b, until differ returns true; it reports whether
+// differ stopped it. Only the pages either memory has written are read:
+// two memories seeded from one image agree everywhere else.
+func Diff(a, b *Memory, differ func(addr uint32) bool) bool {
+	keys := make([]uint32, 0, len(a.pages)+len(b.pages))
+	for k := range a.pages {
+		keys = append(keys, k)
+	}
+	for k := range b.pages {
+		if a.pages[k] == nil {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	var zero [pageSize]byte
+	for _, k := range keys {
+		pa, pb := a.page(k<<pageBits, false), b.page(k<<pageBits, false)
+		if pa == nil {
+			pa = &zero
+		}
+		if pb == nil {
+			pb = &zero
+		}
+		if *pa == *pb {
+			continue
+		}
+		for i := range pa {
+			if pa[i] != pb[i] && differ(k<<pageBits|uint32(i)) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func (m *Memory) page(addr uint32, create bool) *[pageSize]byte {

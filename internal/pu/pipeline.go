@@ -24,6 +24,17 @@ func (u *Unit) issue(now uint64) error {
 		if s := w[mSys]; s != 0 {
 			try &= s ^ (s - 1) // syscalls serialize the window: nothing younger issues
 		}
+		if u.cfg.OutOfOrder {
+			// A memory op behind an older unresolved control op or memory
+			// op cannot issue (the case below): of this word's, only the
+			// lowest of mCtl|mMem can, and none if an older word holds one.
+			// (In-order issue must visit it, to stop there.)
+			if olderMem {
+				try &^= w[mMem]
+			} else if cm := w[mCtl] | w[mMem]; cm != 0 {
+				try &^= w[mMem] &^ (cm & -cm)
+			}
+		}
 		for ; try != 0 && u.issuedNow < u.cfg.IssueWidth; try &= try - 1 {
 			i := bits.TrailingZeros64(try) // the oldest candidate
 			b, p := uint64(1)<<i, k<<6+i

@@ -272,6 +272,22 @@ func (u *Unit) Start(entry uint32, now uint64) {
 // state, needs the functional machine's FCC seeded after Start.
 func (u *Unit) SeedFCC(v bool) { u.committedFCC = v }
 
+// FCC is the floating-point condition flag as of the last instruction
+// the unit retired.
+func (u *Unit) FCC() bool { return u.committedFCC }
+
+// StoreAhead reports whether a store in the window has reached the ARB
+// or memory before its retire, so that memory runs ahead of the retired
+// instructions.
+func (u *Unit) StoreAhead() bool {
+	for i := range u.rob {
+		if e := &u.rob[i]; e.memDone && e.flags&bWritesRd == 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // SetTraceTask labels this unit's subsequent trace events with the
 // owner-assigned task sequence number (-1 when idle).
 func (u *Unit) SetTraceTask(seq int32) { u.taskSeq = seq }

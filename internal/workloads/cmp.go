@@ -1,9 +1,6 @@
 package workloads
 
-import (
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // cmp mirrors GNU cmp's structure (paper §5.3: "straightforward, with
 // almost all its time in a loop [that] contains an inner loop"): the
@@ -32,27 +29,35 @@ func init() {
 func cmpSource(scale int) string {
 	nchunks := scale
 	n := nchunks * 64
-	r := newRNG(0xc41)
-	data := make([]int, n)
-	for i := range data {
-		data[i] = int(r.next() % 256)
-	}
 	// One difference at ~93% of the way through (cmp exits early there).
 	diffAt := n * 15 / 16
-	var b strings.Builder
-	b.WriteString("\t.data\nbufa:\n")
-	dataLines(&b, ".byte", data)
-	b.WriteString("bufpad:\t.space 192\n") // odd block offset: keep the buffers off the same cache sets
-	data[diffAt] = (data[diffAt] + 1) % 256
-	b.WriteString("bufb:\n")
-	dataLines(&b, ".byte", data)
-	b.WriteString(`
+	src := newSource(2 * tableBytes(".byte", n, 3))
+	// The two buffers draw the same random bytes: the second replays the
+	// generator.
+	buffer := func(src []byte, diff bool) []byte {
+		t := table{directive: ".byte"}
+		r := newRNG(0xc41)
+		for i := 0; i < n; i++ {
+			v := int(r.next() % 256)
+			if diff && i == diffAt {
+				v = (v + 1) % 256
+			}
+			src = t.put(src, v)
+		}
+		return t.end(src)
+	}
+	src = append(src, "\t.data\nbufa:\n"...)
+	src = buffer(src, false)
+	src = append(src, "bufpad:\t.space 192\n"...) // odd block offset: keep the buffers off the same cache sets
+	src = append(src, "bufb:\n"...)
+	src = buffer(src, true)
+	src = append(src, `
 	.text
 main:
 	li   $s0, 0 !f
-`)
-	b.WriteString("\tli   $s5, " + strconv.Itoa(n) + " !f\n")
-	b.WriteString(`	li   $s6, -1 !f          ; mismatch position (-1 = none)
+`...)
+	src = append(src, "\tli   $s5, "+strconv.Itoa(n)+" !f\n"...)
+	src = append(src, `	li   $s6, -1 !f          ; mismatch position (-1 = none)
 	j    CHUNK !s
 
 CHUNK:
@@ -73,14 +78,14 @@ BYTE:
 	bne  $s0, $s5, CHUNK !s
 EQUAL:
 	li   $a0, -1
-` + printInt + exitSeq + `
+`+printInt+exitSeq+`
 MISMATCH:
 	move $s6, $t9
 	move $a0, $s6
-` + printInt + exitSeq + `
+`+printInt+exitSeq+`
 	.task main targets=CHUNK create=$s0,$s5,$s6
 	.task CHUNK targets=CHUNK,EQUAL create=$s0,$s6
 	.task EQUAL
-`)
-	return b.String()
+`...)
+	return text(src)
 }

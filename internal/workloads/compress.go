@@ -1,9 +1,6 @@
 package workloads
 
-import (
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // compress is the LZW coder kernel (paper §5.3: "all time is spent in a
 // single (big) loop with a complex flow of control within. This loop is
@@ -30,44 +27,46 @@ func init() {
 	})
 }
 
-// compressText: skewed byte distribution with repeats, so the dictionary
-// actually extends matches (as English-like text does).
-func compressText(n int) []byte {
+// compressText appends n input bytes to src as .ascii lines: a skewed
+// distribution with repeats, so the dictionary actually extends matches
+// (as English-like text does). Every byte is a letter, so none is
+// escaped.
+func compressText(src []byte, n int) []byte {
 	r := newRNG(0xc03b)
-	out := make([]byte, n)
-	for i := range out {
-		if i >= 4 && r.intn(3) != 0 {
-			out[i] = out[i-4] // frequent repeated 4-grams
-		} else {
-			out[i] = 'a' + byte(r.intn(8))
+	var last [4]byte // the previous four bytes, by position mod 4
+	for i := 0; i < n; i++ {
+		c := last[i%4] // frequent repeated 4-grams
+		if i < 4 || r.intn(3) == 0 {
+			c = 'a' + byte(r.intn(8))
 		}
+		last[i%4] = c
+		src = appendASCII(src, i, c)
 	}
-	return out
+	return endASCII(src, n)
 }
 
 func compressSource(scale int) string {
-	text := compressText(scale)
 	// "The huge size of the hash table results in a high rate of cache
 	// misses" — 128 KB tables exceed the scalar 64 KB dcache and the
 	// banked multiscalar storage alike.
 	const hashBits = 15
-	var sb strings.Builder
-	sb.WriteString("\t.data\ninput:\n")
-	asciiLines(&sb, text)
-	sb.WriteString("\t.align 2\n")
-	sb.WriteString("htab:\t.space " + strconv.Itoa(4<<hashBits) + "\n")
-	sb.WriteString("tabpad:\t.space 192\n")                                // keep the two tables off the same cache sets
-	sb.WriteString("codetab:\t.space " + strconv.Itoa(4<<hashBits) + "\n") // 16 KB
-	sb.WriteString(`
+	src := newSource(asciiBytes(scale, 0))
+	src = append(src, "\t.data\ninput:\n"...)
+	src = compressText(src, scale)
+	src = append(src, "\t.align 2\n"...)
+	src = append(src, "htab:\t.space "+strconv.Itoa(4<<hashBits)+"\n"...)
+	src = append(src, "tabpad:\t.space 192\n"...)                            // keep the two tables off the same cache sets
+	src = append(src, "codetab:\t.space "+strconv.Itoa(4<<hashBits)+"\n"...) // 16 KB
+	src = append(src, `
 	.text
 main:
 	li   $s0, 0 !f           ; input cursor
 	li   $s1, 0 !f           ; ent (prefix code) — the recurrence
 	li   $s2, 256 !f         ; next free code
 	li   $s3, 0 !f           ; output checksum
-`)
-	sb.WriteString("\tli   $s5, " + strconv.Itoa(len(text)) + " !f\n")
-	sb.WriteString(`	j    BYTE !s
+`...)
+	src = append(src, "\tli   $s5, "+strconv.Itoa(scale)+" !f\n"...)
+	src = append(src, `	j    BYTE !s
 
 BYTE:
 	move $t9, $s0
@@ -99,10 +98,10 @@ NEXT:
 	.sconly bne  $s0, $s5, BYTE
 DONE:
 	add  $a0, $s3, $s1
-` + printInt + exitSeq + `
+`+printInt+exitSeq+`
 	.task main targets=BYTE create=$s0,$s1,$s2,$s3,$s5
 	.task BYTE targets=BYTE,DONE create=$s0,$s1,$s2,$s3
 	.task DONE
-`)
-	return sb.String()
+`...)
+	return text(src)
 }

@@ -1,9 +1,6 @@
 package workloads
 
-import (
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // eqntott reduces to cmppt, the comparison routine that dominates the
 // SPEC92 program (paper §5.3: "most (85%) of the instructions are in the
@@ -34,35 +31,35 @@ const ptermWords = 8
 
 func eqntottSource(scale int) string {
 	npairs := scale
+	src := newSource(tableBytes(".word", 2*ptermWords*npairs, width(0x3fffffff)))
+	src = append(src, "\t.data\npterms:\n"...)
+	t := table{directive: ".word"}
 	r := newRNG(0xe41077)
 	// PTERM pool: npairs*2 vectors of ptermWords words; pair i compares
 	// vectors 2i and 2i+1. They agree on a random-length prefix.
-	var words []int
 	for p := 0; p < npairs; p++ {
-		a := make([]int, ptermWords)
+		var a [ptermWords]int
 		for i := range a {
 			a[i] = int(r.next() & 0x3fffffff)
+			src = t.put(src, a[i])
 		}
-		b := make([]int, ptermWords)
-		copy(b, a)
 		pre := r.intn(ptermWords + 1)
-		for i := pre; i < ptermWords; i++ {
-			b[i] = int(r.next() & 0x3fffffff)
+		for i := range a {
+			if i >= pre {
+				a[i] = int(r.next() & 0x3fffffff)
+			}
+			src = t.put(src, a[i])
 		}
-		words = append(words, a...)
-		words = append(words, b...)
 	}
-	var sb strings.Builder
-	sb.WriteString("\t.data\npterms:\n")
-	dataLines(&sb, ".word", words)
-	sb.WriteString(`
+	src = t.end(src)
+	src = append(src, `
 	.text
 main:
 	li   $s0, 0 !f           ; pair index
 	li   $s1, 0 !f           ; order accumulator
-`)
-	sb.WriteString("\tli   $s5, " + strconv.Itoa(npairs) + " !f\n")
-	sb.WriteString(`	j    PAIR !s
+`...)
+	src = append(src, "\tli   $s5, "+strconv.Itoa(npairs)+" !f\n"...)
+	src = append(src, `	j    PAIR !s
 
 PAIR:
 	move $t9, $s0
@@ -92,10 +89,10 @@ FOLD:
 	.sconly bne  $s0, $s5, PAIR
 DONE:
 	move $a0, $s1
-` + printInt + exitSeq + `
+`+printInt+exitSeq+`
 	.task main targets=PAIR create=$s0,$s1,$s5
 	.task PAIR targets=PAIR,DONE create=$s0,$s1
 	.task DONE
-`)
-	return sb.String()
+`...)
+	return text(src)
 }

@@ -1,9 +1,6 @@
 package workloads
 
-import (
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // espresso reduces to massive_count, its hottest function (paper §5.3:
 // two main loops, each loop body a task; "in the first loop, each
@@ -34,8 +31,10 @@ const cubeWords = 4
 
 func espressoSource(scale int) string {
 	ncubes := scale
+	src := newSource(tableBytes(".word", cubeWords*ncubes, width(0x7fffffff)))
+	src = append(src, "\t.data\ncubes:\n"...)
+	t := table{directive: ".word"}
 	r := newRNG(0xe59e550)
-	var words []int
 	for c := 0; c < ncubes; c++ {
 		// Variable density: some cubes nearly empty, some dense — the
 		// source of the load imbalance the paper calls out.
@@ -48,20 +47,18 @@ func espressoSource(scale int) string {
 			case 1:
 				v &= 0xffff
 			}
-			words = append(words, int(v&0x7fffffff))
+			src = t.put(src, int(v&0x7fffffff))
 		}
 	}
-	var sb strings.Builder
-	sb.WriteString("\t.data\ncubes:\n")
-	dataLines(&sb, ".word", words)
-	sb.WriteString(`
+	src = t.end(src)
+	src = append(src, `
 	.text
 main:
 	li   $s0, 0 !f           ; cube index
 	li   $s1, 0 !f           ; total bit count
-`)
-	sb.WriteString("\tli   $s5, " + strconv.Itoa(ncubes) + " !f\n")
-	sb.WriteString(`	j    COUNT !s
+`...)
+	src = append(src, "\tli   $s5, "+strconv.Itoa(ncubes)+" !f\n"...)
+	src = append(src, `	j    COUNT !s
 
 	; ---- loop 1: popcount one cube per task (variable work) ----
 COUNT:
@@ -125,12 +122,12 @@ PWNEXT:
 	.sconly bne  $s0, $t8, PAIRS
 DONE:
 	move $a0, $s1
-` + printInt + exitSeq + `
+`+printInt+exitSeq+`
 	.task main targets=COUNT create=$s0,$s1,$s5
 	.task COUNT targets=COUNT,L2SETUP create=$s0,$s1
 	.task L2SETUP targets=PAIRS create=$s0
 	.task PAIRS targets=PAIRS,DONE create=$s0,$s1
 	.task DONE
-`)
-	return sb.String()
+`...)
+	return text(src)
 }

@@ -1,7 +1,5 @@
 package workloads
 
-import "strings"
-
 // example is the paper's Figure 3 program, annotated exactly in the style
 // of Figure 4: a task is one iteration of the outer loop (one complete
 // linked-list search for one symbol, with the process/addlist calls
@@ -33,38 +31,49 @@ func init() {
 	})
 }
 
-// exampleSymbols generates the input token stream: 16 symbols, each
-// `occurrences` times, near round-robin with deterministic swaps.
-func exampleSymbols(occurrences int) []int {
+// exampleSymbols appends the input token stream to src as one .word
+// table: 16 symbols, each `occurrences` times, near round-robin with
+// deterministic swaps.
+func exampleSymbols(src []byte, occurrences int) []byte {
 	const nsym = 16
 	n := nsym * occurrences
-	syms := make([]int, n)
-	for i := range syms {
-		syms[i] = 1000 + 7*(i%nsym)
-	}
-	// Perturb: swap i with i+3 every 13th position (keeps most repeats 16
-	// apart — farther than the unit count — while creating occasional
-	// nearby repeats that exercise memory-order squashes).
+	sym := func(i int) int { return 1000 + 7*(i%nsym) }
+	// Perturb: swap i with i+1..i+3 every 13th position (keeps most
+	// repeats 16 apart — farther than the unit count — while creating
+	// occasional nearby repeats that exercise memory-order squashes).
+	// The swaps never overlap, so each run of 13 is written as soon as
+	// its swap is drawn.
+	t := table{directive: ".word"}
 	r := newRNG(0x5eed)
-	for i := 0; i+3 < n; i += 13 {
-		j := i + 1 + r.intn(3)
-		syms[i], syms[j] = syms[j], syms[i]
+	for i := 0; i < n; i += 13 {
+		j := -1
+		if i+3 < n {
+			j = i + 1 + r.intn(3)
+		}
+		for k := i; k < min(i+13, n); k++ {
+			v := k
+			if k == i && j >= 0 {
+				v = j
+			} else if k == j {
+				v = i
+			}
+			src = t.put(src, sym(v))
+		}
 	}
-	return syms
+	return t.end(src)
 }
 
 func exampleSource(scale int) string {
-	syms := exampleSymbols(scale)
-	var b strings.Builder
-	b.WriteString("\t.data\n")
-	b.WriteString("listhd:\t.word 0\n")
-	b.WriteString("listtail:\t.word 0\n")
-	b.WriteString("freeptr:\t.word pool\n")
-	b.WriteString("buffer:\n")
-	dataLines(&b, ".word", syms)
-	b.WriteString("bufend:\n")
-	b.WriteString("pool:\t.space 1024\n") // 16 nodes x 12 bytes, rounded up
-	b.WriteString(`
+	src := newSource(tableBytes(".word", 16*scale, 4))
+	src = append(src, "\t.data\n"...)
+	src = append(src, "listhd:\t.word 0\n"...)
+	src = append(src, "listtail:\t.word 0\n"...)
+	src = append(src, "freeptr:\t.word pool\n"...)
+	src = append(src, "buffer:\n"...)
+	src = exampleSymbols(src, scale)
+	src = append(src, "bufend:\n"...)
+	src = append(src, "pool:\t.space 1024\n"...) // 16 nodes x 12 bytes, rounded up
+	src = append(src, `
 	.text
 main:
 	la   $s0, buffer !f
@@ -111,7 +120,7 @@ CHK:
 	j    CHK
 CHKDONE:
 	move $a0, $s1
-` + printInt + exitSeq + `
+`+printInt+exitSeq+`
 
 process:
 	lw   $t3, 8($a0)          ; count++
@@ -139,6 +148,6 @@ SETTAIL:
 	.task main targets=OUTER create=$s0,$s4
 	.task OUTER targets=OUTER,OUTERFALLOUT create=$s0
 	.task OUTERFALLOUT
-`)
-	return b.String()
+`...)
+	return text(src)
 }

@@ -1,9 +1,6 @@
 package workloads
 
-import (
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // Extra workloads beyond the paper's suite: conventional kernels that
 // exercise the same machinery and give library users more substrates to
@@ -61,22 +58,22 @@ var extraPaperRow = PaperRow{
 
 func matmulSource(scale int) string {
 	n := scale
-	var sb strings.Builder
-	sb.WriteString("\t.data\n")
-	sb.WriteString("ma:\t.space " + strconv.Itoa(4*n*n) + "\n")
-	sb.WriteString("mpad1:\t.space 192\n")
-	sb.WriteString("mb:\t.space " + strconv.Itoa(4*n*n) + "\n")
-	sb.WriteString("mpad2:\t.space 192\n")
-	sb.WriteString("mc:\t.space " + strconv.Itoa(4*n*n) + "\n")
-	sb.WriteString(`
+	src := newSource(0)
+	src = append(src, "\t.data\n"...)
+	src = append(src, "ma:\t.space "+strconv.Itoa(4*n*n)+"\n"...)
+	src = append(src, "mpad1:\t.space 192\n"...)
+	src = append(src, "mb:\t.space "+strconv.Itoa(4*n*n)+"\n"...)
+	src = append(src, "mpad2:\t.space 192\n"...)
+	src = append(src, "mc:\t.space "+strconv.Itoa(4*n*n)+"\n"...)
+	src = append(src, `
 	.text
 main:
 	; init: a[i][j] = i+j, b[i][j] = i-j (single init task per row)
 	li   $s0, 0 !f
-`)
-	sb.WriteString("\tli   $s5, " + strconv.Itoa(n) + " !f\n")
-	sb.WriteString("\tli   $s6, " + strconv.Itoa(4*n) + " !f\n")
-	sb.WriteString(`	j    MIROW !s
+`...)
+	src = append(src, "\tli   $s5, "+strconv.Itoa(n)+" !f\n"...)
+	src = append(src, "\tli   $s6, "+strconv.Itoa(4*n)+" !f\n"...)
+	src = append(src, `	j    MIROW !s
 MIROW:
 	move $t9, $s0
 	.msonly addi $s0, $s0, 1 !f
@@ -144,28 +141,28 @@ MCHK:
 	addi $t0, $t0, 1
 	bne  $t0, $s5, MCHK
 	move $a0, $s1
-` + printInt + exitSeq + `
+`+printInt+exitSeq+`
 	.task main targets=MIROW create=$s0,$s5,$s6
 	.task MIROW targets=MIROW,MSETUP create=$s0
 	.task MSETUP targets=MROW create=$s0
 	.task MROW targets=MROW,MDONE create=$s0
 	.task MDONE
-`)
-	return sb.String()
+`...)
+	return text(src)
 }
 
 func sieveSource(scale int) string {
 	n := scale
-	var sb strings.Builder
-	sb.WriteString("\t.data\n")
-	sb.WriteString("flags:\t.space " + strconv.Itoa(n) + "\n")
-	sb.WriteString(`
+	src := newSource(0)
+	src = append(src, "\t.data\n"...)
+	src = append(src, "flags:\t.space "+strconv.Itoa(n)+"\n"...)
+	src = append(src, `
 	.text
 main:
 	li   $s0, 2 !f           ; candidate
-`)
-	sb.WriteString("\tli   $s5, " + strconv.Itoa(n) + " !f\n")
-	sb.WriteString(`	j    CAND !s
+`...)
+	src = append(src, "\tli   $s5, "+strconv.Itoa(n)+" !f\n"...)
+	src = append(src, `	j    CAND !s
 
 	; one candidate per task: if still prime, clear its multiples — the
 	; clearing loops have wildly different lengths (load imbalance), and
@@ -203,12 +200,12 @@ CSKIP:
 	addi $t0, $t0, 1
 	bne  $t0, $s5, CLOOP
 	move $a0, $s1
-` + printInt + exitSeq + `
+`+printInt+exitSeq+`
 	.task main targets=CAND create=$s0,$s5
 	.task CAND targets=CAND,COUNT create=$s0
 	.task COUNT
-`)
-	return sb.String()
+`...)
+	return text(src)
 }
 
 // hashmixSource exercises the paper's function tasks: each loop
@@ -223,22 +220,22 @@ CSKIP:
 // MS017 findings; they are the suite's pinned advisory findings.
 func hashmixSource(scale int) string {
 	n := scale
+	src := newSource(tableBytes(".word", n, width(99999)))
+	src = append(src, "\t.data\nhkeys:\n"...)
+	keys := table{directive: ".word"}
 	r := newRNG(0x4a51)
-	var keys []int
 	for i := 0; i < n; i++ {
-		keys = append(keys, r.intn(100000))
+		src = keys.put(src, r.intn(100000))
 	}
-	var sb strings.Builder
-	sb.WriteString("\t.data\nhkeys:\n")
-	dataLines(&sb, ".word", keys)
-	sb.WriteString(`
+	src = keys.end(src)
+	src = append(src, `
 	.text
 main:
 	li   $s0, 0 !f           ; key index
 	li   $s1, 0 !f           ; checksum
-`)
-	sb.WriteString("\tli   $s5, " + strconv.Itoa(n) + " !f\n")
-	sb.WriteString(`	j    HLOOK !s
+`...)
+	src = append(src, "\tli   $s5, "+strconv.Itoa(n)+" !f\n"...)
+	src = append(src, `	j    HLOOK !s
 
 	; one key per round trip: load the argument, call the hash function
 	; as its own task
@@ -253,7 +250,7 @@ HCONT:
 
 HDONE:
 	move $a0, $s1
-` + printInt + exitSeq + `
+`+printInt+exitSeq+`
 
 	; mix one key; $v1 and $s7 are scratch the ABI view keeps live
 HASH:
@@ -272,8 +269,8 @@ HASH:
 	.task HASH targets=ret create=$v0,$v1,$s7
 	.task HCONT targets=HLOOK,HDONE create=$s0,$s1
 	.task HDONE
-`)
-	return sb.String()
+`...)
+	return text(src)
 }
 
 // bsearchSource: each query task calls a binary-search function task
@@ -284,28 +281,28 @@ HASH:
 func bsearchSource(scale int) string {
 	n := scale
 	const tsize = 64
-	r := newRNG(0xb5ea)
-	var queries []int
-	for i := 0; i < n; i++ {
-		queries = append(queries, r.intn(3*tsize+10))
-	}
-	var table []int
+	src := newSource(tableBytes(".word", tsize, width(3*tsize)) + tableBytes(".word", n, width(3*tsize+9)))
+	src = append(src, "\t.data\nbtable:\n"...)
+	table1 := table{directive: ".word"}
 	for i := 0; i < tsize; i++ {
-		table = append(table, 3*i+1)
+		src = table1.put(src, 3*i+1)
 	}
-	var sb strings.Builder
-	sb.WriteString("\t.data\nbtable:\n")
-	dataLines(&sb, ".word", table)
-	sb.WriteString("bqueries:\n")
-	dataLines(&sb, ".word", queries)
-	sb.WriteString(`
+	src = table1.end(src)
+	src = append(src, "bqueries:\n"...)
+	queries := table{directive: ".word"}
+	r := newRNG(0xb5ea)
+	for i := 0; i < n; i++ {
+		src = queries.put(src, r.intn(3*tsize+10))
+	}
+	src = queries.end(src)
+	src = append(src, `
 	.text
 main:
 	li   $s0, 0 !f           ; query index
 	li   $s1, 0 !f           ; checksum
-`)
-	sb.WriteString("\tli   $s5, " + strconv.Itoa(n) + " !f\n")
-	sb.WriteString(`	j    QLOOK !s
+`...)
+	src = append(src, "\tli   $s5, "+strconv.Itoa(n)+" !f\n"...)
+	src = append(src, `	j    QLOOK !s
 
 QLOOK:
 	sll  $t0, $s0, 2
@@ -318,15 +315,15 @@ QCONT:
 
 QDONE:
 	move $a0, $s1
-` + printInt + exitSeq + `
+`+printInt+exitSeq+`
 
 	; binary search for $a0; returns the index in $v0 or -1. The probe
 	; value ($s6) and depth counter ($v1) are ABI-live scratch.
 BFIND:
 	li   $t0, 0              ; lo
-`)
-	sb.WriteString("\tli   $t1, " + strconv.Itoa(tsize) + "       ; hi\n")
-	sb.WriteString(`	li   $v1, 0
+`...)
+	src = append(src, "\tli   $t1, "+strconv.Itoa(tsize)+"       ; hi\n"...)
+	src = append(src, `	li   $v1, 0
 	li   $s6, 0
 BLOOP:
 	slt  $at, $t0, $t1
@@ -360,6 +357,6 @@ BMISS:
 	.task BFIND targets=ret create=$v0,$v1,$s6
 	.task QCONT targets=QLOOK,QDONE create=$s0,$s1
 	.task QDONE
-`)
-	return sb.String()
+`...)
+	return text(src)
 }

@@ -1,9 +1,6 @@
 package workloads
 
-import (
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // gcc is the irregular-code workload (paper §5.3: "execution time is
 // distributed uniformly across a great deal of code... squashes (both
@@ -34,8 +31,10 @@ func init() {
 // Node layout: opcode, a, b, sym — 4 words.
 func gccSource(scale int) string {
 	nnodes := scale
+	src := newSource(tableBytes(".word", 4*nnodes, 2))
+	src = append(src, "\t.data\nnodes:\n"...)
+	t := table{directive: ".word"}
 	r := newRNG(0x9cc)
-	var words []int
 	for i := 0; i < nnodes; i++ {
 		d := r.intn(20)
 		op := 0
@@ -49,21 +48,22 @@ func gccSource(scale int) string {
 		default:
 			op = 3
 		}
-		words = append(words, op, r.intn(100), 1+r.intn(50), r.intn(4))
+		src = t.put(src, op)
+		src = t.put(src, r.intn(100))
+		src = t.put(src, 1+r.intn(50))
+		src = t.put(src, r.intn(4))
 	}
-	var sb strings.Builder
-	sb.WriteString("\t.data\nnodes:\n")
-	dataLines(&sb, ".word", words)
-	sb.WriteString("symtab:\t.space 64\n") // 8 shared counters
-	sb.WriteString("outlist:\t.word 0\n")  // emitted-node count (shared)
-	sb.WriteString(`
+	src = t.end(src)
+	src = append(src, "symtab:\t.space 64\n"...) // 8 shared counters
+	src = append(src, "outlist:\t.word 0\n"...)  // emitted-node count (shared)
+	src = append(src, `
 	.text
 main:
 	li   $s0, 0 !f           ; node index
 	li   $s1, 0 !f           ; checksum
-`)
-	sb.WriteString("\tli   $s5, " + strconv.Itoa(nnodes) + " !f\n")
-	sb.WriteString(`	j    NODE !s
+`...)
+	src = append(src, "\tli   $s5, "+strconv.Itoa(nnodes)+" !f\n"...)
+	src = append(src, `	j    NODE !s
 
 NODE:
 	move $t9, $s0
@@ -129,11 +129,11 @@ FIXUP:
 DONE:
 	lw   $t0, outlist
 	add  $a0, $s1, $t0
-` + printInt + exitSeq + `
+`+printInt+exitSeq+`
 	.task main targets=NODE create=$s0,$s1,$s5
 	.task NODE targets=NODE,FIXUP,DONE create=$s0,$s1,$at
 	.task FIXUP targets=NODE,DONE create=$s1
 	.task DONE
-`)
-	return sb.String()
+`...)
+	return text(src)
 }

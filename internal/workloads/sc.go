@@ -1,9 +1,6 @@
 package workloads
 
-import (
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // sc is the spreadsheet-evaluation kernel (paper §5.3: RealEvalAll
 // restructured "to build a work list of the cells to be evaluated and to
@@ -36,26 +33,30 @@ const cellWords = 5
 
 func scSource(scale int) string {
 	ncells := scale
+	src := newSource(tableBytes(".word", cellWords*ncells, 2))
+	src = append(src, "\t.data\ncells:\n"...)
+	t := table{directive: ".word"}
 	r := newRNG(0x5c5c)
-	var words []int
 	for c := 0; c < ncells; c++ {
 		typ := 0
 		if c > 0 && r.intn(2) == 0 {
 			typ = 1 // formula references the previous cell's result
 		}
-		words = append(words, typ, 3+r.intn(50), 1+r.intn(9), 1+r.intn(30), 0)
+		src = t.put(src, typ)
+		src = t.put(src, 3+r.intn(50))
+		src = t.put(src, 1+r.intn(9))
+		src = t.put(src, 1+r.intn(30))
+		src = t.put(src, 0)
 	}
-	var sb strings.Builder
-	sb.WriteString("\t.data\ncells:\n")
-	dataLines(&sb, ".word", words)
-	sb.WriteString(`
+	src = t.end(src)
+	src = append(src, `
 	.text
 main:
 	li   $s0, 0 !f           ; work-list index
 	li   $s1, 0 !f           ; grand total
-`)
-	sb.WriteString("\tli   $s5, " + strconv.Itoa(ncells) + " !f\n")
-	sb.WriteString(`	j    CELL !s
+`...)
+	src = append(src, "\tli   $s5, "+strconv.Itoa(ncells)+" !f\n"...)
+	src = append(src, `	j    CELL !s
 
 CELL:
 	move $t9, $s0
@@ -73,7 +74,7 @@ CELL:
 	.sconly bne  $s0, $s5, CELL
 DONE:
 	move $a0, $s1
-` + printInt + exitSeq + `
+`+printInt+exitSeq+`
 
 	; evalone(cellOffset in $a0) -> $v0: variable-length formula
 evalone:
@@ -100,6 +101,6 @@ EVLOOP:
 	.task main targets=CELL create=$s0,$s1,$s5
 	.task CELL targets=CELL,DONE create=$s0,$s1
 	.task DONE
-`)
-	return sb.String()
+`...)
+	return text(src)
 }

@@ -1,9 +1,6 @@
 package workloads
 
-import (
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // tomcatv is the SPECfp92 mesh-generation kernel reduced to its essence
 // (paper §5.3: "nearly all time is spent in a loop whose iterations are
@@ -32,21 +29,21 @@ func init() {
 func tomcatvSource(scale int) string {
 	n := scale // n x n grid of doubles
 	rowBytes := n * 8
-	var b strings.Builder
-	b.WriteString("\t.data\n")
-	b.WriteString("grida:\t.space " + strconv.Itoa(n*rowBytes) + "\n")
-	b.WriteString("gridpad:\t.space 192\n") // odd block offset: avoid same-set conflicts between the grids
-	b.WriteString("gridb:\t.space " + strconv.Itoa(n*rowBytes) + "\n")
-	b.WriteString("quarter:\t.double 0.25\n")
-	b.WriteString("scalef:\t.double 0.0078125\n") // 1/128 keeps values bounded
-	b.WriteString(`
+	src := newSource(0)
+	src = append(src, "\t.data\n"...)
+	src = append(src, "grida:\t.space "+strconv.Itoa(n*rowBytes)+"\n"...)
+	src = append(src, "gridpad:\t.space 192\n"...) // odd block offset: avoid same-set conflicts between the grids
+	src = append(src, "gridb:\t.space "+strconv.Itoa(n*rowBytes)+"\n"...)
+	src = append(src, "quarter:\t.double 0.25\n"...)
+	src = append(src, "scalef:\t.double 0.0078125\n"...) // 1/128 keeps values bounded
+	src = append(src, `
 	.text
 main:
 	li   $s0, 0 !f           ; row index
-`)
-	b.WriteString("\tli   $s5, " + strconv.Itoa(n) + " !f\n")
-	b.WriteString("\tli   $s6, " + strconv.Itoa(rowBytes) + " !f\n")
-	b.WriteString(`	l.d  $f30, scalef !f
+`...)
+	src = append(src, "\tli   $s5, "+strconv.Itoa(n)+" !f\n"...)
+	src = append(src, "\tli   $s6, "+strconv.Itoa(rowBytes)+" !f\n"...)
+	src = append(src, `	l.d  $f30, scalef !f
 	mtc1 $f20, $zero !f      ; checksum
 	j    IROW !s
 
@@ -116,12 +113,12 @@ SCOL:
 SDONE:
 	; print truncated checksum
 	mfc1 $a0, $f20
-` + printInt + exitSeq + `
+`+printInt+exitSeq+`
 	.task main targets=IROW create=$s0,$s5,$s6,$f20,$f30
 	.task IROW targets=IROW,ISETUP create=$s0
 	.task ISETUP targets=SROW create=$s0
 	.task SROW targets=SROW,SDONE create=$s0,$f20
 	.task SDONE
-`)
-	return b.String()
+`...)
+	return text(src)
 }

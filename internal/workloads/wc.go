@@ -1,9 +1,6 @@
 package workloads
 
-import (
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // wc counts lines, words and characters (paper §5.3: a loop containing an
 // inner loop and a switch). A task is one 64-byte chunk: each task counts
@@ -28,40 +25,56 @@ func init() {
 	})
 }
 
-// wcText generates deterministic prose: words of 2-9 letters, lines of
-// 4-11 words, padded so the total is a multiple of 64 bytes.
-func wcText(chunks int) []byte {
-	n := chunks * 64
+// wcText appends deterministic prose to src as .ascii lines: words of
+// 2-9 letters, lines of 4-11 words, padded so the total is n bytes, a
+// multiple of 64.
+func wcText(src []byte, n int) []byte {
 	r := newRNG(0x77c)
-	out := make([]byte, 0, n)
+	i := 0 // bytes written
 	wordsInLine := 0
 	lineLen := 4 + r.intn(8)
-	for len(out) < n-1 {
+	for i < n-1 {
 		wl := 2 + r.intn(8)
-		for i := 0; i < wl && len(out) < n-1; i++ {
-			out = append(out, 'a'+byte(r.intn(26)))
+		if col := i % 64; col != 0 && col+wl < 64 && i+wl < n-1 {
+			// The word lies inside the current .ascii line and ends
+			// before the text does: its letters go straight in.
+			for k := 0; k < wl; k++ {
+				src = append(src, 'a'+byte(r.intn(26)))
+			}
+			i += wl
+		} else {
+			for k := 0; k < wl && i < n-1; k++ {
+				src = appendASCII(src, i, 'a'+byte(r.intn(26)))
+				i++
+			}
 		}
 		wordsInLine++
 		if wordsInLine >= lineLen {
-			out = append(out, '\n')
+			src = appendASCII(src, i, '\n')
+			i++
 			wordsInLine = 0
 			lineLen = 4 + r.intn(8)
-		} else if len(out) < n-1 {
-			out = append(out, ' ')
+		} else if i < n-1 {
+			src = appendASCII(src, i, ' ')
+			i++
 		}
 	}
-	for len(out) < n {
-		out = append(out, '\n')
+	for ; i < n; i++ {
+		src = appendASCII(src, i, '\n')
 	}
-	return out
+	return endASCII(src, n)
 }
 
+// wcNewlines bounds the newlines in wcText's n bytes: a line holds at
+// least four two-letter words, and one newline may pad the end.
+func wcNewlines(n int) int { return n/12 + 1 }
+
 func wcSource(scale int) string {
-	text := wcText(scale)
-	var b strings.Builder
-	b.WriteString("\t.data\ntext:\n")
-	asciiLines(&b, text)
-	b.WriteString(`
+	n := scale * 64
+	src := newSource(asciiBytes(n, wcNewlines(n)))
+	src = append(src, "\t.data\ntext:\n"...)
+	src = wcText(src, n)
+	src = append(src, `
 	.text
 main:
 	li   $s0, 0 !f           ; cursor
@@ -69,9 +82,9 @@ main:
 	li   $s2, 0 !f           ; words
 	li   $s3, 0 !f           ; chars
 	li   $s7, 1 !f           ; previous chunk ended in whitespace
-`)
-	b.WriteString("\tli   $s5, " + strconv.Itoa(len(text)) + " !f\n")
-	b.WriteString(`	j    CHUNK !s
+`...)
+	src = append(src, "\tli   $s5, "+strconv.Itoa(n)+" !f\n"...)
+	src = append(src, `	j    CHUNK !s
 
 CHUNK:
 	move $t9, $s0
@@ -128,20 +141,20 @@ NOFIX:
 
 DONE:
 	move $a0, $s1
-` + printInt + `
+`+printInt+`
 	li   $a0, ' '
 	li   $v0, 11
 	syscall
 	move $a0, $s2
-` + printInt + `
+`+printInt+`
 	li   $a0, ' '
 	li   $v0, 11
 	syscall
 	move $a0, $s3
-` + printInt + exitSeq + `
+`+printInt+exitSeq+`
 	.task main targets=CHUNK create=$s0,$s1,$s2,$s3,$s5,$s7
 	.task CHUNK targets=CHUNK,DONE create=$s0,$s1,$s2,$s3,$s7
 	.task DONE
-`)
-	return b.String()
+`...)
+	return text(src)
 }

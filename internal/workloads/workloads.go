@@ -9,11 +9,10 @@
 package workloads
 
 import (
-	"bytes"
 	"fmt"
+	"slices"
 	"sort"
-	"strconv"
-	"strings"
+	"unsafe"
 
 	"multiscalar/internal/asm"
 	"multiscalar/internal/isa"
@@ -132,55 +131,152 @@ const printInt = `
 	syscall
 `
 
-// dataLines appends vals to b as lines of 16 comma-separated values under
-// the directive (".byte", ".word"). The space is reserved up front from
-// the widest value, so a table of any size costs b one allocation.
-func dataLines(b *strings.Builder, directive string, vals []int) {
-	lo, hi := 0, 0
-	for _, v := range vals {
-		lo, hi = min(lo, v), max(hi, v)
-	}
-	width := max(len(strconv.Itoa(lo)), len(strconv.Itoa(hi)))
-	b.Grow(len(vals)*(width+2) + (len(vals)/16+1)*(len(directive)+3))
-	var num [20]byte
-	for i := 0; i < len(vals); i += 16 {
-		b.WriteByte('\t')
-		b.WriteString(directive)
-		b.WriteByte(' ')
-		for j, v := range vals[i:min(i+16, len(vals))] {
-			if j > 0 {
-				b.WriteString(", ")
-			}
-			b.Write(strconv.AppendInt(num[:0], int64(v), 10))
-		}
-		b.WriteByte('\n')
-	}
+// codeRoom is the room a generator reserves for its instructions and
+// directives: every suite program's code is under 4 KB.
+const codeRoom = 4 << 10
+
+// newSource returns the buffer a generator writes its program into,
+// reserved once for the code and for the data bytes the generator has
+// counted (tableBytes, asciiBytes), so that no line appended later grows
+// it. The data loops take the buffer and hand it back, so it stays in
+// registers while they run; the generator returns it through text.
+func newSource(data int) []byte { return make([]byte, 0, codeRoom+data) }
+
+// text is the finished source as a string. It shares src's bytes, as
+// strings.Builder's String does: a generator appends nothing after it.
+func text(src []byte) string { return unsafe.String(unsafe.SliceData(src), len(src)) }
+
+// tableBytes bounds the text of n values of at most width characters
+// each (sign included), written by a table under the directive.
+func tableBytes(directive string, n, width int) int {
+	return n*(width+2) + (n+15)/16*(len(directive)+3)
 }
 
-// asciiLines appends text to b as .ascii lines of 64 bytes each. Only
-// '\n', '"' and '\\' are escaped: any other byte inside a string literal
-// stands for itself, comment characters included. A data byte costs one
-// source byte, not the four or five of a .byte value.
-func asciiLines(b *strings.Builder, text []byte) {
-	b.Grow(len(text) + bytes.Count(text, []byte{'\n'}) + (len(text)+63)/64*len("\t.ascii \"\"\n"))
-	for i := 0; i < len(text); i += 64 {
-		line := text[i:min(i+64, len(text))]
-		b.WriteString("\t.ascii \"")
-		run := 0 // start of the bytes not yet written
-		for k, c := range line {
-			if c == '\n' || c == '"' || c == '\\' {
-				b.Write(line[run:k])
-				b.WriteByte('\\')
-				if c == '\n' {
-					c = 'n'
-				}
-				b.WriteByte(c)
-				run = k + 1
-			}
-		}
-		b.Write(line[run:])
-		b.WriteString("\"\n")
+// width is the number of characters of v in decimal, sign included.
+func width(v int) int {
+	if v < 0 {
+		return 1 + digits(uint64(-v))
 	}
+	return digits(uint64(v))
+}
+
+// digits is the number of decimal digits of u. A table's values are
+// mostly short, so the common widths are compares, not divisions.
+func digits(u uint64) int {
+	switch {
+	case u < 10:
+		return 1
+	case u < 100:
+		return 2
+	case u < 1000:
+		return 3
+	case u < 10000:
+		return 4
+	}
+	return 4 + digits(u/10000)
+}
+
+// table writes values as lines of 16 comma-separated values under one
+// directive (".byte", ".word"), each value as it is generated.
+type table struct {
+	directive string
+	n         uint // values written
+}
+
+// put appends the next value to src. Room for the longest value and its
+// separators is made once, and the value is written into it in place,
+// its digits two at a time from the right.
+func (t *table) put(src []byte, v int) []byte {
+	room := len(t.directive) + 24 // a tab, a space, a sign, 20 digits and a newline
+	src = slices.Grow(src, room)
+	n := len(src)
+	s := src[n : n+room]
+	k := 2
+	if t.n%16 == 0 {
+		s[0] = '\t'
+		k = 1 + copy(s[1:], t.directive)
+		s[k] = ' '
+		k++
+	} else {
+		s[0], s[1] = ',', ' '
+	}
+	u := uint64(v)
+	if v < 0 {
+		s[k] = '-'
+		k++
+		u = -u
+	}
+	e := k + digits(u) // the end of the digits
+	for i := e; u >= 100; u /= 100 {
+		i -= 2
+		s[i], s[i+1] = digitPairs[u%100*2], digitPairs[u%100*2+1]
+	}
+	if u >= 10 {
+		s[k], s[k+1] = digitPairs[2*u], digitPairs[2*u+1]
+	} else {
+		s[k] = '0' + byte(u)
+	}
+	if t.n++; t.n%16 == 0 {
+		s[e] = '\n'
+		e++
+	}
+	return src[:n+e]
+}
+
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
+
+// end finishes the last line.
+func (t *table) end(src []byte) []byte {
+	if t.n%16 != 0 {
+		src = append(src, '\n')
+	}
+	return src
+}
+
+// asciiBytes bounds the text of n bytes, of which at most escapes need
+// escaping, written with appendASCII.
+func asciiBytes(n, escapes int) int {
+	return n + escapes + (n+63)/64*len("\t.ascii \"\"\n")
+}
+
+// appendASCII appends c, byte i of a text written as .ascii lines of 64
+// bytes each, as it is generated. Only '\n', '"' and '\\' are escaped:
+// any other byte inside a string literal stands for itself, comment
+// characters included. A data byte costs one source byte, not the four
+// or five of a .byte value.
+func appendASCII(src []byte, i int, c byte) []byte {
+	if uint(i)%64 == 0 {
+		src = append(src, "\t.ascii \""...)
+	}
+	if c <= '\\' && (c == '\n' || c == '"' || c == '\\') {
+		if c == '\n' {
+			c = 'n'
+		}
+		src = append(src, '\\', c)
+	} else {
+		src = append(src, c)
+	}
+	if uint(i)%64 == 63 {
+		src = append(src, "\"\n"...)
+	}
+	return src
+}
+
+// endASCII finishes a text of n bytes.
+func endASCII(src []byte, n int) []byte {
+	if n%64 != 0 {
+		src = append(src, "\"\n"...)
+	}
+	return src
 }
 
 // rng is a tiny deterministic generator for input data (xorshift32), so

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -80,39 +81,52 @@ func TestWorkloadsEndToEnd(t *testing.T) {
 	}
 }
 
-// TestASCIISpellingMatchesBytes: a text input written by asciiLines
+// TestASCIISpellingMatchesBytes: a text input written by appendASCII
 // assembles to the same data bytes as the same input written as .byte
-// values — every byte value, escapes at the edges of a 64-byte line, and
-// the generated prose of wc and compress.
+// values by a table — every byte value, escapes at the edges of a
+// 64-byte line, and the generated prose of wc and compress as their
+// builds hold it.
 func TestASCIISpellingMatchesBytes(t *testing.T) {
 	every := make([]byte, 256)
 	for i := range every {
 		every[i] = byte(i)
 	}
 	edges := []byte("\"" + strings.Repeat("a", 62) + "\\\n" + strings.Repeat("b;#//!", 10) + "c\"")
-	assemble := func(name string, write func(*strings.Builder)) []byte {
-		var b strings.Builder
-		b.WriteString("\t.data\ninput:\n")
-		write(&b)
-		b.WriteString("\t.text\nmain:\n\tsyscall\n")
-		p, err := asm.Assemble(b.String(), asm.ModeScalar)
+	assemble := func(name string, write func([]byte) []byte) []byte {
+		src := write([]byte("\t.data\ninput:\n"))
+		p, err := asm.Assemble(string(src)+"\t.text\nmain:\n\tsyscall\n", asm.ModeScalar)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		return p.Data
 	}
+	input := func(name string, scale int, label string, n int) []byte {
+		p, err := Get(name).Build(asm.ModeScalar, scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		off := p.Symbols[label] - isa.DataBase
+		return p.Data[off : off+uint32(n)]
+	}
 	for name, text := range map[string][]byte{
 		"every byte value": every,
 		"line edges":       edges,
-		"wc prose":         wcText(40),
-		"compress input":   compressText(1000),
+		"wc prose":         input("wc", 40, "text", 40*64),
+		"compress input":   input("compress", 1000, "input", 1000),
 	} {
-		vals := make([]int, len(text))
-		for i, c := range text {
-			vals[i] = int(c)
-		}
-		ascii := assemble(name, func(b *strings.Builder) { asciiLines(b, text) })
-		byteVals := assemble(name, func(b *strings.Builder) { dataLines(b, ".byte", vals) })
+		ascii := assemble(name, func(src []byte) []byte {
+			for i, c := range text {
+				src = appendASCII(src, i, c)
+			}
+			return endASCII(src, len(text))
+		})
+		byteVals := assemble(name, func(src []byte) []byte {
+			tb := table{directive: ".byte"}
+			for _, c := range text {
+				src = tb.put(src, int(c))
+			}
+			return tb.end(src)
+		})
 		if !bytes.Equal(ascii, text) || !bytes.Equal(byteVals, text) {
 			t.Errorf("%s: .ascii gives %q, .byte gives %q, want %q", name, ascii, byteVals, text)
 		}
@@ -148,18 +162,22 @@ func TestPaperNumbersPresent(t *testing.T) {
 
 var sourceSink string
 
-// BenchmarkSourceGen: generating the text the assembler reads, for the
-// byte-table (wc) and word-table (example) workloads at 32x table scale.
+// BenchmarkSourceGen: generating the text the assembler reads for the
+// ledger's two sampled_long builds — the word table of example@14400
+// and the prose of wc@32768 — and for gcc@51200, exact_wide's largest
+// word table.
 func BenchmarkSourceGen(b *testing.B) {
-	for _, name := range []string{"wc", "example"} {
-		w := Get(name)
-		scale := w.DefaultScale * 32
-		b.Run(name, func(b *testing.B) {
-			b.SetBytes(int64(len(w.Source(scale))))
+	for _, c := range []struct {
+		name  string
+		scale int
+	}{{"example", 14400}, {"wc", 32768}, {"gcc", 51200}} {
+		w := Get(c.name)
+		b.Run(fmt.Sprintf("%s@%d", c.name, c.scale), func(b *testing.B) {
+			b.SetBytes(int64(len(w.Source(c.scale))))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sourceSink = w.Source(scale)
+				sourceSink = w.Source(c.scale)
 			}
 		})
 	}

@@ -1,9 +1,6 @@
 package workloads
 
-import (
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // xlisp is the lisp-interpreter workload (paper §5.3: like gcc it spreads
 // time across much code, and "squashes result in near-sequential
@@ -31,8 +28,12 @@ func init() {
 }
 
 // Cons cell: car, cdr — 2 words. Negative car/cdr values are immediate
-// leaves (value = -(x+1)); non-negative are cell indexes.
-func xlispTrees(nexprs int) (cells []int, roots []int) {
+// leaves (value = -(x+1)); non-negative are cell indexes. xlispTrees
+// generates nexprs trees, handing each cell to cell as it is numbered and
+// each tree's root cell to root, and returns the number of cells. The
+// trees are drawn afresh on every call, so a caller that wants the cells
+// and the roots in separate tables calls it once for each.
+func xlispTrees(nexprs int, cell func(car, cdr int), root func(int)) (ncells int) {
 	r := newRNG(0x115b)
 	var build func(depth int) int
 	build = func(depth int) int {
@@ -41,38 +42,46 @@ func xlispTrees(nexprs int) (cells []int, roots []int) {
 		}
 		car := build(depth - 1)
 		cdr := build(depth - 1)
-		cells = append(cells, car, cdr)
-		return len(cells)/2 - 1
+		cell(car, cdr)
+		ncells++
+		return ncells - 1
 	}
 	for i := 0; i < nexprs; i++ {
-		root := build(3 + r.intn(3))
-		if root < 0 { // force at least one cell per expression
-			cells = append(cells, root, -(1 + r.intn(50)))
-			root = len(cells)/2 - 1
+		rt := build(3 + r.intn(3))
+		if rt < 0 { // force at least one cell per expression
+			cell(rt, -(1 + r.intn(50)))
+			ncells++
+			rt = ncells - 1
 		}
-		roots = append(roots, root)
+		root(rt)
 	}
-	return cells, roots
+	return ncells
 }
 
 func xlispSource(scale int) string {
-	cells, roots := xlispTrees(scale)
-	var sb strings.Builder
-	sb.WriteString("\t.data\ncells:\n")
-	dataLines(&sb, ".word", cells)
-	sb.WriteString("roots:\n")
-	dataLines(&sb, ".word", roots)
-	sb.WriteString("heapptr:\t.word results\nresults:\t.space ")
-	sb.WriteString(strconv.Itoa(8*scale + 64))
-	sb.WriteString("\n")
-	sb.WriteString(`
+	noCell, noRoot := func(int, int) {}, func(int) {}
+	ncells := xlispTrees(scale, noCell, noRoot)
+	w := max(width(-50), width(ncells-1))
+	src := newSource(tableBytes(".word", 2*ncells, w) + tableBytes(".word", scale, w))
+	src = append(src, "\t.data\ncells:\n"...)
+	cells := table{directive: ".word"}
+	xlispTrees(scale, func(car, cdr int) { src = cells.put(src, car); src = cells.put(src, cdr) }, noRoot)
+	src = cells.end(src)
+	src = append(src, "roots:\n"...)
+	roots := table{directive: ".word"}
+	xlispTrees(scale, noCell, func(rt int) { src = roots.put(src, rt) })
+	src = roots.end(src)
+	src = append(src, "heapptr:\t.word results\nresults:\t.space "...)
+	src = append(src, strconv.Itoa(8*scale+64)...)
+	src = append(src, "\n"...)
+	src = append(src, `
 	.text
 main:
 	li   $s0, 0 !f           ; expression index
 	li   $s1, 0 !f           ; checksum
-`)
-	sb.WriteString("\tli   $s5, " + strconv.Itoa(len(roots)) + " !f\n")
-	sb.WriteString(`	j    EXPR !s
+`...)
+	src = append(src, "\tli   $s5, "+strconv.Itoa(scale)+" !f\n"...)
+	src = append(src, `	j    EXPR !s
 
 EXPR:
 	move $t9, $s0
@@ -96,7 +105,7 @@ EXPR:
 	.sconly bne  $s0, $s5, EXPR
 DONE:
 	move $a0, $s1
-` + printInt + exitSeq + `
+`+printInt+exitSeq+`
 
 	; eval(node in $a0) -> $v0: leaves are negative immediates; interior
 	; cells evaluate car and cdr and combine
@@ -125,6 +134,6 @@ EVLEAF:
 	.task main targets=EXPR create=$s0,$s1,$s5
 	.task EXPR targets=EXPR,DONE create=$s0,$s1,$sp
 	.task DONE
-`)
-	return sb.String()
+`...)
+	return text(src)
 }
